@@ -346,9 +346,9 @@ def test_adaptive_batching_not_slower_than_fixed():
 def _replay_from(snapshot, config, repository, stream, engine: str,
                  batch_size=0):
     """Restore ``snapshot`` into a fresh cache of ``engine`` kind, absorb
-    warm-up (lazy index builds) untimed, then time the continuation
-    slice.  ``batch_size`` follows ``submit_batch``: 0 replays
-    sequentially, N uses fixed windows, ``"auto"`` the AIMD governor.
+    warm-up untimed, then time the continuation slice.  ``batch_size``
+    follows ``submit_batch``: 0 replays sequentially, N uses fixed
+    windows, ``"auto"`` the AIMD governor.
     Returns (seconds, final snapshot)."""
     cache = LandlordCache(
         config.capacity, config.alpha, repository.size_of, engine=engine
@@ -357,9 +357,6 @@ def _replay_from(snapshot, config, repository, stream, engine: str,
     warm = stream[LARGE_SNAP_AT:LARGE_SNAP_AT + LARGE_WARM]
     timed = stream[LARGE_SNAP_AT + LARGE_WARM:
                    LARGE_SNAP_AT + LARGE_WARM + LARGE_SLICE]
-    ensure_lsh = getattr(cache._engine, "_ensure_sig_lsh", None)
-    if ensure_lsh is not None:
-        ensure_lsh()  # build the signature index outside the timed region
     for spec in warm:
         cache.request(spec)
     t0 = perf_counter()

@@ -516,16 +516,6 @@ def _cmd_replay(argv: Sequence[str]) -> int:
                         "0 = sequential, 'auto' = AIMD-governed window "
                         "sizing from the engine's observed dirty rate, "
                         "incompatible with --alert-rules)")
-    parser.add_argument("--prefilter", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="count-window prefilter for the vectorized "
-                        "engine's merge scans (bit-identical results; "
-                        "--no-prefilter forces full bit-matrix scans)")
-    parser.add_argument("--scratch-mb", type=float, default=None, metavar="MB",
-                        help="batched-kernel scratch budget in MiB for the "
-                        "vectorized engine (>= 1; bit-identical at any "
-                        "budget via chunking; default: REPRO_SCRATCH_MB "
-                        "or 32)")
     _alert_args(parser)
     args = parser.parse_args(argv)
     batch_size = _parse_batch_size(parser, "--batch-size", args.batch_size,
@@ -542,9 +532,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     try:
         cache = LandlordCache(capacity, args.alpha, repo.size_of,
                               record_events=bool(args.events_out),
-                              engine=args.engine,
-                              prefilter=args.prefilter,
-                              scratch_mb=args.scratch_mb)
+                              engine=args.engine)
     except ValueError as exc:
         parser.error(str(exc))
     registry = None
@@ -608,19 +596,6 @@ def _parse_batch_size(parser: argparse.ArgumentParser, flag: str,
     if parsed < minimum:
         parser.error(f"{flag} must be >= {minimum} or 'auto'")
     return parsed
-
-
-def _check_scratch_mb(parser: argparse.ArgumentParser,
-                      value: "float | None") -> None:
-    """Reject a bad --scratch-mb at argparse time, not deep in state load."""
-    if value is None:
-        return
-    from repro.core.cache import _resolve_scratch_mb
-
-    try:
-        _resolve_scratch_mb(value)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _alert_args(parser: argparse.ArgumentParser) -> None:
@@ -831,10 +806,6 @@ def _cmd_submit(argv: Sequence[str]) -> int:
                         help="cache decision engine (bit-identical results, "
                         "so snapshots restore across engines; default: "
                         "%(default)s)")
-    parser.add_argument("--scratch-mb", type=float, default=None, metavar="MB",
-                        help="batched-kernel scratch budget in MiB for the "
-                        "vectorized engine (>= 1; bit-identical at any "
-                        "budget; default: REPRO_SCRATCH_MB or 32)")
     _obs_args(parser)
     parser.add_argument("--trace", action="store_true",
                         help="record a decision trace for this request "
@@ -866,7 +837,6 @@ def _cmd_submit(argv: Sequence[str]) -> int:
     if args.remote and args.serve is not None:
         parser.error("--remote submits to an existing daemon; "
                      "it cannot be combined with --serve")
-    _check_scratch_mb(parser, args.scratch_mb)
 
     scale, repo = _site_repository(args.scale, args.seed, args.repo)
     if args.remote:
@@ -884,7 +854,6 @@ def _cmd_submit(argv: Sequence[str]) -> int:
     try:
         cache, metadata, replayed = store.load(
             repo.size_of, migrate_v1=args.migrate_v1, engine=args.engine,
-            scratch_mb=args.scratch_mb,
         )
         if replayed:
             print(f"replayed {len(replayed)} journalled operation(s) "
@@ -901,8 +870,7 @@ def _cmd_submit(argv: Sequence[str]) -> int:
             parse_bytes(args.capacity) if args.capacity else scale.capacity
         )
         cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                              engine=args.engine,
-                              scratch_mb=args.scratch_mb)
+                              engine=args.engine)
         metadata = {"repository": repo_meta}
         store.initialise(cache, metadata)
         print(f"initialised new cache: capacity "
@@ -1155,10 +1123,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
                         metavar="SECONDS",
                         help="target fsync+apply wall time per window for "
                         "--max-batch auto (default: %(default)s)")
-    parser.add_argument("--scratch-mb", type=float, default=None, metavar="MB",
-                        help="batched-kernel scratch budget in MiB for the "
-                        "vectorized engine (>= 1; bit-identical at any "
-                        "budget; default: REPRO_SCRATCH_MB or 32)")
     parser.add_argument("--span-limit", type=int, default=4096, metavar="N",
                         help="bounded ring of pipeline spans behind "
                         "/traces and `repro-landlord trace` "
@@ -1180,7 +1144,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         parser.error("--ack-budget must be positive")
     if args.span_limit < 1:
         parser.error("--span-limit must be >= 1")
-    _check_scratch_mb(parser, args.scratch_mb)
 
     scale, repo = _site_repository(args.scale, args.seed, args.repo)
     repo_meta = (
@@ -1196,7 +1159,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
     try:
         cache, metadata, replayed = store.load(
             repo.size_of, migrate_v1=args.migrate_v1, engine=args.engine,
-            scratch_mb=args.scratch_mb,
         )
         if replayed:
             print(f"replayed {len(replayed)} journalled operation(s) "
@@ -1213,8 +1175,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
             parse_bytes(args.capacity) if args.capacity else scale.capacity
         )
         cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                              engine=args.engine,
-                              scratch_mb=args.scratch_mb)
+                              engine=args.engine)
         metadata = {"repository": repo_meta}
         store.initialise(cache, metadata)
         print(f"initialised new cache: capacity "
@@ -1486,10 +1447,10 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
               f"capacity, {stats.evictions_idle} by idling")
     engine = getattr(cache, "_engine", None)
     prefilter = dict(getattr(engine, "prefilter_stats", None) or {})
-    if prefilter.get("scans"):
-        print(f"prefilter: {prefilter['scans']} scans, "
-              f"{prefilter.get('candidates_pruned', 0)} candidates pruned "
-              f"({prefilter.get('bands', 0)} LSH bands)")
+    if prefilter.get("windowed") or prefilter.get("full"):
+        print(f"prefilter: {prefilter['windowed']} windowed and "
+              f"{prefilter['full']} full merge scan(s), "
+              f"{prefilter['rows_scanned']} row(s) scanned")
     compaction = dict(getattr(engine, "compaction_stats", None) or {})
     batch = dict(getattr(engine, "batch_stats", None) or {})
     if compaction.get("compactions") or batch.get("windows"):

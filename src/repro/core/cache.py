@@ -32,8 +32,6 @@ is recorded in ``BENCH_cache.json`` by ``benchmarks/test_cache_kernel.py``.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -63,35 +61,6 @@ __all__ = [
 HIT_SELECTION = ("smallest", "mru", "first")
 CANDIDATE_ORDER = ("distance", "insertion", "random")
 EVICTION = ("lru", "fifo", "size")
-
-
-def _resolve_scratch_mb(scratch_mb) -> float:
-    """Validate the kernel scratch budget (MiB), honoring the environment.
-
-    ``None`` falls back to ``REPRO_SCRATCH_MB`` and then to the 32 MiB
-    default.  The budget only sizes batched-kernel temporaries — results
-    are bit-identical at any budget via chunking — but a sub-MiB budget
-    would shred every kernel into per-row slivers, so 1 MiB is the floor.
-    """
-    if scratch_mb is None:
-        env = os.environ.get("REPRO_SCRATCH_MB")
-        if env is None:
-            return 32.0
-        try:
-            scratch_mb = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SCRATCH_MB must be a number, got {env!r}"
-            ) from None
-    try:
-        scratch_mb = float(scratch_mb)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"scratch_mb must be a number, got {scratch_mb!r}"
-        ) from None
-    if not math.isfinite(scratch_mb) or scratch_mb < 1.0:
-        raise ValueError(f"scratch_mb must be >= 1 (MiB), got {scratch_mb}")
-    return scratch_mb
 
 
 class _Universe:
@@ -467,16 +436,6 @@ class LandlordCache:
             bit-identical, so it is *not* part of
             :meth:`policy_snapshot` and snapshots restore across
             engines.
-        prefilter: let the vectorized engine narrow full merge scans to
-            the exact count window (and probe its internal LSH) before
-            popcounting — another pure performance knob; decisions stay
-            bit-identical with it on or off (the default is on).  The
-            naive engine ignores it.
-        scratch_mb: budget in MiB for the vectorized engine's batched
-            kernel temporaries (``--scratch-mb`` on the CLI).  ``None``
-            reads ``REPRO_SCRATCH_MB`` and defaults to 32.  Kernels chunk
-            to the budget, so any value >= 1 yields bit-identical
-            results; smaller budgets just run more, smaller chunks.
     """
 
     def __init__(
@@ -499,8 +458,6 @@ class LandlordCache:
         tracer=None,
         slo=None,
         engine: str = "vectorized",
-        prefilter: bool = True,
-        scratch_mb: Optional[float] = None,
     ):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -537,13 +494,6 @@ class LandlordCache:
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.engine = engine
-        # Read by VectorizedEngine.bind(); a pure performance knob like
-        # ``engine`` itself (decisions are bit-identical either way), so
-        # not part of policy_snapshot().
-        self.engine_prefilter = bool(prefilter)
-        # Batched-kernel temporary budget in MiB (also read at bind time;
-        # chunking keeps results bit-identical at any budget).
-        self.engine_scratch_mb = _resolve_scratch_mb(scratch_mb)
         # The governor of the most recent submit_batch(batch_size="auto")
         # call, for /statusz and the dashboard (None until one runs).
         self.last_batch_governor = None
@@ -763,7 +713,7 @@ class LandlordCache:
         """
         packages = spec.packages if isinstance(spec, ImageSpec) else frozenset(spec)
         mask, _indices, _size = self._intern(packages)
-        return self._find_hit(mask)
+        return self._engine.find_hit(mask)
 
     def adopt(self, packages: "AbstractSet[str]") -> CachedImage:
         """Import an externally built image into the cache.
@@ -1091,9 +1041,6 @@ class LandlordCache:
             self._lsh.remove(image.id)
         self._engine.on_remove(image)
 
-    def _eviction_victim(self, pinned_id: str) -> Optional[CachedImage]:
-        return self._engine.eviction_victim(pinned_id)
-
     def _evict_to_capacity(self, pinned_id: str, request_index: int) -> List[str]:
         evicted: List[str] = []
         if self._cached_bytes <= self.capacity:
@@ -1102,7 +1049,7 @@ class LandlordCache:
         tracer = self._tracer
         start = perf_counter() if ins is not None else 0.0
         while self._cached_bytes > self.capacity:
-            victim = self._eviction_victim(pinned_id)
+            victim = self._engine.eviction_victim(pinned_id)
             if victim is None:
                 break  # only the pinned image remains; allow transient overflow
             self._drop_image(victim)
@@ -1140,9 +1087,9 @@ class LandlordCache:
         mask: int,
         n_request: int,
         signature: Optional[MinHashSignature],
-        indices: Optional[np.ndarray] = None,
-    ) -> List[Tuple[float, CachedImage]]:
-        """All cached images with exact d_j < alpha, with their distances."""
+    ) -> Tuple[List[Tuple[float, CachedImage]], int]:
+        """All cached images with exact d_j < alpha, with their distances,
+        plus the number of images the scan examined."""
         if self._lsh is not None and signature is not None:
             # Materialise the LSH pool once so both engines see the same
             # ids in the same (set-iteration) order — candidate ordering
@@ -1155,10 +1102,10 @@ class LandlordCache:
         else:
             pool_ids = None
         out, examined = self._engine.scan_candidates(
-            mask, n_request, self.alpha, pool_ids, indices=indices
+            mask, n_request, self.alpha, pool_ids
         )
         self.stats.candidates_examined += examined
-        return out
+        return out, examined
 
     # -- the algorithm -----------------------------------------------------------
 
@@ -1180,95 +1127,52 @@ class LandlordCache:
         self._clock += 1
         ins = self._ins
         tracer = self._tracer
-        slo = self._slo
+        timed = ins is not None or self._slo is not None
         images_scanned = len(self._images)
-        measured = ins is not None or slo is not None
-        t_request = perf_counter() if measured else 0.0
-        request_timer = None
-        if ins is not None:
-            request_timer = (
-                ins.request_s_batched if self._in_batch else ins.request_s
-            )
+        started = perf_counter() if timed else 0.0
+        action = EventKind.HIT
+        distance: Optional[float] = None
+        bytes_added = written = examined = conflicts = 0
+        evicted: List[str] = []
+        traced: Optional[List[TracedCandidate]] = None
 
         # Step 1: reuse an existing superset image.
+        t0 = perf_counter() if ins is not None else 0.0
+        image = self._engine.find_hit(mask)
         if ins is not None:
-            t0 = perf_counter()
-            hit = self._find_hit(mask)
             ins.subset_scan_s.observe(perf_counter() - t0)
-        else:
-            hit = self._find_hit(mask)
-        if hit is not None:
-            hit.last_used = self._clock
-            hit.last_request = self.stats.requests
-            self._engine.on_touch(hit)
+        if image is not None:
+            image.last_used = self._clock
+            image.last_request = self.stats.requests
+            self._engine.on_touch(image)
             self.stats.hits += 1
-            self.stats.used_bytes += hit.size
+            self.stats.used_bytes += image.size
             self._emit(
                 CacheEvent(
-                    EventKind.HIT, request_index, hit.id, hit.size,
+                    EventKind.HIT, request_index, image.id, image.size,
                     requested_bytes=requested,
                 )
+            )
+        else:
+            # Step 2: merge into the first near image that does not conflict.
+            signature = self._signature_of(packages)
+            t0 = perf_counter() if ins is not None else 0.0
+            candidates, examined = self._merge_candidates(
+                mask, n_request, signature
             )
             if ins is not None:
-                ins.req_hit.inc()
-                ins.requested_bytes.inc(requested)
-                request_timer.observe(
-                    perf_counter() - t_request,
-                    ins.exemplar_for(request_index),
-                    ins.clock.now(),
-                )
-            if slo is not None:
-                slo.on_request(
-                    "hit", requested, 0, hit.size, 0,
-                    perf_counter() - t_request,
-                    self._cached_bytes, self._unique_bytes,
-                    len(self._images),
-                )
+                ins.candidate_probe_s.observe(perf_counter() - t0)
+            if candidates:
+                if self.candidate_order == "distance":
+                    candidates.sort(key=lambda pair: (pair[0], pair[1].id))
+                elif self.candidate_order == "random":
+                    self._rng.shuffle(candidates)
             if tracer is not None:
-                tracer.on_request(RequestTrace(
-                    request_index=request_index,
-                    n_packages=n_request,
-                    requested_bytes=requested,
-                    alpha=self.alpha,
-                    images_scanned=images_scanned,
-                    action="hit",
-                    image_id=hit.id,
-                    image_bytes=hit.size,
-                ))
-            return CacheDecision(EventKind.HIT, hit, requested)
-
-        signature = self._signature_of(packages)
-
-        # Step 2: merge into a near image.
-        examined_before = self.stats.candidates_examined
-        if ins is not None:
-            t0 = perf_counter()
-            candidates = self._merge_candidates(
-                mask, n_request, signature, indices
-            )
-            ins.candidate_probe_s.observe(perf_counter() - t0)
-        else:
-            candidates = self._merge_candidates(
-                mask, n_request, signature, indices
-            )
-        examined = self.stats.candidates_examined - examined_before
-        if ins is not None:
-            ins.candidates.inc(examined)
-        conflicts = 0
-        traced: Optional[List[TracedCandidate]] = (
-            [] if tracer is not None else None
-        )
-        if candidates:
-            if self.candidate_order == "distance":
-                candidates.sort(key=lambda pair: (pair[0], pair[1].id))
-            elif self.candidate_order == "random":
-                self._rng.shuffle(candidates)
+                traced = []
             for pos, (distance, target) in enumerate(candidates):
                 if self.conflict_policy.conflicts(packages, target.packages):
                     self.stats.conflicts_skipped += 1
                     conflicts += 1
-                    if ins is not None:
-                        ins.conflicts.inc()
                     if traced is not None:
                         traced.append(TracedCandidate(
                             target.id, distance, target.size, "conflict"
@@ -1284,83 +1188,97 @@ class LandlordCache:
                         traced.append(TracedCandidate(
                             rest.id, rest_distance, rest.size, "unused"
                         ))
-                decision = self._do_merge(
+                action = EventKind.MERGE
+                image = target
+                bytes_added, written = self._do_merge(
                     target, mask, indices, requested, distance,
                     signature, request_index, examined, conflicts,
                 )
-                if ins is not None:
-                    ins.req_merge.inc()
-                    ins.requested_bytes.inc(requested)
-                    ins.merge_distance.observe(distance)
-                    self._update_gauges()
-                    request_timer.observe(
-                        perf_counter() - t_request,
-                        ins.exemplar_for(request_index),
-                        ins.clock.now(),
+                break
+            else:
+                # Step 3: no mergeable candidate — insert a fresh image.
+                action = EventKind.INSERT
+                distance = None
+                image = self._new_image(mask, indices, requested, signature)
+                image.last_used = self._clock
+                self._engine.on_touch(image)
+                self.stats.inserts += 1
+                self.stats.bytes_written += requested
+                self.stats.used_bytes += requested
+                bytes_added = written = requested
+                self._emit(
+                    CacheEvent(
+                        EventKind.INSERT, request_index, image.id, image.size,
+                        bytes_written=requested, requested_bytes=requested,
+                        candidates_examined=examined,
+                        conflicts_skipped=conflicts,
                     )
-                if slo is not None:
-                    written = (
-                        decision.image.size
-                        if self.merge_write_mode == "full"
-                        else decision.bytes_added
-                    )
-                    slo.on_request(
-                        "merge", requested, written, decision.image.size,
-                        len(decision.evicted),
-                        perf_counter() - t_request,
-                        self._cached_bytes, self._unique_bytes,
-                        len(self._images),
-                    )
-                if tracer is not None:
-                    evictions = tuple(self._pending_evictions)
-                    self._pending_evictions.clear()
-                    tracer.on_request(RequestTrace(
-                        request_index=request_index,
-                        n_packages=n_request,
-                        requested_bytes=requested,
-                        alpha=self.alpha,
-                        images_scanned=images_scanned,
-                        action="merge",
-                        image_id=decision.image.id,
-                        image_bytes=decision.image.size,
-                        distance=distance,
-                        bytes_added=decision.bytes_added,
-                        candidates=tuple(traced or ()),
-                        evictions=evictions,
-                    ))
-                return decision
+                )
+            # Step 4: evict down to capacity, never the image being returned.
+            evicted = self._evict_to_capacity(image.id, request_index)
 
-        # Step 3: insert a fresh image.
-        image = self._new_image(mask, indices, requested, signature)
-        image.last_used = self._clock
-        self._engine.on_touch(image)
-        self.stats.inserts += 1
-        self.stats.bytes_written += requested
-        self.stats.used_bytes += requested
-        self._emit(
-            CacheEvent(
-                EventKind.INSERT, request_index, image.id, image.size,
-                bytes_written=requested, requested_bytes=requested,
-                candidates_examined=examined, conflicts_skipped=conflicts,
-            )
+        decision = CacheDecision(
+            action, image, requested,
+            distance=distance, bytes_added=bytes_added, evicted=evicted,
         )
-        evicted = self._evict_to_capacity(image.id, request_index)
+        if timed or tracer is not None:
+            self._observe(
+                decision, request_index, n_request, images_scanned,
+                written, examined, conflicts, traced,
+                perf_counter() - started if timed else 0.0,
+            )
+        return decision
+
+    def _observe(
+        self,
+        decision: CacheDecision,
+        request_index: int,
+        n_request: int,
+        images_scanned: int,
+        written: int,
+        examined: int,
+        conflicts: int,
+        traced: Optional[List[TracedCandidate]],
+        elapsed: float,
+    ) -> None:
+        """Report one finished request to the attached observers.
+
+        The single seam between Algorithm 1 and the metrics registry, the
+        SLO window and the decision tracer: ``_request`` decides, then
+        hands over what it decided.  Observers only read, and all of them
+        see the same ``elapsed`` reading.
+        """
+        ins = self._ins
+        slo = self._slo
+        tracer = self._tracer
+        action = decision.action
+        image = decision.image
+        requested = decision.requested_bytes
         if ins is not None:
-            ins.req_insert.inc()
+            if action is EventKind.HIT:
+                ins.req_hit.inc()
+            else:
+                if action is EventKind.MERGE:
+                    ins.req_merge.inc()
+                    ins.merge_distance.observe(decision.distance)
+                else:
+                    ins.req_insert.inc()
+                ins.candidates.inc(examined)
+                ins.conflicts.inc(conflicts)
+                ins.bytes_written.inc(written)
+                self._update_gauges()
             ins.requested_bytes.inc(requested)
-            ins.bytes_written.inc(requested)
-            self._update_gauges()
+            request_timer = (
+                ins.request_s_batched if self._in_batch else ins.request_s
+            )
             request_timer.observe(
-                perf_counter() - t_request,
-                ins.exemplar_for(request_index),
-                ins.clock.now(),
+                elapsed, ins.exemplar_for(request_index), ins.clock.now()
             )
         if slo is not None:
             slo.on_request(
-                "insert", requested, requested, image.size,
-                len(evicted), perf_counter() - t_request,
-                self._cached_bytes, self._unique_bytes,
-                len(self._images),
+                action.value, requested, written, image.size,
+                len(decision.evicted), elapsed,
+                self._cached_bytes, self._unique_bytes, len(self._images),
             )
         if tracer is not None:
             evictions = tuple(self._pending_evictions)
@@ -1371,17 +1289,14 @@ class LandlordCache:
                 requested_bytes=requested,
                 alpha=self.alpha,
                 images_scanned=images_scanned,
-                action="insert",
+                action=action.value,
                 image_id=image.id,
                 image_bytes=image.size,
-                bytes_added=requested,
+                distance=decision.distance,
+                bytes_added=decision.bytes_added,
                 candidates=tuple(traced or ()),
                 evictions=evictions,
             ))
-        return CacheDecision(
-            EventKind.INSERT, image, requested,
-            bytes_added=requested, evicted=evicted,
-        )
 
     def submit_batch(
         self,
@@ -1473,9 +1388,6 @@ class LandlordCache:
                 size = governor.observe(signal)
         return decisions
 
-    def _find_hit(self, mask: int) -> Optional[CachedImage]:
-        return self._engine.find_hit(mask)
-
     def _do_merge(
         self,
         target: CachedImage,
@@ -1485,9 +1397,11 @@ class LandlordCache:
         distance: float,
         signature: Optional[MinHashSignature],
         request_index: int,
-        candidates_examined: int = 0,
-        conflicts_skipped: int = 0,
-    ) -> CacheDecision:
+        candidates_examined: int,
+        conflicts_skipped: int,
+    ) -> Tuple[int, int]:
+        """Rewrite ``target`` as ``target ∪ request``; returns
+        ``(bytes_added, bytes_written)``."""
         ins = self._ins
         t0 = perf_counter() if ins is not None else 0.0
         new_mask = target.mask | mask
@@ -1524,8 +1438,6 @@ class LandlordCache:
         written = new_size if self.merge_write_mode == "full" else added_bytes
         self.stats.bytes_written += written
         self.stats.used_bytes += new_size
-        if ins is not None:
-            ins.bytes_written.inc(written)
         self._emit(
             CacheEvent(
                 EventKind.MERGE, request_index, target.id, new_size,
@@ -1535,8 +1447,4 @@ class LandlordCache:
                 conflicts_skipped=conflicts_skipped,
             )
         )
-        evicted = self._evict_to_capacity(target.id, request_index)
-        return CacheDecision(
-            EventKind.MERGE, target, requested, distance=distance,
-            bytes_added=added_bytes, evicted=evicted,
-        )
+        return added_bytes, written

@@ -57,14 +57,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.minhash import (
-    MinHashLSH,
-    MinHashSignature,
-    _FULL,
-    _perm_params,
-    element_hash,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cache import CachedImage, LandlordCache
 
@@ -106,9 +98,6 @@ class _Arena:
             buf = np.empty(capacity, dtype=dtype)
             self._buffers[name] = buf
         return buf[:n].reshape(shape)
-
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 class NaiveEngine:
@@ -186,7 +175,6 @@ class NaiveEngine:
         n_request: int,
         alpha: float,
         pool_ids: Optional[Sequence[str]] = None,
-        indices: Optional[np.ndarray] = None,
     ) -> Tuple[List[Tuple[float, "CachedImage"]], int]:
         """All images with exact Jaccard distance < ``alpha``.
 
@@ -195,9 +183,6 @@ class NaiveEngine:
         number of images scanned (the ``candidates_examined`` delta).
         ``pool_ids`` restricts the scan to those ids in that exact order
         (the MinHash/LSH prefilter); ``None`` scans the whole cache.
-        ``indices`` (the request's sorted universe indices) is an optional
-        hint other engines use for signature hashing; the naive loop
-        ignores it.
         """
         cache = self._cache
         if pool_ids is None:
@@ -222,17 +207,6 @@ class NaiveEngine:
     ) -> List[Optional["CachedImage"]]:
         """Hit scan for a vector of independent masks against current state."""
         return [self.find_hit(mask) for mask in masks]
-
-    def scan_candidates_batch(
-        self,
-        queries: Sequence[Tuple[int, int]],
-        alpha: float,
-    ) -> List[Tuple[List[Tuple[float, "CachedImage"]], int]]:
-        """Merge scan for a vector of ``(mask, n_request)`` queries."""
-        return [
-            self.scan_candidates(mask, n_request, alpha)
-            for mask, n_request in queries
-        ]
 
     def begin_batch(self, masks: Sequence[int]) -> None:
         """Batched-submission hint; the naive loops take no advantage."""
@@ -330,21 +304,15 @@ class VectorizedEngine:
     because :class:`~repro.core.adaptive.AlphaController` retunes α on a
     live cache.
 
-    **Candidate prefilter** (``prefilter=True`` on the cache, the
-    default): the full merge scan first narrows to the *count window* —
-    d(s, j) < α forces ``t·n_s ≤ n_j ≤ n_s/t`` with ``t = 1 − α``, an
-    exact bound since ``|s∩j|/|s∪j| ≤ min(n_s,n_j)/max(n_s,n_j)`` — and
-    only gathers + popcounts the eligible rows when the window is
-    selective.  A :class:`~repro.core.minhash.MinHashLSH` over per-image
-    signatures (maintained incrementally in ``on_add``/``on_remove``/
-    ``on_update`` once the cache is large enough) is probed per scan;
-    the probe is *conclusive* when its bucket pool covers every
-    window-eligible row, in which case the verified pool is exactly the
-    eligible set.  An inconclusive probe (or an unselective window)
-    falls back to the full bit-matrix scan.  Because every skipped row
-    is excluded by the exact count bound — never by the probabilistic
-    signatures alone — decisions stay bit-identical to the naive loops
-    (exactness argument in DESIGN.md, "Decision-engine internals").
+    **Count window**: the full merge scan first narrows to the rows
+    whose package count admits a match — d(s, j) < α forces
+    ``t·n_s ≤ n_j ≤ n_s/t`` with ``t = 1 − α``, an exact bound since
+    ``|s∩j|/|s∪j| ≤ min(n_s,n_j)/max(n_s,n_j)`` — and gathers +
+    popcounts only those rows when the window is selective (fewer than
+    half the allocated rows); otherwise it popcounts the whole matrix in
+    place.  Every skipped row is excluded by the exact bound, so
+    decisions stay bit-identical to the naive loops (DESIGN.md,
+    "Decision-engine internals").
 
     **Batch window** (:meth:`begin_batch`/:meth:`end_batch`, driven by
     ``LandlordCache.submit_batch``): hit predictions for a vector of
@@ -364,22 +332,12 @@ class VectorizedEngine:
     # live images (and is big enough for the rebuild to matter).
     _HEAP_MIN = 64
     _HEAP_SLACK = 4
-    # Internal LSH shape: 32 slots in 8 bands of 4 rows puts the S-curve
-    # threshold near similarity 0.6, the middle of the paper's α grid.
-    _LSH_PERM = 32
-    _LSH_BANDS = 8
-    _LSH_SEED = 0x51AB
-    # Maintain/probe the internal LSH only once this many images are
-    # live (below that, signature upkeep costs more than the scan).
-    _LSH_MIN_LIVE = 256
     # Past this many dirtied rows, batched hit repair re-predicts the
     # rest of the batch instead of walking an ever-growing dirty set.
     _BATCH_MAX_DIRTY = 64
-    # Element budget for batched-kernel temporaries (rows × batch lanes ×
-    # words); 4M uint64 elements keeps the AND temporary near 32 MB.
-    # ``bind`` derives the live budget from the cache's ``scratch_mb``
-    # knob (``--scratch-mb`` / ``REPRO_SCRATCH_MB``); this is the
-    # default's worth of elements.
+    # Element budget for ``find_hits`` temporaries (rows × batch lanes);
+    # 4M uint64 elements keeps the AND temporary near 32 MiB.  Chunking
+    # keeps results bit-identical at any budget.
     _BATCH_CELL_BUDGET = 1 << 22
     # Compact the matrix when more than this fraction of allocated rows
     # is dead (and the matrix is big enough for the copy to pay off).
@@ -390,27 +348,12 @@ class VectorizedEngine:
         """Attach to the owning cache and allocate the empty matrix."""
         self._cache = cache
         self._policy = cache.eviction
-        self._prefilter = bool(getattr(cache, "engine_prefilter", True))
-        # Instance-level so tests can lower it to force the LSH path.
-        self.lsh_min_live = self._LSH_MIN_LIVE
-        self._sig_lsh: Optional[MinHashLSH] = None
-        self._perm_a: Optional[np.ndarray] = None
-        self._perm_b: Optional[np.ndarray] = None
-        self._elem_hashes = np.zeros(0, dtype=np.uint64)
-        self._elem_filled = np.zeros(0, dtype=bool)
         self._batch: Optional[_HitBatch] = None
-        # Observable prefilter accounting (plain counters, reset never):
+        # Observable merge-scan accounting (plain counters, reset never):
         # windowed = scans served from the count-window gather;
         # full = scans that fell back to the full bit-matrix pass;
-        # lsh_probes/lsh_conclusive = probe attempts and certified hits;
         # rows_scanned = physical rows popcounted by merge scans.
-        self.prefilter_stats = {
-            "windowed": 0,
-            "full": 0,
-            "lsh_probes": 0,
-            "lsh_conclusive": 0,
-            "rows_scanned": 0,
-        }
+        self.prefilter_stats = {"windowed": 0, "full": 0, "rows_scanned": 0}
         # Batch-window accounting: per-window dirty rate feeds the
         # adaptive batching governor; cumulative counters feed /statusz.
         self.batch_stats = {
@@ -421,11 +364,6 @@ class VectorizedEngine:
             "last_dirty_rate": 0.0,
         }
         self.compaction_stats = {"compactions": 0, "rows_reclaimed": 0}
-        # Element budget for batched-kernel temporaries, from the cache's
-        # scratch knob (MiB of uint64 elements); chunking keeps results
-        # bit-identical at any budget.
-        scratch_mb = float(getattr(cache, "engine_scratch_mb", 32.0))
-        self._cell_budget = max(4096, int(scratch_mb * (1 << 20)) // 8)
         rows = self._INITIAL_ROWS
         self._rows = rows
         self._words = 1
@@ -530,10 +468,6 @@ class VectorizedEngine:
         self._row_of[image.id] = row
         self._n_live += 1
         self._push(row, image.id)
-        if self._sig_lsh is not None:
-            self._sig_lsh.insert(
-                image.id, self._signature_of_indices(image.indices)
-            )
         if self._batch is not None:
             self._batch.note_dirty(image.id)
 
@@ -544,8 +478,6 @@ class VectorizedEngine:
         self._image_of_row[row] = None
         self._free.append(row)
         self._n_live -= 1
-        if self._sig_lsh is not None:
-            self._sig_lsh.remove(image.id)
         if self._batch is not None:
             self._batch.note_dirty(image.id)
         elif self._should_compact():
@@ -570,10 +502,6 @@ class VectorizedEngine:
         self._last_used[row] = image.last_used
         if self._policy != "fifo":  # created_at never changes
             self._push(row, image.id)
-        if self._sig_lsh is not None:
-            self._sig_lsh.update(
-                image.id, self._signature_of_indices(image.indices)
-            )
         if self._batch is not None:
             self._batch.note_dirty(image.id)
 
@@ -632,60 +560,6 @@ class VectorizedEngine:
         self.compaction_stats["rows_reclaimed"] += n_dead
         return n_dead
 
-    # -- internal MinHash/LSH index ------------------------------------------
-
-    def _element_hash_values(self, indices: np.ndarray) -> np.ndarray:
-        """Stable 64-bit element hashes for universe indices (memoised)."""
-        if indices.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        needed = int(indices[-1]) + 1  # indices are sorted ascending
-        if needed > self._elem_hashes.size:
-            capacity = max(1024, self._elem_hashes.size)
-            while capacity < needed:
-                capacity *= 2
-            grown = np.zeros(capacity, dtype=np.uint64)
-            grown[: self._elem_hashes.size] = self._elem_hashes
-            self._elem_hashes = grown
-            filled = np.zeros(capacity, dtype=bool)
-            filled[: self._elem_filled.size] = self._elem_filled
-            self._elem_filled = filled
-        missing = indices[~self._elem_filled[indices]]
-        if missing.size:
-            ids = self._cache._universe._ids
-            for idx in missing:
-                i = int(idx)
-                self._elem_hashes[i] = element_hash(ids[i])
-                self._elem_filled[i] = True
-        return self._elem_hashes[indices]
-
-    def _signature_of_indices(self, indices: np.ndarray) -> MinHashSignature:
-        """MinHash signature of a package-index set (engine-internal seed)."""
-        if self._perm_a is None:
-            self._perm_a, self._perm_b = _perm_params(
-                self._LSH_PERM, self._LSH_SEED
-            )
-        hashes = self._element_hash_values(indices)
-        if hashes.size == 0:
-            values = np.full(self._LSH_PERM, _FULL, dtype=np.uint64)
-        else:
-            with np.errstate(over="ignore"):
-                table = (
-                    self._perm_a[:, None] * hashes[None, :]
-                    + self._perm_b[:, None]
-                )
-            values = table.min(axis=1)
-        return MinHashSignature(values, self._LSH_PERM, self._LSH_SEED)
-
-    def _ensure_sig_lsh(self) -> None:
-        """Build the internal LSH over all live images (first use only)."""
-        if self._sig_lsh is not None:
-            return
-        lsh = MinHashLSH(self._LSH_PERM, self._LSH_BANDS)
-        for image_id, row in self._row_of.items():
-            image = self._image_of_row[row]
-            lsh.insert(image_id, self._signature_of_indices(image.indices))
-        self._sig_lsh = lsh
-
     # -- kernels -----------------------------------------------------------
 
     def find_hit(self, mask: int) -> Optional["CachedImage"]:
@@ -719,26 +593,11 @@ class VectorizedEngine:
         nz = np.flatnonzero(q)
         if nz.size == 0:
             # Empty request: every live image is a superset.
-            rows = np.flatnonzero(self._live[:top])
-        else:
-            word = int(nz[np.argmax(np.bitwise_count(q[nz]))])
-            qw = q[word]
-            col = self._matrix[:top, word]
-            cand = np.flatnonzero((col & qw) == qw)
-            if cand.size == 0:
-                return None
-            cand = cand[self._live[cand]]
-            if cand.size == 0:
-                return None
-            if nz.size > 1:
-                sub = self._matrix[np.ix_(cand, nz)]
-                covered = ((sub & q[nz]) == q[nz]).all(axis=1)
-                rows = cand[covered]
-            else:
-                rows = cand
-        if rows.size == 0:
-            return None
-        return self._select_hit(rows)
+            return self._select_hit(np.flatnonzero(self._live[:top]))
+        word = int(nz[np.argmax(np.bitwise_count(q[nz]))])
+        qw = q[word]
+        cand = np.flatnonzero((self._matrix[:top, word] & qw) == qw)
+        return self._verify_and_select(cand, q, nz)
 
     def _select_hit(self, rows: np.ndarray) -> Optional["CachedImage"]:
         """The winner among superset rows under the cache's selection rule.
@@ -800,34 +659,12 @@ class VectorizedEngine:
         ok = self._live[:top] & (counts >= lo) & (counts <= hi)
         return np.flatnonzero(ok)
 
-    def _certify_window(self, indices: np.ndarray, rows: np.ndarray) -> None:
-        """Probe the internal LSH and record whether it covers ``rows``.
-
-        The probe never prunes — MinHash collisions are probabilistic,
-        and a missed bucket would silently drop a true candidate.  It is
-        *certification accounting*: a probe is conclusive when its bucket
-        pool ⊇ the window-eligible rows, i.e. the verified pool
-        (pool ∩ eligible) is exactly the eligible set the scan already
-        uses.  The counters feed the prefilter telemetry and the
-        differential suite's LSH-path coverage assertions.
-        """
-        if self._n_live >= self.lsh_min_live:
-            self._ensure_sig_lsh()
-        if self._sig_lsh is None:
-            return
-        self.prefilter_stats["lsh_probes"] += 1
-        pool = self._sig_lsh.query(self._signature_of_indices(indices))
-        image_of = self._image_of_row
-        if all(image_of[int(r)].id in pool for r in rows):
-            self.prefilter_stats["lsh_conclusive"] += 1
-
     def scan_candidates(
         self,
         mask: int,
         n_request: int,
         alpha: float,
         pool_ids: Optional[Sequence[str]] = None,
-        indices: Optional[np.ndarray] = None,
     ) -> Tuple[List[Tuple[float, "CachedImage"]], int]:
         """Batched popcount intersection → all exact Jaccard distances.
 
@@ -838,12 +675,12 @@ class VectorizedEngine:
         Candidates are returned in pool order: ascending ``_order`` for a
         full scan (= dict order), given order for an LSH pool.
 
-        With the prefilter enabled, a full scan first narrows to the
-        exact count window (:meth:`_window_rows`) and gathers only those
-        rows when the window is selective; the reported ``examined``
-        stays the *logical* pool size (``n_live``), because every
-        window-excluded row was examined — by an exact bound on its
-        count — and the statistic must not depend on physical strategy.
+        A full scan first narrows to the exact count window
+        (:meth:`_window_rows`) and gathers only those rows when the
+        window is selective; the reported ``examined`` stays the
+        *logical* pool size (``n_live``), because every window-excluded
+        row was examined — by an exact bound on its count — and the
+        statistic must not depend on physical strategy.
         """
         if pool_ids is not None:
             if not pool_ids:
@@ -853,37 +690,21 @@ class VectorizedEngine:
                 dtype=np.int64,
                 count=len(pool_ids),
             )
-            sub = self._matrix[rows]
-            dist = self._distances(sub, rows, n_request, mask)
-            image_of = self._image_of_row
-            out = [
-                (float(dist[i]), image_of[int(rows[i])])
-                for i in np.flatnonzero(dist < alpha)
-            ]
+            out = self._scan_rows(rows, n_request, alpha, mask)
             return out, len(pool_ids)
         if self._n_live == 0:
             return [], 0
         top = self._top
         examined = self._n_live
-        if self._prefilter:
-            rows = self._window_rows(n_request, alpha)
-            if rows is not None and (rows.size << 1) < top:
-                self.prefilter_stats["windowed"] += 1
-                self.prefilter_stats["rows_scanned"] += int(rows.size)
-                if indices is not None:
-                    self._certify_window(indices, rows)
-                if rows.size == 0:
-                    return [], examined
-                if rows.size > 1:
-                    rows = rows[np.argsort(self._order[rows])]
-                sub = self._matrix[rows]
-                dist = self._distances(sub, rows, n_request, mask)
-                image_of = self._image_of_row
-                out = [
-                    (float(dist[i]), image_of[int(rows[i])])
-                    for i in np.flatnonzero(dist < alpha)
-                ]
-                return out, examined
+        rows = self._window_rows(n_request, alpha)
+        if rows is not None and (rows.size << 1) < top:
+            self.prefilter_stats["windowed"] += 1
+            self.prefilter_stats["rows_scanned"] += int(rows.size)
+            if rows.size == 0:
+                return [], examined
+            if rows.size > 1:
+                rows = rows[np.argsort(self._order[rows])]
+            return self._scan_rows(rows, n_request, alpha, mask), examined
         self.prefilter_stats["full"] += 1
         self.prefilter_stats["rows_scanned"] += top
         all_rows = np.arange(top, dtype=np.int64)
@@ -895,6 +716,17 @@ class VectorizedEngine:
         image_of = self._image_of_row
         out = [(float(dist[int(r)]), image_of[int(r)]) for r in rows]
         return out, examined
+
+    def _scan_rows(
+        self, rows: np.ndarray, n_request: int, alpha: float, mask: int
+    ) -> List[Tuple[float, "CachedImage"]]:
+        """Gather ``rows`` and keep those within ``alpha``, in given order."""
+        dist = self._distances(self._matrix[rows], rows, n_request, mask)
+        image_of = self._image_of_row
+        return [
+            (float(dist[i]), image_of[int(rows[i])])
+            for i in np.flatnonzero(dist < alpha)
+        ]
 
     # -- batch API -----------------------------------------------------------
 
@@ -937,7 +769,7 @@ class VectorizedEngine:
             qws = np.array([q[word] for _, q, _ in members], dtype=_WORD)
             col = self._matrix[:top, word]
             n_lanes = len(members)
-            chunk = max(1, self._cell_budget // n_lanes)
+            chunk = max(1, self._BATCH_CELL_BUDGET // n_lanes)
             cand_lists: List[List[np.ndarray]] = [[] for _ in members]
             for start in range(0, top, chunk):
                 stop = min(start + chunk, top)
@@ -978,66 +810,6 @@ class VectorizedEngine:
                 if hit is not None:
                     for i in lanes[mask]:
                         results[i] = hit
-        return results
-
-    def scan_candidates_batch(
-        self,
-        queries: Sequence[Tuple[int, int]],
-        alpha: float,
-    ) -> List[Tuple[List[Tuple[float, "CachedImage"]], int]]:
-        """Merge scan for a vector of ``(mask, n_request)`` queries.
-
-        One broadcast popcount kernel per lane chunk — the ``B × top``
-        intersection matrix comes out of a single ``bitwise_count`` over
-        a ``B × top × words`` AND (chunked to the element budget), and
-        each lane then applies the same exact-distance filter and
-        ``_order`` sort as :meth:`scan_candidates`.  Equivalent to
-        ``[self.scan_candidates(m, n, alpha) for m, n in queries]``
-        against fixed state.
-        """
-        n_queries = len(queries)
-        if n_queries == 0:
-            return []
-        if self._n_live == 0:
-            return [([], 0) for _ in queries]
-        top = self._top
-        words = self._words
-        examined = self._n_live
-        stacked = self._arena.take("stacked", (n_queries, words), _WORD)
-        n_req = np.zeros(n_queries, dtype=np.int64)
-        for i, (mask, n_request) in enumerate(queries):
-            q, _overflow = self._query_words(mask)
-            stacked[i] = q
-            n_req[i] = n_request
-        live = self._live[:top]
-        counts = self._count[:top]
-        image_of = self._image_of_row
-        results: List[Tuple[List[Tuple[float, "CachedImage"]], int]] = []
-        lane_budget = max(1, self._cell_budget // max(1, top * words))
-        for start in range(0, n_queries, lane_budget):
-            stop = min(start + lane_budget, n_queries)
-            shape = (stop - start, top, words)
-            anded = np.bitwise_and(
-                self._matrix[None, :top, :],
-                stacked[start:stop, None, :],
-                out=self._arena.take("batch_and", shape, _WORD),
-            )
-            inter = np.bitwise_count(
-                anded, out=self._arena.take("batch_pop", shape, np.uint8)
-            ).sum(axis=2, dtype=np.int64)
-            union = n_req[start:stop, None] + counts[None, :] - inter
-            dist = np.where(
-                union > 0, 1.0 - inter / np.maximum(union, 1), 0.0
-            )
-            for j in range(stop - start):
-                ok = live & (dist[j] < alpha)
-                rows = np.flatnonzero(ok)
-                if rows.size > 1:
-                    rows = rows[np.argsort(self._order[rows])]
-                out = [
-                    (float(dist[j][int(r)]), image_of[int(r)]) for r in rows
-                ]
-                results.append((out, examined))
         return results
 
     def begin_batch(self, masks: Sequence[int]) -> None:
@@ -1142,7 +914,8 @@ class VectorizedEngine:
 
         ``sub=None`` means "the first ``len(rows)`` matrix rows" and runs
         through arena scratch buffers (the full-scan fast path); an
-        explicit ``sub`` (the LSH pool gather) allocates normally.
+        explicit ``sub`` (a gathered pool or count window) allocates
+        normally.
         """
         q, _overflow = self._query_words(mask)
         if sub is None:

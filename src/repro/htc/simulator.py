@@ -76,9 +76,6 @@ class SimulationConfig:
     # or "naive").  A pure performance knob — the engines are
     # bit-identical, so results never depend on it.
     engine: str = "vectorized"
-    # Let the vectorized engine prefilter full merge scans through the
-    # exact count window (another bit-identical performance knob).
-    prefilter: bool = True
     # Drive the stream through submit_batch windows: 0 = sequential
     # request() calls, N >= 1 = fixed windows, "auto" = AIMD-governed
     # windows (repro.core.adaptive.batch_governor).  Decisions are
@@ -338,7 +335,6 @@ def simulate(
         use_minhash=config.use_minhash,
         merge_write_mode=config.merge_write_mode,
         engine=config.engine,
-        prefilter=config.prefilter,
         rng=spawn(config.seed, "cache-rng"),
     )
     metrics = MetricsRegistry() if config.collect_metrics else None

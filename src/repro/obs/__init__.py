@@ -1,4 +1,4 @@
-"""Observability layer: metrics, timing spans, decision traces, streams.
+"""Observability layer: metrics, decision traces, request spans, streams.
 
 ``repro.obs`` is the measurement substrate for the LANDLORD
 reproduction.  It is zero-dependency and strictly opt-in: nothing in
@@ -12,8 +12,6 @@ Modules:
 - :mod:`repro.obs.metrics` — ``MetricsRegistry`` with Counter / Gauge /
   fixed-bucket Histogram families, Prometheus-text and JSON export, and
   deterministic cross-process snapshot merging.
-- :mod:`repro.obs.timing` — nestable ``perf_counter`` spans recording
-  into ``*_seconds`` histograms.
 - :mod:`repro.obs.clock` — the hybrid span clock: monotonic durations
   anchored to a wall-clock epoch, injectable/frozen for tests.
 - :mod:`repro.obs.spans` — distributed request tracing: W3C
@@ -104,7 +102,6 @@ from .telemetry import (
     label_snapshot,
 )
 from .slo import DEFAULT_WINDOW, SLO_SERIES, RollingWindow, SloTracker
-from .timing import SpanClock
 from .trace import (
     DecisionTracer,
     RequestTrace,
@@ -123,7 +120,6 @@ __all__ = [
     "DISTANCE_BUCKETS",
     "load_registry",
     "save_registry",
-    "SpanClock",
     "FrozenClock",
     "HybridClock",
     "default_clock",

@@ -68,13 +68,8 @@ def _combo_id(combo) -> str:
     )
 
 
-def make_pair(combo, lsh_min_live=None):
-    """Two caches differing only in ``engine=``.
-
-    ``lsh_min_live`` lowers the vectorized engine's signature-LSH build
-    threshold so the prefilter probe engages on these tiny pools (the
-    production default waits for hundreds of live images).
-    """
+def make_pair(combo):
+    """Two caches differing only in ``engine=``."""
     hit, order, evict, mode, minhash, conflicts = combo
     kwargs = dict(
         hit_selection=hit,
@@ -95,8 +90,6 @@ def make_pair(combo, lsh_min_live=None):
         CAPACITY, ALPHA, _size_of, engine="vectorized",
         rng=np.random.default_rng(7), **kwargs,
     )
-    if lsh_min_live is not None:
-        vec._engine.lsh_min_live = lsh_min_live
     return naive, vec
 
 
@@ -120,8 +113,8 @@ def assert_same_state(naive, vec):
     assert naive.unique_bytes == vec.unique_bytes
 
 
-def run_differential(combo, n_requests=N_REQUESTS, lsh_min_live=None):
-    naive, vec = make_pair(combo, lsh_min_live=lsh_min_live)
+def run_differential(combo, n_requests=N_REQUESTS):
+    naive, vec = make_pair(combo)
     rng = Random("|".join(map(str, combo)))  # str seeding is stable
     for step in range(1, n_requests + 1):
         spec = frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
@@ -161,7 +154,7 @@ def run_differential(combo, n_requests=N_REQUESTS, lsh_min_live=None):
             assert_same_state(naive, vec)
             snap_naive, snap_vec = naive.snapshot(), vec.snapshot()
             assert snap_naive == snap_vec
-            naive, vec = make_pair(combo, lsh_min_live=lsh_min_live)
+            naive, vec = make_pair(combo)
             naive.restore(snap_vec)
             vec.restore(snap_naive)
     assert_same_state(naive, vec)
@@ -173,19 +166,15 @@ def test_engines_bit_identical(combo):
     run_differential(combo)
 
 
-# -- LSH-prefiltered and batched-submission variants ------------------------
+# -- Batched-submission variants ---------------------------------------------
 #
 # Reduced grids (deterministic strides over the full 216-combination grid)
 # keep the added runtime modest while still crossing every knob value.
 
-LSH_GRID = GRID[::12]
 BATCH_GRID = GRID[::18]
-BATCH_LSH_GRID = GRID[::36]
 
 
-def run_differential_batched(
-    combo, batch_size, n_requests=600, lsh_min_live=None
-):
+def run_differential_batched(combo, batch_size, n_requests=600):
     """Drive both engines through ``submit_batch`` windows, interleaving
     maintenance operations (adopt / evict_idle / split) and cross-engine
     snapshot/restore round-trips *between* windows.
@@ -195,7 +184,7 @@ def run_differential_batched(
     while the vectorized engine reports the real one, so the two replay
     the same stream with *different* window boundaries — the strongest
     form of the windowing-never-affects-decisions invariant."""
-    naive, vec = make_pair(combo, lsh_min_live=lsh_min_live)
+    naive, vec = make_pair(combo)
     rng = Random("batched|" + "|".join(map(str, combo)) + f"|{batch_size}")
     submission = 400 if batch_size == "auto" else 2 * batch_size
     submitted = 0
@@ -239,16 +228,11 @@ def run_differential_batched(
             assert_same_state(naive, vec)
             snap_naive, snap_vec = naive.snapshot(), vec.snapshot()
             assert snap_naive == snap_vec
-            naive, vec = make_pair(combo, lsh_min_live=lsh_min_live)
+            naive, vec = make_pair(combo)
             naive.restore(snap_vec)
             vec.restore(snap_naive)
     assert_same_state(naive, vec)
     return naive, vec
-
-
-@pytest.mark.parametrize("combo", LSH_GRID, ids=_combo_id)
-def test_engines_bit_identical_with_lsh_prefilter(combo):
-    run_differential(combo, n_requests=600, lsh_min_live=1)
 
 
 @pytest.mark.parametrize("combo", BATCH_GRID, ids=_combo_id)
@@ -256,18 +240,11 @@ def test_engines_bit_identical_batched(combo):
     run_differential_batched(combo, batch_size=7)
 
 
-@pytest.mark.parametrize("combo", BATCH_LSH_GRID, ids=_combo_id)
-def test_engines_bit_identical_batched_with_lsh_prefilter(combo):
-    run_differential_batched(combo, batch_size=5, lsh_min_live=1)
-
-
 def test_batch_kernels_match_reference():
-    """Direct engine-level differential: ``find_hits`` and
-    ``scan_candidates_batch`` agree with the naive loops on identical
-    cache state, including hit identity, candidate order, distances, and
-    examined counts."""
+    """Direct engine-level differential: ``find_hits`` agrees with the
+    naive loop on identical cache state, lane by lane."""
     combo = ("smallest", "distance", "lru", "full", False, False)
-    naive, vec = make_pair(combo, lsh_min_live=1)
+    naive, vec = make_pair(combo)
     rng = Random("kernels")
     for _ in range(300):
         spec = frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
@@ -286,13 +263,6 @@ def test_batch_kernels_match_reference():
     assert [h.id if h else None for h in hits_naive] == [
         h.id if h else None for h in hits_vec
     ]
-
-    queries = [(mask, mask.bit_count()) for mask in n_masks]
-    cands_naive = naive._engine.scan_candidates_batch(queries, ALPHA)
-    cands_vec = vec._engine.scan_candidates_batch(queries, ALPHA)
-    for (cn, examined_n), (cv, examined_v) in zip(cands_naive, cands_vec):
-        assert examined_n == examined_v
-        assert [(d, img.id) for d, img in cn] == [(d, img.id) for d, img in cv]
 
 
 # -- Adaptive batching, forced compaction, and scratch-budget variants ------
@@ -385,9 +355,9 @@ def test_adaptive_fixed_naive_agree():
 
 
 def test_scratch_budget_chunking_bit_identical():
-    """A 1 MiB scratch budget forces the batched kernels through many
-    small chunks; decisions must not change relative to the 32 MiB
-    default or the naive reference."""
+    """A tiny cell budget forces ``find_hits`` through one-row chunks;
+    decisions must not change relative to the 32 MiB default or the
+    naive reference."""
     combo = ("smallest", "distance", "lru", "full", False, False)
     hit, order, evict, mode, minhash, conflicts = combo
     kwargs = dict(
@@ -400,10 +370,9 @@ def test_scratch_budget_chunking_bit_identical():
         CAPACITY, ALPHA, _size_of, engine="vectorized", **kwargs
     )
     tight = LandlordCache(
-        CAPACITY, ALPHA, _size_of, engine="vectorized", scratch_mb=1.0,
-        **kwargs,
+        CAPACITY, ALPHA, _size_of, engine="vectorized", **kwargs
     )
-    assert tight._engine._cell_budget < wide._engine._cell_budget
+    tight._engine._BATCH_CELL_BUDGET = 8
 
     rng = Random("scratch")
     submitted = 0

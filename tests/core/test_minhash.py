@@ -207,26 +207,3 @@ class TestChurnInvariants:
         # Every surviving key is still findable under its signature.
         for key, sig in live.items():
             assert key in lsh.query(sig)
-
-    def test_engine_signature_index_tracks_live_images(self):
-        # The vectorized engine's internal prefilter index must stay
-        # exactly one entry per band per *live* image across insert,
-        # merge, and idle-eviction churn.
-        from random import Random
-
-        from repro.core.cache import LandlordCache
-
-        sizes = {f"p{i}": 10 + i % 7 for i in range(48)}
-        c = LandlordCache(600, 0.6, sizes.__getitem__, engine="vectorized")
-        c._engine.lsh_min_live = 1
-        rng = Random("engine-churn")
-        packages = sorted(sizes)
-        for step in range(1, 401):
-            c.request(frozenset(rng.sample(packages, rng.randint(1, 6))))
-            if step % 50 == 0:
-                c.evict_idle(rng.randint(0, 20))
-            lsh = c._engine._sig_lsh
-            if lsh is not None:
-                assert len(lsh) == len(c._images)
-                assert lsh.total_entries() == lsh.bands * len(c._images)
-        assert c._engine._sig_lsh is not None  # the index actually engaged

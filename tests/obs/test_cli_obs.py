@@ -121,6 +121,24 @@ class TestSubmitMetrics:
                      ]) == 0
         assert "no metrics file" in capsys.readouterr().out
 
+    def test_cache_status_reports_merge_scan_counters(self, tmp_path, capsys,
+                                                      tiny_apps):
+        # Two journalled-but-unsnapshotted requests: loading the state
+        # replays them, so the second one's merge scan runs in this
+        # process and the engine's prefilter counters are non-zero.
+        spec = tmp_path / "job.txt"
+        state = tmp_path / "state.json"
+        for apps in (tiny_apps[:3], tiny_apps[5:8]):
+            spec.write_text("\n".join(apps))
+            assert submit(spec, state, "--snapshot-every", "100") == 0
+        capsys.readouterr()
+        assert main(["cache-status", "--state", str(state), "--scale",
+                     "tiny"]) == 0
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines()
+                    if ln.startswith("prefilter:"))
+        assert "0 windowed and 1 full merge scan(s), 1 row(s) scanned" in line
+
 
 class TestMetricsCommand:
     def make_metrics(self, tmp_path, tiny_apps):

@@ -6,6 +6,8 @@ live cache state exactly — metrics are a view of the cache, never a
 second bookkeeping system that can drift.
 """
 
+import itertools
+
 import numpy as np
 
 from repro.core.cache import LandlordCache
@@ -101,6 +103,65 @@ class TestCacheMetrics:
             c.stats.conflicts_skipped
         )
         assert c.stats.conflicts_skipped >= 1
+
+
+class _SloSpy:
+    """Records what the cache hands to ``SloTracker.on_request``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def configure(self, capacity, alpha):
+        pass
+
+    def on_request(self, action, requested, written, used, evictions,
+                   latency_s, cached_bytes, unique_bytes, images):
+        self.calls.append((action, latency_s))
+
+
+class TestOneObserverSeam:
+    """Every request reaches the observers once, with one clock read."""
+
+    def test_slo_and_histogram_see_the_same_elapsed(self, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            "repro.core.cache.perf_counter", lambda: float(next(ticks))
+        )
+        reg = MetricsRegistry()
+        spy = _SloSpy()
+        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg, slo=spy)
+        timer = reg.get("landlord_request_seconds").labels(
+            engine="vectorized", batched="no"
+        )
+        for spec in ({"p0", "p1"}, {"p0", "p1"}, {"p0", "p1", "p2"}):
+            before = timer.sum
+            c.request(frozenset(spec))
+            # integer ticks: the histogram sum is exact, no rounding slack
+            assert timer.sum - before == spy.calls[-1][1]
+        assert [action for action, _ in spy.calls] == [
+            "insert", "hit", "merge"
+        ]
+
+    def test_one_latency_observation_per_request_in_both_modes(self):
+        reg = MetricsRegistry()
+        spy = _SloSpy()
+        c = LandlordCache(300, 0.6, SIZE.__getitem__, metrics=reg, slo=spy)
+        rng = np.random.default_rng(11)
+        pids = sorted(SIZE)
+        specs = [
+            frozenset(rng.choice(pids, size=int(rng.integers(1, 6)),
+                                 replace=False))
+            for _ in range(120)
+        ]
+        for spec in specs[:50]:
+            c.request(spec)
+        c.submit_batch(specs[50:], batch_size=16)
+        family = reg.get("landlord_request_seconds")
+        assert family.labels(engine="vectorized", batched="no").count == 50
+        assert family.labels(engine="vectorized", batched="yes").count == 70
+        assert len(spy.calls) == c.stats.requests == 120
+        stats = c.stats
+        assert stats.hits and stats.merges and stats.inserts and stats.deletes
 
 
 class TestJournalMetrics:

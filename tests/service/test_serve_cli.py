@@ -245,9 +245,6 @@ class TestAdaptiveServeCli:
         err = self._parse_error("serve", "--scale", "tiny", "--max-batch",
                                 "fast", "--state", str(tmp_path / "s.json"))
         assert "--max-batch" in err
-        err = self._parse_error("serve", "--scale", "tiny", "--scratch-mb",
-                                "0.5", "--state", str(tmp_path / "s.json"))
-        assert "scratch_mb" in err
         err = self._parse_error("serve", "--scale", "tiny", "--ack-budget",
                                 "0", "--state", str(tmp_path / "s.json"))
         assert "--ack-budget" in err
@@ -257,7 +254,6 @@ class TestAdaptiveServeCli:
         ids = list(repo.ids)
         process, port = start_daemon(
             tmp_path, "--max-batch", "auto", "--ack-budget", "0.1",
-            "--scratch-mb", "8",
         )
         try:
             client = LandlordClient(f"http://127.0.0.1:{port}")
