@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
-    AbstractSet,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -61,6 +61,12 @@ __all__ = [
 HIT_SELECTION = ("smallest", "mru", "first")
 CANDIDATE_ORDER = ("distance", "insertion", "random")
 EVICTION = ("lru", "fifo", "size")
+
+
+def _packages_of(spec: "ImageSpec | Collection[str]") -> Collection[str]:
+    """The package collection a request argument names, as given — never
+    copied, so ``_intern``'s ownership rule sees what the caller holds."""
+    return spec.packages if isinstance(spec, ImageSpec) else spec
 
 
 class _Universe:
@@ -92,13 +98,14 @@ class _Universe:
         return idx
 
     def mask_of(self, packages: Iterable[str]) -> Tuple[int, np.ndarray]:
-        """Return (bitmask, sorted index array) for a package set.
+        """Return (bitmask, sorted index array) for a package collection
+        (duplicate ids collapse: a wire list is not a set yet).
 
         The bit buffer is built with vectorised scatter + ``np.packbits``;
         tiny sets stay on a plain loop, which beats numpy's fixed call
         overhead below a few dozen elements.
         """
-        indices = sorted(self.index_of(p) for p in packages)
+        indices = sorted({self.index_of(p) for p in packages})
         arr = np.asarray(indices, dtype=np.int64)
         if not indices:
             return 0, arr
@@ -704,18 +711,17 @@ class LandlordCache:
             self._update_gauges()
         return evicted
 
-    def peek(self, spec: "ImageSpec | AbstractSet[str]") -> Optional[CachedImage]:
+    def peek(self, spec: "ImageSpec | Collection[str]") -> Optional[CachedImage]:
         """Non-mutating hit check: the image that *would* serve ``spec``.
 
         Touches nothing — no statistics, no LRU update, no insertion.
         Federation layers use this to decide whether to consult a remote
         registry before letting :meth:`request` build locally.
         """
-        packages = spec.packages if isinstance(spec, ImageSpec) else frozenset(spec)
-        mask, _indices, _size = self._intern(packages)
+        mask, _indices, _size = self._intern(_packages_of(spec))
         return self._engine.find_hit(mask)
 
-    def adopt(self, packages: "AbstractSet[str]") -> CachedImage:
+    def adopt(self, packages: "Collection[str]") -> CachedImage:
         """Import an externally built image into the cache.
 
         The image's contents were produced elsewhere (pulled from a
@@ -737,12 +743,11 @@ class LandlordCache:
         with lock:
             return self._adopt(packages)
 
-    def _adopt(self, packages: "AbstractSet[str]") -> CachedImage:
-        key = frozenset(packages)
-        if not key:
+    def _adopt(self, packages: "Collection[str]") -> CachedImage:
+        mask, indices, size = self._intern(packages)
+        if not indices.size:
             raise ValueError("cannot adopt an empty image")
-        mask, indices, size = self._intern(key)
-        signature = self._signature_of(key)
+        signature = self._signature_of(packages)
         self._clock += 1
         image = self._new_image(mask, indices.copy(), size, signature)
         image.last_used = self._clock
@@ -872,7 +877,7 @@ class LandlordCache:
         self._clock = int(state["clock"])
         self._next_image = int(state["next_image"])
         for record in state["images"]:
-            packages = frozenset(record["packages"])
+            packages = record["packages"]
             mask, indices, size = self._intern(packages)
             image = CachedImage(
                 record["id"], mask, indices.copy(), size,
@@ -903,7 +908,7 @@ class LandlordCache:
     def split(
         self,
         image_id: str,
-        parts: "List[AbstractSet[str]]",
+        parts: "List[Collection[str]]",
     ) -> List[CachedImage]:
         """Split a cached image into smaller images (the abstract's fourth
         operation, for de-bloating without waiting on eviction).
@@ -926,7 +931,7 @@ class LandlordCache:
     def _split(
         self,
         image_id: str,
-        parts: "List[AbstractSet[str]]",
+        parts: "List[Collection[str]]",
     ) -> List[CachedImage]:
         image = self._images.get(image_id)
         if image is None:
@@ -935,10 +940,9 @@ class LandlordCache:
             raise ValueError("split needs at least one part")
         interned = []
         for part in parts:
-            packages = frozenset(part)
-            if not packages:
+            mask, indices, size = self._intern(part)
+            if not indices.size:
                 raise ValueError("split parts must be non-empty")
-            mask, indices, size = self._intern(packages)
             if mask & image.mask != mask:
                 raise ValueError(
                     "split part is not a subset of the image contents"
@@ -970,19 +974,34 @@ class LandlordCache:
     # shrink it without replaying 64Ki distinct specs.
     _SPEC_MEMO_LIMIT = 65536
 
-    def _intern(self, packages: AbstractSet[str]) -> Tuple[int, np.ndarray, int]:
-        key = packages if isinstance(packages, frozenset) else frozenset(packages)
-        memo = self._spec_memo.get(key)
+    def _intern(self, packages: Collection[str]) -> Tuple[int, np.ndarray, int]:
+        """Resolve a package collection to ``(mask, sorted indices, bytes)``.
+
+        Ownership rule for the memo: it admits only a ``frozenset`` — a
+        value the caller already holds and resubmits (an
+        ``ImageSpec.packages``, the simulator's and sweeps' spec sets),
+        so a memo entry is never the sole owner of a package set.  Any
+        other collection — the list off the wire, out of the journal or
+        a snapshot record — is transient: it is interned directly and
+        nothing of it is retained.  (Arriving as fresh strings, a
+        300-package spec interns in ~70 us; memoised, a resubmission —
+        which serving paths never make — would cost ~20 us, and the
+        entry pins ~45 KB of set, strings and arrays until evicted.)
+        """
+        if not isinstance(packages, frozenset):
+            mask, indices = self._universe.mask_of(packages)
+            return mask, indices, self._universe.bytes_of_indices(indices)
+        memo = self._spec_memo.get(packages)
         if memo is not None:
             return memo
-        mask, indices = self._universe.mask_of(key)
+        mask, indices = self._universe.mask_of(packages)
         size = self._universe.bytes_of_indices(indices)
         if len(self._spec_memo) >= self._SPEC_MEMO_LIMIT:
             # Drop the oldest half rather than wiping everything: recently
             # repeated specs stay memoized across the threshold.
             for stale in list(self._spec_memo)[: self._SPEC_MEMO_LIMIT // 2]:
                 del self._spec_memo[stale]
-        self._spec_memo[key] = (mask, indices, size)
+        self._spec_memo[packages] = (mask, indices, size)
         return mask, indices, size
 
     def _grow_refcounts(self, needed: int) -> None:
@@ -1075,7 +1094,7 @@ class LandlordCache:
             ins.eviction_s.observe(perf_counter() - start)
         return evicted
 
-    def _signature_of(self, packages: AbstractSet[str]) -> Optional[MinHashSignature]:
+    def _signature_of(self, packages: Iterable[str]) -> Optional[MinHashSignature]:
         if not self.use_minhash:
             return None
         return MinHashSignature.of(
@@ -1109,7 +1128,7 @@ class LandlordCache:
 
     # -- the algorithm -----------------------------------------------------------
 
-    def request(self, spec: "ImageSpec | AbstractSet[str]") -> CacheDecision:
+    def request(self, spec: "ImageSpec | Collection[str]") -> CacheDecision:
         """Serve one job request; returns the decision with the image used."""
         lock = self._lock
         if lock is None:
@@ -1117,9 +1136,17 @@ class LandlordCache:
         with lock:
             return self._request(spec)
 
-    def _request(self, spec: "ImageSpec | AbstractSet[str]") -> CacheDecision:
-        packages = spec.packages if isinstance(spec, ImageSpec) else frozenset(spec)
-        mask, indices, requested = self._intern(packages)
+    def _request(
+        self,
+        spec: "ImageSpec | Collection[str]",
+        interned: Optional[Tuple[int, np.ndarray, int]] = None,
+    ) -> CacheDecision:
+        """Algorithm 1 for one spec; ``interned`` is its ``_intern``
+        triple when the caller (the batch path) already resolved it."""
+        packages = _packages_of(spec)
+        mask, indices, requested = (
+            interned if interned is not None else self._intern(packages)
+        )
         n_request = int(indices.size)
         request_index = self.stats.requests
         self.stats.requests += 1
@@ -1155,6 +1182,14 @@ class LandlordCache:
             )
         else:
             # Step 2: merge into the first near image that does not conflict.
+            if not isinstance(packages, frozenset) and (
+                self.use_minhash
+                or type(self.conflict_policy) is not NoConflicts
+            ):
+                # Signatures and conflict policies see a set, as they
+                # always have; the default configuration never builds
+                # one for a transient spec.
+                packages = frozenset(packages)
             signature = self._signature_of(packages)
             t0 = perf_counter() if ins is not None else 0.0
             candidates, examined = self._merge_candidates(
@@ -1300,7 +1335,7 @@ class LandlordCache:
 
     def submit_batch(
         self,
-        specs: Iterable["ImageSpec | AbstractSet[str]"],
+        specs: Iterable["ImageSpec | Collection[str]"],
         batch_size: "int | str" = 1024,
     ) -> List[CacheDecision]:
         """Serve a vector of independent requests through batched kernels.
@@ -1354,7 +1389,7 @@ class LandlordCache:
 
     def _submit_batch(
         self,
-        specs: Iterable["ImageSpec | AbstractSet[str]"],
+        specs: Iterable["ImageSpec | Collection[str]"],
         batch_size: "int | str",
         governor=None,
     ) -> List[CacheDecision]:
@@ -1366,18 +1401,14 @@ class LandlordCache:
         start = 0
         while start < len(specs):
             window = specs[start : start + size]
-            keys = [
-                spec.packages if isinstance(spec, ImageSpec)
-                else frozenset(spec)
-                for spec in window
-            ]
-            # Intern first so prediction masks match what request() sees.
-            masks = [self._intern(packages)[0] for packages in keys]
-            self._engine.begin_batch(masks)
+            # Intern once: the prediction masks are the very triples
+            # _request then decides on.
+            interned = [self._intern(_packages_of(spec)) for spec in window]
+            self._engine.begin_batch([mask for mask, _, _ in interned])
             self._in_batch = True
             try:
-                for packages in keys:
-                    decisions.append(self.request(packages))
+                for spec, triple in zip(window, interned):
+                    decisions.append(self._request(spec, triple))
             finally:
                 self._in_batch = False
                 self._engine.end_batch()

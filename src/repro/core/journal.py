@@ -84,8 +84,13 @@ def _crc(body: dict) -> int:
 
 
 def _encode(entry: JournalEntry) -> str:
-    body = {"seq": entry.seq, "op": entry.op, "data": entry.data}
-    return json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
+    # One canonical dump serves both the CRC and the line: "crc" sorts
+    # before "data" / "op" / "seq", so splicing it in after the brace
+    # gives exactly the bytes of dumping the body again with crc added.
+    body = json.dumps(
+        {"seq": entry.seq, "op": entry.op, "data": entry.data}, **_CANON
+    )
+    return f'{{"crc":{zlib.crc32(body.encode("utf-8"))},{body[1:]}\n'
 
 
 def _decode(line: str) -> JournalEntry:
@@ -100,8 +105,9 @@ def _decode(line: str) -> JournalEntry:
 
 
 def _encode_marker(compacted_to: int) -> str:
-    body = {"compacted_to": compacted_to}
-    return json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
+    # As _encode, but "compacted_to" sorts before "crc": splice at the end.
+    body = json.dumps({"compacted_to": compacted_to}, **_CANON)
+    return f'{body[:-1]},"crc":{zlib.crc32(body.encode("utf-8"))}}}\n'
 
 
 class _JournalInstruments:
@@ -387,9 +393,9 @@ def apply_entry(cache: LandlordCache, entry: JournalEntry) -> object:
     list for ``evict_idle``, …).
     """
     if entry.op == "request":
-        return cache.request(frozenset(entry.data["packages"]))
+        return cache.request(entry.data["packages"])
     if entry.op == "adopt":
-        return cache.adopt(frozenset(entry.data["packages"]))
+        return cache.adopt(entry.data["packages"])
     if entry.op == "evict_idle":
         return cache.evict_idle(int(entry.data["max_idle_requests"]))
     if entry.op == "clear":
@@ -424,7 +430,7 @@ def apply_entries(
                 j += 1
             run = entries[i:j]
             decisions = cache.submit_batch(
-                [frozenset(entry.data["packages"]) for entry in run]
+                [entry.data["packages"] for entry in run]
             )
             for entry, decision in zip(run, decisions):
                 if on_result is not None:
@@ -617,12 +623,11 @@ class JournaledState:
         ``perf_counter`` timebase (the hybrid clock's monotonic base).
         In the journal-less configuration the fsync duration is zero.
         """
-        ops = [(op, dict(data)) for op, data in ops]
         if not ops:
             return []
         if self.journal is None:
             entries = [
-                JournalEntry(0, op, data) for op, data in ops
+                JournalEntry(0, op, dict(data)) for op, data in ops
             ]
             t0 = perf_counter()
             results = apply_entries(cache, entries, on_result)

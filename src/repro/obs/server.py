@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
 from typing import Callable, Dict, Optional
@@ -45,7 +46,7 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
 )
 
-__all__ = ["ObsServer", "build_status"]
+__all__ = ["ObsServer", "ReplyHandler", "build_status"]
 
 
 def build_status(cache, slo=None, alerts=None, extra: Optional[dict] = None) -> dict:
@@ -366,23 +367,45 @@ class ObsServer:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
+class ReplyHandler(BaseHTTPRequestHandler):
+    """Handler base for every embedded endpoint (this server, the
+    telemetry collector, the service daemon): silent, keep-alive, and
+    each reply leaves the process in one ``send``.
+
+    The stdlib idiom — ``end_headers()`` then ``wfile.write(body)`` on
+    the unbuffered ``wfile`` — is two sends.  The peer is blocked
+    reading with nothing to send, so it delays the ACK of the header
+    segment ~40 ms, and Nagle holds the small body segment until that
+    ACK arrives: every keep-alive request pays the timer.  Writing head
+    and body as one bytes object leaves nothing for Nagle to hold, at
+    any body size.  ``TCP_NODELAY`` is not the mechanism: the daemon
+    serves this same class over ``AF_UNIX``, where setting it raises.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib name
+        """Stay silent: scrapers and clients are chatty."""
+
+    def _reply(self, code: int, body: str, content_type: str) -> None:
+        data = body.encode("utf-8")
+        head = (
+            f"{self.protocol_version} {code} {HTTPStatus(code).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + data)
+
+    def _reply_json(self, code: int, payload: dict) -> None:
+        self._reply(code, json.dumps(payload), "application/json")
+
+
 def _make_handler(server: "ObsServer"):
     """Build the request-handler class closed over one ObsServer."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # scrapers are chatty; stay silent
-
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
+    class Handler(ReplyHandler):
         def do_GET(self):  # noqa: N802 - stdlib casing
             path, _, query = self.path.partition("?")
             path = path.rstrip("/") or "/"

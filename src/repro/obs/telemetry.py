@@ -42,7 +42,7 @@ import threading
 import urllib.error
 import urllib.request
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     family_header_lines,
     render_family_lines,
 )
-from repro.obs.server import ObsServer
+from repro.obs.server import ObsServer, ReplyHandler
 
 __all__ = [
     "TelemetryAggregator",
@@ -453,20 +453,7 @@ class TelemetryCollector:
 def _make_collector_handler(collector: "TelemetryCollector"):
     """Build the request-handler class closed over one collector."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # workers push often; stay silent
-
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
+    class Handler(ReplyHandler):
         def do_GET(self):  # noqa: N802 - stdlib casing
             path, _, query = self.path.partition("?")
             path = path.rstrip("/") or "/"
@@ -482,22 +469,16 @@ def _make_collector_handler(collector: "TelemetryCollector"):
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
             try:
                 if path != "/telemetry":
-                    self._reply(
-                        404, '{"error": "POST /telemetry only"}',
-                        "application/json",
-                    )
+                    self._reply_json(404, {"error": "POST /telemetry only"})
                     return
                 try:
                     length = int(self.headers.get("Content-Length", ""))
                     payload = json.loads(self.rfile.read(length))
                     ack = collector.aggregator.ingest_payload(payload)
                 except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    self._reply(
-                        400, json.dumps({"error": str(exc)}),
-                        "application/json",
-                    )
+                    self._reply_json(400, {"error": str(exc)})
                     return
-                self._reply(200, json.dumps(ack), "application/json")
+                self._reply_json(200, ack)
             except BrokenPipeError:  # pusher went away mid-reply
                 pass
 

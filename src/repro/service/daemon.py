@@ -53,12 +53,13 @@ import os
 import socket
 import threading
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import service_governor
 from repro.obs import ObsServer, build_status, write_traces
 from repro.obs.clock import default_clock
+from repro.obs.server import ReplyHandler
 from repro.obs.spans import SpanRecorder, new_trace_id, parse_traceparent
 from repro.obs.telemetry import TelemetryAggregator
 
@@ -77,7 +78,8 @@ class _PendingSubmit:
         "trace_id", "parent_id", "enqueued_mono", "applied_mono",
     )
 
-    def __init__(self, packages: Tuple[str, ...]):
+    def __init__(self, packages: Sequence[str]):
+        #: sorted and de-duplicated at admission — journalled as is
         self.packages = packages
         self.done = threading.Event()
         self.decision = None
@@ -450,15 +452,16 @@ class LandlordDaemon:
             trace_id, parent_id = new_trace_id(), None
         if not packages:
             return 400, {"error": "empty package list"}
+        # Canonicalise here, on the handler thread: the single batcher
+        # journals the list as it stands.
+        packages = sorted(set(packages))
         if self.known_package is not None:
-            unknown = sorted(
-                p for p in set(packages) if not self.known_package(p)
-            )
+            unknown = [p for p in packages if not self.known_package(p)]
             if unknown:
                 if self._ins is not None:
                     self._ins.rejected_invalid.inc()
                 return 400, {"error": "unknown packages", "unknown": unknown}
-        item = _PendingSubmit(tuple(packages))
+        item = _PendingSubmit(packages)
         item.trace_id = trace_id
         item.parent_id = parent_id
         with self._cond:
@@ -541,10 +544,7 @@ class LandlordDaemon:
     def _apply_window(
         self, window: List[_PendingSubmit], pop_mono: float
     ) -> None:
-        ops = [
-            ("request", {"packages": sorted(set(item.packages))})
-            for item in window
-        ]
+        ops = [("request", {"packages": item.packages}) for item in window]
         timings: dict = {}
         with self.lock:
             base = self.cache.stats.requests
@@ -700,23 +700,7 @@ class LandlordDaemon:
 def _make_handler(daemon: "LandlordDaemon"):
     """Build the request-handler class closed over one daemon."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # many clients are chatty; stay silent
-
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _reply_json(self, code: int, payload: dict) -> None:
-            self._reply(code, json.dumps(payload), "application/json")
-
+    class Handler(ReplyHandler):
         def do_GET(self):  # noqa: N802 - stdlib casing
             path, _, query = self.path.partition("?")
             path = path.rstrip("/") or "/"

@@ -392,32 +392,98 @@ class TestSpecMemoBound:
         assert again_mask == c._universe.mask_of(spec("p0"))[0]
 
 
+class TestSpecMemoOwnership:
+    """The memo admits only what the caller already owns (a frozenset,
+    an ImageSpec's packages); a list or set is interned and forgotten."""
+
+    def test_owned_specs_populate_and_hit_the_memo(self):
+        c = cache()
+        owned = spec("p0", "p1")
+        image_spec = ImageSpec(["p2", "p3"])
+        c.request(owned)
+        c.request(image_spec)
+        assert set(c._spec_memo) == {owned, image_spec.packages}
+        assert c._intern(owned) is c._spec_memo[owned]
+        c.submit_batch([owned, image_spec, owned])
+        assert len(c._spec_memo) == 2
+
+    def test_transient_specs_are_not_retained(self):
+        c = cache()
+        c.request(["p0", "p1"])
+        c.request({"p2", "p3"})
+        c.submit_batch([["p4"], ("p5", "p6")])
+        c.adopt(["p7"])
+        assert c.peek(["p0"]) is not None
+        assert not c._spec_memo
+
+    def test_list_with_duplicates_interns_like_its_frozenset(self):
+        c = cache()
+        wire = ["p3", "p1", "p3", "p2", "p1"]
+        mask, indices, size = c._intern(wire)
+        assert not c._spec_memo
+        owned_mask, owned_indices, owned_size = c._intern(frozenset(wire))
+        assert mask == owned_mask
+        assert indices.tolist() == owned_indices.tolist()
+        assert size == owned_size == 30
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"use_minhash": True},
+        {"conflict_policy": SlotConflicts()},
+    ], ids=["default", "minhash", "slot-conflicts"])
+    def test_transient_and_owned_callers_decide_identically(self, kw):
+        # overlapping 5-package specs in two versions, one id repeated:
+        # hits, merges, inserts and evictions all occur
+        stream = [
+            [f"lib{j}/1.{(i // 5) % 2}" for j in range(i % 5, i % 5 + 4)]
+            + [f"lib{i % 5}/1.{(i // 5) % 2}", f"app{i % 9}/1.0"]
+            for i in range(60)
+        ]
+        owned, transient, batched = (
+            LandlordCache(300, 0.8, lambda pid: 10, record_events=True, **kw)
+            for _ in range(3)
+        )
+        for packages in stream:
+            owned.request(frozenset(packages))
+            transient.request(packages)
+        batched.submit_batch(stream, batch_size=16)
+        assert owned.stats.merges > 10 and owned.stats.deletes > 0
+        assert transient.snapshot() == owned.snapshot()
+        assert batched.snapshot() == owned.snapshot()
+        assert transient.events == owned.events == batched.events
+        assert not transient._spec_memo and not batched._spec_memo
+
+
 class TestSharedLock:
     """enable_lock: mutators serialise under an attached lock, and the
     disabled path (no lock) stays a bare ``is None`` check."""
 
     class _CountingLock:
-        """An RLock that counts acquisitions (context-manager protocol)."""
+        """An RLock that counts acquisitions and tracks how deeply it is
+        held (context-manager protocol)."""
 
         def __init__(self):
             import threading
 
             self._lock = threading.RLock()
             self.acquisitions = 0
+            self.depth = 0
 
         def __enter__(self):
-            self._lock.acquire()
-            self.acquisitions += 1
+            self.acquire()
             return self
 
         def __exit__(self, *exc):
-            self._lock.release()
+            self.release()
 
         def acquire(self, *a, **kw):
+            got = self._lock.acquire(*a, **kw)
             self.acquisitions += 1
-            return self._lock.acquire(*a, **kw)
+            self.depth += 1
+            return got
 
         def release(self):
+            self.depth -= 1
             self._lock.release()
 
     def test_lock_is_off_by_default(self):
@@ -430,16 +496,32 @@ class TestSharedLock:
         lock = self._CountingLock()
         c.enable_lock(lock)
         assert c.lock is lock
-        c.request(spec("p0", "p1"))
-        assert lock.acquisitions == 1
-        # submit_batch holds the lock for the window and re-enters it
-        # for each inner request (hence an RLock is required)
-        c.submit_batch([spec("p0"), spec("p2")])
-        assert lock.acquisitions == 4
-        c.evict_idle(1)
-        assert lock.acquisitions == 5
-        c.clear()
-        assert lock.acquisitions == 6
+        for mutate in (
+            lambda: c.request(spec("p0", "p1")),
+            lambda: c.submit_batch([spec("p0"), spec("p2")]),
+            lambda: c.evict_idle(1),
+            c.clear,
+        ):
+            before = lock.acquisitions
+            mutate()
+            assert lock.acquisitions > before
+            assert lock.depth == 0
+
+    def test_batch_holds_the_lock_for_the_whole_window(self):
+        c = cache()
+        lock = self._CountingLock()
+        c.enable_lock(lock)
+        held = []
+        inner = c._request
+
+        def spy(*args):
+            held.append(lock.depth)
+            return inner(*args)
+
+        c._request = spy
+        c.submit_batch([spec("p0"), spec("p2"), spec("p0")])
+        assert len(held) == 3 and all(depth >= 1 for depth in held)
+        assert lock.depth == 0
 
     def test_locked_and_unlocked_decisions_identical(self):
         import threading

@@ -3,12 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache
 from repro.core.journal import (
+    _CANON,
     Journal,
+    JournalEntry,
     JournalError,
     JournaledState,
+    _crc,
+    _decode,
+    _encode,
+    _encode_marker,
     apply_entry,
     recover_state,
     replay,
@@ -390,3 +397,67 @@ class TestGroupCommit:
         ).load(SIZE.__getitem__)
         assert replayed == []
         assert recovered.snapshot() == cache.snapshot()
+
+
+class TestEncodeOnce:
+    """The line is one canonical dump with the CRC spliced in — the
+    same bytes the two-dump encoder wrote, so old journals stay
+    readable and new ones are byte-identical to them."""
+
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seq=st.integers(min_value=1, max_value=2**63),
+        op=st.sampled_from(["request", "adopt", "evict_idle", "clear"])
+        | st.text(),
+        data=st.dictionaries(st.text(), _json, max_size=4)
+        | st.fixed_dictionaries({"packages": st.lists(st.text(), max_size=40)}),
+    )
+    def test_entry_line_equals_the_two_dump_encoding(self, seq, op, data):
+        body = {"seq": seq, "op": op, "data": data}
+        line = _encode(JournalEntry(seq, op, data))
+        assert line == json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
+        assert _decode(line) == JournalEntry(seq, op, data)
+
+    @given(compacted_to=st.integers(min_value=0, max_value=2**63))
+    def test_marker_line_equals_the_two_dump_encoding(self, compacted_to):
+        body = {"compacted_to": compacted_to}
+        assert _encode_marker(compacted_to) == (
+            json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
+        )
+
+
+class TestJournalSpecsAreTransient:
+    def test_apply_batch_and_recovery_retain_no_specs(self, tmp_path):
+        # 200 unique ops out of the journal: neither the writer's cache
+        # nor the recovered one memoises a spec only it would own.
+        ops = [
+            ("request", {"packages": sorted({f"p{i % 30}", f"p{i // 30}",
+                                             f"p{(i * 7) % 29}"})})
+            for i in range(200)
+        ]
+        store = JournaledState(tmp_path / "s.json", snapshot_every=1000)
+        cache = make_cache()
+        store.initialise(cache)
+        before = len(cache._spec_memo)
+        for start in range(0, 200, 25):
+            store.apply_batch(cache, None, ops[start:start + 25])
+        assert len(cache._spec_memo) == before
+        store.journal.close()
+        recovered, _, replayed = recover_state(
+            tmp_path / "s.json", package_size=SIZE.__getitem__
+        )
+        assert replayed == 200
+        assert len(recovered._spec_memo) == 0
+        assert recovered.snapshot() == cache.snapshot()
+        # the snapshot recover_state wrote restores without retaining
+        # its image records either
+        restored = load_bundle(tmp_path / "s.json", SIZE.__getitem__).cache
+        assert len(restored._spec_memo) == 0
+        assert restored.snapshot() == cache.snapshot()

@@ -525,3 +525,36 @@ class TestSweepServeCli:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+
+class TestKeepAliveLatency:
+    """Replies leave in one segment: a keep-alive client never waits out
+    the peer's delayed-ACK timer (~40 ms per request with the stdlib's
+    headers-then-body two-send idiom)."""
+
+    @pytest.mark.parametrize(
+        "path, body_floor",
+        # 20 KB: a real /metrics scrape, and past any stdio-sized buffer
+        # that would merely postpone the second send.
+        [("/healthz", 0), ("/statusz", 20_000)],
+    )
+    def test_keep_alive_gets_do_not_stall(self, path, body_floor):
+        import http.client
+        import statistics
+
+        server = ObsServer(status_fn=lambda: {"pad": "x" * body_floor})
+        with server:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=5
+            )
+            rtts = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                rtts.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert len(body) > body_floor
+            conn.close()
+        assert statistics.median(rtts) < 0.020

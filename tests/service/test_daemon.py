@@ -763,3 +763,49 @@ class TestAdaptiveMaxBatch:
         validate_prometheus_text(text)
         assert "service_batch_size" in text
         assert "service_dirty_rate" in text
+
+
+class TestServePathCost:
+    """A submission costs what its layers cost: no timer on the wire,
+    nothing of the spec retained once it is answered."""
+
+    def test_keep_alive_submits_do_not_stall(self, tmp_path):
+        # In the idiom of "hit is faster than miss": the timing is the
+        # assertion.  Two sends per reply cost every keep-alive request
+        # the client's ~40 ms delayed-ACK timer; one send costs the
+        # pipeline (queue + fsync + apply), a few ms.
+        import statistics
+
+        specs = [[f"p{i}", f"p{(i * 7 + 3) % 30}"] for i in range(20)]
+        with make_daemon(tmp_path, snapshot_every=1000) as daemon:
+            rtts = []
+            with LandlordClient(f"http://127.0.0.1:{daemon.port}") as client:
+                for spec in specs:
+                    started = time.perf_counter()
+                    client.submit(spec)
+                    rtts.append(time.perf_counter() - started)
+        assert statistics.median(rtts) < 0.020
+
+    def test_submitted_specs_are_not_retained(self, tmp_path):
+        # 200 unique specs off the wire, duplicates and all: the memo,
+        # which would be their sole owner, admits none of them.
+        ids = sorted(SIZE)
+        specs = [
+            [ids[i % 30], ids[(i // 30 + i + 1) % 30], ids[i % 30],
+             ids[(i * 11 + 5) % 30]]
+            for i in range(200)
+        ]
+        assert len({frozenset(spec) for spec in specs}) > 100
+        with make_daemon(tmp_path, snapshot_every=64) as daemon:
+            before = len(daemon.cache._spec_memo)
+            with LandlordClient(f"http://127.0.0.1:{daemon.port}") as client:
+                replies = [client.submit(spec) for spec in specs]
+            assert len(daemon.cache._spec_memo) == before
+            live_snapshot = daemon.cache.snapshot()
+        assert [r["request_index"] for r in replies] == list(range(200))
+        serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+        for spec, reply in zip(specs, replies):
+            decision = serial.request(frozenset(spec))
+            assert decision.action.value == reply["action"]
+            assert decision.requested_bytes == reply["requested_bytes"]
+        assert serial.snapshot() == live_snapshot
