@@ -60,15 +60,15 @@ class TestUniverseMask:
         uni = _Universe(lambda _pid: 1)
         # Pre-intern so the benchmark measures mask construction, not
         # first-touch index assignment.
-        for pid in sorted(a | b):
-            uni.index_of(pid)
+        uni.mask_of(sorted(a | b))
         return uni
 
     @staticmethod
     def _mask_reference(universe, packages):
-        # The pre-vectorisation implementation: one big-int OR per package.
+        # The first implementation, both halves of it: one Python-level
+        # lookup per id, one big-int OR per package.
         mask = 0
-        indices = sorted(universe.index_of(p) for p in packages)
+        indices = sorted(universe._index[p] for p in packages)
         for i in indices:
             mask |= 1 << i
         return mask, np.asarray(indices, dtype=np.int64)
@@ -90,11 +90,104 @@ class TestUniverseMask:
         assert np.array_equal(indices, ref_indices)
 
     def test_mask_reference_3k_set(self, benchmark, universe, spec_pair):
-        # The yardstick: the python-loop construction the vectorised
-        # mask_of replaced, timed on the same set for comparison.
+        # The yardstick: what mask_of's dictionary pass and packbits
+        # buffer replaced, timed on the same set for comparison.
         a, _ = spec_pair
         mask, _ = benchmark(self._mask_reference, universe, a)
         assert mask > 0
+
+
+# -- The operating zone's per-request layers (DESIGN.md, "Small-cache rule") --
+
+ZONE_IDS = [f"pkg-{i:05d}/1.0/x86_64-el7" for i in range(9_660)]
+ZONE_SPEC = 320  # packages in a typical ``deps`` closure at paper scale
+
+
+def _zone_cache(alpha=0.8):
+    return LandlordCache(10 ** 18, alpha, lambda _pid: 1_000)
+
+
+class TestZoneLayers:
+    """One number each for the layers a merge-zone request passes through."""
+
+    @pytest.fixture(scope="class")
+    def wire_spec(self):
+        picks = np.random.default_rng(0).choice(
+            len(ZONE_IDS), ZONE_SPEC, replace=False
+        )
+        return [ZONE_IDS[int(i)] for i in picks]  # a list: never memoised
+
+    def test_intern_320_list_warm_universe(self, benchmark, wire_spec):
+        cache = _zone_cache()
+        cache._intern(ZONE_IDS)
+        mask, indices, _size = benchmark(cache._intern, wire_spec)
+        assert indices.size == ZONE_SPEC == mask.bit_count()
+
+    def test_intern_320_list_cold_universe(self, benchmark, wire_spec):
+        # Every id is new: sized by the oracle, then registered.
+        def fresh():
+            return (_zone_cache(), wire_spec), {}
+
+        mask, indices, _size = benchmark.pedantic(
+            lambda cache, spec: cache._intern(spec),
+            setup=fresh, rounds=200, iterations=1,
+        )
+        assert indices.size == ZONE_SPEC == mask.bit_count()
+
+    def test_merge_into_5000_package_image(self, benchmark, wire_spec):
+        def fresh():
+            cache = _zone_cache()
+            target = cache.request(ZONE_IDS[:5_000]).image
+            mask, _indices, requested = cache._intern(wire_spec)
+            return (cache, target, mask, requested), {}
+
+        def merge(cache, target, mask, requested):
+            cache._do_merge(target, mask, requested, 0.5, None, 1, 0, 0)
+            return target
+
+        target = benchmark.pedantic(
+            merge, setup=fresh, rounds=200, iterations=1
+        )
+        assert target.package_count == target.mask.bit_count() > 5_000
+
+
+class TestScanCrossover:
+    """``find_hit + scan_candidates`` per request, loops vs matrix.
+
+    The table DESIGN.md quotes for ``VectorizedEngine._SMALL_CACHE``:
+    the same engine, same state, with the threshold pinned to send the
+    scans through the reference loops or through the matrix kernels.
+    Images are drawn far apart (as images that coexist unmerged are) and
+    the probe lies within alpha of exactly one of them.
+    """
+
+    @pytest.mark.parametrize("kernel", ["loops", "matrix"])
+    @pytest.mark.parametrize("n_live", [8, 32, 64, 512])
+    def test_scan_pair(self, benchmark, n_live, kernel):
+        rng = np.random.default_rng(n_live)
+
+        def sample(pool, k):
+            picks = rng.choice(len(pool), k, replace=False)
+            return frozenset(pool[int(i)] for i in picks)
+
+        cache = _zone_cache(alpha=0.0)  # never merges: one image per spec
+        first = sample(ZONE_IDS, ZONE_SPEC)
+        cache.request(first)
+        while len(cache) < n_live:
+            cache.request(sample(ZONE_IDS, ZONE_SPEC))
+        engine = cache._engine
+        engine._SMALL_CACHE = n_live if kernel == "loops" else 0
+        half = ZONE_SPEC // 2
+        probe = sample(sorted(first), half) | sample(ZONE_IDS, half)
+        mask, indices, _size = cache._intern(probe)
+
+        def scan_pair():
+            hit = engine.find_hit(mask)
+            return hit, engine.scan_candidates(mask, int(indices.size), 0.8)
+
+        hit, (candidates, examined) = benchmark(scan_pair)
+        assert hit is None and examined == n_live
+        assert [image.id for _, image in candidates] == ["img-000000"]
 
 
 class TestRepository:

@@ -72,14 +72,23 @@ def _delta(old: Scalar, new: Scalar) -> str:
     return "changed"
 
 
+_DEGRADED_NOTE = " _(single-CPU runner; gate informational)_"
+
+
+def _scale_payload(doc: object, scale: str) -> Optional[dict]:
+    """BENCH_cache's payload for one scale, or None."""
+    if not isinstance(doc, dict):
+        return None
+    payload = (doc.get("scales") or {}).get(scale)
+    return payload if isinstance(payload, dict) else None
+
+
 def _adaptive_highlight(doc: object) -> Optional[str]:
     """One-line adaptive-vs-fixed readout for BENCH_cache's ``adaptive``
     scale, so the governor's win (or regression) reads without scanning
     the full table."""
-    if not isinstance(doc, dict):
-        return None
-    payload = (doc.get("scales") or {}).get("adaptive")
-    if not isinstance(payload, dict):
+    payload = _scale_payload(doc, "adaptive")
+    if payload is None:
         return None
     fixed = payload.get("fixed_requests_per_second")
     auto = payload.get("adaptive_requests_per_second")
@@ -93,7 +102,28 @@ def _adaptive_highlight(doc: object) -> Optional[str]:
         f"reclaiming {payload.get('rows_reclaimed', 0)} row(s)"
     )
     if payload.get("degraded_single_cpu"):
-        line += " _(single-CPU runner; gate informational)_"
+        line += _DEGRADED_NOTE
+    return line
+
+
+def _zone_highlight(doc: object) -> Optional[str]:
+    """One-line readout for BENCH_cache's ``zone`` scale: the default
+    engine in the configuration the paper runs, against the reference."""
+    payload = _scale_payload(doc, "zone")
+    if payload is None or payload.get("speedup") is None:
+        return None
+    line = (
+        f"**Operating zone (alpha {payload.get('alpha', '?')}):** "
+        f"{payload.get('requests_per_second', '?')} req/s vectorized, "
+        f"{payload['speedup']}x the naive reference "
+        f"(gate {payload.get('gate_min_speedup', '?')}) — "
+        f"{payload.get('final_images', '?')} live image(s), "
+        f"{payload.get('merges', '?')} merge(s)"
+    )
+    if payload["speedup"] < payload.get("gate_min_speedup", 0):
+        line += " — **gate not met** (maintenance beside the loops)"
+    if payload.get("degraded_single_cpu"):
+        line += _DEGRADED_NOTE
     return line
 
 
@@ -102,9 +132,9 @@ def summarize(path: Path, ref: str) -> str:
     current = flatten(doc)
     baseline_doc = baseline_of(path, ref)
     lines = [f"### {path.name}", ""]
-    highlight = _adaptive_highlight(doc)
-    if highlight:
-        lines += [highlight, ""]
+    for highlight in (_adaptive_highlight(doc), _zone_highlight(doc)):
+        if highlight:
+            lines += [highlight, ""]
     if baseline_doc is None:
         lines += ["| metric | value |", "|---|---|"]
         lines += [f"| {k} | {_fmt(v)} |" for k, v in sorted(current.items())]

@@ -16,18 +16,29 @@ exceed capacity until the next request.
 
 Performance note (this is the hot loop of every experiment): package sets
 are interned into bit indices, and each cached image carries its set as a
-Python big-int bitmask.  Subset tests (``s & i == s``) and Jaccard
-intersections (``(s & j).bit_count()``) then run at C speed over ~1.2 KB
-ints instead of hashing thousands of strings per candidate.  On top of
-that, the three inner scans of the algorithm (hit scan, merge-candidate
-scan, eviction-victim search) are pluggable **decision engines**
-(:mod:`repro.core.engine`): the default ``engine="vectorized"`` resolves
-them from an incrementally maintained ``uint64`` bit matrix with batched
-NumPy subset tests, popcount Jaccard, and lazy-deletion eviction heaps;
-``engine="naive"`` keeps the per-image Python loops as the reference.
-The two are bit-identical (same decisions, stats, events, snapshots),
-enforced by ``tests/core/test_engine_differential.py``, and the speedup
-is recorded in ``BENCH_cache.json`` by ``benchmarks/test_cache_kernel.py``.
+Python big-int bitmask — the one stored copy; index arrays and id sets
+are views expanded from it on demand.  Subset tests (``s & i == s``) and
+Jaccard intersections (``(s & j).bit_count()``) then run at C speed over
+~1.2 KB ints instead of hashing thousands of strings per candidate, and
+a merge is integer work only (``mask |= request``; no id is handled
+unless a conflict policy or MinHash asks for sets).  On top of that, the
+three inner scans of the algorithm (hit scan, merge-candidate scan,
+eviction-victim search) are pluggable **decision engines**
+(:mod:`repro.core.engine`).  ``engine="naive"`` is the reference: one
+Python loop over the images per scan, ~0.3 us per image, which is also
+the fastest way to scan the dozen huge images of the paper's operating
+zone (alpha 0.8, 1.4 TB).  The default ``engine="vectorized"`` is for
+caches that grow: it runs those same loops while at most 32 images are
+live and past that resolves the scans from an incrementally maintained
+``uint64`` bit matrix — batched NumPy subset tests and popcount Jaccard
+whose ~30 us of dispatch buys scans that barely grow with the row count
+— with lazy-deletion eviction heaps throughout.  The two are
+bit-identical (same decisions, stats, events, snapshots), enforced by
+``tests/core/test_engine_differential.py`` and
+``test_engine_small_cache.py``; ``BENCH_cache.json``
+(``benchmarks/test_cache_kernel.py``) records the speedup at thousands
+of images and, in the zone, the shortfall from parity that maintaining
+the matrix beside the loops costs.
 """
 
 from __future__ import annotations
@@ -81,40 +92,67 @@ class _Universe:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def index_of(self, package_id: str) -> int:
-        idx = self._index.get(package_id)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[package_id] = idx
-            self._ids.append(package_id)
-            if idx >= self._sizes.size:
-                grown = np.zeros(self._sizes.size * 2, dtype=np.int64)
-                grown[: self._sizes.size] = self._sizes
-                self._sizes = grown
-            size = int(self._package_size(package_id))
-            if size < 0:
-                raise ValueError(f"negative size for package {package_id!r}")
-            self._sizes[idx] = size
-        return idx
+    def _register(self, sizes: Dict[str, int]) -> None:
+        """Append new ids, numbered in the dictionary's order, with their
+        already-validated sizes."""
+        start = len(self._ids)
+        end = start + len(sizes)
+        if end > self._sizes.size:
+            grown = np.zeros(max(end, self._sizes.size * 2), dtype=np.int64)
+            grown[: self._sizes.size] = self._sizes
+            self._sizes = grown
+        self._sizes[start:end] = list(sizes.values())
+        self._index.update(zip(sizes, range(start, end)))
+        self._ids.extend(sizes)
 
     def mask_of(self, packages: Iterable[str]) -> Tuple[int, np.ndarray]:
         """Return (bitmask, sorted index array) for a package collection
         (duplicate ids collapse: a wire list is not a set yet).
 
-        The bit buffer is built with vectorised scatter + ``np.packbits``;
-        tiny sets stay on a plain loop, which beats numpy's fixed call
-        overhead below a few dozen elements.
+        Known ids resolve in one C-level pass over the index dictionary;
+        only ids seen for the first time are sized and registered, in
+        iteration order and all-or-nothing, so a rejected collection
+        leaves the universe as it was.  The bit buffer is built with
+        vectorised scatter + ``np.packbits``; tiny sets stay on a plain
+        loop, which beats numpy's fixed call overhead below a few dozen
+        elements.
         """
-        indices = sorted({self.index_of(p) for p in packages})
+        is_set = isinstance(packages, (set, frozenset))
+        if not is_set and not isinstance(packages, (list, tuple)):
+            packages = list(packages)  # walked again when an id is new
+        get = self._index.get
+        indices = list(map(get, packages))
+        if None in indices:
+            # Size every new id before registering any: one the oracle
+            # rejects (it raises for an unknown id) must not stay behind
+            # with size 0, or a retry of the same request is accepted.
+            package_size = self._package_size
+            fresh: Dict[str, int] = {}
+            for package_id, idx in zip(packages, indices):
+                if idx is None and package_id not in fresh:
+                    size = int(package_size(package_id))
+                    if size < 0:
+                        raise ValueError(
+                            f"negative size for package {package_id!r}"
+                        )
+                    fresh[package_id] = size
+            self._register(fresh)
+            indices = list(map(get, packages))
         arr = np.asarray(indices, dtype=np.int64)
         if not indices:
             return 0, arr
-        if len(indices) < 32:
-            buf = bytearray(indices[-1] // 8 + 1)
+        arr.sort()
+        if not is_set:
+            distinct = arr[1:] != arr[:-1]  # repeats are adjacent now
+            if not distinct.all():
+                arr = arr[np.concatenate(([True], distinct))]
+        top = int(arr[-1])
+        if arr.size < 32:
+            buf = bytearray(top // 8 + 1)
             for i in indices:
                 buf[i >> 3] |= 1 << (i & 7)
             return int.from_bytes(bytes(buf), "little"), arr
-        bits = np.zeros(indices[-1] + 1, dtype=np.uint8)
+        bits = np.zeros(top + 1, dtype=np.uint8)
         bits[arr] = 1
         packed = np.packbits(bits, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little"), arr
@@ -125,7 +163,9 @@ class _Universe:
             return np.zeros(0, dtype=np.int64)
         raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return np.flatnonzero(bits).astype(np.int64)
+        # Viewed as bool the 0/1 bytes take nonzero's SIMD path (4x the
+        # uint8 one on a 10k-bit mask).
+        return bits.view(np.bool_).nonzero()[0].astype(np.int64, copy=False)
 
     def bytes_of_indices(self, indices: np.ndarray) -> int:
         return int(self._sizes[indices].sum())
@@ -144,7 +184,7 @@ class CachedImage:
     __slots__ = (
         "id",
         "mask",
-        "indices",
+        "package_count",
         "size",
         "created_at",
         "last_used",
@@ -158,7 +198,7 @@ class CachedImage:
         self,
         image_id: str,
         mask: int,
-        indices: np.ndarray,
+        package_count: int,
         size: int,
         created_at: int,
         universe: _Universe,
@@ -166,7 +206,7 @@ class CachedImage:
     ):
         self.id = image_id
         self.mask = mask
-        self.indices = indices
+        self.package_count = package_count
         self.size = size
         self.created_at = created_at
         self.last_used = created_at
@@ -176,8 +216,10 @@ class CachedImage:
         self._universe = universe
 
     @property
-    def package_count(self) -> int:
-        return int(self.indices.size)
+    def indices(self) -> np.ndarray:
+        """Sorted bit indices of the image's packages, expanded from the
+        mask (the mask is the one stored copy of the set)."""
+        return self._universe.indices_of_mask(self.mask)
 
     @property
     def packages(self) -> FrozenSet[str]:
@@ -437,10 +479,11 @@ class LandlordCache:
             decisions are bit-identical with or without it.
         engine: which decision engine resolves the hit scan, the
             merge-candidate scan, and the eviction-victim search —
-            ``"vectorized"`` (batched NumPy kernels over a bit matrix,
-            the default) or ``"naive"`` (per-image Python loops, the
-            reference).  A pure performance knob: the engines are
-            bit-identical, so it is *not* part of
+            ``"vectorized"`` (the default: the reference loops while
+            the cache is small, batched NumPy kernels over a bit matrix
+            once it is not) or ``"naive"`` (per-image Python loops at
+            every size, the reference).  A pure performance knob: the
+            engines are bit-identical, so it is *not* part of
             :meth:`policy_snapshot` and snapshots restore across
             engines.
     """
@@ -749,7 +792,7 @@ class LandlordCache:
             raise ValueError("cannot adopt an empty image")
         signature = self._signature_of(packages)
         self._clock += 1
-        image = self._new_image(mask, indices.copy(), size, signature)
+        image = self._new_image(mask, indices, size, signature)
         image.last_used = self._clock
         self._engine.on_touch(image)
         self.stats.adoptions += 1
@@ -880,7 +923,7 @@ class LandlordCache:
             packages = record["packages"]
             mask, indices, size = self._intern(packages)
             image = CachedImage(
-                record["id"], mask, indices.copy(), size,
+                record["id"], mask, int(indices.size), size,
                 int(record["created_at"]), self._universe,
                 self._signature_of(packages),
             )
@@ -953,7 +996,7 @@ class LandlordCache:
         for mask, indices, size in interned:
             self._clock += 1
             part_image = self._new_image(
-                mask, indices.copy(), size,
+                mask, indices, size,
                 self._signature_of(self._universe.ids_of_indices(indices)),
             )
             part_image.last_used = self._clock
@@ -984,7 +1027,7 @@ class LandlordCache:
         other collection — the list off the wire, out of the journal or
         a snapshot record — is transient: it is interned directly and
         nothing of it is retained.  (Arriving as fresh strings, a
-        300-package spec interns in ~70 us; memoised, a resubmission —
+        300-package spec interns in ~30 us; memoised, a resubmission —
         which serving paths never make — would cost ~20 us, and the
         entry pins ~45 KB of set, strings and arrays until evicted.)
         """
@@ -1041,7 +1084,8 @@ class LandlordCache:
         image_id = f"img-{self._next_image:06d}"
         self._next_image += 1
         image = CachedImage(
-            image_id, mask, indices, size, self._clock, self._universe, signature
+            image_id, mask, int(indices.size), size, self._clock,
+            self._universe, signature,
         )
         image.last_request = self.stats.requests
         self._images[image_id] = image
@@ -1182,13 +1226,13 @@ class LandlordCache:
             )
         else:
             # Step 2: merge into the first near image that does not conflict.
+            can_conflict = type(self.conflict_policy) is not NoConflicts
             if not isinstance(packages, frozenset) and (
-                self.use_minhash
-                or type(self.conflict_policy) is not NoConflicts
+                self.use_minhash or can_conflict
             ):
                 # Signatures and conflict policies see a set, as they
                 # always have; the default configuration never builds
-                # one for a transient spec.
+                # one — not of a transient spec, not of a merge target.
                 packages = frozenset(packages)
             signature = self._signature_of(packages)
             t0 = perf_counter() if ins is not None else 0.0
@@ -1205,7 +1249,9 @@ class LandlordCache:
             if tracer is not None:
                 traced = []
             for pos, (distance, target) in enumerate(candidates):
-                if self.conflict_policy.conflicts(packages, target.packages):
+                if can_conflict and self.conflict_policy.conflicts(
+                    packages, target.packages
+                ):
                     self.stats.conflicts_skipped += 1
                     conflicts += 1
                     if traced is not None:
@@ -1226,7 +1272,7 @@ class LandlordCache:
                 action = EventKind.MERGE
                 image = target
                 bytes_added, written = self._do_merge(
-                    target, mask, indices, requested, distance,
+                    target, mask, requested, distance,
                     signature, request_index, examined, conflicts,
                 )
                 break
@@ -1423,7 +1469,6 @@ class LandlordCache:
         self,
         target: CachedImage,
         mask: int,
-        indices: np.ndarray,
         requested: int,
         distance: float,
         signature: Optional[MinHashSignature],
@@ -1436,16 +1481,14 @@ class LandlordCache:
         ins = self._ins
         t0 = perf_counter() if ins is not None else 0.0
         new_mask = target.mask | mask
-        added_mask = new_mask ^ target.mask
-        added = self._universe.indices_of_mask(added_mask)
+        added = self._universe.indices_of_mask(new_mask ^ target.mask)
         added_bytes = self._universe.bytes_of_indices(added)
         new_size = target.size + added_bytes
 
-        self._cached_bytes += new_size - target.size
+        self._cached_bytes += added_bytes
         self._account_add(added)
-        merged_indices = np.union1d(target.indices, indices)
         target.mask = new_mask
-        target.indices = merged_indices
+        target.package_count += int(added.size)
         target.size = new_size
         target.last_used = self._clock
         target.last_request = self.stats.requests

@@ -279,7 +279,7 @@ class _HitBatch:
             self.dirty_seen += 1
 
 
-class VectorizedEngine:
+class VectorizedEngine(NaiveEngine):
     """Batched NumPy kernels with bit-identical naive-engine semantics.
 
     State layout (rows are allocated on demand, freed rows recycled):
@@ -303,6 +303,14 @@ class VectorizedEngine:
     never mutates it); ``alpha`` and ``hit_selection`` are read per call
     because :class:`~repro.core.adaptive.AlphaController` retunes α on a
     live cache.
+
+    **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
+    scan and the unpooled merge scan run the inherited
+    :class:`NaiveEngine` loops — a dozen big-int tests cost less than
+    the matrix kernels' fixed numpy dispatch.  Every maintenance hook
+    still runs, so matrix, arrays and heap are current whenever the
+    cache grows past the threshold; the switch reads ``_n_live`` and
+    nothing else.
 
     **Count window**: the full merge scan first narrows to the rows
     whose package count admits a match — d(s, j) < α forces
@@ -343,6 +351,12 @@ class VectorizedEngine:
     # is dead (and the matrix is big enough for the copy to pay off).
     _COMPACT_MIN_TOP = 128
     _COMPACT_DEAD_FRACTION = 0.5
+    # At or below this many live images the scans run the inherited
+    # reference loops.  From the crossover table in DESIGN.md
+    # ("Small-cache rule"): at 32 the loops are >= 3x faster where
+    # images resemble the request and at most ~11 us slower where the
+    # count window would have excluded every row.
+    _SMALL_CACHE = 32
 
     def bind(self, cache: "LandlordCache") -> None:
         """Attach to the owning cache and allocate the empty matrix."""
@@ -584,8 +598,8 @@ class VectorizedEngine:
             served, hit = self._batched_hit(batch, mask)
             if served:
                 return hit
-        if self._n_live == 0:
-            return None
+        if self._n_live <= self._SMALL_CACHE:
+            return super().find_hit(mask)
         q, overflow = self._query_words(mask)
         if overflow:
             return None
@@ -694,6 +708,10 @@ class VectorizedEngine:
             return out, len(pool_ids)
         if self._n_live == 0:
             return [], 0
+        if self._n_live <= self._SMALL_CACHE:
+            self.prefilter_stats["full"] += 1
+            self.prefilter_stats["rows_scanned"] += self._n_live
+            return super().scan_candidates(mask, n_request, alpha)
         top = self._top
         examined = self._n_live
         rows = self._window_rows(n_request, alpha)
@@ -742,8 +760,11 @@ class VectorizedEngine:
         :meth:`find_hit` would be.  Equivalent to
         ``[self.find_hit(m) for m in masks]`` against fixed state.
         """
+        if self._n_live <= self._SMALL_CACHE:
+            loop = super().find_hit
+            return [loop(mask) for mask in masks]
         results: List[Optional["CachedImage"]] = [None] * len(masks)
-        if self._n_live == 0 or not masks:
+        if not masks:
             return results
         top = self._top
         lanes: Dict[int, List[int]] = {}

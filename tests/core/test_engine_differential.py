@@ -12,6 +12,13 @@ The workload generator is seeded per knob combination, so failures
 reproduce exactly; the grid is exhaustive over
 hit_selection × candidate_order × eviction × merge_write_mode ×
 use_minhash × conflict policy (216 combinations, ≥1000 requests each).
+
+These caches hold 10–30 live images, which the vectorized engine would
+serve from the reference loops themselves (its small-cache rule), so
+every test in this module pins ``VectorizedEngine._SMALL_CACHE`` to 0:
+the matrix kernels are what is compared, at every size.  The rule at
+its default, with caches crossing it both ways, is
+``test_engine_small_cache.py``.
 """
 
 import itertools
@@ -26,6 +33,7 @@ from repro.core.cache import (
     HIT_SELECTION,
     LandlordCache,
 )
+from repro.core.engine import NaiveEngine, VectorizedEngine
 from repro.packages.conflicts import NoConflicts, SlotConflicts
 
 # Package ids are name/version so SlotConflicts has real slots to clash.
@@ -50,6 +58,11 @@ GRID = list(
 )
 
 
+@pytest.fixture(autouse=True)
+def matrix_kernels_at_every_size(monkeypatch):
+    monkeypatch.setattr(VectorizedEngine, "_SMALL_CACHE", 0)
+
+
 def _size_of(pid: str) -> int:
     return SIZES[pid]
 
@@ -68,7 +81,7 @@ def _combo_id(combo) -> str:
     )
 
 
-def make_pair(combo):
+def make_pair(combo, capacity=CAPACITY):
     """Two caches differing only in ``engine=``."""
     hit, order, evict, mode, minhash, conflicts = combo
     kwargs = dict(
@@ -83,11 +96,11 @@ def make_pair(combo):
         conflict_policy=SlotConflicts() if conflicts else NoConflicts(),
     )
     naive = LandlordCache(
-        CAPACITY, ALPHA, _size_of, engine="naive",
+        capacity, ALPHA, _size_of, engine="naive",
         rng=np.random.default_rng(7), **kwargs,
     )
     vec = LandlordCache(
-        CAPACITY, ALPHA, _size_of, engine="vectorized",
+        capacity, ALPHA, _size_of, engine="vectorized",
         rng=np.random.default_rng(7), **kwargs,
     )
     return naive, vec
@@ -164,6 +177,27 @@ def run_differential(combo, n_requests=N_REQUESTS):
 @pytest.mark.parametrize("combo", GRID, ids=_combo_id)
 def test_engines_bit_identical(combo):
     run_differential(combo)
+
+
+def test_pinned_threshold_keeps_the_reference_loops_out(monkeypatch):
+    """What the module fixture is for: with the threshold at 0 a
+    vectorized cache never runs the loops it inherits, however few
+    images it holds — the grid above compares two implementations."""
+    def loop_called(*_args, **_kwargs):
+        raise AssertionError("reference loop served a vectorized scan")
+
+    _naive, vec = make_pair(GRID[0])
+    vec.request(frozenset(PACKAGES[:2]))  # an empty cache has no rows to scan
+    monkeypatch.setattr(NaiveEngine, "find_hit", loop_called)
+    monkeypatch.setattr(NaiveEngine, "scan_candidates", loop_called)
+    rng = Random("pinned")
+    window = [
+        frozenset(rng.sample(PACKAGES, rng.randint(1, 6))) for _ in range(64)
+    ]
+    for spec in window:
+        vec.request(spec)
+    vec.submit_batch(window, batch_size=16)
+    assert vec.stats.requests == 129 and 0 < len(vec) < 32
 
 
 # -- Batched-submission variants ---------------------------------------------
@@ -285,8 +319,6 @@ def test_engines_bit_identical_forced_compaction(combo, monkeypatch):
     evict_idle, splits, and cross-engine snapshot/restore round-trips)
     keeps crossing compaction boundaries — decisions, events, stats and
     snapshots must stay bit-identical throughout."""
-    from repro.core.engine import VectorizedEngine
-
     monkeypatch.setattr(VectorizedEngine, "_COMPACT_MIN_TOP", 1)
     monkeypatch.setattr(VectorizedEngine, "_COMPACT_DEAD_FRACTION", 0.0)
     naive, vec = run_differential(combo, n_requests=600)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.cache import LandlordCache
+from repro.core.events import EventKind
 from repro.htc.workload import DependencyWorkload
 from repro.util.rng import spawn
 from repro.util.units import GB
+from tests.core.test_interning import assert_image_consistent
 
 pytestmark = pytest.mark.slow
 
@@ -26,7 +28,9 @@ class TestChurnStress:
         rng = spawn(13, "stress")
         checkpoints = []
         for i in range(5_000):
-            cache.request(workload.sample(rng))
+            decision = cache.request(workload.sample(rng))
+            if decision.action is EventKind.MERGE:
+                assert_image_consistent(cache, decision.image)
             if i % 500 == 0:
                 images = cache.images
                 recomputed_total = sum(img.size for img in images)
@@ -62,7 +66,15 @@ class TestChurnStress:
         assert len(cache._spec_memo) <= 65_536
 
     def test_image_sizes_consistent_with_contents(self, churned):
+        """After the churn, and again after a split (merged images were
+        checked as the stream ran, in the fixture)."""
         cache, _ = churned
+        assert cache.stats.merges > 1_000
         for image in cache.images:
-            assert image.size == cache._universe.bytes_of_indices(image.indices)
-            assert image.package_count == image.mask.bit_count()
+            assert_image_consistent(cache, image)
+        largest = max(cache.images, key=lambda image: image.package_count)
+        packages = sorted(largest.packages)
+        cut = len(packages) // 2
+        for part in cache.split(largest.id, [packages[:cut], packages[cut:]]):
+            assert_image_consistent(cache, part)
+        assert cache.cached_bytes == sum(image.size for image in cache.images)
