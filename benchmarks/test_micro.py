@@ -182,12 +182,107 @@ class TestScanCrossover:
         mask, indices, _size = cache._intern(probe)
 
         def scan_pair():
-            hit = engine.find_hit(mask)
+            hit = engine.find_hit(mask, indices)
             return hit, engine.scan_candidates(mask, int(indices.size), 0.8)
 
         hit, (candidates, examined) = benchmark(scan_pair)
         assert hit is None and examined == n_live
         assert [image.id for _, image in candidates] == ["img-000000"]
+
+
+class TestHitScan:
+    """The rarest-package hit scan at ~1k live images (DESIGN.md, "Hit scan").
+
+    Relations are asserted here, on best-of timings taken in the test,
+    not left to a reader of the table: a miss decided by the refcounts
+    is cheaper than a hit, and a hit costs the same whether or not the
+    other thousand rows share the request's densest word.
+    """
+
+    N_LIVE = 1_000
+    CORE = ZONE_IDS[:40]  # one matrix word's worth of common packages
+
+    @staticmethod
+    def _best_us(call, number=300, repeat=9):
+        from time import perf_counter
+
+        best = float("inf")
+        for _ in range(repeat):
+            start = perf_counter()
+            for _ in range(number):
+                call()
+            best = min(best, perf_counter() - start)
+        return best / number * 1e6
+
+    @classmethod
+    def _cache(cls, shared_core):
+        """``N_LIVE`` images of ZONE_SPEC packages each; with
+        ``shared_core`` every image holds the same 40 packages of word 0
+        beside its own random ones."""
+        rng = np.random.default_rng(15)
+        cache = _zone_cache(alpha=0.0)  # never merges: one image per spec
+        cache._intern(ZONE_IDS)  # ZONE_IDS[i] is bit i
+        own = ZONE_SPEC - len(cls.CORE) if shared_core else ZONE_SPEC
+        first = None
+        while len(cache) < cls.N_LIVE:
+            picks = rng.choice(np.arange(64, len(ZONE_IDS)), own, replace=False)
+            spec = frozenset(ZONE_IDS[int(i)] for i in picks)
+            if shared_core:
+                spec |= frozenset(cls.CORE)
+            first = first or spec
+            cache.request(spec)
+        assert cache._engine._n_live == cls.N_LIVE == cache._engine._top
+        return cache, first
+
+    @pytest.mark.parametrize("shared_core", [False, True])
+    def test_hit_at_1k_images(self, benchmark, shared_core):
+        cache, first = self._cache(shared_core)
+        engine = cache._engine
+        # The request: everything of word 0 the first image has, and a
+        # few of its own packages -- its densest word is word 0.
+        probe = frozenset(sorted(first)[:60])
+        mask, indices, _size = cache._intern(probe)
+        word0 = np.uint64(mask & (2 ** 64 - 1))
+        sharing = int(np.count_nonzero(
+            (engine._matrix[: engine._top, 0] & word0) == word0
+        ))
+        if shared_core:
+            assert int(np.bincount(indices >> 6).argmax()) == 0
+            assert sharing == self.N_LIVE
+        hit = benchmark(engine.find_hit, mask, indices)
+        assert hit is not None and hit.id == "img-000000"
+        benchmark.extra_info["rows_sharing_word_0"] = sharing
+
+    def test_miss_is_cheaper_than_hit_and_hit_ignores_the_densest_word(self):
+        sparse, first_sparse = self._cache(shared_core=False)
+        dense, first_dense = self._cache(shared_core=True)
+        timings = {}
+        for name, cache, first in (
+            ("sparse", sparse, first_sparse), ("dense", dense, first_dense)
+        ):
+            engine = cache._engine
+            hit = cache._intern(frozenset(sorted(first)[:60]))[:2]
+            # The same request plus one package of word 0 nobody caches.
+            miss = cache._intern(frozenset(sorted(first)[:60] + [ZONE_IDS[41]]))[:2]
+            assert engine.find_hit(*hit).id == "img-000000"
+            assert engine.find_hit(*miss) is None
+            timings[name] = (
+                self._best_us(lambda: engine.find_hit(*hit)),
+                self._best_us(lambda: engine.find_hit(*miss)),
+            )
+        (hit_sparse, miss_sparse), (hit_dense, miss_dense) = (
+            timings["sparse"], timings["dense"]
+        )
+        print(
+            f"\nhit scan at {self.N_LIVE} images, us: hit {hit_sparse:.1f} "
+            f"(densest word shared by 1 row) / {hit_dense:.1f} (by all "
+            f"{self.N_LIVE}); zero-refcount miss {miss_sparse:.1f} / "
+            f"{miss_dense:.1f}"
+        )
+        assert miss_sparse < hit_sparse and miss_dense < hit_dense
+        # The densest-word prefilter this replaced verified every one of
+        # the thousand sharing rows (~10x); allow timer noise, not that.
+        assert hit_dense < 2.0 * hit_sparse
 
 
 class TestRepository:

@@ -167,8 +167,8 @@ def batch_governor(initial: int = 256) -> AimdController:
 
     Signal is the engine's per-window dirty rate: predictions stay valid
     while the window mutates few images, so a low rate lets the window
-    grow (more lanes amortise each grouped popcount pass); a high rate
-    means dirty-set repair and re-prediction dominate, so shrink hard.
+    grow; a high rate means dirty-set repair and re-prediction dominate,
+    so shrink hard.
     """
     return AimdController(
         initial=initial,

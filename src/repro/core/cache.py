@@ -553,6 +553,10 @@ class LandlordCache:
         self._clock = 0
         self._next_image = 0
         self._cached_bytes = 0
+        # Live images per package index.  Kept for the unique-byte gauge
+        # and read (never written) by VectorizedEngine._scan_hit, which
+        # needs it exact whenever a scan can run: every mutation updates
+        # it (_account_add/_account_remove) before its engine hook.
         self._refcounts = np.zeros(1024, dtype=np.int32)
         self._unique_bytes = 0
         self._spec_memo: Dict[FrozenSet[str], Tuple[int, np.ndarray, int]] = {}
@@ -761,8 +765,8 @@ class LandlordCache:
         Federation layers use this to decide whether to consult a remote
         registry before letting :meth:`request` build locally.
         """
-        mask, _indices, _size = self._intern(_packages_of(spec))
-        return self._engine.find_hit(mask)
+        mask, indices, _size = self._intern(_packages_of(spec))
+        return self._engine.find_hit(mask, indices)
 
     def adopt(self, packages: "Collection[str]") -> CachedImage:
         """Import an externally built image into the cache.
@@ -1209,7 +1213,7 @@ class LandlordCache:
 
         # Step 1: reuse an existing superset image.
         t0 = perf_counter() if ins is not None else 0.0
-        image = self._engine.find_hit(mask)
+        image = self._engine.find_hit(mask, indices)
         if ins is not None:
             ins.subset_scan_s.observe(perf_counter() - t0)
         if image is not None:
@@ -1389,11 +1393,10 @@ class LandlordCache:
         Semantically identical to ``[self.request(s) for s in specs]`` —
         same decisions, stats, events, and final state, enforced by the
         differential suite — but per window of ``batch_size`` requests
-        the engine precomputes all hit predictions in grouped kernel
-        invocations (:meth:`~repro.core.engine.VectorizedEngine
-        .begin_batch`) and serves each request by repairing its
-        prediction against the images dirtied since the window opened,
-        amortizing per-request numpy dispatch overhead.  The naive
+        the engine predicts every hit up front, one scan per distinct
+        spec (:meth:`~repro.core.engine.VectorizedEngine.begin_batch`),
+        and serves each request by repairing its prediction against the
+        images dirtied since the window opened.  The naive
         engine's window hooks are no-ops, so this is safe (just not
         faster) under ``engine="naive"``.
 
@@ -1450,7 +1453,8 @@ class LandlordCache:
             # Intern once: the prediction masks are the very triples
             # _request then decides on.
             interned = [self._intern(_packages_of(spec)) for spec in window]
-            self._engine.begin_batch([mask for mask, _, _ in interned])
+            masks, indices, _sizes = zip(*interned)  # a window is never empty
+            self._engine.begin_batch(masks, indices)
             self._in_batch = True
             try:
                 for spec, triple in zip(window, interned):

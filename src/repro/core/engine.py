@@ -18,11 +18,15 @@ the paper's Algorithm 1, and the semantic ground truth.
 incrementally maintained NumPy state instead:
 
 - all cached-image package sets live in one padded ``uint64`` bit matrix
-  (rows = images, columns = 64-package words), alongside parallel arrays
-  for size, ``last_used``, ``created_at``, package count, and a
-  dict-insertion sequence number;
-- the hit scan is a single vectorised subset test
-  (``(matrix & request) == request`` row-reduction);
+  (rows = images, columns = 64-package words, never more than an eighth
+  wider than the package universe), alongside parallel arrays for size,
+  ``last_used``, ``created_at``, package count, and a dict-insertion
+  sequence number;
+- the hit scan asks the request's *rarest* package: a superset of the
+  request holds every package of it, so the cache's per-package
+  live-image counts either rule a hit out without reading the matrix (a
+  package nobody holds) or name one bit column whose few set rows are
+  the only possible supersets;
 - the merge scan is one batched popcount intersection
   (:func:`numpy.bitwise_count`) yielding every exact Jaccard distance in
   one shot — no approximation on the fast path;
@@ -41,7 +45,9 @@ suite in ``tests/core/test_engine_differential.py`` enforces it over
 randomized workloads across the full knob grid.
 
 Engines hold *derived* state only: the cache remains the single source
-of truth (its ``_images`` dict and the ``CachedImage`` objects), and
+of truth (its ``_images`` dict and the ``CachedImage`` objects; the
+vectorized hit scan also reads the cache's ``_refcounts`` array, which
+is current whenever a scan can run), and
 notifies its engine through four hooks — :meth:`~NaiveEngine.on_add`,
 :meth:`~NaiveEngine.on_remove`, :meth:`~NaiveEngine.on_touch` (the
 image's ``last_used`` changed), :meth:`~NaiveEngine.on_update` (its
@@ -152,8 +158,15 @@ class NaiveEngine:
 
     # -- kernels -----------------------------------------------------------
 
-    def find_hit(self, mask: int) -> Optional["CachedImage"]:
-        """The image that serves a hit for ``mask``, or ``None``."""
+    def find_hit(
+        self, mask: int, indices: np.ndarray
+    ) -> Optional["CachedImage"]:
+        """The image that serves a hit for ``mask``, or ``None``.
+
+        ``indices`` is the request's sorted package-index array (the
+        second element of the cache's ``_intern`` triple); the loop
+        needs only the mask and ignores it.
+        """
         cache = self._cache
         selection = cache.hit_selection
         best: Optional["CachedImage"] = None
@@ -203,12 +216,14 @@ class NaiveEngine:
     # -- batch API (reference semantics: a plain loop) -----------------------
 
     def find_hits(
-        self, masks: Sequence[int]
+        self, masks: Sequence[int], indices: Sequence[np.ndarray]
     ) -> List[Optional["CachedImage"]]:
         """Hit scan for a vector of independent masks against current state."""
-        return [self.find_hit(mask) for mask in masks]
+        return [self.find_hit(mask, idx) for mask, idx in zip(masks, indices)]
 
-    def begin_batch(self, masks: Sequence[int]) -> None:
+    def begin_batch(
+        self, masks: Sequence[int], indices: Sequence[np.ndarray]
+    ) -> None:
         """Batched-submission hint; the naive loops take no advantage."""
         self._batch_n = len(masks)
 
@@ -236,7 +251,8 @@ class _HitBatch:
     """One batched-submission window: snapshot predictions plus repair state.
 
     ``predictions[i]`` is the image :meth:`VectorizedEngine.find_hits`
-    chose for ``masks[i]`` against the state at :meth:`begin_batch` time;
+    chose for ``masks[i]`` (whose sorted package indices are
+    ``indices[i]``) against the state at :meth:`begin_batch` time;
     ``dirty`` collects the ids of every image added, removed, or
     rewritten since (plus touched images under ``"mru"`` selection, the
     only policy whose winner a touch can change).  ``cursor`` walks the
@@ -245,6 +261,7 @@ class _HitBatch:
 
     __slots__ = (
         "masks",
+        "indices",
         "predictions",
         "cursor",
         "dirty",
@@ -257,10 +274,12 @@ class _HitBatch:
     def __init__(
         self,
         masks: Sequence[int],
+        indices: Sequence[np.ndarray],
         predictions: List[Optional["CachedImage"]],
         selection: str,
     ):
         self.masks = list(masks)
+        self.indices = list(indices)
         self.predictions = predictions
         self.cursor = 0
         self.dirty: set = set()
@@ -282,7 +301,8 @@ class _HitBatch:
 class VectorizedEngine(NaiveEngine):
     """Batched NumPy kernels with bit-identical naive-engine semantics.
 
-    State layout (rows are allocated on demand, freed rows recycled):
+    State layout (rows are allocated on demand and double, freed rows
+    are recycled, columns grow in steps of at least an eighth):
 
     - ``_matrix[row, word]`` — the image's package set as ``uint64`` words
       (little-endian bit order, matching the cache's big-int masks);
@@ -304,6 +324,14 @@ class VectorizedEngine(NaiveEngine):
     because :class:`~repro.core.adaptive.AlphaController` retunes α on a
     live cache.
 
+    **Hit scan** (:meth:`_scan_hit`): the request's package held by the
+    fewest live images decides.  Its one input from outside the engine
+    is ``cache._refcounts[p]``, the number of live images holding
+    package ``p``: the cache updates it before the matching engine
+    hook on every insert, merge, drop, restore, split and adopt
+    (its unique-byte gauge needs it); the engine reads it and never
+    writes it.
+
     **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
     scan and the unpooled merge scan run the inherited
     :class:`NaiveEngine` loops — a dozen big-int tests cost less than
@@ -324,7 +352,7 @@ class VectorizedEngine(NaiveEngine):
 
     **Batch window** (:meth:`begin_batch`/:meth:`end_batch`, driven by
     ``LandlordCache.submit_batch``): hit predictions for a vector of
-    request masks are computed in grouped kernel invocations against a
+    request masks are computed, once per distinct mask, against a
     state snapshot; per request the prediction is *repaired* against the
     set of rows dirtied since the snapshot (adds, removes, merge
     rewrites, and — under ``"mru"`` selection — touches), which is
@@ -343,10 +371,6 @@ class VectorizedEngine(NaiveEngine):
     # Past this many dirtied rows, batched hit repair re-predicts the
     # rest of the batch instead of walking an ever-growing dirty set.
     _BATCH_MAX_DIRTY = 64
-    # Element budget for ``find_hits`` temporaries (rows × batch lanes);
-    # 4M uint64 elements keeps the AND temporary near 32 MiB.  Chunking
-    # keeps results bit-identical at any budget.
-    _BATCH_CELL_BUDGET = 1 << 22
     # Compact the matrix when more than this fraction of allocated rows
     # is dead (and the matrix is big enough for the copy to pay off).
     _COMPACT_MIN_TOP = 128
@@ -408,11 +432,17 @@ class VectorizedEngine(NaiveEngine):
         return max(1, (mask.bit_length() + 63) >> 6)
 
     def _widen(self, words: int) -> None:
+        """Grow the matrix to at least ``words`` columns, in steps.
+
+        A step is at least an eighth of the current width, rounded up to
+        a multiple of 8 words (one cache line): amortised like doubling,
+        but the matrix settles within 12.5 % of the universe instead of
+        up to 2x wide, and every scan reads what the universe needs.
+        """
         if words <= self._words:
             return
-        new_words = self._words
-        while new_words < words:
-            new_words *= 2
+        new_words = max(words, self._words + (self._words >> 3))
+        new_words = (new_words + 7) & ~7
         grown = np.zeros((self._rows, new_words), dtype=_WORD)
         grown[:, : self._words] = self._matrix
         self._matrix = grown
@@ -450,20 +480,19 @@ class VectorizedEngine(NaiveEngine):
         raw = mask.to_bytes(self._words * 8, "little")
         return np.frombuffer(raw, dtype=_WORD)
 
-    def _query_words(self, mask: int) -> Tuple[np.ndarray, bool]:
-        """A *request* mask as matrix-width words plus an overflow flag.
+    def _query_words(self, mask: int) -> np.ndarray:
+        """A *request* mask as matrix-width words, for intersections.
 
         Bits beyond the matrix width belong to packages no cached image
-        contains: they make a hit impossible (``overflow``) and
-        contribute zero to every intersection, so truncating them is
-        exact.
+        contains: they contribute zero to every intersection, so
+        truncating them is exact.  (They also make a hit impossible,
+        which :meth:`_scan_hit` reads off the refcounts.)
         """
         width_bits = self._words << 6
-        overflow = (mask >> width_bits) != 0
-        if overflow:
+        if mask >> width_bits:
             mask &= (1 << width_bits) - 1
         raw = mask.to_bytes(self._words * 8, "little")
-        return np.frombuffer(raw, dtype=_WORD), overflow
+        return np.frombuffer(raw, dtype=_WORD)
 
     # -- maintenance hooks -------------------------------------------------
 
@@ -576,22 +605,16 @@ class VectorizedEngine(NaiveEngine):
 
     # -- kernels -----------------------------------------------------------
 
-    def find_hit(self, mask: int) -> Optional["CachedImage"]:
-        """Vectorised subset test + the naive scan's selection rule.
-
-        A row serves the request iff every request word survives masking:
-        ``(matrix & request) == request``.  The scan first filters on the
-        single densest request word — a column pass over ``top`` int64s —
-        and verifies only the surviving rows against the full request, so
-        the common no-hit/one-hit case never touches the whole matrix.
-        Among matching rows the selection reduces to a lexicographic
-        extremum with ``_order`` as the tiebreaker, matching the naive
-        scan's strict-comparison first-winner semantics exactly.
+    def find_hit(
+        self, mask: int, indices: np.ndarray
+    ) -> Optional["CachedImage"]:
+        """Rarest-package superset scan + the naive scan's selection rule.
 
         Inside a batch window the scan is served from the window's
         snapshot prediction repaired against the dirty set
         (:meth:`_batched_hit`); a lane whose prediction was invalidated
-        falls through to the plain scan below.
+        falls through to the plain scan (:meth:`_scan_hit`), as does
+        every request outside a window.
         """
         batch = self._batch
         if batch is not None:
@@ -599,19 +622,54 @@ class VectorizedEngine(NaiveEngine):
             if served:
                 return hit
         if self._n_live <= self._SMALL_CACHE:
-            return super().find_hit(mask)
-        q, overflow = self._query_words(mask)
-        if overflow:
-            return None
-        top = self._top
-        nz = np.flatnonzero(q)
-        if nz.size == 0:
+            return super().find_hit(mask, indices)
+        return self._scan_hit(mask, indices)
+
+    def _scan_hit(
+        self, mask: int, indices: np.ndarray
+    ) -> Optional["CachedImage"]:
+        """The hit for ``mask`` from the refcounts and one bit column.
+
+        A superset of the request holds every package of it, in
+        particular the one the fewest live images hold.  That count is
+        ``cache._refcounts[p]``, which the cache keeps exact for its
+        byte accounting (see the class docstring): zero for any package
+        of the request — or a package index past the array, one no image
+        has held yet — means no superset exists, and the matrix is not
+        read at all.  Otherwise the rows with the rarest package's bit
+        set (one column pass over ``top`` words) are the only possible
+        supersets; each is checked with the reference test on the
+        image's own mask.  Freed rows keep their bits until the row is
+        reused, so a set bit proves nothing about liveness: rows without
+        an image are dropped first.  Among the supersets
+        :meth:`_select_hit` applies the selection rule.
+        """
+        if indices.size == 0:
             # Empty request: every live image is a superset.
-            return self._select_hit(np.flatnonzero(self._live[:top]))
-        word = int(nz[np.argmax(np.bitwise_count(q[nz]))])
-        qw = q[word]
-        cand = np.flatnonzero((self._matrix[:top, word] & qw) == qw)
-        return self._verify_and_select(cand, q, nz)
+            return self._select_hit(np.flatnonzero(self._live[: self._top]))
+        refcounts = self._cache._refcounts
+        if indices[-1] >= refcounts.size:
+            return None
+        held = refcounts[indices]
+        rarest = int(held.argmin())
+        if held[rarest] == 0:
+            return None
+        # Some live image holds the package, so the matrix is wide
+        # enough for its word.
+        package = int(indices[rarest])
+        column = self._matrix[: self._top, package >> 6]
+        rows = np.flatnonzero(column & _WORD.type(1 << (package & 63)))
+        image_of = self._image_of_row
+        supersets = []
+        for row in rows.tolist():
+            image = image_of[row]
+            if image is not None and mask & image.mask == mask:
+                supersets.append(row)
+        if not supersets:
+            return None
+        if len(supersets) == 1:
+            return image_of[supersets[0]]
+        return self._select_hit(np.array(supersets))
 
     def _select_hit(self, rows: np.ndarray) -> Optional["CachedImage"]:
         """The winner among superset rows under the cache's selection rule.
@@ -630,23 +688,6 @@ class VectorizedEngine(NaiveEngine):
                 np.lexsort((self._order[rows], -self._last_used[rows]))[0]
             ]
         return self._image_of_row[int(row)]
-
-    def _verify_and_select(
-        self, cand: np.ndarray, q: np.ndarray, nz: np.ndarray
-    ) -> Optional["CachedImage"]:
-        """Finish a hit scan from densest-word candidates ``cand``."""
-        cand = cand[self._live[cand]]
-        if cand.size == 0:
-            return None
-        if nz.size > 1:
-            sub = self._matrix[np.ix_(cand, nz)]
-            covered = ((sub & q[nz]) == q[nz]).all(axis=1)
-            rows = cand[covered]
-        else:
-            rows = cand
-        if rows.size == 0:
-            return None
-        return self._select_hit(rows)
 
     def _window_rows(
         self, n_request: int, alpha: float
@@ -749,95 +790,32 @@ class VectorizedEngine(NaiveEngine):
     # -- batch API -----------------------------------------------------------
 
     def find_hits(
-        self, masks: Sequence[int]
+        self, masks: Sequence[int], indices: Sequence[np.ndarray]
     ) -> List[Optional["CachedImage"]]:
-        """Hit scan for a vector of masks in grouped kernel invocations.
+        """Hit scan for a vector of masks, each distinct mask scanned once.
 
-        Masks are deduplicated, grouped by their densest request word,
-        and each group's densest-word filter runs as one broadcast
-        kernel over ``top × group`` lanes (chunked to the element
-        budget); survivors are verified and selected per lane exactly as
-        :meth:`find_hit` would be.  Equivalent to
-        ``[self.find_hit(m) for m in masks]`` against fixed state.
+        Equal to ``[self.find_hit(m, i) for m, i in zip(masks, indices)]``
+        against fixed state outside a batch window; predictions never
+        consult the window they are made for.
         """
         if self._n_live <= self._SMALL_CACHE:
-            loop = super().find_hit
-            return [loop(mask) for mask in masks]
-        results: List[Optional["CachedImage"]] = [None] * len(masks)
-        if not masks:
-            return results
-        top = self._top
-        lanes: Dict[int, List[int]] = {}
-        for i, mask in enumerate(masks):
-            lanes.setdefault(mask, []).append(i)
-        # Group distinct masks by their densest word so one column pass
-        # filters a whole group of lanes.
-        groups: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-        for mask, out_idx in lanes.items():
-            q, overflow = self._query_words(mask)
-            if overflow:
-                continue  # packages no cached image contains: no hit
-            nz = np.flatnonzero(q)
-            if nz.size == 0:
-                # Empty request: every live image is a superset.
-                hit = self._select_hit(np.flatnonzero(self._live[:top]))
-                for i in out_idx:
-                    results[i] = hit
-                continue
-            word = int(nz[np.argmax(np.bitwise_count(q[nz]))])
-            groups.setdefault(word, []).append((mask, q, nz))
-        for word, members in groups.items():
-            qws = np.array([q[word] for _, q, _ in members], dtype=_WORD)
-            col = self._matrix[:top, word]
-            n_lanes = len(members)
-            chunk = max(1, self._BATCH_CELL_BUDGET // n_lanes)
-            cand_lists: List[List[np.ndarray]] = [[] for _ in members]
-            for start in range(0, top, chunk):
-                stop = min(start + chunk, top)
-                shape = (stop - start, n_lanes)
-                anded = np.bitwise_and(
-                    col[start:stop, None],
-                    qws[None, :],
-                    out=self._arena.take("hit_and", shape, _WORD),
-                )
-                covered = np.equal(
-                    anded,
-                    qws[None, :],
-                    out=self._arena.take("hit_eq", shape, np.bool_),
-                )
-                rows_idx, lane_idx = np.nonzero(covered)
-                if rows_idx.size == 0:
-                    continue
-                rows_idx = rows_idx + start
-                by_lane = np.argsort(lane_idx, kind="stable")
-                lane_sorted = lane_idx[by_lane]
-                rows_sorted = rows_idx[by_lane]
-                bounds = np.searchsorted(
-                    lane_sorted, np.arange(n_lanes + 1)
-                )
-                for j in range(n_lanes):
-                    sel = rows_sorted[bounds[j] : bounds[j + 1]]
-                    if sel.size:
-                        cand_lists[j].append(sel)
-            for j, (mask, q, nz) in enumerate(members):
-                if not cand_lists[j]:
-                    continue
-                cand = (
-                    cand_lists[j][0]
-                    if len(cand_lists[j]) == 1
-                    else np.concatenate(cand_lists[j])
-                )
-                hit = self._verify_and_select(cand, q, nz)
-                if hit is not None:
-                    for i in lanes[mask]:
-                        results[i] = hit
-        return results
+            scan = super().find_hit
+        else:
+            scan = self._scan_hit
+        found: Dict[int, Optional["CachedImage"]] = {}
+        for mask, idx in zip(masks, indices):
+            if mask not in found:
+                found[mask] = scan(mask, idx)
+        return [found[mask] for mask in masks]
 
-    def begin_batch(self, masks: Sequence[int]) -> None:
+    def begin_batch(
+        self, masks: Sequence[int], indices: Sequence[np.ndarray]
+    ) -> None:
         """Open a batch window: predict every mask's hit against now-state."""
-        self._batch = None  # predictions must come from the plain kernels
-        predictions = self.find_hits(masks)
-        self._batch = _HitBatch(masks, predictions, self._cache.hit_selection)
+        predictions = self.find_hits(masks, indices)
+        self._batch = _HitBatch(
+            masks, indices, predictions, self._cache.hit_selection
+        )
 
     def end_batch(self) -> None:
         """Close the batch window, folding its dirty rate into the stats."""
@@ -892,13 +870,9 @@ class VectorizedEngine(NaiveEngine):
         ):
             return False, None
         if len(batch.dirty) > self._BATCH_MAX_DIRTY:
-            self._batch = None
-            try:
-                batch.predictions[cursor:] = self.find_hits(
-                    batch.masks[cursor:]
-                )
-            finally:
-                self._batch = batch
+            batch.predictions[cursor:] = self.find_hits(
+                batch.masks[cursor:], batch.indices[cursor:]
+            )
             batch.dirty.clear()
             batch.repredictions += 1
         batch.cursor = cursor + 1
@@ -938,7 +912,7 @@ class VectorizedEngine(NaiveEngine):
         explicit ``sub`` (a gathered pool or count window) allocates
         normally.
         """
-        q, _overflow = self._query_words(mask)
+        q = self._query_words(mask)
         if sub is None:
             top = len(rows)
             shape = (top, self._words)
@@ -950,7 +924,10 @@ class VectorizedEngine(NaiveEngine):
             )
         else:
             pops = np.bitwise_count(sub & q)
-        inter = pops.sum(axis=1, dtype=np.int64)
+        # A row sum is at most 64 * words, far inside uint32, whose
+        # accumulation loop costs half the int64 one; the int64 counts
+        # promote the arithmetic below back to int64 with the same value.
+        inter = pops.sum(axis=1, dtype=np.uint32)
         union = n_request + self._count[rows] - inter
         # Dead rows carry stale counts, so union may be <= 0 there; the
         # caller filters them via _live.  union == 0 on a live row means

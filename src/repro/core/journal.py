@@ -295,7 +295,11 @@ class Journal:
         self._next_seq += len(entries)
         return entries
 
-    def compact(self, upto_seq: int) -> int:
+    def compact(
+        self,
+        upto_seq: int,
+        parsed: Optional[Tuple[int, List[JournalEntry]]] = None,
+    ) -> int:
         """Drop every entry with ``seq <= upto_seq`` (already snapshotted).
 
         Crash-safe: the surviving tail is written to a temp file, fsynced
@@ -303,8 +307,12 @@ class Journal:
         the compacted journal — both of which recovery handles, because
         replay filters by the snapshot's ``journal_seq`` anyway.  Returns
         the number of entries dropped.
+
+        ``parsed`` is a :meth:`_read` result the caller took with no
+        write to the file since (recovery's one parse); without it the
+        file is read here.
         """
-        floor, entries = self._read()
+        floor, entries = parsed if parsed is not None else self._read()
         newest = entries[-1].seq if entries else floor
         kept = [entry for entry in entries if entry.seq > upto_seq]
         new_floor = max(floor, min(upto_seq, newest))
@@ -683,8 +691,18 @@ def recover_state(
     missing or unusable.
     """
     store = JournaledState(state_path, journal_path)
-    cache, metadata, replayed = store.load(
-        package_size, migrate_v1=migrate_v1, **cache_kwargs
+    journal = store.journal
+    bundle = load_bundle(
+        store.state_path, package_size, migrate_v1=migrate_v1, **cache_kwargs
     )
-    store.flush(cache, metadata)
-    return cache, metadata, len(replayed)
+    # The tail is read, parsed and CRC-checked once: nothing writes the
+    # journal between here and the compaction, so the same parse replays,
+    # names the sequence number the new snapshot covers, and is compacted.
+    floor, entries = parsed = journal._read()
+    replayed = replay(bundle.cache, entries, after_seq=bundle.journal_seq)
+    covered = entries[-1].seq if entries else floor
+    save_state(
+        store.state_path, bundle.cache, bundle.metadata, journal_seq=covered
+    )
+    journal.compact(covered, parsed)
+    return bundle.cache, bundle.metadata, len(replayed)

@@ -288,18 +288,18 @@ def test_batch_kernels_match_reference():
     specs = [
         frozenset(rng.sample(PACKAGES, rng.randint(1, 6))) for _ in range(64)
     ]
-    n_masks = [naive._intern(spec)[0] for spec in specs]
-    v_masks = [vec._intern(spec)[0] for spec in specs]
+    n_masks, n_indices = zip(*(naive._intern(spec)[:2] for spec in specs))
+    v_masks, v_indices = zip(*(vec._intern(spec)[:2] for spec in specs))
     assert n_masks == v_masks
 
-    hits_naive = naive._engine.find_hits(n_masks)
-    hits_vec = vec._engine.find_hits(v_masks)
+    hits_naive = naive._engine.find_hits(n_masks, n_indices)
+    hits_vec = vec._engine.find_hits(v_masks, v_indices)
     assert [h.id if h else None for h in hits_naive] == [
         h.id if h else None for h in hits_vec
     ]
 
 
-# -- Adaptive batching, forced compaction, and scratch-budget variants ------
+# -- Adaptive batching, forced compaction, and the refcount invariant -------
 
 ADAPTIVE_GRID = GRID[::24]
 COMPACT_GRID = GRID[5::24]
@@ -386,35 +386,114 @@ def test_adaptive_fixed_naive_agree():
     assert naive.stats.__dict__ == auto.stats.__dict__
 
 
-def test_scratch_budget_chunking_bit_identical():
-    """A tiny cell budget forces ``find_hits`` through one-row chunks;
-    decisions must not change relative to the 32 MiB default or the
-    naive reference."""
-    combo = ("smallest", "distance", "lru", "full", False, False)
-    hit, order, evict, mode, minhash, conflicts = combo
-    kwargs = dict(
-        hit_selection=hit, candidate_order=order, eviction=evict,
-        merge_write_mode=mode, use_minhash=minhash,
-        conflict_policy=NoConflicts(), record_events=True,
+def assert_refcounts_exact(cache):
+    """What the vectorized hit scan rests on, checked from scratch:
+    ``_refcounts[p]`` == live images whose mask has bit ``p`` == the sum
+    of column ``p`` of the matrix over live rows."""
+    counts = cache._refcounts
+    expected = np.zeros(counts.size, dtype=np.int64)
+    for image in cache._images.values():
+        assert image.mask.bit_count() == image.package_count
+        expected[image.indices] += 1
+    assert np.array_equal(counts, expected)
+    engine = cache._engine
+    if engine.name != "vectorized":
+        return
+    top = engine._top
+    live = engine._live[:top]
+    assert int(live.sum()) == engine._n_live == len(cache)
+    bits = np.unpackbits(
+        engine._matrix[:top][live].view(np.uint8), axis=1, bitorder="little"
     )
-    naive = LandlordCache(CAPACITY, ALPHA, _size_of, engine="naive", **kwargs)
-    wide = LandlordCache(
-        CAPACITY, ALPHA, _size_of, engine="vectorized", **kwargs
-    )
-    tight = LandlordCache(
-        CAPACITY, ALPHA, _size_of, engine="vectorized", **kwargs
-    )
-    tight._engine._BATCH_CELL_BUDGET = 8
+    columns = bits.sum(axis=0, dtype=np.int64)
+    width = min(columns.size, counts.size)
+    assert np.array_equal(columns[:width], counts[:width])
+    assert not columns[width:].any() and not counts[width:].any()
 
-    rng = Random("scratch")
-    submitted = 0
-    while submitted < 600:
-        window = [
-            frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
-            for _ in range(rng.randint(32, 128))
-        ]
-        for cache in (naive, wide, tight):
-            cache.submit_batch(window, batch_size=64)
-        submitted += len(window)
-    assert naive.snapshot() == wide.snapshot() == tight.snapshot()
-    assert naive.events == wide.events == tight.events
+
+@pytest.mark.parametrize("selection", HIT_SELECTION)
+def test_refcounts_equal_live_column_sums_after_every_call(selection):
+    """A randomised sequence of every public state-changing call (and
+    the read-only ones between them), on a universe several matrix
+    words wide, under capacity pressure with merges: after each call
+    both caches satisfy the refcount invariant and agree."""
+    packages = [f"wide{i:03d}/1.0" for i in range(150)]
+    sizes = {pid: 5 + (i * 37) % 90 for i, pid in enumerate(packages)}
+
+    def pair():
+        return tuple(
+            LandlordCache(
+                2500, ALPHA, sizes.__getitem__, hit_selection=selection,
+                engine=engine, rng=np.random.default_rng(7),
+            )
+            for engine in ("naive", "vectorized")
+        )
+
+    rng = Random(f"refcounts-{selection}")
+
+    def spec():
+        # Clustered draws so that merges, hits and misses all occur.
+        base = rng.randrange(0, 140, 10)
+        return frozenset(rng.sample(packages[base:base + 24], rng.randint(1, 7)))
+
+    caches = pair()
+    calls = {name: 0 for name in (
+        "request", "submit_batch", "peek", "adopt", "split", "evict_idle",
+        "clear", "restore", "compact",
+    )}
+    for step in range(700):
+        draw = rng.random()
+        if draw < 0.55:
+            name, wanted = "request", spec()
+            results = [decision_key(c.request(wanted)) for c in caches]
+        elif draw < 0.70:
+            name = "submit_batch"
+            window = [spec() for _ in range(rng.randint(1, 40))]
+            size = rng.choice([1, 5, 64, "auto"])
+            results = [
+                [decision_key(d) for d in c.submit_batch(window, batch_size=size)]
+                for c in caches
+            ]
+        elif draw < 0.78:
+            name, wanted = "peek", spec()
+            found = [c.peek(wanted) for c in caches]
+            results = [None if image is None else image.id for image in found]
+        elif draw < 0.84:
+            name, wanted = "adopt", spec()
+            results = [c.adopt(wanted).id for c in caches]
+        elif draw < 0.90 and caches[0]._images:
+            name = "split"
+            image_id = rng.choice(sorted(caches[0]._images))
+            held = sorted(caches[0]._images[image_id].packages)
+            cut = rng.randint(1, len(held))
+            parts = [frozenset(held[:cut])]
+            if cut < len(held) and rng.random() < 0.7:
+                parts.append(frozenset(held[cut:]))
+            results = [[im.id for im in c.split(image_id, parts)] for c in caches]
+        elif draw < 0.95:
+            name = "evict_idle"
+            horizon = rng.randint(0, 30)
+            results = [c.evict_idle(horizon) for c in caches]
+        elif draw < 0.96:
+            name = "clear"
+            results = [c.clear() for c in caches]
+        elif draw < 0.98:
+            name = "restore"
+            snapshots = [c.snapshot() for c in caches]
+            assert snapshots[0] == snapshots[1]
+            caches = pair()
+            results = [c.restore(snapshots[1 - i]) for i, c in enumerate(caches)]
+        else:
+            name = "compact"
+            caches[1]._engine.compact()
+            assert caches[1]._engine._top == len(caches[1])
+            results = [None, None]
+        calls[name] += 1
+        assert results[0] == results[1], f"step {step}: {name} diverged"
+        for cache in caches:
+            assert_refcounts_exact(cache)
+    assert all(calls.values()), calls
+    naive, vec = caches
+    assert naive.snapshot() == vec.snapshot()
+    assert naive.stats.__dict__ == vec.stats.__dict__
+    assert vec._engine._words == 8  # 150 packages: 3 words, one growth step

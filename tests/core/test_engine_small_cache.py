@@ -128,13 +128,13 @@ def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
     monkeypatch.setattr(NaiveEngine, "scan_candidates", boom)
     mask, indices, _size = vec._intern(frozenset(PACKAGES[:3]))
     with pytest.raises(AssertionError, match="reference loop"):
-        engine.find_hit(mask)
+        engine.find_hit(mask, indices)
     with pytest.raises(AssertionError, match="reference loop"):
         engine.scan_candidates(mask, int(indices.size), vec.alpha)
     with pytest.raises(AssertionError, match="reference loop"):
-        engine.find_hits([mask])
+        engine.find_hits([mask], [indices])
 
     monkeypatch.setattr(VectorizedEngine, "_SMALL_CACHE", THRESHOLD - 1)
-    engine.find_hit(mask)
+    engine.find_hit(mask, indices)
     engine.scan_candidates(mask, int(indices.size), vec.alpha)
-    engine.find_hits([mask])
+    engine.find_hits([mask], [indices])
