@@ -285,6 +285,135 @@ class TestHitScan:
         assert hit_dense < 2.0 * hit_sparse
 
 
+class TestCheckpoint:
+    """What one checkpoint costs (DESIGN.md, "Durable wrapper state").
+
+    A zone-sized cache (10 images, ~8.8k package names) behind a
+    long-lived ``JournaledState``, as the daemon holds it.  The
+    relations are asserted in ``test_orderings`` on timings taken
+    there: compaction does not scale with what it drops, a whole
+    checkpoint is cheaper than three of the group commits it follows,
+    and a snapshot is encoded exactly once.
+    """
+
+    WINDOW = 32  # entries per group commit, as in the ledger's durable_recover
+
+    @staticmethod
+    def _zone_sized_cache():
+        rng = np.random.default_rng(16)
+        cache = _zone_cache(alpha=0.0)  # never merges: one image per spec
+        while len(cache) < 10:
+            picks = rng.choice(len(ZONE_IDS), 880, replace=False)
+            cache.request(frozenset(ZONE_IDS[int(i)] for i in picks))
+        return cache
+
+    @classmethod
+    def _window(cls, spec_size=ZONE_SPEC):
+        rng = np.random.default_rng(spec_size)
+        return [
+            ("request", {"packages": sorted(
+                ZONE_IDS[int(i)]
+                for i in rng.choice(len(ZONE_IDS), spec_size, replace=False)
+            )})
+            for _ in range(cls.WINDOW)
+        ]
+
+    @classmethod
+    def _store(cls, directory):
+        from repro.core.journal import JournaledState
+
+        cache = cls._zone_sized_cache()
+        store = JournaledState(directory / "state.json",
+                               snapshot_every=10 ** 9)
+        store.initialise(cache, {})
+        return store, cache
+
+    def test_group_commit_of_32_entries(self, benchmark, tmp_path):
+        store, _cache = self._store(tmp_path)
+        window = self._window()
+        entries = benchmark(store.journal.append_many, window)
+        assert len(entries) == self.WINDOW
+
+    def test_zone_sized_checkpoint_after_64_entries(self, benchmark, tmp_path):
+        store, cache = self._store(tmp_path)
+        window = self._window()
+
+        def two_windows():
+            store.journal.append_many(window)
+            store.journal.append_many(window)
+            return (), {}
+
+        benchmark.pedantic(
+            lambda: store.flush(cache, {}, store.journal.last_seq),
+            setup=two_windows, rounds=20, iterations=1,
+        )
+        assert store.journal.entries() == []
+
+    def test_orderings(self, tmp_path, monkeypatch):
+        import json
+        from statistics import median
+        from time import perf_counter, process_time
+
+        from repro.core.persistence import save_state
+
+        store, cache = self._store(tmp_path)
+        journal = store.journal
+        window = self._window()
+        # Short lines for the compaction pair: renaming over a file makes
+        # the file system free its blocks (~0.4 ms per MB here) -- not
+        # this code's cost, and at 6 MB of zone-sized lines it would be
+        # all the pair measures.
+        short = self._window(ZONE_SPEC // 40)
+
+        def ms(call, clock=perf_counter):
+            start = clock()
+            call()
+            return (clock() - start) * 1e3
+
+        def compact():
+            assert journal.compact(journal.last_seq) > 0
+
+        # The machine has slow spells longer than a round: a checkpoint
+        # is compared with the two group commits it follows, round by
+        # round, and the rounds' median ratio is what is asserted.
+        appends, checkpoints, ratios = [], [], []
+        for _ in range(25):
+            pair = [ms(lambda: journal.append_many(window)) for _ in range(2)]
+            whole = ms(lambda: store.flush(cache, {}, journal.last_seq))
+            appends += pair
+            checkpoints.append(whole)
+            ratios.append(whole / (sum(pair) / 2))
+        append, checkpoint = median(appends), median(checkpoints)
+        # CPU time for the compaction pair: what this code does, not how
+        # long the disk took over the two fsyncs (that varies by > 1.5x).
+        compactions = {64: [], 640: []}
+        for _ in range(15):
+            for n_entries, series in compactions.items():
+                for _ in range(n_entries // self.WINDOW):
+                    journal.append_many(short)
+                series.append(ms(compact, process_time))
+        compact_64, compact_640 = min(compactions[64]), min(compactions[640])
+
+        dumps = []
+        real = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **k: dumps.append(a) or real(*a, **k)
+        )
+        save_state(tmp_path / "counted.json", cache, {}, 1)
+        monkeypatch.undo()
+
+        print(
+            f"\ncheckpoint of a zone-sized cache, ms: {checkpoint:.2f} whole, "
+            f"{median(ratios):.2f}x a group commit of {self.WINDOW} entries "
+            f"({append:.2f}); compaction CPU {compact_64:.2f} after 64 "
+            f"entries, {compact_640:.2f} after 640; "
+            f"json.dumps calls per save_state: {len(dumps)}"
+        )
+        assert len(dumps) == 1
+        assert compact_640 < 1.5 * compact_64
+        assert median(ratios) < 3
+
+
 class TestRepository:
     def test_build_sft_repository(self, benchmark, scale):
         from repro.packages.sft import build_sft_repository

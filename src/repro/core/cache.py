@@ -170,8 +170,12 @@ class _Universe:
     def bytes_of_indices(self, indices: np.ndarray) -> int:
         return int(self._sizes[indices].sum())
 
+    def names_of_indices(self, indices: np.ndarray) -> List[str]:
+        """Package ids at ``indices``, in index order."""
+        return list(map(self._ids.__getitem__, indices.tolist()))
+
     def ids_of_indices(self, indices: np.ndarray) -> FrozenSet[str]:
-        return frozenset(self._ids[int(i)] for i in indices)
+        return frozenset(self.names_of_indices(indices))
 
     @property
     def sizes(self) -> np.ndarray:
@@ -848,6 +852,7 @@ class LandlordCache:
         Pair with :meth:`restore` (see :mod:`repro.core.persistence` for
         the file-level API the job-wrapper CLI uses).
         """
+        names_of = self._universe.names_of_indices
         state = {
             "capacity": self.capacity,
             "alpha": self.alpha,
@@ -858,7 +863,7 @@ class LandlordCache:
             "images": [
                 {
                     "id": img.id,
-                    "packages": sorted(img.packages),
+                    "packages": sorted(names_of(img.indices)),
                     "created_at": img.created_at,
                     "last_used": img.last_used,
                     "last_request": img.last_request,

@@ -6,8 +6,8 @@ snapshot would silently lose that request.  This module closes the gap
 with the classic WAL protocol:
 
 1. every mutating cache operation is first appended to a JSON-lines
-   journal — one fsynced line per operation, carrying a CRC over its
-   canonical encoding;
+   journal — one fsynced line per operation, ``{"crc":N,`` spliced in
+   front of the canonical encoding the CRC was taken over;
 2. the operation is then applied to the in-memory cache;
 3. every ``snapshot_every`` operations the full snapshot is rewritten
    (recording the journal sequence number it covers) and the journal is
@@ -20,6 +20,17 @@ the deterministic cache, arriving at the exact pre-crash state.  A torn
 final line (a crash mid-append) is detected by its CRC and discarded;
 corruption *before* intact entries is a hard :class:`JournalError`, not
 something to paper over.
+
+**What the writer knows, it does not read back.**  A :class:`Journal`
+that appends is its file's only writer, so it numbers entries from a
+counter (one read of the file, before its first append, sets it) — and
+by the same assumption it counts the entries behind the compaction
+marker.  The periodic checkpoint's compaction drops everything counted,
+so it writes the new marker without reading the file it replaces; a
+partial keep, an object that never appended, and a caller-supplied parse
+still read (see :meth:`Journal.compact`).  On the read side a line is
+checked against its CRC as it lies on disk; only a line that is not in
+the writer's layout is re-encoded canonically first.
 
 The cache is deterministic given its restored state (including, for
 ``candidate_order="random"``, the RNG state the v2 snapshot carries), so
@@ -56,6 +67,8 @@ __all__ = [
 PathLike = Union[str, Path]
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
+_CRC_KEY = '{"crc":'
+_HEAL_BLOCK = 4096
 
 
 class JournalError(ValueError):
@@ -93,10 +106,27 @@ def _encode(entry: JournalEntry) -> str:
     return f'{{"crc":{zlib.crc32(body.encode("utf-8"))},{body[1:]}\n'
 
 
+def _crc_as_it_lies(line: str) -> bool:
+    """Does ``line`` have :func:`_encode`'s layout and match its CRC?
+
+    ``{"crc":N,`` followed by the canonical body minus its brace: the
+    CRC is taken over the bytes on disk, with no re-encoding.
+    """
+    if not line.startswith(_CRC_KEY):
+        return False
+    digits, _, rest = line[len(_CRC_KEY):].partition(",")
+    return digits == str(zlib.crc32(("{" + rest).encode("utf-8")))
+
+
 def _decode(line: str) -> JournalEntry:
+    # A line that matches its own CRC as written is what a writer wrote.
+    # Any other line (re-formatted by hand, keys in another order) is
+    # held to the CRC of its canonical re-encoding, as every line once
+    # was — so whatever that check accepted is still accepted.
+    intact = _crc_as_it_lies(line)
     record = json.loads(line)
     crc = record.pop("crc")
-    if _crc(record) != crc:
+    if not intact and _crc(record) != crc:
         raise JournalError("journal entry fails its CRC")
     seq = record["seq"]
     if not isinstance(seq, int) or seq < 1:
@@ -167,7 +197,12 @@ class Journal:
     def __init__(self, path: PathLike, metrics=None):
         self.path = Path(path)
         self._fh = None
+        # What the writer knows of its own file: the next sequence number
+        # and how many entries lie behind the marker.  Both come from the
+        # one read before the first append (or from reset) and follow
+        # every write since — valid while this object is the only writer.
         self._next_seq: Optional[int] = None
+        self._n_entries: Optional[int] = None
         self._ins = None
         if metrics is not None:
             self.enable_metrics(metrics)
@@ -180,7 +215,10 @@ class Journal:
     def last_seq(self) -> int:
         """Highest sequence number the journal accounts for (0 when
         fresh) — the newest intact entry, or the compaction marker when
-        every entry has been compacted away."""
+        every entry has been compacted away.  The writer answers from
+        its own count; any other object reads the file."""
+        if self._next_seq is not None:
+            return self._next_seq - 1
         floor, entries = self._read()
         return entries[-1].seq if entries else floor
 
@@ -267,7 +305,9 @@ class Journal:
         if not ops:
             return []
         if self._next_seq is None:
-            self._next_seq = self.last_seq + 1
+            floor, intact = self._read()
+            self._next_seq = (intact[-1].seq if intact else floor) + 1
+            self._n_entries = len(intact)
         entries = [
             JournalEntry(self._next_seq + offset, op, dict(data))
             for offset, (op, data) in enumerate(ops)
@@ -293,6 +333,7 @@ class Journal:
             ins.append_s.observe(end - t_append)
             ins.appends.inc(len(entries))
         self._next_seq += len(entries)
+        self._n_entries += len(entries)
         return entries
 
     def compact(
@@ -309,15 +350,28 @@ class Journal:
         the number of entries dropped.
 
         ``parsed`` is a :meth:`_read` result the caller took with no
-        write to the file since (recovery's one parse); without it the
-        file is read here.
+        write to the file since (recovery's one parse).
+
+        Read contract: the file is not read when this object has counted
+        it (it has appended, or reset) and ``upto_seq`` covers every
+        entry counted — the periodic checkpoint's case, where nothing is
+        kept and the new file is the marker alone.  A partial keep, an
+        object that has not counted the file, and ``parsed`` all take
+        the reading path; both paths write the same bytes.
         """
-        floor, entries = parsed if parsed is not None else self._read()
-        newest = entries[-1].seq if entries else floor
-        kept = [entry for entry in entries if entry.seq > upto_seq]
-        new_floor = max(floor, min(upto_seq, newest))
-        if (len(kept) == len(entries) and new_floor == floor
-                and self.path.exists()):
+        counted = self._n_entries
+        if (parsed is None and counted is not None
+                and upto_seq >= self._next_seq - 1):
+            total, kept, new_floor = counted, [], self._next_seq - 1
+            unchanged = counted == 0  # then the marker already says so
+        else:
+            floor, entries = parsed if parsed is not None else self._read()
+            newest = entries[-1].seq if entries else floor
+            total = len(entries)
+            kept = [entry for entry in entries if entry.seq > upto_seq]
+            new_floor = max(floor, min(upto_seq, newest))
+            unchanged = len(kept) == total and new_floor == floor
+        if unchanged and self.path.exists():
             return 0
         ins = self._ins
         t_compact = perf_counter() if ins is not None else 0.0
@@ -335,7 +389,9 @@ class Journal:
         checkpoint("compact:renamed")
         self._fsync_dir()
         self.close()  # the old append handle points at the replaced inode
-        dropped = len(entries) - len(kept)
+        if counted is not None:
+            self._n_entries = len(kept)
+        dropped = total - len(kept)
         if ins is not None:
             ins.compact_s.observe(perf_counter() - t_compact)
             ins.compactions.inc()
@@ -358,6 +414,7 @@ class Journal:
         self._fsync_dir()
         self.close()
         self._next_seq = 1
+        self._n_entries = 0
 
     def close(self) -> None:
         """Close the append handle (reopened lazily by the next append)."""
@@ -375,15 +432,24 @@ class Journal:
         to the last complete line first keeps every later append intact.
         """
         try:
-            raw = self.path.read_bytes()
+            fh = open(self.path, "rb+")
         except FileNotFoundError:
             return
-        if not raw or raw.endswith(b"\n"):
-            return
-        cut = raw.rfind(b"\n") + 1
-        with open(self.path, "rb+") as fh:
-            fh.truncate(cut)
-            os.fsync(fh.fileno())
+        with fh:
+            # Back from the end, a block at a time, to the last newline.
+            size = pos = fh.seek(0, os.SEEK_END)
+            cut = 0
+            while pos:
+                start = max(0, pos - _HEAL_BLOCK)
+                fh.seek(start)
+                newline = fh.read(pos - start).rfind(b"\n")
+                if newline >= 0:
+                    cut = start + newline + 1
+                    break
+                pos = start
+            if cut < size:
+                fh.truncate(cut)
+                os.fsync(fh.fileno())
 
     def _fsync_dir(self) -> None:
         fd = os.open(self.path.parent, os.O_RDONLY)

@@ -24,6 +24,17 @@ Format v2 guarantees two properties v1 lacked:
   :class:`StateError` unless ``migrate_v1=True`` explicitly adopts the
   caller's current knobs.
 
+**File layout.**  A state file is one line of JSON, every byte of it
+encoded once: the body (``cache``, ``journal_seq``, ``metadata``) is
+dumped in canonical form (sorted keys, no whitespace), those bytes are
+hashed, and the file is ``{"version":2,"checksum":"sha256:…",`` followed
+by the very same bytes minus their opening brace.  Loading hashes the
+text after that header as it lies; a file in any other layout (the
+``indent=1`` files written before the layout was fixed, or one a human
+re-formatted) is still one JSON object with the same keys, and is
+verified by re-encoding its parsed body canonically.  Read a state file
+with ``python -m json.tool``.
+
 The actual container *files* are not stored — in a real deployment they sit
 next to the state file in the cache directory; in this reproduction only
 the accounting exists.
@@ -87,14 +98,29 @@ class StateBundle:
     journal_seq: int
 
 
+def _canonical(body: dict) -> bytes:
+    """The one encoding of a payload body — what is hashed is what is
+    written."""
+    return json.dumps(body, **_CANON).encode("utf-8")
+
+
+def _checksum_of(canon: bytes) -> str:
+    return "sha256:" + hashlib.sha256(canon).hexdigest()
+
+
+def _header(checksum: str) -> str:
+    """What precedes the body's bytes in a state file (see the module
+    docstring): the body's opening brace, ``version`` and ``checksum``."""
+    return f'{{"version":{STATE_VERSION},"checksum":"{checksum}",'
+
+
 def body_checksum(body: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a payload body.
 
     The body is the payload minus ``version`` and ``checksum`` — exactly
     the keys whose corruption a torn write could hide.
     """
-    canon = json.dumps(body, **_CANON).encode("utf-8")
-    return "sha256:" + hashlib.sha256(canon).hexdigest()
+    return _checksum_of(_canonical(body))
 
 
 def _tmp_path(path: Path) -> Path:
@@ -126,21 +152,17 @@ def save_state(
     (see :mod:`repro.core.journal`); recovery replays only later entries.
     """
     path = Path(path)
-    body = {
+    canon = _canonical({
         "metadata": metadata or {},
         "journal_seq": int(journal_seq),
         "cache": cache.snapshot(),
-    }
-    payload = {
-        "version": STATE_VERSION,
-        "checksum": body_checksum(body),
-        **body,
-    }
+    })
+    head = _header(_checksum_of(canon)).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _tmp_path(path)
     checkpoint("state:write")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=1))
+    with open(tmp, "wb") as fh:
+        fh.write(head + canon[1:])
         fh.flush()
         checkpoint("state:torn", fh=fh, start=0)
         os.fsync(fh.fileno())
@@ -151,10 +173,22 @@ def save_state(
     return path
 
 
-def _verify_checksum(payload: dict, path: Path) -> None:
+def _verify_checksum(payload: dict, text: str, path: Path) -> None:
+    """Check ``payload`` (parsed from ``text``) against its checksum.
+
+    A file :func:`save_state` wrote is hashed as it lies: the text after
+    the header is the canonical body minus its brace.  Anything else is
+    re-encoded canonically from the parsed body, which accepts exactly
+    the files it always did — whatever their whitespace or key order.
+    """
     recorded = payload.get("checksum")
     if not isinstance(recorded, str):
         raise StateError(f"state file {path} has no checksum (torn write?)")
+    head = _header(recorded)
+    if text.startswith(head) and recorded == _checksum_of(
+        ("{" + text[len(head):]).encode("utf-8")
+    ):
+        return
     body = {
         key: payload[key]
         for key in ("metadata", "journal_seq", "cache")
@@ -231,7 +265,7 @@ def load_bundle(
             f"(expected {STATE_VERSION})"
         )
     else:
-        _verify_checksum(payload, path)
+        _verify_checksum(payload, text, path)
     try:
         snapshot = payload["cache"]
         cache = LandlordCache(
