@@ -439,6 +439,81 @@ class TestRepository:
         assert len(result) >= k
 
 
+class TestColdStart:
+    """What every process pays before its first decision (DESIGN.md,
+    "Cold start"): the paper-scale repository, generated and validated.
+
+    The relations are asserted on timings taken in the test: the
+    generator against the pick-by-pick ``rng.choice(n, p=w)`` formula it
+    replaced (kept in ``tests/packages/test_depgen.py`` as the identity
+    reference), validation against generation, and one ``Package`` built
+    per package.
+    """
+
+    def test_orderings(self, monkeypatch):
+        from time import perf_counter
+
+        from repro.packages import package as package_module
+        from repro.packages.depgen import layered_dag
+        from repro.packages.repository import Repository
+        from repro.packages.sft import (
+            SFT_PACKAGE_COUNT,
+            _sft_namer,
+            build_sft_repository,
+            sft_layers,
+        )
+        from repro.util.units import GB
+        from tests.packages.test_depgen import reference_layered_dag
+
+        def ms(call):
+            start = perf_counter()
+            result = call()
+            return (perf_counter() - start) * 1e3, result
+
+        def generate(generator):
+            return generator(
+                spawn(2020, "sft-repo", SFT_PACKAGE_COUNT), sft_layers(),
+                namer=_sft_namer, total_size=700 * GB,
+            )
+
+        # One slow round is one reference build (~1.2 s); the fast side
+        # takes the best of the same number of rounds, so a slow spell of
+        # the machine cannot favour it.
+        builds, generations, validations, references = [], [], [], []
+        for _ in range(3):
+            builds.append(ms(build_sft_repository)[0])
+            elapsed, packages = ms(lambda: generate(layered_dag))
+            generations.append(elapsed)
+            validations.append(ms(lambda: Repository(packages))[0])
+            elapsed, expected = ms(
+                lambda: Repository(generate(reference_layered_dag))
+            )
+            references.append(elapsed)
+        assert packages == list(expected.packages.values())
+
+        inits = []
+        real = package_module.Package.__init__
+        monkeypatch.setattr(
+            package_module.Package, "__init__",
+            lambda self, *a, **k: inits.append(1) or real(self, *a, **k),
+        )
+        assert len(build_sft_repository()) == SFT_PACKAGE_COUNT
+        monkeypatch.undo()
+
+        build, reference = min(builds), min(references)
+        generation, validation = min(generations), min(validations)
+        print(
+            f"\npaper-scale repository, ms: build {build:.1f} "
+            f"(generate {generation:.1f} + validate {validation:.1f}) against "
+            f"{reference:.0f} by the per-pick choice(p=) formula "
+            f"({reference / build:.1f}x); Package.__init__ calls per build: "
+            f"{len(inits)}"
+        )
+        assert build < reference / 3
+        assert validation <= generation
+        assert len(inits) <= SFT_PACKAGE_COUNT + 1
+
+
 class TestCacheThroughput:
     def test_request_throughput_alpha_075(self, benchmark, bench_repo, scale):
         workload = DependencyWorkload(bench_repo, scale.max_selection)

@@ -9,6 +9,10 @@ table per file, meant for ``$GITHUB_STEP_SUMMARY``::
     python scripts/bench_summary.py BENCH_cache.json BENCH_sweep.json \
         >> "$GITHUB_STEP_SUMMARY"
 
+``--cold-start DAEMON_MS WRAPPER_MS...`` prints the one-line cold-start
+readout the daemon smoke step measures (spawn → port file, and the wall
+time of consecutive ``submit --scale paper`` invocations).
+
 Nested payloads (the ``{"scales": {...}}`` layout of BENCH_cache.json)
 are flattened to dotted keys.  Only scalar leaves are compared; numeric
 deltas carry a sign and a percentage so regressions read at a glance.
@@ -23,7 +27,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 Scalar = object  # int | float | bool | str | None
 
@@ -155,14 +159,33 @@ def summarize(path: Path, ref: str) -> str:
     return "\n".join(lines)
 
 
+def cold_start_line(daemon_ms: int, wrapper_ms: Sequence[int]) -> str:
+    """What a process pays before its first decision, at paper scale."""
+    walls = ", ".join(str(ms) for ms in wrapper_ms) or "—"
+    return (
+        f"**Cold start (paper scale):** job wrapper {walls} ms wall per "
+        f"`submit` invocation; daemon spawn → port file {daemon_ms} ms"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="+", type=Path,
+    parser.add_argument("files", nargs="*", type=Path,
                         help="regenerated benchmark JSON files to diff")
     parser.add_argument("--ref", default="HEAD",
                         help="git ref holding the committed baseline "
                         "(default: %(default)s)")
+    parser.add_argument("--cold-start", nargs="+", type=int, default=None,
+                        metavar="MS",
+                        help="daemon start-up, then each wrapper "
+                        "invocation's wall time, in milliseconds")
     args = parser.parse_args(argv)
+    if not args.files and not args.cold_start:
+        parser.error("nothing to summarise: give files or --cold-start")
+    if args.cold_start:
+        print(cold_start_line(args.cold_start[0], args.cold_start[1:]) + "\n")
+    if not args.files:
+        return 0
     failures = 0
     print("## Benchmark deltas\n")
     for path in args.files:

@@ -49,42 +49,54 @@ all CPUs; ``REPRO_WORKERS`` overrides).  See
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Optional, Sequence
-
-from repro.experiments import (
-    ablations,
-    adaptive_study,
-    baselines,
-    federation_study,
-    tenancy_overhead,
-    fig1_layering,
-    fig2_benchmarks,
-    fig3_image_size,
-    fig4_cache_behavior,
-    fig5_single_run,
-    fig6_sensitivity,
-    fig7_dependencies,
-    fig8_limits,
-)
+from collections.abc import Mapping
+from types import ModuleType
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["main"]
 
-_FIGURES = {
-    "fig1": fig1_layering,
-    "fig2": fig2_benchmarks,
-    "fig3": fig3_image_size,
-    "fig4": fig4_cache_behavior,
-    "fig5": fig5_single_run,
-    "fig6": fig6_sensitivity,
-    "fig7": fig7_dependencies,
-    "fig8": fig8_limits,
-    "ablations": ablations,
-    "baselines": baselines,
-    "tenancy": tenancy_overhead,
-    "federation": federation_study,
-    "adaptive": adaptive_study,
-}
+
+class _Figures(Mapping):
+    """Figure command -> experiment module, imported on first lookup.
+
+    ``submit``, ``serve`` and ``recover`` never run an experiment, so
+    importing ``repro.cli`` must not import thirteen of them.
+    """
+
+    _MODULES = {
+        "fig1": "fig1_layering",
+        "fig2": "fig2_benchmarks",
+        "fig3": "fig3_image_size",
+        "fig4": "fig4_cache_behavior",
+        "fig5": "fig5_single_run",
+        "fig6": "fig6_sensitivity",
+        "fig7": "fig7_dependencies",
+        "fig8": "fig8_limits",
+        "ablations": "ablations",
+        "baselines": "baselines",
+        "tenancy": "tenancy_overhead",
+        "federation": "federation_study",
+        "adaptive": "adaptive_study",
+    }
+
+    def __getitem__(self, command: str) -> ModuleType:
+        return importlib.import_module(
+            f"repro.experiments.{self._MODULES[command]}"
+        )
+
+    def __contains__(self, command: object) -> bool:
+        return command in self._MODULES
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._MODULES)
+
+    def __len__(self) -> int:
+        return len(self._MODULES)
+
+
+_FIGURES = _Figures()
 
 
 def _cmd_sweep(argv: Sequence[str]) -> int:

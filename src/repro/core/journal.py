@@ -23,12 +23,13 @@ something to paper over.
 
 **What the writer knows, it does not read back.**  A :class:`Journal`
 that appends is its file's only writer, so it numbers entries from a
-counter (one read of the file, before its first append, sets it) — and
-by the same assumption it counts the entries behind the compaction
-marker.  The periodic checkpoint's compaction drops everything counted,
-so it writes the new marker without reading the file it replaces; a
-partial keep, an object that never appended, and a caller-supplied parse
-still read (see :meth:`Journal.compact`).  On the read side a line is
+counter (one read of the file sets it: :meth:`JournaledState.load`'s, or
+else one before the first append) — and by the same assumption it counts
+the entries behind the compaction marker.  The periodic checkpoint's
+compaction drops everything counted, so it writes the new marker without
+reading the file it replaces; a partial keep, an object that has not
+counted its file, and a caller-supplied parse still read (see
+:meth:`Journal.compact`).  On the read side a line is
 checked against its CRC as it lies on disk; only a line that is not in
 the writer's layout is re-encoded canonically first.
 
@@ -68,6 +69,7 @@ PathLike = Union[str, Path]
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
 _CRC_KEY = '{"crc":'
+_MARKER_CRC = ',"crc":'
 _HEAL_BLOCK = 4096
 
 
@@ -137,7 +139,13 @@ def _decode(line: str) -> JournalEntry:
 def _encode_marker(compacted_to: int) -> str:
     # As _encode, but "compacted_to" sorts before "crc": splice at the end.
     body = json.dumps({"compacted_to": compacted_to}, **_CANON)
-    return f'{body[:-1]},"crc":{zlib.crc32(body.encode("utf-8"))}}}\n'
+    return f'{body[:-1]}{_MARKER_CRC}{zlib.crc32(body.encode("utf-8"))}}}\n'
+
+
+def _marker_crc_as_it_lies(line: str) -> bool:
+    """:func:`_crc_as_it_lies` for :func:`_encode_marker`'s layout."""
+    body, sep, tail = line.rpartition(_MARKER_CRC)
+    return bool(sep) and tail == f'{zlib.crc32((body + "}").encode("utf-8"))}}}'
 
 
 class _JournalInstruments:
@@ -198,9 +206,9 @@ class Journal:
         self.path = Path(path)
         self._fh = None
         # What the writer knows of its own file: the next sequence number
-        # and how many entries lie behind the marker.  Both come from the
-        # one read before the first append (or from reset) and follow
-        # every write since — valid while this object is the only writer.
+        # and how many entries lie behind the marker.  Both come from
+        # read_as_writer (or from reset) and follow every write since —
+        # valid while this object is the only writer.
         self._next_seq: Optional[int] = None
         self._n_entries: Optional[int] = None
         self._ins = None
@@ -249,7 +257,8 @@ class Journal:
             if isinstance(record, dict) and "compacted_to" in record:
                 crc = record.pop("crc", None)
                 upto = record.get("compacted_to")
-                if _crc(record) != crc or not isinstance(upto, int):
+                intact = _marker_crc_as_it_lies(lines[0]) or _crc(record) == crc
+                if not intact or not isinstance(upto, int):
                     raise JournalError(
                         f"corrupt compaction marker in {self.path}"
                     )
@@ -279,6 +288,18 @@ class Journal:
             out.append(entry)
         return floor, out
 
+    def read_as_writer(self) -> Tuple[int, List[JournalEntry]]:
+        """:meth:`_read`, and number and count from what it found.
+
+        From here on this object answers for its file without reading it
+        (``last_seq``, the next append's sequence number, a full
+        compaction) — so call it only from the file's one writer.
+        """
+        floor, intact = parsed = self._read()
+        self._next_seq = (intact[-1].seq if intact else floor) + 1
+        self._n_entries = len(intact)
+        return parsed
+
     def append(self, op: str, **data: object) -> JournalEntry:
         """Durably append one operation; returns the written entry.
 
@@ -305,9 +326,7 @@ class Journal:
         if not ops:
             return []
         if self._next_seq is None:
-            floor, intact = self._read()
-            self._next_seq = (intact[-1].seq if intact else floor) + 1
-            self._n_entries = len(intact)
+            self.read_as_writer()
         entries = [
             JournalEntry(self._next_seq + offset, op, dict(data))
             for offset, (op, data) in enumerate(ops)
@@ -353,7 +372,7 @@ class Journal:
         write to the file since (recovery's one parse).
 
         Read contract: the file is not read when this object has counted
-        it (it has appended, or reset) and ``upto_seq`` covers every
+        it (:meth:`read_as_writer`, or reset) and ``upto_seq`` covers every
         entry counted — the periodic checkpoint's case, where nothing is
         kept and the new file is the marker alone.  A partial keep, an
         object that has not counted the file, and ``parsed`` all take
@@ -616,8 +635,11 @@ class JournaledState:
         )
         replayed: List[Tuple[JournalEntry, object]] = []
         if self.journal is not None:
+            # The store's journal is the writer's: this one parse also
+            # numbers the append that follows in the same invocation.
+            _floor, entries = self.journal.read_as_writer()
             replayed = replay(
-                bundle.cache, self.journal.entries(),
+                bundle.cache, entries,
                 after_seq=bundle.journal_seq, on_result=on_replay,
             )
         return bundle.cache, bundle.metadata, replayed

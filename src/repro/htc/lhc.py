@@ -28,7 +28,6 @@ from repro.cvmfs.shrinkwrap import BuildReport, Shrinkwrap
 from repro.packages.depgen import LayerSpec, layered_dag
 from repro.packages.package import make_package_id
 from repro.packages.repository import Repository
-from repro.packages.sft import _rescale_sizes
 from repro.util.rng import spawn
 from repro.util.units import GB, MB, TB
 
@@ -139,11 +138,13 @@ def build_experiment_repository(
         ),
     ]
     rng = spawn(seed, "lhc-repo", experiment)
-    packages = layered_dag(rng, layers, namer=_experiment_namer(experiment))
     # Pin the realised total exactly to the paper's full-repo size; the
     # lognormal draw has high variance at small package counts.
-    packages = _rescale_sizes(packages, total)
-    return Repository(packages)
+    return Repository(
+        layered_dag(
+            rng, layers, namer=_experiment_namer(experiment), total_size=total
+        )
+    )
 
 
 def select_spec_for_size(

@@ -18,12 +18,13 @@ holding everything else constant:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.packages.package import Package, make_package_id
-from repro.packages.sizes import lognormal_sizes
+from repro.packages.sizes import lognormal_sizes, rescale_to_total
 
 __all__ = ["layered_dag", "random_dag", "flat", "LayerSpec"]
 
@@ -34,11 +35,20 @@ def _default_namer(layer: int, index: int) -> str:
     return make_package_id(f"L{layer}-pkg{index:05d}", "1.0")
 
 
-def _zipf_weights(n: int, s: float) -> np.ndarray:
-    """Normalised Zipf probabilities over ranks 1..n with exponent ``s``."""
+def _zipf_cdf(n: int, s: float) -> np.ndarray:
+    """Cumulative Zipf probabilities over ranks 1..n with exponent ``s``.
+
+    ``cdf.searchsorted(u, side="right")`` is, step for step, what
+    ``rng.choice(n, p=weights)`` does with the one double ``u`` it draws
+    — the same index — minus validating, normalising and accumulating
+    the weights again for every pick.
+    """
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks**-s
-    return weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    if n:
+        cdf /= cdf[-1]
+    return cdf
 
 
 class LayerSpec:
@@ -83,6 +93,7 @@ def layered_dag(
     layers: Sequence[LayerSpec],
     namer: Optional[Namer] = None,
     size_sigma: float = 1.6,
+    total_size: Optional[int] = None,
 ) -> List[Package]:
     """Generate a hierarchical dependency DAG.
 
@@ -93,7 +104,9 @@ def layered_dag(
     seen in Figure 3.
 
     Dependencies always point from higher to lower layers, so the result is
-    acyclic by construction.
+    acyclic by construction.  With ``total_size`` the drawn sizes are
+    rescaled to sum to exactly that many bytes (see
+    :func:`~repro.packages.sizes.rescale_to_total`).
     """
     if namer is None:
         namer = _default_namer
@@ -101,36 +114,62 @@ def layered_dag(
         raise ValueError("layered_dag needs a non-empty base layer")
 
     layer_ids: List[List[str]] = []
-    packages: List[Package] = []
+    layer_sizes: List[np.ndarray] = []
+    all_deps: List[Tuple[str, ...]] = []
 
     for layer_idx, spec in enumerate(layers):
-        sizes = lognormal_sizes(rng, spec.count, spec.mean_size, size_sigma)
+        layer_sizes.append(
+            lognormal_sizes(rng, spec.count, spec.mean_size, size_sigma)
+        )
         ids = [namer(layer_idx, i) for i in range(spec.count)]
+        layer_ids.append(ids)
         if layer_idx == 0:
-            for pid, size in zip(ids, sizes):
-                packages.append(Package(id=pid, size=int(size)))
-            layer_ids.append(ids)
+            all_deps.extend([()] * spec.count)
             continue
 
-        lower = layer_ids[layer_idx - 1]
         core = layer_ids[0]
-        lower_w = _zipf_weights(len(lower), spec.zipf_s)
-        core_w = _zipf_weights(len(core), spec.zipf_s)
+        lower = layer_ids[layer_idx - 1]
         lo, hi = spec.dep_range
         counts = rng.integers(lo, hi + 1, size=spec.count)
-        for i, (pid, size, k) in enumerate(zip(ids, sizes, counts)):
-            deps = set()
-            for _ in range(int(k)):
-                use_core = layer_idx == 1 or rng.random() < spec.core_fraction
-                if use_core:
-                    deps.add(core[int(rng.choice(len(core), p=core_w))])
-                else:
-                    deps.add(lower[int(rng.choice(len(lower), p=lower_w))])
+        n_picks = int(counts.sum())
+        # The stream is the one a pick-by-pick loop consumes: above layer 1
+        # each pick takes one double to choose core vs lower and one to
+        # choose within it; layer 1 only has the core to draw from.
+        core_cdf = _zipf_cdf(len(core), spec.zipf_s)
+        if layer_idx == 1:
+            pool = core
+            picks = core_cdf.searchsorted(rng.random(n_picks), side="right")
+        else:
+            draws = rng.random(2 * n_picks)
+            use_core, within = draws[0::2] < spec.core_fraction, draws[1::2]
+            if not lower and not use_core.all():
+                raise ValueError(
+                    f"layer {layer_idx} draws from the empty layer below it"
+                )
+            lower_cdf = _zipf_cdf(len(lower), spec.zipf_s)
+            pool = core + lower
+            picks = np.where(
+                use_core,
+                core_cdf.searchsorted(within, side="right"),
+                len(core) + lower_cdf.searchsorted(within, side="right"),
+            )
+        picked = [pool[j] for j in picks.tolist()]
+        start = 0
+        for pid, k in zip(ids, counts.tolist()):
+            deps = set(picked[start:start + k])
+            start += k
             deps.discard(pid)
-            packages.append(Package(id=pid, size=int(size), deps=tuple(sorted(deps))))
-        layer_ids.append(ids)
+            all_deps.append(tuple(sorted(deps)))
 
-    return packages
+    sizes = np.concatenate(layer_sizes)
+    if total_size is not None:
+        sizes = rescale_to_total(sizes, total_size)
+    return [
+        Package(id=pid, size=size, deps=deps)
+        for pid, size, deps in zip(
+            chain.from_iterable(layer_ids), sizes.tolist(), all_deps
+        )
+    ]
 
 
 def random_dag(
@@ -140,18 +179,22 @@ def random_dag(
     mean_size: float = 50e6,
     size_sigma: float = 1.6,
     namer: Optional[Callable[[int], str]] = None,
+    total_size: Optional[int] = None,
 ) -> List[Package]:
     """Generate an unstructured DAG: package ``i`` depends on a Poisson
     number of uniformly chosen earlier packages.
 
     Acyclic because edges only point to lower indices.  Used as the
-    "arbitrary collections of data" control in Figure 7.
+    "arbitrary collections of data" control in Figure 7.  ``total_size``
+    is as for :func:`layered_dag`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if namer is None:
         namer = lambda i: make_package_id(f"rnd-pkg{i:05d}", "1.0")  # noqa: E731
     sizes = lognormal_sizes(rng, n, mean_size, size_sigma)
+    if total_size is not None:
+        sizes = rescale_to_total(sizes, total_size)
     packages: List[Package] = []
     for i in range(n):
         if i == 0:
@@ -173,11 +216,17 @@ def flat(
     mean_size: float = 50e6,
     size_sigma: float = 1.6,
     namer: Optional[Callable[[int], str]] = None,
+    total_size: Optional[int] = None,
 ) -> List[Package]:
-    """Generate ``n`` packages with no dependencies at all."""
+    """Generate ``n`` packages with no dependencies at all.
+
+    ``total_size`` is as for :func:`layered_dag`.
+    """
     if namer is None:
         namer = lambda i: make_package_id(f"flat-pkg{i:05d}", "1.0")  # noqa: E731
     sizes = lognormal_sizes(rng, n, mean_size, size_sigma)
+    if total_size is not None:
+        sizes = rescale_to_total(sizes, total_size)
     return [
         Package(id=namer(i), size=int(sizes[i])) for i in range(n)
     ]

@@ -37,18 +37,23 @@ class Repository:
 
     def __init__(self, packages: Iterable[Package]):
         self._packages: Dict[str, Package] = {}
+        # While every dependency was inserted before its dependent, the
+        # insertion order is a topological order: nothing dangles and
+        # nothing cycles, and this one walk has shown it.  The generators
+        # all emit that order; anything else gets the full checks.
+        deps_first = True
         for pkg in packages:
             if pkg.id in self._packages:
                 raise RepositoryError(f"duplicate package id: {pkg.id!r}")
+            if deps_first:
+                for dep in pkg.deps:
+                    if dep not in self._packages:
+                        deps_first = False
+                        break
             self._packages[pkg.id] = pkg
-        for pkg in self._packages.values():
-            for dep in pkg.deps:
-                if dep not in self._packages:
-                    raise RepositoryError(
-                        f"package {pkg.id!r} depends on missing {dep!r}"
-                    )
         self._closures: Dict[str, FrozenSet[str]] = {}
-        self._check_acyclic()
+        if not deps_first:
+            self._check_dag()
         self._ids: List[str] = sorted(self._packages)
         self._total_size: Optional[int] = None
         # Optional packed closure matrix adopted from another process
@@ -85,8 +90,19 @@ class Repository:
 
     # -- validation ----------------------------------------------------------
 
-    def _check_acyclic(self) -> None:
-        """Iterative three-colour DFS; raises on the first back-edge found."""
+    def _check_dag(self) -> None:
+        """Every dependency exists and none closes a cycle.
+
+        A missing dependency anywhere is reported before any cycle;
+        cycles by an iterative three-colour DFS, raising on the first
+        back-edge found.
+        """
+        for pkg in self._packages.values():
+            for dep in pkg.deps:
+                if dep not in self._packages:
+                    raise RepositoryError(
+                        f"package {pkg.id!r} depends on missing {dep!r}"
+                    )
         WHITE, GREY, BLACK = 0, 1, 2
         colour = {pid: WHITE for pid in self._packages}
         for root in self._packages:

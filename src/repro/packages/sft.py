@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.packages.depgen import LayerSpec, layered_dag, random_dag, flat
-from repro.packages.package import Package, make_package_id
+from repro.packages.package import make_package_id
 from repro.packages.repository import Repository
 from repro.util.rng import spawn
 from repro.util.units import GB, MB
@@ -90,26 +90,6 @@ def _sft_namer(layer: int, index: int) -> str:
     return make_package_id(f"app-{project:04d}", f"{version}.{variant}", platform)
 
 
-def _rescale_sizes(packages: List[Package], target_total: int) -> List[Package]:
-    """Proportionally rescale sizes so the repository totals ``target_total``."""
-    current = sum(p.size for p in packages)
-    if current == 0:
-        return packages
-    factor = target_total / current
-    rescaled = [
-        Package(id=p.id, size=max(1, int(round(p.size * factor))), deps=p.deps)
-        for p in packages
-    ]
-    # Absorb integer-rounding drift into the largest package so the total is
-    # exact; experiments compare cache sizes against repo multiples.
-    drift = target_total - sum(p.size for p in rescaled)
-    if drift:
-        biggest = max(range(len(rescaled)), key=lambda i: rescaled[i].size)
-        p = rescaled[biggest]
-        rescaled[biggest] = Package(id=p.id, size=p.size + drift, deps=p.deps)
-    return rescaled
-
-
 def build_sft_repository(
     seed: Optional[int] = 2020,
     n_packages: int = SFT_PACKAGE_COUNT,
@@ -133,9 +113,11 @@ def build_sft_repository(
     counts.append(max(1, n_packages - sum(counts)))
     for spec, count in zip(layers, counts):
         spec.count = count
-    packages = layered_dag(rng, layers, namer=_sft_namer)
-    packages = _rescale_sizes(packages, target_total_size)
-    return Repository(packages)
+    return Repository(
+        layered_dag(
+            rng, layers, namer=_sft_namer, total_size=target_total_size
+        )
+    )
 
 
 def build_experiment_repository(
@@ -153,10 +135,9 @@ def build_experiment_repository(
         return build_sft_repository(seed, n_packages, target_total_size)
     rng = spawn(seed, f"{kind}-repo", n_packages)
     if kind == "random":
-        packages = random_dag(rng, n_packages)
+        packages = random_dag(rng, n_packages, total_size=target_total_size)
     elif kind == "flat":
-        packages = flat(rng, n_packages)
+        packages = flat(rng, n_packages, total_size=target_total_size)
     else:
         raise ValueError(f"unknown repository kind: {kind!r}")
-    packages = _rescale_sizes(packages, target_total_size)
     return Repository(packages)

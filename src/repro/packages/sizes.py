@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["lognormal_sizes", "mu_for_mean", "size_histogram"]
+__all__ = ["lognormal_sizes", "mu_for_mean", "rescale_to_total", "size_histogram"]
 
 MIN_PACKAGE_SIZE = 4096  # a package is at least one filesystem block
 
@@ -56,6 +56,22 @@ def lognormal_sizes(
         draws = np.minimum(draws, float(max_bytes))
     draws = np.maximum(draws, float(min_bytes))
     return draws.astype(np.int64)
+
+
+def rescale_to_total(sizes: np.ndarray, target_total: int) -> np.ndarray:
+    """Proportionally rescale int64 ``sizes`` to sum to ``target_total``.
+
+    Every size stays at least one byte; the integer-rounding drift goes
+    into the largest package so the total is exact — experiments compare
+    cache sizes against repository multiples.
+    """
+    current = int(sizes.sum())
+    if current == 0:
+        return sizes
+    rescaled = np.rint(sizes * (target_total / current)).astype(np.int64)
+    np.maximum(rescaled, 1, out=rescaled)
+    rescaled[rescaled.argmax()] += target_total - int(rescaled.sum())
+    return rescaled
 
 
 def size_histogram(sizes: np.ndarray, n_bins: int = 12) -> list:

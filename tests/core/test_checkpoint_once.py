@@ -293,6 +293,116 @@ class TestCompactionReadContract:
         assert digest(recovered) == digest(cache)
 
 
+class TestWrapperInvocationReadsOnce:
+    """``load`` + one ``apply`` — a job wrapper's whole life — is one read:
+    the parse that replays the tail also numbers the append."""
+
+    def crashed_store(self, tmp_path, torn):
+        """A state three requests behind its journal; optionally a torn
+        fourth line, as a crash mid-append leaves it."""
+        cache = make_cache()
+        store = JournaledState(tmp_path / "state.json", snapshot_every=100)
+        store.initialise(cache, {})
+        store.apply_batch(cache, {}, request_ops(3))
+        store.journal.close()
+        if torn:
+            with open(store.journal.path, "a", encoding="utf-8") as fh:
+                fh.write(_encode(JournalEntry(4, "clear", {}))[:9])
+        return cache
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_load_then_apply_reads_the_journal_once(
+        self, tmp_path, monkeypatch, torn
+    ):
+        reference = self.crashed_store(tmp_path, torn)
+        store = JournaledState(tmp_path / "state.json", snapshot_every=100)
+        reads = read_tripwire(monkeypatch, forbid=False)
+        cache, metadata, replayed = store.load(SIZE.__getitem__)
+        assert reads.calls == 1 and len(replayed) == 3
+        reads.forbid = True
+        assert store.journal.last_seq == 3
+        (op, data), = request_ops(1, start=3)
+        store.apply(cache, metadata, op, **data)
+        store.flush(cache, metadata)
+        monkeypatch.undo()
+        # The torn tail was cut before the append, not glued to it: the
+        # new entry is number 4 and a cold recovery sees all four.
+        reference.request(data["packages"])
+        assert store.journal.last_seq == 4
+        assert digest(cache) == digest(reference)
+        recovered, _metadata, _n = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert digest(recovered) == digest(reference)
+
+    def test_torn_tail_is_healed_before_the_first_append(self, tmp_path):
+        self.crashed_store(tmp_path, torn=True)
+        store = JournaledState(tmp_path / "state.json", snapshot_every=100)
+        cache, metadata, _replayed = store.load(SIZE.__getitem__)
+        store.apply(cache, metadata, "clear")
+        lines = store.journal.path.read_text(encoding="utf-8").splitlines()
+        assert [_decode(line).seq for line in lines] == [1, 2, 3, 4]
+
+    def test_a_second_load_counts_again(self, tmp_path):
+        # One store object outliving a crash (the harness does this): the
+        # reload must not number from what it believed before.
+        self.crashed_store(tmp_path, torn=False)
+        store = JournaledState(tmp_path / "state.json", snapshot_every=100)
+        store.load(SIZE.__getitem__)
+        Journal(store.journal.path).append_many(request_ops(2, start=3))
+        cache, metadata, replayed = store.load(SIZE.__getitem__)
+        assert len(replayed) == 5
+        store.apply(cache, metadata, "clear")
+        assert store.journal.last_seq == 6
+
+
+class TestMarkerAsItLies:
+    def compacted(self, tmp_path):
+        journal = Journal(tmp_path / "j.journal")
+        journal.append_many(request_ops(4))
+        journal.compact(3)
+        return journal.path
+
+    def test_written_marker_verifies_without_re_encoding(
+        self, tmp_path, monkeypatch
+    ):
+        path = self.compacted(tmp_path)
+        dumps_tripwire(monkeypatch, forbid=True)
+        floor, entries = Journal(path)._read()
+        monkeypatch.undo()
+        assert floor == 3 and [e.seq for e in entries] == [4]
+
+    def test_reformatted_marker_is_accepted_via_the_fallback(self, tmp_path):
+        path = self.compacted(tmp_path)
+        marker, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(
+            json.dumps(json.loads(marker), indent=None) + "\n" + rest,
+            encoding="utf-8",
+        )
+        assert Journal(path).last_seq == 4
+
+    @pytest.mark.parametrize("old, new", [
+        ('"compacted_to":3', '"compacted_to":2'),
+        ('"compacted_to":3', '"compacted_to":"3"'),
+    ])
+    def test_tampered_marker_is_rejected(self, tmp_path, old, new):
+        path = self.compacted(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(JournalError, match="marker"):
+            Journal(path).entries()
+
+    def test_flipped_marker_crc_digit_is_rejected(self, tmp_path):
+        path = self.compacted(tmp_path)
+        marker, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        digit = marker[-2]
+        flipped = marker[:-2] + ("1" if digit != "1" else "2") + "}"
+        path.write_text(flipped + "\n" + rest, encoding="utf-8")
+        with pytest.raises(JournalError, match="marker"):
+            Journal(path).entries()
+
+
 # -- (c) the CRC over the line as it lies ---------------------------------------
 
 

@@ -1,0 +1,50 @@
+"""A command imports what it runs: ``submit``/``serve``/``recover`` start
+without the thirteen experiment modules, and every figure still resolves."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.cli as cli
+from repro.experiments import EXPERIMENTS
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def test_importing_the_cli_imports_no_experiment_module():
+    # A fresh interpreter: this session has long since imported them all.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.experiments.') "
+         "and m != 'repro.experiments.common'))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_membership_and_listing_do_not_import(monkeypatch):
+    def forbidden(name):
+        raise AssertionError(f"imported {name}")
+
+    monkeypatch.setattr(cli.importlib, "import_module", forbidden)
+    assert "fig6" in cli._FIGURES and "figQ" not in cli._FIGURES
+    assert tuple(cli._FIGURES) == EXPERIMENTS
+    assert len(cli._FIGURES) == len(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_every_figure_command_answers_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "--scale" in capsys.readouterr().out
+    module = cli._FIGURES[command]
+    assert module.__name__.startswith("repro.experiments.")
+    assert sys.modules[module.__name__] is module

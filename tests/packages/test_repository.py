@@ -34,6 +34,46 @@ class TestConstruction:
                 ]
             )
 
+    def test_any_insertion_order_of_a_dag_is_accepted(self, tiny_repo):
+        # Dependencies-first input is validated by the one insertion walk;
+        # any other order of the same DAG must come out the same.
+        ordered = [tiny_repo[pid] for pid in
+                   ("base/1.0", "libA/1.0", "libB/1.0", "appX/1.0")]
+        for packages in (ordered, ordered[::-1]):
+            repo = Repository(packages)
+            assert repo.closure_of("appX/1.0") == {p.id for p in ordered}
+
+    def test_cycle_behind_a_dependencies_first_prefix_rejected(self):
+        with pytest.raises(RepositoryError, match="cycle"):
+            Repository(
+                [
+                    Package("base/1.0", 1),
+                    Package("lib/1.0", 1, deps=("base/1.0",)),
+                    Package("a/1.0", 1, deps=("lib/1.0", "b/1.0")),
+                    Package("b/1.0", 1, deps=("a/1.0",)),
+                ]
+            )
+
+    def test_missing_dependency_reported_before_a_cycle(self):
+        with pytest.raises(RepositoryError, match="missing 'ghost/1.0'"):
+            Repository(
+                [
+                    Package("a/1.0", 1, deps=("b/1.0",)),
+                    Package("b/1.0", 1, deps=("a/1.0",)),
+                    Package("c/1.0", 1, deps=("ghost/1.0",)),
+                ]
+            )
+
+    def test_duplicate_after_out_of_order_input_rejected(self):
+        with pytest.raises(RepositoryError, match="duplicate"):
+            Repository(
+                [
+                    Package("a/1.0", 1, deps=("b/1.0",)),
+                    Package("b/1.0", 1),
+                    Package("a/1.0", 2),
+                ]
+            )
+
     def test_empty_repository_allowed(self):
         repo = Repository([])
         assert len(repo) == 0 and repo.total_size == 0

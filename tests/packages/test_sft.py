@@ -1,8 +1,12 @@
 """Tests for repro.packages.sft: calibration of the synthetic repository."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import PAPER, QUICK, TINY
+from repro.packages.package import split_package_id
 from repro.packages.sft import (
     SFT_PACKAGE_COUNT,
     build_experiment_repository,
@@ -88,3 +92,47 @@ class TestExperimentRepository:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             build_experiment_repository("weird")
+
+
+# sha256 over repr((id, size, deps)) of every package in id order, computed
+# at the commit before layered_dag drew from hoisted CDFs and before sizes
+# were rescaled as an array.  The repository is the input to every figure
+# and every ledger digest; a generator that is merely *statistically* the
+# same would move all of them.
+PINNED = {
+    ("sft", "tiny"):
+        "7ec18566298bcd014cf3b3d4e7de30990f685ba3234dc113a5888a487515bf5a",
+    ("sft", "quick"):
+        "4d3ddde44bb7658366cc22f9f933565c5ce554d2d34a22301b9efb1dcca5eef9",
+    ("sft", "paper"):
+        "4099e213eeb0ed5ad2452d901c45fdb95f89bb076cf24831cdf0edc2f25ed594",
+    ("random", "tiny"):
+        "eab027104f70532377049870f7583ce18963f6827328760959581982a3f2fc0f",
+    ("random", "quick"):
+        "8b99eba56ea878b0cfc2d928f9516e6523a2d5d7e2464d32bd360d26d805958f",
+    ("flat", "tiny"):
+        "9c34b46f3a8c15fa0d1427ba13ee58f8044833b62c4aeae3203be6733cce8473",
+    ("flat", "quick"):
+        "84d191d07315b55a957a98358b5632614b4d9d3c5afa5c3d328e3bb45e8a535d",
+}
+SCALES = {"tiny": TINY, "quick": QUICK, "paper": PAPER}
+
+
+class TestPinnedRepositories:
+    @pytest.mark.parametrize("kind, scale", sorted(PINNED))
+    def test_every_package_is_the_parents(self, kind, scale):
+        sizes = SCALES[scale]
+        repo = build_experiment_repository(
+            kind, seed=2020, n_packages=sizes.n_packages,
+            target_total_size=sizes.repo_total_size,
+        )
+        digest = hashlib.sha256()
+        for pid in repo.ids:
+            package = repo[pid]
+            assert type(package.size) is int  # JSON state files carry it
+            assert package.slot == split_package_id(pid)[0]
+            digest.update(
+                repr((package.id, package.size, package.deps)).encode()
+            )
+        assert digest.hexdigest() == PINNED[kind, scale]
+        assert repo.total_size == sizes.repo_total_size
