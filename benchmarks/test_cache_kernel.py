@@ -8,7 +8,7 @@ heaps — beats the naive per-image Python loops by a wide margin on a
 Figure-4-shaped workload, while staying bit-identical (same decisions,
 stats, events, snapshots).
 
-Four scales, recorded side by side under ``{"scales": {...}}`` in
+Three scales, recorded side by side under ``{"scales": {...}}`` in
 ``BENCH_cache.json`` at the repository root:
 
 - ``quick`` (always runs, the CI regression gate): thousands of
@@ -16,12 +16,6 @@ Four scales, recorded side by side under ``{"scales": {...}}`` in
   the naive O(cache size) per-request scans start to hurt.  Both
   engines replay the identical spec stream end to end; the snapshots
   are asserted equal, so the seconds measure the same decisions.
-- ``adaptive`` (always runs): fixed-256 vs ``batch_size="auto"`` on a
-  phase-change workload — hit-heavy steady state, a mass idle-eviction
-  (which fires the live-row compaction), then a churny unique-spec
-  phase under capacity pressure.  The AIMD governor grows the window
-  while the dirty rate is low and shrinks it when repair dominates;
-  the gate is adaptive never slower than fixed-256.
 - ``zone`` (always runs): the configuration the paper runs — alpha 0.8,
   1.4 TB, ``deps`` specs over the paper-scale repository — where the
   cache is a dozen huge images and 3 of 4 requests merge.  Here the
@@ -34,13 +28,13 @@ Four scales, recorded side by side under ``{"scales": {...}}`` in
   number; equal snapshots and the zone's shape are still asserted.
 - ``large`` (opt-in via ``REPRO_BENCH_LARGE=1``; takes ~10 minutes):
   one million requests over 100k unique specifications, driven through
-  ``LandlordCache.submit_batch`` so the batched hit kernel amortises
-  the full-matrix scan across lanes.  A full naive replay at this
+  ``LandlordCache.submit_batch``.  A full naive replay at this
   scale is infeasible (hours), so the naive engine is timed on a
   *continuation slice*: the vectorized cache's mid-stream snapshot is
   restored into both engines, which then replay the same slice of the
-  stream — bit-identity is asserted on the resulting snapshots and the
-  per-request ratio is the recorded speedup.
+  stream through ``request()`` (and the vectorized one once more
+  through ``submit_batch``) — bit-identity is asserted on the resulting
+  snapshots and the per-request ratio is the recorded speedup.
 
 CI runs the quick scale as a regression gate: the vectorized engine
 being slower than naive (speedup < ``GATE_MIN_SPEEDUP``) fails the
@@ -105,19 +99,6 @@ ZONE_ALPHA = 0.8
 ZONE_N_UNIQUE = 600
 ZONE_REPEATS = 3
 ZONE_ROUNDS = 11  # laps are ~0.1 s and the ratio sits near its gate
-
-# Phase-change workload for the adaptive-batching bench: a hit-heavy
-# steady state (low dirty rate, where the AIMD governor grows the window
-# past the fixed 256), a mass idle-eviction at the phase boundary (the
-# dead-row fraction spike that triggers live-row compaction), then a
-# churny unique-spec phase under capacity pressure (high dirty rate,
-# where the governor shrinks the window below the 64-dirty re-prediction
-# threshold that fixed-256 keeps tripping).
-ADAPTIVE_A_UNIQUE = 400
-ADAPTIVE_A_REPEATS = 10     # 4000 hit-heavy requests
-ADAPTIVE_B_UNIQUE = 2_500   # 2500 churny one-shot requests
-ADAPTIVE_IDLE_WINDOW = 1    # evict everything idle at the boundary
-ADAPTIVE_HEADROOM = 1.2     # capacity = phase-A working set x this
 
 # The large scale stretches the same shape three orders of magnitude:
 # 100k unique specs x 10 repeats = 1M requests accumulating toward 100k
@@ -281,154 +262,12 @@ def test_vectorized_engine_not_slower_than_naive_in_the_operating_zone():
         pytest.xfail(f"{ZONE_XFAIL_REASON}: {payload}")
 
 
-def _build_phase_change():
-    """The adaptive bench's two-phase stream over one repository."""
-    config = base_config(
-        QUICK, seed=2020, alpha=ALPHA, n_unique=ADAPTIVE_A_UNIQUE,
-        repeats=ADAPTIVE_A_REPEATS, scheme="random", capacity=CAPACITY,
-        record_timeline=False,
-    )
-    repository = build_experiment_repository(
-        config.repo_kind, seed=config.seed,
-        n_packages=config.n_packages,
-        target_total_size=config.repo_total_size,
-    )
-    workload = make_workload(config, repository)
-    phase_a = list(build_stream(
-        workload, spawn(config.seed, "adaptive", "phase-a"),
-        n_unique=ADAPTIVE_A_UNIQUE, repeats=ADAPTIVE_A_REPEATS,
-    ))
-    phase_b = list(build_stream(
-        workload, spawn(config.seed, "adaptive", "phase-b"),
-        n_unique=ADAPTIVE_B_UNIQUE, repeats=1,
-    ))
-    # Size the capacity off an untimed phase-A run so the steady state
-    # fits comfortably while phase B's one-shot specs churn against it.
-    probe = LandlordCache(CAPACITY, ALPHA, repository.size_of)
-    for spec in phase_a:
-        probe.request(spec)
-    capacity = int(probe.cached_bytes * ADAPTIVE_HEADROOM)
-    return capacity, repository, phase_a, phase_b
-
-
-def _run_phase_change(capacity, repository, phase_a, phase_b,
-                      engine: str, batch_size):
-    """One timed pass over the phase-change workload; best of ROUNDS.
-
-    The boundary ``evict_idle`` is part of the scripted workload (every
-    variant replays it identically), so snapshots stay comparable."""
-    best = float("inf")
-    cache = None
-    governors = {}
-    for _ in range(ROUNDS):
-        cache = LandlordCache(
-            capacity, ALPHA, repository.size_of, engine=engine
-        )
-        governors = {}
-        t0 = perf_counter()
-        if batch_size != 0:
-            cache.submit_batch(phase_a, batch_size=batch_size)
-            if cache.last_batch_governor is not None:
-                governors["phase_a"] = cache.last_batch_governor.status()
-            cache.evict_idle(ADAPTIVE_IDLE_WINDOW)
-            cache.submit_batch(phase_b, batch_size=batch_size)
-            if cache.last_batch_governor is not None:
-                governors["phase_b"] = cache.last_batch_governor.status()
-        else:
-            for spec in phase_a:
-                cache.request(spec)
-            cache.evict_idle(ADAPTIVE_IDLE_WINDOW)
-            for spec in phase_b:
-                cache.request(spec)
-        best = min(best, perf_counter() - t0)
-    return best, cache, governors
-
-
-def test_adaptive_batching_not_slower_than_fixed():
-    """``batch_size="auto"`` vs fixed-256 on the phase-change workload.
-
-    Fixed-256 is structurally suboptimal on both sides of the phase
-    boundary: during the hit-heavy phase it pays per-window dispatch the
-    governor amortises by growing, and during the churny phase its wide
-    windows keep crossing the 64-dirty re-prediction threshold that the
-    shrunken adaptive window stays under.  The gate is never-slower
-    (ratio >= 1), degraded to informational on single-CPU runners the
-    same way the large-scale gate degrades.
-    """
-    capacity, repository, phase_a, phase_b = _build_phase_change()
-    n_requests = len(phase_a) + len(phase_b)
-    assert n_requests >= MIN_REQUESTS
-
-    fixed_s, fixed_cache, _ = _run_phase_change(
-        capacity, repository, phase_a, phase_b, "vectorized", 256
-    )
-    auto_s, auto_cache, governors = _run_phase_change(
-        capacity, repository, phase_a, phase_b, "vectorized", "auto"
-    )
-    naive_s, naive_cache, _ = _run_phase_change(
-        capacity, repository, phase_a, phase_b, "naive", 0
-    )
-
-    # Window boundaries never affect decisions: fixed windows, governed
-    # windows and the naive sequential replay end bit-identical.
-    assert fixed_cache.snapshot() == auto_cache.snapshot()
-    assert naive_cache.snapshot() == auto_cache.snapshot()
-
-    compaction = dict(auto_cache._engine.compaction_stats)
-    batch_stats = dict(auto_cache._engine.batch_stats)
-    assert set(governors) == {"phase_a", "phase_b"}
-    # The governor must actually adapt: grow somewhere in the hit-heavy
-    # phase, shrink under phase-B churn, and the boundary eviction must
-    # have fired at least one live-row compaction.
-    assert governors["phase_a"]["increases"] >= 1, governors
-    assert governors["phase_b"]["decreases"] >= 1, governors
-    assert compaction["compactions"] >= 1, compaction
-
-    ratio = fixed_s / auto_s if auto_s > 0 else float("inf")
-    cpu_count = os.cpu_count() or 1
-    degraded = cpu_count < 2
-    payload = {
-        "seed": 2020,
-        "alpha": ALPHA,
-        "scheme": "random",
-        "requests": n_requests,
-        "phase_a_requests": len(phase_a),
-        "phase_b_requests": len(phase_b),
-        "capacity_bytes": capacity,
-        "final_images": len(auto_cache),
-        "rounds": ROUNDS,
-        "naive_seconds": round(naive_s, 3),
-        "fixed_batch_size": 256,
-        "fixed_seconds": round(fixed_s, 3),
-        "fixed_requests_per_second": (
-            round(n_requests / fixed_s) if fixed_s else None
-        ),
-        "adaptive_seconds": round(auto_s, 3),
-        "adaptive_requests_per_second": (
-            round(n_requests / auto_s) if auto_s else None
-        ),
-        "adaptive_vs_fixed": round(ratio, 3),
-        "governor_phase_a": governors["phase_a"],
-        "governor_phase_b": governors["phase_b"],
-        "batch_windows": batch_stats["windows"],
-        "compactions": compaction["compactions"],
-        "rows_reclaimed": compaction["rows_reclaimed"],
-        "gate_min_ratio": 0.0 if degraded else GATE_MIN_SPEEDUP,
-        "cpu_count": cpu_count,
-        "degraded_single_cpu": degraded,
-    }
-    _merge_bench("adaptive", payload)
-
-    assert ratio >= payload["gate_min_ratio"], payload
-
-
 def _replay_from(snapshot, config, repository, stream, engine: str,
                  batch_size=0):
     """Restore ``snapshot`` into a fresh cache of ``engine`` kind, absorb
-    warm-up untimed, then time the continuation slice.  ``batch_size``
-    follows ``submit_batch``: 0 replays sequentially, N uses fixed
-    windows, ``"auto"`` the AIMD governor.
-    Returns (seconds, final snapshot)."""
+    warm-up untimed, then time the continuation slice: sequential
+    ``request()`` calls at ``batch_size=0``, one ``submit_batch`` call
+    otherwise.  Returns (seconds, final snapshot)."""
     cache = LandlordCache(
         config.capacity, config.alpha, repository.size_of, engine=engine
     )
@@ -473,7 +312,7 @@ def test_million_request_batched_kernel():
     vec_s += perf_counter() - t0
 
     # Continuation slice from the identical mid-stream state: naive vs
-    # vectorized (plain and batched dispatch), all bit-identical.
+    # vectorized (request() and submit_batch), all bit-identical.
     naive_slice_s, naive_snap = _replay_from(
         mid_snapshot, config, repository, stream, "naive"
     )
@@ -484,14 +323,9 @@ def test_million_request_batched_kernel():
         mid_snapshot, config, repository, stream, "vectorized",
         batch_size=LARGE_BATCH,
     )
-    auto_slice_s, auto_snap = _replay_from(
-        mid_snapshot, config, repository, stream, "vectorized",
-        batch_size="auto",
-    )
-    assert naive_snap == plain_snap == batch_snap == auto_snap
+    assert naive_snap == plain_snap == batch_snap
 
-    speedup_plain = naive_slice_s / plain_slice_s if plain_slice_s else float("inf")
-    speedup = naive_slice_s / batch_slice_s if batch_slice_s else float("inf")
+    speedup = naive_slice_s / plain_slice_s if plain_slice_s else float("inf")
     naive_per_request = naive_slice_s / LARGE_SLICE
     cpu_count = os.cpu_count() or 1
     degraded = cpu_count < 2
@@ -514,9 +348,7 @@ def test_million_request_batched_kernel():
         "naive_slice_seconds": round(naive_slice_s, 3),
         "vectorized_slice_seconds": round(plain_slice_s, 3),
         "batched_slice_seconds": round(batch_slice_s, 3),
-        "adaptive_slice_seconds": round(auto_slice_s, 3),
         "naive_seconds_extrapolated": round(naive_per_request * len(stream)),
-        "speedup_plain": round(speedup_plain, 1),
         "speedup": round(speedup, 1),
         "gate_min_speedup": GATE_MIN_SPEEDUP if degraded else LARGE_GATE_SPEEDUP,
         "cpu_count": cpu_count,

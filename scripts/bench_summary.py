@@ -87,29 +87,6 @@ def _scale_payload(doc: object, scale: str) -> Optional[dict]:
     return payload if isinstance(payload, dict) else None
 
 
-def _adaptive_highlight(doc: object) -> Optional[str]:
-    """One-line adaptive-vs-fixed readout for BENCH_cache's ``adaptive``
-    scale, so the governor's win (or regression) reads without scanning
-    the full table."""
-    payload = _scale_payload(doc, "adaptive")
-    if payload is None:
-        return None
-    fixed = payload.get("fixed_requests_per_second")
-    auto = payload.get("adaptive_requests_per_second")
-    ratio = payload.get("adaptive_vs_fixed")
-    if fixed is None or auto is None:
-        return None
-    line = (
-        f"**Adaptive batching:** {auto} req/s (auto) vs {fixed} req/s "
-        f"(fixed-{payload.get('fixed_batch_size', '?')}) — "
-        f"{ratio}x, {payload.get('compactions', 0)} compaction(s) "
-        f"reclaiming {payload.get('rows_reclaimed', 0)} row(s)"
-    )
-    if payload.get("degraded_single_cpu"):
-        line += _DEGRADED_NOTE
-    return line
-
-
 def _zone_highlight(doc: object) -> Optional[str]:
     """One-line readout for BENCH_cache's ``zone`` scale: the default
     engine in the configuration the paper runs, against the reference."""
@@ -136,9 +113,9 @@ def summarize(path: Path, ref: str) -> str:
     current = flatten(doc)
     baseline_doc = baseline_of(path, ref)
     lines = [f"### {path.name}", ""]
-    for highlight in (_adaptive_highlight(doc), _zone_highlight(doc)):
-        if highlight:
-            lines += [highlight, ""]
+    highlight = _zone_highlight(doc)
+    if highlight:
+        lines += [highlight, ""]
     if baseline_doc is None:
         lines += ["| metric | value |", "|---|---|"]
         lines += [f"| {k} | {_fmt(v)} |" for k, v in sorted(current.items())]

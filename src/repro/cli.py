@@ -521,13 +521,12 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     parser.add_argument("--engine", choices=ENGINES, default="vectorized",
                         help="cache decision engine (bit-identical results; "
                         "default: %(default)s)")
-    parser.add_argument("--batch-size", default="0", metavar="N|auto",
-                        help="serve the trace in batched-submission windows "
-                        "of N requests through LandlordCache.submit_batch "
-                        "(bit-identical decisions, lower dispatch overhead; "
-                        "0 = sequential, 'auto' = AIMD-governed window "
-                        "sizing from the engine's observed dirty rate, "
-                        "incompatible with --alert-rules)")
+    parser.add_argument("--batch-size", default="0", metavar="N",
+                        help="serve the trace through one "
+                        "LandlordCache.submit_batch call that interns N "
+                        "requests ahead (bit-identical decisions, lower "
+                        "dispatch overhead; 0 = sequential, incompatible "
+                        "with --alert-rules)")
     _alert_args(parser)
     args = parser.parse_args(argv)
     batch_size = _parse_batch_size(parser, "--batch-size", args.batch_size,
@@ -568,14 +567,6 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     stats = result.stats
     print(f"requests={stats.requests} hits={stats.hits} merges={stats.merges} "
           f"inserts={stats.inserts} deletes={stats.deletes}")
-    if batch_size == "auto" and cache.last_batch_governor is not None:
-        gov = cache.last_batch_governor.status()
-        eng = getattr(cache._engine, "batch_stats", {})
-        print(f"adaptive batching: {eng.get('windows', 0)} windows, "
-              f"final size {gov['size']} "
-              f"(+{gov['increases']} grow / x{gov['decreases']} shrink / "
-              f"={gov['holds']} hold), "
-              f"last dirty rate {eng.get('last_dirty_rate', 0.0):.3f}")
     print(f"cache efficiency {100 * result.cache_efficiency:.1f}%  "
           f"container efficiency {100 * result.container_efficiency:.1f}%")
     print(f"requested {format_bytes(stats.requested_bytes)}  "
@@ -597,16 +588,19 @@ def _cmd_replay(argv: Sequence[str]) -> int:
 
 
 def _parse_batch_size(parser: argparse.ArgumentParser, flag: str,
-                      value: str, minimum: int) -> "int | str":
-    """Parse an N-or-'auto' window-size flag value (shared by replay/serve)."""
-    if value == "auto":
+                      value: str, minimum: int,
+                      allow_auto: bool = False) -> "int | str":
+    """Parse a window-size flag value (shared by replay/serve); only
+    serve's ``--max-batch`` takes ``'auto'``."""
+    or_auto = " or 'auto'" if allow_auto else ""
+    if allow_auto and value == "auto":
         return "auto"
     try:
         parsed = int(value)
     except ValueError:
-        parser.error(f"{flag} must be an integer or 'auto', got {value!r}")
+        parser.error(f"{flag} must be an integer{or_auto}, got {value!r}")
     if parsed < minimum:
-        parser.error(f"{flag} must be >= {minimum} or 'auto'")
+        parser.error(f"{flag} must be >= {minimum}{or_auto}")
     return parsed
 
 
@@ -1151,7 +1145,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
     if args.max_queue < 1:
         parser.error("--max-queue must be >= 1")
     max_batch = _parse_batch_size(parser, "--max-batch", args.max_batch,
-                                  minimum=1)
+                                  minimum=1, allow_auto=True)
     if args.ack_budget <= 0:
         parser.error("--ack-budget must be positive")
     if args.span_limit < 1:
@@ -1464,12 +1458,9 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
               f"{prefilter['full']} full merge scan(s), "
               f"{prefilter['rows_scanned']} row(s) scanned")
     compaction = dict(getattr(engine, "compaction_stats", None) or {})
-    batch = dict(getattr(engine, "batch_stats", None) or {})
-    if compaction.get("compactions") or batch.get("windows"):
-        print(f"engine: {compaction.get('compactions', 0)} compaction(s) "
-              f"reclaiming {compaction.get('rows_reclaimed', 0)} row(s); "
-              f"{batch.get('windows', 0)} batch window(s), "
-              f"last dirty rate {batch.get('last_dirty_rate', 0.0):.2f}")
+    if compaction.get("compactions"):
+        print(f"engine: {compaction['compactions']} compaction(s) "
+              f"reclaiming {compaction['rows_reclaimed']} row(s)")
     rows = [
         [img.id, img.package_count, format_bytes(img.size),
          img.merge_count, img.last_used]

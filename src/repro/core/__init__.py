@@ -24,7 +24,6 @@ from repro.core.adaptive import (
     AimdController,
     AimdEvent,
     AlphaController,
-    batch_governor,
     service_governor,
 )
 from repro.core.cache import CacheDecision, CacheStats, CachedImage, LandlordCache
@@ -80,7 +79,6 @@ __all__ = [
     "AdaptationEvent",
     "AimdController",
     "AimdEvent",
-    "batch_governor",
     "service_governor",
     "FederatedLandlord",
     "FederationStats",

@@ -37,7 +37,6 @@ __all__ = [
     "AdaptationEvent",
     "AimdController",
     "AimdEvent",
-    "batch_governor",
     "service_governor",
 ]
 
@@ -56,9 +55,9 @@ class AimdEvent:
 class AimdController:
     """Additive-increase / multiplicative-decrease window governor.
 
-    The controller owns one integer ``size`` (a batch window, a daemon
-    ``max_batch`` cap, …) and adjusts it from a normalised congestion
-    signal in ``[0, 1]``:
+    The controller owns one integer ``size`` (the daemon's ``max_batch``
+    cap) and adjusts it from a normalised congestion signal in
+    ``[0, 1]``:
 
     - ``signal <= low_watermark``: the window is cheap — grow additively
       by ``increase`` (probing for more amortisation);
@@ -68,10 +67,8 @@ class AimdController:
 
     The step function is pure state: it never reads a clock or RNG, so
     it is deterministic under frozen-clock tests and replays — the same
-    signal sequence always yields the same size sequence.  Both the
-    cache batching governor (signal = per-window dirty rate) and the
-    daemon batcher (signal = window latency vs the ack budget) share
-    this core.
+    signal sequence always yields the same size sequence.  The daemon
+    batcher (signal = window latency vs the ack budget) drives it.
     """
 
     def __init__(
@@ -160,25 +157,6 @@ class AimdController:
             "holds": self.holds,
             "last_signal": self.last_signal,
         }
-
-
-def batch_governor(initial: int = 256) -> AimdController:
-    """Governor for ``submit_batch(batch_size="auto")``.
-
-    Signal is the engine's per-window dirty rate: predictions stay valid
-    while the window mutates few images, so a low rate lets the window
-    grow; a high rate means dirty-set repair and re-prediction dominate,
-    so shrink hard.
-    """
-    return AimdController(
-        initial=initial,
-        min_size=32,
-        max_size=4096,
-        increase=64,
-        decrease=0.5,
-        low_watermark=0.05,
-        high_watermark=0.25,
-    )
 
 
 def service_governor(initial: int = 256) -> AimdController:

@@ -332,7 +332,7 @@ class _CacheInstruments:
         "conflicts", "candidates",
         "cached_bytes", "unique_bytes", "images",
         "merge_distance",
-        "request_s", "request_s_batched", "subset_scan_s",
+        "request_s", "subset_scan_s",
         "candidate_probe_s", "merge_rewrite_s", "eviction_s",
         "clock", "trace_ids",
     )
@@ -401,18 +401,14 @@ class _CacheInstruments:
                 name, help, buckets=DEFAULT_TIME_BUCKETS
             ).labels()
 
-        # Labelled by engine and batched-submission mode so the SLO
-        # tracker and dashboards can tell the fast paths apart.
-        request_family = registry.histogram(
+        # Labelled by engine so the SLO tracker and dashboards can tell
+        # the two apart.
+        self.request_s = registry.histogram(
             "landlord_request_seconds",
             "Wall-clock seconds to serve one request end to end.",
             buckets=DEFAULT_TIME_BUCKETS,
-            labelnames=("engine", "batched"),
-        )
-        self.request_s = request_family.labels(engine=engine, batched="no")
-        self.request_s_batched = request_family.labels(
-            engine=engine, batched="yes"
-        )
+            labelnames=("engine",),
+        ).labels(engine=engine)
         self.subset_scan_s = timing(
             "landlord_subset_scan_seconds",
             "Wall-clock seconds in the superset (hit) scan.")
@@ -548,10 +544,6 @@ class LandlordCache:
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.engine = engine
-        # The governor of the most recent submit_batch(batch_size="auto")
-        # call, for /statusz and the dashboard (None until one runs).
-        self.last_batch_governor = None
-        self._in_batch = False
         self._universe = _Universe(package_size)
         self._images: Dict[str, CachedImage] = {}
         self._clock = 0
@@ -646,7 +638,7 @@ class LandlordCache:
         """Serialise mutating entry points under ``lock``.
 
         ``lock`` must be *re-entrant* (a :class:`threading.RLock`):
-        :meth:`submit_batch` holds it across a window while
+        :meth:`submit_batch` holds it across a call while
         :meth:`request` re-acquires per request.  Attach the same lock
         to an :class:`~repro.obs.ObsServer` (its ``lock=`` parameter)
         and scrapes render a consistent view of the registry, SLO
@@ -1358,10 +1350,7 @@ class LandlordCache:
                 ins.bytes_written.inc(written)
                 self._update_gauges()
             ins.requested_bytes.inc(requested)
-            request_timer = (
-                ins.request_s_batched if self._in_batch else ins.request_s
-            )
-            request_timer.observe(
+            ins.request_s.observe(
                 elapsed, ins.exemplar_for(request_index), ins.clock.now()
             )
         if slo is not None:
@@ -1391,87 +1380,42 @@ class LandlordCache:
     def submit_batch(
         self,
         specs: Iterable["ImageSpec | Collection[str]"],
-        batch_size: "int | str" = 1024,
+        batch_size: int = 1024,
     ) -> List[CacheDecision]:
-        """Serve a vector of independent requests through batched kernels.
+        """Serve a vector of requests under one acquisition of the lock.
 
-        Semantically identical to ``[self.request(s) for s in specs]`` —
-        same decisions, stats, events, and final state, enforced by the
-        differential suite — but per window of ``batch_size`` requests
-        the engine predicts every hit up front, one scan per distinct
-        spec (:meth:`~repro.core.engine.VectorizedEngine.begin_batch`),
-        and serves each request by repairing its prediction against the
-        images dirtied since the window opened.  The naive
-        engine's window hooks are no-ops, so this is safe (just not
-        faster) under ``engine="naive"``.
-
-        ``batch_size="auto"`` hands window sizing to an AIMD governor
-        (:func:`repro.core.adaptive.batch_governor`): the window grows
-        additively while the engine's observed per-window dirty rate
-        stays low and shrinks multiplicatively when dirty-set repair
-        dominates.  An explicit
-        :class:`~repro.core.adaptive.AimdController` instance is also
-        accepted for custom laws.  Window boundaries never affect
-        decisions — every window replays through ``request()`` against
-        live state — so adaptive sizing preserves bit-identity even
-        though the window sequence is engine-dependent.
+        Identical to ``[self.request(s) for s in specs]`` — same
+        decisions, stats, events and final state, enforced by the
+        differential suite.  Each run of ``batch_size`` specs is
+        interned before the first of them is decided (measurably cheaper
+        than interleaving the two, DESIGN.md "Batched submission"), and
+        that is all ``batch_size`` means: how many interned triples are
+        held at once.
         """
-        governor = self._batch_governor_for(batch_size)
+        if type(batch_size) is not int or batch_size < 1:  # no bool, no float
+            raise ValueError(
+                f"batch_size must be an int >= 1, got {batch_size!r} "
+                "(batch_size='auto' and AimdController window sizing "
+                "were removed with the prediction window)"
+            )
         lock = self._lock
         if lock is None:
-            return self._submit_batch(specs, batch_size, governor)
+            return self._submit_batch(specs, batch_size)
         with lock:
-            return self._submit_batch(specs, batch_size, governor)
-
-    def _batch_governor_for(self, batch_size):
-        """Resolve/validate ``batch_size`` into an AIMD governor or None."""
-        # Imported here: repro.core.adaptive imports this module.
-        from repro.core.adaptive import AimdController, batch_governor
-
-        if isinstance(batch_size, AimdController):
-            return batch_size
-        if isinstance(batch_size, str):
-            if batch_size != "auto":
-                raise ValueError(
-                    f"batch_size must be a positive int, 'auto', or an "
-                    f"AimdController, got {batch_size!r}"
-                )
-            return batch_governor()
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        return None
+            return self._submit_batch(specs, batch_size)
 
     def _submit_batch(
         self,
         specs: Iterable["ImageSpec | Collection[str]"],
-        batch_size: "int | str",
-        governor=None,
+        batch_size: int,
     ) -> List[CacheDecision]:
         specs = list(specs)
         decisions: List[CacheDecision] = []
-        if governor is not None:
-            self.last_batch_governor = governor
-        size = governor.size if governor is not None else batch_size
-        start = 0
-        while start < len(specs):
-            window = specs[start : start + size]
-            # Intern once: the prediction masks are the very triples
-            # _request then decides on.
-            interned = [self._intern(_packages_of(spec)) for spec in window]
-            masks, indices, _sizes = zip(*interned)  # a window is never empty
-            self._engine.begin_batch(masks, indices)
-            self._in_batch = True
-            try:
-                for spec, triple in zip(window, interned):
-                    decisions.append(self._request(spec, triple))
-            finally:
-                self._in_batch = False
-                self._engine.end_batch()
-            start += len(window)
-            if governor is not None:
-                stats = getattr(self._engine, "batch_stats", None)
-                signal = stats["last_dirty_rate"] if stats else 0.0
-                size = governor.observe(signal)
+        for start in range(0, len(specs), batch_size):
+            run = specs[start : start + batch_size]
+            interned = [self._intern(_packages_of(spec)) for spec in run]
+            for spec, triple in zip(run, interned):
+                decisions.append(self._request(spec, triple))
         return decisions
 
     def _do_merge(

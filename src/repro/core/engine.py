@@ -128,19 +128,7 @@ class NaiveEngine:
     def bind(self, cache: "LandlordCache") -> None:
         """Attach to the owning cache (called once, from its ctor)."""
         self._cache = cache
-        # Batch-window accounting mirrors the vectorized engine's so the
-        # adaptive batching governor can drive either engine.  The naive
-        # loops take no advantage of the window, so the dirty rate is
-        # identically zero — the governor simply grows to its cap.
-        self.batch_stats = {
-            "windows": 0,
-            "requests": 0,
-            "dirty": 0,
-            "repredictions": 0,
-            "last_dirty_rate": 0.0,
-        }
         self.compaction_stats = {"compactions": 0, "rows_reclaimed": 0}
-        self._batch_n = 0
 
     # -- maintenance hooks (derived state: none) ---------------------------
 
@@ -213,27 +201,6 @@ class NaiveEngine:
                 out.append((distance, img))
         return out, examined
 
-    # -- batch API (reference semantics: a plain loop) -----------------------
-
-    def find_hits(
-        self, masks: Sequence[int], indices: Sequence[np.ndarray]
-    ) -> List[Optional["CachedImage"]]:
-        """Hit scan for a vector of independent masks against current state."""
-        return [self.find_hit(mask, idx) for mask, idx in zip(masks, indices)]
-
-    def begin_batch(
-        self, masks: Sequence[int], indices: Sequence[np.ndarray]
-    ) -> None:
-        """Batched-submission hint; the naive loops take no advantage."""
-        self._batch_n = len(masks)
-
-    def end_batch(self) -> None:
-        """End the batched-submission window (accounting only)."""
-        self.batch_stats["windows"] += 1
-        self.batch_stats["requests"] += self._batch_n
-        self.batch_stats["last_dirty_rate"] = 0.0
-        self._batch_n = 0
-
     def eviction_victim(self, pinned_id: str) -> Optional["CachedImage"]:
         """The next eviction victim under the configured policy."""
         cache = self._cache
@@ -245,57 +212,6 @@ class NaiveEngine:
         if cache.eviction == "fifo":
             return min(candidates, key=lambda im: im.created_at, default=None)
         return max(candidates, key=lambda im: im.size, default=None)  # "size"
-
-
-class _HitBatch:
-    """One batched-submission window: snapshot predictions plus repair state.
-
-    ``predictions[i]`` is the image :meth:`VectorizedEngine.find_hits`
-    chose for ``masks[i]`` (whose sorted package indices are
-    ``indices[i]``) against the state at :meth:`begin_batch` time;
-    ``dirty`` collects the ids of every image added, removed, or
-    rewritten since (plus touched images under ``"mru"`` selection, the
-    only policy whose winner a touch can change).  ``cursor`` walks the
-    mask vector as the cache replays the batch through ``request()``.
-    """
-
-    __slots__ = (
-        "masks",
-        "indices",
-        "predictions",
-        "cursor",
-        "dirty",
-        "selection",
-        "track_touch",
-        "dirty_seen",
-        "repredictions",
-    )
-
-    def __init__(
-        self,
-        masks: Sequence[int],
-        indices: Sequence[np.ndarray],
-        predictions: List[Optional["CachedImage"]],
-        selection: str,
-    ):
-        self.masks = list(masks)
-        self.indices = list(indices)
-        self.predictions = predictions
-        self.cursor = 0
-        self.dirty: set = set()
-        self.selection = selection
-        self.track_touch = selection == "mru"
-        # dirty_seen counts distinct dirtying events across the whole
-        # window — unlike ``dirty`` it survives the clear() on
-        # re-prediction, so ``dirty_seen / len(masks)`` is the window's
-        # dirty rate, the adaptive batching governor's signal.
-        self.dirty_seen = 0
-        self.repredictions = 0
-
-    def note_dirty(self, image_id: str) -> None:
-        if image_id not in self.dirty:
-            self.dirty.add(image_id)
-            self.dirty_seen += 1
 
 
 class VectorizedEngine(NaiveEngine):
@@ -349,16 +265,6 @@ class VectorizedEngine(NaiveEngine):
     place.  Every skipped row is excluded by the exact bound, so
     decisions stay bit-identical to the naive loops (DESIGN.md,
     "Decision-engine internals").
-
-    **Batch window** (:meth:`begin_batch`/:meth:`end_batch`, driven by
-    ``LandlordCache.submit_batch``): hit predictions for a vector of
-    request masks are computed, once per distinct mask, against a
-    state snapshot; per request the prediction is *repaired* against the
-    set of rows dirtied since the snapshot (adds, removes, merge
-    rewrites, and — under ``"mru"`` selection — touches), which is
-    provably equivalent to a fresh scan (DESIGN.md).  A prediction whose
-    winner went dirty, or a dirty set past ``_BATCH_MAX_DIRTY``,
-    triggers a rescan/re-prediction, so the fast path never guesses.
     """
 
     name = "vectorized"
@@ -368,9 +274,6 @@ class VectorizedEngine(NaiveEngine):
     # live images (and is big enough for the rebuild to matter).
     _HEAP_MIN = 64
     _HEAP_SLACK = 4
-    # Past this many dirtied rows, batched hit repair re-predicts the
-    # rest of the batch instead of walking an ever-growing dirty set.
-    _BATCH_MAX_DIRTY = 64
     # Compact the matrix when more than this fraction of allocated rows
     # is dead (and the matrix is big enough for the copy to pay off).
     _COMPACT_MIN_TOP = 128
@@ -386,21 +289,11 @@ class VectorizedEngine(NaiveEngine):
         """Attach to the owning cache and allocate the empty matrix."""
         self._cache = cache
         self._policy = cache.eviction
-        self._batch: Optional[_HitBatch] = None
         # Observable merge-scan accounting (plain counters, reset never):
         # windowed = scans served from the count-window gather;
         # full = scans that fell back to the full bit-matrix pass;
         # rows_scanned = physical rows popcounted by merge scans.
         self.prefilter_stats = {"windowed": 0, "full": 0, "rows_scanned": 0}
-        # Batch-window accounting: per-window dirty rate feeds the
-        # adaptive batching governor; cumulative counters feed /statusz.
-        self.batch_stats = {
-            "windows": 0,
-            "requests": 0,
-            "dirty": 0,
-            "repredictions": 0,
-            "last_dirty_rate": 0.0,
-        }
         self.compaction_stats = {"compactions": 0, "rows_reclaimed": 0}
         rows = self._INITIAL_ROWS
         self._rows = rows
@@ -409,7 +302,7 @@ class VectorizedEngine(NaiveEngine):
         # Kernel temporaries live in a named-buffer arena: the kernels
         # run every request, so AND/popcount scratch is written into
         # reused flat buffers instead of allocated fresh per call (a
-        # measurable win at thousands of rows and large batch windows).
+        # measurable win at thousands of rows).
         self._arena = _Arena()
         self._size = np.zeros(rows, dtype=np.int64)
         self._last_used = np.zeros(rows, dtype=np.int64)
@@ -511,8 +404,6 @@ class VectorizedEngine(NaiveEngine):
         self._row_of[image.id] = row
         self._n_live += 1
         self._push(row, image.id)
-        if self._batch is not None:
-            self._batch.note_dirty(image.id)
 
     def on_remove(self, image: "CachedImage") -> None:
         """Free the image's row (heap entries die lazily)."""
@@ -521,9 +412,7 @@ class VectorizedEngine(NaiveEngine):
         self._image_of_row[row] = None
         self._free.append(row)
         self._n_live -= 1
-        if self._batch is not None:
-            self._batch.note_dirty(image.id)
-        elif self._should_compact():
+        if self._should_compact():
             self.compact()
 
     def on_touch(self, image: "CachedImage") -> None:
@@ -532,9 +421,6 @@ class VectorizedEngine(NaiveEngine):
         self._last_used[row] = image.last_used
         if self._policy == "lru":
             self._push(row, image.id)
-        batch = self._batch
-        if batch is not None and batch.track_touch:
-            batch.note_dirty(image.id)
 
     def on_update(self, image: "CachedImage") -> None:
         """Re-mirror a merged image (mask, size, count, last_used)."""
@@ -545,8 +431,6 @@ class VectorizedEngine(NaiveEngine):
         self._last_used[row] = image.last_used
         if self._policy != "fifo":  # created_at never changes
             self._push(row, image.id)
-        if self._batch is not None:
-            self._batch.note_dirty(image.id)
 
     # -- live-row compaction -------------------------------------------------
 
@@ -573,9 +457,7 @@ class VectorizedEngine(NaiveEngine):
         sequence numbers, which move with their rows — and lazy-deletion
         heap entries are keyed by ``image_id`` and revalidated through
         ``_row_of`` at pop time, so relocation cannot resurrect or lose
-        an entry.  Deferred while a batch window is open (predictions
-        are repaired against image ids, but the snapshot argument is
-        simplest when rows are stable); ``end_batch`` re-checks.
+        an entry.
         """
         top = self._top
         n_dead = top - self._n_live
@@ -608,19 +490,7 @@ class VectorizedEngine(NaiveEngine):
     def find_hit(
         self, mask: int, indices: np.ndarray
     ) -> Optional["CachedImage"]:
-        """Rarest-package superset scan + the naive scan's selection rule.
-
-        Inside a batch window the scan is served from the window's
-        snapshot prediction repaired against the dirty set
-        (:meth:`_batched_hit`); a lane whose prediction was invalidated
-        falls through to the plain scan (:meth:`_scan_hit`), as does
-        every request outside a window.
-        """
-        batch = self._batch
-        if batch is not None:
-            served, hit = self._batched_hit(batch, mask)
-            if served:
-                return hit
+        """Rarest-package superset scan + the naive scan's selection rule."""
         if self._n_live <= self._SMALL_CACHE:
             return super().find_hit(mask, indices)
         return self._scan_hit(mask, indices)
@@ -786,117 +656,6 @@ class VectorizedEngine(NaiveEngine):
             (float(dist[i]), image_of[int(rows[i])])
             for i in np.flatnonzero(dist < alpha)
         ]
-
-    # -- batch API -----------------------------------------------------------
-
-    def find_hits(
-        self, masks: Sequence[int], indices: Sequence[np.ndarray]
-    ) -> List[Optional["CachedImage"]]:
-        """Hit scan for a vector of masks, each distinct mask scanned once.
-
-        Equal to ``[self.find_hit(m, i) for m, i in zip(masks, indices)]``
-        against fixed state outside a batch window; predictions never
-        consult the window they are made for.
-        """
-        if self._n_live <= self._SMALL_CACHE:
-            scan = super().find_hit
-        else:
-            scan = self._scan_hit
-        found: Dict[int, Optional["CachedImage"]] = {}
-        for mask, idx in zip(masks, indices):
-            if mask not in found:
-                found[mask] = scan(mask, idx)
-        return [found[mask] for mask in masks]
-
-    def begin_batch(
-        self, masks: Sequence[int], indices: Sequence[np.ndarray]
-    ) -> None:
-        """Open a batch window: predict every mask's hit against now-state."""
-        predictions = self.find_hits(masks, indices)
-        self._batch = _HitBatch(
-            masks, indices, predictions, self._cache.hit_selection
-        )
-
-    def end_batch(self) -> None:
-        """Close the batch window, folding its dirty rate into the stats."""
-        batch = self._batch
-        self._batch = None
-        if batch is not None:
-            stats = self.batch_stats
-            stats["windows"] += 1
-            stats["requests"] += len(batch.masks)
-            stats["dirty"] += batch.dirty_seen
-            stats["repredictions"] += batch.repredictions
-            stats["last_dirty_rate"] = batch.dirty_seen / max(
-                1, len(batch.masks)
-            )
-        # Compaction was deferred while the window was open.
-        if self._should_compact():
-            self.compact()
-
-    def _hit_key(self, image: "CachedImage") -> Tuple[int, ...]:
-        """The naive scan's strict-comparison order as a sortable key."""
-        row = self._row_of[image.id]
-        selection = self._cache.hit_selection
-        if selection == "first":
-            return (int(self._order[row]),)
-        if selection == "smallest":
-            return (int(self._size[row]), int(self._order[row]))
-        return (-int(self._last_used[row]), int(self._order[row]))
-
-    def _batched_hit(
-        self, batch: _HitBatch, mask: int
-    ) -> Tuple[bool, Optional["CachedImage"]]:
-        """Serve one batch lane from its prediction, repaired for drift.
-
-        Returns ``(served, hit)``; ``served=False`` sends the caller to
-        the plain scan.  Exactness: rows untouched since the window
-        opened are byte-identical to their snapshot state, so the
-        snapshot prediction remains the best among them (its key fields
-        are immutable unless the image went dirty); every mutated or new
-        row is in ``dirty``.  The true winner is therefore
-        ``min(key)`` over {prediction} ∪ {dirty live supersets}, with
-        the big-int mask test covering rows wider than the snapshot
-        matrix.  A dirtied/evicted prediction or a stale lane (mask or
-        selection mismatch) rescans; a dirty set past
-        ``_BATCH_MAX_DIRTY`` re-predicts the remaining lanes instead of
-        walking an ever-growing set.
-        """
-        cursor = batch.cursor
-        if (
-            cursor >= len(batch.masks)
-            or batch.masks[cursor] != mask
-            or batch.selection != self._cache.hit_selection
-        ):
-            return False, None
-        if len(batch.dirty) > self._BATCH_MAX_DIRTY:
-            batch.predictions[cursor:] = self.find_hits(
-                batch.masks[cursor:], batch.indices[cursor:]
-            )
-            batch.dirty.clear()
-            batch.repredictions += 1
-        batch.cursor = cursor + 1
-        pred = batch.predictions[cursor]
-        row_of = self._row_of
-        if pred is not None and (
-            pred.id in batch.dirty or pred.id not in row_of
-        ):
-            return False, None  # prediction invalidated: full rescan
-        best = pred
-        if batch.dirty:
-            image_of = self._image_of_row
-            best_key = None if best is None else self._hit_key(best)
-            for image_id in batch.dirty:
-                row = row_of.get(image_id)
-                if row is None:
-                    continue  # dirtied then removed
-                img = image_of[row]
-                if mask & img.mask != mask:
-                    continue
-                key = self._hit_key(img)
-                if best_key is None or key < best_key:
-                    best, best_key = img, key
-        return True, best
 
     def _distances(
         self,

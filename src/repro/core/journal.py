@@ -505,13 +505,12 @@ def apply_entries(
     """Apply a batch of journalled operations, coalescing request runs.
 
     Adjacent ``"request"`` entries are funnelled through one
-    :meth:`~repro.core.cache.LandlordCache.submit_batch` call — a single
-    vectorized-engine prediction window instead of per-request kernel
-    dispatch — which is bit-identical to applying them one by one (the
-    property ``submit_batch`` guarantees and the differential suite
-    enforces).  Non-request operations (``adopt``, ``evict_idle``,
-    ``clear``) break the run and go through :func:`apply_entry`
-    individually.  Returns the per-entry results in order; ``on_result``
+    :meth:`~repro.core.cache.LandlordCache.submit_batch` call — one
+    acquisition of the lock, the run interned ahead — which is
+    bit-identical to applying them one by one (the property
+    ``submit_batch`` guarantees and the differential suite enforces).
+    Non-request operations (``adopt``, ``evict_idle``, ``clear``) break
+    the run and go through :func:`apply_entry` individually.  Returns the per-entry results in order; ``on_result``
     fires after each entry's result is known, in entry order.
     """
     results: List[object] = []

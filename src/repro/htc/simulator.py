@@ -46,6 +46,14 @@ _TIMELINE_FIELDS = (
 )
 
 
+def _check_batch_size(batch_size: object) -> None:
+    if type(batch_size) is not int or batch_size < 0:  # no bool, no float
+        raise ValueError(
+            f"batch_size must be an int >= 0, got {batch_size!r} "
+            "(batch_size='auto' was removed with the prediction window)"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce one simulation run.
@@ -76,11 +84,10 @@ class SimulationConfig:
     # or "naive").  A pure performance knob — the engines are
     # bit-identical, so results never depend on it.
     engine: str = "vectorized"
-    # Drive the stream through submit_batch windows: 0 = sequential
-    # request() calls, N >= 1 = fixed windows, "auto" = AIMD-governed
-    # windows (repro.core.adaptive.batch_governor).  Decisions are
-    # bit-identical either way; batching requires record_timeline=False.
-    batch_size: "int | str" = 0
+    # 0 = sequential request() calls; N >= 1 = one submit_batch call
+    # that interns N specs ahead.  Decisions are bit-identical either
+    # way; N >= 1 requires record_timeline=False.
+    batch_size: int = 0
     record_timeline: bool = True
     # Observability: when True, the run builds a repro.obs.MetricsRegistry,
     # instruments the cache with it, and returns its snapshot in
@@ -91,6 +98,9 @@ class SimulationConfig:
     # windowed series in SimulationResult.slo_window (the full enabled
     # telemetry path the overhead benchmark bounds).
     collect_slo: bool = False
+
+    def __post_init__(self) -> None:
+        _check_batch_size(self.batch_size)
 
     def with_(self, **changes: object) -> "SimulationConfig":
         """A modified copy (sweep helper)."""
@@ -166,10 +176,9 @@ def simulate_stream(
     baseline policies included) works, not just a LandlordCache — it needs
     ``request``/``stats``/``cached_bytes``/``unique_bytes``/``__len__``.
 
-    ``batch_size > 0`` (or ``"auto"``, AIMD-governed window sizing from
-    the engine's observed dirty rate) drives the stream through the
-    provider's ``submit_batch`` (decisions are bit-identical to
-    sequential ``request`` calls; only dispatch overhead changes).  The batched
+    ``batch_size > 0`` drives the stream through the provider's
+    ``submit_batch`` (decisions are bit-identical to sequential
+    ``request`` calls; only dispatch overhead changes).  The batched
     path records no per-request timeline and evaluates no alert rules —
     those are per-request observers — so it is incompatible with
     ``record_timeline=True`` and ``alerts``.
@@ -184,6 +193,7 @@ def simulate_stream(
     :class:`repro.obs.AlertEngine`) is then evaluated against the window
     after every request — neither ever perturbs decisions.
     """
+    _check_batch_size(batch_size)
     sim_requests = sim_request_s = None
     if metrics is not None:
         enable = getattr(cache, "enable_metrics", None)
@@ -202,14 +212,7 @@ def simulate_stream(
             enable_slo(slo)
     if alerts is not None and slo is None:
         raise ValueError("alerts require an SloTracker (pass slo=)")
-    if isinstance(batch_size, str) and batch_size != "auto":
-        raise ValueError(
-            f"batch_size must be an int or 'auto', got {batch_size!r}"
-        )
-    batched = batch_size == "auto" or (
-        not isinstance(batch_size, str) and batch_size > 0
-    )
-    if batched:
+    if batch_size > 0:
         if record_timeline:
             raise ValueError(
                 "batch_size is incompatible with record_timeline "

@@ -85,10 +85,10 @@ def render_frame(
     row per reporting worker with its request mix and push progress.
     A ``stages`` block (present when a daemon is recording pipeline
     spans — see :mod:`repro.obs.spans`) adds a per-stage p95 row
-    (queue / fsync / apply wait).  An ``engine`` block (or a
-    ``service.batch_governor`` entry) adds a governor row showing the
-    adaptive batch size, its AIMD step mix, the last window's dirty
-    rate, and live-row compaction counters.
+    (queue / fsync / apply wait).  A ``service.batch_governor`` entry
+    (a daemon running ``--max-batch auto``) adds a governor row showing
+    the adaptive batch size, its AIMD step mix, and the engine's
+    live-row compaction counters.
     """
     lifetime = status.get("lifetime", {})
     window = status.get("window", {})
@@ -152,29 +152,17 @@ def render_frame(
             f"   fsync {_stage_p95('fsync')}"
             f"   apply {_stage_p95('apply')}"
         )
-    engine = status.get("engine") or {}
-    service = status.get("service") or {}
-    governor = engine.get("batch_governor") or service.get("batch_governor")
-    batch = engine.get("batch") or {}
-    compaction = engine.get("compaction") or {}
-    if governor or batch.get("windows") or compaction.get("compactions"):
-        if governor:
-            row = (
-                f"governor     batch {governor.get('size', '-')}"
-                f"   +{governor.get('increases', 0)}"
-                f" x{governor.get('decreases', 0)}"
-                f" ={governor.get('holds', 0)}"
-            )
-        else:
-            row = "governor     batch -"
-        dirty = batch.get("last_dirty_rate")
-        if dirty is not None:
-            row += f"   dirty {_pct(dirty)}"
-        row += (
+    governor = (status.get("service") or {}).get("batch_governor")
+    if governor:
+        compaction = (status.get("engine") or {}).get("compaction") or {}
+        lines.append(
+            f"governor     batch {governor.get('size', '-')}"
+            f"   +{governor.get('increases', 0)}"
+            f" x{governor.get('decreases', 0)}"
+            f" ={governor.get('holds', 0)}"
             f"   compactions {compaction.get('compactions', 0)}"
             f" ({_count(compaction.get('rows_reclaimed', 0))} rows)"
         )
-        lines.append(row)
     alerts = status.get("alerts")
     if alerts is not None:
         parts = []

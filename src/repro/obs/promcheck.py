@@ -63,8 +63,8 @@ def _check_histograms(text: str, typed: dict) -> None:
         if kind != "histogram":
             continue
         # Bucket series are cumulative *per label child* — a labelled
-        # family (e.g. landlord_request_seconds{engine=...,batched=...})
-        # interleaves several independent cumulative series, so group by
+        # family (e.g. landlord_request_seconds{engine=...}) interleaves
+        # several independent cumulative series, so group by
         # the label set minus the ``le`` bound (rendered last).
         children = {}
         for labels, le, count in re.findall(

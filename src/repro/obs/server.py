@@ -62,9 +62,8 @@ def build_status(cache, slo=None, alerts=None, extra: Optional[dict] = None) -> 
     are dropped (JSON has no NaN).
 
     When the cache's decision engine exposes kernel telemetry
-    (``prefilter_stats`` / ``compaction_stats`` / ``batch_stats``, as
-    the vectorized engine does), an ``"engine"`` block carries it, plus
-    the latest adaptive batching governor state when one has run.
+    (``prefilter_stats`` / ``compaction_stats``, as the vectorized
+    engine does), an ``"engine"`` block carries it.
     """
     import math
 
@@ -102,12 +101,6 @@ def build_status(cache, slo=None, alerts=None, extra: Optional[dict] = None) -> 
         compaction = getattr(engine, "compaction_stats", None)
         if compaction is not None:
             engine_status["compaction"] = dict(compaction)
-        batch = getattr(engine, "batch_stats", None)
-        if batch is not None:
-            engine_status["batch"] = dict(batch)
-        governor = getattr(cache, "last_batch_governor", None)
-        if governor is not None:
-            engine_status["batch_governor"] = governor.status()
         if engine_status:
             engine_status["name"] = getattr(
                 engine, "name", type(engine).__name__

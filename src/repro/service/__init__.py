@@ -12,7 +12,7 @@ all.  This package promotes the job-wrapper deployment to exactly that:
   batcher thread, which group-commits each window to the write-ahead
   journal *before* acknowledging (crash → ``recover`` replays to
   bit-identical state) and applies it through one
-  :meth:`~repro.core.cache.LandlordCache.submit_batch` vectorized pass.
+  :meth:`~repro.core.cache.LandlordCache.submit_batch` call.
 - :mod:`repro.service.client` — :class:`LandlordClient`, the thin
   stdlib client behind ``repro-landlord submit --remote`` and the CI
   smoke test, with optional bounded retry on backpressure.

@@ -16,7 +16,7 @@ Pipeline (one request's life)::
              group-commits the window to the write-ahead journal
                (one fsync -- Journal.append_many),
              applies it through LandlordCache.submit_batch
-               (one vectorized-engine prediction window),
+               (one acquisition of the lock, interned ahead),
              snapshots/compacts when the window crossed the
                snapshot_every boundary,
              appends new decision traces to the sidecar,
@@ -97,7 +97,6 @@ class _ServiceInstruments:
     __slots__ = (
         "accepted", "rejected_full", "rejected_draining", "rejected_invalid",
         "batches", "batched_requests", "queue_depth", "batch_size",
-        "dirty_rate",
     )
 
     def __init__(self, registry) -> None:
@@ -127,10 +126,6 @@ class _ServiceInstruments:
         self.batch_size = registry.gauge(
             "service_batch_size",
             "Current batcher window cap (adaptive under --max-batch auto).",
-        ).labels()
-        self.dirty_rate = registry.gauge(
-            "service_dirty_rate",
-            "Dirty rate of the engine's most recent batch window.",
         ).labels()
 
 
@@ -643,9 +638,6 @@ class LandlordDaemon:
             self.max_batch = governor.observe(signal)
         if self._ins is not None:
             self._ins.batch_size.set(self.max_batch)
-            stats = getattr(self.cache._engine, "batch_stats", None)
-            if stats is not None:
-                self._ins.dirty_rate.set(stats["last_dirty_rate"])
 
     def _drain_traces(self) -> None:
         if self.tracer is None:
@@ -660,9 +652,6 @@ class LandlordDaemon:
         if self._ins is not None:
             self._ins.queue_depth.set(self.queue_depth)
             self._ins.batch_size.set(self.max_batch)
-            stats = getattr(self.cache._engine, "batch_stats", None)
-            if stats is not None:
-                self._ins.dirty_rate.set(stats["last_dirty_rate"])
         if self.slo is not None:
             self.slo.set_extra("queue_depth", float(self.queue_depth))
             self.slo.set_extra("submissions_rejected", float(self.rejected))

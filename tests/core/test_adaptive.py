@@ -5,7 +5,6 @@ import pytest
 from repro.core.adaptive import (
     AimdController,
     AlphaController,
-    batch_governor,
     service_governor,
 )
 from repro.core.cache import LandlordCache
@@ -203,11 +202,6 @@ class TestAimdStepFunction:
 
 
 class TestGovernorFactories:
-    def test_batch_governor_shape(self):
-        gov = batch_governor()
-        assert (gov.size, gov.min_size, gov.max_size) == (256, 32, 4096)
-        assert gov.high_watermark == 0.25
-
     def test_service_governor_shape(self):
         gov = service_governor(initial=64)
         assert (gov.size, gov.min_size, gov.max_size) == (64, 16, 8192)

@@ -126,28 +126,50 @@ def assert_same_state(naive, vec):
     assert naive.unique_bytes == vec.unique_bytes
 
 
-def run_differential(combo, n_requests=N_REQUESTS):
+def run_differential(combo, n_requests=N_REQUESTS, batch_size=0):
+    """Replay one seeded workload into both engines, asserting equality
+    after every operation: one ``request()`` per step at
+    ``batch_size=0``, else one ``submit_batch`` call of random length —
+    with adopt / evict_idle / split and cross-engine snapshot/restore
+    round-trips between steps."""
     naive, vec = make_pair(combo)
-    rng = Random("|".join(map(str, combo)))  # str seeding is stable
-    for step in range(1, n_requests + 1):
-        spec = frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
-        d_naive = naive.request(spec)
-        d_vec = vec.request(spec)
-        assert decision_key(d_naive) == decision_key(d_vec), (
-            f"step {step}: engines diverged on {sorted(spec)}"
-        )
+    seed = "|".join(map(str, combo))  # str seeding is stable
+    if batch_size:
+        rng = Random(f"batched|{seed}|{batch_size}")
+        adopt_every, idle_every, split_every, swap_every = 2, 3, 4, 5
+    else:
+        rng = Random(seed)
+        adopt_every, idle_every, split_every, swap_every = 61, 97, 113, 149
+    served = step = 0
+    while served < n_requests:
+        step += 1
+        n = rng.randint(1, 2 * batch_size) if batch_size else 1
+        window = [
+            frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
+            for _ in range(n)
+        ]
+        if batch_size:
+            d_naive = naive.submit_batch(window, batch_size=batch_size)
+            d_vec = vec.submit_batch(window, batch_size=batch_size)
+        else:
+            d_naive = [naive.request(window[0])]
+            d_vec = [vec.request(window[0])]
+        assert [decision_key(d) for d in d_naive] == [
+            decision_key(d) for d in d_vec
+        ], f"step {step}: engines diverged on {[sorted(s) for s in window]}"
+        served += n
 
-        if step % 61 == 0:
+        if step % adopt_every == 0:
             adopted = frozenset(rng.sample(PACKAGES, rng.randint(1, 4)))
             a_naive = naive.adopt(adopted)
             a_vec = vec.adopt(adopted)
             assert (a_naive.id, a_naive.size) == (a_vec.id, a_vec.size)
 
-        if step % 97 == 0:
+        if step % idle_every == 0:
             horizon = rng.randint(0, 25)
             assert naive.evict_idle(horizon) == vec.evict_idle(horizon)
 
-        if step % 113 == 0 and naive._images:
+        if step % split_every == 0 and naive._images:
             image_id = rng.choice(sorted(naive._images))
             pkgs = sorted(naive._images[image_id].packages)
             rng.shuffle(pkgs)
@@ -159,7 +181,7 @@ def run_differential(combo, n_requests=N_REQUESTS):
             s_vec = vec.split(image_id, parts)
             assert [im.id for im in s_naive] == [im.id for im in s_vec]
 
-        if step % 149 == 0:
+        if step % swap_every == 0:
             # Snapshot both, then restore each snapshot into a fresh
             # cache of the *other* engine: a restored matrix must pick
             # up exactly where the big-int path left off (and vice
@@ -208,120 +230,76 @@ def test_pinned_threshold_keeps_the_reference_loops_out(monkeypatch):
 BATCH_GRID = GRID[::18]
 
 
-def run_differential_batched(combo, batch_size, n_requests=600):
-    """Drive both engines through ``submit_batch`` windows, interleaving
-    maintenance operations (adopt / evict_idle / split) and cross-engine
-    snapshot/restore round-trips *between* windows.
-
-    ``batch_size="auto"`` gives each cache its own AIMD governor: the
-    naive engine reports a zero dirty rate (no predictions to repair)
-    while the vectorized engine reports the real one, so the two replay
-    the same stream with *different* window boundaries — the strongest
-    form of the windowing-never-affects-decisions invariant."""
-    naive, vec = make_pair(combo)
-    rng = Random("batched|" + "|".join(map(str, combo)) + f"|{batch_size}")
-    submission = 400 if batch_size == "auto" else 2 * batch_size
-    submitted = 0
-    window_no = 0
-    while submitted < n_requests:
-        window_no += 1
-        window = [
-            frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
-            for _ in range(rng.randint(1, submission))
-        ]
-        d_naive = naive.submit_batch(window, batch_size=batch_size)
-        d_vec = vec.submit_batch(window, batch_size=batch_size)
-        assert [decision_key(d) for d in d_naive] == [
-            decision_key(d) for d in d_vec
-        ], f"window {window_no}: engines diverged"
-        submitted += len(window)
-
-        if window_no % 2 == 0:
-            adopted = frozenset(rng.sample(PACKAGES, rng.randint(1, 4)))
-            a_naive = naive.adopt(adopted)
-            a_vec = vec.adopt(adopted)
-            assert (a_naive.id, a_naive.size) == (a_vec.id, a_vec.size)
-
-        if window_no % 3 == 0:
-            horizon = rng.randint(0, 25)
-            assert naive.evict_idle(horizon) == vec.evict_idle(horizon)
-
-        if window_no % 4 == 0 and naive._images:
-            image_id = rng.choice(sorted(naive._images))
-            pkgs = sorted(naive._images[image_id].packages)
-            rng.shuffle(pkgs)
-            cut = rng.randint(1, len(pkgs))
-            parts = [frozenset(pkgs[:cut])]
-            if cut < len(pkgs) and rng.random() < 0.8:
-                parts.append(frozenset(pkgs[cut:]))
-            s_naive = naive.split(image_id, parts)
-            s_vec = vec.split(image_id, parts)
-            assert [im.id for im in s_naive] == [im.id for im in s_vec]
-
-        if window_no % 5 == 0:
-            assert_same_state(naive, vec)
-            snap_naive, snap_vec = naive.snapshot(), vec.snapshot()
-            assert snap_naive == snap_vec
-            naive, vec = make_pair(combo)
-            naive.restore(snap_vec)
-            vec.restore(snap_naive)
-    assert_same_state(naive, vec)
-    return naive, vec
-
-
 @pytest.mark.parametrize("combo", BATCH_GRID, ids=_combo_id)
 def test_engines_bit_identical_batched(combo):
-    run_differential_batched(combo, batch_size=7)
+    run_differential(combo, n_requests=600, batch_size=7)
 
 
-def test_batch_kernels_match_reference():
-    """Direct engine-level differential: ``find_hits`` agrees with the
-    naive loop on identical cache state, lane by lane."""
-    combo = ("smallest", "distance", "lru", "full", False, False)
-    naive, vec = make_pair(combo)
-    rng = Random("kernels")
-    for _ in range(300):
-        spec = frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
-        naive.request(spec)
-        vec.request(spec)
+@pytest.mark.parametrize("engine", ["naive", "vectorized"])
+@pytest.mark.parametrize("combo", BATCH_GRID, ids=_combo_id)
+def test_submit_batch_equals_sequential_naive_requests(combo, engine):
+    """``submit_batch(stream)`` under either engine is
+    ``[request(s) for s in stream]`` on the reference engine: decisions,
+    stats, events, snapshot, and one latency observation per request."""
+    from repro.obs import MetricsRegistry
 
-    specs = [
-        frozenset(rng.sample(PACKAGES, rng.randint(1, 6))) for _ in range(64)
+    rng = Random("sequential|" + "|".join(map(str, combo)))
+    stream = [
+        frozenset(rng.sample(PACKAGES, rng.randint(1, 6))) for _ in range(300)
     ]
-    n_masks, n_indices = zip(*(naive._intern(spec)[:2] for spec in specs))
-    v_masks, v_indices = zip(*(vec._intern(spec)[:2] for spec in specs))
-    assert n_masks == v_masks
-
-    hits_naive = naive._engine.find_hits(n_masks, n_indices)
-    hits_vec = vec._engine.find_hits(v_masks, v_indices)
-    assert [h.id if h else None for h in hits_naive] == [
-        h.id if h else None for h in hits_vec
+    reference, _ = make_pair(combo)
+    subject = make_pair(combo)[("naive", "vectorized").index(engine)]
+    registries = MetricsRegistry(), MetricsRegistry()
+    reference.enable_metrics(registries[0])
+    subject.enable_metrics(registries[1])
+    # Keyed after both runs: a decision's image may be merged into later.
+    expected = [reference.request(spec) for spec in stream]
+    got = subject.submit_batch(stream, batch_size=7)
+    assert [decision_key(d) for d in got] == [
+        decision_key(d) for d in expected
     ]
+    assert_same_state(reference, subject)
+    counts = [
+        registry.get("landlord_request_seconds").labels(engine=name).count
+        for registry, name in zip(registries, ("naive", engine))
+    ]
+    assert counts == [len(stream)] * 2
 
 
-# -- Adaptive batching, forced compaction, and the refcount invariant -------
+# -- Forced compaction and the refcount invariant ---------------------------
 
-ADAPTIVE_GRID = GRID[::24]
 COMPACT_GRID = GRID[5::24]
 
 
-@pytest.mark.parametrize("combo", ADAPTIVE_GRID, ids=_combo_id)
-def test_engines_bit_identical_adaptive_batching(combo):
-    run_differential_batched(combo, batch_size="auto", n_requests=800)
-
-
+@pytest.mark.parametrize("batched", [False, True], ids=["request", "batch"])
 @pytest.mark.parametrize("combo", COMPACT_GRID, ids=_combo_id)
-def test_engines_bit_identical_forced_compaction(combo, monkeypatch):
+def test_engines_bit_identical_forced_compaction(combo, batched, monkeypatch):
     """Compaction on effectively every eviction, mid-stream.
 
     With the thresholds floored, any dead row triggers a live-row
-    repack, so the sequential differential (which interleaves
-    evict_idle, splits, and cross-engine snapshot/restore round-trips)
-    keeps crossing compaction boundaries — decisions, events, stats and
-    snapshots must stay bit-identical throughout."""
+    repack, so both differentials (which interleave evict_idle, splits,
+    and cross-engine snapshot/restore round-trips) keep crossing
+    compaction boundaries — between two requests of one ``submit_batch``
+    call included — and decisions, events, stats and snapshots must
+    stay bit-identical throughout."""
     monkeypatch.setattr(VectorizedEngine, "_COMPACT_MIN_TOP", 1)
     monkeypatch.setattr(VectorizedEngine, "_COMPACT_DEAD_FRACTION", 0.0)
-    naive, vec = run_differential(combo, n_requests=600)
+    if batched:
+        naive, vec = run_differential(combo, n_requests=600, batch_size=7)
+        # One more call with nothing else between its requests: the
+        # repacks it counts happened inside it.
+        before = vec._engine.compaction_stats["compactions"]
+        rng = Random("mid-call")
+        window = [
+            frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
+            for _ in range(64)
+        ]
+        assert [
+            decision_key(d) for d in naive.submit_batch(window, batch_size=64)
+        ] == [decision_key(d) for d in vec.submit_batch(window, batch_size=64)]
+        assert vec._engine.compaction_stats["compactions"] > before
+    else:
+        naive, vec = run_differential(combo, n_requests=600)
     # A final mass idle-eviction guarantees at least one compaction on
     # the *current* pair (restore boundaries reset the counters).
     assert naive.evict_idle(0) == vec.evict_idle(0)
@@ -361,29 +339,6 @@ def test_snapshot_restore_across_compaction_boundary():
         d_vec = vec2.request(spec)
         assert decision_key(d_naive) == decision_key(d_vec)
     assert_same_state(naive2, vec2)
-
-
-def test_adaptive_fixed_naive_agree():
-    """The same stream through naive-sequential, vectorized fixed
-    windows, and vectorized AIMD-governed windows lands on the same
-    snapshot: window sizing is pure dispatch, never policy."""
-    combo = ("mru", "insertion", "lru", "delta", False, False)
-    rng = Random("three-ways")
-    stream = [
-        frozenset(rng.sample(PACKAGES, rng.randint(1, 6)))
-        for _ in range(900)
-    ]
-    naive, _ = make_pair(combo)
-    _, fixed = make_pair(combo)
-    _, auto = make_pair(combo)
-    for spec in stream:
-        naive.request(spec)
-    fixed.submit_batch(stream, batch_size=64)
-    auto.submit_batch(stream, batch_size="auto")
-    governor = auto.last_batch_governor
-    assert governor is not None and governor.steps >= 1
-    assert naive.snapshot() == fixed.snapshot() == auto.snapshot()
-    assert naive.stats.__dict__ == auto.stats.__dict__
 
 
 def assert_refcounts_exact(cache):
@@ -449,7 +404,7 @@ def test_refcounts_equal_live_column_sums_after_every_call(selection):
         elif draw < 0.70:
             name = "submit_batch"
             window = [spec() for _ in range(rng.randint(1, 40))]
-            size = rng.choice([1, 5, 64, "auto"])
+            size = rng.choice([1, 5, 64])
             results = [
                 [decision_key(d) for d in c.submit_batch(window, batch_size=size)]
                 for c in caches

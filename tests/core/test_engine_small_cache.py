@@ -6,8 +6,8 @@ loops it inherits; past it, from the bit matrix.  Matrix, count arrays
 and heap are maintained on both sides, so the hand-over carries no
 state — which is what this module checks, at the *default* threshold,
 with caches driven across it in both directions: inserts past it,
-``evict_idle`` and a capacity storm back under, a ``submit_batch``
-window that opens below and ends above, and cross-engine
+``evict_idle`` and a capacity storm back under, ``submit_batch`` calls
+that start below and end above or cross it both ways, and cross-engine
 snapshot → restore on each side.  (``test_engine_differential.py`` pins
 the threshold to 0 and covers the matrix kernels at every size.)
 """
@@ -78,8 +78,8 @@ def test_engines_bit_identical_across_the_threshold(combo):
         assert 0 < len(vec) <= THRESHOLD
         naive, vec = _swap_engines(combo, naive, vec)  # restored below
 
-        # Up again inside one batch window: predictions made by the
-        # loops, repaired and finished by the matrix kernels.
+        # Up again inside one call: started by the loops, finished by
+        # the matrix kernels.
         window = [_spec(rng) for _ in range(250)]
         d_naive = naive.submit_batch(window, batch_size=len(window))
         d_vec = vec.submit_batch(window, batch_size=len(window))
@@ -104,6 +104,29 @@ def test_engines_bit_identical_across_the_threshold(combo):
                 im.id for im in vec.split(giant, part)
             ]
         assert_same_state(naive, vec)
+
+    # Both ways inside one call: inserts carry it past the threshold,
+    # three 30-package requests (pairwise too far apart to merge) evict
+    # it back under.  The reference takes the same stream in two calls,
+    # which is where the crossing is observed.
+    assert naive.evict_idle(6) == vec.evict_idle(6)
+    assert len(vec) <= THRESHOLD
+    up = [_spec(rng) for _ in range(250)]
+    down = [
+        frozenset(PACKAGES[:30]),
+        frozenset(PACKAGES[18:]),
+        frozenset(PACKAGES[:15] + PACKAGES[33:]),
+    ] + [_spec(rng) for _ in range(30)]
+    d_naive = naive.submit_batch(up, batch_size=len(up))
+    assert len(naive) > THRESHOLD
+    d_naive += naive.submit_batch(down, batch_size=len(down))
+    d_vec = vec.submit_batch(up + down, batch_size=len(up + down))
+    assert [decision_key(d) for d in d_naive] == [
+        decision_key(d) for d in d_vec
+    ]
+    if combo[2] != "size":  # largest-first evicts the previous big image
+        assert len(vec) <= THRESHOLD
+    assert_same_state(naive, vec)
 
 
 def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
@@ -131,10 +154,7 @@ def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
         engine.find_hit(mask, indices)
     with pytest.raises(AssertionError, match="reference loop"):
         engine.scan_candidates(mask, int(indices.size), vec.alpha)
-    with pytest.raises(AssertionError, match="reference loop"):
-        engine.find_hits([mask], [indices])
 
     monkeypatch.setattr(VectorizedEngine, "_SMALL_CACHE", THRESHOLD - 1)
     engine.find_hit(mask, indices)
     engine.scan_candidates(mask, int(indices.size), vec.alpha)
-    engine.find_hits([mask], [indices])

@@ -13,9 +13,7 @@ from random import Random
 import pytest
 
 from repro.core.cache import HIT_SELECTION, LandlordCache
-from repro.core.engine import VectorizedEngine
 from tests.core.test_engine_differential import (
-    decision_key,
     matrix_kernels_at_every_size,  # noqa: F401 - autouse: _SMALL_CACHE = 0
 )
 
@@ -243,32 +241,6 @@ def test_hits_after_every_state_changing_operation(selection):
 
 
 @pytest.mark.parametrize("selection", HIT_SELECTION)
-def test_hits_inside_a_window_after_a_reprediction(selection, monkeypatch):
-    monkeypatch.setattr(VectorizedEngine, "_BATCH_MAX_DIRTY", 3)
-    rng = Random(f"window-{selection}")
-    pair = make_pair(selection, alpha=0.3)
-    warm = [frozenset(rng.sample(PACKAGES[:60], rng.randint(2, 6))) for _ in range(40)]
-    # Fresh specs dirty the window (inserts, merges); repeats of warm
-    # ones are hits whose predictions must survive the re-predictions.
-    window = []
-    for _ in range(120):
-        if rng.random() < 0.5:
-            window.append(rng.choice(warm))
-        else:
-            window.append(frozenset(rng.sample(PACKAGES[:60], rng.randint(2, 6))))
-    both(pair, lambda cache: cache.submit_batch(warm, batch_size=16))
-    decisions = both(pair, lambda cache: [
-        decision_key(d)
-        for d in cache.submit_batch(window, batch_size=len(window))
-    ])
-    assert decisions[0] == decisions[1]
-    naive, vec = pair
-    assert vec._engine.batch_stats["repredictions"] >= 2
-    assert vec.stats.hits == naive.stats.hits > 20
-    assert naive.snapshot() == vec.snapshot()
-
-
-@pytest.mark.parametrize("selection", HIT_SELECTION)
 def test_the_empty_request(selection):
     pair = make_pair(selection)
     assert both(pair, lambda cache: cache.peek(frozenset())) == (None, None)
@@ -289,27 +261,3 @@ def test_the_empty_request(selection):
     decisions = both(pair, lambda cache: cache.request(frozenset()))
     assert decisions[0].image.id == decisions[1].image.id == expected
     assert decisions[0].action == decisions[1].action
-
-
-def test_find_hits_equals_find_hit_per_mask():
-    """The batch contract on fixed state, duplicates and misses included."""
-    rng = Random("find-hits")
-    naive, vec = make_pair("smallest", alpha=0.3)
-    for _ in range(80):
-        spec = frozenset(rng.sample(PACKAGES[:60], rng.randint(1, 6)))
-        naive.request(spec)
-        vec.request(spec)
-    specs = [
-        frozenset(rng.sample(PACKAGES[:70], rng.randint(0, 5))) for _ in range(90)
-    ]
-    specs += specs[:30] + [frozenset({PACKAGES[2400]})]
-    for cache in (naive, vec):
-        masks, indices = zip(*(cache._intern(spec)[:2] for spec in specs))
-        engine = cache._engine
-        batched = engine.find_hits(masks, indices)
-        assert batched == [engine.find_hit(m, i) for m, i in zip(masks, indices)]
-        ids = [None if image is None else image.id for image in batched]
-        if cache is naive:
-            reference = ids
-    assert ids == reference
-    assert any(ids) and not all(ids)

@@ -47,3 +47,19 @@ class TestTraceReplay:
         trace = tmp_path / "stream.jsonl"
         main(["trace", str(trace), "--scale", "tiny"])
         assert main(["replay", str(trace), "--scale", "tiny"]) == 0
+
+    def test_replay_batch_size_is_an_integer(self, tmp_path, capsys):
+        trace = tmp_path / "stream.jsonl"
+        main(["trace", str(trace), "--scale", "tiny"])
+        capsys.readouterr()
+        outputs = []
+        for size in ("0", "8"):
+            assert main(["replay", str(trace), "--scale", "tiny",
+                         "--batch-size", size]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(trace), "--scale", "tiny",
+                  "--batch-size", "auto"])
+        assert exit_info.value.code == 2
+        assert "--batch-size must be an integer" in capsys.readouterr().err

@@ -111,7 +111,7 @@ class TestSimulateStream:
         ] * 4
         caches = {
             mode: LandlordCache(1000, 0.8, tiny_repo.size_of)
-            for mode in (0, 2, "auto")
+            for mode in (0, 2)
         }
         summaries = {}
         for mode, cache in caches.items():
@@ -119,19 +119,25 @@ class TestSimulateStream:
                 cache, stream, record_timeline=False, batch_size=mode
             )
             summaries[mode] = result.summary()
-        assert summaries[0] == summaries[2] == summaries["auto"]
-        assert caches[0].snapshot() == caches["auto"].snapshot()
-        assert caches["auto"].last_batch_governor is not None
+        assert summaries[0] == summaries[2]
+        assert caches[0].snapshot() == caches[2].snapshot()
 
     def test_bad_batch_size_rejected(self, tiny_repo):
+        # at the edge: before a request is served, and at construction
         cache = LandlordCache(1000, 0.8, tiny_repo.size_of)
-        with pytest.raises(ValueError):
-            simulate_stream(cache, [frozenset({"base/1.0"})],
-                            batch_size="turbo")
+        for bad in ("auto", "turbo", True, 2.0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                simulate_stream(cache, [frozenset({"base/1.0"})],
+                                record_timeline=False, batch_size=bad)
+            with pytest.raises(ValueError, match="batch_size"):
+                tiny_config(batch_size=bad)
+        assert cache.stats.requests == 0
 
     def test_config_batch_size_auto(self):
-        result = simulate(tiny_config(batch_size="auto",
-                                      record_timeline=False))
+        # "auto" went with the prediction window; an integer is what is left
+        with pytest.raises(ValueError, match="removed"):
+            tiny_config(batch_size="auto", record_timeline=False)
+        result = simulate(tiny_config(batch_size=16, record_timeline=False))
         sequential = simulate(tiny_config(record_timeline=False))
         assert result.summary() == sequential.summary()
 

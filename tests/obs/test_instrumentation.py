@@ -68,18 +68,9 @@ class TestCacheMetrics:
     def test_hot_path_timers_record(self):
         c, reg = run_instrumented(n_requests=50)
         family = reg.get("landlord_request_seconds")
-        assert family.labels(engine="vectorized", batched="no").count == 50
-        assert family.labels(engine="vectorized", batched="yes").count == 0
+        assert family.labelnames == ("engine",)
+        assert family.labels(engine="vectorized").count == 50
         assert reg.get("landlord_subset_scan_seconds").labels().count > 0
-
-    def test_batched_requests_use_batched_label(self):
-        reg = MetricsRegistry()
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg)
-        specs = [frozenset({f"p{i % 8}", f"p{(i + 3) % 8}"}) for i in range(20)]
-        c.submit_batch(specs, batch_size=8)
-        family = reg.get("landlord_request_seconds")
-        assert family.labels(engine="vectorized", batched="yes").count == 20
-        assert family.labels(engine="vectorized", batched="no").count == 0
 
     def test_enable_metrics_after_history_syncs_gauges(self):
         c = LandlordCache(2000, 0.6, SIZE.__getitem__)
@@ -131,7 +122,7 @@ class TestOneObserverSeam:
         spy = _SloSpy()
         c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg, slo=spy)
         timer = reg.get("landlord_request_seconds").labels(
-            engine="vectorized", batched="no"
+            engine="vectorized"
         )
         for spec in ({"p0", "p1"}, {"p0", "p1"}, {"p0", "p1", "p2"}):
             before = timer.sum
@@ -156,9 +147,10 @@ class TestOneObserverSeam:
         for spec in specs[:50]:
             c.request(spec)
         c.submit_batch(specs[50:], batch_size=16)
-        family = reg.get("landlord_request_seconds")
-        assert family.labels(engine="vectorized", batched="no").count == 50
-        assert family.labels(engine="vectorized", batched="yes").count == 70
+        timer = reg.get("landlord_request_seconds").labels(
+            engine="vectorized"
+        )
+        assert timer.count == 120
         assert len(spy.calls) == c.stats.requests == 120
         stats = c.stats
         assert stats.hits and stats.merges and stats.inserts and stats.deletes

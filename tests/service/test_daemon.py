@@ -762,7 +762,7 @@ class TestAdaptiveMaxBatch:
         text = daemon.registry.to_prometheus()
         validate_prometheus_text(text)
         assert "service_batch_size" in text
-        assert "service_dirty_rate" in text
+        assert "service_dirty" not in text
 
 
 class TestServePathCost:

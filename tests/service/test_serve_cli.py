@@ -267,9 +267,11 @@ class TestAdaptiveServeCli:
             governor = service["batch_governor"]
             assert governor["steps"] == service["batches"] >= 1
             assert service["max_batch"] == governor["size"]
-            # the engine block carries the compaction/dirty counters
-            assert "compaction" in status["engine"]
-            assert "batch" in status["engine"]
+            # the engine block carries the kernel counters and nothing
+            # of the deleted prediction window
+            assert set(status["engine"]) == {
+                "name", "prefilter", "compaction"
+            }
         finally:
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=30)
