@@ -514,6 +514,113 @@ class TestColdStart:
         assert len(inits) <= SFT_PACKAGE_COUNT + 1
 
 
+class TestStateIO:
+    """What the state file costs to write and read back (DESIGN.md,
+    "State file v3"), at the end states of the ledger's ``replay_zone``
+    (a dozen huge images, most names ever seen already evicted) and
+    ``replay_wide`` (~1k images sharing ~10k names).
+
+    The reference is the names form the file had before v3 — every
+    image's sorted name list, ``cache.snapshot()`` — written here, by
+    this test only, with the same checksum, fsyncs and rename, and read
+    back by the real ``load_bundle`` (which still reads v2).
+    """
+
+    ROUNDS = 7
+
+    @staticmethod
+    def _end_state(repo, n_unique, repeats, capacity, alpha):
+        stream = build_stream(
+            DependencyWorkload(repo, 100), spawn(24, "state-io", n_unique),
+            n_unique=n_unique, repeats=repeats,
+        )
+        cache = LandlordCache(capacity, alpha, repo.size_of)
+        for spec in stream:
+            cache.request(spec)
+        return cache
+
+    @staticmethod
+    def _save_names_form(path, cache):
+        import hashlib
+        import json
+        import os
+
+        canon = json.dumps(
+            {"metadata": {}, "journal_seq": 0, "cache": cache.snapshot()},
+            sort_keys=True, separators=(",", ":"),
+        ).encode("utf-8")
+        checksum = "sha256:" + hashlib.sha256(canon).hexdigest()
+        head = f'{{"version":2,"checksum":"{checksum}",'.encode("utf-8")
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(head + canon[1:])
+            fh.flush()
+            os.fsync(fh.fileno())
+        tmp.replace(path)
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def test_orderings(self, tmp_path):
+        from statistics import median
+        from time import perf_counter
+
+        from repro.core.persistence import load_bundle, save_state
+        from repro.packages.sft import build_experiment_repository
+        from repro.util.units import GB
+
+        repo = build_experiment_repository("sft", seed=2020)
+        states = {
+            "zone": self._end_state(repo, 600, 3, 1400 * GB, 0.8),
+            "wide": self._end_state(repo, 1000, 5, 10 ** 18, 0.5),
+        }
+
+        def ms(call):
+            start = perf_counter()
+            result = call()
+            return (perf_counter() - start) * 1e3, result
+
+        # The machine has slow spells longer than a round (see
+        # TestCheckpoint): the two forms are compared round by round and
+        # the rounds' median ratio is what is asserted.
+        rows = {}
+        for name, cache in states.items():
+            table = tmp_path / f"{name}-v3.json"
+            names = tmp_path / f"{name}-v2.json"
+            old, new, ratios = [], [], []
+            for _ in range(self.ROUNDS):
+                save, _ = ms(lambda: save_state(table, cache))
+                load, loaded = ms(lambda: load_bundle(table, repo.size_of))
+                new.append((save + load, save, load))
+                save, _ = ms(lambda: self._save_names_form(names, cache))
+                load, reference = ms(
+                    lambda: load_bundle(names, repo.size_of))
+                old.append((save + load, save, load))
+                ratios.append(old[-1][0] / new[-1][0])
+            assert loaded.cache.snapshot() == reference.cache.snapshot() \
+                == cache.snapshot()
+            rows[name] = (len(cache), median(ratios), names.stat().st_size,
+                          table.stat().st_size)
+            _, old_save, old_load = min(old)
+            _, new_save, new_load = min(new)
+            print(
+                f"\nstate file at the {name} end state ({len(cache)} "
+                f"images), names form -> table: {rows[name][2]} -> "
+                f"{rows[name][3]} bytes, save {old_save:.1f} -> "
+                f"{new_save:.1f} ms, load {old_load:.1f} -> {new_load:.1f} "
+                f"ms; save + load {rows[name][1]:.2f}x faster"
+            )
+        images, ratio, old_bytes, new_bytes = rows["wide"]
+        assert images > 500
+        assert ratio >= 3
+        assert new_bytes <= old_bytes / 2
+        images, ratio, _old_bytes, _new_bytes = rows["zone"]
+        assert images < 32
+        assert ratio >= 1
+
+
 class TestCacheThroughput:
     def test_request_throughput_alpha_075(self, benchmark, bench_repo, scale):
         workload = DependencyWorkload(bench_repo, scale.max_selection)

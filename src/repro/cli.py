@@ -726,9 +726,6 @@ def _journal_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-journal", action="store_true",
                         help="disable write-ahead journalling (snapshot "
                         "rewritten after every request instead)")
-    parser.add_argument("--migrate-v1", action="store_true",
-                        help="accept a v1-format state file, stamping the "
-                        "current policy knobs into it (v1 recorded none)")
 
 
 def _obs_args(parser: argparse.ArgumentParser) -> None:
@@ -859,7 +856,7 @@ def _cmd_submit(argv: Sequence[str]) -> int:
     )
     try:
         cache, metadata, replayed = store.load(
-            repo.size_of, migrate_v1=args.migrate_v1, engine=args.engine,
+            repo.size_of, engine=args.engine
         )
         if replayed:
             print(f"replayed {len(replayed)} journalled operation(s) "
@@ -882,8 +879,8 @@ def _cmd_submit(argv: Sequence[str]) -> int:
         print(f"initialised new cache: capacity "
               f"{format_bytes(capacity)}, alpha {args.alpha}")
     except StateError as exc:
-        # corrupt / v1 / policy-mismatched state is real data — refuse to
-        # silently reinitialise over it
+        # corrupt / unreadable / policy-mismatched state is real data —
+        # refuse to silently reinitialise over it
         print(str(exc), file=sys.stderr)
         return 2
 
@@ -899,8 +896,7 @@ def _cmd_submit(argv: Sequence[str]) -> int:
             else MetricsRegistry()
         )
         cache.enable_metrics(registry)
-        if store.journal is not None:
-            store.journal.enable_metrics(registry)
+        store.enable_metrics(registry)
     tracer = None
     if args.trace:
         from repro.obs import DecisionTracer
@@ -1164,7 +1160,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
     )
     try:
         cache, metadata, replayed = store.load(
-            repo.size_of, migrate_v1=args.migrate_v1, engine=args.engine,
+            repo.size_of, engine=args.engine
         )
         if replayed:
             print(f"replayed {len(replayed)} journalled operation(s) "
@@ -1198,8 +1194,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         else MetricsRegistry()
     )
     cache.enable_metrics(registry)
-    if store.journal is not None:
-        store.journal.enable_metrics(registry)
+    store.enable_metrics(registry)
     slo = SloTracker(window=args.window)
     cache.enable_slo(slo)
     alerts = None
@@ -1426,9 +1421,7 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
         args.state, args.journal, use_journal=not args.no_journal
     )
     try:
-        cache, _metadata, replayed = store.load(
-            repo.size_of, migrate_v1=args.migrate_v1
-        )
+        cache, _metadata, replayed = store.load(repo.size_of)
     except StateError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -1500,9 +1493,7 @@ def _cmd_recover(argv: Sequence[str]) -> int:
         args.state, args.journal, use_journal=not args.no_journal
     )
     try:
-        cache, metadata, replayed = store.load(
-            repo.size_of, migrate_v1=args.migrate_v1
-        )
+        cache, metadata, replayed = store.load(repo.size_of)
     except StateError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -92,9 +92,21 @@ class _Universe:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def _register(self, sizes: Dict[str, int]) -> None:
-        """Append new ids, numbered in the dictionary's order, with their
-        already-validated sizes."""
+    def register(self, names: Iterable[str]) -> None:
+        """Append ``names`` — distinct, none of them known — numbered in
+        the order given.
+
+        Every name is sized before any is registered: one the oracle
+        rejects (it raises for an unknown id) must not stay behind with
+        size 0, or a retry of the same request is accepted.
+        """
+        package_size = self._package_size
+        sizes: Dict[str, int] = {}
+        for package_id in names:
+            size = int(package_size(package_id))
+            if size < 0:
+                raise ValueError(f"negative size for package {package_id!r}")
+            sizes[package_id] = size
         start = len(self._ids)
         end = start + len(sizes)
         if end > self._sizes.size:
@@ -110,12 +122,12 @@ class _Universe:
         (duplicate ids collapse: a wire list is not a set yet).
 
         Known ids resolve in one C-level pass over the index dictionary;
-        only ids seen for the first time are sized and registered, in
-        iteration order and all-or-nothing, so a rejected collection
-        leaves the universe as it was.  The bit buffer is built with
-        vectorised scatter + ``np.packbits``; tiny sets stay on a plain
-        loop, which beats numpy's fixed call overhead below a few dozen
-        elements.
+        only ids seen for the first time are registered, in iteration
+        order and all-or-nothing (:meth:`register`), so a rejected
+        collection leaves the universe as it was.  The bit buffer is
+        built with vectorised scatter + ``np.packbits``; tiny sets stay
+        on a plain loop, which beats numpy's fixed call overhead below a
+        few dozen elements.
         """
         is_set = isinstance(packages, (set, frozenset))
         if not is_set and not isinstance(packages, (list, tuple)):
@@ -123,20 +135,11 @@ class _Universe:
         get = self._index.get
         indices = list(map(get, packages))
         if None in indices:
-            # Size every new id before registering any: one the oracle
-            # rejects (it raises for an unknown id) must not stay behind
-            # with size 0, or a retry of the same request is accepted.
-            package_size = self._package_size
-            fresh: Dict[str, int] = {}
-            for package_id, idx in zip(packages, indices):
-                if idx is None and package_id not in fresh:
-                    size = int(package_size(package_id))
-                    if size < 0:
-                        raise ValueError(
-                            f"negative size for package {package_id!r}"
-                        )
-                    fresh[package_id] = size
-            self._register(fresh)
+            self.register(dict.fromkeys(
+                package_id
+                for package_id, idx in zip(packages, indices)
+                if idx is None
+            ))
             indices = list(map(get, packages))
         arr = np.asarray(indices, dtype=np.int64)
         if not indices:
@@ -834,17 +837,9 @@ class LandlordCache:
             "conflict_policy": self.conflict_policy.describe(),
         }
 
-    def snapshot(self) -> dict:
-        """Serialisable view of the full cache state.
-
-        Package sets are materialised to sorted id lists; policy knobs
-        are recorded via :meth:`policy_snapshot`; when
-        ``candidate_order="random"`` the RNG state rides along so a
-        restored cache draws the same shuffles the original would have.
-        Pair with :meth:`restore` (see :mod:`repro.core.persistence` for
-        the file-level API the job-wrapper CLI uses).
-        """
-        names_of = self._universe.names_of_indices
+    def _state_record(self, contents_key: str, contents_of) -> dict:
+        """Everything :meth:`restore` needs, each image's package set
+        stored under ``contents_key`` as ``contents_of(image)`` gives it."""
         state = {
             "capacity": self.capacity,
             "alpha": self.alpha,
@@ -855,7 +850,7 @@ class LandlordCache:
             "images": [
                 {
                     "id": img.id,
-                    "packages": sorted(names_of(img.indices)),
+                    contents_key: contents_of(img),
                     "created_at": img.created_at,
                     "last_used": img.last_used,
                     "last_request": img.last_request,
@@ -868,14 +863,126 @@ class LandlordCache:
             state["rng_state"] = self._rng.bit_generator.state
         return state
 
+    def snapshot(self) -> dict:
+        """Serialisable view of the full cache state.
+
+        Package sets are materialised to sorted id lists; policy knobs
+        are recorded via :meth:`policy_snapshot`; when
+        ``candidate_order="random"`` the RNG state rides along so a
+        restored cache draws the same shuffles the original would have.
+        This is the *comparison* form: it depends on what the cache
+        holds and never on the order names were first seen in, so two
+        caches in the same state give equal snapshots (the ledger
+        digests, the differential suite and ``explain`` rely on that).
+        Pair with :meth:`restore`; the state file stores
+        :meth:`table_snapshot` instead (see
+        :mod:`repro.core.persistence`).
+        """
+        names_of = self._universe.names_of_indices
+        return self._state_record(
+            "packages", lambda img: sorted(names_of(img.indices))
+        )
+
+    def table_snapshot(self) -> dict:
+        """:meth:`snapshot` with every package name written once — the
+        storage form (state format v3).
+
+        ``"universe"`` lists the names at least one live image holds, in
+        ascending internal id; each image carries ``"mask"``, a hex
+        integer whose bit *i* means ``universe[i]``.  Names only evicted
+        images held are left out, so the record is sized by what the
+        cache holds, not by what it has ever seen.  While no name is
+        dead an image's own mask is that integer; otherwise its bits are
+        re-based onto the live positions.  Costs O(images + live names)
+        where :meth:`snapshot` costs O(sum of image sizes); unlike it,
+        the numbering records the order names arrived in, so compare
+        caches by :meth:`snapshot`, not by this.
+        """
+        universe = self._universe
+        n = len(universe)
+        live = np.zeros(n, dtype=np.bool_)
+        counted = min(n, self._refcounts.size)
+        live[:counted] = self._refcounts[:counted] > 0
+        if live.all():
+            def table_mask(img: CachedImage) -> int:
+                return img.mask
+        else:
+            n_bytes = (n + 7) // 8
+
+            def table_mask(img: CachedImage) -> int:
+                bits = np.unpackbits(
+                    np.frombuffer(
+                        img.mask.to_bytes(n_bytes, "little"), dtype=np.uint8
+                    ),
+                    count=n, bitorder="little",
+                )
+                packed = np.packbits(bits[live], bitorder="little")
+                return int.from_bytes(packed.tobytes(), "little")
+
+        state = self._state_record(
+            "mask", lambda img: format(table_mask(img), "x")
+        )
+        state["universe"] = universe.names_of_indices(live.nonzero()[0])
+        return state
+
+    @staticmethod
+    def _decode_masks(
+        images: List[dict], table: List[str]
+    ) -> List[Optional[int]]:
+        """Check a snapshot's name table and decode each image's mask
+        (``None`` for a record that lists ``"packages"``), touching
+        nothing: whatever is wrong is a :class:`ValueError` naming the
+        image, raised before :meth:`restore` changes the cache."""
+        if not isinstance(table, list) or set(map(type, table)) - {str}:
+            raise ValueError("snapshot universe is not a list of package names")
+        if len(set(table)) != len(table):
+            raise ValueError("snapshot universe names a package twice")
+        masks: List[Optional[int]] = []
+        seen = set()
+        for record in images:
+            image_id = record["id"]
+            if image_id in seen:
+                raise ValueError(f"duplicate image id in snapshot: {image_id}")
+            seen.add(image_id)
+            if ("packages" in record) == ("mask" in record):
+                raise ValueError(
+                    f"image {image_id!r} must record exactly one of "
+                    "'packages' and 'mask'"
+                )
+            if "packages" in record:
+                masks.append(None)
+                continue
+            try:
+                mask = int(record["mask"], 16)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"image {image_id!r} has a mask that is not a hex "
+                    f"integer: {record['mask']!r}"
+                ) from None
+            if mask < 0:
+                raise ValueError(f"image {image_id!r} has a negative mask")
+            if mask.bit_length() > len(table):
+                raise ValueError(
+                    f"image {image_id!r} sets bit {mask.bit_length() - 1}, "
+                    f"beyond the {len(table)} names of the universe"
+                )
+            masks.append(mask)
+        return masks
+
     def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` into this (empty) cache.
+        """Reinstate a :meth:`snapshot` or :meth:`table_snapshot` into
+        this (empty) cache.
 
         The cache must be freshly constructed — restoring over live images
         would corrupt the byte gauges.  Configuration (capacity, alpha,
         and every :meth:`policy_snapshot` knob) must match the snapshot;
         mismatches raise :class:`ValueError` rather than silently running
         with different semantics than the state was built under.
+
+        A name table is registered whole, so internal ids equal table
+        positions and each ``"mask"`` record is its image's mask as it
+        stands — no per-image interning; ``"packages"`` records intern
+        their names as they always have.
         """
         if self._images or self.stats.requests:
             raise ValueError("restore requires a fresh cache")
@@ -888,9 +995,7 @@ class LandlordCache:
         recorded = state.get("policy")
         if recorded is None:
             raise ValueError(
-                "snapshot records no policy knobs (pre-v2 format) — "
-                "migrate it via repro.core.persistence.load_state(..., "
-                "migrate_v1=True)"
+                "snapshot records no policy knobs (pre-v2 format)"
             )
         mine = self.policy_snapshot()
         mismatched = [
@@ -905,6 +1010,13 @@ class LandlordCache:
                 for knob in mismatched
             )
             raise ValueError(f"snapshot policy mismatch — {detail}")
+        universe = self._universe
+        table = state.get("universe", [])
+        masks = self._decode_masks(state["images"], table)
+        if table and len(universe):
+            # Table positions can only become ids in an empty universe.
+            raise ValueError("restore requires a fresh cache")
+        universe.register(table)
         rng_state = state.get("rng_state")
         if rng_state is not None:
             mine_bg = type(self._rng.bit_generator).__name__
@@ -920,27 +1032,25 @@ class LandlordCache:
             setattr(self.stats, field_name, value)
         self._clock = int(state["clock"])
         self._next_image = int(state["next_image"])
-        for record in state["images"]:
-            packages = record["packages"]
-            mask, indices, size = self._intern(packages)
+        for record, mask in zip(state["images"], masks):
+            if mask is None:
+                packages = record["packages"]
+                mask, indices, size = self._intern(packages)
+            else:
+                indices = universe.indices_of_mask(mask)
+                size = universe.bytes_of_indices(indices)
+                packages = (
+                    universe.names_of_indices(indices)
+                    if self.use_minhash else ()
+                )
             image = CachedImage(
                 record["id"], mask, int(indices.size), size,
-                int(record["created_at"]), self._universe,
+                int(record["created_at"]), universe,
                 self._signature_of(packages),
             )
             image.last_used = int(record["last_used"])
-            # v1 snapshots predate last_request; clamp the clock-based
-            # last_used to the request counter as the closest honest value.
-            image.last_request = int(
-                record.get(
-                    "last_request",
-                    min(int(record["last_used"]),
-                        int(state["stats"]["requests"])),
-                )
-            )
+            image.last_request = int(record["last_request"])
             image.merge_count = int(record["merge_count"])
-            if image.id in self._images:
-                raise ValueError(f"duplicate image id in snapshot: {image.id}")
             self._images[image.id] = image
             self._cached_bytes += size
             self._account_add(indices)

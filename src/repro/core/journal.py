@@ -183,6 +183,26 @@ class _JournalInstruments:
         ).labels()
 
 
+class _StateInstruments:
+    """Pre-bound ``state_*`` metric children (see DESIGN.md schema)."""
+
+    __slots__ = ("save_s", "bytes", "images")
+
+    def __init__(self, registry) -> None:
+        self.save_s = registry.histogram(
+            "state_save_seconds",
+            "Wall-clock seconds per state-file save (encode+write+fsyncs).",
+        ).labels()
+        self.bytes = registry.gauge(
+            "state_bytes",
+            "Size of the state file as last saved.",
+        ).labels()
+        self.images = registry.gauge(
+            "state_images",
+            "Images recorded in the state file as last saved.",
+        ).labels()
+
+
 class Journal:
     """An append-only, fsynced JSON-lines journal file.
 
@@ -589,7 +609,9 @@ class JournaledState:
             is then rewritten after every operation, as in format v1
             days — the crash window between apply and snapshot returns).
         metrics: optional :class:`repro.obs.MetricsRegistry` forwarded
-            to the journal (``journal_*`` latency/operation metrics).
+            to the journal (``journal_*`` latency/operation metrics) and
+            given the checkpoint's own series: ``state_save_seconds``,
+            ``state_bytes`` and ``state_images``, set at every save.
     """
 
     def __init__(
@@ -604,17 +626,26 @@ class JournaledState:
             raise ValueError("snapshot_every must be >= 1")
         self.state_path = Path(state_path)
         self.snapshot_every = snapshot_every
+        self._ins: Optional[_StateInstruments] = None
         self.journal: Optional[Journal] = None
         if use_journal:
             journal_path = journal_path or self.state_path.with_name(
                 self.state_path.name + ".journal"
             )
-            self.journal = Journal(journal_path, metrics=metrics)
+            self.journal = Journal(journal_path)
+        if metrics is not None:
+            self.enable_metrics(metrics)
+
+    def enable_metrics(self, registry) -> None:
+        """Record checkpoint and journal I/O metrics into ``registry``
+        from here on."""
+        self._ins = _StateInstruments(registry)
+        if self.journal is not None:
+            self.journal.enable_metrics(registry)
 
     def load(
         self,
         package_size: Callable[[str], int],
-        migrate_v1: bool = False,
         on_replay: Optional[Callable[[JournalEntry, object], None]] = None,
         **cache_kwargs: object,
     ) -> Tuple[LandlordCache, dict, List[Tuple[JournalEntry, object]]]:
@@ -629,8 +660,7 @@ class JournaledState:
         exists yet.
         """
         bundle: StateBundle = load_bundle(
-            self.state_path, package_size, migrate_v1=migrate_v1,
-            **cache_kwargs,
+            self.state_path, package_size, **cache_kwargs
         )
         replayed: List[Tuple[JournalEntry, object]] = []
         if self.journal is not None:
@@ -649,7 +679,20 @@ class JournaledState:
         """First-time setup: persist a fresh cache with an empty journal."""
         if self.journal is not None:
             self.journal.reset()
-        save_state(self.state_path, cache, metadata, journal_seq=0)
+        self._save(cache, metadata, journal_seq=0)
+
+    def _save(
+        self, cache: LandlordCache, metadata: Optional[dict], journal_seq: int
+    ) -> None:
+        """:func:`save_state` to this store's file, measured when the
+        store has metrics."""
+        t0 = perf_counter()
+        save_state(self.state_path, cache, metadata, journal_seq)
+        ins = self._ins
+        if ins is not None:
+            ins.save_s.observe(perf_counter() - t0)
+            ins.bytes.set(self.state_path.stat().st_size)
+            ins.images.set(len(cache))
 
     def apply(
         self,
@@ -681,7 +724,7 @@ class JournaledState:
             )
             if on_result is not None:
                 on_result(JournalEntry(0, op, dict(data)), result)
-            save_state(self.state_path, cache, metadata, journal_seq=0)
+            self._save(cache, metadata, journal_seq=0)
             return result
         entry = self.journal.append(op, **data)
         result = apply_entry(cache, entry)
@@ -729,7 +772,7 @@ class JournaledState:
             if timings is not None:
                 timings["fsync"] = (t0, 0.0)
                 timings["apply"] = (t0, perf_counter() - t0)
-            save_state(self.state_path, cache, metadata, journal_seq=0)
+            self._save(cache, metadata, journal_seq=0)
             return results
         t0 = perf_counter()
         entries = self.journal.append_many(ops)
@@ -751,13 +794,11 @@ class JournaledState:
     ) -> None:
         """Rewrite the snapshot to cover the journal, then compact it."""
         if self.journal is None:
-            save_state(self.state_path, cache, metadata, journal_seq=0)
+            self._save(cache, metadata, journal_seq=0)
             return
         if journal_seq is None:
             journal_seq = self.journal.last_seq
-        save_state(
-            self.state_path, cache, metadata, journal_seq=journal_seq
-        )
+        self._save(cache, metadata, journal_seq)
         self.journal.compact(journal_seq)
 
 
@@ -766,7 +807,6 @@ def recover_state(
     journal_path: Optional[PathLike] = None,
     *,
     package_size: Callable[[str], int],
-    migrate_v1: bool = False,
     **cache_kwargs: object,
 ) -> Tuple[LandlordCache, dict, int]:
     """One-shot crash recovery: load, replay the journal tail, re-snapshot.
@@ -779,9 +819,7 @@ def recover_state(
     """
     store = JournaledState(state_path, journal_path)
     journal = store.journal
-    bundle = load_bundle(
-        store.state_path, package_size, migrate_v1=migrate_v1, **cache_kwargs
-    )
+    bundle = load_bundle(store.state_path, package_size, **cache_kwargs)
     # The tail is read, parsed and CRC-checked once: nothing writes the
     # journal between here and the compaction, so the same parse replays,
     # names the sequence number the new snapshot covers, and is compacted.

@@ -9,7 +9,7 @@ statistics, and — since format v2 — every policy knob the cache was
 configured with) plus arbitrary caller metadata (e.g. which repository
 seed the site is configured for).
 
-Format v2 guarantees two properties v1 lacked:
+Since format v2 a state file guarantees:
 
 - **Crash durability.**  ``save_state`` fsyncs the temp file before the
   atomic rename and fsyncs the directory after it, embeds a SHA-256
@@ -20,20 +20,66 @@ Format v2 guarantees two properties v1 lacked:
   candidate-order, merge-write-mode, MinHash configuration, and the
   conflict-policy identity; :meth:`LandlordCache.restore` refuses to
   resume under different semantics than the state was built under.
-  v1 files (which recorded none of this) fail with a descriptive
-  :class:`StateError` unless ``migrate_v1=True`` explicitly adopts the
-  caller's current knobs.
 
 **File layout.**  A state file is one line of JSON, every byte of it
 encoded once: the body (``cache``, ``journal_seq``, ``metadata``) is
 dumped in canonical form (sorted keys, no whitespace), those bytes are
-hashed, and the file is ``{"version":2,"checksum":"sha256:…",`` followed
+hashed, and the file is ``{"version":3,"checksum":"sha256:…",`` followed
 by the very same bytes minus their opening brace.  Loading hashes the
 text after that header as it lies; a file in any other layout (the
 ``indent=1`` files written before the layout was fixed, or one a human
 re-formatted) is still one JSON object with the same keys, and is
 verified by re-encoding its parsed body canonically.  Read a state file
 with ``python -m json.tool``.
+
+**State file v3: every package name once.**  The ``cache`` section is
+:meth:`LandlordCache.table_snapshot`::
+
+    "cache": {"alpha": …, "capacity": …, "clock": …, "next_image": …,
+              "policy": {…}, "stats": {…},
+              "universe": ["pkg-a", "pkg-b", …],
+              "images": [{"id": "img-000004", "mask": "1f03", …}, …]}
+
+``universe`` is one table of names and each image's ``mask`` is a hex
+integer whose bit *i* means ``universe[i]`` — where v2 wrote every
+image's sorted name list (``"packages": [...]``), so a name shared by
+300 images was encoded, hashed, written, parsed and interned 300 times.
+Saving and loading now cost O(images + live names), not O(Σ names).
+
+- *Live names only.*  The table holds the names at least one live image
+  contains.  A cache under eviction pressure has seen far more names
+  than it holds (the paper's operating zone: ~9.4k seen, ~4.2k live), and
+  a loaded cache would size and carry every dead one for nothing.  With
+  no dead name the masks are the cache's own, written as they are;
+  otherwise each is re-based onto the live positions (~10 µs an image).
+- *``snapshot()`` stays the comparison form.*  Table positions follow
+  the order names first arrived, which two caches in the same state need
+  not share — so equality, the ledger's digests, the differential suite
+  and ``explain`` keep using :meth:`LandlordCache.snapshot` (sorted
+  names, history-independent), and ``load(save(c)).snapshot() ==
+  c.snapshot()`` is the round-trip property.  Ids are renumbered on
+  load; no decision depends on them.
+- *Read v2 and v3, write v3.*  ``restore`` accepts both record shapes,
+  so a v2 file loads (and is checksummed under its own version's
+  header, as it lies) and is next saved as v3.  v1 — no checksum, no
+  policy block, last written before PR 2 — is refused by name.
+- *Deliberately not done.*  The journal still names packages: an entry
+  must be able to introduce a name, and the file's numbering is not the
+  writer's.  No append-only sidecar table, and a checkpoint is still
+  triggered by operation count, not bytes — ROADMAP item 10 (ii)/(iii).
+
+Parent (v2) → this format on a 2-core sandbox (save/load best of 15;
+``recover_s`` the median of alternating ledger pairs):
+
+==========================  =================  ===================
+at the end state of         ``replay_zone``    ``replay_wide``
+==========================  =================  ===================
+images × names an image     11 × ~820          985 × ~326
+file bytes                  147,439 → 87,589   5,055,343 → 2,330,751
+``save_state`` ms           6.5 → 4.2          123 → 27
+``load_bundle`` ms          6.1 → 4.9          153 → 49
+ledger ``recover_s``        0.0261 → 0.0205    0.359 → 0.119
+==========================  =================  ===================
 
 The actual container *files* are not stored — in a real deployment they sit
 next to the state file in the cache directory; in this reproduction only
@@ -67,7 +113,8 @@ __all__ = [
     "save_state",
 ]
 
-STATE_VERSION = 2
+STATE_VERSION = 3
+_READABLE_VERSIONS = (2, STATE_VERSION)
 
 PathLike = Union[str, Path]
 
@@ -83,7 +130,7 @@ class StateNotFound(StateError):
 
     Callers initialising a fresh cache on first use catch this subclass
     specifically; every other :class:`StateError` (corruption, policy
-    mismatch, unmigrated v1 file) signals real state that must not be
+    mismatch, unreadable version) signals real state that must not be
     silently discarded.
     """
 
@@ -108,10 +155,10 @@ def _checksum_of(canon: bytes) -> str:
     return "sha256:" + hashlib.sha256(canon).hexdigest()
 
 
-def _header(checksum: str) -> str:
+def _header(version: int, checksum: str) -> str:
     """What precedes the body's bytes in a state file (see the module
     docstring): the body's opening brace, ``version`` and ``checksum``."""
-    return f'{{"version":{STATE_VERSION},"checksum":"{checksum}",'
+    return f'{{"version":{version},"checksum":"{checksum}",'
 
 
 def body_checksum(body: dict) -> str:
@@ -155,9 +202,9 @@ def save_state(
     canon = _canonical({
         "metadata": metadata or {},
         "journal_seq": int(journal_seq),
-        "cache": cache.snapshot(),
+        "cache": cache.table_snapshot(),
     })
-    head = _header(_checksum_of(canon)).encode("utf-8")
+    head = _header(STATE_VERSION, _checksum_of(canon)).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _tmp_path(path)
     checkpoint("state:write")
@@ -177,14 +224,16 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> None:
     """Check ``payload`` (parsed from ``text``) against its checksum.
 
     A file :func:`save_state` wrote is hashed as it lies: the text after
-    the header is the canonical body minus its brace.  Anything else is
-    re-encoded canonically from the parsed body, which accepts exactly
-    the files it always did — whatever their whitespace or key order.
+    the header — built from the file's own ``version``, so a v2 file is
+    hashed as it lies too — is the canonical body minus its brace.
+    Anything else is re-encoded canonically from the parsed body, which
+    accepts exactly the files it always did — whatever their whitespace
+    or key order.
     """
     recorded = payload.get("checksum")
     if not isinstance(recorded, str):
         raise StateError(f"state file {path} has no checksum (torn write?)")
-    head = _header(recorded)
+    head = _header(payload["version"], recorded)
     if text.startswith(head) and recorded == _checksum_of(
         ("{" + text[len(head):]).encode("utf-8")
     ):
@@ -200,24 +249,9 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> None:
         )
 
 
-def _migrate_v1(snapshot: dict, cache: LandlordCache) -> dict:
-    """Upgrade a v1 cache snapshot to v2 semantics, in memory.
-
-    v1 recorded no policy knobs, so migration *defines* them to be the
-    ones the caller constructed ``cache`` with — an explicit decision the
-    caller opted into via ``migrate_v1=True``.  Per-image
-    ``last_request`` (absent in v1) is approximated by clamping the v1
-    clock-based ``last_used`` to the request counter.
-    """
-    out = dict(snapshot)
-    out.setdefault("policy", cache.policy_snapshot())
-    return out
-
-
 def load_bundle(
     path: PathLike,
     package_size: Callable[[str], int],
-    migrate_v1: bool = False,
     **cache_kwargs: object,
 ) -> StateBundle:
     """Load a snapshot file into a fresh cache, validating everything.
@@ -227,9 +261,8 @@ def load_bundle(
     which must *match* the ones recorded in the snapshot — a mismatch
     raises :class:`StateError` instead of silently resuming with
     different semantics.  Stale ``.tmp`` files from a crashed
-    :func:`save_state` are removed.  A v1-format file raises a
-    descriptive :class:`StateError` unless ``migrate_v1`` is true, in
-    which case the current knobs are stamped into the state.
+    :func:`save_state` are removed.  Versions 2 and 3 load; any other
+    is refused by name.
     """
     path = Path(path)
     tmp = _tmp_path(path)
@@ -251,21 +284,16 @@ def load_bundle(
         raise StateError(f"corrupt state file {path}: {exc}") from exc
     version = payload.get("version")
     if version == 1:
-        if not migrate_v1:
-            raise StateError(
-                f"state file {path} uses the v1 format, which records no "
-                "policy knobs (eviction, hit selection, candidate order, "
-                "merge write mode, MinHash, conflict policy) — pass "
-                "migrate_v1=True (CLI: --migrate-v1) to adopt the current "
-                "configuration, or rebuild the state"
-            )
-    elif version != STATE_VERSION:
         raise StateError(
-            f"state version {version!r} unsupported "
-            f"(expected {STATE_VERSION})"
+            f"state file {path}: v1 state (written before PR 2): load it "
+            "with commit bf23e3f and re-save"
         )
-    else:
-        _verify_checksum(payload, text, path)
+    if version not in _READABLE_VERSIONS:
+        raise StateError(
+            f"state file {path}: version {version!r} unsupported (this "
+            f"build reads {', '.join(map(str, _READABLE_VERSIONS))})"
+        )
+    _verify_checksum(payload, text, path)
     try:
         snapshot = payload["cache"]
         cache = LandlordCache(
@@ -274,8 +302,6 @@ def load_bundle(
             package_size=package_size,
             **cache_kwargs,  # type: ignore[arg-type]
         )
-        if version == 1:
-            snapshot = _migrate_v1(snapshot, cache)
         cache.restore(snapshot)
     except (KeyError, TypeError) as exc:
         raise StateError(f"malformed state file {path}: {exc}") from exc
@@ -293,7 +319,6 @@ def load_bundle(
 def load_state(
     path: PathLike,
     package_size: Callable[[str], int],
-    migrate_v1: bool = False,
     **cache_kwargs: object,
 ) -> Tuple[LandlordCache, dict]:
     """Load a snapshot back into a fresh cache; returns ``(cache, metadata)``.
@@ -301,7 +326,5 @@ def load_state(
     Thin wrapper over :func:`load_bundle` for callers that do not use the
     write-ahead journal.
     """
-    bundle = load_bundle(
-        path, package_size, migrate_v1=migrate_v1, **cache_kwargs
-    )
+    bundle = load_bundle(path, package_size, **cache_kwargs)
     return bundle.cache, bundle.metadata

@@ -27,7 +27,7 @@ import traceback
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ParallelExecutionError",
@@ -187,29 +187,47 @@ def _execute_bounded(
     results: List[Any] = [None] * len(items)
     total = len(items)
     done = 0
-    pending = set()
+    pending: Dict[Any, int] = {}  # future -> index of its chunk's first item
     next_chunk = 0
 
     def submit_one() -> None:
         nonlocal next_chunk
         if next_chunk < len(chunks):
-            pending.add(
-                executor.submit(
-                    _run_chunk, fn, chunks[next_chunk], observer_offset
-                )
-            )
+            chunk = chunks[next_chunk]
+            future = executor.submit(_run_chunk, fn, chunk, observer_offset)
+            pending[future] = chunk[0][0]
             next_chunk += 1
+
+    def failures_of(future) -> List[Tuple[int, str]]:
+        return [
+            (index, payload)
+            for index, ok, payload in future.result()
+            if not ok
+        ]
 
     for _ in range(max(1, workers * INFLIGHT_FACTOR)):
         submit_one()
     while pending:
-        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+        finished, _ = wait(pending, return_when=FIRST_COMPLETED)
         for future in finished:
-            for index, ok, payload in future.result():
-                if not ok:
-                    for waiting in pending:
-                        waiting.cancel()
-                    raise ParallelExecutionError(labels[index], index, payload)
+            del pending[future]
+        failures = [f for future in finished for f in failures_of(future)]
+        if failures:
+            # The first failing task is the lowest index, as _serial_map
+            # reports it — not whichever chunk happened to finish first.
+            # Chunks start in submission order, so every chunk of lower
+            # indices has started and may hold an earlier failure: wait
+            # for those, cancel the rest.
+            first = min(failures)[0]
+            for future, start in pending.items():
+                if start < first:
+                    failures.extend(failures_of(future))
+                else:
+                    future.cancel()
+            index, payload = min(failures)
+            raise ParallelExecutionError(labels[index], index, payload)
+        for future in finished:
+            for index, _ok, payload in future.result():
                 results[index] = payload
                 done += 1
                 if progress is not None:

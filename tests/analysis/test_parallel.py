@@ -10,6 +10,8 @@ rather than silently clamped.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ def _boom(x):
     if x == 3:
         raise RuntimeError("kaboom on three")
     return x
+
+
+def _boom_slowest_first(x):
+    """Every task fails, and task 0 is the last to: the chunk that
+    finishes first never holds the lowest failing index."""
+    if x == 0:
+        time.sleep(0.03)
+    raise RuntimeError(f"kaboom on {x}")
 
 
 class TestRepetitionSeeds:
@@ -122,6 +132,16 @@ class TestParallelMap:
         assert err.value.label == "item-3"
         assert err.value.index == 3
         assert "kaboom on three" in str(err.value)
+
+    def test_every_task_failing_names_the_lowest_index(self):
+        # What _serial_map reports, whichever chunk the pool hands back
+        # first (20 pools: the order the chunks finish in is not fixed).
+        for _ in range(20):
+            with pytest.raises(ParallelExecutionError) as err:
+                parallel_map(_boom_slowest_first, list(range(6)), workers=2,
+                             chunk_size=1)
+            assert err.value.index == 0
+            assert "kaboom on 0" in str(err.value)
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):

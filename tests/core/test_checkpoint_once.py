@@ -95,13 +95,17 @@ def dumps_tripwire(monkeypatch, forbid):
 
 
 class TestStateFileLayout:
-    def payload_of(self, cache, metadata, journal_seq):
+    def payload_of(self, cache, metadata, journal_seq, version=3):
+        """What a writer of ``version`` put in the file: v3 stores the
+        name table and masks, v2 stored ``snapshot()``'s name lists."""
         body = {"metadata": metadata, "journal_seq": journal_seq,
-                "cache": cache.snapshot()}
+                "cache": (cache.table_snapshot() if version == 3
+                          else cache.snapshot())}
         # version and checksum first, then the body with its keys sorted
         # at every level: re-parse the canonical dump to get that order.
         ordered = json.loads(json.dumps(body, **CANON))
-        return {"version": 2, "checksum": body_checksum(body), **ordered}
+        return {"version": version, "checksum": body_checksum(body),
+                **ordered}
 
     def test_file_bytes_are_one_compact_dump_of_the_payload(self, tmp_path):
         cache = warm_cache()
@@ -136,7 +140,8 @@ class TestStateFileLayout:
         new = save_state(tmp_path / "new.json", cache, {"site": "nd"}, 7)
         old = tmp_path / "old.json"
         old.write_text(
-            json.dumps(self.payload_of(cache, {"site": "nd"}, 7), indent=1)
+            json.dumps(self.payload_of(cache, {"site": "nd"}, 7, version=2),
+                       indent=1)
         )
         assert old.read_bytes() != new.read_bytes()
         loaded_old = load_bundle(old, SIZE.__getitem__)

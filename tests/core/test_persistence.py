@@ -1,6 +1,7 @@
 """Tests for cache snapshot/restore and the on-disk state layer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.core.persistence import (
 SIZE = {f"p{i}": 10 for i in range(30)}
 
 
-def make_cache(**kw):
-    return LandlordCache(500, 0.8, SIZE.__getitem__, **kw)
+def make_cache(capacity=500, **kw):
+    return LandlordCache(capacity, 0.8, SIZE.__getitem__, **kw)
 
 
 def warm_cache():
@@ -44,6 +45,7 @@ class TestSnapshotRestore:
         assert {i.id for i in restored.images} == {
             i.id for i in original.images
         }
+        assert restored.snapshot() == snapshot
 
     def test_restored_cache_behaves_identically(self):
         original = warm_cache()
@@ -186,22 +188,10 @@ class TestStateFiles:
         path.write_text(json.dumps(
             {"version": 1, "cache": warm_cache().snapshot()}
         ))
-        with pytest.raises(StateError, match="v1 format"):
+        with pytest.raises(
+            StateError, match="v1 state.*commit bf23e3f and re-save"
+        ):
             load_state(path, SIZE.__getitem__)
-
-    def test_v1_file_migrates_on_request(self, tmp_path):
-        cache = warm_cache()
-        snapshot = cache.snapshot()
-        del snapshot["policy"]  # v1 snapshots predate the policy block
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(
-            {"version": 1, "metadata": {"site": "s0"}, "cache": snapshot}
-        ))
-        loaded, metadata = load_state(
-            path, SIZE.__getitem__, migrate_v1=True
-        )
-        assert metadata == {"site": "s0"}
-        assert loaded.stats == cache.stats
 
     def test_malformed_cache_section(self, tmp_path):
         body = {"metadata": {}, "journal_seq": 0, "cache": {}}
@@ -261,6 +251,112 @@ class TestStateFiles:
         with pytest.raises(StateNotFound, match="tmp"):
             load_state(tmp_path / "s.json", SIZE.__getitem__)
         assert not stale.exists()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestStateVersions:
+    """v3 is what is written; v2 is still read; anything else is refused
+    by name."""
+
+    def v3_payload(self, tmp_path, edit):
+        """A v3 file whose cache section ``edit`` changed, re-checksummed:
+        only the table, not the checksum, is wrong with it."""
+        cache = make_cache(capacity=60)
+        cache.request(frozenset({"p0", "p1", "p2"}))
+        cache.request(frozenset({"p9", "p10"}))
+        path = save_state(tmp_path / "s.json", cache)
+        payload = json.loads(path.read_text())
+        edit(payload["cache"])
+        body = {key: payload[key]
+                for key in ("metadata", "journal_seq", "cache")}
+        payload["checksum"] = body_checksum(body)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_written_file_is_v3(self, tmp_path):
+        from repro.core.persistence import STATE_VERSION
+
+        path = save_state(tmp_path / "s.json", warm_cache())
+        payload = json.loads(path.read_text())
+        assert payload["version"] == STATE_VERSION == 3
+        assert sorted(payload["cache"]["universe"]) == sorted(
+            ["p0", "p1", "p2", "p3", "p9", "p10"])
+        assert all("packages" not in image and "mask" in image
+                   for image in payload["cache"]["images"])
+
+    def test_dead_names_are_not_written(self, tmp_path):
+        cache = make_cache(capacity=60)
+        cache.request(frozenset({"p0", "p1", "p2", "p3"}))
+        cache.request(frozenset({"p9", "p10", "p11"}))  # evicts the first
+        path = save_state(tmp_path / "s.json", cache)
+        stored = json.loads(path.read_text())["cache"]
+        assert sorted(stored["universe"]) == ["p10", "p11", "p9"]
+        assert [image["mask"] for image in stored["images"]] == ["7"]
+        loaded, _ = load_state(path, SIZE.__getitem__)
+        assert loaded.snapshot() == cache.snapshot()
+
+    def test_v2_file_written_by_the_parent_loads_and_resaves_as_v3(
+        self, tmp_path, monkeypatch
+    ):
+        fixture = FIXTURES / "state_v2.json"
+        assert fixture.read_text().startswith('{"version":2,"checksum":')
+        size = {f"p{i}": 10 for i in range(30)}.__getitem__
+        # verified as it lies: the canonical re-dump is never needed
+        monkeypatch.setattr(json, "dumps", None)
+        bundle = load_bundle(fixture, size)
+        monkeypatch.undo()
+        assert bundle.metadata == {"site": "s0"} and bundle.journal_seq == 5
+        assert bundle.cache.snapshot() == json.loads(
+            fixture.read_text())["cache"]
+        resaved = save_state(tmp_path / "s.json", bundle.cache,
+                             bundle.metadata, bundle.journal_seq)
+        assert json.loads(resaved.read_text())["version"] == 3
+        again = load_bundle(resaved, size)
+        assert again.cache.snapshot() == bundle.cache.snapshot()
+
+    def test_unknown_version_lists_what_is_read(self, tmp_path):
+        path = save_state(tmp_path / "s.json", warm_cache())
+        path.write_text(path.read_text().replace(
+            '{"version":3,', '{"version":4,', 1))
+        with pytest.raises(StateError, match=r"version 4 unsupported.*2, 3"):
+            load_state(path, SIZE.__getitem__)
+
+    @pytest.mark.parametrize("edit, complaint", [
+        (lambda c: c["universe"].append(c["universe"][0]), "twice"),
+        (lambda c: c["universe"].__setitem__(0, 7), "package names"),
+        (lambda c: c.__setitem__("universe", "p0"), "package names"),
+        (lambda c: c["images"][1].__setitem__("mask", "xyz"),
+         "img-000001.*not a hex"),
+        (lambda c: c["images"][1].__setitem__("mask", 3),
+         "img-000001.*not a hex"),
+        (lambda c: c["images"][1].__setitem__("mask", "-3"),
+         "img-000001.*negative"),
+        (lambda c: c["images"][0].__setitem__("mask", "100"),
+         "img-000000.*bit 8.*5 names"),
+        (lambda c: c["images"][0].__setitem__("packages", ["p0"]),
+         "img-000000.*exactly one"),
+        (lambda c: c["images"][1].pop("mask"), "img-000001.*exactly one"),
+        (lambda c: c["images"][1].__setitem__("id", "img-000000"),
+         "duplicate image id"),
+    ])
+    def test_bad_table_is_a_state_error_naming_the_image(
+        self, tmp_path, edit, complaint
+    ):
+        path = self.v3_payload(tmp_path, edit)
+        with pytest.raises(StateError, match=complaint):
+            load_bundle(path, SIZE.__getitem__)
+
+    def test_bad_table_leaves_the_cache_untouched(self):
+        state = warm_cache().table_snapshot()
+        state["images"][-1]["mask"] = "-1"
+        cache = make_cache()
+        with pytest.raises(ValueError, match="negative"):
+            cache.restore(state)
+        assert len(cache) == 0 and cache.stats.requests == 0
+        cache.restore(warm_cache().table_snapshot())  # still fresh
+        assert cache.snapshot() == warm_cache().snapshot()
 
 
 class TestSubmitCli:

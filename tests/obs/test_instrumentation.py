@@ -183,6 +183,46 @@ class TestJournalMetrics:
         assert journal.last_seq == 1
 
 
+class TestStateMetrics:
+    """A checkpoint's own series, beside the journal's."""
+
+    def store(self, tmp_path, reg, **kw):
+        from repro.core.journal import JournaledState
+
+        return JournaledState(tmp_path / "state.json", metrics=reg, **kw)
+
+    def test_every_save_is_timed_and_sized(self, tmp_path):
+        from repro.obs import validate_prometheus_text
+
+        reg = MetricsRegistry()
+        store = self.store(tmp_path, reg, snapshot_every=2)
+        c = LandlordCache(500, 0.8, SIZE.__getitem__)
+        store.initialise(c, {})
+        assert reg.get("state_save_seconds").labels().count == 1
+        assert reg.get("state_images").value() == 0
+        store.apply(c, {}, "request", packages=["p0", "p1"])  # no checkpoint
+        assert reg.get("state_save_seconds").labels().count == 1
+        store.apply(c, {}, "request", packages=["p5"])        # seq 2: one
+        assert reg.get("state_save_seconds").labels().count == 2
+        assert reg.get("state_images").value() == len(c) == 2
+        assert reg.get("state_bytes").value() == (
+            store.state_path.stat().st_size
+        )
+        # the journal's family rides the same registry, and it all scrapes
+        assert reg.get("journal_appends_total").value() == 2
+        validate_prometheus_text(reg.to_prometheus())
+
+    def test_enabled_after_load_like_the_cli_does(self, tmp_path):
+        store = self.store(tmp_path, None, use_journal=False)
+        c = LandlordCache(500, 0.8, SIZE.__getitem__)
+        store.initialise(c, {})
+        reg = MetricsRegistry()
+        store.enable_metrics(reg)
+        store.apply(c, {}, "request", packages=["p0"])
+        assert reg.get("state_save_seconds").labels().count == 1
+        assert reg.get("state_images").value() == 1
+
+
 class TestSimulatorMetrics:
     def test_collect_metrics_returns_snapshot(self):
         from repro.htc.simulator import SimulationConfig, simulate

@@ -289,6 +289,21 @@ class TestObservabilitySurface:
             health = client.health()
             assert health["status"] == "ok"
 
+    def test_checkpoint_series_on_metrics(self, tmp_path):
+        registry = MetricsRegistry()
+        daemon = make_daemon(tmp_path, snapshot_every=2, registry=registry)
+        daemon.store.enable_metrics(registry)
+        with daemon:
+            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
+            for spec in client_specs(3, n=4):
+                client.submit(spec)
+            body = client.metrics()
+        validate_prometheus_text(body)
+        assert "state_save_seconds_count 2" in body
+        assert f"state_images {len(daemon.cache)}" in body
+        size = (tmp_path / "state.json").stat().st_size
+        assert f"state_bytes {size}" in body
+
     def test_root_404_lists_submit_endpoint(self, tmp_path):
         import urllib.error
         import urllib.request
