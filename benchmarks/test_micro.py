@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cache import LandlordCache
-from repro.core.minhash import MinHashLSH, MinHashSignature
 from repro.core.similarity import jaccard_distance
 from repro.htc.workload import DependencyWorkload, build_stream
 from repro.util.rng import spawn
@@ -22,31 +21,6 @@ class TestSimilarity:
         a, b = spec_pair
         result = benchmark(jaccard_distance, a, b)
         assert 0 < result < 1
-
-    def test_minhash_signature_3k_set(self, benchmark, spec_pair):
-        a, _ = spec_pair
-        sig = benchmark(MinHashSignature.of, a, 128)
-        assert sig.num_perm == 128
-
-    def test_minhash_estimate(self, benchmark, spec_pair):
-        a, b = spec_pair
-        sa = MinHashSignature.of(a)
-        sb = MinHashSignature.of(b)
-        estimate = benchmark(sa.estimate_jaccard, sb)
-        assert 0 <= estimate <= 1
-
-    def test_lsh_query_100_images(self, benchmark, spec_pair):
-        a, _ = spec_pair
-        lsh = MinHashLSH()
-        rng = np.random.default_rng(0)
-        items = sorted(a)
-        for i in range(100):
-            subset = frozenset(
-                items[j] for j in rng.choice(len(items), 500, replace=False)
-            )
-            lsh.insert(f"img-{i}", MinHashSignature.of(subset))
-        probe = MinHashSignature.of(frozenset(items[:500]))
-        benchmark(lsh.query, probe)
 
 
 class TestUniverseMask:
@@ -632,24 +606,6 @@ class TestCacheThroughput:
         def run_stream():
             cache = LandlordCache(
                 scale.capacity, 0.75, bench_repo.size_of
-            )
-            for spec in stream:
-                cache.request(spec)
-            return cache
-
-        cache = benchmark.pedantic(run_stream, rounds=3, iterations=1)
-        assert cache.stats.requests == len(stream)
-
-    def test_request_throughput_with_minhash(self, benchmark, bench_repo, scale):
-        workload = DependencyWorkload(bench_repo, scale.max_selection)
-        stream = build_stream(
-            workload, spawn(3, "bench-stream"),
-            n_unique=scale.n_unique, repeats=scale.repeats,
-        )
-
-        def run_stream():
-            cache = LandlordCache(
-                scale.capacity, 0.75, bench_repo.size_of, use_minhash=True
             )
             for spec in stream:
                 cache.request(spec)

@@ -31,7 +31,6 @@ from repro.core import (
     ImageSpec,
     Landlord,
     LandlordCache,
-    MinHashSignature,
     PreparedContainer,
     jaccard_distance,
     jaccard_similarity,
@@ -45,7 +44,6 @@ __all__ = [
     "ImageSpec",
     "jaccard_distance",
     "jaccard_similarity",
-    "MinHashSignature",
     "LandlordCache",
     "Landlord",
     "PreparedContainer",

@@ -7,8 +7,6 @@ This subpackage implements the paper's contribution proper:
   of §IV.
 - :mod:`repro.core.similarity` — Jaccard distance/similarity and related set
   metrics (§V, "Similarity Metric").
-- :mod:`repro.core.minhash` — Broder's MinHash constant-time Jaccard
-  approximation plus an LSH candidate index, for very large specifications.
 - :mod:`repro.core.cache` — :class:`LandlordCache`, Algorithm 1: reuse a
   superset image, else merge into a near image (Jaccard distance < α), else
   insert; LRU eviction under a byte capacity; full operation/byte accounting.
@@ -31,7 +29,6 @@ from repro.core.engine import ENGINES, NaiveEngine, VectorizedEngine, make_engin
 from repro.core.federation import FederatedLandlord, FederationStats
 from repro.core.events import CacheEvent, EventKind
 from repro.core.landlord import Landlord, PreparedContainer
-from repro.core.minhash import MinHashSignature, MinHashLSH
 from repro.core.policies import (
     ExactLRUPolicy,
     FullRepoPolicy,
@@ -54,8 +51,6 @@ __all__ = [
     "jaccard_similarity",
     "containment",
     "overlap_coefficient",
-    "MinHashSignature",
-    "MinHashLSH",
     "LandlordCache",
     "CachedImage",
     "CacheDecision",

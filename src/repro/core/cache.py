@@ -21,7 +21,7 @@ are views expanded from it on demand.  Subset tests (``s & i == s``) and
 Jaccard intersections (``(s & j).bit_count()``) then run at C speed over
 ~1.2 KB ints instead of hashing thousands of strings per candidate, and
 a merge is integer work only (``mask |= request``; no id is handled
-unless a conflict policy or MinHash asks for sets).  On top of that, the
+unless a conflict policy asks for sets).  On top of that, the
 three inner scans of the algorithm (hit scan, merge-candidate scan,
 eviction-victim search) are pluggable **decision engines**
 (:mod:`repro.core.engine`).  ``engine="naive"`` is the reference: one
@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.core.engine import ENGINES, make_engine
 from repro.core.events import CacheEvent, EventKind
-from repro.core.minhash import MinHashLSH, MinHashSignature
 from repro.core.spec import ImageSpec
 from repro.obs.trace import RequestTrace, TracedCandidate, TracedEviction
 from repro.packages.conflicts import ConflictPolicy, NoConflicts
@@ -197,7 +196,6 @@ class CachedImage:
         "last_used",
         "last_request",
         "merge_count",
-        "signature",
         "_universe",
     )
 
@@ -209,7 +207,6 @@ class CachedImage:
         size: int,
         created_at: int,
         universe: _Universe,
-        signature: Optional[MinHashSignature] = None,
     ):
         self.id = image_id
         self.mask = mask
@@ -219,7 +216,6 @@ class CachedImage:
         self.last_used = created_at
         self.last_request = 0
         self.merge_count = 0
-        self.signature = signature
         self._universe = universe
 
     @property
@@ -417,10 +413,10 @@ class _CacheInstruments:
             "Wall-clock seconds in the superset (hit) scan.")
         self.candidate_probe_s = timing(
             "landlord_candidate_probe_seconds",
-            "Wall-clock seconds in the merge-candidate scan / LSH probe.")
+            "Wall-clock seconds in the merge-candidate scan.")
         self.merge_rewrite_s = timing(
             "landlord_merge_rewrite_seconds",
-            "Wall-clock seconds in the merge rewrite (mask/index/LSH update).")
+            "Wall-clock seconds in the merge rewrite (mask/index update).")
         self.eviction_s = timing(
             "landlord_eviction_seconds",
             "Wall-clock seconds in the capacity-eviction loop (when it ran).")
@@ -456,10 +452,6 @@ class LandlordCache:
             ``"insertion"``, or ``"random"`` (ablations).
         eviction: ``"lru"`` (default), ``"fifo"``, or ``"size"`` (largest
             first).
-        use_minhash: prefilter merge candidates with a MinHash/LSH index
-            and verify exactly, instead of exact Jaccard against every
-            cached image.
-        minhash_perm / minhash_bands: signature width and LSH banding.
         record_events: keep a :class:`CacheEvent` log (needed for Fig. 5).
         rng: source of randomness for ``candidate_order="random"``.
         merge_write_mode: ``"full"`` (the paper's mechanism — a merged
@@ -500,10 +492,6 @@ class LandlordCache:
         hit_selection: str = "smallest",
         candidate_order: str = "distance",
         eviction: str = "lru",
-        use_minhash: bool = False,
-        minhash_perm: int = 128,
-        minhash_bands: int = 32,
-        minhash_seed: int = 1,
         record_events: bool = False,
         rng: Optional[np.random.Generator] = None,
         merge_write_mode: str = "full",
@@ -534,13 +522,6 @@ class LandlordCache:
         self.hit_selection = hit_selection
         self.candidate_order = candidate_order
         self.eviction = eviction
-        self.use_minhash = use_minhash
-        self._minhash_perm = minhash_perm
-        self._minhash_bands = minhash_bands
-        self._minhash_seed = minhash_seed
-        self._lsh = (
-            MinHashLSH(minhash_perm, minhash_bands) if use_minhash else None
-        )
         self.record_events = record_events
         self._rng = rng or np.random.default_rng(0)
 
@@ -793,9 +774,8 @@ class LandlordCache:
         mask, indices, size = self._intern(packages)
         if not indices.size:
             raise ValueError("cannot adopt an empty image")
-        signature = self._signature_of(packages)
         self._clock += 1
-        image = self._new_image(mask, indices, size, signature)
+        image = self._new_image(mask, indices, size)
         image.last_used = self._clock
         self._engine.on_touch(image)
         self.stats.adoptions += 1
@@ -819,8 +799,8 @@ class LandlordCache:
 
         Everything that changes *behaviour* without changing the byte
         gauges: eviction, hit selection, candidate order, merge write
-        mode, MinHash configuration, and the conflict-policy identity
-        (via :meth:`~repro.packages.conflicts.ConflictPolicy.describe`).
+        mode, and the conflict-policy identity (via
+        :meth:`~repro.packages.conflicts.ConflictPolicy.describe`).
         Recorded in every :meth:`snapshot` and validated by
         :meth:`restore`, so a persisted cache can never silently resume
         under different semantics than the state was built under.
@@ -830,10 +810,6 @@ class LandlordCache:
             "hit_selection": self.hit_selection,
             "candidate_order": self.candidate_order,
             "merge_write_mode": self.merge_write_mode,
-            "use_minhash": self.use_minhash,
-            "minhash_perm": self._minhash_perm,
-            "minhash_bands": self._minhash_bands,
-            "minhash_seed": self._minhash_seed,
             "conflict_policy": self.conflict_policy.describe(),
         }
 
@@ -983,6 +959,11 @@ class LandlordCache:
         positions and each ``"mask"`` record is its image's mask as it
         stands — no per-image interning; ``"packages"`` records intern
         their names as they always have.
+
+        State written while the cache still had a MinHash/LSH merge
+        prefilter records ``use_minhash`` and its three parameters among
+        the knobs.  Switched off, they never changed a decision and are
+        ignored; switched on, the state is refused.
         """
         if self._images or self.stats.requests:
             raise ValueError("restore requires a fresh cache")
@@ -997,6 +978,22 @@ class LandlordCache:
             raise ValueError(
                 "snapshot records no policy knobs (pre-v2 format)"
             )
+        for section in ("policy", "stats"):
+            if not isinstance(state[section], dict):
+                raise ValueError(
+                    f"snapshot {section} is a {type(state[section]).__name__},"
+                    " not a JSON object"
+                )
+        if recorded.get("use_minhash"):
+            raise ValueError(
+                "snapshot was built with use_minhash=True, the MinHash/LSH "
+                "merge prefilter this build no longer has: load it with "
+                "commit 972d360"
+            )
+        retired = (
+            "use_minhash", "minhash_perm", "minhash_bands", "minhash_seed"
+        )
+        recorded = {k: v for k, v in recorded.items() if k not in retired}
         mine = self.policy_snapshot()
         mismatched = [
             knob
@@ -1034,19 +1031,13 @@ class LandlordCache:
         self._next_image = int(state["next_image"])
         for record, mask in zip(state["images"], masks):
             if mask is None:
-                packages = record["packages"]
-                mask, indices, size = self._intern(packages)
+                mask, indices, size = self._intern(record["packages"])
             else:
                 indices = universe.indices_of_mask(mask)
                 size = universe.bytes_of_indices(indices)
-                packages = (
-                    universe.names_of_indices(indices)
-                    if self.use_minhash else ()
-                )
             image = CachedImage(
                 record["id"], mask, int(indices.size), size,
                 int(record["created_at"]), universe,
-                self._signature_of(packages),
             )
             image.last_used = int(record["last_used"])
             image.last_request = int(record["last_request"])
@@ -1054,8 +1045,6 @@ class LandlordCache:
             self._images[image.id] = image
             self._cached_bytes += size
             self._account_add(indices)
-            if self._lsh is not None and image.signature is not None:
-                self._lsh.insert(image.id, image.signature)
             self._engine.on_add(image)
         self._update_gauges()
 
@@ -1106,10 +1095,7 @@ class LandlordCache:
         new_images = []
         for mask, indices, size in interned:
             self._clock += 1
-            part_image = self._new_image(
-                mask, indices, size,
-                self._signature_of(self._universe.ids_of_indices(indices)),
-            )
+            part_image = self._new_image(mask, indices, size)
             part_image.last_used = self._clock
             self._engine.on_touch(part_image)
             self.stats.bytes_written += size
@@ -1186,24 +1172,18 @@ class LandlordCache:
         self._unique_bytes -= self._universe.bytes_of_indices(gone)
 
     def _new_image(
-        self,
-        mask: int,
-        indices: np.ndarray,
-        size: int,
-        signature: Optional[MinHashSignature],
+        self, mask: int, indices: np.ndarray, size: int
     ) -> CachedImage:
         image_id = f"img-{self._next_image:06d}"
         self._next_image += 1
         image = CachedImage(
             image_id, mask, int(indices.size), size, self._clock,
-            self._universe, signature,
+            self._universe,
         )
         image.last_request = self.stats.requests
         self._images[image_id] = image
         self._cached_bytes += size
         self._account_add(indices)
-        if self._lsh is not None and signature is not None:
-            self._lsh.insert(image_id, signature)
         self._engine.on_add(image)
         return image
 
@@ -1211,8 +1191,6 @@ class LandlordCache:
         del self._images[image.id]
         self._cached_bytes -= image.size
         self._account_remove(image.indices)
-        if self._lsh is not None:
-            self._lsh.remove(image.id)
         self._engine.on_remove(image)
 
     def _evict_to_capacity(self, pinned_id: str, request_index: int) -> List[str]:
@@ -1248,38 +1226,6 @@ class LandlordCache:
         if ins is not None:
             ins.eviction_s.observe(perf_counter() - start)
         return evicted
-
-    def _signature_of(self, packages: Iterable[str]) -> Optional[MinHashSignature]:
-        if not self.use_minhash:
-            return None
-        return MinHashSignature.of(
-            packages, num_perm=self._minhash_perm, seed=self._minhash_seed
-        )
-
-    def _merge_candidates(
-        self,
-        mask: int,
-        n_request: int,
-        signature: Optional[MinHashSignature],
-    ) -> Tuple[List[Tuple[float, CachedImage]], int]:
-        """All cached images with exact d_j < alpha, with their distances,
-        plus the number of images the scan examined."""
-        if self._lsh is not None and signature is not None:
-            # Materialise the LSH pool once so both engines see the same
-            # ids in the same (set-iteration) order — candidate ordering
-            # under "insertion"/"random" depends on it.
-            pool_ids: Optional[List[str]] = [
-                key
-                for key in self._lsh.query(signature)
-                if key in self._images
-            ]
-        else:
-            pool_ids = None
-        out, examined = self._engine.scan_candidates(
-            mask, n_request, self.alpha, pool_ids
-        )
-        self.stats.candidates_examined += examined
-        return out, examined
 
     # -- the algorithm -----------------------------------------------------------
 
@@ -1338,18 +1284,16 @@ class LandlordCache:
         else:
             # Step 2: merge into the first near image that does not conflict.
             can_conflict = type(self.conflict_policy) is not NoConflicts
-            if not isinstance(packages, frozenset) and (
-                self.use_minhash or can_conflict
-            ):
-                # Signatures and conflict policies see a set, as they
-                # always have; the default configuration never builds
-                # one — not of a transient spec, not of a merge target.
+            if can_conflict and not isinstance(packages, frozenset):
+                # Conflict policies see a set, as they always have; the
+                # default configuration never builds one — not of a
+                # transient spec, not of a merge target.
                 packages = frozenset(packages)
-            signature = self._signature_of(packages)
             t0 = perf_counter() if ins is not None else 0.0
-            candidates, examined = self._merge_candidates(
-                mask, n_request, signature
+            candidates, examined = self._engine.scan_candidates(
+                mask, n_request, self.alpha
             )
+            self.stats.candidates_examined += examined
             if ins is not None:
                 ins.candidate_probe_s.observe(perf_counter() - t0)
             if candidates:
@@ -1384,14 +1328,14 @@ class LandlordCache:
                 image = target
                 bytes_added, written = self._do_merge(
                     target, mask, requested, distance,
-                    signature, request_index, examined, conflicts,
+                    request_index, examined, conflicts,
                 )
                 break
             else:
                 # Step 3: no mergeable candidate — insert a fresh image.
                 action = EventKind.INSERT
                 distance = None
-                image = self._new_image(mask, indices, requested, signature)
+                image = self._new_image(mask, indices, requested)
                 image.last_used = self._clock
                 self._engine.on_touch(image)
                 self.stats.inserts += 1
@@ -1534,7 +1478,6 @@ class LandlordCache:
         mask: int,
         requested: int,
         distance: float,
-        signature: Optional[MinHashSignature],
         request_index: int,
         candidates_examined: int,
         conflicts_skipped: int,
@@ -1557,13 +1500,6 @@ class LandlordCache:
         target.last_request = self.stats.requests
         target.merge_count += 1
         self._engine.on_update(target)
-        if signature is not None and target.signature is not None:
-            target.signature = target.signature.merge(signature)
-            if self._lsh is not None:
-                # update() rewrites only the bands whose key changed, so
-                # the index never accumulates stale buckets over long
-                # merge chains (membership stays bands x live images).
-                self._lsh.update(target.id, target.signature)
         if ins is not None:
             ins.merge_rewrite_s.observe(perf_counter() - t0)
 

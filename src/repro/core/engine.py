@@ -59,7 +59,7 @@ its matrix.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,35 +171,24 @@ class NaiveEngine:
         return best
 
     def scan_candidates(
-        self,
-        mask: int,
-        n_request: int,
-        alpha: float,
-        pool_ids: Optional[Sequence[str]] = None,
+        self, mask: int, n_request: int, alpha: float
     ) -> Tuple[List[Tuple[float, "CachedImage"]], int]:
         """All images with exact Jaccard distance < ``alpha``.
 
         Returns ``(candidates, examined)`` where ``candidates`` are
-        ``(distance, image)`` pairs in pool order and ``examined`` is the
-        number of images scanned (the ``candidates_examined`` delta).
-        ``pool_ids`` restricts the scan to those ids in that exact order
-        (the MinHash/LSH prefilter); ``None`` scans the whole cache.
+        ``(distance, image)`` pairs in cache (insertion) order and
+        ``examined`` is the number of images scanned (the
+        ``candidates_examined`` delta).
         """
-        cache = self._cache
-        if pool_ids is None:
-            pool = cache._images.values()
-            examined = len(cache._images)
-        else:
-            pool = (cache._images[key] for key in pool_ids)
-            examined = len(pool_ids)
+        images = self._cache._images
         out: List[Tuple[float, "CachedImage"]] = []
-        for img in pool:
+        for img in images.values():
             inter = (mask & img.mask).bit_count()
             union = n_request + img.package_count - inter
             distance = 1.0 - (inter / union) if union else 0.0
             if distance < alpha:
                 out.append((distance, img))
-        return out, examined
+        return out, len(images)
 
     def eviction_victim(self, pinned_id: str) -> Optional["CachedImage"]:
         """The next eviction victim under the configured policy."""
@@ -249,7 +238,7 @@ class VectorizedEngine(NaiveEngine):
     writes it.
 
     **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
-    scan and the unpooled merge scan run the inherited
+    scan and the merge scan run the inherited
     :class:`NaiveEngine` loops — a dozen big-int tests cost less than
     the matrix kernels' fixed numpy dispatch.  Every maintenance hook
     still runs, so matrix, arrays and heap are current whenever the
@@ -585,11 +574,7 @@ class VectorizedEngine(NaiveEngine):
         return np.flatnonzero(ok)
 
     def scan_candidates(
-        self,
-        mask: int,
-        n_request: int,
-        alpha: float,
-        pool_ids: Optional[Sequence[str]] = None,
+        self, mask: int, n_request: int, alpha: float
     ) -> Tuple[List[Tuple[float, "CachedImage"]], int]:
         """Batched popcount intersection → all exact Jaccard distances.
 
@@ -597,26 +582,15 @@ class VectorizedEngine(NaiveEngine):
         row sum; distances come out of the same IEEE-754 expression the
         naive loop evaluates (int64 division and subtraction are
         correctly rounded in both), so the floats are bit-identical.
-        Candidates are returned in pool order: ascending ``_order`` for a
-        full scan (= dict order), given order for an LSH pool.
+        Candidates are returned in ascending ``_order`` (= dict order).
 
-        A full scan first narrows to the exact count window
+        The scan first narrows to the exact count window
         (:meth:`_window_rows`) and gathers only those rows when the
         window is selective; the reported ``examined`` stays the
         *logical* pool size (``n_live``), because every window-excluded
         row was examined — by an exact bound on its count — and the
         statistic must not depend on physical strategy.
         """
-        if pool_ids is not None:
-            if not pool_ids:
-                return [], 0
-            rows = np.fromiter(
-                (self._row_of[key] for key in pool_ids),
-                dtype=np.int64,
-                count=len(pool_ids),
-            )
-            out = self._scan_rows(rows, n_request, alpha, mask)
-            return out, len(pool_ids)
         if self._n_live == 0:
             return [], 0
         if self._n_live <= self._SMALL_CACHE:
@@ -668,7 +642,7 @@ class VectorizedEngine(NaiveEngine):
 
         ``sub=None`` means "the first ``len(rows)`` matrix rows" and runs
         through arena scratch buffers (the full-scan fast path); an
-        explicit ``sub`` (a gathered pool or count window) allocates
+        explicit ``sub`` (a gathered count window) allocates
         normally.
         """
         q = self._query_words(mask)

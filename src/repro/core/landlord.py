@@ -77,7 +77,7 @@ class Landlord:
             hitting the cache — submit what the job *asks for* and LANDLORD
             completes it.  Disable for pre-closed specs (the simulator).
         **cache_kwargs: forwarded to :class:`LandlordCache` (hit selection,
-            candidate ordering, MinHash prefiltering, event recording...).
+            candidate ordering, eviction, event recording...).
     """
 
     def __init__(

@@ -17,9 +17,12 @@ Since format v2 a state file guarantees:
   ``.tmp`` files stranded by a crash between write and rename are
   cleaned up on the next load.
 - **Policy fidelity.**  The snapshot records eviction, hit-selection,
-  candidate-order, merge-write-mode, MinHash configuration, and the
-  conflict-policy identity; :meth:`LandlordCache.restore` refuses to
-  resume under different semantics than the state was built under.
+  candidate-order, merge-write-mode, and the conflict-policy identity;
+  :meth:`LandlordCache.restore` refuses to resume under different
+  semantics than the state was built under.  Files written while the
+  cache had a merge prefilter also record it; switched off (as every
+  state the CLI and daemon wrote has it) the record is ignored,
+  switched on it is refused by name.
 
 **File layout.**  A state file is one line of JSON, every byte of it
 encoded once: the body (``cache``, ``journal_seq``, ``metadata``) is

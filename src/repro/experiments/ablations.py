@@ -9,9 +9,6 @@ one mechanism:
 - **eviction policy** — LRU vs FIFO vs largest-first.
 - **hit selection** — when several cached images satisfy a request, use
   the smallest vs most-recently-used vs first-found.
-- **MinHash prefilter** — exact Jaccard against every cached image vs
-  LSH-prefiltered candidates verified exactly: quality deltas plus the
-  candidate-examination counts the prefilter saves.
 - **merge write mode** — the paper's full-image rewrite vs a hypothetical
   copy-on-write delta format, separating Figure 4c's policy cost (how often
   merges happen) from its mechanism cost (what one merge writes).
@@ -75,7 +72,7 @@ def run(
     config = base_config(scale, seed=seed, alpha=0.75)
     reps = max(3, scale.repetitions // 2)
 
-    # Fourteen variants all simulate against the same repository; share
+    # Eleven variants all simulate against the same repository; share
     # one worker pool across every study when parallelism is requested.
     n_workers = resolve_workers(workers)
     pool = None
@@ -100,12 +97,6 @@ def run(
             rule: _study(config.with_(hit_selection=rule), repo, reps,
                          pool=pool)
             for rule in ("smallest", "mru", "first")
-        }
-        studies["minhash"] = {
-            ("lsh-prefilter" if flag else "exact"): _study(
-                config.with_(use_minhash=flag), repo, reps, pool=pool
-            )
-            for flag in (False, True)
         }
         studies["merge_write_mode"] = {
             mode: _study(config.with_(merge_write_mode=mode), repo, reps,

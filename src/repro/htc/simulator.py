@@ -78,7 +78,6 @@ class SimulationConfig:
     hit_selection: str = "smallest"
     candidate_order: str = "distance"
     eviction: str = "lru"
-    use_minhash: bool = False
     merge_write_mode: str = "full"
     # Which decision engine resolves the cache's inner scans ("vectorized"
     # or "naive").  A pure performance knob — the engines are
@@ -335,7 +334,6 @@ def simulate(
         hit_selection=config.hit_selection,
         candidate_order=config.candidate_order,
         eviction=config.eviction,
-        use_minhash=config.use_minhash,
         merge_write_mode=config.merge_write_mode,
         engine=config.engine,
         rng=spawn(config.seed, "cache-rng"),

@@ -337,26 +337,6 @@ class TestEventsAndClear:
         assert c.stats.inserts == 1
 
 
-class TestMinHashMode:
-    def test_minhash_prefilter_still_merges_close_specs(self):
-        c = cache(alpha=0.9, use_minhash=True)
-        base = spec(*[f"p{i}" for i in range(40)])
-        near = spec(*([f"p{i}" for i in range(40)] + ["q0"]))
-        c.request(base)
-        assert c.request(near).action is EventKind.MERGE
-
-    def test_minhash_examines_fewer_candidates(self):
-        exact = cache(alpha=0.75)
-        approx = cache(alpha=0.75, use_minhash=True)
-        streams = [
-            spec(*[f"p{j}" for j in range(i, i + 10)]) for i in range(0, 80, 4)
-        ]
-        for s in streams:
-            exact.request(s)
-            approx.request(s)
-        assert approx.stats.candidates_examined < exact.stats.candidates_examined
-
-
 class TestSpecMemoBound:
     def test_partial_eviction_keeps_recent_specs(self, monkeypatch):
         # regression: hitting the memo bound used to clear() the whole
@@ -428,9 +408,8 @@ class TestSpecMemoOwnership:
 
     @pytest.mark.parametrize("kw", [
         {},
-        {"use_minhash": True},
         {"conflict_policy": SlotConflicts()},
-    ], ids=["default", "minhash", "slot-conflicts"])
+    ], ids=["default", "slot-conflicts"])
     def test_transient_and_owned_callers_decide_identically(self, kw):
         # overlapping 5-package specs in two versions, one id repeated:
         # hits, merges, inserts and evictions all occur

@@ -96,18 +96,6 @@ def test_event_log_matches_counters(stream, alpha):
 
 
 @settings(max_examples=60, deadline=None)
-@given(streams, alphas, capacities)
-def test_minhash_mode_preserves_correctness(stream, alpha, capacity):
-    """The LSH prefilter may merge less, but every invariant still holds."""
-    cache = build_cache(alpha, capacity, use_minhash=True)
-    for request in stream:
-        decision = cache.request(request)
-        assert request <= decision.image.packages
-    stats = cache.stats
-    assert stats.hits + stats.merges + stats.inserts == stats.requests
-
-
-@settings(max_examples=60, deadline=None)
 @given(streams)
 def test_alpha_zero_images_are_exactly_requests(stream):
     """Without merging, every cached image equals some requested spec."""

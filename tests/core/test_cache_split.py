@@ -76,13 +76,3 @@ class TestSplit:
             c.split(image.id, [spec("p9")])
         # failed split leaves the cache untouched
         assert len(c) == 1 and c.images[0].id == image.id
-
-    def test_split_works_with_minhash(self):
-        c = cache(use_minhash=True)
-        c.request(spec("p0", "p1"))
-        c.request(spec("p0", "p2"))
-        image = c.images[0]
-        parts = c.split(image.id, [spec("p0", "p1"), spec("p2")])
-        assert all(p.signature is not None for p in parts)
-        # hits still work through the rebuilt index
-        assert c.request(spec("p2")).action is EventKind.HIT

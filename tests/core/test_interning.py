@@ -8,8 +8,8 @@ Three contracts of ``repro.core.cache`` below Algorithm 1:
   formulation for any collection, duplicates and new ids included;
 - the cached image's mask is the one stored copy of its package set:
   ``indices`` and ``packages`` are views of it, ``package_count`` and
-  ``size`` stay exact over merges and splits, and the default
-  (``NoConflicts``, no MinHash) merge path never materialises an id.
+  ``size`` stay exact over merges and splits, and neither the default
+  (``NoConflicts``) merge path nor a split materialises an id.
 """
 
 from random import Random
@@ -204,23 +204,20 @@ def test_conflict_policies_still_see_frozensets_and_decide_as_before():
     check_images(cache)
 
 
-def test_minhash_still_signs_frozensets_and_decides_as_before(monkeypatch):
-    signed = set()
-    signature_of = LandlordCache._signature_of
+def test_split_never_materialises_ids(monkeypatch):
+    def no_ids(_self, _indices):
+        raise AssertionError("a package id set was built by split")
 
-    def recording(self, packages):
-        signed.add(type(packages))
-        return signature_of(self, packages)
-
-    monkeypatch.setattr(LandlordCache, "_signature_of", recording)
-    cache = LandlordCache(
-        3_000, 0.8, lambda _pid: 10,
-        use_minhash=True, minhash_perm=16, minhash_bands=8,
-    )
-    for spec in merge_stream():
+    cache = LandlordCache(10 ** 9, 0.97, lambda _pid: 10)
+    for spec in merge_stream(200):
         cache.request(spec)
-    assert signed == {frozenset}
-    assert decided(cache) == (2, 135, 363, 322, 0, 707, 41)
+    image = max(cache.images, key=lambda im: im.package_count)
+    held = sorted(image.packages)
+    cut = len(held) // 2
+    monkeypatch.setattr(_Universe, "ids_of_indices", no_ids)
+    parts = cache.split(image.id, [held[:cut], held[cut:]])
+    monkeypatch.undo()
+    assert [part.package_count for part in parts] == [cut, len(held) - cut]
     check_images(cache)
 
 

@@ -115,10 +115,6 @@ class TestSnapshotRestore:
             "hit_selection": "smallest",
             "candidate_order": "distance",
             "merge_write_mode": "full",
-            "use_minhash": False,
-            "minhash_perm": 128,
-            "minhash_bands": 32,
-            "minhash_seed": 1,
             "conflict_policy": "NoConflicts",
         }
 
@@ -144,15 +140,6 @@ class TestSnapshotRestore:
             da = b.request(spec)
             dr = restored.request(spec)
             assert (da.action, da.image.id) == (dr.action, dr.image.id)
-
-    def test_restore_with_minhash_rebuilds_index(self):
-        cache = make_cache(use_minhash=True)
-        base = frozenset({f"p{i}" for i in range(10)})
-        cache.request(base)
-        restored = make_cache(use_minhash=True)
-        restored.restore(cache.snapshot())
-        near = frozenset(list(base) + ["p20"])
-        assert restored.request(near).action is EventKind.MERGE
 
 
 class TestStateFiles:
@@ -254,26 +241,32 @@ class TestStateFiles:
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# What state files recorded while the cache had a MinHash/LSH merge
+# prefilter; every one the CLI or daemon wrote has it switched off.
+RETIRED_KNOBS = ("use_minhash", "minhash_perm", "minhash_bands", "minhash_seed")
+OFF = {"use_minhash": False, "minhash_perm": 128, "minhash_bands": 32,
+       "minhash_seed": 1}
+
+
+def edited_v3_file(tmp_path, edit):
+    """A v3 file whose cache section ``edit`` changed, re-checksummed:
+    only the section, not the checksum, is wrong with it."""
+    cache = make_cache(capacity=60)
+    cache.request(frozenset({"p0", "p1", "p2"}))
+    cache.request(frozenset({"p9", "p10"}))
+    path = save_state(tmp_path / "s.json", cache)
+    payload = json.loads(path.read_text())
+    edit(payload["cache"])
+    body = {key: payload[key]
+            for key in ("metadata", "journal_seq", "cache")}
+    payload["checksum"] = body_checksum(body)
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestStateVersions:
     """v3 is what is written; v2 is still read; anything else is refused
     by name."""
-
-    def v3_payload(self, tmp_path, edit):
-        """A v3 file whose cache section ``edit`` changed, re-checksummed:
-        only the table, not the checksum, is wrong with it."""
-        cache = make_cache(capacity=60)
-        cache.request(frozenset({"p0", "p1", "p2"}))
-        cache.request(frozenset({"p9", "p10"}))
-        path = save_state(tmp_path / "s.json", cache)
-        payload = json.loads(path.read_text())
-        edit(payload["cache"])
-        body = {key: payload[key]
-                for key in ("metadata", "journal_seq", "cache")}
-        payload["checksum"] = body_checksum(body)
-        path.write_text(json.dumps(payload))
-        return path
 
     def test_written_file_is_v3(self, tmp_path):
         from repro.core.persistence import STATE_VERSION
@@ -308,11 +301,17 @@ class TestStateVersions:
         bundle = load_bundle(fixture, size)
         monkeypatch.undo()
         assert bundle.metadata == {"site": "s0"} and bundle.journal_seq == 5
-        assert bundle.cache.snapshot() == json.loads(
-            fixture.read_text())["cache"]
+        recorded = json.loads(fixture.read_text())["cache"]
+        assert recorded["policy"]["use_minhash"] is False
+        recorded["policy"] = {knob: value
+                              for knob, value in recorded["policy"].items()
+                              if knob not in RETIRED_KNOBS}
+        assert bundle.cache.snapshot() == recorded
         resaved = save_state(tmp_path / "s.json", bundle.cache,
                              bundle.metadata, bundle.journal_seq)
-        assert json.loads(resaved.read_text())["version"] == 3
+        payload = json.loads(resaved.read_text())
+        assert payload["version"] == 3
+        assert not set(payload["cache"]["policy"]) & set(RETIRED_KNOBS)
         again = load_bundle(resaved, size)
         assert again.cache.snapshot() == bundle.cache.snapshot()
 
@@ -344,8 +343,16 @@ class TestStateVersions:
     def test_bad_table_is_a_state_error_naming_the_image(
         self, tmp_path, edit, complaint
     ):
-        path = self.v3_payload(tmp_path, edit)
+        path = edited_v3_file(tmp_path, edit)
         with pytest.raises(StateError, match=complaint):
+            load_bundle(path, SIZE.__getitem__)
+
+    @pytest.mark.parametrize("section", ["policy", "stats"])
+    def test_section_that_is_not_an_object_is_a_state_error(
+        self, tmp_path, section
+    ):
+        path = edited_v3_file(tmp_path, lambda c: c.__setitem__(section, []))
+        with pytest.raises(StateError, match=f"{section} is a list"):
             load_bundle(path, SIZE.__getitem__)
 
     def test_bad_table_leaves_the_cache_untouched(self):
@@ -357,6 +364,62 @@ class TestStateVersions:
         assert len(cache) == 0 and cache.stats.requests == 0
         cache.restore(warm_cache().table_snapshot())  # still fresh
         assert cache.snapshot() == warm_cache().snapshot()
+
+
+class TestRetiredPrefilter:
+    """State files record the merge prefilter the cache no longer has:
+    switched off they load as if it had never been recorded, switched on
+    they are refused by name before the cache is touched."""
+
+    def test_v3_file_recording_it_off_loads(self, tmp_path):
+        plain = load_bundle(
+            edited_v3_file(tmp_path, lambda c: None), SIZE.__getitem__)
+        path = edited_v3_file(tmp_path, lambda c: c["policy"].update(OFF))
+        assert json.loads(path.read_text())["cache"]["policy"]["minhash_bands"]
+        loaded = load_bundle(path, SIZE.__getitem__)
+        assert loaded.cache.snapshot() == plain.cache.snapshot()
+
+    @pytest.mark.parametrize("source", ["v2-fixture", "v3"])
+    def test_recorded_on_is_refused_by_name(self, tmp_path, source):
+        if source == "v3":
+            path = edited_v3_file(
+                tmp_path, lambda c: c["policy"].update(OFF, use_minhash=True))
+        else:
+            payload = json.loads((FIXTURES / "state_v2.json").read_text())
+            payload["cache"]["policy"]["use_minhash"] = True
+            body = {key: payload[key]
+                    for key in ("metadata", "journal_seq", "cache")}
+            payload["checksum"] = body_checksum(body)
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(payload))
+        with pytest.raises(
+            StateError, match="use_minhash=True.*load it with commit 972d360"
+        ):
+            load_bundle(path, SIZE.__getitem__)
+
+    def test_refusal_leaves_the_cache_untouched(self):
+        state = warm_cache().table_snapshot()
+        state["policy"].update(OFF, use_minhash=True)
+        cache = make_cache()
+        with pytest.raises(ValueError, match="use_minhash"):
+            cache.restore(state)
+        assert len(cache) == 0 and len(cache._universe) == 0
+        cache.restore(warm_cache().table_snapshot())  # still fresh
+        assert cache.snapshot() == warm_cache().snapshot()
+
+    def test_file_saved_here_round_trips_without_the_knobs(self, tmp_path):
+        cache = warm_cache()
+        path = save_state(tmp_path / "s.json", cache)
+        policy = json.loads(path.read_text())["cache"]["policy"]
+        assert not set(policy) & set(RETIRED_KNOBS)
+        loaded, _ = load_state(path, SIZE.__getitem__)
+        assert loaded.snapshot() == cache.snapshot()
+        again = save_state(tmp_path / "again.json", loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_the_cache_takes_no_prefilter_argument(self):
+        with pytest.raises(TypeError, match="use_minhash"):
+            make_cache(use_minhash=False)
 
 
 class TestSubmitCli:

@@ -116,7 +116,6 @@ operations = st.lists(
 configurations = st.fixed_dictionaries({
     "engine": st.sampled_from(["naive", "vectorized"]),
     "eviction": st.sampled_from(["lru", "fifo", "size"]),
-    "use_minhash": st.booleans(),
     "candidate_order": st.sampled_from(["distance", "random"]),
 })
 
@@ -142,10 +141,10 @@ def perform(cache, op, arg):
        st.lists(specs, min_size=50, max_size=50))
 def test_state_file_is_transparent(ops, config, alpha, capacity, future):
     """Whatever built the cache — evictions that leave dead names behind,
-    splits, adoptions, MinHash signatures, a shuffling RNG — the file
-    gives back a cache equal under ``snapshot()`` that then decides,
-    emits and ends exactly as the live one does.  Ids are renumbered on
-    load, so nothing here may depend on them."""
+    splits, adoptions, a shuffling RNG — the file gives back a cache
+    equal under ``snapshot()`` that then decides, emits and ends exactly
+    as the live one does.  Ids are renumbered on load, so nothing here
+    may depend on them."""
     import tempfile
     from pathlib import Path
 

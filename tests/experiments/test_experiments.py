@@ -244,20 +244,12 @@ class TestAblations:
 
     def test_all_studies_present(self, results):
         assert set(results["studies"]) == {
-            "candidate_order", "eviction", "hit_selection", "minhash",
-            "merge_write_mode",
+            "candidate_order", "eviction", "hit_selection", "merge_write_mode",
         }
 
     def test_delta_mode_writes_less(self, results):
         study = results["studies"]["merge_write_mode"]
         assert study["delta"]["bytes_written"] < study["full"]["bytes_written"]
-
-    def test_minhash_reduces_examinations(self, results):
-        study = results["studies"]["minhash"]
-        assert (
-            study["lsh-prefilter"]["candidates_examined"]
-            < study["exact"]["candidates_examined"]
-        )
 
     def test_report_renders(self, results):
         assert "candidate_order" in ablations.report(results)

@@ -16,7 +16,6 @@ class TestTopLevel:
             ImageSpec,
             Landlord,
             LandlordCache,
-            MinHashSignature,
             PreparedContainer,
             Repository,
             SimulationConfig,
