@@ -80,7 +80,7 @@ def run_repetitions(
     workers: Optional[int] = None,
     pool: Optional[SimulationPool] = None,
     metrics=None,
-    telemetry: Optional[str] = None,
+    telemetry=None,
 ) -> List[SimulationResult]:
     """Run ``repetitions`` simulations differing only in workload seed.
 
@@ -94,11 +94,11 @@ def run_repetitions(
     repetition collect per-run metrics, merged into the registry in
     repetition order — deterministic families come out bit-identical
     whatever the worker count.  ``telemetry`` (a
-    :class:`~repro.obs.telemetry.TelemetryCollector` base URL) makes
-    workers additionally stream each cell's snapshot live to that
-    endpoint; it implies per-run metric collection and applies only
-    when this call builds its own pool (a caller-provided ``pool``
-    carries its own telemetry setting).
+    :class:`~repro.obs.telemetry.TelemetryAggregator`) additionally
+    ingests each repetition's snapshot live as its result arrives; it
+    implies per-run metric collection and applies only when this call
+    builds its own pool (a caller-provided ``pool`` carries its own
+    telemetry setting).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -231,7 +231,7 @@ def alpha_sweep(
     workers: Optional[int] = None,
     pool: Optional[SimulationPool] = None,
     metrics=None,
-    telemetry: Optional[str] = None,
+    telemetry=None,
 ) -> SweepResult:
     """Sweep α over a grid, ``repetitions`` runs per point, median per metric.
 
@@ -245,10 +245,10 @@ def alpha_sweep(
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes every cell
     collect per-run metrics, merged into the registry in cell order —
     deterministic families are bit-identical for any worker count.
-    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryCollector`
-    base URL) makes workers stream each cell's snapshot live to that
-    endpoint as it completes; it implies per-run metric collection and
-    applies only when this call builds its own pool.
+    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryAggregator`)
+    ingests each cell's snapshot live as its result arrives; it implies
+    per-run metric collection and applies only when this call builds
+    its own pool.
     """
     grid = np.asarray(alphas if alphas is not None else default_alphas(), dtype=float)
     if grid.size == 0:

@@ -135,10 +135,10 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
                         "default: %(default)s)")
     parser.add_argument("--serve", type=int, default=None, metavar="PORT",
                         help="serve live fleet telemetry on PORT while the "
-                        "sweep runs (0 = ephemeral): workers push per-cell "
-                        "registry snapshots and one /metrics scrape shows "
-                        "per-worker series plus the aggregate; the endpoint "
-                        "stays up after the sweep until SIGTERM")
+                        "sweep runs (0 = ephemeral): one /metrics scrape "
+                        "shows per-worker series plus the aggregate of the "
+                        "cells finished so far; the endpoint stays up after "
+                        "the sweep until SIGTERM")
     parser.add_argument("--port-file", metavar="FILE", default=None,
                         help="with --serve, write the bound port to FILE "
                         "once listening (lets scripts use --serve 0)")
@@ -173,22 +173,27 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         progress_state["done"] += 1
         progress_state["last"] = message
 
-    collector = None
+    aggregator = server = None
     if args.serve is not None:
-        from repro.obs import TelemetryAggregator, TelemetryCollector
+        from repro.obs import ObsServer, TelemetryAggregator
 
-        collector = TelemetryCollector(
-            TelemetryAggregator(expected_cells=total_cells),
+        aggregator = TelemetryAggregator(expected_cells=total_cells)
+        server = ObsServer(
+            registry=aggregator,
+            status_fn=lambda: {
+                "telemetry": aggregator.status(),
+                "sweep": dict(progress_state),
+            },
+            lock=aggregator.lock,
             port=args.serve,
-            status_extra=lambda: {"sweep": dict(progress_state)},
         )
     try:
-        if collector is not None:
-            port = collector.start()
+        if server is not None:
+            port = server.start()
             if args.port_file:
                 _write_port_file(args.port_file, port)
             print(f"telemetry on http://127.0.0.1:{port} "
-                  "(/metrics /statusz; workers POST /telemetry)")
+                  "(/metrics /statusz)")
         sweep = alpha_sweep(
             base_config(scale, seed=args.seed, engine=args.engine),
             alphas=alphas,
@@ -196,11 +201,11 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
             label="sweep",
             workers=workers,
             metrics=registry,
-            telemetry=collector.url if collector is not None else None,
-            progress=sweep_progress if collector is not None else None,
+            telemetry=aggregator,
+            progress=sweep_progress if server is not None else None,
         )
-        if collector is not None:
-            collector.aggregator.mark_complete()
+        if aggregator is not None:
+            aggregator.mark_complete()
         print(f"alpha sweep: {alphas.size} points x {repetitions} "
               f"repetitions ({scale.name} scale, {workers} workers)")
         print(sweep_table(
@@ -220,14 +225,14 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
 
             save_registry(registry, args.metrics_out)
             print(f"metrics saved to {args.metrics_out}")
-        if collector is not None:
+        if server is not None:
             _wait_for_shutdown_signal(
                 f"sweep done; telemetry still on "
-                f"http://127.0.0.1:{collector.port} (SIGTERM to stop)"
+                f"http://127.0.0.1:{server.port} (SIGTERM to stop)"
             )
     finally:
-        if collector is not None:
-            collector.stop()
+        if server is not None:
+            server.stop()
             if args.port_file:
                 _remove_port_file(args.port_file)
     return 0

@@ -35,10 +35,10 @@ Modules:
   (attach to a live server or replay an event stream).
 - :mod:`repro.obs.promcheck` — the strict Prometheus / OpenMetrics
   text-format validators shared by tests and the CI scrape smoke steps.
-- :mod:`repro.obs.telemetry` — the cluster-wide telemetry plane:
-  workers push registry snapshots to a parent collector over loopback
-  HTTP; one scrape serves per-worker labelled series plus a
-  deterministic aggregate.
+- :mod:`repro.obs.telemetry` — the cluster-wide telemetry plane: a
+  sweep's per-cell registry snapshots, fed from the pool's result
+  channel, served as per-worker labelled series plus a deterministic
+  aggregate in one scrape.
 
 Import discipline (cycle avoidance): modules here import at most
 ``repro.core.events`` and ``repro.util`` at module scope, so
@@ -95,12 +95,7 @@ from .stream import (
 )
 from .promcheck import validate_openmetrics_text, validate_prometheus_text
 from .server import ObsServer, build_status
-from .telemetry import (
-    TelemetryAggregator,
-    TelemetryCollector,
-    TelemetryPusher,
-    label_snapshot,
-)
+from .telemetry import TelemetryAggregator
 from .slo import DEFAULT_WINDOW, SLO_SERIES, RollingWindow, SloTracker
 from .trace import (
     DecisionTracer,
@@ -161,9 +156,6 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "TelemetryAggregator",
-    "TelemetryCollector",
-    "TelemetryPusher",
-    "label_snapshot",
     "validate_openmetrics_text",
     "validate_prometheus_text",
     "DEFAULT_WINDOW",

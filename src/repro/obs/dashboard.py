@@ -80,9 +80,9 @@ def render_frame(
     values over past frames; when at least two points exist they are
     charted as a sparkline band under the status rows.  Unknown values
     (absent keys, ``None``) render as ``-`` so a frame never fails on a
-    sparse status.  A ``telemetry`` block (present when a fleet run is
-    pushing worker snapshots — see :mod:`repro.obs.telemetry`) adds one
-    row per reporting worker with its request mix and push progress.
+    sparse status.  A ``telemetry`` block (present while ``sweep
+    --serve`` runs — see :mod:`repro.obs.telemetry`) adds one row per
+    reporting worker with its request mix and the cells it finished.
     A ``stages`` block (present when a daemon is recording pipeline
     spans — see :mod:`repro.obs.spans`) adds a per-stage p95 row
     (queue / fsync / apply wait).  A ``service.batch_governor`` entry
@@ -199,9 +199,7 @@ def render_frame(
                 value = entry.get(short)
                 if value is not None:
                     row += f" {label} {_count(value)}"
-            row += f"   pushes {entry.get('pushes', 0)}"
-            if entry.get("final"):
-                row += "   done"
+            row += f"   cells {entry.get('cells', 0)}"
             lines.append(row)
 
     if history:

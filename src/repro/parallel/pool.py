@@ -14,6 +14,12 @@ Design constraints (they shape every choice here):
   pickle the payload, execution falls back to the serial path with a
   warning instead of failing; ``workers=1`` is always the serial path.
 
+Every chunk comes back tagged with the pid of the worker that ran it,
+and the completion loop hands each result to an optional
+``on_result(index, result, pid)`` callback in the parent — the one
+channel per-task telemetry travels on (see
+:class:`repro.parallel.SimulationPool`).
+
 Worker processes prefer the ``fork`` start method (cheap on Linux, and
 inherits interned state); platforms without it use their default method.
 """
@@ -33,29 +39,12 @@ __all__ = [
     "ParallelExecutionError",
     "parallel_map",
     "resolve_workers",
-    "set_task_observer",
 ]
 
 # At most this many chunks in flight per worker (bounds pickled backlog).
 INFLIGHT_FACTOR = 4
 # Chunks never grow beyond this many tasks (keeps progress responsive).
 MAX_CHUNK = 32
-
-
-# Worker-side task observer: called as ``observer(index, result)`` after
-# each successful task, where ``index`` is the task's global submission
-# index.  Installed per worker process by pool initializers that stream
-# per-task telemetry (see repro.parallel.simulations); ``None`` keeps
-# the hot loop untouched.  An observer that raises is disabled rather
-# than failing the task — telemetry is best-effort by contract.
-_TASK_OBSERVER: List[Optional[Callable[[int, Any], None]]] = [None]
-
-
-def set_task_observer(
-    observer: Optional[Callable[[int, Any], None]]
-) -> None:
-    """Install (or clear, with ``None``) this process's task observer."""
-    _TASK_OBSERVER[0] = observer
 
 
 class ParallelExecutionError(RuntimeError):
@@ -131,32 +120,16 @@ def _make_executor(workers, initializer, initargs):
         return None
 
 
-def _run_chunk(
-    fn: Callable[[Any], Any],
-    chunk: Sequence[Tuple[int, Any]],
-    observer_offset: int = 0,
-):
-    """Worker-side chunk loop: per-task success flag, result or traceback.
-
-    ``observer_offset`` shifts the submission indices seen by the task
-    observer — a pool reused across batches keeps indices globally
-    unique by passing its dispatched-task count.
-    """
+def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence[Tuple[int, Any]]):
+    """Worker-side chunk loop: this worker's pid, then per-task success
+    flag and result or traceback."""
     out = []
     for index, item in chunk:
         try:
-            result = fn(item)
+            out.append((index, True, fn(item)))
         except BaseException:  # noqa: BLE001 - reported in the parent
             out.append((index, False, traceback.format_exc()))
-            continue
-        observer = _TASK_OBSERVER[0]
-        if observer is not None:
-            try:
-                observer(index + observer_offset, result)
-            except Exception:  # noqa: BLE001 - telemetry is best-effort
-                _TASK_OBSERVER[0] = None
-        out.append((index, True, result))
-    return out
+    return os.getpid(), out
 
 
 def _chunked(items: Sequence[Any], chunk_size: int) -> List[List[Tuple[int, Any]]]:
@@ -180,9 +153,14 @@ def _execute_bounded(
     progress: Optional[Callable[[int, int, str], None]],
     workers: int,
     chunk_size: Optional[int] = None,
-    observer_offset: int = 0,
+    on_result: Optional[Callable[[int, Any, int], None]] = None,
 ) -> List[Any]:
-    """Submit chunks with a bounded in-flight window; results by index."""
+    """Submit chunks with a bounded in-flight window; results by index.
+
+    ``on_result(index, result, pid)`` fires in the parent for each task
+    as its chunk completes, just before ``progress``; ``pid`` is the
+    worker process that ran it.
+    """
     chunks = _chunked(items, chunk_size or _auto_chunk(len(items), workers))
     results: List[Any] = [None] * len(items)
     total = len(items)
@@ -194,14 +172,14 @@ def _execute_bounded(
         nonlocal next_chunk
         if next_chunk < len(chunks):
             chunk = chunks[next_chunk]
-            future = executor.submit(_run_chunk, fn, chunk, observer_offset)
+            future = executor.submit(_run_chunk, fn, chunk)
             pending[future] = chunk[0][0]
             next_chunk += 1
 
     def failures_of(future) -> List[Tuple[int, str]]:
         return [
             (index, payload)
-            for index, ok, payload in future.result()
+            for index, ok, payload in future.result()[1]
             if not ok
         ]
 
@@ -227,9 +205,12 @@ def _execute_bounded(
             index, payload = min(failures)
             raise ParallelExecutionError(labels[index], index, payload)
         for future in finished:
-            for index, _ok, payload in future.result():
+            pid, out = future.result()
+            for index, _ok, payload in out:
                 results[index] = payload
                 done += 1
+                if on_result is not None:
+                    on_result(index, payload, pid)
                 if progress is not None:
                     progress(done, total, labels[index])
             submit_one()

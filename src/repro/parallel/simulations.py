@@ -14,11 +14,16 @@ speedup and a pickling regression.  Two ways to get it into workers:
 :class:`SimulationPool` wraps both behind one interface and is reusable
 across batches, so a multi-sweep experiment (Figure 6 runs seven sweeps)
 pays worker start-up and repository construction once.
+
+Live fleet telemetry rides the result channel: each cell's metrics
+snapshot already returns to the parent inside its
+:class:`~repro.htc.simulator.SimulationResult`, so a pool given a
+:class:`~repro.obs.telemetry.TelemetryAggregator` feeds it from the
+completion loop, keyed by the pid of the worker that ran the cell.
 """
 
 from __future__ import annotations
 
-import atexit
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -30,7 +35,6 @@ from repro.parallel.pool import (
     _make_executor,
     _mp_context,
     resolve_workers,
-    set_task_observer,
 )
 from repro.parallel.shm import SharedPackedMatrix
 
@@ -82,9 +86,6 @@ RepositorySource = Union[RepositorySpec, Repository]
 _WORKER_REPOSITORY: List[object] = [None, None]  # [key, repository]
 # Keeps a worker's shared-memory attachment mapped for its lifetime.
 _WORKER_SHM: List[object] = [None]
-# Per-worker-process telemetry pusher (see repro.obs.telemetry),
-# installed by the pool initializer when the pool was given an endpoint.
-_WORKER_PUSHER: List[object] = [None]
 # Per-worker-process span recorder (see repro.obs.spans): each sweep
 # cell runs under its own ``sweep_cell`` trace, so the same waterfall
 # model that explains daemon submits explains slow cells.
@@ -110,45 +111,6 @@ def _traced_simulate(
         return simulate(config, repository=repository)
 
 
-def _push_task_metrics(index: int, result) -> None:
-    """Task observer: stream one finished cell's metrics to the parent.
-
-    The push happens synchronously inside the worker before the result
-    travels back, so by the time the pool's ``run`` returns, every
-    cell has reached the collector — an exit scrape is complete.
-    """
-    pusher = _WORKER_PUSHER[0]
-    snap = getattr(result, "metrics", None)
-    if pusher is not None and snap is not None:
-        pusher.push_cells([(index, snap)])
-
-
-def _finalize_worker_telemetry() -> None:
-    """Worker exit hook: mark this worker done at the parent (idempotent)."""
-    pusher = _WORKER_PUSHER[0]
-    if pusher is not None:
-        _WORKER_PUSHER[0] = None
-        pusher.finalize()
-
-
-def _install_worker_telemetry(endpoint: str) -> None:
-    from multiprocessing import util as _mp_util
-
-    from repro.obs.telemetry import TelemetryPusher
-
-    pusher = TelemetryPusher(endpoint)
-    _WORKER_PUSHER[0] = pusher
-    set_task_observer(_push_task_metrics)
-    # Pool workers exit through multiprocessing's _exit_function +
-    # os._exit, which skips standard atexit handlers — register with
-    # multiprocessing's own finalizer registry so the final marker is
-    # pushed from real workers, and with atexit as a fallback for the
-    # in-process case.  The hook is idempotent, so double-firing is fine.
-    _mp_util.Finalize(None, _finalize_worker_telemetry, exitpriority=10)
-    atexit.register(_finalize_worker_telemetry)
-    pusher.register()
-
-
 def _source_key(source: RepositorySource) -> object:
     return source if isinstance(source, RepositorySpec) else id(source)
 
@@ -158,7 +120,7 @@ def _materialise(source: RepositorySource) -> Repository:
 
 
 def _init_simulation_worker(
-    source: RepositorySource, closure_handle=None, telemetry=None
+    source: RepositorySource, closure_handle=None
 ) -> None:
     """Pool initializer: build/install the shared repository once.
 
@@ -167,14 +129,7 @@ def _init_simulation_worker(
     immediately; (2) a shared-memory closure-matrix handle is attached
     so the local rebuild skips the dependency-DAG walk (spawn
     platforms); (3) plain rebuild from the source.
-
-    ``telemetry`` (a collector base URL) additionally installs a
-    per-task metrics pusher + exit finalizer in this worker — the
-    fork-inherited-repository tier still runs this part, since pushers
-    are per *process*, not per repository.
     """
-    if telemetry is not None and _WORKER_PUSHER[0] is None:
-        _install_worker_telemetry(telemetry)
     key = _source_key(source)
     if _WORKER_REPOSITORY[0] == key and _WORKER_REPOSITORY[1] is not None:
         return  # inherited warm via fork (or reused across pools)
@@ -207,13 +162,20 @@ class SimulationPool:
     configs — regardless of worker count or completion order.  When the
     platform cannot start a pool (or ``workers=1``), the pool degrades to
     an in-process loop over a single locally built repository.
+
+    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryAggregator`)
+    ingests every cell's metrics snapshot as its result reaches the
+    parent — under worker ``pid-<pid>``, or ``main`` on the serial path
+    — with cell indices unique across batches of a reused pool.  ``run``
+    returns only after its last cell was ingested, so a scrape taken
+    after it is complete.
     """
 
     def __init__(
         self,
         source: RepositorySource,
         workers: Optional[int] = None,
-        telemetry: Optional[str] = None,
+        telemetry=None,
     ):
         if isinstance(source, RepositorySpec) and source.seed is None:
             raise ValueError(
@@ -224,7 +186,6 @@ class SimulationPool:
         self._source = source
         self.telemetry = telemetry
         self._local_repo: Optional[Repository] = None
-        self._local_pusher = None
         #: This process's span recorder — serial runs record into it
         #: directly; worker processes each hold their own (same model).
         self.spans = worker_span_recorder()
@@ -256,7 +217,7 @@ class SimulationPool:
             self._executor = _make_executor(
                 self.workers,
                 _init_simulation_worker,
-                (source, closure_handle, telemetry),
+                (source, closure_handle),
             )
 
     @property
@@ -289,48 +250,34 @@ class SimulationPool:
         self._tasks_dispatched += len(configs)
         if self._executor is None:
             repository = self._repository()
-            pusher = self._serial_pusher()
             results = []
             for i, config in enumerate(configs):
                 result = _traced_simulate(config, repository, self.spans)
-                if pusher is not None:
-                    snap = getattr(result, "metrics", None)
-                    if snap is not None:
-                        pusher.push_cells([(offset + i, snap)])
+                self._ingest(offset + i, result, "main")
                 results.append(result)
                 if progress is not None:
                     progress(i + 1, len(configs), labels[i])
             return results
         return _execute_bounded(
             self._executor, _simulate_task, configs, labels, progress,
-            self.workers, observer_offset=offset,
+            self.workers,
+            on_result=lambda index, result, pid: self._ingest(
+                offset + index, result, f"pid-{pid}"
+            ),
         )
 
-    def _serial_pusher(self):
-        """The in-process pusher for the serial path (``worker="main"``)."""
-        if self.telemetry is None:
-            return None
-        if self._local_pusher is None:
-            from repro.obs.telemetry import TelemetryPusher
-
-            self._local_pusher = TelemetryPusher(
-                self.telemetry, worker="main"
-            )
-            self._local_pusher.register()
-        return self._local_pusher
+    def _ingest(
+        self, index: int, result: SimulationResult, worker: str
+    ) -> None:
+        """Hand one finished cell's metrics to the attached aggregator."""
+        if self.telemetry is not None and result.metrics is not None:
+            self.telemetry.ingest_cells(worker, [(index, result.metrics)])
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         if self._executor is not None:
-            # With telemetry active, wait for workers to exit so their
-            # atexit finalizers push the final marker before we return.
-            self._executor.shutdown(
-                wait=self.telemetry is not None, cancel_futures=True
-            )
+            self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if self._local_pusher is not None:
-            self._local_pusher.finalize()
-            self._local_pusher = None
         if self._shared_closures is not None:
             # Unlink after shutdown: the segment persists until the last
             # worker's mapping closes, so in-flight readers are safe.

@@ -59,9 +59,8 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple
 from repro.core.adaptive import service_governor
 from repro.obs import ObsServer, build_status, write_traces
 from repro.obs.clock import default_clock
-from repro.obs.server import ReplyHandler
+from repro.obs.server import POLL_INTERVAL, ReplyHandler
 from repro.obs.spans import SpanRecorder, new_trace_id, parse_traceparent
-from repro.obs.telemetry import TelemetryAggregator
 
 __all__ = ["LandlordDaemon"]
 
@@ -279,15 +278,8 @@ class LandlordDaemon:
         self.spans = SpanRecorder(
             limit=span_limit, clock=self.clock, registry=registry
         )
-        # Client processes (launchers, other caches) can push their own
-        # registry snapshots to POST /telemetry; /metrics then exposes
-        # the whole fleet — this daemon's service_*/landlord_* families
-        # as the aggregate plus worker-labelled series per client.  With
-        # no pushed clients the exposition is byte-identical to the bare
-        # registry, so existing scrapers see no change.
-        self.telemetry = TelemetryAggregator(base=registry)
         self.obs = ObsServer(
-            self.telemetry,
+            registry,
             status_fn=self._status,
             tracer=tracer,
             spans=self.spans,
@@ -340,6 +332,7 @@ class LandlordDaemon:
         for httpd in servers:
             thread = threading.Thread(
                 target=httpd.serve_forever,
+                args=(POLL_INTERVAL,),
                 name="repro-service-server",
                 daemon=True,
             )
@@ -672,9 +665,6 @@ class LandlordDaemon:
         }
         if self._governor is not None:
             extra["service"]["batch_governor"] = self._governor.status()
-        telemetry_status = self.telemetry.status()
-        if telemetry_status["workers"]:
-            extra["telemetry"] = telemetry_status
         stages = self.spans.stage_stats()
         if stages:
             extra["stages"] = stages
@@ -699,7 +689,7 @@ def _make_handler(daemon: "LandlordDaemon"):
                 )
                 if status == 404 and not path.startswith("/traces"):
                     body = (
-                        "endpoints: POST /submit /telemetry; GET /metrics "
+                        "endpoints: POST /submit; GET /metrics "
                         "/healthz /statusz /traces/<n>\n"
                     )
                 self._reply(status, body, content_type)
@@ -709,14 +699,15 @@ def _make_handler(daemon: "LandlordDaemon"):
         def do_POST(self):  # noqa: N802 - stdlib casing
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
             try:
-                if path not in ("/submit", "/telemetry"):
-                    self._reply_json(
-                        404, {"error": "POST /submit or /telemetry only"}
-                    )
+                if path != "/submit":
+                    self._reply_json(404, {"error": "POST /submit only"})
                     return
                 try:
                     length = int(self.headers.get("Content-Length", ""))
                 except ValueError:
+                    length = -1
+                if length < 0:
+                    # rfile.read(-1) would block until the peer closes
                     self._reply_json(411, {"error": "length required"})
                     return
                 if length > MAX_BODY_BYTES:
@@ -726,14 +717,6 @@ def _make_handler(daemon: "LandlordDaemon"):
                     payload = json.loads(self.rfile.read(length))
                 except ValueError:
                     self._reply_json(400, {"error": "bad JSON body"})
-                    return
-                if path == "/telemetry":
-                    try:
-                        ack = daemon.telemetry.ingest_payload(payload)
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        self._reply_json(400, {"error": str(exc)})
-                        return
-                    self._reply_json(200, ack)
                     return
                 packages = (
                     payload.get("packages")

@@ -303,13 +303,11 @@ class TestTelemetryRows:
                 "cells": {"folded": 4, "expected": 4},
                 "workers": {
                     "pid-2001": {
-                        "mode": "cells", "pushes": 3, "cells": 2,
-                        "final": True, "requests": 40.0, "hits": 9,
+                        "cells": 3, "requests": 40.0, "hits": 9,
                         "merges": 2, "inserts": 29, "evictions": 11,
                     },
                     "pid-2000": {
-                        "mode": "cells", "pushes": 2, "cells": 2,
-                        "final": False, "requests": 40.0, "hits": 12,
+                        "cells": 1, "requests": 40.0, "hits": 12,
                     },
                 },
             },
@@ -321,9 +319,9 @@ class TestTelemetryRows:
         rows = [l for l in frame.splitlines() if l.startswith("  pid-")]
         assert rows[0].startswith("  pid-2000")
         assert "req 40 hit 12" in rows[0]
-        assert rows[0].endswith("pushes 2")
+        assert rows[0].endswith("cells 1")
         assert "req 40 hit 9 mrg 2 ins 29 evt 11" in rows[1]
-        assert rows[1].endswith("pushes 3   done")
+        assert rows[1].endswith("cells 3")
 
     def test_no_telemetry_block_no_worker_rows(self):
         assert "workers" not in render_frame({})

@@ -8,12 +8,13 @@ machines and runs); everything else must match exactly.
 """
 
 import json
+import os
 
 import numpy as np
 
 from repro.analysis.sweep import alpha_sweep, run_repetitions
 from repro.htc.simulator import SimulationConfig
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TelemetryAggregator
 from repro.parallel import merge_result_metrics
 from repro.util.units import GB
 
@@ -88,67 +89,58 @@ class TestMergeResultMetrics:
         assert merge_result_metrics(results, fresh) == 2
         assert canonical(fresh) == canonical(registry)
 
+
 class TestLiveTelemetryStream:
-    """The telemetry plane must not bend the determinism bar: a live
-    collector's aggregate view, fed by workers streaming cells over
-    loopback HTTP, matches the serial registry bit-for-bit."""
+    """The live fleet view must not bend the determinism bar: an
+    aggregator fed from the pool's completion loop, in whatever order
+    cells finish, matches the serial registry bit-for-bit."""
 
     def test_streamed_aggregate_matches_serial(self):
-        from repro.obs.telemetry import TelemetryCollector
-
         serial = MetricsRegistry()
         run_repetitions(tiny_config(), repetitions=3, workers=1,
                         metrics=serial)
-        with TelemetryCollector() as collector:
-            run_repetitions(tiny_config(), repetitions=3, workers=2,
-                            telemetry=collector.url)
-            status = collector.aggregator.status()
-        assert status["cells"]["folded"] == 3
-        assert canonical(collector.aggregator.aggregate()) == (
-            canonical(serial)
-        )
-        assert all(
-            entry["final"] for entry in status["workers"].values()
-        )
+        aggregator = TelemetryAggregator()
+        run_repetitions(tiny_config(), repetitions=3, workers=2,
+                        telemetry=aggregator)
+        assert aggregator.status()["cells"]["folded"] == 3
+        assert canonical(aggregator.aggregate()) == canonical(serial)
 
     def test_sweep_streaming_matches_merged_registry(self):
-        from repro.obs.telemetry import TelemetryCollector
-
         alphas = np.asarray([0.6, 0.8])
         merged = MetricsRegistry()
-        with TelemetryCollector() as collector:
-            alpha_sweep(tiny_config(), alphas=alphas, repetitions=2,
-                        workers=2, metrics=merged,
-                        telemetry=collector.url)
-        assert collector.aggregator.status()["cells"]["folded"] == 4
-        assert canonical(collector.aggregator.aggregate()) == (
-            canonical(merged)
-        )
+        aggregator = TelemetryAggregator()
+        alpha_sweep(tiny_config(), alphas=alphas, repetitions=2,
+                    workers=2, metrics=merged, telemetry=aggregator)
+        assert aggregator.status()["cells"]["folded"] == 4
+        assert canonical(aggregator.aggregate()) == canonical(merged)
 
     def test_serial_path_streams_as_main_worker(self):
-        from repro.obs.telemetry import TelemetryCollector
-
-        with TelemetryCollector() as collector:
-            run_repetitions(tiny_config(), repetitions=2, workers=1,
-                            telemetry=collector.url)
-            status = collector.aggregator.status()
+        serial = MetricsRegistry()
+        run_repetitions(tiny_config(), repetitions=2, workers=1,
+                        metrics=serial)
+        aggregator = TelemetryAggregator()
+        run_repetitions(tiny_config(), repetitions=2, workers=1,
+                        telemetry=aggregator)
+        status = aggregator.status()
         assert list(status["workers"]) == ["main"]
         assert status["workers"]["main"]["cells"] == 2
-        assert status["workers"]["main"]["final"] is True
+        assert canonical(aggregator.aggregate()) == canonical(serial)
 
-    def test_dead_collector_does_not_break_the_sweep(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results = run_repetitions(
-                tiny_config(), repetitions=2, workers=1,
-                telemetry="http://127.0.0.1:9",
-            )
-        assert len(results) == 2
+    def test_worker_rows_are_the_pool_processes(self):
+        aggregator = TelemetryAggregator()
+        run_repetitions(tiny_config(), repetitions=6, workers=2,
+                        telemetry=aggregator)
+        status = aggregator.status()
+        workers = status["workers"]
+        assert 1 <= len(workers) <= 2
+        for name in workers:
+            prefix, _, pid = name.partition("-")
+            assert prefix == "pid" and pid.isdigit()
+            assert int(pid) != os.getpid()
+        cells = sum(entry["cells"] for entry in workers.values())
+        assert cells == status["cells"]["folded"] == 6
 
     def test_pool_reuse_keeps_indices_unique(self):
-        from repro.obs.telemetry import TelemetryCollector
         from repro.parallel import SimulationPool
         from repro.packages.sft import build_experiment_repository
 
@@ -158,14 +150,11 @@ class TestLiveTelemetryStream:
             n_packages=config.n_packages,
             target_total_size=config.repo_total_size,
         )
-        with TelemetryCollector() as collector:
-            pool = SimulationPool(repository, workers=2,
-                                  telemetry=collector.url)
-            try:
-                run_repetitions(config, repetitions=2, pool=pool)
-                run_repetitions(config, repetitions=2, pool=pool)
-            finally:
-                pool.close()
-            status = collector.aggregator.status()
+        aggregator = TelemetryAggregator()
+        with SimulationPool(repository, workers=2,
+                            telemetry=aggregator) as pool:
+            run_repetitions(config, repetitions=2, pool=pool)
+            run_repetitions(config, repetitions=2, pool=pool)
+        status = aggregator.status()
         assert status["cells"]["folded"] == 4
         assert status["cells"]["duplicates"] == 0

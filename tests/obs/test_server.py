@@ -230,6 +230,15 @@ class TestLifecycle:
         server.stop()
         server.stop()  # no-op, no error
 
+    def test_stop_returns_promptly(self):
+        # stop() waits for serve_forever's next poll; at the stdlib's
+        # default interval that alone was ~0.5 s per server.
+        server = ObsServer()
+        server.start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.2
+
     def test_empty_server_serves_empty_metrics(self):
         with ObsServer() as server:
             status, _, body = get(
@@ -454,9 +463,10 @@ class TestFormatNegotiation:
 
 
 class TestSweepServeCli:
-    """`sweep --serve` end to end: a real multi-worker sweep streaming
-    cells to the in-process collector, scraped over HTTP mid-run and
-    after completion, shut down by SIGTERM with exit code 0."""
+    """`sweep --serve` end to end: a real multi-worker sweep whose cells
+    feed the in-process aggregator as they return, scraped over HTTP
+    mid-run and after completion, shut down by SIGTERM with exit code
+    0."""
 
     def test_fleet_scrape_until_sigterm(self, tmp_path):
         from repro.obs import validate_openmetrics_text

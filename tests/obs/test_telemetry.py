@@ -1,4 +1,4 @@
-"""Tests for repro.obs.telemetry — worker push, parent aggregation.
+"""Tests for repro.obs.telemetry — per-worker views, one aggregate.
 
 The determinism bar from the sweep layer applies here too: folding
 worker cells strictly in submission-index order must reproduce the
@@ -9,11 +9,7 @@ comparison the way reordered IEEE folds would).
 """
 
 import json
-import threading
-import urllib.error
-import urllib.request
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import MetricsRegistry
@@ -21,13 +17,7 @@ from repro.obs.promcheck import (
     validate_openmetrics_text,
     validate_prometheus_text,
 )
-from repro.obs.telemetry import (
-    MAX_PUSH_FAILURES,
-    TelemetryAggregator,
-    TelemetryCollector,
-    TelemetryPusher,
-    label_snapshot,
-)
+from repro.obs.telemetry import TelemetryAggregator
 
 
 def cell_snapshot(n=1, v=2.0):
@@ -53,32 +43,6 @@ def serial_fold(snaps) -> MetricsRegistry:
     return reg
 
 
-class TestLabelSnapshot:
-    def test_prepends_worker_label(self):
-        snap = cell_snapshot()
-        labelled = label_snapshot(snap, "w1")
-        fam = labelled["families"]["landlord_requests_total"]
-        assert fam["labelnames"] == ["worker", "action"]
-        assert fam["series"][0]["labels"] == ["w1", "hit"]
-        bare = labelled["families"]["landlord_hits_total"]
-        assert bare["labelnames"] == ["worker"]
-        assert bare["series"][0]["labels"] == ["w1"]
-
-    def test_input_not_modified(self):
-        snap = cell_snapshot()
-        before = json.dumps(snap, sort_keys=True)
-        label_snapshot(snap, "w1")
-        assert json.dumps(snap, sort_keys=True) == before
-
-    def test_labelled_snapshot_merges(self):
-        reg = MetricsRegistry()
-        reg.merge_snapshot(label_snapshot(cell_snapshot(), "w1"))
-        reg.merge_snapshot(label_snapshot(cell_snapshot(), "w2"))
-        fam = reg.get("landlord_hits_total")
-        assert fam.value(worker="w1") == 1
-        assert fam.value(worker="w2") == 1
-
-
 class TestAggregatorCells:
     def test_out_of_order_cells_fold_in_index_order(self):
         snaps = [cell_snapshot(n, float(n)) for n in range(4)]
@@ -97,7 +61,7 @@ class TestAggregatorCells:
         snap = cell_snapshot()
         agg = TelemetryAggregator()
         agg.ingest_cells("w1", [(0, snap)])
-        agg.ingest_cells("w1", [(0, snap)])  # retried push
+        agg.ingest_cells("w1", [(0, snap)])  # the same cell again
         agg.ingest_cells("w1", [(1, snap), (1, snap)])
         status = agg.status()
         assert status["cells"]["folded"] == 2
@@ -114,13 +78,11 @@ class TestAggregatorCells:
 
     def test_status_counters_and_progress(self):
         agg = TelemetryAggregator(expected_cells=3)
-        agg.register_worker("idle")
-        agg.ingest_cells("w1", [(0, cell_snapshot(2))], final=True)
+        assert agg.status()["workers"] == {}
+        agg.ingest_cells("w1", [(0, cell_snapshot(2))])
         status = agg.status()
-        assert status["workers"]["idle"]["mode"] is None
         w1 = status["workers"]["w1"]
-        assert w1["mode"] == "cells"
-        assert w1["final"] is True
+        assert w1["cells"] == 1
         assert w1["hits"] == 2
         assert w1["requests"] == 2
         assert status["cells"] == {
@@ -131,36 +93,13 @@ class TestAggregatorCells:
         assert agg.status()["complete"] is True
 
 
-class TestAggregatorCumulative:
-    def test_push_replaces_not_sums(self):
-        agg = TelemetryAggregator()
-        agg.ingest("client", cell_snapshot(2))
-        agg.ingest("client", cell_snapshot(5))
-        assert agg.aggregate().get("landlord_hits_total").value() == 5
-        assert agg.status()["workers"]["client"]["pushes"] == 2
-
-    def test_base_registry_included_live(self):
-        base = MetricsRegistry()
-        base.counter("service_submissions_total").inc(3)
-        agg = TelemetryAggregator(base=base)
-        agg.ingest("client", cell_snapshot(1))
-        out = agg.aggregate()
-        assert out.get("service_submissions_total").value() == 3
-        assert out.get("landlord_hits_total").value() == 1
-        base.get("service_submissions_total").inc()  # live, not a copy
-        assert agg.aggregate().get("service_submissions_total").value() == 4
-
-
 class TestFleetRender:
     def test_no_workers_renders_like_bare_registry(self):
-        base = MetricsRegistry()
-        base.counter("service_submissions_total", "S.", ("outcome",)).inc(
-            12, outcome="accepted"
-        )
-        base.histogram("service_wait_seconds").observe(0.01)
-        agg = TelemetryAggregator(base=base)
-        assert agg.to_prometheus() == base.to_prometheus()
-        assert agg.to_openmetrics() == base.to_openmetrics()
+        # A scrape before the first cell returns is an empty exposition.
+        agg = TelemetryAggregator(expected_cells=4)
+        bare = MetricsRegistry()
+        assert agg.to_prometheus() == bare.to_prometheus() == ""
+        assert agg.to_openmetrics() == bare.to_openmetrics() == "# EOF\n"
 
     def test_worker_series_under_one_type_block(self):
         agg = TelemetryAggregator()
@@ -176,7 +115,7 @@ class TestFleetRender:
     def test_both_formats_validate(self):
         agg = TelemetryAggregator()
         agg.ingest_cells("w1", [(0, cell_snapshot(1))])
-        agg.ingest("w2", cell_snapshot(2))
+        agg.ingest_cells("w2", [(1, cell_snapshot(2))])
         validate_prometheus_text(agg.to_prometheus())
         validate_openmetrics_text(agg.to_openmetrics())
 
@@ -185,175 +124,6 @@ class TestFleetRender:
         assert agg.to_openmetrics().rstrip("\n").endswith("# EOF")
         agg.ingest_cells("w1", [(0, cell_snapshot())])
         assert agg.to_openmetrics().rstrip("\n").endswith("# EOF")
-
-
-class TestIngestPayload:
-    def test_register_cells_final_shapes(self):
-        agg = TelemetryAggregator()
-        ack = agg.ingest_payload({"worker": "w1", "register": True})
-        assert ack == {"ok": True, "workers": 1, "cells_folded": 0}
-        ack = agg.ingest_payload({
-            "worker": "w1", "mode": "cells",
-            "cells": [[0, cell_snapshot()]],
-        })
-        assert ack["cells_folded"] == 1
-        agg.ingest_payload({"worker": "w1", "final": True})
-        assert agg.status()["workers"]["w1"]["final"] is True
-
-    def test_cumulative_shape(self):
-        agg = TelemetryAggregator()
-        agg.ingest_payload({
-            "worker": "c", "mode": "cumulative",
-            "snapshot": cell_snapshot(4),
-        })
-        assert agg.aggregate().get("landlord_hits_total").value() == 4
-
-    @pytest.mark.parametrize("payload", [
-        "not a dict",
-        {},
-        {"worker": ""},
-        {"worker": "w"},
-        {"worker": "w", "mode": "cells", "cells": "nope"},
-        {"worker": "w", "mode": "cumulative", "snapshot": [1, 2]},
-        {"worker": "w", "mode": "unknown"},
-    ])
-    def test_malformed_payloads_rejected(self, payload):
-        with pytest.raises(ValueError):
-            TelemetryAggregator().ingest_payload(payload)
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return (
-            response.read().decode(),
-            response.headers.get("Content-Type"),
-        )
-
-
-class TestCollectorHTTP:
-    def test_push_scrape_round_trip(self):
-        snaps = [cell_snapshot(n, float(n)) for n in range(3)]
-        with TelemetryCollector() as collector:
-            pusher = TelemetryPusher(collector.url, worker="w1")
-            assert pusher.register()
-            # out-of-order arrival: fold must still be index-ordered
-            assert pusher.push_cells([(2, snaps[2])])
-            assert pusher.push_cells([(0, snaps[0]), (1, snaps[1])])
-            assert pusher.finalize()
-            assert pusher.pushed == 4
-
-            prom, ct = _get(f"{collector.url}/metrics")
-            assert ct.startswith("text/plain")
-            validate_prometheus_text(prom)
-            assert 'landlord_hits_total{worker="w1"} 3' in prom
-
-            om, ct = _get(f"{collector.url}/metrics?format=openmetrics")
-            assert ct.startswith("application/openmetrics-text")
-            validate_openmetrics_text(om)
-
-            status, _ = _get(f"{collector.url}/statusz")
-            telemetry = json.loads(status)["telemetry"]
-            assert telemetry["workers"]["w1"]["final"] is True
-            assert telemetry["cells"]["folded"] == 3
-        assert canonical(collector.aggregator.aggregate()) == canonical(
-            serial_fold(snaps)
-        )
-
-    def test_status_extra_merged_into_statusz(self):
-        with TelemetryCollector(
-            status_extra=lambda: {"sweep": {"done": 2, "total": 8}}
-        ) as collector:
-            body, _ = _get(f"{collector.url}/statusz")
-            assert json.loads(body)["sweep"] == {"done": 2, "total": 8}
-
-    def test_bad_post_is_400_not_a_crash(self):
-        with TelemetryCollector() as collector:
-            request = urllib.request.Request(
-                f"{collector.url}/telemetry",
-                data=b'{"worker": "w", "mode": "unknown"}',
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(request, timeout=10)
-            assert exc_info.value.code == 400
-            # still alive and serving
-            body, _ = _get(f"{collector.url}/healthz")
-            assert json.loads(body)["status"] == "ok"
-
-    def test_post_elsewhere_is_404(self):
-        with TelemetryCollector() as collector:
-            request = urllib.request.Request(
-                f"{collector.url}/metrics", data=b"{}", method="POST"
-            )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(request, timeout=10)
-            assert exc_info.value.code == 404
-
-    def test_concurrent_pushers_fold_completely(self):
-        snaps = [cell_snapshot(n % 3 + 1, float(n)) for n in range(12)]
-        with TelemetryCollector() as collector:
-
-            def push(worker, indices):
-                pusher = TelemetryPusher(collector.url, worker=worker)
-                for index in indices:
-                    pusher.push_cells([(index, snaps[index])])
-                pusher.finalize()
-
-            threads = [
-                threading.Thread(
-                    target=push, args=(f"w{k}", range(k, 12, 3))
-                )
-                for k in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert collector.aggregator.status()["cells"]["folded"] == 12
-        assert canonical(collector.aggregator.aggregate()) == canonical(
-            serial_fold(snaps)
-        )
-
-
-class TestPusherFailureTolerance:
-    def test_dead_endpoint_never_raises(self):
-        # A port from the ephemeral range with nothing listening.
-        pusher = TelemetryPusher(
-            "http://127.0.0.1:9", worker="w", timeout=0.2
-        )
-        assert pusher.push_cells([(0, cell_snapshot())]) is False
-        assert pusher.pushed == 0
-
-    def test_disables_after_consecutive_failures(self):
-        pusher = TelemetryPusher(
-            "http://127.0.0.1:9", worker="w", timeout=0.2
-        )
-        with pytest.warns(RuntimeWarning, match="disabled after"):
-            for _ in range(MAX_PUSH_FAILURES):
-                pusher.finalize()
-        assert pusher.enabled is False
-        # further pushes are free no-ops
-        assert pusher.push(cell_snapshot()) is False
-
-    def test_success_resets_the_failure_run(self):
-        with TelemetryCollector() as collector:
-            pusher = TelemetryPusher(collector.url, worker="w")
-            bad = TelemetryPusher(
-                "http://127.0.0.1:9", worker="w", timeout=0.2
-            )
-            for _ in range(MAX_PUSH_FAILURES - 1):
-                bad.finalize()
-            assert bad.enabled is True
-            assert pusher.register()
-            assert pusher.enabled is True
-
-    def test_url_normalisation(self):
-        assert TelemetryPusher("http://h:1").url == "http://h:1/telemetry"
-        assert (
-            TelemetryPusher("http://h:1/telemetry").url
-            == "http://h:1/telemetry"
-        )
 
 
 # -- property tests ---------------------------------------------------------
@@ -405,8 +175,8 @@ class TestMergeProperties:
         forward = TelemetryAggregator()
         backward = TelemetryAggregator()
         for i, snap in enumerate(cells):
-            forward.ingest(f"w{i}", snap)
+            forward.ingest_cells(f"w{i}", [(i, snap)])
         for i, snap in reversed(list(enumerate(cells))):
-            backward.ingest(f"w{i}", snap)
+            backward.ingest_cells(f"w{i}", [(i, snap)])
         assert forward.to_prometheus() == backward.to_prometheus()
         assert forward.to_openmetrics() == backward.to_openmetrics()

@@ -255,6 +255,31 @@ class TestAdmissionControl:
             assert post("/submit", b'{"packages": "p0"}')[0] == 400
             assert post("/submit", b'{"packages": [1, 2]}')[0] == 400
 
+    @pytest.mark.parametrize("length, code", [
+        ("-1", 411), ("abc", 411), ("5", 400),
+    ])
+    def test_bad_content_length_answers_at_once(self, tmp_path, length, code):
+        # A raw socket, so the header goes out as written and the
+        # connection stays open: a handler that waits for more body
+        # bytes (rfile.read(-1) reads to EOF) never answers.
+        import socket
+
+        daemon = make_daemon(tmp_path)
+        with daemon:
+            with socket.create_connection(
+                ("127.0.0.1", daemon.port), timeout=2
+            ) as sock:
+                sock.sendall(
+                    b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                    b"12345"
+                )
+                try:
+                    head = sock.recv(64)
+                except socket.timeout:
+                    pytest.fail(f"no reply to Content-Length: {length}")
+        assert head.startswith(f"HTTP/1.1 {code} ".encode()), head
+
 
 class TestObservabilitySurface:
     def test_metrics_statusz_healthz(self, tmp_path):
@@ -318,6 +343,31 @@ class TestObservabilitySurface:
             except urllib.error.HTTPError as error:
                 assert error.code == 404
                 assert b"/submit" in error.read()
+
+    def test_no_telemetry_ingest_route(self, tmp_path):
+        # /metrics is this daemon's own registry, unlabelled; there is
+        # no route for other processes to push theirs into it.
+        import urllib.error
+        import urllib.request
+
+        registry = MetricsRegistry()
+        daemon = make_daemon(tmp_path, registry=registry)
+        with daemon:
+            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
+            client.submit(client_specs(1, n=1)[0])
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{daemon.port}/telemetry",
+                data=b'{"worker": "w", "mode": "cells", "cells": []}',
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            assert excinfo.value.code == 404
+            body = client.metrics()
+            status = client.status()
+        assert 'service_submissions_total{outcome="accepted"} 1' in body
+        assert 'worker="' not in body
+        assert "telemetry" not in status
 
     def test_traces_flow_to_sidecar_for_explain(self, tmp_path):
         tracer = DecisionTracer(limit=64)
@@ -595,94 +645,6 @@ class TestLifecycle:
         with daemon:
             assert daemon.port > 0
             assert daemon.url == f"http://127.0.0.1:{daemon.port}"
-
-class TestFleetTelemetryIngest:
-    def test_client_snapshot_appears_with_worker_label(self, tmp_path):
-        from repro.obs.telemetry import TelemetryPusher
-
-        registry = MetricsRegistry()
-        daemon = make_daemon(tmp_path, registry=registry)
-        with daemon:
-            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
-            for spec in client_specs(1, n=2):
-                client.submit(spec)
-            edge = MetricsRegistry()
-            edge.counter("landlord_hits_total", "Hits.").inc(9)
-            pusher = TelemetryPusher(
-                f"http://127.0.0.1:{daemon.port}", worker="edge-1"
-            )
-            assert pusher.push(edge.snapshot(), final=True)
-            body = client.metrics()
-            validate_prometheus_text(body)
-            # daemon's own families keep their unlabelled shape
-            assert (
-                'service_submissions_total{outcome="accepted"} 2' in body
-            )
-            # pushed client series carry the worker label, and land in
-            # the aggregate too
-            assert 'landlord_hits_total{worker="edge-1"} 9' in body
-            assert "\nlandlord_hits_total 9\n" in f"\n{body}"
-            status = client.status()
-            assert status["telemetry"]["workers"]["edge-1"]["final"]
-
-    def test_no_pushes_means_no_telemetry_block(self, tmp_path):
-        registry = MetricsRegistry()
-        daemon = make_daemon(tmp_path, registry=registry)
-        with daemon:
-            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
-            client.submit(client_specs(1, n=1)[0])
-            assert "telemetry" not in client.status()
-            assert 'worker="' not in client.metrics()
-
-    def test_openmetrics_scrape_with_fleet(self, tmp_path):
-        import urllib.request
-
-        from repro.obs import validate_openmetrics_text
-        from repro.obs.telemetry import TelemetryPusher
-
-        registry = MetricsRegistry()
-        daemon = make_daemon(tmp_path, registry=registry)
-        with daemon:
-            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
-            client.submit(client_specs(2, n=1)[0])
-            edge = MetricsRegistry()
-            edge.counter("landlord_hits_total").inc(1)
-            TelemetryPusher(
-                f"http://127.0.0.1:{daemon.port}", worker="edge-1"
-            ).push(edge.snapshot())
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{daemon.port}/metrics"
-                "?format=openmetrics",
-                timeout=5,
-            ) as response:
-                assert response.headers["Content-Type"].startswith(
-                    "application/openmetrics-text"
-                )
-                body = response.read().decode()
-        validate_openmetrics_text(body)
-        assert 'landlord_hits_total{worker="edge-1"} 1' in body
-
-    def test_malformed_telemetry_post_is_400(self, tmp_path):
-        import urllib.error
-        import urllib.request
-
-        daemon = make_daemon(tmp_path, registry=MetricsRegistry())
-        with daemon:
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{daemon.port}/telemetry",
-                data=b'{"worker": "w", "mode": "bogus"}',
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            try:
-                urllib.request.urlopen(request, timeout=5)
-                pytest.fail("malformed telemetry should 400")
-            except urllib.error.HTTPError as error:
-                assert error.code == 400
-            # the daemon still accepts submissions afterwards
-            client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
-            reply = client.submit(client_specs(5, n=1)[0])
-            assert reply["action"] in {"hit", "merge", "insert"}
 
 
 class TestAdaptiveMaxBatch:
