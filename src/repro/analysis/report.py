@@ -122,49 +122,45 @@ def timeline_from_events(
     log does not record package overlap between images — so that series
     is absent here (plots simply skip it).
     """
-    if isinstance(events, (str, Path)):
-        from repro.obs.stream import read_event_stream
+    from repro.core.cache import CacheStats
+    from repro.obs.stream import fold_event, read_event_stream
 
+    if isinstance(events, (str, Path)):
         events = read_event_stream(events)
-    fields = (
-        "hits", "inserts", "merges", "deletes",
-        "deletes_capacity", "deletes_idle",
-        "cached_bytes", "bytes_written", "requested_bytes",
-    )
-    counts = {name: 0 for name in fields}
+    stats = CacheStats()
     sizes: Dict[str, int] = {}
-    series: Dict[str, list] = {name: [] for name in fields}
+
+    def counts() -> Dict[str, int]:
+        return {
+            "hits": stats.hits,
+            "inserts": stats.inserts,
+            "merges": stats.merges,
+            "deletes": stats.deletes,
+            "deletes_capacity": stats.evictions_capacity,
+            "deletes_idle": stats.evictions_idle,
+            "cached_bytes": sum(sizes.values()),
+            "bytes_written": stats.bytes_written,
+            "requested_bytes": stats.requested_bytes,
+        }
+
+    series: Dict[str, list] = {name: [] for name in counts()}
     pending_decision = False
 
     def sample() -> None:
-        counts["cached_bytes"] = sum(sizes.values())
-        for name in fields:
-            series[name].append(counts[name])
+        for name, value in counts().items():
+            series[name].append(value)
 
     for event in events:
         if event.kind is EventKind.DELETE:
-            counts["deletes"] += 1
-            if event.reason == "idle":
-                counts["deletes_idle"] += 1
-            else:
-                counts["deletes_capacity"] += 1
             sizes.pop(event.image_id, None)
-            continue
-        # A decision event closes the previous request's sample window
-        # (its evictions are emitted after it, before the next decision).
-        if pending_decision:
-            sample()
-        pending_decision = True
-        counts["requested_bytes"] += event.requested_bytes or 0
-        sizes[event.image_id] = event.image_bytes
-        if event.kind is EventKind.HIT:
-            counts["hits"] += 1
-        elif event.kind is EventKind.MERGE:
-            counts["merges"] += 1
-            counts["bytes_written"] += event.bytes_written
         else:
-            counts["inserts"] += 1
-            counts["bytes_written"] += event.bytes_written
+            # A decision closes the previous request's sample window (its
+            # evictions follow it, before the next decision).
+            if pending_decision:
+                sample()
+            pending_decision = True
+            sizes[event.image_id] = event.image_bytes
+        fold_event(stats, event)
     if pending_decision:
         sample()
     return {

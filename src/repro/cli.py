@@ -944,15 +944,16 @@ def _cmd_submit(argv: Sequence[str]) -> int:
 
         save_registry(registry, args.metrics_out)
     if tracer is not None:
-        from repro.obs import write_traces
+        from repro.core.events import EventKind
+        from repro.obs import write_event_stream
 
-        traces = tracer.drain()
-        trace_path = _trace_path(args)
-        write_traces(traces, trace_path, append=True)
-        for trace in traces:
-            print(f"traced request #{trace.request_index} -> "
-                  f"`repro-landlord explain {trace.request_index} "
-                  f"--state {args.state}`")
+        events = tracer.drain()
+        write_event_stream(events, _trace_path(args), append=True)
+        for event in events:
+            if event.kind is not EventKind.DELETE:
+                print(f"traced request #{event.request_index} -> "
+                      f"`repro-landlord explain {event.request_index} "
+                      f"--state {args.state}`")
     if alerts is not None:
         return _finish_alerts(alerts, args.alert_log)
     return 0
@@ -1274,7 +1275,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
 def _cmd_explain(argv: Sequence[str]) -> int:
     from pathlib import Path
 
-    from repro.obs import read_traces
+    from repro.obs import by_request, explain, iter_event_stream
 
     parser = argparse.ArgumentParser(
         prog="repro-landlord explain",
@@ -1298,15 +1299,24 @@ def _cmd_explain(argv: Sequence[str]) -> int:
         print(f"no trace file at {trace_path} — run "
               "`repro-landlord submit --trace ...` first", file=sys.stderr)
         return 2
-    traces = read_traces(trace_path)
-    trace = traces.get(args.index)
-    if trace is None:
-        held = sorted(traces)
+    try:
+        # Later records win: an appended sidecar that re-traced an index
+        # (e.g. after a state reset) resolves to the most recent one.
+        records = {
+            record[0].request_index: record
+            for record in by_request(iter_event_stream(trace_path))
+        }
+    except ValueError as exc:
+        print(f"cannot read trace file: {exc}", file=sys.stderr)
+        return 2
+    record = records.get(args.index)
+    if record is None:
+        held = sorted(records)
         span = f"{held[0]}..{held[-1]}" if held else "none"
         print(f"request #{args.index} is not in {trace_path} "
               f"(traced indices: {span})", file=sys.stderr)
         return 1
-    print(trace.explain())
+    print(explain(record))
     return 0
 
 

@@ -59,9 +59,8 @@ from typing import (
 import numpy as np
 
 from repro.core.engine import ENGINES, make_engine
-from repro.core.events import CacheEvent, EventKind
+from repro.core.events import CacheEvent, EventKind, MergeCandidate
 from repro.core.spec import ImageSpec
-from repro.obs.trace import RequestTrace, TracedCandidate, TracedEviction
 from repro.packages.conflicts import ConflictPolicy, NoConflicts
 
 __all__ = [
@@ -333,7 +332,7 @@ class _CacheInstruments:
         "merge_distance",
         "request_s", "subset_scan_s",
         "candidate_probe_s", "merge_rewrite_s", "eviction_s",
-        "clock", "trace_ids",
+        "clock",
     )
 
     def __init__(self, registry, engine: str = "vectorized") -> None:
@@ -341,11 +340,8 @@ class _CacheInstruments:
         from repro.obs.metrics import DEFAULT_TIME_BUCKETS, DISTANCE_BUCKETS
 
         self.registry = registry
-        # Wall-clock source for exemplar timestamps; the request-index
-        # map is set per window by the service daemon so request
-        # exemplars additionally carry their distributed trace_id.
+        # Wall-clock source for exemplar timestamps.
         self.clock = default_clock()
-        self.trace_ids: Optional[Dict[int, str]] = None
         requests = registry.counter(
             "landlord_requests_total",
             "Requests served, by Algorithm 1 outcome.",
@@ -421,17 +417,15 @@ class _CacheInstruments:
             "landlord_eviction_seconds",
             "Wall-clock seconds in the capacity-eviction loop (when it ran).")
 
-    def exemplar_for(self, request_index: int) -> tuple:
+    @staticmethod
+    def exemplar_for(request_index: int, trace_id: Optional[str]) -> tuple:
         """The exemplar label set for one request's latency observation:
         always the request index (the ``explain`` click-through), plus
         the distributed ``trace_id`` when the service daemon mapped this
         index to one (the waterfall click-through)."""
         exemplar = (("request", str(request_index)),)
-        trace_ids = self.trace_ids
-        if trace_ids is not None:
-            trace_id = trace_ids.get(request_index)
-            if trace_id is not None:
-                exemplar += (("trace_id", trace_id),)
+        if trace_id is not None:
+            exemplar += (("trace_id", trace_id),)
         return exemplar
 
 
@@ -452,7 +446,7 @@ class LandlordCache:
             ``"insertion"``, or ``"random"`` (ablations).
         eviction: ``"lru"`` (default), ``"fifo"``, or ``"size"`` (largest
             first).
-        record_events: keep a :class:`CacheEvent` log (needed for Fig. 5).
+        record_events: keep a :class:`CacheEvent` log in :attr:`events`.
         rng: source of randomness for ``candidate_order="random"``.
         merge_write_mode: ``"full"`` (the paper's mechanism — a merged
             image is rewritten in its entirety) or ``"delta"`` (a
@@ -464,10 +458,9 @@ class LandlordCache:
             counters, gauges, and hot-path latency histograms into
             (equivalent to calling :meth:`enable_metrics` after
             construction).
-        tracer: optional :class:`repro.obs.DecisionTracer` recording a
-            structured per-request decision trace (equivalent to
-            calling :meth:`enable_tracing`).  Tracing never perturbs
-            decisions.
+        tracer: optional :class:`repro.obs.DecisionTracer` fed every
+            :class:`CacheEvent` as it is emitted (equivalent to calling
+            :meth:`enable_tracing`).  Tracing never perturbs decisions.
         slo: optional :class:`repro.obs.SloTracker` fed one observation
             per request for rolling-window telemetry (equivalent to
             calling :meth:`enable_slo`).  Like tracing, it only reads —
@@ -544,9 +537,9 @@ class LandlordCache:
         self.events: List[CacheEvent] = []
         self._ins: Optional[_CacheInstruments] = None
         self._tracer = None
+        self._trace_ids: Optional[Dict[int, str]] = None
         self._slo = None
         self._lock = None
-        self._pending_evictions: List[TracedEviction] = []
         # The engine binds last: it reads the validated policy knobs and
         # mirrors _images (empty here; restore() replays adds into it).
         self._engine = make_engine(engine)
@@ -581,21 +574,20 @@ class LandlordCache:
         self._update_gauges()
 
     def enable_tracing(self, tracer) -> None:
-        """Record per-request decision traces into ``tracer``."""
+        """Feed every emitted :class:`CacheEvent` to ``tracer.on_event``."""
         self._tracer = tracer
 
     def set_exemplar_traces(self, trace_ids) -> None:
         """Map request indices to distributed trace ids for the next
-        window's latency exemplars.
+        window.
 
         The service daemon calls this before :meth:`submit_batch` with
-        ``{request_index: trace_id}`` so the slow-bucket exemplars on
-        ``landlord_request_seconds`` carry the trace id of the request
-        that landed there, and clears it (``None``) afterwards.  A no-op
-        when metrics are disabled.
+        ``{request_index: trace_id}`` and clears it (``None``)
+        afterwards.  A request whose index is mapped gets the id on its
+        decision event (so the ``--trace`` sidecar links to the
+        waterfall) and on its ``landlord_request_seconds`` exemplar.
         """
-        if self._ins is not None:
-            self._ins.trace_ids = trace_ids
+        self._trace_ids = trace_ids
 
     @property
     def slo(self):
@@ -698,11 +690,11 @@ class LandlordCache:
         job requests as documented).  Returns the evicted ids (counted as
         deletes).
 
-        Both the emitted :class:`CacheEvent` and the tracer callback
-        carry ``stats.requests - 1`` — the 0-based index of the last
-        completed request, i.e. the request the images idled out *after*
-        (an idle eviction requires at least one request, so the index is
-        never negative).
+        Each emitted DELETE carries ``stats.requests - 1`` — the 0-based
+        index of the last completed request, i.e. the request the images
+        idled out *after* (an idle eviction requires at least one
+        request, so the index is never negative) and the decision the
+        DELETE follows in the event stream.
         """
         if max_idle_requests < 0:
             raise ValueError("max_idle_requests must be non-negative")
@@ -715,6 +707,7 @@ class LandlordCache:
     def _evict_idle(self, max_idle_requests: int) -> List[str]:
         horizon = self.stats.requests - max_idle_requests
         request_index = self.stats.requests - 1
+        recorded = self.record_events or self._tracer is not None
         evicted = []
         for image in list(self._images.values()):
             if image.last_request < horizon:
@@ -722,18 +715,15 @@ class LandlordCache:
                 self.stats.deletes += 1
                 self.stats.evictions_idle += 1
                 evicted.append(image.id)
-                self._emit(
-                    CacheEvent(
-                        EventKind.DELETE, request_index,
-                        image.id, image.size, reason="idle",
+                if recorded:
+                    self._emit(
+                        CacheEvent(
+                            EventKind.DELETE, request_index,
+                            image.id, image.size, reason="idle",
+                        )
                     )
-                )
                 if self._ins is not None:
                     self._ins.evict_idle.inc()
-                if self._tracer is not None:
-                    self._tracer.on_idle_eviction(
-                        request_index, image.id, image.size
-                    )
         if evicted:
             self._update_gauges()
         return evicted
@@ -757,12 +747,10 @@ class LandlordCache:
         image participates in hits, merges, and eviction exactly like a
         locally built one.
 
-        Capacity evictions an adoption forces are reported to an attached
-        tracer via
-        :meth:`~repro.obs.trace.DecisionTracer.on_adoption_evictions`,
-        attached to the last completed request's trace (like
-        ``evict_idle`` victims); the emitted DELETE events themselves use
-        the next request's index, as for in-request capacity evictions.
+        Capacity evictions an adoption forces emit DELETE events with the
+        next request's index, as for in-request capacity evictions; in
+        the stream they follow the last completed request's decision, so
+        a tracer files them there (like ``evict_idle`` victims).
         """
         lock = self._lock
         if lock is None:
@@ -780,15 +768,6 @@ class LandlordCache:
         self._engine.on_touch(image)
         self.stats.adoptions += 1
         self._evict_to_capacity(image.id, self.stats.requests)
-        if self._pending_evictions:
-            # _evict_to_capacity queued these for the tracer; an adoption
-            # has no request of its own, so hand them over here instead
-            # of silently discarding them.
-            if self._tracer is not None:
-                self._tracer.on_adoption_evictions(
-                    self.stats.requests - 1, tuple(self._pending_evictions)
-                )
-            self._pending_evictions.clear()
         self._update_gauges()
         return image
 
@@ -1107,8 +1086,11 @@ class LandlordCache:
     # -- internals ---------------------------------------------------------------
 
     def _emit(self, event: CacheEvent) -> None:
+        # Callers build the event only when one of these sinks exists.
         if self.record_events:
             self.events.append(event)
+        if self._tracer is not None:
+            self._tracer.on_event(event)
 
     # Incidental-memory bound for _spec_memo; class attribute so tests can
     # shrink it without replaying 64Ki distinct specs.
@@ -1198,7 +1180,7 @@ class LandlordCache:
         if self._cached_bytes <= self.capacity:
             return evicted
         ins = self._ins
-        tracer = self._tracer
+        recorded = self.record_events or self._tracer is not None
         start = perf_counter() if ins is not None else 0.0
         while self._cached_bytes > self.capacity:
             victim = self._engine.eviction_victim(pinned_id)
@@ -1208,21 +1190,18 @@ class LandlordCache:
             self.stats.deletes += 1
             self.stats.evictions_capacity += 1
             evicted.append(victim.id)
-            self._emit(
-                CacheEvent(
-                    EventKind.DELETE,
-                    request_index,
-                    victim.id,
-                    victim.size,
-                    reason="capacity",
+            if recorded:
+                self._emit(
+                    CacheEvent(
+                        EventKind.DELETE,
+                        request_index,
+                        victim.id,
+                        victim.size,
+                        reason="capacity",
+                    )
                 )
-            )
             if ins is not None:
                 ins.evict_capacity.inc()
-            if tracer is not None:
-                self._pending_evictions.append(
-                    TracedEviction(victim.id, victim.size, "capacity")
-                )
         if ins is not None:
             ins.eviction_s.observe(perf_counter() - start)
         return evicted
@@ -1254,7 +1233,7 @@ class LandlordCache:
         self.stats.requested_bytes += requested
         self._clock += 1
         ins = self._ins
-        tracer = self._tracer
+        recorded = self.record_events or self._tracer is not None
         timed = ins is not None or self._slo is not None
         images_scanned = len(self._images)
         started = perf_counter() if timed else 0.0
@@ -1262,7 +1241,7 @@ class LandlordCache:
         distance: Optional[float] = None
         bytes_added = written = examined = conflicts = 0
         evicted: List[str] = []
-        traced: Optional[List[TracedCandidate]] = None
+        tried: List[MergeCandidate] = []
 
         # Step 1: reuse an existing superset image.
         t0 = perf_counter() if ins is not None else 0.0
@@ -1275,12 +1254,6 @@ class LandlordCache:
             self._engine.on_touch(image)
             self.stats.hits += 1
             self.stats.used_bytes += image.size
-            self._emit(
-                CacheEvent(
-                    EventKind.HIT, request_index, image.id, image.size,
-                    requested_bytes=requested,
-                )
-            )
         else:
             # Step 2: merge into the first near image that does not conflict.
             can_conflict = type(self.conflict_policy) is not NoConflicts
@@ -1301,35 +1274,30 @@ class LandlordCache:
                     candidates.sort(key=lambda pair: (pair[0], pair[1].id))
                 elif self.candidate_order == "random":
                     self._rng.shuffle(candidates)
-            if tracer is not None:
-                traced = []
             for pos, (distance, target) in enumerate(candidates):
                 if can_conflict and self.conflict_policy.conflicts(
                     packages, target.packages
                 ):
                     self.stats.conflicts_skipped += 1
                     conflicts += 1
-                    if traced is not None:
-                        traced.append(TracedCandidate(
+                    if recorded:
+                        tried.append(MergeCandidate(
                             target.id, distance, target.size, "conflict"
                         ))
                     continue
-                if traced is not None:
+                if recorded:
                     # Record the chosen candidate's size before the merge
                     # rewrite mutates it, and the never-reached rest.
-                    traced.append(TracedCandidate(
+                    tried.append(MergeCandidate(
                         target.id, distance, target.size, "merged"
                     ))
                     for rest_distance, rest in candidates[pos + 1:]:
-                        traced.append(TracedCandidate(
+                        tried.append(MergeCandidate(
                             rest.id, rest_distance, rest.size, "unused"
                         ))
                 action = EventKind.MERGE
                 image = target
-                bytes_added, written = self._do_merge(
-                    target, mask, requested, distance,
-                    request_index, examined, conflicts,
-                )
+                bytes_added, written = self._do_merge(target, mask)
                 break
             else:
                 # Step 3: no mergeable candidate — insert a fresh image.
@@ -1342,14 +1310,25 @@ class LandlordCache:
                 self.stats.bytes_written += requested
                 self.stats.used_bytes += requested
                 bytes_added = written = requested
-                self._emit(
-                    CacheEvent(
-                        EventKind.INSERT, request_index, image.id, image.size,
-                        bytes_written=requested, requested_bytes=requested,
-                        candidates_examined=examined,
-                        conflicts_skipped=conflicts,
-                    )
+
+        trace_ids = self._trace_ids
+        trace_id = (
+            trace_ids.get(request_index) if trace_ids is not None else None
+        )
+        if recorded:
+            # The one decision record; capacity DELETEs follow it.
+            self._emit(
+                CacheEvent(
+                    action, request_index, image.id, image.size,
+                    bytes_written=written, requested_bytes=requested,
+                    distance=distance, candidates_examined=examined,
+                    conflicts_skipped=conflicts, n_packages=n_request,
+                    alpha=self.alpha, images_scanned=images_scanned,
+                    bytes_added=bytes_added, candidates=tuple(tried),
+                    trace_id=trace_id,
                 )
+            )
+        if action is not EventKind.HIT:
             # Step 4: evict down to capacity, never the image being returned.
             evicted = self._evict_to_capacity(image.id, request_index)
 
@@ -1357,11 +1336,10 @@ class LandlordCache:
             action, image, requested,
             distance=distance, bytes_added=bytes_added, evicted=evicted,
         )
-        if timed or tracer is not None:
+        if timed:
             self._observe(
-                decision, request_index, n_request, images_scanned,
-                written, examined, conflicts, traced,
-                perf_counter() - started if timed else 0.0,
+                decision, request_index, trace_id, written, examined,
+                conflicts, perf_counter() - started,
             )
         return decision
 
@@ -1369,24 +1347,21 @@ class LandlordCache:
         self,
         decision: CacheDecision,
         request_index: int,
-        n_request: int,
-        images_scanned: int,
+        trace_id: Optional[str],
         written: int,
         examined: int,
         conflicts: int,
-        traced: Optional[List[TracedCandidate]],
         elapsed: float,
     ) -> None:
         """Report one finished request to the attached observers.
 
-        The single seam between Algorithm 1 and the metrics registry, the
-        SLO window and the decision tracer: ``_request`` decides, then
-        hands over what it decided.  Observers only read, and all of them
-        see the same ``elapsed`` reading.
+        The single seam between Algorithm 1 and the metrics registry and
+        the SLO window: ``_request`` decides, then hands over what it
+        decided.  Observers only read, and both see the same ``elapsed``
+        reading.
         """
         ins = self._ins
         slo = self._slo
-        tracer = self._tracer
         action = decision.action
         image = decision.image
         requested = decision.requested_bytes
@@ -1405,7 +1380,8 @@ class LandlordCache:
                 self._update_gauges()
             ins.requested_bytes.inc(requested)
             ins.request_s.observe(
-                elapsed, ins.exemplar_for(request_index), ins.clock.now()
+                elapsed, ins.exemplar_for(request_index, trace_id),
+                ins.clock.now(),
             )
         if slo is not None:
             slo.on_request(
@@ -1413,23 +1389,6 @@ class LandlordCache:
                 len(decision.evicted), elapsed,
                 self._cached_bytes, self._unique_bytes, len(self._images),
             )
-        if tracer is not None:
-            evictions = tuple(self._pending_evictions)
-            self._pending_evictions.clear()
-            tracer.on_request(RequestTrace(
-                request_index=request_index,
-                n_packages=n_request,
-                requested_bytes=requested,
-                alpha=self.alpha,
-                images_scanned=images_scanned,
-                action=action.value,
-                image_id=image.id,
-                image_bytes=image.size,
-                distance=decision.distance,
-                bytes_added=decision.bytes_added,
-                candidates=tuple(traced or ()),
-                evictions=evictions,
-            ))
 
     def submit_batch(
         self,
@@ -1472,16 +1431,7 @@ class LandlordCache:
                 decisions.append(self._request(spec, triple))
         return decisions
 
-    def _do_merge(
-        self,
-        target: CachedImage,
-        mask: int,
-        requested: int,
-        distance: float,
-        request_index: int,
-        candidates_examined: int,
-        conflicts_skipped: int,
-    ) -> Tuple[int, int]:
+    def _do_merge(self, target: CachedImage, mask: int) -> Tuple[int, int]:
         """Rewrite ``target`` as ``target ∪ request``; returns
         ``(bytes_added, bytes_written)``."""
         ins = self._ins
@@ -1511,13 +1461,4 @@ class LandlordCache:
         written = new_size if self.merge_write_mode == "full" else added_bytes
         self.stats.bytes_written += written
         self.stats.used_bytes += new_size
-        self._emit(
-            CacheEvent(
-                EventKind.MERGE, request_index, target.id, new_size,
-                bytes_written=written, requested_bytes=requested,
-                distance=distance,
-                candidates_examined=candidates_examined,
-                conflicts_skipped=conflicts_skipped,
-            )
-        )
         return added_bytes, written

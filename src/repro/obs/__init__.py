@@ -18,11 +18,12 @@ Modules:
   ``traceparent`` context propagation, a bounded span ring buffer
   feeding ``service_stage_seconds{stage=...}`` histograms, and the
   ASCII waterfall renderer behind ``repro-landlord trace``.
-- :mod:`repro.obs.trace` — per-request ``RequestTrace`` records and the
-  ``explain`` renderer behind ``repro-landlord explain``.
+- :mod:`repro.obs.trace` — the ``DecisionTracer`` (a bounded index over
+  the ``CacheEvent`` stream) and the ``explain`` renderer behind
+  ``repro-landlord explain`` and ``/traces``.
 - :mod:`repro.obs.stream` — JSONL serialisation of the ``CacheEvent``
-  log and stats reconstruction from it (torn final lines from a crash
-  mid-write heal like the journal's).
+  log (also the ``--trace`` sidecar format) and the event → stats fold
+  (torn final lines from a crash mid-write heal like the journal's).
 - :mod:`repro.obs.slo` — rolling-window derived telemetry (windowed
   hit rate, byte rates, efficiency, latency quantiles) updated on the
   hot path behind the same guards.
@@ -89,6 +90,7 @@ from .stream import (
     event_from_jsonable,
     event_to_jsonable,
     iter_event_stream,
+    fold_event,
     read_event_stream,
     stats_from_events,
     write_event_stream,
@@ -97,14 +99,7 @@ from .promcheck import validate_openmetrics_text, validate_prometheus_text
 from .server import ObsServer, build_status
 from .telemetry import TelemetryAggregator
 from .slo import DEFAULT_WINDOW, SLO_SERIES, RollingWindow, SloTracker
-from .trace import (
-    DecisionTracer,
-    RequestTrace,
-    TracedCandidate,
-    TracedEviction,
-    read_traces,
-    write_traces,
-)
+from .trace import DecisionTracer, by_request, explain
 
 __all__ = [
     "Counter",
@@ -129,16 +124,14 @@ __all__ = [
     "parse_traceparent",
     "render_waterfall",
     "DecisionTracer",
-    "RequestTrace",
-    "TracedCandidate",
-    "TracedEviction",
-    "read_traces",
-    "write_traces",
+    "by_request",
+    "explain",
     "event_to_jsonable",
     "event_from_jsonable",
     "write_event_stream",
     "read_event_stream",
     "iter_event_stream",
+    "fold_event",
     "stats_from_events",
     "AlertEngine",
     "AlertRule",

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from ..core.events import EventKind
 from ..util.asciiplot import Series, line_plot
 from ..util.units import format_bytes
 from .slo import DEFAULT_WINDOW, SloTracker
+from .stream import fold_event, iter_event_stream
 
 __all__ = [
     "render_frame",
@@ -230,9 +232,10 @@ class EventReplay:
     path would, except latency is unknown (``None``) and unique bytes
     cannot be reconstructed; cached bytes are tracked from per-image
     sizes the way
-    :func:`repro.analysis.report.timeline_from_events` does.  Evictions
-    follow their triggering decision in the stream, so each decision is
-    folded in when the *next* one arrives (or at :meth:`flush`).
+    :func:`repro.analysis.report.timeline_from_events` does, and
+    counters through :func:`~repro.obs.stream.fold_event`.  A DELETE
+    belongs to the decision before it, so each decision reaches the SLO
+    window when the *next* one arrives (or at :meth:`flush`).
     """
 
     def __init__(
@@ -275,34 +278,15 @@ class EventReplay:
 
     def feed(self, event) -> None:
         """Fold one event into the replay state."""
-        from ..core.events import EventKind
-
         if event.kind is EventKind.DELETE:
-            self.stats.deletes += 1
-            if event.reason == "idle":
-                self.stats.evictions_idle += 1
-            else:
-                self.stats.evictions_capacity += 1
             self._sizes.pop(event.image_id, None)
             if self._pending is not None:
                 self._pending = (self._pending[0], self._pending[1] + 1)
-            return
-        self._fold_pending()
-        self.stats.requests += 1
-        self.stats.requested_bytes += event.requested_bytes or 0
-        self.stats.used_bytes += event.image_bytes
-        self.stats.candidates_examined += event.candidates_examined
-        self.stats.conflicts_skipped += event.conflicts_skipped
-        self._sizes[event.image_id] = event.image_bytes
-        if event.kind is EventKind.HIT:
-            self.stats.hits += 1
-        elif event.kind is EventKind.MERGE:
-            self.stats.merges += 1
-            self.stats.bytes_written += event.bytes_written
         else:
-            self.stats.inserts += 1
-            self.stats.bytes_written += event.bytes_written
-        self._pending = (event, 0)
+            self._fold_pending()
+            self._sizes[event.image_id] = event.image_bytes
+            self._pending = (event, 0)
+        fold_event(self.stats, event)
 
     def flush(self) -> None:
         """Fold the final pending decision (end of stream)."""
@@ -368,9 +352,6 @@ def frames_from_events(
     of stream.  This is the engine behind
     ``repro-landlord top --from-events`` and its golden-frame test.
     """
-    from ..core.events import EventKind
-    from .stream import iter_event_stream
-
     if isinstance(events, str):
         events = iter_event_stream(events)
     if every < 1:

@@ -19,10 +19,10 @@ blocks on a scraper:
 - ``GET /traces/<n>`` — the last *n* decision narratives (the
   ``explain`` renderer) from a bounded ring buffer — a
   :class:`~repro.obs.trace.DecisionTracer` with a ``limit``;
-  ``?format=json`` switches to the structured view: the decision
-  records as JSON plus, when a :class:`~repro.obs.spans.SpanRecorder`
-  is attached, the per-stage span waterfalls
-  (``repro-landlord trace`` consumes exactly this).
+  ``?format=json`` switches to the structured view: those requests'
+  events as event-stream records plus, when a
+  :class:`~repro.obs.spans.SpanRecorder` is attached, the per-stage
+  span waterfalls (``repro-landlord trace`` consumes exactly this).
 
 The server only ever *reads* shared state.  Scrapes race the request
 loop benignly under the GIL for scalar reads; an optional ``lock`` can
@@ -45,6 +45,8 @@ from repro.obs.metrics import (
     OPENMETRICS_CONTENT_TYPE,
     PROMETHEUS_CONTENT_TYPE,
 )
+from repro.obs.stream import event_to_jsonable
+from repro.obs.trace import explain
 
 __all__ = ["ObsServer", "ReplyHandler", "build_status"]
 
@@ -342,20 +344,21 @@ class ObsServer:
     def _render_traces(self, n: int) -> Optional[str]:
         if self.tracer is None:
             return None
-        traces = self.tracer.traces()[-n:]
-        if not traces:
+        events = self.tracer.recent(n)
+        if not events:
             return "no traces recorded\n"
-        return "\n\n".join(t.explain() for t in traces) + "\n"
+        return explain(events) + "\n"
 
     def _render_traces_json(self, n: int) -> Optional[str]:
-        """The structured ``/traces?format=json`` body: the last *n*
-        decision records (``"decisions"``) and span waterfalls
+        """The structured ``/traces?format=json`` body: the events of
+        the last *n* requests (``"decisions"``: each decision followed
+        by its DELETEs, as event-stream records) and span waterfalls
         (``"traces"``); ``None`` when neither source is attached."""
         if self.tracer is None and self.spans is None:
             return None
         payload = {
             "decisions": (
-                [t.to_jsonable() for t in self.tracer.traces()[-n:]]
+                [event_to_jsonable(e) for e in self.tracer.recent(n)]
                 if self.tracer is not None
                 else []
             ),

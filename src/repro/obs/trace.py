@@ -1,359 +1,197 @@
 """Decision tracing: why did the cache hit, merge, or insert?
 
 Figures 4–6 show *what* the LANDLORD cache did; a surprising merge or a
-storm of capacity evictions raises the question of *why*.  When a
-:class:`DecisionTracer` is attached to a ``LandlordCache`` (via
-``enable_tracing``), every request records a structured
-:class:`RequestTrace`: the candidates the merge scan considered with
-their Jaccard distances and outcomes, conflict rejections, the chosen
-operation, and any eviction victims with the reason (capacity vs.
-idle).  :meth:`RequestTrace.explain` renders this as a human-readable
-narrative, surfaced on the CLI as ``repro-landlord explain <index>``.
+storm of capacity evictions raises the question of *why*.  The answer
+is already in the event stream: a HIT/MERGE/INSERT
+:class:`~repro.core.events.CacheEvent` carries the candidates the merge
+scan considered with their Jaccard distances and outcomes, and the
+DELETEs after it are the victims, with their reason (capacity vs. idle).
+:func:`explain` renders a slice of that stream as a human-readable
+narrative — the one renderer behind ``repro-landlord explain <index>``
+and ``/traces``.
 
-Tracing must never perturb behaviour — the traced and untraced decision
-sequences are asserted bit-identical in the test suite — so the tracer
-only *records*; it owns no policy state and the cache never reads from
-it.
+A :class:`DecisionTracer` attached to a ``LandlordCache`` (via
+``enable_tracing``) is a bounded, drainable index over the stream it is
+fed.  Tracing must never perturb behaviour — the traced and untraced
+decision sequences are asserted bit-identical in the test suite — so
+the tracer only *records*; it owns no policy state and the cache never
+reads from it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
+from ..core.events import CacheEvent, EventKind
 from ..util.units import format_bytes
 
-__all__ = [
-    "TracedCandidate",
-    "TracedEviction",
-    "RequestTrace",
-    "DecisionTracer",
-    "write_traces",
-    "read_traces",
-]
+__all__ = ["DecisionTracer", "by_request", "explain"]
 
-PathLike = Union[str, Path]
+_OUTCOME_NOTES = {
+    "merged": "chosen (closest non-conflicting)",
+    "conflict": "rejected: package version conflict",
+    "unused": "not chosen",
+}
 
 
-@dataclass(frozen=True)
-class TracedCandidate:
-    """One image the merge scan examined for a request.
+def by_request(events: Iterable[CacheEvent]) -> Iterator[List[CacheEvent]]:
+    """Group a stream into per-request records: each decision event
+    followed by the DELETEs after it (a DELETE belongs to the decision
+    before it).  DELETEs before the first decision have no record and
+    are skipped."""
+    record: Optional[List[CacheEvent]] = None
+    for event in events:
+        if event.kind is not EventKind.DELETE:
+            if record is not None:
+                yield record
+            record = [event]
+        elif record is not None:
+            record.append(event)
+    if record is not None:
+        yield record
 
-    ``outcome`` is ``"merged"`` (chosen), ``"conflict"`` (within α but
-    rejected by the package-conflict check), or ``"unused"`` (examined
-    but not chosen — another candidate won or all were rejected).
-    """
 
-    image_id: int
-    distance: float
-    size: int
-    outcome: str
-
-    def to_jsonable(self) -> dict:
-        """JSON-safe dict form."""
-        return {
-            "image_id": self.image_id,
-            "distance": self.distance,
-            "size": self.size,
-            "outcome": self.outcome,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TracedCandidate":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            image_id=data["image_id"],
-            distance=data["distance"],
-            size=data["size"],
-            outcome=data["outcome"],
+def _narrative(record: List[CacheEvent]) -> str:
+    decision = record[0]
+    kind = decision.kind
+    lines = [
+        f"request #{decision.request_index}: {decision.n_packages} packages, "
+        f"{format_bytes(decision.requested_bytes)} requested "
+        f"(alpha={decision.alpha:g})",
+    ]
+    if kind is EventKind.HIT:
+        lines.append(
+            f"  HIT image {decision.image_id} "
+            f"({format_bytes(decision.image_bytes)}): an existing image "
+            "already contains every requested package "
+            f"(scanned {decision.images_scanned} images)."
         )
-
-
-@dataclass(frozen=True)
-class TracedEviction:
-    """One image evicted while serving (or idling out after) a request.
-
-    ``reason`` is ``"capacity"`` (evicted to fit the request under the
-    byte budget) or ``"idle"`` (aged out by ``evict_idle``).
-    """
-
-    image_id: int
-    size: int
-    reason: str
-
-    def to_jsonable(self) -> dict:
-        """JSON-safe dict form."""
-        return {"image_id": self.image_id, "size": self.size,
-                "reason": self.reason}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TracedEviction":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(image_id=data["image_id"], size=data["size"],
-                   reason=data["reason"])
-
-
-@dataclass(frozen=True)
-class RequestTrace:
-    """The full decision record for one cache request."""
-
-    request_index: int
-    n_packages: int
-    requested_bytes: int
-    alpha: float
-    images_scanned: int
-    action: str
-    image_id: int
-    image_bytes: int
-    distance: Optional[float] = None
-    bytes_added: int = 0
-    candidates: Tuple[TracedCandidate, ...] = ()
-    evictions: Tuple[TracedEviction, ...] = ()
-    #: The distributed trace this request was served under (set by the
-    #: service daemon via :meth:`DecisionTracer.link_trace`); resolves
-    #: to a pipeline waterfall through ``repro-landlord trace``.
-    trace_id: Optional[str] = None
-
-    def explain(self) -> str:
-        """Render a human-readable narrative of this decision."""
-        lines = [
-            f"request #{self.request_index}: {self.n_packages} packages, "
-            f"{format_bytes(self.requested_bytes)} requested "
-            f"(alpha={self.alpha:g})",
-        ]
-        if self.action == "hit":
-            lines.append(
-                f"  HIT image {self.image_id} "
-                f"({format_bytes(self.image_bytes)}): an existing image "
-                "already contains every requested package "
-                f"(scanned {self.images_scanned} images)."
-            )
-        elif self.action == "merge":
-            lines.append(
-                f"  MERGE into image {self.image_id}: rewrote "
-                f"{format_bytes(self.image_bytes)} to add "
-                f"{format_bytes(self.bytes_added)} of new packages."
-            )
-        else:
-            lines.append(
-                f"  INSERT image {self.image_id} "
-                f"({format_bytes(self.image_bytes)}): no hit and no "
-                "mergeable candidate."
-            )
-        if self.candidates:
-            lines.append(
-                f"  candidates within alpha ({len(self.candidates)} "
-                f"of {self.images_scanned} scanned):"
-            )
-            for cand in self.candidates:
-                note = {
-                    "merged": "chosen (closest non-conflicting)",
-                    "conflict": "rejected: package version conflict",
-                    "unused": "not chosen",
-                }[cand.outcome]
-                lines.append(
-                    f"    image {cand.image_id}: distance "
-                    f"{cand.distance:.3f}, {format_bytes(cand.size)} "
-                    f"-- {note}"
-                )
-        elif self.action == "insert":
-            lines.append(
-                f"  candidates within alpha: none "
-                f"(scanned {self.images_scanned} images)."
-            )
-        if self.distance is not None and self.action == "merge":
-            lines.append(f"  chosen Jaccard distance: {self.distance:.3f}")
-        for ev in self.evictions:
-            why = (
-                "to fit under the byte capacity"
-                if ev.reason == "capacity"
-                else "idle too long"
-            )
-            lines.append(
-                f"  EVICTED image {ev.image_id} "
-                f"({format_bytes(ev.size)}): {why}."
-            )
-        if self.trace_id is not None:
-            lines.append(
-                f"  trace {self.trace_id} "
-                "(pipeline waterfall: repro-landlord trace "
-                f"{self.trace_id[:8]} --url <daemon>)"
-            )
-        return "\n".join(lines)
-
-    def to_jsonable(self) -> dict:
-        """JSON-safe dict form (for the ``.trace.jsonl`` sidecar)."""
-        return {
-            "request_index": self.request_index,
-            "n_packages": self.n_packages,
-            "requested_bytes": self.requested_bytes,
-            "alpha": self.alpha,
-            "images_scanned": self.images_scanned,
-            "action": self.action,
-            "image_id": self.image_id,
-            "image_bytes": self.image_bytes,
-            "distance": self.distance,
-            "bytes_added": self.bytes_added,
-            "candidates": [c.to_jsonable() for c in self.candidates],
-            "evictions": [e.to_jsonable() for e in self.evictions],
-            **(
-                {"trace_id": self.trace_id}
-                if self.trace_id is not None
-                else {}
-            ),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "RequestTrace":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            request_index=data["request_index"],
-            n_packages=data["n_packages"],
-            requested_bytes=data["requested_bytes"],
-            alpha=data["alpha"],
-            images_scanned=data["images_scanned"],
-            action=data["action"],
-            image_id=data["image_id"],
-            image_bytes=data["image_bytes"],
-            distance=data.get("distance"),
-            bytes_added=data.get("bytes_added", 0),
-            candidates=tuple(
-                TracedCandidate.from_jsonable(c)
-                for c in data.get("candidates", ())
-            ),
-            evictions=tuple(
-                TracedEviction.from_jsonable(e)
-                for e in data.get("evictions", ())
-            ),
-            trace_id=data.get("trace_id"),
+    elif kind is EventKind.MERGE:
+        lines.append(
+            f"  MERGE into image {decision.image_id}: rewrote "
+            f"{format_bytes(decision.image_bytes)} to add "
+            f"{format_bytes(decision.bytes_added)} of new packages."
         )
+    else:
+        lines.append(
+            f"  INSERT image {decision.image_id} "
+            f"({format_bytes(decision.image_bytes)}): no hit and no "
+            "mergeable candidate."
+        )
+    if decision.candidates:
+        lines.append(
+            f"  candidates within alpha ({len(decision.candidates)} "
+            f"of {decision.images_scanned} scanned):"
+        )
+        for cand in decision.candidates:
+            lines.append(
+                f"    image {cand.image_id}: distance "
+                f"{cand.distance:.3f}, {format_bytes(cand.size)} "
+                f"-- {_OUTCOME_NOTES[cand.outcome]}"
+            )
+    elif kind is EventKind.INSERT:
+        lines.append(
+            f"  candidates within alpha: none "
+            f"(scanned {decision.images_scanned} images)."
+        )
+    if decision.distance is not None and kind is EventKind.MERGE:
+        lines.append(f"  chosen Jaccard distance: {decision.distance:.3f}")
+    for victim in record[1:]:
+        why = (
+            "to fit under the byte capacity"
+            if victim.reason == "capacity"
+            else "idle too long"
+        )
+        lines.append(
+            f"  EVICTED image {victim.image_id} "
+            f"({format_bytes(victim.image_bytes)}): {why}."
+        )
+    if decision.trace_id is not None:
+        lines.append(
+            f"  trace {decision.trace_id} "
+            "(pipeline waterfall: repro-landlord trace "
+            f"{decision.trace_id[:8]} --url <daemon>)"
+        )
+    return "\n".join(lines)
+
+
+def explain(events: Iterable[CacheEvent]) -> str:
+    """Render a slice of an event stream as decision narratives: one
+    paragraph per request (grouped by :func:`by_request`), separated by
+    blank lines."""
+    return "\n\n".join(_narrative(record) for record in by_request(events))
 
 
 class DecisionTracer:
-    """Collects :class:`RequestTrace` records from a ``LandlordCache``.
+    """A bounded, drainable index over a cache's event stream.
 
-    Traces are keyed by request index.  ``limit`` bounds memory on long
-    streams by keeping only the most recent N traces; :meth:`drain`
-    hands out (and forgets the "new" status of) traces recorded since
-    the last drain, which is how the CLI appends to a sidecar file
-    across ``submit`` invocations.
+    The cache hands every event it emits to :meth:`on_event`.  Each
+    decision opens a record keyed by its request index; each DELETE
+    joins the record of the decision before it, so ``evict_idle`` and
+    ``adopt()`` victims land on the last completed request.  ``limit``
+    bounds memory on long streams by keeping only the most recent N
+    records; :meth:`drain` hands out the events recorded since the last
+    drain (of records still held), which is how the CLI and the daemon
+    append to the ``--trace`` sidecar.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
         if limit is not None and limit <= 0:
             raise ValueError("limit must be positive (or None)")
         self._limit = limit
-        self._traces: Dict[int, RequestTrace] = {}
-        self._undrained: List[int] = []
+        # Insertion-ordered: the last record is the latest decision's.
+        self._records: Dict[int, List[CacheEvent]] = {}
+        self._undrained: Deque[CacheEvent] = deque()
 
     def __len__(self) -> int:
-        return len(self._traces)
+        return len(self._records)
 
-    def on_request(self, trace: RequestTrace) -> None:
-        """Record the trace for one completed request (cache hook)."""
-        self._traces[trace.request_index] = trace
-        self._undrained.append(trace.request_index)
-        if self._limit is not None and len(self._traces) > self._limit:
-            oldest = min(self._traces)
-            del self._traces[oldest]
+    def on_event(self, event: CacheEvent) -> None:
+        """Index one emitted event (cache hook)."""
+        records = self._records
+        if event.kind is EventKind.DELETE:
+            if not records:
+                return  # no decision recorded yet to attach it to
+            next(reversed(records.values())).append(event)
+        else:
+            # Re-insert so a re-traced index is also the newest record.
+            records.pop(event.request_index, None)
+            records[event.request_index] = [event]
+            if self._limit is not None and len(records) > self._limit:
+                oldest = records.pop(next(iter(records)))
+                undrained = self._undrained
+                while undrained and any(undrained[0] is e for e in oldest):
+                    undrained.popleft()
+        self._undrained.append(event)
 
-    def on_idle_eviction(
-        self, request_index: int, image_id: int, size: int
-    ) -> None:
-        """Attach an ``evict_idle`` victim to its request's trace."""
-        trace = self._traces.get(request_index)
-        eviction = TracedEviction(image_id=image_id, size=size, reason="idle")
-        if trace is None:
-            return
-        object.__setattr__(
-            trace, "evictions", trace.evictions + (eviction,)
-        )
+    def record(self, request_index: int) -> Optional[List[CacheEvent]]:
+        """One request's events — its decision, then the DELETEs after
+        it — or ``None`` if not held."""
+        record = self._records.get(request_index)
+        return list(record) if record is not None else None
 
-    def on_adoption_evictions(
-        self,
-        request_index: int,
-        evictions: "Tuple[TracedEviction, ...]",
-    ) -> None:
-        """Attach capacity evictions forced by an ``adopt()`` call.
-
-        An adoption has no request of its own, so its victims — already
-        built as :class:`TracedEviction` records by the eviction loop —
-        join the trace of the last completed request, mirroring how
-        ``evict_idle`` victims are recorded.
-        """
-        trace = self._traces.get(request_index)
-        if trace is None:
-            return
-        object.__setattr__(
-            trace, "evictions", trace.evictions + tuple(evictions)
-        )
-
-    def link_trace(self, request_index: int, trace_id: str) -> None:
-        """Cross-link a request's decision record to its distributed
-        trace id (the service daemon calls this once the batcher knows
-        which request index a submission landed on, *before* the record
-        is drained to the sidecar)."""
-        trace = self._traces.get(request_index)
-        if trace is not None:
-            object.__setattr__(trace, "trace_id", trace_id)
-
-    def trace(self, request_index: int) -> Optional[RequestTrace]:
-        """The trace for one request index, or ``None`` if not held."""
-        return self._traces.get(request_index)
+    def recent(self, n: Optional[int] = None) -> List[CacheEvent]:
+        """The events of the last ``n`` held requests (all when
+        ``None``), in stream order."""
+        records = list(self._records.values())
+        if n is not None:
+            records = records[-n:]
+        return [event for record in records for event in record]
 
     def explain(self, request_index: int) -> str:
         """Human-readable narrative for one request index."""
-        trace = self._traces.get(request_index)
-        if trace is None:
-            held = sorted(self._traces)
+        record = self._records.get(request_index)
+        if record is None:
+            held = sorted(self._records)
             span = (
                 f" (holding {held[0]}..{held[-1]})" if held else " (empty)"
             )
             return f"no trace recorded for request #{request_index}{span}"
-        return trace.explain()
+        return explain(record)
 
-    def traces(self) -> List[RequestTrace]:
-        """All held traces in request-index order."""
-        return [self._traces[i] for i in sorted(self._traces)]
-
-    def drain(self) -> List[RequestTrace]:
-        """Traces recorded since the last drain, in recording order."""
-        out = [
-            self._traces[i] for i in self._undrained if i in self._traces
-        ]
-        self._undrained = []
+    def drain(self) -> List[CacheEvent]:
+        """Events recorded since the last drain, in stream order."""
+        out = list(self._undrained)
+        self._undrained.clear()
         return out
-
-
-def write_traces(
-    traces: Iterable[RequestTrace], path: PathLike, append: bool = False
-) -> Path:
-    """Write traces as JSON-lines (one :meth:`RequestTrace.to_jsonable`
-    per line); ``append`` accumulates across CLI invocations."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append else "w"
-    with path.open(mode, encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace.to_jsonable(), sort_keys=True) + "\n")
-    return path
-
-
-def read_traces(path: PathLike) -> Dict[int, RequestTrace]:
-    """Read a JSONL trace file into a dict keyed by request index.
-
-    Later lines win on duplicate indices, so an appended sidecar that
-    re-traced an index (e.g. after a state reset) resolves to the most
-    recent record.
-    """
-    traces: Dict[int, RequestTrace] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            trace = RequestTrace.from_jsonable(json.loads(line))
-            traces[trace.request_index] = trace
-    return traces

@@ -19,7 +19,7 @@ Pipeline (one request's life)::
                (one acquisition of the lock, interned ahead),
              snapshots/compacts when the window crossed the
                snapshot_every boundary,
-             appends new decision traces to the sidecar,
+             appends the window's cache events to the sidecar,
              wakes each waiting handler with its decision
         -> handler replies JSON (ack strictly after the journal fsync)
 
@@ -57,7 +57,7 @@ from http.server import ThreadingHTTPServer
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import service_governor
-from repro.obs import ObsServer, build_status, write_traces
+from repro.obs import ObsServer, build_status, write_event_stream
 from repro.obs.clock import default_clock
 from repro.obs.server import POLL_INTERVAL, ReplyHandler
 from repro.obs.spans import SpanRecorder, new_trace_id, parse_traceparent
@@ -186,8 +186,8 @@ class LandlordDaemon:
             attached to the cache; drained to ``trace_path`` after
             every window so ``repro-landlord explain`` works against a
             running daemon.
-        trace_path: decision-trace sidecar file (required with
-            ``tracer``).
+        trace_path: decision-trace sidecar, an event stream (required
+            with ``tracer``).
         known_package: predicate validating a package id at admission;
             submissions naming unknown packages are rejected with HTTP
             400 *before* anything is journalled, so the journal never
@@ -553,16 +553,9 @@ class LandlordDaemon:
                     item.done.set()
                 return
             finally:
-                # Runs even on the except-branch return: exemplar trace
-                # ids never outlive the window they were built for.
+                # Runs even on the except-branch return: trace ids
+                # never outlive the window they were built for.
                 self.cache.set_exemplar_traces(None)
-            if self.tracer is not None:
-                # Cross-link decision records to their distributed
-                # traces *before* draining to the sidecar, so the
-                # persisted JSONL carries trace_id too.
-                for offset, item in enumerate(window):
-                    if item.trace_id is not None:
-                        self.tracer.link_trace(base + offset, item.trace_id)
             if self.alerts is not None and self.slo is not None:
                 self.alerts.evaluate(
                     self.slo.values(), self.cache.stats.requests - 1
@@ -635,9 +628,9 @@ class LandlordDaemon:
     def _drain_traces(self) -> None:
         if self.tracer is None:
             return
-        traces = self.tracer.drain()
-        if traces:
-            write_traces(traces, self.trace_path, append=True)
+        events = self.tracer.drain()
+        if events:
+            write_event_stream(events, self.trace_path, append=True)
 
     # -- observability -----------------------------------------------------
 

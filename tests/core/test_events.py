@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.core.cache as cache_module
+from repro.core.cache import LandlordCache
 from repro.core.events import CacheEvent, EventKind
 
 
@@ -47,3 +49,31 @@ class TestCacheEvent:
         idle = CacheEvent(EventKind.DELETE, 3, "img-1", 50, reason="idle")
         assert capacity.reason == "capacity"
         assert idle.reason == "idle"
+
+
+class TestNoSinkNoEvent:
+    def test_no_event_built_without_a_sink(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return CacheEvent(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "CacheEvent", counting)
+        size = {"a": 10, "b": 20, "c": 30, "d": 40}.__getitem__
+        c = LandlordCache(60, 0.5, size)  # no record_events, no tracer
+        c.request(frozenset({"a", "b"}))           # insert
+        c.request(frozenset({"a", "b"}))           # hit
+        c.request(frozenset({"a", "b", "c"}))      # merge: 60 bytes
+        c.request(frozenset({"d"}))                # insert, evicts
+        c.adopt(frozenset({"c"}))                  # capacity eviction
+        c.request(frozenset({"a"}))                # insert
+        c.evict_idle(0)                            # idle eviction
+        assert c.stats.hits == c.stats.merges == 1
+        assert c.stats.evictions_capacity == 2
+        assert c.stats.evictions_idle == 1
+        assert built == []
+
+        c.record_events = True
+        c.request(frozenset({"a"}))
+        assert len(built) == 1  # the patch sees constructions

@@ -87,10 +87,10 @@ class TestIndexConvention:
         last_index = c.stats.requests - 1
         delete_events = [e for e in c.events if e.kind.value == "delete"]
         assert {e.request_index for e in delete_events} == {last_index}
-        trace = tracer.trace(last_index)
-        assert trace is not None
-        assert sorted(ev.image_id for ev in trace.evictions) == sorted(evicted)
-        assert all(ev.reason == "idle" for ev in trace.evictions)
+        record = tracer.record(last_index)
+        assert record is not None
+        assert sorted(ev.image_id for ev in record[1:]) == sorted(evicted)
+        assert all(ev.reason == "idle" for ev in record[1:])
 
 
 class TestIdleUnitIsRequests:

@@ -81,9 +81,9 @@ class TestAdopt:
 
 class TestAdoptTracerEvictions:
     def test_adoption_evictions_reach_the_tracer(self):
-        # regression: adopt() used to clear _pending_evictions without
-        # handing them to an attached tracer, so capacity evictions an
-        # adoption forced were silently untraceable.
+        # regression: capacity evictions an adoption forced used to be
+        # silently untraceable; the DELETEs now follow the last
+        # completed request's decision in the event stream.
         from repro.obs.trace import DecisionTracer
 
         tracer = DecisionTracer()
@@ -91,19 +91,10 @@ class TestAdoptTracerEvictions:
         c.request(frozenset({"p0", "p1"}))
         c.adopt(frozenset({"p2", "p3"}))  # 40 > 30: evicts the LRU image
         assert c.stats.deletes == 1
-        trace = tracer.trace(0)  # the last completed request
-        assert trace is not None
-        assert [ev.reason for ev in trace.evictions] == ["capacity"]
-        assert trace.evictions[0].size == 20
-
-    def test_pending_queue_left_empty_either_way(self):
-        from repro.obs.trace import DecisionTracer
-
-        for tracer in (None, DecisionTracer()):
-            c = cache(capacity=30, alpha=0.0, tracer=tracer)
-            c.request(frozenset({"p0", "p1"}))
-            c.adopt(frozenset({"p2", "p3"}))
-            assert c._pending_evictions == []
+        record = tracer.record(0)  # the last completed request
+        assert record is not None
+        assert [ev.reason for ev in record[1:]] == ["capacity"]
+        assert record[1].image_bytes == 20
 
     def test_tracer_never_perturbs_adoption(self):
         from repro.obs.trace import DecisionTracer

@@ -69,6 +69,51 @@ class TestSubmitTraceExplain:
         err = capsys.readouterr()
         assert "--trace" in err.err + err.out
 
+    def traced_sidecar(self, tmp_path, tiny_apps):
+        spec = tmp_path / "job.txt"
+        state = tmp_path / "state.json"
+        for apps in (tiny_apps[:3], tiny_apps[1:5]):
+            spec.write_text("\n".join(apps))
+            assert submit(spec, state, "--trace") == 0
+        return state, tmp_path / "state.json.trace.jsonl"
+
+    def test_explain_heals_a_torn_sidecar_tail(self, tmp_path, capsys,
+                                               tiny_apps):
+        # a `submit --trace` killed mid-append leaves half a line
+        state, sidecar = self.traced_sidecar(tmp_path, tiny_apps)
+        lines = sidecar.read_text().splitlines(keepends=True)
+        sidecar.write_text("".join(lines) + lines[0][: len(lines[0]) // 2])
+        capsys.readouterr()
+        assert main(["explain", "1", "--state", str(state)]) == 0
+        assert "request #1" in capsys.readouterr().out
+
+    def test_explain_corrupt_sidecar_line_exits_2(self, tmp_path, capsys,
+                                                 tiny_apps):
+        state, sidecar = self.traced_sidecar(tmp_path, tiny_apps)
+        lines = sidecar.read_text().splitlines(keepends=True)
+        lines[0] = lines[0][: len(lines[0]) // 2] + "\n"
+        sidecar.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["explain", "1", "--state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "corrupt" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_explain_refuses_old_format_sidecar(self, tmp_path, capsys):
+        # one record per request, no "kind" key: the format sidecars had
+        # before decisions were recorded as cache events
+        sidecar = tmp_path / "old.trace.jsonl"
+        sidecar.write_text(json.dumps({
+            "request_index": 0, "n_packages": 1, "requested_bytes": 10,
+            "alpha": 0.8, "images_scanned": 0, "action": "insert",
+            "image_id": "img-000000", "image_bytes": 10, "distance": None,
+            "bytes_added": 10, "candidates": [], "evictions": [],
+        }) + "\n")
+        assert main(["explain", "0", "--trace-file", str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "old-format decision sidecar" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_untraced_submit_writes_no_sidecar(self, tmp_path, capsys,
                                                tiny_apps):
         spec = tmp_path / "job.txt"

@@ -169,7 +169,10 @@ class TestTracesEndpoint:
             assert status == 200
             assert content_type.startswith("application/json")
             payload = json.loads(body)
-            assert payload["decisions"][0]["request_index"] == 0
+            (decision,) = payload["decisions"]  # an event-stream record
+            assert decision["request_index"] == 0
+            assert decision["kind"] == "insert"
+            assert decision["candidates"] == []
             (trace,) = payload["traces"]
             assert trace["trace_id"] == trace_id
             assert trace["spans"][0]["name"] == "apply"

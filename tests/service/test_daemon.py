@@ -14,7 +14,9 @@ from repro.obs import (
     DecisionTracer,
     MetricsRegistry,
     SloTracker,
-    read_traces,
+    by_request,
+    explain,
+    read_event_stream,
     validate_prometheus_text,
 )
 from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
@@ -380,9 +382,12 @@ class TestObservabilitySurface:
             client = LandlordClient(f"http://127.0.0.1:{daemon.port}")
             for spec in client_specs(4, n=3):
                 client.submit(spec)
-        traces = read_traces(trace_path)
-        assert sorted(traces) == [0, 1, 2]
-        assert "request #0" in traces[0].explain()
+        records = {
+            record[0].request_index: record
+            for record in by_request(read_event_stream(trace_path))
+        }
+        assert sorted(records) == [0, 1, 2]
+        assert "request #0" in explain(records[0])
 
     def test_trace_path_required_with_tracer(self, tmp_path):
         with pytest.raises(ValueError, match="trace_path"):
@@ -555,6 +560,10 @@ class TestDistributedTracing:
         assert "service_stage_seconds_bucket" in text
 
     def test_explain_cross_links_decisions_to_traces(self, tmp_path):
+        # The decision event is stamped with its trace id when it is
+        # built, from the map the daemon hands the cache for exemplars:
+        # no linking step after the fact.
+        assert not hasattr(DecisionTracer, "link_trace")
         tracer = DecisionTracer(limit=64)
         trace_path = tmp_path / "trace.jsonl"
         daemon = make_daemon(
@@ -567,9 +576,13 @@ class TestDistributedTracing:
         narrative = tracer.explain(payload["request_index"])
         assert payload["trace_id"] in narrative
         assert "repro-landlord trace" in narrative
-        # the sidecar persisted the link too
-        persisted = read_traces(trace_path)[payload["request_index"]]
-        assert persisted.trace_id == payload["trace_id"]
+        # the sidecar carries the trace id on the decision event
+        (decision,) = [
+            e for e in read_event_stream(trace_path)
+            if e.request_index == payload["request_index"]
+            and e.kind.value != "delete"
+        ]
+        assert decision.trace_id == payload["trace_id"]
 
     def test_statusz_carries_stage_quantiles(self, tmp_path):
         daemon = make_daemon(tmp_path)
