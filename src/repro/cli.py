@@ -37,13 +37,15 @@ Commands:
 Operational telemetry: ``submit --serve PORT`` keeps the wrapper alive
 after the request and exposes ``/metrics`` (Prometheus), ``/healthz``,
 ``/statusz`` and ``/traces/<n>`` until SIGTERM; ``--alert-rules FILE``
-(on ``submit`` and ``replay``) evaluates declarative SLO alert rules
-and makes the command exit non-zero when any rule fired — the CI gate.
+(on ``submit``, ``serve`` and ``replay``) evaluates declarative SLO
+alert rules and makes the command exit non-zero when any rule fired —
+the CI gate.
 
 Every figure command accepts ``--scale quick|paper``, ``--seed`` and
 ``--json PATH``; sweep-shaped ones also take ``--workers N`` (default:
-all CPUs; ``REPRO_WORKERS`` overrides).  See
-``repro-landlord <command> --help``.
+all CPUs; ``REPRO_WORKERS`` overrides).  Bad input (a missing or
+malformed file, an unparseable flag value) is one line on stderr and
+exit status 2.  See ``repro-landlord <command> --help``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import importlib
 import sys
 from collections.abc import Mapping
 from types import ModuleType
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -99,12 +101,408 @@ class _Figures(Mapping):
 _FIGURES = _Figures()
 
 
+class _InputError(Exception):
+    """Bad input (a file, a flag value, a state): :func:`main` prints
+    the message as one line on stderr and exits 2 — no traceback."""
+
+
+def _read(what: str, path: str, load: Callable, *args, **kwargs):
+    """``load(path, ...)``, a failure to read the file becoming an
+    :class:`_InputError` that names ``what`` and ``path``."""
+    try:
+        return load(path, *args, **kwargs)
+    except OSError as exc:
+        raise _InputError(
+            f"cannot read {what} {path}: {exc.strerror or exc}"
+        ) from exc
+    except (ValueError, SyntaxError) as exc:
+        raise _InputError(f"bad {what} {path}: {exc}") from exc
+
+
+# -- shared flag groups ----------------------------------------------------
+
+
+def _site_args(parser: argparse.ArgumentParser, repo: bool = False,
+               scale: Optional[str] = None) -> None:
+    """``--scale``/``--seed`` (and ``--repo``): the site repository."""
+    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
+                        default=scale,
+                        help="experiment scale (default: "
+                        + (scale or "quick, or paper if REPRO_FULL=1") + ")")
+    parser.add_argument("--seed", type=int, default=2020,
+                        help="repository and workload seed "
+                        "(default: %(default)s)")
+    if repo:
+        parser.add_argument("--repo", default=None, metavar="FILE",
+                            help="load the site's real repository from a "
+                            "JSON-lines file instead of the synthetic one")
+
+
+def _capacity(text: str) -> int:
+    """argparse type of ``--capacity``: a size such as ``300GB``."""
+    from repro.util.units import parse_bytes
+
+    try:
+        return parse_bytes(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _engine_arg(parser: argparse.ArgumentParser) -> None:
+    """``--engine``: replay, submit, serve and sweep."""
+    from repro.core.engine import ENGINES
+
+    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
+                        help="cache decision engine (bit-identical results, "
+                        "so snapshots restore across engines; default: "
+                        "%(default)s)")
+
+
+def _cache_args(parser: argparse.ArgumentParser, alpha: float) -> None:
+    """``--alpha``/``--capacity``/``--engine``: the cache replay, submit
+    and serve build (a persistent state keeps the α and capacity it was
+    initialised with)."""
+    parser.add_argument("--alpha", type=float, default=alpha,
+                        help="merge threshold (default: %(default)s)")
+    parser.add_argument("--capacity", type=_capacity, default=None,
+                        help="cache capacity, e.g. 300GB (default: the "
+                        "scale's)")
+    _engine_arg(parser)
+
+
+def _state_args(parser: argparse.ArgumentParser,
+                snapshot_every: Optional[int] = None) -> None:
+    """The site plus its durable state: submit/serve/cache-status/recover."""
+    _site_args(parser, repo=True)
+    parser.add_argument("--state", default=".landlord-state.json",
+                        help="cache state file (default: %(default)s)")
+    parser.add_argument("--journal", default=None, metavar="FILE",
+                        help="write-ahead journal file "
+                        "(default: <state>.journal)")
+    parser.add_argument("--no-journal", action="store_true",
+                        help="disable write-ahead journalling (snapshot "
+                        "rewritten after every request instead)")
+    if snapshot_every is not None:
+        parser.add_argument("--snapshot-every", type=int,
+                            default=snapshot_every, metavar="N",
+                            help="rewrite the full snapshot every N "
+                            "journalled requests, relying on journal "
+                            "replay in between (default: %(default)s)")
+
+
+def _obs_args(parser: argparse.ArgumentParser) -> None:
+    """The observability flags shared by submit and serve."""
+    parser.add_argument("--metrics-out", metavar="FILE", default=None,
+                        help="accumulate a metrics registry in FILE across "
+                        "invocations (JSON; load, record, save)")
+    parser.add_argument("--trace-file", metavar="FILE", default=None,
+                        help="decision-trace sidecar "
+                        "(default: <state>.trace.jsonl)")
+    parser.add_argument("--trace", action="store_true",
+                        help="record decision traces to the sidecar "
+                        "(inspect with `repro-landlord explain INDEX`)")
+
+
+def _serve_args(parser: argparse.ArgumentParser,
+                serves: Optional[str] = None) -> None:
+    """``--serve PORT`` (when the command ``serves`` something on the
+    side) and ``--port-file``."""
+    if serves is not None:
+        parser.add_argument("--serve", type=int, default=None,
+                            metavar="PORT",
+                            help=f"serve {serves} on 127.0.0.1:PORT "
+                            "(0 = ephemeral) until SIGTERM/SIGINT")
+    parser.add_argument("--port-file", metavar="FILE", default=None,
+                        help="write the bound port to FILE once listening "
+                        "(atomic; removed on shutdown; lets scripts use "
+                        "port 0)")
+
+
+def _alert_args(parser: argparse.ArgumentParser) -> None:
+    """The alert-rule flags shared by submit, serve and replay."""
+    from repro.obs import DEFAULT_WINDOW
+
+    parser.add_argument("--alert-rules", metavar="FILE", default=None,
+                        help="evaluate declarative alert rules (JSON list "
+                        "of {name, expr, for} entries) over the rolling "
+                        "window after every request; exit 1 if any fired")
+    parser.add_argument("--alert-log", metavar="FILE", default=None,
+                        help="append alert firing/resolved transitions "
+                        "as JSON lines (the audit log)")
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                        metavar="N",
+                        help="rolling-window size in requests for SLO "
+                        "series (default: %(default)s)")
+
+
+def _parse_batch_size(parser: argparse.ArgumentParser, flag: str,
+                      value: str, minimum: int,
+                      allow_auto: bool = False) -> "int | str":
+    """Parse a window-size flag value (shared by replay/serve); only
+    serve's ``--max-batch`` takes ``'auto'``."""
+    or_auto = " or 'auto'" if allow_auto else ""
+    if allow_auto and value == "auto":
+        return "auto"
+    try:
+        parsed = int(value)
+    except ValueError:
+        parser.error(f"{flag} must be an integer{or_auto}, got {value!r}")
+    if parsed < minimum:
+        parser.error(f"{flag} must be >= {minimum}{or_auto}")
+    return parsed
+
+
+# -- the site, its state, its observability --------------------------------
+
+
+def _site_repository(args: argparse.Namespace):
+    """``(scale, repository)``: the ``--repo`` file, else the synthetic
+    repository of ``--scale``/``--seed``."""
+    from repro.experiments.common import get_scale
+
+    scale = get_scale(args.scale)
+    repo_file = getattr(args, "repo", None)
+    if repo_file:
+        from repro.packages.io import load_repository
+
+        return scale, _read("repository file", repo_file, load_repository)
+    from repro.packages.sft import build_experiment_repository
+
+    return scale, build_experiment_repository(
+        "sft", seed=args.seed, n_packages=scale.n_packages,
+        target_total_size=scale.repo_total_size,
+    )
+
+
+def _open_site_state(args: argparse.Namespace, initialise: bool = False):
+    """Open the durable cache over the site repository.
+
+    Loads the snapshot and replays the journal tail.  A state built for
+    another repository, or one that is corrupt or unreadable, is an
+    :class:`_InputError` — real data is never silently reinitialised.
+    With ``initialise`` (submit, serve) a missing state starts a fresh
+    cache from ``--alpha``/``--capacity`` and the replay is reported
+    here; the read-side commands report ``replayed`` themselves.
+
+    Returns ``(repo, store, cache, metadata, replayed)``.
+    """
+    from repro.core.cache import LandlordCache
+    from repro.core.journal import JournaledState
+    from repro.core.persistence import StateError, StateNotFound
+    from repro.util.units import format_bytes
+
+    scale, repo = _site_repository(args)
+    repo_meta = (
+        {"file": args.repo, "n_packages": len(repo)}
+        if args.repo
+        else {"scale": scale.name, "seed": args.seed,
+              "n_packages": scale.n_packages}
+    )
+    store = JournaledState(
+        args.state, args.journal,
+        snapshot_every=getattr(args, "snapshot_every", 1),
+        use_journal=not args.no_journal,
+    )
+    engine = getattr(args, "engine", "vectorized")
+    try:
+        cache, metadata, replayed = store.load(repo.size_of, engine=engine)
+    except StateNotFound as exc:
+        if not initialise:
+            raise _InputError(str(exc)) from exc
+        capacity = scale.capacity if args.capacity is None else args.capacity
+        try:
+            cache = LandlordCache(capacity, args.alpha, repo.size_of,
+                                  engine=engine)
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
+        metadata = {"repository": repo_meta}
+        store.initialise(cache, metadata)
+        print(f"initialised new cache: capacity "
+              f"{format_bytes(capacity)}, alpha {args.alpha}")
+        return repo, store, cache, metadata, []
+    except StateError as exc:
+        raise _InputError(str(exc)) from exc
+    if metadata.get("repository") != repo_meta:
+        raise _InputError(
+            f"state {args.state} was built for repository "
+            f"{metadata.get('repository')}, not {repo_meta}"
+        )
+    if initialise and replayed:
+        print(f"replayed {len(replayed)} journalled operation(s) "
+              "not yet covered by the snapshot")
+    return repo, store, cache, metadata, replayed
+
+
+def _attach_obs(args: argparse.Namespace, cache, store, serving: bool):
+    """Wire the observability the flags ask for onto an opened cache.
+
+    Runs *after* load/replay so journalled history already covered by
+    the snapshot is not double-counted.  A ``serving`` process always
+    carries a registry and an SLO window — it is the scrape endpoint.
+    Returns ``(registry, slo, alerts, tracer)``, each possibly ``None``.
+    """
+    from repro.obs import (
+        AlertEngine,
+        DecisionTracer,
+        MetricsRegistry,
+        SloTracker,
+        load_registry,
+    )
+
+    registry = slo = alerts = tracer = None
+    if args.metrics_out or serving:
+        registry = (
+            _read("metrics file", args.metrics_out, load_registry,
+                  missing_ok=True)
+            if args.metrics_out
+            else MetricsRegistry()
+        )
+        cache.enable_metrics(registry)
+        store.enable_metrics(registry)
+    if serving or args.alert_rules:
+        slo = SloTracker(window=args.window)
+        cache.enable_slo(slo)
+    if args.alert_rules:
+        alerts = AlertEngine(_alert_rules(args.alert_rules),
+                             registry=registry)
+    if args.trace:
+        tracer = DecisionTracer(limit=1024)
+        cache.enable_tracing(tracer)
+    return registry, slo, alerts, tracer
+
+
+def _alert_rules(path: str):
+    """The rules of an ``--alert-rules`` file (bad file: exit 2)."""
+    from repro.obs import load_rules
+
+    return _read("alert rules", path, load_rules)
+
+
+def _finish_alerts(alerts, alert_log: Optional[str]) -> int:
+    """Print the alert outcome, write the audit log, gate the exit code
+    (0 when no rules were evaluated)."""
+    if alerts is None:
+        return 0
+    from repro.obs import write_transitions
+
+    for row in alerts.summary():
+        print(f"alert {row['name']} [{row['state']}]: {row['expr']} "
+              f"for {row['for']}")
+    if alert_log:
+        write_transitions(alerts.transitions, alert_log, append=True)
+        print(f"{len(alerts.transitions)} alert transition(s) "
+              f"appended to {alert_log}")
+    if alerts.fired_ever:
+        fired = sorted({t.rule for t in alerts.transitions
+                        if t.state == "firing"})
+        print(f"ALERT: {', '.join(fired)} fired during this run",
+              file=sys.stderr)
+    return alerts.exit_code
+
+
+def _trace_path(args: argparse.Namespace) -> str:
+    """Resolve the decision-trace sidecar path for a state file."""
+    return args.trace_file or f"{args.state}.trace.jsonl"
+
+
+# -- serving until SIGTERM -------------------------------------------------
+
+
+def _write_port_file(path: str, port: int) -> None:
+    """Atomically publish a bound port: write a tmp file, then rename.
+
+    Readers polling the file (the CI smoke scripts) therefore never see
+    an empty or half-written file — the rename is the publication.
+    """
+    from pathlib import Path
+
+    port_path = Path(path)
+    try:
+        port_path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = port_path.with_name(port_path.name + ".tmp")
+        tmp.write_text(f"{port}\n", encoding="utf-8")
+        tmp.replace(port_path)
+    except OSError as exc:
+        raise _InputError(
+            f"cannot write port file {path}: {exc.strerror or exc}"
+        ) from exc
+
+
+def _remove_port_file(path: str) -> None:
+    """Best-effort unlink of a published port file.
+
+    Tolerates the file being missing or its path being unusable (the
+    write may itself have been the setup failure that brought us here).
+    """
+    from pathlib import Path
+
+    try:
+        Path(path).unlink()
+    except OSError:
+        pass
+
+
+def _serve_until_signal(server, port_file: Optional[str],
+                        on_listening: Callable[[int], str]) -> None:
+    """Start ``server``, publish its port, block until SIGTERM/SIGINT.
+
+    The one serving loop behind ``submit --serve``, ``serve`` and
+    ``sweep --serve``.  ``server`` has ``start() -> port`` and
+    ``stop()`` (an :class:`~repro.obs.ObsServer` or a
+    :class:`~repro.service.LandlordDaemon`) and already shares one
+    re-entrant lock with the state it renders, so a scrape never sees
+    a half-applied mutation.  ``on_listening(port)`` runs once the port
+    is published (the sweep runs its cells there) and returns the
+    banner printed before blocking.
+
+    Hardened (each caller is regression-tested in
+    ``tests/obs/test_server.py``): the port file is written atomically
+    (tmp + rename — pollers never read a torn value) and unlinked on
+    every exit path; everything after start runs inside the ``try``,
+    so a setup failure (bad port-file path, signal registration off
+    the main thread) still stops the server; the previous signal
+    handlers are restored on the way out.
+    """
+    import signal
+    import threading
+
+    stop = threading.Event()
+    previous = {}
+    try:
+        port = server.start()
+        if port_file:
+            _write_port_file(port_file, port)
+        print(on_listening(port))
+        previous = {
+            sig: signal.signal(sig, lambda *_: stop.set())
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
+        stop.wait()
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        server.stop()
+        if port_file:
+            _remove_port_file(port_file)
+
+
+# -- commands --------------------------------------------------------------
+
+
+def _cmd_all(argv: Sequence[str]) -> int:
+    for name, module in _FIGURES.items():
+        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
+        status = module.main(argv)
+        if status:
+            return status
+    return 0
+
+
 def _cmd_sweep(argv: Sequence[str]) -> int:
     import os
 
     from repro.analysis.report import sweep_table
     from repro.analysis.sweep import alpha_sweep, default_alphas
-    from repro.core.engine import ENGINES
     from repro.experiments.common import base_config, get_scale
     from repro.parallel import resolve_workers
 
@@ -113,9 +511,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         description="Run one alpha sweep with an explicit grid and worker "
         "count (the building block behind fig4/fig6/fig7/fig8).",
     )
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020)
+    _site_args(parser)
     parser.add_argument("--repetitions", type=int, default=None,
                         help="simulations per grid point (default: scale's)")
     parser.add_argument("--alpha", nargs=3, type=float, default=None,
@@ -130,21 +526,15 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
                         help="collect per-run cache metrics and save the "
                         "aggregated registry (.json = JSON snapshot, "
                         "anything else = Prometheus text format)")
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
-                        help="cache decision engine (bit-identical results; "
-                        "default: %(default)s)")
-    parser.add_argument("--serve", type=int, default=None, metavar="PORT",
-                        help="serve live fleet telemetry on PORT while the "
-                        "sweep runs (0 = ephemeral): one /metrics scrape "
-                        "shows per-worker series plus the aggregate of the "
-                        "cells finished so far; the endpoint stays up after "
-                        "the sweep until SIGTERM")
-    parser.add_argument("--port-file", metavar="FILE", default=None,
-                        help="with --serve, write the bound port to FILE "
-                        "once listening (lets scripts use --serve 0)")
+    _engine_arg(parser)
+    _serve_args(parser, serves="live fleet telemetry (per-worker series "
+                "plus the aggregate of the cells finished so far) during "
+                "and after the sweep")
     args = parser.parse_args(argv)
     if args.port_file and args.serve is None:
         parser.error("--port-file requires --serve")
+    if args.repetitions is not None and args.repetitions < 1:
+        parser.error(f"--repetitions must be >= 1, got {args.repetitions}")
     scale = get_scale(args.scale)
     if args.alpha is None:
         alphas = scale.alphas()
@@ -173,25 +563,14 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         progress_state["done"] += 1
         progress_state["last"] = message
 
-    aggregator = server = None
+    aggregator = None
     if args.serve is not None:
-        from repro.obs import ObsServer, TelemetryAggregator
+        from repro.obs import TelemetryAggregator
 
         aggregator = TelemetryAggregator(expected_cells=total_cells)
-        server = ObsServer(
-            registry=aggregator,
-            status_fn=lambda: {
-                "telemetry": aggregator.status(),
-                "sweep": dict(progress_state),
-            },
-            lock=aggregator.lock,
-            port=args.serve,
-        )
-    try:
-        if server is not None:
-            port = server.start()
-            if args.port_file:
-                _write_port_file(args.port_file, port)
+
+    def run(port: Optional[int] = None) -> str:
+        if port is not None:
             print(f"telemetry on http://127.0.0.1:{port} "
                   "(/metrics /statusz)")
         sweep = alpha_sweep(
@@ -202,7 +581,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
             workers=workers,
             metrics=registry,
             telemetry=aggregator,
-            progress=sweep_progress if server is not None else None,
+            progress=sweep_progress if aggregator is not None else None,
         )
         if aggregator is not None:
             aggregator.mark_complete()
@@ -225,40 +604,25 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
 
             save_registry(registry, args.metrics_out)
             print(f"metrics saved to {args.metrics_out}")
-        if server is not None:
-            _wait_for_shutdown_signal(
-                f"sweep done; telemetry still on "
-                f"http://127.0.0.1:{server.port} (SIGTERM to stop)"
-            )
-    finally:
-        if server is not None:
-            server.stop()
-            if args.port_file:
-                _remove_port_file(args.port_file)
+        return (f"sweep done; telemetry still on "
+                f"http://127.0.0.1:{port} (SIGTERM to stop)")
+
+    if aggregator is None:
+        run()
+        return 0
+    from repro.obs import ObsServer
+
+    server = ObsServer(
+        registry=aggregator,
+        status_fn=lambda: {
+            "telemetry": aggregator.status(),
+            "sweep": dict(progress_state),
+        },
+        lock=aggregator.lock,
+        port=args.serve,
+    )
+    _serve_until_signal(server, args.port_file, run)
     return 0
-
-
-def _wait_for_shutdown_signal(banner: str) -> None:
-    """Print ``banner`` and block until SIGTERM/SIGINT (handlers restored).
-
-    The tail of ``sweep --serve``: results are already printed, but the
-    telemetry endpoint keeps answering scrapes until the caller says
-    stop — mirroring ``submit --serve``'s signal discipline.
-    """
-    import signal
-    import threading
-
-    stop = threading.Event()
-    print(banner)
-    previous = {
-        sig: signal.signal(sig, lambda *_: stop.set())
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
 
 
 def _cmd_bench(argv: Sequence[str]) -> int:
@@ -277,9 +641,7 @@ def _cmd_bench(argv: Sequence[str]) -> int:
         description="Time one alpha sweep serially and in parallel, verify "
         "the two results are bit-identical, and save the numbers.",
     )
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default="quick")
-    parser.add_argument("--seed", type=int, default=2020)
+    _site_args(parser, scale="quick")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="parallel worker count (default: all CPUs; "
                         "REPRO_WORKERS overrides)")
@@ -357,25 +719,22 @@ def _cmd_bench(argv: Sequence[str]) -> int:
 
 
 def _cmd_trace(argv: Sequence[str]) -> int:
-    # Dual-mode command: with --url it is the distributed-trace
-    # waterfall viewer against a running daemon; without, the original
-    # workload-trace generator (kept for scripts and tests).
-    if "--url" in argv:
+    # Dual-mode command: with --url (or --url=URL) it is the
+    # distributed-trace waterfall viewer against a running daemon;
+    # without, the workload-trace generator (kept for scripts and tests).
+    if any(arg == "--url" or arg.startswith("--url=") for arg in argv):
         return _cmd_trace_waterfall(argv)
-    from repro.experiments.common import get_scale
     from repro.htc.simulator import SimulationConfig, make_workload
     from repro.htc.trace import save_trace
     from repro.htc.workload import build_stream, jobs_from_specs
-    from repro.packages.sft import build_experiment_repository
     from repro.util.rng import spawn
 
     parser = argparse.ArgumentParser(prog="repro-landlord trace")
     parser.add_argument("output", help="trace file to write (JSON lines)")
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"], default=None)
-    parser.add_argument("--seed", type=int, default=2020)
+    _site_args(parser)
     parser.add_argument("--scheme", choices=["deps", "random", "drift"], default="deps")
     args = parser.parse_args(argv)
-    scale = get_scale(args.scale)
+    scale, repo = _site_repository(args)
     config = SimulationConfig(
         n_unique=scale.n_unique,
         repeats=scale.repeats,
@@ -384,10 +743,6 @@ def _cmd_trace(argv: Sequence[str]) -> int:
         n_packages=scale.n_packages,
         repo_total_size=scale.repo_total_size,
         seed=args.seed,
-    )
-    repo = build_experiment_repository(
-        "sft", seed=args.seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
     )
     workload = make_workload(config, repo)
     rng = spawn(args.seed, "workload", args.scheme, config.n_unique)
@@ -469,8 +824,7 @@ def _cmd_trace_waterfall(argv: Sequence[str]) -> int:
     try:
         traces = fetch()
     except (ServiceError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from exc
     if not args.follow:
         if not traces:
             what = (
@@ -502,20 +856,14 @@ def _cmd_trace_waterfall(argv: Sequence[str]) -> int:
 
 def _cmd_replay(argv: Sequence[str]) -> int:
     from repro.core.cache import LandlordCache
-    from repro.core.engine import ENGINES
-    from repro.experiments.common import get_scale
     from repro.htc.simulator import simulate_stream
     from repro.htc.trace import iter_trace
-    from repro.packages.sft import build_experiment_repository
-    from repro.util.units import format_bytes, parse_bytes
+    from repro.util.units import format_bytes
 
     parser = argparse.ArgumentParser(prog="repro-landlord replay")
     parser.add_argument("trace", help="trace file to replay")
-    parser.add_argument("--alpha", type=float, default=0.75)
-    parser.add_argument("--capacity", default=None,
-                        help="cache capacity, e.g. 1.4TB (default: scale's)")
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"], default=None)
-    parser.add_argument("--seed", type=int, default=2020)
+    _site_args(parser)
+    _cache_args(parser, alpha=0.75)
     parser.add_argument("--events-out", metavar="FILE", default=None,
                         help="record the cache-event log and write it as a "
                         "JSONL stream (consumable by "
@@ -523,9 +871,6 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="record cache metrics and save the registry "
                         "(.json = JSON snapshot, else Prometheus text)")
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
-                        help="cache decision engine (bit-identical results; "
-                        "default: %(default)s)")
     parser.add_argument("--batch-size", default="0", metavar="N",
                         help="serve the trace through one "
                         "LandlordCache.submit_batch call that interns N "
@@ -539,12 +884,10 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     if batch_size != 0 and args.alert_rules:
         parser.error("--batch-size is incompatible with --alert-rules "
                      "(alert rules are evaluated after every request)")
-    scale = get_scale(args.scale)
-    capacity = parse_bytes(args.capacity) if args.capacity else scale.capacity
-    repo = build_experiment_repository(
-        "sft", seed=args.seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
-    )
+    stream = _read("trace file", args.trace,
+                   lambda path: [job.packages for job in iter_trace(path)])
+    scale, repo = _site_repository(args)
+    capacity = scale.capacity if args.capacity is None else args.capacity
     try:
         cache = LandlordCache(capacity, args.alpha, repo.size_of,
                               record_events=bool(args.events_out),
@@ -560,12 +903,9 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     if args.alert_rules:
         from repro.obs import AlertEngine, SloTracker
 
-        rules = _load_alert_rules(args.alert_rules)
-        if rules is None:
-            return 2
+        alerts = AlertEngine(_alert_rules(args.alert_rules),
+                             registry=registry)
         slo = SloTracker(window=args.window)
-        alerts = AlertEngine(rules, registry=registry)
-    stream = [job.packages for job in iter_trace(args.trace)]
     result = simulate_stream(cache, stream, record_timeline=False,
                              metrics=registry, slo=slo, alerts=alerts,
                              batch_size=batch_size)
@@ -587,79 +927,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
 
         save_registry(registry, args.metrics_out)
         print(f"metrics saved to {args.metrics_out}")
-    if alerts is not None:
-        return _finish_alerts(alerts, args.alert_log)
-    return 0
-
-
-def _parse_batch_size(parser: argparse.ArgumentParser, flag: str,
-                      value: str, minimum: int,
-                      allow_auto: bool = False) -> "int | str":
-    """Parse a window-size flag value (shared by replay/serve); only
-    serve's ``--max-batch`` takes ``'auto'``."""
-    or_auto = " or 'auto'" if allow_auto else ""
-    if allow_auto and value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
-        parser.error(f"{flag} must be an integer{or_auto}, got {value!r}")
-    if parsed < minimum:
-        parser.error(f"{flag} must be >= {minimum}{or_auto}")
-    return parsed
-
-
-def _alert_args(parser: argparse.ArgumentParser) -> None:
-    """The alert-rule flags shared by submit and replay."""
-    from repro.obs import DEFAULT_WINDOW
-
-    parser.add_argument("--alert-rules", metavar="FILE", default=None,
-                        help="evaluate declarative alert rules (JSON list "
-                        "of {name, expr, for} entries) over the rolling "
-                        "window after every request; exit 1 if any fired")
-    parser.add_argument("--alert-log", metavar="FILE", default=None,
-                        help="append alert firing/resolved transitions "
-                        "as JSON lines (the audit log)")
-    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                        metavar="N",
-                        help="rolling-window size in requests for SLO "
-                        "series (default: %(default)s)")
-
-
-def _load_alert_rules(path: str):
-    """Load an alert-rule file, reporting problems as a CLI error.
-
-    Returns the rule list, or ``None`` after printing to stderr (the
-    caller exits 2) when the file is missing or malformed.
-    """
-    from repro.obs import load_rules
-
-    try:
-        return load_rules(path)
-    except OSError as exc:
-        print(f"cannot read alert rules {path}: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"bad alert rules {path}: {exc}", file=sys.stderr)
-    return None
-
-
-def _finish_alerts(alerts, alert_log: Optional[str]) -> int:
-    """Print the alert outcome, write the audit log, gate the exit code."""
-    from repro.obs import write_transitions
-
-    for row in alerts.summary():
-        print(f"alert {row['name']} [{row['state']}]: {row['expr']} "
-              f"for {row['for']}")
-    if alert_log:
-        write_transitions(alerts.transitions, alert_log, append=True)
-        print(f"{len(alerts.transitions)} alert transition(s) "
-              f"appended to {alert_log}")
-    if alerts.fired_ever:
-        fired = sorted({t.rule for t in alerts.transitions
-                        if t.state == "firing"})
-        print(f"ALERT: {', '.join(fired)} fired during this run",
-              file=sys.stderr)
-    return alerts.exit_code
+    return _finish_alerts(alerts, args.alert_log)
 
 
 def _load_specfile(path: str, repo) -> "frozenset[str]":
@@ -678,24 +946,28 @@ def _load_specfile(path: str, repo) -> "frozenset[str]":
         spec_from_python_source,
     )
 
-    text = Path(path).read_text(encoding="utf-8")
-    resolver = PackageResolver(repo)
-    if path.endswith(".py"):
-        report = spec_from_python_source(text, resolver, filename=path)
-    elif path.endswith(".sh"):
-        report = spec_from_module_script(text, resolver)
-    elif path.endswith(".json"):
-        import json as _json
+    def resolve(path: str):
+        text = Path(path).read_text(encoding="utf-8")
+        resolver = PackageResolver(repo)
+        if path.endswith(".py"):
+            return spec_from_python_source(text, resolver, filename=path)
+        if path.endswith(".sh"):
+            return spec_from_module_script(text, resolver)
+        if path.endswith(".json"):
+            import json as _json
 
-        data = _json.loads(text)
-        names = data["packages"] if isinstance(data, dict) else data
-        report = resolver.resolve(names)
-    else:
+            data = _json.loads(text)
+            names = data.get("packages") if isinstance(data, dict) else data
+            if not isinstance(names, list):
+                raise ValueError('want {"packages": [...]} or a JSON list')
+            return resolver.resolve(names)
         names = [
             line.split("#", 1)[0].strip()
             for line in text.splitlines()
         ]
-        report = resolver.resolve([n for n in names if n])
+        return resolver.resolve([n for n in names if n])
+
+    report = _read("spec file", path, resolve)
     if report.unresolved:
         raise SystemExit(
             "unresolvable requirements: " + ", ".join(report.unresolved)
@@ -703,86 +975,8 @@ def _load_specfile(path: str, repo) -> "frozenset[str]":
     return report.spec.packages
 
 
-def _site_repository(
-    scale_name: Optional[str], seed: int, repo_file: Optional[str] = None
-):
-    from repro.experiments.common import get_scale
-    from repro.packages.sft import build_experiment_repository
-
-    scale = get_scale(scale_name)
-    if repo_file:
-        from repro.packages.io import load_repository
-
-        return scale, load_repository(repo_file)
-    repo = build_experiment_repository(
-        "sft", seed=seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
-    )
-    return scale, repo
-
-
-def _journal_args(parser: argparse.ArgumentParser) -> None:
-    """The durable-state flags shared by submit/cache-status/recover."""
-    parser.add_argument("--state", default=".landlord-state.json",
-                        help="cache state file (default: %(default)s)")
-    parser.add_argument("--journal", default=None, metavar="FILE",
-                        help="write-ahead journal file "
-                        "(default: <state>.journal)")
-    parser.add_argument("--no-journal", action="store_true",
-                        help="disable write-ahead journalling (snapshot "
-                        "rewritten after every request instead)")
-
-
-def _obs_args(parser: argparse.ArgumentParser) -> None:
-    """The observability flags shared by submit and cache-status."""
-    parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                        help="accumulate a metrics registry in FILE across "
-                        "invocations (JSON; load, record, save)")
-    parser.add_argument("--trace-file", metavar="FILE", default=None,
-                        help="decision-trace sidecar "
-                        "(default: <state>.trace.jsonl)")
-
-
-def _trace_path(args: argparse.Namespace) -> str:
-    """Resolve the decision-trace sidecar path for a state file."""
-    return args.trace_file or f"{args.state}.trace.jsonl"
-
-
-def _write_port_file(path: str, port: int) -> None:
-    """Atomically publish a bound port: write a tmp file, then rename.
-
-    Readers polling the file (the CI smoke scripts) therefore never see
-    an empty or half-written file — the rename is the publication.
-    """
-    from pathlib import Path
-
-    port_path = Path(path)
-    port_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = port_path.with_name(port_path.name + ".tmp")
-    tmp.write_text(f"{port}\n", encoding="utf-8")
-    tmp.replace(port_path)
-
-
-def _remove_port_file(path: str) -> None:
-    """Best-effort unlink of a published port file.
-
-    Tolerates the file being missing or its path being unusable (the
-    write may itself have been the setup failure that brought us here).
-    """
-    from pathlib import Path
-
-    try:
-        Path(path).unlink()
-    except OSError:
-        pass
-
-
 def _cmd_submit(argv: Sequence[str]) -> int:
-    from repro.core.journal import JournaledState
-    from repro.core.persistence import StateError, StateNotFound
-    from repro.core.cache import LandlordCache
-    from repro.core.engine import ENGINES
-    from repro.util.units import format_bytes, parse_bytes
+    from repro.util.units import format_bytes
 
     parser = argparse.ArgumentParser(
         prog="repro-landlord submit",
@@ -791,41 +985,13 @@ def _cmd_submit(argv: Sequence[str]) -> int:
         "write-ahead journalled so a crashed wrapper loses nothing.",
     )
     parser.add_argument("specfile", help=".py/.sh/.json/.txt job spec")
-    _journal_args(parser)
-    parser.add_argument("--snapshot-every", type=int, default=1, metavar="N",
-                        help="rewrite the full snapshot every N requests, "
-                        "relying on journal replay in between "
-                        "(default: %(default)s)")
-    parser.add_argument("--alpha", type=float, default=0.8,
-                        help="merge threshold on first initialisation")
-    parser.add_argument("--capacity", default=None,
-                        help="cache capacity on first initialisation, "
-                        "e.g. 300GB (default: the scale's)")
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020,
-                        help="site repository seed")
-    parser.add_argument("--repo", default=None, metavar="FILE",
-                        help="load the site's real repository from a "
-                        "JSON-lines file instead of the synthetic one")
+    _state_args(parser, snapshot_every=1)
+    _cache_args(parser, alpha=0.8)
     parser.add_argument("--no-closure", action="store_true",
                         help="treat the spec as already closed")
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
-                        help="cache decision engine (bit-identical results, "
-                        "so snapshots restore across engines; default: "
-                        "%(default)s)")
     _obs_args(parser)
-    parser.add_argument("--trace", action="store_true",
-                        help="record a decision trace for this request "
-                        "(inspect with `repro-landlord explain INDEX`)")
-    parser.add_argument("--serve", type=int, default=None, metavar="PORT",
-                        help="after handling the request, keep serving "
-                        "/metrics, /healthz, /statusz and /traces on "
-                        "127.0.0.1:PORT (0 = ephemeral) until "
-                        "SIGTERM/SIGINT")
-    parser.add_argument("--port-file", metavar="FILE", default=None,
-                        help="with --serve, write the bound port to FILE "
-                        "once listening (lets scripts use --serve 0)")
+    _serve_args(parser, serves="/metrics, /healthz, /statusz and /traces "
+                "once the request is handled")
     parser.add_argument("--remote", metavar="URL", default=None,
                         help="forward the spec to a running "
                         "`repro-landlord serve` daemon at URL "
@@ -846,81 +1012,11 @@ def _cmd_submit(argv: Sequence[str]) -> int:
         parser.error("--remote submits to an existing daemon; "
                      "it cannot be combined with --serve")
 
-    scale, repo = _site_repository(args.scale, args.seed, args.repo)
     if args.remote:
-        return _submit_remote(args, repo)
-    repo_meta = (
-        {"file": args.repo, "n_packages": len(repo)}
-        if args.repo
-        else {"scale": scale.name, "seed": args.seed,
-              "n_packages": scale.n_packages}
-    )
-    store = JournaledState(
-        args.state, args.journal, snapshot_every=args.snapshot_every,
-        use_journal=not args.no_journal,
-    )
-    try:
-        cache, metadata, replayed = store.load(
-            repo.size_of, engine=args.engine
-        )
-        if replayed:
-            print(f"replayed {len(replayed)} journalled operation(s) "
-                  "not yet covered by the snapshot")
-        if metadata.get("repository") != repo_meta:
-            print(
-                f"state {args.state} was built for repository "
-                f"{metadata.get('repository')}, not {repo_meta}",
-                file=sys.stderr,
-            )
-            return 2
-    except StateNotFound:
-        capacity = (
-            parse_bytes(args.capacity) if args.capacity else scale.capacity
-        )
-        cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                              engine=args.engine)
-        metadata = {"repository": repo_meta}
-        store.initialise(cache, metadata)
-        print(f"initialised new cache: capacity "
-              f"{format_bytes(capacity)}, alpha {args.alpha}")
-    except StateError as exc:
-        # corrupt / unreadable / policy-mismatched state is real data —
-        # refuse to silently reinitialise over it
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    # Observability attaches *after* load/replay so that journalled
-    # history already covered by the snapshot is not double-counted.
-    registry = None
-    if args.metrics_out or args.serve is not None:
-        from repro.obs import MetricsRegistry, load_registry
-
-        registry = (
-            load_registry(args.metrics_out, missing_ok=True)
-            if args.metrics_out
-            else MetricsRegistry()
-        )
-        cache.enable_metrics(registry)
-        store.enable_metrics(registry)
-    tracer = None
-    if args.trace:
-        from repro.obs import DecisionTracer
-
-        tracer = DecisionTracer()
-        cache.enable_tracing(tracer)
-    slo = alerts = None
-    if args.serve is not None or args.alert_rules:
-        from repro.obs import SloTracker
-
-        slo = SloTracker(window=args.window)
-        cache.enable_slo(slo)
-    if args.alert_rules:
-        from repro.obs import AlertEngine
-
-        rules = _load_alert_rules(args.alert_rules)
-        if rules is None:
-            return 2
-        alerts = AlertEngine(rules, registry=registry)
+        return _submit_remote(args, _site_repository(args)[1])
+    repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
+    serving = args.serve is not None
+    registry, slo, alerts, tracer = _attach_obs(args, cache, store, serving)
 
     packages = _load_specfile(args.specfile, repo)
     closed = packages if args.no_closure else repo.closure(packages)
@@ -937,9 +1033,29 @@ def _cmd_submit(argv: Sequence[str]) -> int:
         print(f"evicted: {', '.join(decision.evicted)}")
     if alerts is not None:
         alerts.evaluate(slo.values(), cache.stats.requests - 1)
-    if args.serve is not None:
-        _serve_until_signal(args, cache, registry, tracer, slo, alerts)
-    if registry is not None and args.metrics_out:
+    if serving:
+        import threading
+
+        from repro.obs import ObsServer, build_status
+
+        lock = threading.RLock()
+        cache.enable_lock(lock)
+        server = ObsServer(
+            registry,
+            status_fn=lambda: build_status(cache, slo=slo, alerts=alerts),
+            tracer=tracer,
+            port=args.serve,
+            # scrapes refresh the slo_window gauges
+            on_scrape=lambda: slo.export_to(registry),
+            lock=lock,
+        )
+        _serve_until_signal(
+            server, args.port_file,
+            lambda port: f"serving on http://127.0.0.1:{port} "
+            "(/metrics /healthz /statusz /traces; SIGTERM to stop)",
+        )
+        print("server stopped")
+    if args.metrics_out:
         from repro.obs import save_registry
 
         save_registry(registry, args.metrics_out)
@@ -954,67 +1070,7 @@ def _cmd_submit(argv: Sequence[str]) -> int:
                 print(f"traced request #{event.request_index} -> "
                       f"`repro-landlord explain {event.request_index} "
                       f"--state {args.state}`")
-    if alerts is not None:
-        return _finish_alerts(alerts, args.alert_log)
-    return 0
-
-
-def _serve_until_signal(args, cache, registry, tracer, slo, alerts) -> None:
-    """Run the embedded observability endpoint until SIGTERM/SIGINT.
-
-    Scrapes refresh the ``slo_window`` gauges via the server's
-    ``on_scrape`` hook; the bound port is printed and optionally written
-    to ``--port-file`` so scripts (and the CI smoke test) can pass
-    ``--serve 0`` and discover the ephemeral port.
-
-    The serve loop is hardened in three ways (each regression-tested in
-    ``tests/obs/test_server.py``): the port file is written atomically
-    (tmp + rename — pollers never read a torn value) and unlinked on
-    every exit path; *all* setup after construction runs inside the
-    ``try`` so a failure (bad port-file path, signal registration from
-    a non-main thread) still tears the server thread down; and the
-    server shares one re-entrant lock with the cache
-    (:meth:`~repro.core.cache.LandlordCache.enable_lock`) so a scrape
-    never renders mid-mutation state.
-    """
-    import signal
-    import threading
-
-    from repro.obs import ObsServer, build_status
-
-    lock = threading.RLock()
-    cache.enable_lock(lock)
-    on_scrape = (
-        (lambda: slo.export_to(registry)) if slo is not None else None
-    )
-    server = ObsServer(
-        registry,
-        status_fn=lambda: build_status(cache, slo=slo, alerts=alerts),
-        tracer=tracer,
-        port=args.serve,
-        on_scrape=on_scrape,
-        lock=lock,
-    )
-    stop = threading.Event()
-    previous = {}
-    try:
-        port = server.start()
-        if args.port_file:
-            _write_port_file(args.port_file, port)
-        print(f"serving on http://127.0.0.1:{port} "
-              "(/metrics /healthz /statusz /traces; SIGTERM to stop)")
-        previous = {
-            sig: signal.signal(sig, lambda *_: stop.set())
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        server.stop()
-        if args.port_file:
-            _remove_port_file(args.port_file)
-        print("server stopped")
+    return _finish_alerts(alerts, args.alert_log)
 
 
 def _submit_remote(args: argparse.Namespace, repo) -> int:
@@ -1034,8 +1090,7 @@ def _submit_remote(args: argparse.Namespace, repo) -> int:
     try:
         client = LandlordClient(args.remote)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from exc
     try:
         reply = client.submit(
             sorted(closed), retries=max(0, args.remote_retries)
@@ -1044,8 +1099,7 @@ def _submit_remote(args: argparse.Namespace, repo) -> int:
         print(f"daemon rejected the submission: {exc}", file=sys.stderr)
         return 3
     except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from exc
     finally:
         client.close()
     print(
@@ -1066,19 +1120,7 @@ def _submit_remote(args: argparse.Namespace, repo) -> int:
 
 
 def _cmd_serve(argv: Sequence[str]) -> int:
-    from repro.core.journal import JournaledState
-    from repro.core.persistence import StateError, StateNotFound
-    from repro.core.cache import LandlordCache
-    from repro.core.engine import ENGINES
-    from repro.obs import (
-        AlertEngine,
-        DecisionTracer,
-        MetricsRegistry,
-        SloTracker,
-        load_registry,
-    )
     from repro.service import LandlordDaemon
-    from repro.util.units import format_bytes, parse_bytes
 
     parser = argparse.ArgumentParser(
         prog="repro-landlord serve",
@@ -1091,31 +1133,12 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         "SIGTERM drains the queue, writes a final covering snapshot, "
         "and compacts the journal.",
     )
-    _journal_args(parser)
-    parser.add_argument("--snapshot-every", type=int, default=64,
-                        metavar="N",
-                        help="rewrite the full snapshot every N journalled "
-                        "requests (default: %(default)s — the daemon "
-                        "amortises; crashes replay the journal tail)")
-    parser.add_argument("--alpha", type=float, default=0.8,
-                        help="merge threshold on first initialisation")
-    parser.add_argument("--capacity", default=None,
-                        help="cache capacity on first initialisation, "
-                        "e.g. 300GB (default: the scale's)")
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020,
-                        help="site repository seed")
-    parser.add_argument("--repo", default=None, metavar="FILE",
-                        help="load the site's real repository from a "
-                        "JSON-lines file instead of the synthetic one")
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized")
+    _state_args(parser, snapshot_every=64)
+    _cache_args(parser, alpha=0.8)
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port on 127.0.0.1 (0 = ephemeral; "
                         "default: %(default)s)")
-    parser.add_argument("--port-file", metavar="FILE", default=None,
-                        help="write the bound port to FILE once listening "
-                        "(atomic; removed on shutdown)")
+    _serve_args(parser)
     parser.add_argument("--socket", metavar="PATH", default=None,
                         help="additionally serve on a UNIX-domain socket "
                         "at PATH")
@@ -1136,10 +1159,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
                         "/traces and `repro-landlord trace` "
                         "(default: %(default)s)")
     _obs_args(parser)
-    parser.add_argument("--trace", action="store_true",
-                        help="record decision traces to the sidecar so "
-                        "`repro-landlord explain` works for "
-                        "daemon-processed requests")
     _alert_args(parser)
     args = parser.parse_args(argv)
     if args.snapshot_every < 1:
@@ -1153,67 +1172,10 @@ def _cmd_serve(argv: Sequence[str]) -> int:
     if args.span_limit < 1:
         parser.error("--span-limit must be >= 1")
 
-    scale, repo = _site_repository(args.scale, args.seed, args.repo)
-    repo_meta = (
-        {"file": args.repo, "n_packages": len(repo)}
-        if args.repo
-        else {"scale": scale.name, "seed": args.seed,
-              "n_packages": scale.n_packages}
-    )
-    store = JournaledState(
-        args.state, args.journal, snapshot_every=args.snapshot_every,
-        use_journal=not args.no_journal,
-    )
-    try:
-        cache, metadata, replayed = store.load(
-            repo.size_of, engine=args.engine
-        )
-        if replayed:
-            print(f"replayed {len(replayed)} journalled operation(s) "
-                  "not yet covered by the snapshot")
-        if metadata.get("repository") != repo_meta:
-            print(
-                f"state {args.state} was built for repository "
-                f"{metadata.get('repository')}, not {repo_meta}",
-                file=sys.stderr,
-            )
-            return 2
-    except StateNotFound:
-        capacity = (
-            parse_bytes(args.capacity) if args.capacity else scale.capacity
-        )
-        cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                              engine=args.engine)
-        metadata = {"repository": repo_meta}
-        store.initialise(cache, metadata)
-        print(f"initialised new cache: capacity "
-              f"{format_bytes(capacity)}, alpha {args.alpha}")
-    except StateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    # The daemon always carries the full observability surface — it IS
-    # the scrape endpoint for whatever fleet submits to it.
-    registry = (
-        load_registry(args.metrics_out, missing_ok=True)
-        if args.metrics_out
-        else MetricsRegistry()
-    )
-    cache.enable_metrics(registry)
-    store.enable_metrics(registry)
-    slo = SloTracker(window=args.window)
-    cache.enable_slo(slo)
-    alerts = None
-    if args.alert_rules:
-        rules = _load_alert_rules(args.alert_rules)
-        if rules is None:
-            return 2
-        alerts = AlertEngine(rules, registry=registry)
-    tracer = None
-    if args.trace:
-        tracer = DecisionTracer(limit=1024)
-        cache.enable_tracing(tracer)
-
+    repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
+    registry, slo, alerts, tracer = _attach_obs(args, cache, store,
+                                                serving=True)
+    # The daemon attaches one lock to the cache and its own endpoint.
     daemon = LandlordDaemon(
         store, cache, metadata,
         port=args.port,
@@ -1230,46 +1192,23 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         span_limit=args.span_limit,
     )
 
-    import signal
-    import threading
-
-    stop = threading.Event()
-    previous = {}
-    # Hardened like _serve_until_signal: everything after construction
-    # runs inside the try, so a setup failure still tears the daemon
-    # down and removes the port file.
-    try:
-        port = daemon.start()
-        if args.port_file:
-            _write_port_file(args.port_file, port)
+    def listening(port: int) -> str:
         endpoints = f"http://127.0.0.1:{port}"
         if args.socket:
             endpoints += f" and unix:{args.socket}"
-        print(f"landlord daemon on {endpoints} "
-              "(POST /submit; /metrics /healthz /statusz /traces; "
-              "SIGTERM drains and snapshots)")
-        previous = {
-            sig: signal.signal(sig, lambda *_: stop.set())
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        daemon.stop()
-        if args.port_file:
-            _remove_port_file(args.port_file)
-        print(f"daemon stopped: {daemon.accepted} accepted, "
-              f"{daemon.rejected} rejected, {daemon.batches} batch(es); "
-              "state flushed")
+        return (f"landlord daemon on {endpoints} "
+                "(POST /submit; /metrics /healthz /statusz /traces; "
+                "SIGTERM drains and snapshots)")
 
+    _serve_until_signal(daemon, args.port_file, listening)
+    print(f"daemon stopped: {daemon.accepted} accepted, "
+          f"{daemon.rejected} rejected, {daemon.batches} batch(es); "
+          "state flushed")
     if args.metrics_out:
         from repro.obs import save_registry
 
         save_registry(registry, args.metrics_out)
-    if alerts is not None:
-        return _finish_alerts(alerts, args.alert_log)
-    return 0
+    return _finish_alerts(alerts, args.alert_log)
 
 
 def _cmd_explain(argv: Sequence[str]) -> int:
@@ -1296,9 +1235,8 @@ def _cmd_explain(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     trace_path = _trace_path(args)
     if not Path(trace_path).exists():
-        print(f"no trace file at {trace_path} — run "
-              "`repro-landlord submit --trace ...` first", file=sys.stderr)
-        return 2
+        raise _InputError(f"no trace file at {trace_path} — run "
+                          "`repro-landlord submit --trace ...` first")
     try:
         # Later records win: an appended sidecar that re-traced an index
         # (e.g. after a state reset) resolves to the most recent one.
@@ -1307,8 +1245,7 @@ def _cmd_explain(argv: Sequence[str]) -> int:
             for record in by_request(iter_event_stream(trace_path))
         }
     except ValueError as exc:
-        print(f"cannot read trace file: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(f"cannot read trace file: {exc}") from exc
     record = records.get(args.index)
     if record is None:
         held = sorted(records)
@@ -1336,11 +1273,7 @@ def _cmd_metrics(argv: Sequence[str]) -> int:
                         choices=["table", "prom", "openmetrics", "json"],
                         default="table")
     args = parser.parse_args(argv)
-    try:
-        registry = load_registry(args.file)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    registry = _read("metrics file", args.file, load_registry)
     if args.format == "prom":
         print(registry.to_prometheus(), end="")
         return 0
@@ -1385,7 +1318,7 @@ def _metrics_status_report(path: str) -> "list[str]":
     breakdown and the journal fsync latency histogram."""
     from repro.obs import load_registry
 
-    registry = load_registry(path)
+    registry = _read("metrics file", path, load_registry)
     lines = [f"metrics ({path}):"]
     evictions = registry.get("landlord_evictions_total")
     if evictions is not None:
@@ -1415,31 +1348,19 @@ def _metrics_status_report(path: str) -> "list[str]":
 
 
 def _cmd_cache_status(argv: Sequence[str]) -> int:
-    from repro.core.journal import JournaledState
-    from repro.core.persistence import StateError
+    from pathlib import Path
+
     from repro.util.tables import render_table
     from repro.util.units import format_bytes
 
     parser = argparse.ArgumentParser(prog="repro-landlord cache-status")
-    _journal_args(parser)
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--repo", default=None, metavar="FILE")
+    _state_args(parser)
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="metrics registry accumulated by `submit "
                         "--metrics-out`; reports the journal fsync latency "
                         "histogram and the eviction breakdown")
     args = parser.parse_args(argv)
-    _scale, repo = _site_repository(args.scale, args.seed, args.repo)
-    store = JournaledState(
-        args.state, args.journal, use_journal=not args.no_journal
-    )
-    try:
-        cache, _metadata, replayed = store.load(repo.size_of)
-    except StateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _repo, _store, cache, _metadata, replayed = _open_site_state(args)
     if replayed:
         print(f"journal: {len(replayed)} operation(s) pending beyond the "
               "snapshot (run `repro-landlord recover` to compact)")
@@ -1477,8 +1398,6 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
     print(render_table(rows, header=["image", "pkgs", "size", "merges",
                                      "last used"]))
     if args.metrics_out:
-        from pathlib import Path
-
         if Path(args.metrics_out).exists():
             for line in _metrics_status_report(args.metrics_out):
                 print(line)
@@ -1488,30 +1407,15 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
 
 
 def _cmd_recover(argv: Sequence[str]) -> int:
-    from repro.core.journal import JournaledState
-    from repro.core.persistence import StateError
-
     parser = argparse.ArgumentParser(
         prog="repro-landlord recover",
         description="Explicit crash recovery: load the snapshot, replay "
         "the write-ahead journal tail, write a fresh snapshot covering "
         "it, and compact the journal.",
     )
-    _journal_args(parser)
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--repo", default=None, metavar="FILE")
+    _state_args(parser)
     args = parser.parse_args(argv)
-    _scale, repo = _site_repository(args.scale, args.seed, args.repo)
-    store = JournaledState(
-        args.state, args.journal, use_journal=not args.no_journal
-    )
-    try:
-        cache, metadata, replayed = store.load(repo.size_of)
-    except StateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _repo, store, cache, metadata, replayed = _open_site_state(args)
     store.flush(cache, metadata)
     print(f"recovered: replayed {len(replayed)} journalled operation(s); "
           f"state covers {cache.stats.requests} requests "
@@ -1542,7 +1446,7 @@ def _cmd_top(argv: Sequence[str]) -> int:
                         metavar="N",
                         help="replay: rolling-window size "
                         "(default: %(default)s)")
-    parser.add_argument("--capacity", default=None,
+    parser.add_argument("--capacity", type=_capacity, default=None,
                         help="replay: cache capacity (e.g. 300GB) so the "
                         "occupancy bar can be drawn")
     parser.add_argument("--alpha", type=float, default=None,
@@ -1579,37 +1483,30 @@ def _print_frame(frame: str, headless: bool) -> None:
 def _top_from_events(args: argparse.Namespace) -> int:
     """`top --from-events`: frames from a recorded JSONL stream."""
     from repro.obs import AlertEngine, frames_from_events
-    from repro.util.units import parse_bytes
 
-    if args.alert_rules:
-        rules = _load_alert_rules(args.alert_rules)
-        if rules is None:
-            return 2
-        alerts = AlertEngine(rules)
-    else:
-        alerts = AlertEngine()
-    capacity = parse_bytes(args.capacity) if args.capacity else None
+    alerts = (
+        AlertEngine(_alert_rules(args.alert_rules)) if args.alert_rules
+        else AlertEngine()
+    )
     try:
         for frame in frames_from_events(
             args.from_events,
             every=args.every,
             window=args.window,
             alerts=alerts,
-            capacity=capacity,
+            capacity=args.capacity,
             alpha=args.alpha,
             width=args.width,
         ):
             _print_frame(frame, args.headless)
-    except FileNotFoundError:
-        print(f"no event stream at {args.from_events}", file=sys.stderr)
-        return 2
+    except FileNotFoundError as exc:
+        raise _InputError(f"no event stream at {args.from_events}") from exc
     return 0
 
 
 def _top_attach(args: argparse.Namespace) -> int:
     """`top --url`: poll a live /statusz endpoint and redraw."""
     import json as _json
-    import math
     import time
     import urllib.error
     import urllib.request
@@ -1627,8 +1524,7 @@ def _top_attach(args: argparse.Namespace) -> int:
             with urllib.request.urlopen(url, timeout=5) as response:
                 status = _json.load(response)
         except (urllib.error.URLError, OSError) as exc:
-            print(f"cannot reach {url}: {exc}", file=sys.stderr)
-            return 2
+            raise _InputError(f"cannot reach {url}: {exc}") from exc
         series = status.get("window", {}).get("series", {})
         for name in HISTORY_SERIES:
             value = (
@@ -1646,7 +1542,6 @@ def _top_attach(args: argparse.Namespace) -> int:
         if args.iterations and polls >= args.iterations:
             return 0
         time.sleep(args.interval)
-    return 0  # pragma: no cover - unreachable
 
 
 def _cmd_calibrate(argv: Sequence[str]) -> int:
@@ -1658,69 +1553,55 @@ def _cmd_calibrate(argv: Sequence[str]) -> int:
         "(closure amplification, core concentration, inter-spec "
         "distances) — the quantities the merge threshold lives against.",
     )
-    parser.add_argument("--scale", choices=["tiny", "quick", "paper"],
-                        default=None)
-    parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--repo", default=None, metavar="FILE",
-                        help="JSON-lines repository file to calibrate")
+    _site_args(parser, repo=True)
     args = parser.parse_args(argv)
-    _scale, repo = _site_repository(args.scale, args.seed, args.repo)
+    _scale, repo = _site_repository(args)
     report = calibration_report(repo, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0
 
 
+#: Every non-figure command: drives both dispatch and the help listing.
+_COMMANDS: "dict[str, Callable[[Sequence[str]], int]]" = {
+    "all": _cmd_all,
+    "sweep": _cmd_sweep,
+    "bench": _cmd_bench,
+    "trace": _cmd_trace,
+    "replay": _cmd_replay,
+    "submit": _cmd_submit,
+    "serve": _cmd_serve,
+    "cache-status": _cmd_cache_status,
+    "recover": _cmd_recover,
+    "explain": _cmd_explain,
+    "metrics": _cmd_metrics,
+    "top": _cmd_top,
+    "calibrate": _cmd_calibrate,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch a repro-landlord command; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    commands = sorted(
-        list(_FIGURES)
-        + ["all", "sweep", "bench", "trace", "replay", "submit",
-           "serve", "cache-status", "recover", "explain", "metrics",
-           "top", "calibrate"]
-    )
+    commands = sorted([*_FIGURES, *_COMMANDS])
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         print("commands:", ", ".join(commands))
         return 0
     command, rest = argv[0], argv[1:]
     if command in _FIGURES:
-        return _FIGURES[command].main(rest)
-    if command == "all":
-        for name, module in _FIGURES.items():
-            print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            status = module.main(rest)
-            if status:
-                return status
-        return 0
-    if command == "sweep":
-        return _cmd_sweep(rest)
-    if command == "bench":
-        return _cmd_bench(rest)
-    if command == "trace":
-        return _cmd_trace(rest)
-    if command == "replay":
-        return _cmd_replay(rest)
-    if command == "submit":
-        return _cmd_submit(rest)
-    if command == "serve":
-        return _cmd_serve(rest)
-    if command == "cache-status":
-        return _cmd_cache_status(rest)
-    if command == "recover":
-        return _cmd_recover(rest)
-    if command == "explain":
-        return _cmd_explain(rest)
-    if command == "metrics":
-        return _cmd_metrics(rest)
-    if command == "top":
-        return _cmd_top(rest)
-    if command == "calibrate":
-        return _cmd_calibrate(rest)
-    print(f"unknown command: {command!r}; available: {', '.join(commands)}",
-          file=sys.stderr)
-    return 2
+        run = _FIGURES[command].main
+    else:
+        run = _COMMANDS.get(command)
+    if run is None:
+        print(f"unknown command: {command!r}; available: "
+              f"{', '.join(commands)}", file=sys.stderr)
+        return 2
+    try:
+        return run(rest)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

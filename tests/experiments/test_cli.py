@@ -63,3 +63,83 @@ class TestTraceReplay:
                   "--batch-size", "auto"])
         assert exit_info.value.code == 2
         assert "--batch-size must be an integer" in capsys.readouterr().err
+
+    def test_url_equals_form_selects_waterfall_mode(self, capsys):
+        # `--url=URL` is the viewer too, not the generator missing its
+        # output argument; nothing listens on port 1.
+        assert main(["trace", "--url=http://127.0.0.1:1", "--last", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "unreachable" in err and "output" not in err
+
+
+def run_cli(argv):
+    """``main(argv)``'s exit status, whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+FRESH = ["--scale", "tiny", "--state", "{d}/fresh.json"]
+MADE = ["--scale", "tiny", "--state", "{d}/made.json"]  # a real state
+ABSENT_REPO = ["--repo", "{d}/absent-repo.jsonl"]
+
+BAD_INPUT = {
+    "submit-missing-spec": (["submit", "{d}/absent.json", *FRESH],
+                            "{d}/absent.json"),
+    "submit-spec-not-json": (["submit", "{d}/bad.json", *FRESH],
+                             "{d}/bad.json"),
+    "submit-json-without-packages": (["submit", "{d}/nopkgs.json", *FRESH],
+                                     "{d}/nopkgs.json"),
+    "replay-missing-trace": (["replay", "{d}/absent.jsonl", "--scale",
+                              "tiny"], "{d}/absent.jsonl"),
+    "replay-capacity": (["replay", "{d}/absent.jsonl", "--scale", "tiny",
+                         "--capacity", "lots"], "--capacity"),
+    "submit-capacity": (["submit", "{d}/job.txt", *FRESH, "--capacity",
+                         "lots"], "--capacity"),
+    "serve-capacity": (["serve", *FRESH, "--capacity", "lots"],
+                       "--capacity"),
+    "top-capacity": (["top", "--from-events", "{d}/absent.jsonl",
+                      "--capacity", "lots"], "--capacity"),
+    "submit-repo": (["submit", "{d}/job.txt", *FRESH, *ABSENT_REPO],
+                    "{d}/absent-repo.jsonl"),
+    "serve-repo": (["serve", *FRESH, *ABSENT_REPO],
+                   "{d}/absent-repo.jsonl"),
+    "cache-status-repo": (["cache-status", *FRESH, *ABSENT_REPO],
+                          "{d}/absent-repo.jsonl"),
+    "recover-repo": (["recover", *FRESH, *ABSENT_REPO],
+                     "{d}/absent-repo.jsonl"),
+    "calibrate-repo": (["calibrate", *ABSENT_REPO],
+                       "{d}/absent-repo.jsonl"),
+    "cache-status-corrupt-metrics": (["cache-status", *MADE, "--metrics-out",
+                                      "{d}/corrupt.json"],
+                                     "{d}/corrupt.json"),
+    "sweep-negative-repetitions": (["sweep", "--scale", "tiny", "--workers",
+                                    "1", "--repetitions", "-1"],
+                                   "--repetitions"),
+    "sweep-zero-repetitions": (["sweep", "--scale", "tiny", "--workers", "1",
+                                "--alpha", "0.5", "0.5", "0.1",
+                                "--repetitions", "0"], "--repetitions"),
+}
+
+
+class TestBadInput:
+    """Bad input is an exit status of 2 and an error naming the file or
+    flag — never a traceback (an exception escaping ``main``)."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_exits_2_naming_the_culprit(self, case, tmp_path, capsys):
+        argv, culprit = BAD_INPUT[case]
+        (tmp_path / "job.txt").write_text("app-0000/1.0/x86_64-el7\n")
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "nopkgs.json").write_text('{"pkgs": []}')
+        (tmp_path / "corrupt.json").write_text("{torn")
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        if str(tmp_path / "made.json") in argv:
+            assert run_cli(["submit", str(tmp_path / "job.txt"),
+                            *[a.format(d=tmp_path) for a in MADE]]) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert culprit.format(d=tmp_path) in err
+        assert "Traceback" not in err

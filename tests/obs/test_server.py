@@ -344,10 +344,42 @@ class TestServeCli:
         assert "--serve" in capsys.readouterr().err
 
 
+SERVING_THREADS = {
+    "repro-obs-server", "repro-service-batcher", "repro-service-server",
+}
+
+
+def serving_argv(caller, tmp_path, port_file):
+    """Argv for one of the three commands behind the one serving loop."""
+    state = ["--scale", "tiny", "--state", str(tmp_path / "state.json")]
+    if caller == "submit --serve":
+        spec = tmp_path / "job.txt"
+        spec.write_text("app-0000/1.0/x86_64-el7")
+        return ["submit", str(spec), *state, "--serve", "0",
+                "--port-file", str(port_file)]
+    if caller == "serve":
+        return ["serve", *state, "--port-file", str(port_file)]
+    return ["sweep", "--scale", "tiny", "--workers", "1",
+            "--repetitions", "1", "--alpha", "0.5", "0.5", "0.1",
+            "--serve", "0", "--port-file", str(port_file)]
+
+
+def serving_threads():
+    return {t for t in threading.enumerate() if t.name in SERVING_THREADS}
+
+
+def handlers():
+    return {sig: signal.getsignal(sig)
+            for sig in (signal.SIGTERM, signal.SIGINT)}
+
+
 class TestServeHardening:
-    """Regression tests for the three serve-path bugs: non-atomic port
+    """Regression tests for the three serve-path bugs — non-atomic port
     file publication, setup failures leaking the server thread, and
-    scrapes racing cache mutation without a lock."""
+    scrapes racing cache mutation without a lock — run through each
+    command that serves until SIGTERM (in process, via ``main``)."""
+
+    CALLERS = ["submit --serve", "serve", "sweep --serve"]
 
     def test_port_file_written_atomically(self, tmp_path, monkeypatch):
         # The final name must only ever appear via rename: pollers that
@@ -375,59 +407,80 @@ class TestServeHardening:
         cli._write_port_file(str(target), 1234)
         assert target.read_text() == "1234\n"
 
-    def test_setup_failure_tears_down_server_thread(self, tmp_path):
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_setup_failure_tears_down_server_thread(self, caller, tmp_path,
+                                                     capsys):
         # Pre-fix, the port file was written between server.start() and
         # the try block: a bad --port-file path raised with the server
         # thread still alive, hanging the (non-daemonised) caller.
-        from types import SimpleNamespace
-
-        from repro import cli
+        from repro.cli import main
 
         blocker = tmp_path / "blocker"
         blocker.write_text("")  # a *file* where a directory is needed
-        args = SimpleNamespace(
-            serve=0, port_file=str(blocker / "port.txt")
-        )
-        cache = make_cache(2)
-        before = {
-            t for t in threading.enumerate()
-            if t.name == "repro-obs-server"
-        }
-        with pytest.raises(OSError):
-            cli._serve_until_signal(args, cache, None, None, None, None)
-        leaked = [
-            t for t in threading.enumerate()
-            if t.name == "repro-obs-server" and t not in before
-        ]
-        assert leaked == []
+        port_file = blocker / "port.txt"
+        before, installed = serving_threads(), handlers()
+        assert main(serving_argv(caller, tmp_path, port_file)) == 2
+        err = capsys.readouterr().err
+        assert str(port_file) in err and "Traceback" not in err
+        assert serving_threads() - before == set()
+        assert not port_file.exists()
+        assert handlers() == installed
 
-    def test_serve_loop_passes_shared_lock(self, monkeypatch):
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_serve_loop_passes_shared_lock(self, caller, tmp_path,
+                                           monkeypatch, capsys):
         # Pre-fix, no lock reached ObsServer (or the cache): a scrape
-        # could render a half-applied request.
-        from types import SimpleNamespace
+        # could render a half-applied request.  Runs the loop for real:
+        # SIGTERM arrives once the command has installed its handler.
+        from repro.cli import main
+        from repro.obs import TelemetryAggregator
 
-        import repro.obs as obs
-        from repro import cli
+        server_locks, state_locks = [], []
+        real_server_init = ObsServer.__init__
+        real_enable_lock = LandlordCache.enable_lock
+        real_aggregator_init = TelemetryAggregator.__init__
 
-        recorded = {}
+        def server_init(self, *args, **kwargs):
+            server_locks.append(kwargs.get("lock"))
+            real_server_init(self, *args, **kwargs)
 
-        class Recorder:
-            def __init__(self, registry=None, **kwargs):
-                recorded.update(kwargs)
+        def enable_lock(self, lock):
+            state_locks.append(lock)
+            real_enable_lock(self, lock)
 
-            def start(self):
-                raise RuntimeError("recorded enough")
+        def aggregator_init(self, *args, **kwargs):
+            real_aggregator_init(self, *args, **kwargs)
+            state_locks.append(self.lock)
 
-            def stop(self):
-                pass
+        monkeypatch.setattr(ObsServer, "__init__", server_init)
+        monkeypatch.setattr(LandlordCache, "enable_lock", enable_lock)
+        monkeypatch.setattr(TelemetryAggregator, "__init__",
+                            aggregator_init)
 
-        monkeypatch.setattr(obs, "ObsServer", Recorder)
-        cache = make_cache(2)
-        args = SimpleNamespace(serve=0, port_file=None)
-        with pytest.raises(RuntimeError, match="recorded enough"):
-            cli._serve_until_signal(args, cache, None, None, None, None)
-        assert recorded.get("lock") is not None
-        assert cache.lock is recorded["lock"]
+        installed = handlers()
+        done = threading.Event()
+
+        def sigterm_once_handled():
+            while not done.wait(0.01):
+                if signal.getsignal(signal.SIGTERM) is not (
+                    installed[signal.SIGTERM]
+                ):
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    return
+
+        watcher = threading.Thread(target=sigterm_once_handled, daemon=True)
+        watcher.start()
+        port_file = tmp_path / "port.txt"
+        try:
+            assert main(serving_argv(caller, tmp_path, port_file)) == 0
+        finally:
+            done.set()
+            watcher.join()
+        assert "Traceback" not in capsys.readouterr().err
+        assert handlers() == installed
+        assert not port_file.exists()
+        assert len(server_locks) == 1 and server_locks[0] is not None
+        assert any(lock is server_locks[0] for lock in state_locks)
 
 class TestFormatNegotiation:
     def test_openmetrics_query_switches_format(self, served):
