@@ -1188,7 +1188,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         alerts=alerts,
         tracer=tracer,
         trace_path=_trace_path(args) if args.trace else None,
-        known_package=lambda p: p in repo,
+        known_package=frozenset(repo.ids).__contains__,  # a C-level test
         span_limit=args.span_limit,
     )
 

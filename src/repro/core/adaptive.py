@@ -67,8 +67,8 @@ class AimdController:
 
     The step function is pure state: it never reads a clock or RNG, so
     it is deterministic under frozen-clock tests and replays — the same
-    signal sequence always yields the same size sequence.  The daemon
-    batcher (signal = window latency vs the ack budget) drives it.
+    signal sequence always yields the same size sequence.  The daemon's
+    group commit (signal = window latency vs the ack budget) drives it.
     """
 
     def __init__(
@@ -160,7 +160,7 @@ class AimdController:
 
 
 def service_governor(initial: int = 256) -> AimdController:
-    """Governor for the daemon batcher's ``max_batch`` cap.
+    """Governor for the daemon's commit-window ``max_batch`` cap.
 
     Signal is window wall time (fsync + apply) over the ack budget:
     windows that clear well under budget while a backlog waits let the

@@ -231,6 +231,9 @@ class Journal:
         # valid while this object is the only writer.
         self._next_seq: Optional[int] = None
         self._n_entries: Optional[int] = None
+        # Why appends are refused: a failed append could not be cut back
+        # off the file, so its tail is unknown until it is re-read.
+        self._poisoned: Optional[str] = None
         self._ins = None
         if metrics is not None:
             self.enable_metrics(metrics)
@@ -318,6 +321,7 @@ class Journal:
         floor, intact = parsed = self._read()
         self._next_seq = (intact[-1].seq if intact else floor) + 1
         self._n_entries = len(intact)
+        self._poisoned = None
         return parsed
 
     def append(self, op: str, **data: object) -> JournalEntry:
@@ -342,9 +346,20 @@ class Journal:
         torn final line is healed like any other), so the journal stays
         gap-free; entries beyond the tear were never reported durable.
         Returns the written entries in order.
+
+        A write or fsync that *raises* (ENOSPC, EIO) is cut back off the
+        file before the error propagates, so the next append reuses the
+        failed batch's sequence numbers on a clean tail.  Should the cut
+        fail too, every later append raises :class:`JournalError` until
+        :meth:`read_as_writer` re-reads the file.
         """
         if not ops:
             return []
+        if self._poisoned is not None:
+            raise JournalError(
+                f"journal {self.path} refuses appends until re-read: "
+                f"{self._poisoned}"
+            )
         if self._next_seq is None:
             self.read_as_writer()
         entries = [
@@ -360,20 +375,45 @@ class Journal:
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.seek(0, os.SEEK_END)
         start = self._fh.tell()
-        self._fh.write("".join(_encode(entry) for entry in entries))
-        self._fh.flush()
-        checkpoint("journal:torn", fh=self._fh, start=start)
-        t_fsync = perf_counter() if ins is not None else 0.0
-        os.fsync(self._fh.fileno())
+        try:
+            self._fh.write("".join(_encode(entry) for entry in entries))
+            self._fh.flush()
+            checkpoint("journal:torn", fh=self._fh, start=start)
+            t_fsync = perf_counter() if ins is not None else 0.0
+            os.fsync(self._fh.fileno())
+        except Exception:
+            self._cut_back(start)
+            raise
+        end = perf_counter() if ins is not None else 0.0
+        self._next_seq += len(entries)
+        self._n_entries += len(entries)
         checkpoint("journal:synced")
         if ins is not None:
-            end = perf_counter()
             ins.fsync_s.observe(end - t_fsync)
             ins.append_s.observe(end - t_append)
             ins.appends.inc(len(entries))
-        self._next_seq += len(entries)
-        self._n_entries += len(entries)
         return entries
+
+    def _cut_back(self, start: int) -> None:
+        """Truncate a failed append back to ``start`` and fsync the cut.
+
+        The failed write may have left whole lines behind (an fsync
+        error leaves them in the page cache); kept, they would collide
+        with the next append's sequence numbers.  Closing the handle
+        first flushes whatever the failed write left buffered, so the
+        cut removes that too.
+        """
+        fh, self._fh = self._fh, None
+        try:
+            try:
+                fh.close()
+            except OSError:
+                pass  # the handle is closed even when its flush fails
+            with open(self.path, "rb+") as raw:
+                raw.truncate(start)
+                os.fsync(raw.fileno())
+        except OSError as exc:
+            self._poisoned = f"cutting back a failed append failed: {exc}"
 
     def compact(
         self,
@@ -425,11 +465,14 @@ class Journal:
             checkpoint("compact:torn", fh=fh, start=0)
             os.fsync(fh.fileno())
         tmp.replace(self.path)
-        checkpoint("compact:renamed")
-        self._fsync_dir()
-        self.close()  # the old append handle points at the replaced inode
+        # At once, not after the directory fsync: should that fail, the
+        # writer lives on, and the old append handle points at the
+        # replaced inode (an append through it would be lost).
+        self.close()
         if counted is not None:
             self._n_entries = len(kept)
+        checkpoint("compact:renamed")
+        self._fsync_dir()
         dropped = total - len(kept)
         if ins is not None:
             ins.compact_s.observe(perf_counter() - t_compact)
@@ -454,6 +497,7 @@ class Journal:
         self.close()
         self._next_seq = 1
         self._n_entries = 0
+        self._poisoned = None
 
     def close(self) -> None:
         """Close the append handle (reopened lazily by the next append)."""
@@ -755,11 +799,19 @@ class JournaledState:
         of :meth:`apply`'s per-operation cadence.  Returns the per-op
         results in order.
 
+        ``on_result`` fires for each operation once it is durable and
+        applied: with a journal, after the group fsync and *before* the
+        checkpoint, so a caller acknowledging from it answers a durable
+        decision even if the checkpoint then fails (the next boundary
+        retries it); without one, the snapshot is the only durable
+        record, so it fires only once the snapshot is written.
+
         ``timings``, when a dict, receives window-wide stage timings for
-        the caller's tracing spans: ``timings["fsync"]`` and
-        ``timings["apply"]`` are each ``(start, duration)`` pairs on the
-        ``perf_counter`` timebase (the hybrid clock's monotonic base).
-        In the journal-less configuration the fsync duration is zero.
+        the caller's tracing spans: ``timings["fsync"]`` (set before the
+        apply, so ``on_result`` can read it) and ``timings["apply"]``
+        are each ``(start, duration)`` pairs on the ``perf_counter``
+        timebase (the hybrid clock's monotonic base).  In the
+        journal-less configuration the fsync duration is zero.
         """
         if not ops:
             return []
@@ -768,18 +820,22 @@ class JournaledState:
                 JournalEntry(0, op, dict(data)) for op, data in ops
             ]
             t0 = perf_counter()
-            results = apply_entries(cache, entries, on_result)
+            results = apply_entries(cache, entries)
             if timings is not None:
                 timings["fsync"] = (t0, 0.0)
                 timings["apply"] = (t0, perf_counter() - t0)
             self._save(cache, metadata, journal_seq=0)
+            if on_result is not None:
+                for entry, result in zip(entries, results):
+                    on_result(entry, result)
             return results
         t0 = perf_counter()
         entries = self.journal.append_many(ops)
         t1 = perf_counter()
+        if timings is not None:  # before the apply: on_result may read it
+            timings["fsync"] = (t0, t1 - t0)
         results = apply_entries(cache, entries, on_result)
         if timings is not None:
-            timings["fsync"] = (t0, t1 - t0)
             timings["apply"] = (t1, perf_counter() - t1)
         first, last = entries[0].seq, entries[-1].seq
         if last // self.snapshot_every > (first - 1) // self.snapshot_every:

@@ -8,11 +8,11 @@ all.  This package promotes the job-wrapper deployment to exactly that:
 - :mod:`repro.service.daemon` — :class:`LandlordDaemon`, a
   zero-dependency loopback HTTP (and optional UNIX-socket) server in
   the same stdlib idiom as :mod:`repro.obs.server`.  Submissions from
-  many clients funnel through a bounded admission queue into a single
-  batcher thread, which group-commits each window to the write-ahead
-  journal *before* acknowledging (crash → ``recover`` replays to
-  bit-identical state) and applies it through one
-  :meth:`~repro.core.cache.LandlordCache.submit_batch` call.
+  many clients funnel through a bounded admission queue; one committer
+  at a time — a submitting thread, leader/follower style — group-commits
+  each window to the write-ahead journal and applies it through one
+  :meth:`~repro.core.cache.LandlordCache.submit_batch` call *before*
+  acknowledging (crash → ``recover`` replays to bit-identical state).
 - :mod:`repro.service.client` — :class:`LandlordClient`, the thin
   stdlib client behind ``repro-landlord submit --remote`` and the CI
   smoke test, with optional bounded retry on backpressure.
@@ -20,7 +20,7 @@ all.  This package promotes the job-wrapper deployment to exactly that:
 CLI surface: ``repro-landlord serve`` runs the daemon;
 ``repro-landlord submit SPEC --remote URL`` submits through it.  See
 the "LANDLORD as a service" section of DESIGN.md for the queue →
-journal → batch pipeline and its durability/ordering guarantees.
+journal → apply → ack pipeline and its durability/ordering guarantees.
 """
 
 from .client import LandlordClient, ServiceError, SubmitRejected

@@ -11,28 +11,34 @@ Pipeline (one request's life)::
     client --POST /submit--> handler thread (one per connection)
         -> admission: packages validated against the site repository,
            bounded queue (429 when full, 503 when draining)
-        -> batcher thread (single consumer):
-             pops every queued item (<= max_batch),
+        -> leader/follower group commit: the handler leads at once when
+           no commit is in flight, else queues until answered or handed
+           the lead; the leader pops the queue head (<= max_batch),
              group-commits the window to the write-ahead journal
                (one fsync -- Journal.append_many),
              applies it through LandlordCache.submit_batch
                (one acquisition of the lock, interned ahead),
+             wakes each queued handler with its decision (on_result:
+               after the fsync and the apply, before the checkpoint),
              snapshots/compacts when the window crossed the
                snapshot_every boundary,
              appends the window's cache events to the sidecar,
-             wakes each waiting handler with its decision
+             hands the lead to the new queue head
         -> handler replies JSON (ack strictly after the journal fsync)
 
 Guarantees:
 
-- **Durability**: a request is journalled before it is acknowledged, so
-  a SIGKILL at any point after the ack replays to bit-identical state
-  via ``repro-landlord recover`` (the cache is deterministic; the
-  journal records arrival order).
-- **Serialisability**: the final cache state is bit-identical to the
-  same requests applied serially in arrival (journal) order —
-  ``submit_batch`` is decision-identical to sequential ``request``
-  calls by construction.
+- **Durability**: a request is journalled and applied before it is
+  acknowledged, so a SIGKILL at any point after the ack replays to
+  bit-identical state via ``repro-landlord recover`` (the cache is
+  deterministic; the journal records arrival order).  A window whose
+  journal append fails acknowledges nobody; a failed checkpoint after
+  the acks is retried at the next boundary.
+- **Serialisability**: one committer at a time, FIFO windows — journal
+  order is apply order is ``request_index`` order, and the final cache
+  state is bit-identical to the same requests applied serially in that
+  order (``submit_batch`` is decision-identical to sequential
+  ``request`` calls by construction).
 - **Consistent telemetry**: one re-entrant lock (attached via
   :meth:`~repro.core.cache.LandlordCache.enable_lock` and shared with
   the embedded :class:`~repro.obs.ObsServer`) serialises scrape
@@ -49,11 +55,15 @@ writes a final covering snapshot, and compacts the journal.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import socket
 import threading
+import traceback
 from collections import deque
 from http.server import ThreadingHTTPServer
+from itertools import filterfalse
+from time import perf_counter
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import service_governor
@@ -70,24 +80,25 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _PendingSubmit:
-    """One admitted submission waiting for the batcher."""
+    """One admitted submission waiting for its window's commit."""
 
     __slots__ = (
-        "packages", "done", "decision", "request_index", "error",
-        "trace_id", "parent_id", "enqueued_mono", "applied_mono",
+        "packages", "wake", "decision", "request_index", "error",
+        "trace_id", "enqueued_mono", "times",
     )
 
     def __init__(self, packages: Sequence[str]):
         #: sorted and de-duplicated at admission — journalled as is
         self.packages = packages
-        self.done = threading.Event()
+        #: set once: when answered, or when handed the leadership
+        self.wake = threading.Event()
         self.decision = None
         self.request_index: Optional[int] = None
         self.error: Optional[str] = None
         self.trace_id: Optional[str] = None
-        self.parent_id: Optional[str] = None
         self.enqueued_mono: float = 0.0
-        self.applied_mono: Optional[float] = None
+        #: the window's "pop", "fsync" and "applied" times, once answered
+        self.times: dict = {}
 
 
 class _ServiceInstruments:
@@ -112,7 +123,7 @@ class _ServiceInstruments:
         self.rejected_invalid = submissions.labels(outcome="rejected_invalid")
         self.batches = registry.counter(
             "service_batches_total",
-            "Request windows applied by the batcher.",
+            "Request windows group-committed and applied.",
         ).labels()
         self.batched_requests = registry.counter(
             "service_batched_requests_total",
@@ -124,7 +135,7 @@ class _ServiceInstruments:
         ).labels()
         self.batch_size = registry.gauge(
             "service_batch_size",
-            "Current batcher window cap (adaptive under --max-batch auto).",
+            "Current commit window cap (adaptive under --max-batch auto).",
         ).labels()
 
 
@@ -164,7 +175,7 @@ class LandlordDaemon:
             socket at this path (optional).
         max_queue: admission-queue bound; submissions beyond it are
             rejected with HTTP 429 (the backpressure contract).
-        max_batch: largest request window the batcher applies at once,
+        max_batch: largest request window one commit applies at once,
             or ``"auto"`` — an AIMD governor
             (:func:`repro.core.adaptive.service_governor`) grows the cap
             while windows clear well inside ``ack_budget`` with a
@@ -259,8 +270,10 @@ class LandlordDaemon:
         cache.enable_lock(self.lock)
         self._cond = threading.Condition()
         self._queue: Deque[_PendingSubmit] = deque()
+        # The one committer: its window is in flight, and the queue is
+        # non-empty only while it is set.
+        self._leader: Optional[_PendingSubmit] = None
         self._draining = False
-        self._stopping = False
         self.accepted = 0
         self.rejected = 0
         self.batches = 0
@@ -289,7 +302,6 @@ class LandlordDaemon:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._unix_httpd: Optional[_UnixHTTPServer] = None
         self._threads: List[threading.Thread] = []
-        self._batcher_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -307,12 +319,12 @@ class LandlordDaemon:
 
     @property
     def queue_depth(self) -> int:
-        """Submissions currently waiting for the batcher."""
+        """Submissions currently queued behind the commit in flight."""
         with self._cond:
             return len(self._queue)
 
     def start(self) -> int:
-        """Bind the socket(s), start the batcher; returns the TCP port."""
+        """Bind the socket(s) and serve them; returns the TCP port."""
         if self._httpd is not None:
             raise RuntimeError("daemon already started")
         handler = _make_handler(self)
@@ -325,10 +337,6 @@ class LandlordDaemon:
             self._unix_httpd = _UnixHTTPServer(self._socket_path, handler)
             self._unix_httpd.daemon_threads = True
             servers.append(self._unix_httpd)
-        self._batcher_thread = threading.Thread(
-            target=self._batcher, name="repro-service-batcher", daemon=True
-        )
-        self._batcher_thread.start()
         for httpd in servers:
             thread = threading.Thread(
                 target=httpd.serve_forever,
@@ -349,14 +357,11 @@ class LandlordDaemon:
         compacted.  Idempotent.
         """
         with self._cond:
-            already = self._stopping
+            if self._draining:
+                return
             self._draining = True
-            self._stopping = True
-            self._cond.notify_all()
-        if already:
-            return
-        if self._batcher_thread is not None:
-            self._batcher_thread.join()
+            while self._queue or self._leader is not None:
+                self._cond.wait()
         with self.lock:
             self.store.flush(self.cache, self.metadata)
             self._drain_traces()
@@ -366,21 +371,20 @@ class LandlordDaemon:
         """Crash-style shutdown: stop everything, flush *nothing*.
 
         Queued-but-unapplied submissions are abandoned (their clients
-        were never acknowledged) and no final snapshot is written — the
-        on-disk state is exactly what a SIGKILL would leave.  Exists so
-        tests and the fault-injection harness can exercise the
-        ``recover`` path against a realistic crash image.
+        get 500 "daemon killed", never an ack), the window in flight
+        finishes, and no final snapshot is written — the on-disk state
+        is exactly what a SIGKILL would leave.  Exists so tests and the
+        fault-injection harness can exercise the ``recover`` path
+        against a realistic crash image.
         """
         with self._cond:
             self._draining = True
-            self._stopping = True
             for item in self._queue:
                 item.error = "daemon killed"
-                item.done.set()
+                item.wake.set()
             self._queue.clear()
-            self._cond.notify_all()
-        if self._batcher_thread is not None:
-            self._batcher_thread.join()
+            while self._leader is not None:
+                self._cond.wait()
         self._close_sockets()
 
     def _close_sockets(self) -> None:
@@ -417,9 +421,12 @@ class LandlordDaemon:
 
         Returns ``(http_status, json_payload)``: 200 with the decision,
         400 for invalid specs, 429 when the queue is full, 503 when
-        draining, 500 if the batcher failed.  Blocks the calling
-        (handler) thread until the batcher has journalled *and* applied
-        the request — the ack-after-fsync contract.
+        draining, 500 if the window's commit failed.  Blocks the calling
+        (handler) thread until its window is journalled *and* applied —
+        the ack-after-fsync contract.  With no commit in flight the
+        calling thread commits its own window (no hand-off); otherwise it
+        queues, and is woken either with its decision or as the next
+        leader, when it commits the queue head.
 
         ``traceparent``, when a valid W3C header, continues the
         client's distributed trace: every pipeline stage (admission,
@@ -440,18 +447,19 @@ class LandlordDaemon:
             trace_id, parent_id = new_trace_id(), None
         if not packages:
             return 400, {"error": "empty package list"}
-        # Canonicalise here, on the handler thread: the single batcher
-        # journals the list as it stands.
-        packages = sorted(set(packages))
+        # The journalled form is strictly increasing; clients that send
+        # sorted closures already have it, and one C-level pass says so.
+        if any(map(operator.ge, packages, packages[1:])):
+            packages = sorted(set(packages))
         if self.known_package is not None:
-            unknown = [p for p in packages if not self.known_package(p)]
+            unknown = list(filterfalse(self.known_package, packages))
             if unknown:
                 if self._ins is not None:
                     self._ins.rejected_invalid.inc()
                 return 400, {"error": "unknown packages", "unknown": unknown}
         item = _PendingSubmit(packages)
         item.trace_id = trace_id
-        item.parent_id = parent_id
+        window: Optional[List[_PendingSubmit]] = None
         with self._cond:
             if self._draining:
                 self.rejected += 1
@@ -468,11 +476,14 @@ class LandlordDaemon:
                     "retry": True,
                 }
             item.enqueued_mono = self.clock.monotonic()
-            self._queue.append(item)
             self.accepted += 1
             if self._ins is not None:
                 self._ins.accepted.inc()
-            self._cond.notify_all()
+            if self._leader is None:  # nothing committing: lead at once
+                self._leader = item
+                window = [item]
+            else:
+                self._queue.append(item)
         self.spans.observe(
             "admission",
             t_start,
@@ -480,27 +491,28 @@ class LandlordDaemon:
             trace_id,
             parent_id=parent_id,
         )
-        while not item.done.wait(timeout=0.5):
-            batcher = self._batcher_thread
-            if batcher is None or not batcher.is_alive():
-                if item.done.is_set():
-                    break
-                return 500, {"error": "batcher died"}
+        if window is None:
+            item.wake.wait()  # answered, or handed the lead (set first)
+            if self._leader is item:
+                with self._cond:  # pop the head; empty once killed
+                    size = min(len(self._queue), self.max_batch)
+                    window = [self._queue.popleft() for _ in range(size)]
+        if window is not None:
+            self._lead(window)
         if item.error is not None:
             return 500, {"error": item.error}
-        decision = item.decision
-        ack_start = (
-            item.applied_mono if item.applied_mono is not None
-            else self.clock.monotonic()
-        )
-        self.spans.observe(
-            "ack",
-            ack_start,
-            max(0.0, self.clock.monotonic() - ack_start),
-            trace_id,
-            parent_id=parent_id,
-            request_index=item.request_index,
-        )
+        decision, times = item.decision, item.times
+        fsync_start, fsync_s = times["fsync"]
+        for stage, start, end in (  # on this thread, off the commit path
+            ("queue", item.enqueued_mono, times["pop"]),
+            ("fsync", fsync_start, fsync_start + fsync_s),
+            ("apply", fsync_start + fsync_s, times["applied"]),
+            ("ack", times["applied"], self.clock.monotonic()),
+        ):
+            self.spans.observe(
+                stage, start, max(0.0, end - start), trace_id,
+                parent_id=parent_id, request_index=item.request_index,
+            )
         return 200, {
             "action": decision.action.value,
             "request_index": item.request_index,
@@ -514,96 +526,84 @@ class LandlordDaemon:
             "trace_id": trace_id,
         }
 
-    # -- the batcher -------------------------------------------------------
+    # -- group commit ------------------------------------------------------
 
-    def _batcher(self) -> None:
-        while True:
+    def _lead(self, window: List[_PendingSubmit]) -> None:
+        """Commit ``window`` as the one committer, then hand the lead to
+        the queue head, which pops its own window when it wakes (FIFO);
+        released in ``finally``, so a failed commit strands no one."""
+        try:
+            if window:
+                self._commit(window, self.clock.monotonic())
+        finally:
             with self._cond:
-                while not self._queue and not self._stopping:
-                    self._cond.wait()
-                if not self._queue:
-                    return  # stopping and drained
-                window = [
-                    self._queue.popleft()
-                    for _ in range(min(len(self._queue), self.max_batch))
-                ]
-            self._apply_window(window, self.clock.monotonic())
+                if self._queue:
+                    self._leader = self._queue[0]
+                    self._leader.wake.set()
+                else:
+                    self._leader = None
+                    self._cond.notify_all()  # stop() and kill() wait
 
-    def _apply_window(
-        self, window: List[_PendingSubmit], pop_mono: float
-    ) -> None:
+    def _commit(self, window: List[_PendingSubmit], pop_mono: float) -> None:
         ops = [("request", {"packages": item.packages}) for item in window]
-        timings: dict = {}
+        timings: dict = {"pop": pop_mono}
+        pending = iter(enumerate(window))
+        failure = "daemon stopped mid-window"
+
+        def answer(_entry, decision) -> None:
+            # apply_batch's on_result: once durable and applied, before
+            # the checkpoint — the client may go now.
+            offset, item = next(pending)
+            timings.setdefault("applied", perf_counter())
+            item.request_index = base + offset
+            item.decision = decision
+            item.times = timings
+            item.wake.set()
+
         with self.lock:
             base = self.cache.stats.requests
-            trace_map = {
+            self.cache.set_exemplar_traces({
                 base + offset: item.trace_id
                 for offset, item in enumerate(window)
-                if item.trace_id is not None
-            }
-            self.cache.set_exemplar_traces(trace_map or None)
+            })
             try:
-                results = self.store.apply_batch(
-                    self.cache, self.metadata, ops, timings=timings
+                self.store.apply_batch(
+                    self.cache, self.metadata, ops,
+                    on_result=answer, timings=timings,
                 )
             except Exception as exc:  # surface, don't hang the clients
-                message = f"{type(exc).__name__}: {exc}"
-                for item in window:
-                    item.error = message
-                    item.done.set()
-                return
+                # Clients already answered keep their ack: their entries
+                # are durable and applied, and a failed checkpoint is
+                # retried at the next snapshot_every boundary.
+                traceback.print_exc()
+                failure = f"{type(exc).__name__}: {exc}"
             finally:
-                # Runs even on the except-branch return: trace ids
-                # never outlive the window they were built for.
+                # Trace ids never outlive the window they were built
+                # for, and no client of the window is left waiting.
                 self.cache.set_exemplar_traces(None)
-            if self.alerts is not None and self.slo is not None:
-                self.alerts.evaluate(
-                    self.slo.values(), self.cache.stats.requests - 1
-                )
-            self._drain_traces()
+                for _, item in pending:
+                    item.error = failure
+                    item.wake.set()
+            if window[0].decision is None:
+                return  # nothing durable: the append or the save failed
             self.batches += 1
-            if self.slo is not None:
-                self.slo.set_extra("queue_depth", float(self.queue_depth))
-                self.slo.set_extra(
-                    "submissions_rejected", float(self.rejected)
-                )
             if self._ins is not None:
                 self._ins.batches.inc()
                 self._ins.batched_requests.inc(len(window))
-        fsync_start, fsync_s = timings.get("fsync", (pop_mono, 0.0))
-        apply_start, apply_s = timings.get("apply", (pop_mono, 0.0))
-        for offset, (item, decision) in enumerate(zip(window, results)):
-            index = base + offset
-            item.request_index = index
-            item.decision = decision
-            if item.trace_id is not None:
-                self.spans.observe(
-                    "queue",
-                    item.enqueued_mono,
-                    max(0.0, pop_mono - item.enqueued_mono),
-                    item.trace_id,
-                    parent_id=item.parent_id,
-                    request_index=index,
-                )
-                self.spans.observe(
-                    "fsync",
-                    fsync_start,
-                    fsync_s,
-                    item.trace_id,
-                    parent_id=item.parent_id,
-                    request_index=index,
-                )
-                self.spans.observe(
-                    "apply",
-                    apply_start,
-                    apply_s,
-                    item.trace_id,
-                    parent_id=item.parent_id,
-                    request_index=index,
-                )
-            item.applied_mono = self.clock.monotonic()
-            item.done.set()
-        self._govern(fsync_s + apply_s)
+            try:  # the window is answered: a failure here costs no 200
+                if self.alerts is not None and self.slo is not None:
+                    self.alerts.evaluate(
+                        self.slo.values(), self.cache.stats.requests - 1
+                    )
+                self._drain_traces()
+                if self.slo is not None:
+                    self.slo.set_extra("queue_depth", float(self.queue_depth))
+                    self.slo.set_extra(
+                        "submissions_rejected", float(self.rejected)
+                    )
+            except Exception:
+                traceback.print_exc()
+        self._govern(timings["fsync"][1] + timings["apply"][1])
 
     def _govern(self, window_s: float) -> None:
         """Fold one window's wall time into the adaptive batch cap.

@@ -8,6 +8,8 @@ and provides a context manager (:class:`CrashPoint`) that makes the
 corresponding :func:`checkpoint` call raise :class:`SimulatedCrash` —
 optionally after truncating the bytes written so far, simulating a torn
 write that a real power loss can leave behind before fsync returned.
+Given an ``error``, the same site raises that instead: the process
+lives on and sees a failed I/O call (ENOSPC, EIO) it must handle.
 
 Checkpoints cost one global ``is None`` test when disarmed, so the
 production call sites keep them unconditionally.
@@ -40,8 +42,12 @@ CRASH_SITES = (
 TORN_SITES = ("journal:torn", "compact:torn", "state:torn")
 
 
-class SimulatedCrash(RuntimeError):
-    """Stands in for the process dying at an armed crash site."""
+class SimulatedCrash(BaseException):
+    """Stands in for the process dying at an armed crash site.
+
+    A :class:`BaseException`, like :class:`SystemExit`: a dead process
+    runs no ``except Exception`` clean-up, so none may run here either.
+    """
 
 
 _active: Optional["CrashPoint"] = None
@@ -58,6 +64,11 @@ class CrashPoint:
             ``*:torn`` sites, where a file is written but not yet
             fsynced.  ``None`` leaves the full write in place (the
             "lucky" crash where the page cache happened to be flushed).
+        error: raise this exception instead of :class:`SimulatedCrash`
+            — an I/O failure the process survives.  At
+            ``journal:torn``, ``OSError(errno.EIO, ...)`` is a failed
+            fsync (the bytes stay in the file) and, with ``torn``,
+            ``OSError(errno.ENOSPC, ...)`` is a short write.
 
     Use as a context manager::
 
@@ -66,7 +77,13 @@ class CrashPoint:
         assert cp.fired
     """
 
-    def __init__(self, site: str, hits: int = 1, torn: Optional[float] = None):
+    def __init__(
+        self,
+        site: str,
+        hits: int = 1,
+        torn: Optional[float] = None,
+        error: Optional[Exception] = None,
+    ):
         if site not in CRASH_SITES:
             raise ValueError(f"unknown crash site {site!r}")
         if hits < 1:
@@ -78,6 +95,7 @@ class CrashPoint:
         self.site = site
         self.hits = hits
         self.torn = torn
+        self.error = error
         self.fired = False
         self._count = 0
 
@@ -108,6 +126,8 @@ class CrashPoint:
             os.ftruncate(fileno, keep)
             os.fsync(fileno)  # the torn prefix is what "survives" the crash
         self.fired = True
+        if self.error is not None:
+            raise self.error
         raise SimulatedCrash(self.site)
 
 

@@ -1,6 +1,8 @@
 """Tests for the write-ahead journal and the journalled durable store."""
 
+import errno
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from repro.core.journal import (
     replay,
 )
 from repro.core.persistence import StateNotFound, load_bundle
+from repro.testing.faults import CrashPoint
 
 SIZE = {f"p{i}": 10 for i in range(30)}
 
@@ -138,6 +141,81 @@ class TestJournal:
         journal.reset()
         assert journal.entries() == []
         assert journal.append("request", packages=["p1"]).seq == 1
+
+
+class TestFailedAppend:
+    """A write or fsync that raises is cut back off the file: the next
+    append reuses its sequence numbers on a clean tail, and the journal
+    still loads."""
+
+    @pytest.mark.parametrize("torn, code", [
+        (None, errno.EIO),     # fsync failed, the line stays in the file
+        (0.5, errno.ENOSPC),   # short write
+    ])
+    def test_failed_append_is_cut_back(self, tmp_path, torn, code):
+        path = tmp_path / "j.journal"
+        journal = Journal(path)
+        journal.append("request", packages=["p0"])
+        size = path.stat().st_size
+        fault = OSError(code, os.strerror(code))
+        with CrashPoint("journal:torn", torn=torn, error=fault) as point:
+            with pytest.raises(OSError) as excinfo:
+                journal.append("request", packages=["p1"])
+        assert point.fired and excinfo.value is fault
+        assert path.stat().st_size == size
+        assert journal.append("request", packages=["p2"]).seq == 2
+        # a fresh writer loads it: no "sequence regressed"
+        _, entries = Journal(path).read_as_writer()
+        assert [(e.seq, e.data["packages"]) for e in entries] == [
+            (1, ["p0"]), (2, ["p2"]),
+        ]
+
+    def test_recovery_ends_at_the_acked_prefix(self, tmp_path):
+        state = tmp_path / "state.json"
+        store = JournaledState(state, snapshot_every=10_000)
+        cache = make_cache()
+        store.initialise(cache, {})
+        windows = [[["p0", "p1"]], [["p2"], ["p3", "p4"]], [["p5"]]]
+        fault = OSError(errno.EIO, os.strerror(errno.EIO))
+        acked = []
+        for number, window in enumerate(windows):
+            ops = [("request", {"packages": spec}) for spec in window]
+            if number == 1:
+                with CrashPoint("journal:torn", error=fault):
+                    with pytest.raises(OSError):
+                        store.apply_batch(cache, {}, ops)
+            else:
+                store.apply_batch(cache, {}, ops)
+                acked += window
+        store.journal.close()
+        recovered, _, replayed = recover_state(
+            state, package_size=SIZE.__getitem__
+        )
+        assert replayed == len(acked)
+        serial = make_cache()
+        for spec in acked:
+            serial.request(frozenset(spec))
+        assert recovered.snapshot() == serial.snapshot() == cache.snapshot()
+
+    def test_failed_cut_back_refuses_appends_until_reread(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "j.journal"
+        journal = Journal(path)
+        journal.append("request", packages=["p0"])
+
+        def eio(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", eio)  # the append's and the cut's
+        with pytest.raises(OSError):
+            journal.append("request", packages=["p1"])
+        monkeypatch.undo()
+        with pytest.raises(JournalError, match="re-read"):
+            journal.append("request", packages=["p2"])
+        journal.read_as_writer()
+        assert journal.append("request", packages=["p2"]).seq == 2
+        assert [e.seq for e in Journal(path).entries()] == [1, 2]
 
 
 class TestReplay:

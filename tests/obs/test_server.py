@@ -344,9 +344,7 @@ class TestServeCli:
         assert "--serve" in capsys.readouterr().err
 
 
-SERVING_THREADS = {
-    "repro-obs-server", "repro-service-batcher", "repro-service-server",
-}
+SERVING_THREADS = {"repro-obs-server", "repro-service-server"}
 
 
 def serving_argv(caller, tmp_path, port_file):

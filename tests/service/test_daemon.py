@@ -2,13 +2,16 @@
 (ack-after-journal, crash replay), admission control, and the embedded
 observability surface."""
 
+import errno
+import os
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.cache import LandlordCache
-from repro.core.journal import Journal, JournaledState
+from repro.core.journal import Journal, JournaledState, recover_state
 from repro.obs import (
     AlertEngine,
     DecisionTracer,
@@ -21,6 +24,7 @@ from repro.obs import (
 )
 from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
 from repro.service.daemon import _PendingSubmit
+from repro.testing.faults import CrashPoint, SimulatedCrash
 
 SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(30)}
 KNOWN = frozenset(SIZE)
@@ -45,6 +49,59 @@ def client_specs(k, n=8):
         sorted({f"p{(k * 7 + i) % 30}", f"p{(k * 3 + 2 * i) % 30}"})
         for i in range(n)
     ]
+
+
+def serial_replay(specs):
+    """A bare cache that applied ``specs`` one by one, in order."""
+    cache = LandlordCache(500, 0.8, SIZE.__getitem__)
+    for spec in specs:
+        cache.request(frozenset(spec))
+    return cache
+
+
+def wait_until(predicate, what, timeout=10):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.002)
+
+
+def join_all(threads, timeout=30):
+    for thread in threads:
+        thread.join(timeout=timeout)
+        assert not thread.is_alive(), f"{thread.name} hung"
+
+
+def submit_stalled(daemon, specs):
+    """Submit each spec from its own thread while the cache lock is held.
+
+    ``specs[0]`` leads a window of its own and blocks on the lock; the
+    rest queue behind it and commit together as the next window.
+    Returns each thread's ``(status, payload)`` — or the
+    :class:`SimulatedCrash` it died of — in spec order.
+    """
+    outcomes = [None] * len(specs)
+
+    def run(i):
+        try:
+            outcomes[i] = daemon.submit(specs[i])
+        except SimulatedCrash as crash:
+            outcomes[i] = crash
+
+    threads = [
+        threading.Thread(target=run, args=(i,)) for i in range(len(specs))
+    ]
+    accepted = daemon.accepted
+    with daemon.lock:
+        threads[0].start()
+        wait_until(lambda: daemon.accepted == accepted + 1, "no leader")
+        for thread in threads[1:]:
+            thread.start()
+        wait_until(
+            lambda: daemon.queue_depth == len(specs) - 1, "nothing queued"
+        )
+    join_all(threads)
+    return outcomes
 
 
 class TestConcurrentDeterminism:
@@ -99,7 +156,7 @@ class TestConcurrentDeterminism:
         # Many clients stalled behind a held lock arrive as one window.
         daemon = make_daemon(tmp_path, max_batch=64)
         with daemon:
-            with daemon.lock:  # stall the batcher mid-pop
+            with daemon.lock:  # stall the first leader mid-commit
                 threads = [
                     threading.Thread(
                         target=daemon.submit, args=([f"p{i}", "p0"],)
@@ -496,7 +553,7 @@ class TestDistributedTracing:
         # their spans recorded) by the drain that stop() performs.
         daemon = make_daemon(tmp_path, max_batch=64)
         daemon.start()
-        with daemon.lock:  # stall the batcher so submissions queue up
+        with daemon.lock:  # stall the leader so submissions queue up
             threads = [
                 threading.Thread(target=daemon.submit, args=([f"p{i}"],))
                 for i in range(6)
@@ -799,3 +856,379 @@ class TestServePathCost:
             assert decision.action.value == reply["action"]
             assert decision.requested_bytes == reply["requested_bytes"]
         assert serial.snapshot() == live_snapshot
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 µs: interleavings a lost update needs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestLeaderFollower:
+    """Group commit without a batcher thread: one committer at a time,
+    FIFO windows, and a handler that finds no commit in flight commits
+    its own window."""
+
+    THREADS = 16
+
+    def run_clients(self, daemon, n):
+        """Start THREADS threads, each submitting ``n`` specs through
+        ``daemon.submit`` (stopping at its first 503); returns the
+        threads and the shared ``(status, spec, payload)`` list."""
+        replies = []
+        lock = threading.Lock()
+        barrier = threading.Barrier(self.THREADS)
+
+        def client(k):
+            barrier.wait(timeout=10)
+            for spec in client_specs(k, n):
+                status, payload = daemon.submit(spec)
+                with lock:
+                    replies.append((status, spec, payload))
+                if status == 503:
+                    return
+
+        threads = [
+            threading.Thread(target=client, args=(k,))
+            for k in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        return threads, replies
+
+    @staticmethod
+    def check_serial(replies, live_snapshot):
+        """The acked replies hold dense indices and match, decision by
+        decision, a serial replay in index order."""
+        acked = sorted(
+            (payload["request_index"], spec, payload)
+            for status, spec, payload in replies if status == 200
+        )
+        assert [index for index, _, _ in acked] == list(range(len(acked)))
+        serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+        for _, spec, reply in acked:
+            decision = serial.request(frozenset(spec))
+            assert decision.action.value == reply["action"]
+            assert decision.image.id == reply["image"]
+            assert sorted(decision.evicted) == sorted(reply["evicted"])
+        assert serial.snapshot() == live_snapshot
+        return acked
+
+    def test_started_daemon_runs_no_batcher_thread(self, tmp_path):
+        with make_daemon(tmp_path) as daemon:
+            assert daemon.submit(["p0"])[0] == 200
+            names = {thread.name for thread in threading.enumerate()}
+        assert "repro-service-batcher" not in names
+
+    def test_uncontended_submit_commits_on_the_calling_thread(
+        self, tmp_path
+    ):
+        daemon = make_daemon(tmp_path)
+        committers = []
+        apply_batch = daemon.store.apply_batch
+
+        def spy(*args, **kwargs):
+            committers.append(threading.current_thread())
+            return apply_batch(*args, **kwargs)
+
+        daemon.store.apply_batch = spy
+        with daemon:
+            assert daemon.submit(["p0"])[0] == 200
+        assert committers == [threading.current_thread()]
+
+    def test_stress_matches_serial_replay(self, tmp_path, fast_switching):
+        daemon = make_daemon(tmp_path, max_batch=3)
+        with daemon:
+            threads, replies = self.run_clients(daemon, n=6)
+            join_all(threads)
+            live_snapshot = daemon.cache.snapshot()
+            assert daemon.batches >= self.THREADS * 6 // 3
+        assert {status for status, _, _ in replies} == {200}
+        acked = self.check_serial(replies, live_snapshot)
+        assert len(acked) == self.THREADS * 6
+        reloaded, _, _ = JournaledState(tmp_path / "state.json").load(
+            SIZE.__getitem__
+        )
+        assert reloaded.snapshot() == live_snapshot
+
+    def test_stop_under_load_answers_every_accepted(
+        self, tmp_path, fast_switching
+    ):
+        daemon = make_daemon(tmp_path, max_batch=3)
+        daemon.start()
+        threads, replies = self.run_clients(daemon, n=30)
+        wait_until(lambda: daemon.accepted >= 48, "no load")
+        daemon.stop()
+        join_all(threads)
+        statuses = [status for status, _, _ in replies]
+        assert set(statuses) <= {200, 503}
+        assert statuses.count(200) == daemon.accepted
+        live_snapshot = daemon.cache.snapshot()
+        self.check_serial(replies, live_snapshot)
+        reloaded, _, replayed = JournaledState(
+            tmp_path / "state.json"
+        ).load(SIZE.__getitem__)
+        assert replayed == []  # the drain ended in a covering snapshot
+        assert reloaded.snapshot() == live_snapshot
+
+    def test_kill_while_a_leader_holds_the_lock(
+        self, tmp_path, fast_switching
+    ):
+        daemon = make_daemon(tmp_path, max_batch=3)
+        entered, release = threading.Event(), threading.Event()
+        apply_batch = daemon.store.apply_batch
+
+        def gated(*args, **kwargs):  # runs under daemon.lock
+            entered.set()
+            release.wait(timeout=10)
+            return apply_batch(*args, **kwargs)
+
+        daemon.store.apply_batch = gated
+        daemon.start()
+        outcomes = {}
+
+        def client(k):
+            outcomes[k] = daemon.submit(client_specs(k, 1)[0])
+
+        leader = threading.Thread(target=client, args=(0,))
+        leader.start()
+        assert entered.wait(timeout=10)
+        followers = [
+            threading.Thread(target=client, args=(k,))
+            for k in range(1, self.THREADS)
+        ]
+        for thread in followers:
+            thread.start()
+        wait_until(
+            lambda: daemon.queue_depth == self.THREADS - 1, "nothing queued"
+        )
+        killer = threading.Thread(target=daemon.kill)
+        killer.start()
+        join_all(followers)  # answered while the leader still commits
+        assert killer.is_alive()  # kill() waits for the window in flight
+        release.set()
+        join_all([leader, killer])
+        daemon.store.journal.close()
+        assert outcomes[0][0] == 200
+        for k in range(1, self.THREADS):
+            assert outcomes[k] == (500, {"error": "daemon killed"})
+        recovered, _, _ = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert (
+            recovered.snapshot()
+            == serial_replay([client_specs(0, 1)[0]]).snapshot()
+        )
+
+    def test_sorted_spec_is_journalled_as_sent(self, tmp_path):
+        daemon = make_daemon(tmp_path, snapshot_every=10_000)
+        with daemon:
+            daemon.submit(["p1", "p10", "p2"])  # strictly increasing
+            daemon.submit(["p3", "p1", "p3"])   # canonicalised
+            entries = Journal(tmp_path / "state.json.journal").entries()
+        assert [entry.data["packages"] for entry in entries] == [
+            ["p1", "p10", "p2"], ["p1", "p3"],
+        ]
+
+
+#: Where a checkpoint can die or fail: the snapshot save, then the
+#: journal compaction that follows it.
+CHECKPOINT_SITES = (
+    "state:write", "state:torn", "state:renamed",
+    "compact:write", "compact:torn",
+)
+
+
+class TestAckBeforeCheckpoint:
+    """A window's clients are answered once their entries are fsynced
+    and applied — before the checkpoint — so a checkpoint that fails or
+    dies never costs an acknowledged decision."""
+
+    def test_failed_checkpoint_still_acks_and_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        daemon = make_daemon(tmp_path, snapshot_every=2)
+        with daemon:
+            monkeypatch.setattr(daemon.store, "flush", full_disk)
+            assert daemon.submit(["p0"])[0] == 200
+            status, payload = daemon.submit(["p1"])  # crosses a boundary
+            # Durable and applied: a 500 here invites a retry that the
+            # cache would apply a second time.
+            assert (status, payload.get("request_index")) == (200, 1)
+            assert Journal(tmp_path / "state.json.journal").last_seq == 2
+            assert daemon.cache.stats.requests == 2
+            monkeypatch.undo()
+            for spec in (["p2"], ["p3"]):
+                assert daemon.submit(spec)[0] == 200
+            # the next boundary's checkpoint covers all four
+            cache, _, replayed = JournaledState(
+                tmp_path / "state.json"
+            ).load(SIZE.__getitem__)
+        assert replayed == []
+        assert cache.stats.requests == 4
+
+    @pytest.mark.parametrize("site", CHECKPOINT_SITES)
+    def test_acked_survive_a_crash_in_the_checkpoint(self, tmp_path, site):
+        specs = client_specs(5, n=6)
+        daemon = make_daemon(tmp_path, snapshot_every=5)
+        daemon.start()
+        try:
+            acked = {
+                daemon.submit(spec)[1]["request_index"]: spec
+                for spec in specs[:2]
+            }
+            torn = 0.5 if site.endswith(":torn") else None
+            with CrashPoint(site, torn=torn) as point:
+                # journal seqs 3 | 4 5 6: the second window crosses 5
+                outcomes = submit_stalled(daemon, specs[2:])
+            assert point.fired
+        finally:
+            daemon.kill()
+            daemon.store.journal.close()
+        crashed = []
+        for spec, outcome in zip(specs[2:], outcomes):
+            if isinstance(outcome, SimulatedCrash):
+                crashed.append(spec)
+            else:
+                status, payload = outcome
+                assert status == 200
+                acked[payload["request_index"]] = spec
+        # The window's leader died with the process before replying; its
+        # entry is durable all the same, at the one index nobody holds.
+        assert len(crashed) == 1 and len(acked) == 5
+        durable = [acked.get(index, crashed[0]) for index in range(6)]
+        recovered, _, _ = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert recovered.stats.requests == 6
+        assert recovered.snapshot() == serial_replay(durable).snapshot()
+
+    @pytest.mark.parametrize("site", CHECKPOINT_SITES + ("compact:renamed",))
+    def test_checkpoint_io_error_keeps_serving(self, tmp_path, site):
+        specs = client_specs(6, n=8)
+        daemon = make_daemon(tmp_path, snapshot_every=5)
+        daemon.start()
+        try:
+            replies = [daemon.submit(spec) for spec in specs[:2]]
+            fault = OSError(errno.EIO, os.strerror(errno.EIO))
+            with CrashPoint(site, error=fault) as point:
+                replies += submit_stalled(daemon, specs[2:6])
+            assert point.fired
+            # seqs 7 and 8 cross no boundary: they must reach the live
+            # journal, not a handle the failed compaction left behind
+            replies += [daemon.submit(spec) for spec in specs[6:]]
+        finally:
+            daemon.kill()
+            daemon.store.journal.close()
+        assert [status for status, _ in replies] == [200] * 8
+        order = sorted(
+            (payload["request_index"], spec)
+            for (_, payload), spec in zip(replies, specs)
+        )
+        assert [index for index, _ in order] == list(range(8))
+        recovered, _, _ = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert (
+            recovered.snapshot()
+            == serial_replay([spec for _, spec in order]).snapshot()
+        )
+
+    def test_without_a_journal_the_save_comes_before_the_ack(
+        self, tmp_path, monkeypatch
+    ):
+        # With no journal the snapshot is the only durable record: a
+        # client answered before it is written could lose its decision.
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        specs = client_specs(9, n=4)
+        daemon = make_daemon(tmp_path, use_journal=False)
+        with daemon:
+            assert daemon.submit(specs[0])[0] == 200
+            monkeypatch.setattr(daemon.store, "_save", full_disk)
+            outcomes = submit_stalled(daemon, specs[1:])
+            on_disk, _, _ = JournaledState(
+                tmp_path / "state.json", use_journal=False
+            ).load(SIZE.__getitem__)
+            monkeypatch.undo()
+        for status, payload in outcomes:
+            assert status == 500 and payload["error"].startswith("OSError")
+        assert on_disk.stats.requests == 1
+
+    def test_failed_housekeeping_still_answers_the_leader(
+        self, tmp_path, monkeypatch
+    ):
+        # The trace drain runs after the window is answered; the leader
+        # replies after it, and must not lose its 200 when it fails.
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        tracer = DecisionTracer(limit=64)
+        daemon = make_daemon(
+            tmp_path, tracer=tracer, trace_path=str(tmp_path / "t.jsonl")
+        )
+        daemon.cache.enable_tracing(tracer)
+        specs = client_specs(10, n=5)
+        with daemon:
+            monkeypatch.setattr(
+                "repro.service.daemon.write_event_stream", full_disk
+            )
+            outcomes = [daemon.submit(specs[0])]
+            outcomes += submit_stalled(daemon, specs[1:4])
+            assert daemon.batches == 3
+            monkeypatch.undo()
+            outcomes.append(daemon.submit(specs[4]))
+        assert [status for status, _ in outcomes] == [200] * 5
+        indices = sorted(payload["request_index"] for _, payload in outcomes)
+        assert indices == list(range(5))
+        cache, _, replayed = JournaledState(tmp_path / "state.json").load(
+            SIZE.__getitem__
+        )
+        assert replayed == [] and cache.stats.requests == 5
+
+
+class TestJournalFaults:
+    @pytest.mark.parametrize("torn, code", [
+        (None, errno.EIO),     # fsync failed, the lines stay in the file
+        (0.5, errno.ENOSPC),   # short write
+    ])
+    def test_failed_append_acks_no_one_in_its_window(
+        self, tmp_path, torn, code
+    ):
+        specs = client_specs(7, n=7)
+        daemon = make_daemon(tmp_path, snapshot_every=10_000)
+        daemon.start()
+        try:
+            replies = [daemon.submit(spec) for spec in specs[:2]]
+            fault = OSError(code, os.strerror(code))
+            # hit 1 is the stalled leader's own window, hit 2 the queued one
+            with CrashPoint(
+                "journal:torn", hits=2, torn=torn, error=fault
+            ) as point:
+                window = submit_stalled(daemon, specs[2:6])
+            assert point.fired
+            replies += [window[0], daemon.submit(specs[6])]
+        finally:
+            daemon.kill()
+            daemon.store.journal.close()
+        for status, payload in window[1:]:
+            assert status == 500 and payload["error"].startswith("OSError")
+        assert [status for status, _ in replies] == [200] * 4
+        assert [p["request_index"] for _, p in replies] == [0, 1, 2, 3]
+        acked = [specs[0], specs[1], specs[2], specs[6]]
+        journal = Journal(tmp_path / "state.json.journal")
+        assert [entry.data["packages"] for entry in journal.entries()] == acked
+        recovered, _, replayed = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert replayed == 4
+        assert recovered.snapshot() == serial_replay(acked).snapshot()

@@ -86,6 +86,23 @@ class TestCrashPointUnit:
         with pytest.raises(ValueError, match="no in-flight write"):
             CrashPoint("state:synced", torn=0.5)
 
+    def test_error_is_raised_in_place_of_the_crash(self):
+        fault = OSError(28, "No space left on device")
+        with CrashPoint("journal:torn", error=fault) as cp:
+            with pytest.raises(OSError) as excinfo:
+                checkpoint("journal:torn")
+        assert cp.fired and excinfo.value is fault
+
+    def test_a_crash_runs_no_exception_handler(self):
+        # A dead process cleans nothing up: ``except Exception`` must
+        # not see the simulated death.
+        with CrashPoint("state:write"):
+            with pytest.raises(SimulatedCrash):
+                try:
+                    checkpoint("state:write")
+                except Exception:  # noqa: BLE001 - the point of the test
+                    pytest.fail("a simulated crash was handled")
+
     def test_torn_write_truncates_in_flight_bytes(self, tmp_path):
         path = tmp_path / "file.txt"
         with open(path, "w") as fh:
