@@ -595,6 +595,121 @@ class TestStateIO:
         assert ratio >= 1
 
 
+class TestJournalReplay:
+    """What recovering a journal tail costs (DESIGN.md, "Journal v2"):
+    the ledger's ``durable_recover`` shape — a zone-sized cache after 960
+    requests, its state file, then 640 requests journalled in windows of
+    32 and replayed from cold.
+
+    The reference is the same 640 requests as v1 lines (each one's
+    sorted package list), written by ``Journal.append_many`` the way
+    every journal was before v2, behind the same state file, and read
+    back by the same ``Journal._read`` and ``replay``.
+    """
+
+    ROUNDS = 7
+    WINDOW = 32
+
+    def test_orderings(self, tmp_path):
+        import shutil
+        from pathlib import Path
+        from statistics import median
+        from time import perf_counter
+
+        from repro.core.journal import (
+            Journal,
+            JournaledState,
+            JournalEntry,
+            _encode,
+            _Generation,
+            replay,
+        )
+        from repro.core.persistence import load_bundle, load_table
+        from repro.packages.sft import build_experiment_repository
+        from repro.util.units import GB
+
+        repo = build_experiment_repository("sft", seed=2020)
+        stream = build_stream(
+            DependencyWorkload(repo, 100), spawn(30, "journal-replay", 1600),
+            n_unique=1600, repeats=1,
+        )
+        cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+        cache.submit_batch(stream[:960])
+        ops = [("request", {"packages": sorted(spec)})
+               for spec in stream[960:]]
+        states = {}
+        for form in ("v1", "v2"):
+            (tmp_path / form).mkdir()
+            states[form] = tmp_path / form / "state.json"
+        store = JournaledState(states["v2"], snapshot_every=10 ** 9)
+        store.initialise(cache, {})
+        shutil.copy(states["v2"], states["v1"])
+        v1 = Journal(f"{states['v1']}.journal")
+        for start in range(0, len(ops), self.WINDOW):
+            window = ops[start:start + self.WINDOW]
+            store.apply_batch(cache, {}, window)
+            v1.append_many(window)
+        store.journal.close()
+        v1.close()
+
+        def recover(state):
+            bundle = load_bundle(state, repo.size_of)
+            start = perf_counter()
+            _floor, entries = Journal(f"{state}.journal")._read()
+            replayed = replay(bundle.cache, entries, after_seq=0)
+            return (perf_counter() - start) * 1e3, bundle.cache, replayed
+
+        # Round by round, as in TestCheckpoint: the machine's slow spells
+        # are longer than one recovery.
+        times = {"v1": [], "v2": []}
+        ratios = []
+        for _ in range(self.ROUNDS):
+            for form in ("v1", "v2"):
+                elapsed, recovered, replayed = recover(states[form])
+                assert len(replayed) == len(ops)
+                assert recovered.snapshot() == cache.snapshot()
+                times[form].append(elapsed)
+            ratios.append(times["v1"][-1] / times["v2"][-1])
+        size = {form: Path(f"{state}.journal").stat().st_size
+                for form, state in states.items()}
+
+        # Encoding the same entries: a v1 line of names, against a v2
+        # line from the ids the cache interned the names to (the writer
+        # interns ahead of the append; that pass is the apply's, so it
+        # is not timed here).
+        table = load_table(states["v2"])[1]
+        names = [data["packages"] for _op, data in ops]
+        ids = [cache._intern(spec)[1] for spec in names]
+        encodes = {"v1": [], "v2": []}
+        encode_ratios = []
+        for _ in range(self.ROUNDS):
+            generation = _Generation(0, table)
+            generation.bind(cache)
+            start = perf_counter()
+            for seq, spec in enumerate(names, start=1):
+                _encode(JournalEntry(seq, "request", {"packages": spec}))
+            middle = perf_counter()
+            for seq, spec_ids in enumerate(ids, start=1):
+                _encode(JournalEntry(
+                    seq, "request", generation.encode(cache, spec_ids)))
+            end = perf_counter()
+            encodes["v1"].append((middle - start) / len(ops) * 1e6)
+            encodes["v2"].append((end - middle) / len(ops) * 1e6)
+            encode_ratios.append(encodes["v2"][-1] / encodes["v1"][-1])
+        print(
+            f"\njournal tail of {len(ops)} requests behind a state of "
+            f"{len(load_bundle(states['v2'], repo.size_of).cache)} images: "
+            f"{size['v1'] / len(ops):.0f} -> {size['v2'] / len(ops):.0f} "
+            f"bytes an entry; read + replay {min(times['v1']):.1f} -> "
+            f"{min(times['v2']):.1f} ms, {median(ratios):.2f}x faster; "
+            f"encode {min(encodes['v1']):.1f} -> {min(encodes['v2']):.1f} "
+            f"us an entry"
+        )
+        assert median(ratios) >= 1.5
+        assert size["v2"] <= 0.6 * size["v1"]
+        assert median(encode_ratios) <= 1.0
+
+
 class TestCacheThroughput:
     def test_request_throughput_alpha_075(self, benchmark, bench_repo, scale):
         workload = DependencyWorkload(bench_repo, scale.max_selection)

@@ -278,8 +278,9 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     """Open the durable cache over the site repository.
 
     Loads the snapshot and replays the journal tail.  A state built for
-    another repository, or one that is corrupt or unreadable, is an
-    :class:`_InputError` — real data is never silently reinitialised.
+    another repository, or a state or journal that is corrupt or
+    unreadable, is an :class:`_InputError` — real data is never silently
+    reinitialised.
     With ``initialise`` (submit, serve) a missing state starts a fresh
     cache from ``--alpha``/``--capacity`` and the replay is reported
     here; the read-side commands report ``replayed`` themselves.
@@ -287,7 +288,7 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     Returns ``(repo, store, cache, metadata, replayed)``.
     """
     from repro.core.cache import LandlordCache
-    from repro.core.journal import JournaledState
+    from repro.core.journal import JournalError, JournaledState
     from repro.core.persistence import StateError, StateNotFound
     from repro.util.units import format_bytes
 
@@ -320,7 +321,7 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
         print(f"initialised new cache: capacity "
               f"{format_bytes(capacity)}, alpha {args.alpha}")
         return repo, store, cache, metadata, []
-    except StateError as exc:
+    except (StateError, JournalError) as exc:
         raise _InputError(str(exc)) from exc
     if metadata.get("repository") != repo_meta:
         raise _InputError(

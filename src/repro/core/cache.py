@@ -43,6 +43,7 @@ the matrix beside the loops costs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -758,8 +759,14 @@ class LandlordCache:
         with lock:
             return self._adopt(packages)
 
-    def _adopt(self, packages: "Collection[str]") -> CachedImage:
-        mask, indices, size = self._intern(packages)
+    def _adopt(
+        self,
+        packages: "Optional[Collection[str]]",
+        interned: Optional[Tuple[int, np.ndarray, int]] = None,
+    ) -> CachedImage:
+        mask, indices, size = (
+            interned if interned is not None else self._intern(packages)
+        )
         if not indices.size:
             raise ValueError("cannot adopt an empty image")
         self._clock += 1
@@ -855,10 +862,8 @@ class LandlordCache:
         """
         universe = self._universe
         n = len(universe)
-        live = np.zeros(n, dtype=np.bool_)
-        counted = min(n, self._refcounts.size)
-        live[:counted] = self._refcounts[:counted] > 0
-        if live.all():
+        live = self._live_ids()
+        if live.size == n:
             def table_mask(img: CachedImage) -> int:
                 return img.mask
         else:
@@ -877,8 +882,14 @@ class LandlordCache:
         state = self._state_record(
             "mask", lambda img: format(table_mask(img), "x")
         )
-        state["universe"] = universe.names_of_indices(live.nonzero()[0])
+        state["universe"] = universe.names_of_indices(live)
         return state
+
+    def _live_ids(self) -> np.ndarray:
+        """Ascending internal ids of the names some live image holds —
+        :meth:`table_snapshot`'s table, as ids."""
+        counted = min(len(self._universe), self._refcounts.size)
+        return np.flatnonzero(self._refcounts[:counted] > 0)
 
     @staticmethod
     def _decode_masks(
@@ -1218,11 +1229,12 @@ class LandlordCache:
 
     def _request(
         self,
-        spec: "ImageSpec | Collection[str]",
+        spec: "ImageSpec | Collection[str] | None",
         interned: Optional[Tuple[int, np.ndarray, int]] = None,
     ) -> CacheDecision:
         """Algorithm 1 for one spec; ``interned`` is its ``_intern``
-        triple when the caller (the batch path) already resolved it."""
+        triple when the caller (the batch path, journal replay) already
+        resolved it — replay passes no ``spec`` at all."""
         packages = _packages_of(spec)
         mask, indices, requested = (
             interned if interned is not None else self._intern(packages)
@@ -1261,7 +1273,10 @@ class LandlordCache:
                 # Conflict policies see a set, as they always have; the
                 # default configuration never builds one — not of a
                 # transient spec, not of a merge target.
-                packages = frozenset(packages)
+                packages = frozenset(
+                    packages if packages is not None
+                    else self._universe.names_of_indices(indices)
+                )
             t0 = perf_counter() if ins is not None else 0.0
             candidates, examined = self._engine.scan_candidates(
                 mask, n_request, self.alpha
@@ -1430,6 +1445,52 @@ class LandlordCache:
             for spec, triple in zip(run, interned):
                 decisions.append(self._request(spec, triple))
         return decisions
+
+    def _apply_masked(
+        self, op: str, new: List[str], mask: int
+    ) -> "CacheDecision | CachedImage":
+        """Journal replay's seam: a ``"request"`` or ``"adopt"`` given as
+        a bitmask over this cache's own universe.
+
+        ``new`` — names the universe does not hold yet — is registered
+        first, in order; ``mask`` is then read against the universe as
+        it stands and goes straight to Algorithm 1 (or the adoption): no
+        name of the spec is decoded, hashed or looked up.  A ``new`` name
+        already known (or listed twice) and a bit at or past the end of
+        the universe are :class:`ValueError`\\ s raised before anything
+        changes.
+        """
+        universe = self._universe
+        with self._lock or nullcontext():
+            known = universe._index
+            if len(set(new)) != len(new) or any(map(known.__contains__, new)):
+                raise ValueError("declares a package name the universe holds")
+            if mask < 0:
+                raise ValueError("negative mask")
+            if mask.bit_length() > len(universe) + len(new):
+                raise ValueError(
+                    f"mask sets bit {mask.bit_length() - 1}, past the "
+                    f"{len(universe) + len(new)} names of the universe"
+                )
+            universe.register(new)
+            indices = universe.indices_of_mask(mask)
+            return self._apply_interned(
+                op, None, (mask, indices, universe.bytes_of_indices(indices))
+            )
+
+    def _apply_interned(
+        self,
+        op: str,
+        spec: "Optional[Collection[str]]",
+        interned: Tuple[int, np.ndarray, int],
+    ) -> "CacheDecision | CachedImage":
+        """A ``"request"`` or ``"adopt"`` of a spec already interned (its
+        ``_intern`` triple; ``spec``, the names, may be ``None``): the
+        seam the journal's writer and its replay apply through."""
+        with self._lock or nullcontext():
+            if op == "adopt":
+                return self._adopt(spec, interned)
+            return self._request(spec, interned)
 
     def _do_merge(self, target: CachedImage, mask: int) -> Tuple[int, int]:
         """Rewrite ``target`` as ``target ∪ request``; returns

@@ -33,6 +33,23 @@ counted its file, and a caller-supplied parse still read (see
 checked against its CRC as it lies on disk; only a line that is not in
 the writer's layout is re-encoded canonically first.
 
+**Journal v2: each package name once per generation.**  A request or
+an adoption is written as ``{"base": S, "mask": "<hex>", "new": [...]}``.
+Bit *i* of ``mask`` is name *i* of the entry's generation: the name
+table of the state file whose ``journal_seq`` is ``S`` (exactly what
+:meth:`LandlordCache.restore` registers from it), followed by every
+name earlier entries of the generation declared in ``new``.  Replay
+registers ``new`` into the recovering cache's universe — which then *is*
+the generation — and hands ``int(mask, 16)`` to the cache as it lies: no
+name is decoded, hashed or looked up.  ``base`` is what lets replay
+refuse an entry written against another table (a mask means nothing
+without its table).  The writer (:class:`JournaledState`) takes its
+generation from each save (the table just written), from ``load`` (the
+loaded universe) or, failing both, off the files; it encodes an entry
+from the ids the live cache interned the names to, one array lookup
+each.  v1 lines (``"packages": [...]``) still replay as they always
+did, before or after v2 ones; only v2 is written.
+
 The cache is deterministic given its restored state (including, for
 ``candidate_order="random"``, the RNG state the v2 snapshot carries), so
 replaying the journalled operations reproduces the original decisions
@@ -45,13 +62,23 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.cache import LandlordCache
-from repro.core.persistence import StateBundle, load_bundle, save_state
+from repro.core.persistence import (
+    StateBundle,
+    _write_state,
+    load_bundle,
+    load_table,
+    save_state,
+)
 from repro.testing.faults import checkpoint
 
 __all__ = [
@@ -85,8 +112,11 @@ class JournalEntry:
         seq: 1-based, strictly increasing sequence number.
         op: operation name — ``"request"``, ``"adopt"``,
             ``"evict_idle"``, or ``"clear"``.
-        data: the operation's arguments (e.g. the sorted package list of
-            a request), exactly as needed to re-apply it.
+        data: the operation's arguments, exactly as needed to re-apply
+            it: a request's or adoption's ``base``/``mask``/``new`` (v2,
+            see the module docstring) or ``packages`` (v1, and what the
+            writer hands its callers), ``evict_idle``'s
+            ``max_idle_requests``.
     """
 
     seq: int
@@ -127,13 +157,18 @@ def _decode(line: str) -> JournalEntry:
     # was — so whatever that check accepted is still accepted.
     intact = _crc_as_it_lies(line)
     record = json.loads(line)
+    if not isinstance(record, dict):
+        raise JournalError("journal entry is not a JSON object")
     crc = record.pop("crc")
     if not intact and _crc(record) != crc:
         raise JournalError("journal entry fails its CRC")
     seq = record["seq"]
     if not isinstance(seq, int) or seq < 1:
         raise JournalError(f"invalid journal sequence number {seq!r}")
-    return JournalEntry(seq, record["op"], record.get("data", {}))
+    op, data = record["op"], record.get("data", {})
+    if not isinstance(op, str) or not isinstance(data, dict):
+        raise JournalError(f"journal entry {seq} is not an operation")
+    return JournalEntry(seq, op, data)
 
 
 def _encode_marker(compacted_to: int) -> str:
@@ -266,21 +301,24 @@ class Journal:
     def _read(self) -> Tuple[int, List[JournalEntry]]:
         """Parse the file into ``(compaction floor, intact entries)``."""
         try:
-            text = self.path.read_text(encoding="utf-8")
+            raw = self.path.read_bytes()
         except FileNotFoundError:
             return 0, []
-        lines = [line for line in text.split("\n") if line]
+        # Lines are decoded one by one: a byte that is not UTF-8 makes
+        # its own line corrupt (a torn tail when last), no other.
+        lines = [line for line in raw.split(b"\n") if line]
         floor = 0
         start = 0
         if lines:
             try:
-                record = json.loads(lines[0])
+                first = lines[0].decode("utf-8")
+                record = json.loads(first)
             except ValueError:
                 record = None
             if isinstance(record, dict) and "compacted_to" in record:
                 crc = record.pop("crc", None)
                 upto = record.get("compacted_to")
-                intact = _marker_crc_as_it_lies(lines[0]) or _crc(record) == crc
+                intact = _marker_crc_as_it_lies(first) or _crc(record) == crc
                 if not intact or not isinstance(upto, int):
                     raise JournalError(
                         f"corrupt compaction marker in {self.path}"
@@ -290,11 +328,11 @@ class Journal:
         out: List[JournalEntry] = []
         for position, line in enumerate(lines[start:], start=start):
             try:
-                entry = _decode(line)
+                entry = _decode(line.decode("utf-8"))
             except (ValueError, KeyError) as exc:
                 for later in lines[position + 1:]:
                     try:
-                        _decode(later)
+                        _decode(later.decode("utf-8"))
                     except (ValueError, KeyError):
                         continue
                     raise JournalError(
@@ -542,13 +580,176 @@ class Journal:
             os.close(fd)
 
 
+_MASKED_OPS = ("request", "adopt")
+
+
+class _Generation:
+    """The names a writer's v2 entries index, and their positions.
+
+    ``names`` starts as the name table of the state file whose
+    ``journal_seq`` is ``base`` — what :meth:`LandlordCache.restore`
+    registers from it — and grows by each entry's ``"new"`` names, in
+    the order replay registers them.
+    """
+
+    __slots__ = ("base", "names", "_universe", "_position", "_seen",
+                 "_unbound")
+
+    def __init__(self, base: int, names: Sequence[str]) -> None:
+        self.base = base
+        self.names = list(names)
+        # Which live cache's ids _position translates, and for each id
+        # its position here (-1: a name this generation lacks); how many
+        # of its ids that covers, and the positions of names the cache
+        # had not met when bound (found again once it does).
+        self._universe = None
+        self._position = np.zeros(0, dtype=np.int64)
+        self._seen = 0
+        self._unbound: dict = {}
+
+    @classmethod
+    def on_disk(
+        cls, base: int, names: Sequence[str], entries: Sequence[JournalEntry]
+    ) -> "_Generation":
+        """The generation a recovery would rebuild: the state file's
+        table, then the names its journal tail registers."""
+        generation = cls(base, names)
+        seen = set(generation.names)
+        for entry in entries:
+            if entry.seq <= base or entry.op not in _MASKED_OPS:
+                continue
+            if not _is_masked(entry):  # v1: replay interns the list
+                fresh = [name for name in dict.fromkeys(
+                    entry.data["packages"]) if name not in seen]
+            elif entry.data.get("base") != base:
+                raise JournalError(_wrong_base(entry, base))
+            else:
+                fresh = _masked_fields(entry)[0]
+                if len(set(fresh)) != len(fresh) or not seen.isdisjoint(fresh):
+                    raise JournalError(
+                        f"journal entry {entry.seq}: declares a package "
+                        "name the universe holds"
+                    )
+            seen.update(fresh)
+            generation.names.extend(fresh)
+        return generation
+
+    def bind(self, cache: LandlordCache, position=None) -> None:
+        """Translate ``cache``'s internal ids from here on; ``position``
+        is the translation when the caller knows it, else each name of
+        the generation is looked up once."""
+        universe = cache._universe
+        self._unbound = {}
+        if position is None:
+            ids = np.fromiter(
+                map(universe._index.get, self.names, repeat(-1)),
+                dtype=np.int64, count=len(self.names),
+            )
+            position = np.full(len(universe), -1, dtype=np.int64)
+            known = ids >= 0
+            position[ids[known]] = np.flatnonzero(known)
+            self._unbound = {
+                self.names[at]: at for at in np.flatnonzero(~known).tolist()
+            }
+        self._universe, self._position = universe, position
+        self._seen = len(universe)
+
+    def _catch_up(self, universe) -> None:
+        """Cover the ids the cache has registered since last looked at."""
+        n = len(universe)
+        position = self._position
+        if position.size < n:
+            grown = np.full(max(n, 2 * position.size), -1, dtype=np.int64)
+            grown[:position.size] = position
+            self._position = position = grown
+        if self._unbound:
+            for live_id in range(self._seen, n):
+                at = self._unbound.pop(universe._ids[live_id], -1)
+                position[live_id] = at
+        self._seen = n
+
+    def encode(self, cache: LandlordCache, indices: np.ndarray) -> dict:
+        """A request's or adoption's v2 data — ``{"base", "mask",
+        "new"}`` — from the sorted ids ``cache`` interned it to, declaring
+        the names this generation lacks (in id order).  No name is looked
+        up: the ids translate through one array."""
+        universe = cache._universe
+        if universe is not self._universe:
+            self.bind(cache)
+        if len(universe) > self._seen:  # the cache has met new names
+            self._catch_up(universe)
+        position = self._position
+        at = position[indices]
+        missing = at < 0
+        fresh: List[str] = []
+        if missing.any():
+            fresh_ids = indices[missing]
+            fresh = universe.names_of_indices(fresh_ids)
+            start = len(self.names)
+            self.names.extend(fresh)
+            placed = np.arange(start, len(self.names), dtype=np.int64)
+            position[fresh_ids] = at[missing] = placed
+        bits = np.zeros(len(self.names), dtype=np.uint8)
+        bits[at] = 1
+        mask = int.from_bytes(
+            np.packbits(bits, bitorder="little").tobytes(), "little"
+        )
+        return {"base": self.base, "mask": format(mask, "x"), "new": fresh}
+
+    def rollback(self, size: int) -> None:
+        """Forget the names declared since the generation had ``size``."""
+        del self.names[size:]
+        self._position[self._position >= size] = -1
+
+
+def _is_masked(entry: JournalEntry) -> bool:
+    """A v2 request or adoption (a v1 one lists ``"packages"``)."""
+    return entry.op in _MASKED_OPS and "packages" not in entry.data
+
+
+def _wrong_base(entry: JournalEntry, base: int) -> str:
+    return (
+        f"journal entry {entry.seq} indexes the names of the state file "
+        f"at journal_seq {entry.data.get('base')!r}, not {base}"
+    )
+
+
+def _masked_fields(entry: JournalEntry) -> Tuple[List[str], str]:
+    """A v2 entry's ``new`` names and hex ``mask``, type-checked."""
+    new, mask = entry.data.get("new"), entry.data.get("mask")
+    if not isinstance(new, list) or not all(type(n) is str for n in new):
+        raise JournalError(
+            f"journal entry {entry.seq}: 'new' is not a list of names"
+        )
+    if not isinstance(mask, str):
+        raise JournalError(
+            f"journal entry {entry.seq}: 'mask' is not a hex string"
+        )
+    return new, mask
+
+
+def _apply_masked(cache: LandlordCache, entry: JournalEntry) -> object:
+    """Apply a v2 request or adoption: register its ``new`` names, then
+    hand its mask to the cache as it lies (see :class:`_Generation`)."""
+    new, mask = _masked_fields(entry)
+    try:
+        return cache._apply_masked(entry.op, new, int(mask, 16))
+    except ValueError as exc:
+        raise JournalError(f"journal entry {entry.seq}: {exc}") from exc
+
+
 def apply_entry(cache: LandlordCache, entry: JournalEntry) -> object:
     """Apply one journalled operation to a live cache.
 
     Returns whatever the underlying cache method returns (a
     :class:`~repro.core.cache.CacheDecision` for requests, the evicted id
-    list for ``evict_idle``, …).
+    list for ``evict_idle``, …).  A request or adoption is either v1
+    (``"packages"``: the names) or v2 (``"mask"`` over the cache's own
+    universe, after registering ``"new"``); :func:`replay` checks that a
+    v2 entry belongs to the state file the cache was restored from.
     """
+    if _is_masked(entry):
+        return _apply_masked(cache, entry)
     if entry.op == "request":
         return cache.request(entry.data["packages"])
     if entry.op == "adopt":
@@ -561,6 +762,17 @@ def apply_entry(cache: LandlordCache, entry: JournalEntry) -> object:
     raise JournalError(f"unknown journal operation {entry.op!r}")
 
 
+def _apply_live(
+    cache: LandlordCache, entry: JournalEntry, interned: Optional[tuple]
+) -> object:
+    """Apply an operation the writer just journalled: a request or an
+    adoption as the triple its names were interned to, anything else as
+    :func:`apply_entry` does."""
+    if interned is None:
+        return apply_entry(cache, entry)
+    return cache._apply_interned(entry.op, entry.data["packages"], interned)
+
+
 def apply_entries(
     cache: LandlordCache,
     entries: Sequence[JournalEntry],
@@ -568,21 +780,27 @@ def apply_entries(
 ) -> List[object]:
     """Apply a batch of journalled operations, coalescing request runs.
 
-    Adjacent ``"request"`` entries are funnelled through one
+    Adjacent ``"request"`` entries that name their packages are
+    funnelled through one
     :meth:`~repro.core.cache.LandlordCache.submit_batch` call — one
     acquisition of the lock, the run interned ahead — which is
     bit-identical to applying them one by one (the property
     ``submit_batch`` guarantees and the differential suite enforces).
-    Non-request operations (``adopt``, ``evict_idle``, ``clear``) break
-    the run and go through :func:`apply_entry` individually.  Returns the per-entry results in order; ``on_result``
+    Every other operation (``adopt``, ``evict_idle``, ``clear``, a v2
+    request) breaks the run and goes through :func:`apply_entry`
+    individually.  Returns the per-entry results in order; ``on_result``
     fires after each entry's result is known, in entry order.
     """
+
+    def named_request(entry: JournalEntry) -> bool:
+        return entry.op == "request" and "packages" in entry.data
+
     results: List[object] = []
     i = 0
     while i < len(entries):
-        if entries[i].op == "request":
+        if named_request(entries[i]):
             j = i
-            while j < len(entries) and entries[j].op == "request":
+            while j < len(entries) and named_request(entries[j]):
                 j += 1
             run = entries[i:j]
             decisions = cache.submit_batch(
@@ -612,8 +830,11 @@ def replay(
 
     The tail must be gap-free starting at ``after_seq + 1`` — a gap means
     operations were lost between the snapshot and the surviving journal,
-    which no replay can repair (:class:`JournalError`).  Returns
-    ``(entry, result)`` pairs for the replayed operations.
+    which no replay can repair (:class:`JournalError`).  So is a v2
+    entry written against another state file than the one ``cache`` was
+    restored from (its ``base`` is not ``after_seq``): its mask would
+    name other packages.  Returns ``(entry, result)`` pairs for the
+    replayed operations.
 
     ``on_result`` fires immediately after each entry is applied — use it
     to inspect a result *at decision time*; a returned
@@ -631,6 +852,8 @@ def replay(
                 f"journal gap: expected entry {expected}, found {entry.seq} "
                 "— operations between snapshot and journal were lost"
             )
+        if _is_masked(entry) and entry.data.get("base") != after_seq:
+            raise JournalError(_wrong_base(entry, after_seq))
         result = apply_entry(cache, entry)
         if on_result is not None:
             on_result(entry, result)
@@ -672,6 +895,9 @@ class JournaledState:
         self.snapshot_every = snapshot_every
         self._ins: Optional[_StateInstruments] = None
         self.journal: Optional[Journal] = None
+        # The names this writer's entries index; None until a save or a
+        # load sets it, or the first append reads it off the files.
+        self._gen: Optional[_Generation] = None
         if use_journal:
             journal_path = journal_path or self.state_path.with_name(
                 self.state_path.name + ".journal"
@@ -710,10 +936,18 @@ class JournaledState:
         if self.journal is not None:
             # The store's journal is the writer's: this one parse also
             # numbers the append that follows in the same invocation.
+            self._gen = None
             _floor, entries = self.journal.read_as_writer()
             replayed = replay(
                 bundle.cache, entries,
                 after_seq=bundle.journal_seq, on_result=on_replay,
+            )
+            # Replay registered exactly the generation's names, in order:
+            # the cache's ids are its positions.
+            universe = bundle.cache._universe
+            self._gen = _Generation(bundle.journal_seq, universe._ids)
+            self._gen.bind(
+                bundle.cache, np.arange(len(universe), dtype=np.int64)
             )
         return bundle.cache, bundle.metadata, replayed
 
@@ -729,9 +963,31 @@ class JournaledState:
         self, cache: LandlordCache, metadata: Optional[dict], journal_seq: int
     ) -> None:
         """:func:`save_state` to this store's file, measured when the
-        store has metrics."""
+        store has metrics.
+
+        A saved file starts the next generation: its name table, based at
+        ``journal_seq`` — which must cover the whole journal, or entries
+        already on it would index the wrong table.  A save that raises
+        may or may not have replaced the file, so the next append reads
+        the generation off the files again.
+        """
         t0 = perf_counter()
-        save_state(self.state_path, cache, metadata, journal_seq)
+        table = cache.table_snapshot()
+        if self.journal is not None:
+            assert journal_seq == self.journal.last_seq, (
+                f"a checkpoint at {journal_seq} would not cover the "
+                f"journal (last entry {self.journal.last_seq})"
+            )
+            self._gen = None
+        _write_state(self.state_path, table, metadata, journal_seq)
+        if self.journal is not None:
+            # The table is the live ids' names, in id order.
+            generation = _Generation(journal_seq, table["universe"])
+            live = cache._live_ids()
+            position = np.full(len(cache._universe), -1, dtype=np.int64)
+            position[live] = np.arange(live.size, dtype=np.int64)
+            generation.bind(cache, position)
+            self._gen = generation
         ins = self._ins
         if ins is not None:
             ins.save_s.observe(perf_counter() - t0)
@@ -770,8 +1026,8 @@ class JournaledState:
                 on_result(JournalEntry(0, op, dict(data)), result)
             self._save(cache, metadata, journal_seq=0)
             return result
-        entry = self.journal.append(op, **data)
-        result = apply_entry(cache, entry)
+        (entry, interned), = self._append(cache, [(op, data)])
+        result = _apply_live(cache, entry, interned)
         if on_result is not None:
             on_result(entry, result)
         if entry.seq % self.snapshot_every == 0:
@@ -792,8 +1048,9 @@ class JournaledState:
         every operation is durably journalled (one
         :meth:`Journal.append_many` fsync for the lot) *before* any of
         them mutates the cache, so a crash at any later instant replays
-        the full batch; application coalesces adjacent requests through
-        :func:`apply_entries` into single vectorized-engine passes.  The
+        the full batch.  As in ``submit_batch``, every spec is interned
+        before the first is decided — here before the append, whose
+        encoding reads the interned ids — and then applied in order.  The
         snapshot is rewritten once, after the batch, whenever the batch
         crossed a ``snapshot_every`` boundary — the amortised equivalent
         of :meth:`apply`'s per-operation cadence.  Returns the per-op
@@ -830,17 +1087,74 @@ class JournaledState:
                     on_result(entry, result)
             return results
         t0 = perf_counter()
-        entries = self.journal.append_many(ops)
+        appended = self._append(cache, ops)
         t1 = perf_counter()
         if timings is not None:  # before the apply: on_result may read it
             timings["fsync"] = (t0, t1 - t0)
-        results = apply_entries(cache, entries, on_result)
+        results = []
+        for entry, interned in appended:
+            result = _apply_live(cache, entry, interned)
+            if on_result is not None:
+                on_result(entry, result)
+            results.append(result)
         if timings is not None:
             timings["apply"] = (t1, perf_counter() - t1)
-        first, last = entries[0].seq, entries[-1].seq
+        first, last = appended[0][0].seq, appended[-1][0].seq
         if last // self.snapshot_every > (first - 1) // self.snapshot_every:
             self.flush(cache, metadata, journal_seq=last)
         return results
+
+    def _generation(self, cache: LandlordCache) -> _Generation:
+        """This writer's generation; read off the files when no save or
+        load of this object set it (a fresh writer, a failed save), and
+        then bound to ``cache``'s ids."""
+        if self._gen is None:
+            journal = self.journal
+            _floor, entries = (
+                journal.read_as_writer() if journal._next_seq is None
+                else journal._read()
+            )
+            base, names = load_table(self.state_path)
+            generation = _Generation.on_disk(base, names, entries)
+            generation.bind(cache)
+            self._gen = generation
+        return self._gen
+
+    def _append(
+        self, cache: LandlordCache, ops: Sequence[Tuple[str, dict]]
+    ) -> List[Tuple[JournalEntry, Optional[tuple]]]:
+        """Durably journal ``ops`` as v2 lines.
+
+        Each request's and adoption's names are interned into ``cache``
+        first — the pass ``submit_batch`` makes ahead of deciding a run,
+        made here ahead of the append — and the interned ids become the
+        entry's mask over the generation, each name new to it declared
+        once.  Returns each entry (with the op as given) and its interned
+        triple (``None`` for other ops), which the live cache then
+        applies without interning again.  Names a failed append declared
+        are forgotten again.
+        """
+        generation = self._generation(cache)
+        size = len(generation.names)
+        with cache.lock or nullcontext():
+            interned = [
+                cache._intern(data["packages"]) if op in _MASKED_OPS
+                else None
+                for op, data in ops
+            ]
+        try:
+            written = self.journal.append_many([
+                (op, data if triple is None
+                 else generation.encode(cache, triple[1]))
+                for (op, data), triple in zip(ops, interned)
+            ])
+        except Exception:
+            generation.rollback(size)
+            raise
+        return [
+            (JournalEntry(entry.seq, op, dict(data)), triple)
+            for entry, (op, data), triple in zip(written, ops, interned)
+        ]
 
     def flush(
         self,

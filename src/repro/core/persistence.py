@@ -66,9 +66,10 @@ Saving and loading now cost O(images + live names), not O(Σ names).
   so a v2 file loads (and is checksummed under its own version's
   header, as it lies) and is next saved as v3.  v1 — no checksum, no
   policy block, last written before PR 2 — is refused by name.
-- *Deliberately not done.*  The journal still names packages: an entry
-  must be able to introduce a name, and the file's numbering is not the
-  writer's.  No append-only sidecar table, and a checkpoint is still
+- *The journal indexes the same table.*  Journal v2 entries are masks
+  over this file's ``universe`` plus the names entries declared since
+  (:mod:`repro.core.journal`); :func:`load_table` reads that table and
+  ``journal_seq`` back without building a cache.  A checkpoint is still
   triggered by operation count, not bytes — ROADMAP item 10 (ii)/(iii).
 
 Parent (v2) → this format on a 2-core sandbox (save/load best of 15;
@@ -100,7 +101,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.cache import LandlordCache
 from repro.testing.faults import checkpoint
@@ -113,6 +114,7 @@ __all__ = [
     "body_checksum",
     "load_bundle",
     "load_state",
+    "load_table",
     "save_state",
 ]
 
@@ -201,11 +203,20 @@ def save_state(
     last write-ahead-journal entry already folded into this snapshot
     (see :mod:`repro.core.journal`); recovery replays only later entries.
     """
-    path = Path(path)
+    return _write_state(
+        Path(path), cache.table_snapshot(), metadata, journal_seq
+    )
+
+
+def _write_state(
+    path: Path, table: dict, metadata: Optional[dict], journal_seq: int
+) -> Path:
+    """:func:`save_state` of a :meth:`LandlordCache.table_snapshot` the
+    caller already took (the journal's writer keeps its name table)."""
     canon = _canonical({
         "metadata": metadata or {},
         "journal_seq": int(journal_seq),
-        "cache": cache.table_snapshot(),
+        "cache": table,
     })
     head = _header(STATE_VERSION, _checksum_of(canon)).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -252,6 +263,63 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> None:
         )
 
 
+def _verified_payload(path: Path, raw: bytes) -> dict:
+    """Parse a state file's bytes and check its version and checksum;
+    anything that is not a readable state is a :class:`StateError`."""
+    try:
+        text = raw.decode("utf-8")
+        payload = json.loads(text)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise StateError(f"corrupt state file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StateError(f"corrupt state file {path}: not a JSON object")
+    version = payload.get("version")
+    if version == 1:
+        raise StateError(
+            f"state file {path}: v1 state (no checksum, no policy block): "
+            "load it "
+            "with commit bf23e3f and re-save"
+        )
+    if version not in _READABLE_VERSIONS:
+        raise StateError(
+            f"state file {path}: version {version!r} unsupported (this "
+            f"build reads {', '.join(map(str, _READABLE_VERSIONS))})"
+        )
+    _verify_checksum(payload, text, path)
+    return payload
+
+
+def load_table(path: PathLike) -> Tuple[int, List[str]]:
+    """``(journal_seq, names)`` of a state file, checksum-verified,
+    without building a cache.
+
+    ``names`` is the universe :meth:`LandlordCache.restore` registers
+    from the file, in id order: the v3 ``universe`` table, then (for
+    image records that list ``"packages"``, as v2 files do) each name
+    in the order restore first interns it.  The journal's writer numbers
+    its entries' masks from here (see :mod:`repro.core.journal`).
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise StateNotFound(f"no state file at {path}") from None
+    payload = _verified_payload(path, raw)
+    try:
+        snapshot = payload["cache"]
+        names = list(snapshot.get("universe", []))
+        seen = set(names)
+        for record in snapshot["images"]:
+            for name in record.get("packages", ()):
+                if name not in seen:
+                    seen.add(name)
+                    names.append(name)
+        journal_seq = int(payload.get("journal_seq", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StateError(f"malformed state file {path}: {exc}") from exc
+    return journal_seq, names
+
+
 def load_bundle(
     path: PathLike,
     package_size: Callable[[str], int],
@@ -270,7 +338,7 @@ def load_bundle(
     path = Path(path)
     tmp = _tmp_path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except FileNotFoundError:
         if tmp.exists():
             tmp.unlink()
@@ -281,22 +349,7 @@ def load_bundle(
         raise StateNotFound(f"no state file at {path}") from None
     if tmp.exists():
         tmp.unlink()  # stranded by a crash between tmp write and rename
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateError(f"corrupt state file {path}: {exc}") from exc
-    version = payload.get("version")
-    if version == 1:
-        raise StateError(
-            f"state file {path}: v1 state (written before PR 2): load it "
-            "with commit bf23e3f and re-save"
-        )
-    if version not in _READABLE_VERSIONS:
-        raise StateError(
-            f"state file {path}: version {version!r} unsupported (this "
-            f"build reads {', '.join(map(str, _READABLE_VERSIONS))})"
-        )
-    _verify_checksum(payload, text, path)
+    payload = _verified_payload(path, raw)
     try:
         snapshot = payload["cache"]
         cache = LandlordCache(

@@ -123,6 +123,31 @@ BAD_INPUT = {
 }
 
 
+def _flip_journal_crc(state):
+    """The first entry's CRC off by one: corrupt mid-file."""
+    journal = state.with_name(state.name + ".journal")
+    lines = journal.read_bytes().split(b"\n")
+    head, rest = lines[0].split(b",", 1)
+    digits = head[len(b'{"crc":'):]
+    lines[0] = b'{"crc":' + str(int(digits) ^ 1).encode() + b"," + rest
+    journal.write_bytes(b"\n".join(lines))
+    return journal
+
+
+def _non_utf8_state(state):
+    """One byte in the middle of the state file replaced by 0xFF."""
+    raw = bytearray(state.read_bytes())
+    raw[len(raw) // 2] = 0xFF
+    state.write_bytes(bytes(raw))
+    return state
+
+
+DAMAGE = {
+    "journal-mid-file-crc": _flip_journal_crc,
+    "state-0xff": _non_utf8_state,
+}
+
+
 class TestBadInput:
     """Bad input is an exit status of 2 and an error naming the file or
     flag — never a traceback (an exception escaping ``main``)."""
@@ -142,4 +167,25 @@ class TestBadInput:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert culprit.format(d=tmp_path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["recover"], ["cache-status"], ["submit", "{d}/job.txt"], ["serve"],
+    ])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_state_exits_2(self, command, damage, tmp_path, capsys):
+        # Three journalled requests behind the snapshot, then one byte
+        # of the journal or the state file damaged.
+        state = tmp_path / "made.json"
+        (tmp_path / "job.txt").write_text("app-0000/1.0/x86_64-el7\n")
+        for _ in range(3):
+            assert run_cli(["submit", str(tmp_path / "job.txt"),
+                            *[a.format(d=tmp_path) for a in MADE],
+                            "--snapshot-every", "100"]) == 0
+        culprit = DAMAGE[damage](state)
+        capsys.readouterr()
+        argv = [a.format(d=tmp_path) for a in [*command, *MADE]]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert str(culprit) in err and err.count("\n") == 1
         assert "Traceback" not in err

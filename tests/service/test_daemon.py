@@ -25,6 +25,7 @@ from repro.obs import (
 from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
 from repro.service.daemon import _PendingSubmit
 from repro.testing.faults import CrashPoint, SimulatedCrash
+from tests.core.test_journal_v2 import journalled_names
 
 SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(30)}
 KNOWN = frozenset(SIZE)
@@ -1030,10 +1031,8 @@ class TestLeaderFollower:
         with daemon:
             daemon.submit(["p1", "p10", "p2"])  # strictly increasing
             daemon.submit(["p3", "p1", "p3"])   # canonicalised
-            entries = Journal(tmp_path / "state.json.journal").entries()
-        assert [entry.data["packages"] for entry in entries] == [
-            ["p1", "p10", "p2"], ["p1", "p3"],
-        ]
+            journalled = journalled_names(tmp_path / "state.json")
+        assert journalled == [["p1", "p10", "p2"], ["p1", "p3"]]
 
 
 #: Where a checkpoint can die or fail: the snapshot save, then the
@@ -1197,6 +1196,32 @@ class TestAckBeforeCheckpoint:
 
 
 class TestJournalFaults:
+    @pytest.mark.parametrize("site", ["journal:append", "journal:torn"])
+    def test_a_failed_window_leaves_no_names_declared(self, tmp_path, site):
+        # The failed window brings names the journal has not seen yet;
+        # the next window reuses them, so it must declare them itself.
+        daemon = make_daemon(tmp_path, snapshot_every=10_000)
+        daemon.start()
+        fault = OSError(errno.EIO, os.strerror(errno.EIO))
+        try:
+            first = daemon.submit(["p0", "p1"])
+            with CrashPoint(site, error=fault) as point:
+                failed = daemon.submit(["p20", "p21"])
+            assert point.fired
+            reused = daemon.submit(["p20", "p21", "p22"])
+        finally:
+            daemon.kill()
+            daemon.store.journal.close()
+        assert first[0] == reused[0] == 200
+        assert failed[0] == 500 and failed[1]["error"].startswith("OSError")
+        acked = [["p0", "p1"], ["p20", "p21", "p22"]]
+        assert journalled_names(tmp_path / "state.json") == acked
+        recovered, _, replayed = recover_state(
+            tmp_path / "state.json", package_size=SIZE.__getitem__
+        )
+        assert replayed == 2
+        assert recovered.snapshot() == serial_replay(acked).snapshot()
+
     @pytest.mark.parametrize("torn, code", [
         (None, errno.EIO),     # fsync failed, the lines stay in the file
         (0.5, errno.ENOSPC),   # short write
@@ -1225,8 +1250,7 @@ class TestJournalFaults:
         assert [status for status, _ in replies] == [200] * 4
         assert [p["request_index"] for _, p in replies] == [0, 1, 2, 3]
         acked = [specs[0], specs[1], specs[2], specs[6]]
-        journal = Journal(tmp_path / "state.json.journal")
-        assert [entry.data["packages"] for entry in journal.entries()] == acked
+        assert journalled_names(tmp_path / "state.json") == acked
         recovered, _, replayed = recover_state(
             tmp_path / "state.json", package_size=SIZE.__getitem__
         )
