@@ -179,9 +179,6 @@ def _state_args(parser: argparse.ArgumentParser,
     parser.add_argument("--journal", default=None, metavar="FILE",
                         help="write-ahead journal file "
                         "(default: <state>.journal)")
-    parser.add_argument("--no-journal", action="store_true",
-                        help="disable write-ahead journalling (snapshot "
-                        "rewritten after every request instead)")
     if snapshot_every is not None:
         parser.add_argument("--snapshot-every", type=int,
                             default=snapshot_every, metavar="N",
@@ -302,7 +299,6 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     store = JournaledState(
         args.state, args.journal,
         snapshot_every=getattr(args, "snapshot_every", 1),
-        use_journal=not args.no_journal,
     )
     engine = getattr(args, "engine", "vectorized")
     try:
@@ -665,8 +661,8 @@ def _cmd_bench(argv: Sequence[str]) -> int:
     serial_seconds = time.perf_counter() - start
     # One explicit pool for the whole parallel sweep: worker warm-up is
     # paid once (the parent pre-warms the repository and forks it into
-    # workers, or publishes the closure matrix via shared memory on
-    # spawn platforms) and amortised across every sweep cell.
+    # workers; spawn workers each rebuild it) and amortised across every
+    # sweep cell.
     start = time.perf_counter()
     with SimulationPool(RepositorySpec.from_config(config), workers) as pool:
         shared_universe = pool.shared_universe

@@ -872,9 +872,6 @@ class JournaledState:
             operations (1 = after each, the safest and the default; a
             larger N amortises snapshot I/O across submissions and leans
             on journal replay after a crash).
-        use_journal: disable write-ahead logging entirely (the snapshot
-            is then rewritten after every operation, as in format v1
-            days — the crash window between apply and snapshot returns).
         metrics: optional :class:`repro.obs.MetricsRegistry` forwarded
             to the journal (``journal_*`` latency/operation metrics) and
             given the checkpoint's own series: ``state_save_seconds``,
@@ -886,7 +883,6 @@ class JournaledState:
         state_path: PathLike,
         journal_path: Optional[PathLike] = None,
         snapshot_every: int = 1,
-        use_journal: bool = True,
         metrics=None,
     ):
         if snapshot_every < 1:
@@ -894,15 +890,12 @@ class JournaledState:
         self.state_path = Path(state_path)
         self.snapshot_every = snapshot_every
         self._ins: Optional[_StateInstruments] = None
-        self.journal: Optional[Journal] = None
+        self.journal = Journal(journal_path or self.state_path.with_name(
+            self.state_path.name + ".journal"
+        ))
         # The names this writer's entries index; None until a save or a
         # load sets it, or the first append reads it off the files.
         self._gen: Optional[_Generation] = None
-        if use_journal:
-            journal_path = journal_path or self.state_path.with_name(
-                self.state_path.name + ".journal"
-            )
-            self.journal = Journal(journal_path)
         if metrics is not None:
             self.enable_metrics(metrics)
 
@@ -910,8 +903,7 @@ class JournaledState:
         """Record checkpoint and journal I/O metrics into ``registry``
         from here on."""
         self._ins = _StateInstruments(registry)
-        if self.journal is not None:
-            self.journal.enable_metrics(registry)
+        self.journal.enable_metrics(registry)
 
     def load(
         self,
@@ -932,31 +924,28 @@ class JournaledState:
         bundle: StateBundle = load_bundle(
             self.state_path, package_size, **cache_kwargs
         )
-        replayed: List[Tuple[JournalEntry, object]] = []
-        if self.journal is not None:
-            # The store's journal is the writer's: this one parse also
-            # numbers the append that follows in the same invocation.
-            self._gen = None
-            _floor, entries = self.journal.read_as_writer()
-            replayed = replay(
-                bundle.cache, entries,
-                after_seq=bundle.journal_seq, on_result=on_replay,
-            )
-            # Replay registered exactly the generation's names, in order:
-            # the cache's ids are its positions.
-            universe = bundle.cache._universe
-            self._gen = _Generation(bundle.journal_seq, universe._ids)
-            self._gen.bind(
-                bundle.cache, np.arange(len(universe), dtype=np.int64)
-            )
+        # The store's journal is the writer's: this one parse also
+        # numbers the append that follows in the same invocation.
+        self._gen = None
+        _floor, entries = self.journal.read_as_writer()
+        replayed = replay(
+            bundle.cache, entries,
+            after_seq=bundle.journal_seq, on_result=on_replay,
+        )
+        # Replay registered exactly the generation's names, in order:
+        # the cache's ids are its positions.
+        universe = bundle.cache._universe
+        self._gen = _Generation(bundle.journal_seq, universe._ids)
+        self._gen.bind(
+            bundle.cache, np.arange(len(universe), dtype=np.int64)
+        )
         return bundle.cache, bundle.metadata, replayed
 
     def initialise(
         self, cache: LandlordCache, metadata: Optional[dict] = None
     ) -> None:
         """First-time setup: persist a fresh cache with an empty journal."""
-        if self.journal is not None:
-            self.journal.reset()
+        self.journal.reset()
         self._save(cache, metadata, journal_seq=0)
 
     def _save(
@@ -973,21 +962,19 @@ class JournaledState:
         """
         t0 = perf_counter()
         table = cache.table_snapshot()
-        if self.journal is not None:
-            assert journal_seq == self.journal.last_seq, (
-                f"a checkpoint at {journal_seq} would not cover the "
-                f"journal (last entry {self.journal.last_seq})"
-            )
-            self._gen = None
+        assert journal_seq == self.journal.last_seq, (
+            f"a checkpoint at {journal_seq} would not cover the "
+            f"journal (last entry {self.journal.last_seq})"
+        )
+        self._gen = None
         _write_state(self.state_path, table, metadata, journal_seq)
-        if self.journal is not None:
-            # The table is the live ids' names, in id order.
-            generation = _Generation(journal_seq, table["universe"])
-            live = cache._live_ids()
-            position = np.full(len(cache._universe), -1, dtype=np.int64)
-            position[live] = np.arange(live.size, dtype=np.int64)
-            generation.bind(cache, position)
-            self._gen = generation
+        # The table is the live ids' names, in id order.
+        generation = _Generation(journal_seq, table["universe"])
+        live = cache._live_ids()
+        position = np.full(len(cache._universe), -1, dtype=np.int64)
+        position[live] = np.arange(live.size, dtype=np.int64)
+        generation.bind(cache, position)
+        self._gen = generation
         ins = self._ins
         if ins is not None:
             ins.save_s.observe(perf_counter() - t0)
@@ -1018,21 +1005,7 @@ class JournaledState:
         ``on_result`` is reserved and cannot be used as an operation
         data key.
         """
-        if self.journal is None:
-            result = apply_entry(
-                cache, JournalEntry(0, op, dict(data))
-            )
-            if on_result is not None:
-                on_result(JournalEntry(0, op, dict(data)), result)
-            self._save(cache, metadata, journal_seq=0)
-            return result
-        (entry, interned), = self._append(cache, [(op, data)])
-        result = _apply_live(cache, entry, interned)
-        if on_result is not None:
-            on_result(entry, result)
-        if entry.seq % self.snapshot_every == 0:
-            self.flush(cache, metadata, journal_seq=entry.seq)
-        return result
+        return self.apply_batch(cache, metadata, [(op, data)], on_result)[0]
 
     def apply_batch(
         self,
@@ -1057,35 +1030,18 @@ class JournaledState:
         results in order.
 
         ``on_result`` fires for each operation once it is durable and
-        applied: with a journal, after the group fsync and *before* the
-        checkpoint, so a caller acknowledging from it answers a durable
-        decision even if the checkpoint then fails (the next boundary
-        retries it); without one, the snapshot is the only durable
-        record, so it fires only once the snapshot is written.
+        applied: after the group fsync and *before* the checkpoint, so a
+        caller acknowledging from it answers a durable decision even if
+        the checkpoint then fails (the next boundary retries it).
 
         ``timings``, when a dict, receives window-wide stage timings for
         the caller's tracing spans: ``timings["fsync"]`` (set before the
         apply, so ``on_result`` can read it) and ``timings["apply"]``
         are each ``(start, duration)`` pairs on the ``perf_counter``
-        timebase (the hybrid clock's monotonic base).  In the
-        journal-less configuration the fsync duration is zero.
+        timebase (the hybrid clock's monotonic base).
         """
         if not ops:
             return []
-        if self.journal is None:
-            entries = [
-                JournalEntry(0, op, dict(data)) for op, data in ops
-            ]
-            t0 = perf_counter()
-            results = apply_entries(cache, entries)
-            if timings is not None:
-                timings["fsync"] = (t0, 0.0)
-                timings["apply"] = (t0, perf_counter() - t0)
-            self._save(cache, metadata, journal_seq=0)
-            if on_result is not None:
-                for entry, result in zip(entries, results):
-                    on_result(entry, result)
-            return results
         t0 = perf_counter()
         appended = self._append(cache, ops)
         t1 = perf_counter()
@@ -1163,9 +1119,6 @@ class JournaledState:
         journal_seq: Optional[int] = None,
     ) -> None:
         """Rewrite the snapshot to cover the journal, then compact it."""
-        if self.journal is None:
-            self._save(cache, metadata, journal_seq=0)
-            return
         if journal_seq is None:
             journal_seq = self.journal.last_seq
         self._save(cache, metadata, journal_seq)

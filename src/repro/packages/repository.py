@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional
 
-import numpy as np
-
 from repro.packages.package import Package
 
 __all__ = ["Repository", "RepositoryError"]
@@ -56,10 +54,6 @@ class Repository:
             self._check_dag()
         self._ids: List[str] = sorted(self._packages)
         self._total_size: Optional[int] = None
-        # Optional packed closure matrix adopted from another process
-        # (see install_packed_closures); rows decode lazily on demand.
-        self._packed_closures: Optional[np.ndarray] = None
-        self._row_index: Optional[Dict[str, int]] = None
 
     # -- container protocol -------------------------------------------------
 
@@ -137,8 +131,6 @@ class Repository:
         pkg = self._packages.get(package_id)
         if pkg is None:
             raise KeyError(f"unknown package: {package_id!r}")
-        if self._packed_closures is not None:
-            return self._decode_closure_row(package_id)
         # Iterative post-order so deep chains don't hit the recursion limit.
         order: List[str] = []
         seen = set()
@@ -170,57 +162,6 @@ class Repository:
         """
         for pid in self._ids:
             self.closure_of(pid)
-
-    def closure_matrix(self) -> np.ndarray:
-        """All closures as a packed bit-matrix in sorted-id order.
-
-        Row ``i`` holds the closure of ``self.ids[i]`` as little-endian
-        packed bits over column indices into the same sorted order —
-        a position-independent encoding another process can adopt via
-        :meth:`install_packed_closures` (typically through
-        :class:`repro.parallel.shm.SharedPackedMatrix`) instead of
-        recomputing closures.
-        """
-        n = len(self._ids)
-        row_index = {pid: i for i, pid in enumerate(self._ids)}
-        matrix = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        bits = np.zeros(n, dtype=np.uint8)
-        for i, pid in enumerate(self._ids):
-            closure = self.closure_of(pid)
-            bits[:] = 0
-            bits[[row_index[p] for p in closure]] = 1
-            matrix[i] = np.packbits(bits, bitorder="little")
-        return matrix
-
-    def install_packed_closures(self, packed: np.ndarray) -> None:
-        """Adopt a packed closure matrix from :meth:`closure_matrix`.
-
-        Must come from an identical repository (same ids, same deps) —
-        the shape is validated, the contents are trusted.  Subsequent
-        closure misses decode one matrix row (a single ``unpackbits``)
-        instead of walking the dependency DAG; already-memoised
-        closures are kept.
-        """
-        n = len(self._ids)
-        expected = (n, (n + 7) // 8)
-        if tuple(packed.shape) != expected:
-            raise ValueError(
-                f"packed closure matrix shape {tuple(packed.shape)} does "
-                f"not match this repository (expected {expected})"
-            )
-        self._packed_closures = packed
-        self._row_index = {pid: i for i, pid in enumerate(self._ids)}
-
-    def _decode_closure_row(self, package_id: str) -> FrozenSet[str]:
-        bits = np.unpackbits(
-            self._packed_closures[self._row_index[package_id]],
-            bitorder="little",
-            count=len(self._ids),
-        )
-        ids = self._ids
-        closure = frozenset(ids[int(j)] for j in np.flatnonzero(bits))
-        self._closures[package_id] = closure
-        return closure
 
     def closure(self, package_ids: Iterable[str]) -> FrozenSet[str]:
         """Closure of a set of packages: union of per-package closures.

@@ -26,7 +26,6 @@ from repro.parallel.pool import (
     resolve_workers,
 )
 from repro.parallel.seeds import repetition_seed_sequence, repetition_seeds
-from repro.parallel.shm import SharedPackedMatrix
 from repro.parallel.simulations import (
     RepositorySpec,
     SimulationPool,
@@ -39,7 +38,6 @@ __all__ = [
     "resolve_workers",
     "repetition_seed_sequence",
     "repetition_seeds",
-    "SharedPackedMatrix",
     "RepositorySpec",
     "SimulationPool",
     "merge_result_metrics",

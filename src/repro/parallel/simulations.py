@@ -36,7 +36,6 @@ from repro.parallel.pool import (
     _mp_context,
     resolve_workers,
 )
-from repro.parallel.shm import SharedPackedMatrix
 
 __all__ = ["RepositorySpec", "SimulationPool"]
 
@@ -82,10 +81,8 @@ RepositorySource = Union[RepositorySpec, Repository]
 # by spec so a worker surviving across pools with the same spec reuses it.
 # The parent pre-installs this *before* forking (see SimulationPool), so
 # fork-platform workers inherit the warm repository and closure memo and
-# their initializer is a no-op.
+# their initializer is a no-op; the parent clears it again on close.
 _WORKER_REPOSITORY: List[object] = [None, None]  # [key, repository]
-# Keeps a worker's shared-memory attachment mapped for its lifetime.
-_WORKER_SHM: List[object] = [None]
 # Per-worker-process span recorder (see repro.obs.spans): each sweep
 # cell runs under its own ``sweep_cell`` trace, so the same waterfall
 # model that explains daemon submits explains slow cells.
@@ -119,26 +116,17 @@ def _materialise(source: RepositorySource) -> Repository:
     return source.build() if isinstance(source, RepositorySpec) else source
 
 
-def _init_simulation_worker(
-    source: RepositorySource, closure_handle=None
-) -> None:
+def _init_simulation_worker(source: RepositorySource) -> None:
     """Pool initializer: build/install the shared repository once.
 
-    Three tiers, cheapest first: (1) the parent pre-installed the
-    repository before forking, so this process inherited it and returns
-    immediately; (2) a shared-memory closure-matrix handle is attached
-    so the local rebuild skips the dependency-DAG walk (spawn
-    platforms); (3) plain rebuild from the source.
+    Two cases: the parent pre-installed the warm repository before
+    forking, so this process inherited it and returns immediately; or
+    (spawn platforms) the repository is rebuilt here from the source.
     """
     key = _source_key(source)
     if _WORKER_REPOSITORY[0] == key and _WORKER_REPOSITORY[1] is not None:
         return  # inherited warm via fork (or reused across pools)
     repository = _materialise(source)
-    if closure_handle is not None:
-        shared = SharedPackedMatrix.attach(closure_handle)
-        if shared is not None:
-            _WORKER_SHM[0] = shared  # hold the mapping open
-            repository.install_packed_closures(shared.array)
     _WORKER_REPOSITORY[0] = key
     _WORKER_REPOSITORY[1] = repository
 
@@ -190,11 +178,11 @@ class SimulationPool:
         #: directly; worker processes each hold their own (same model).
         self.spans = worker_span_recorder()
         self._executor = None
-        self._shared_closures: Optional[SharedPackedMatrix] = None
         self._tasks_dispatched = 0
+        #: Whether workers inherited the parent's warm repository (fork
+        #: pools); spawn and serial pools build their own.
         self.shared_universe = False
         if self.workers > 1:
-            closure_handle = None
             if _mp_context() is not None:
                 # fork is available: build + fully warm the repository in
                 # the parent *before* the executor forks, so every worker
@@ -204,20 +192,8 @@ class SimulationPool:
                 _WORKER_REPOSITORY[0] = _source_key(source)
                 _WORKER_REPOSITORY[1] = repository
                 self.shared_universe = True
-            else:
-                # spawn platforms rebuild per worker; publish the packed
-                # closure matrix once so rebuilds skip the DAG walk.
-                shared = SharedPackedMatrix.create(
-                    self._repository().closure_matrix()
-                )
-                if shared is not None:
-                    self._shared_closures = shared
-                    self.shared_universe = True
-                    closure_handle = shared.handle()
             self._executor = _make_executor(
-                self.workers,
-                _init_simulation_worker,
-                (source, closure_handle),
+                self.workers, _init_simulation_worker, (source,)
             )
 
     @property
@@ -274,16 +250,16 @@ class SimulationPool:
             self.telemetry.ingest_cells(worker, [(index, result.metrics)])
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down (idempotent).
+
+        No worker forks after the shutdown, so the parent lets go of
+        the repository this pool pre-installed for them.
+        """
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if self._shared_closures is not None:
-            # Unlink after shutdown: the segment persists until the last
-            # worker's mapping closes, so in-flight readers are safe.
-            self._shared_closures.close()
-            self._shared_closures.unlink()
-            self._shared_closures = None
+        if self.shared_universe and _WORKER_REPOSITORY[1] is self._local_repo:
+            _WORKER_REPOSITORY[0] = _WORKER_REPOSITORY[1] = None
 
     def __enter__(self) -> "SimulationPool":
         """Context-manager entry: the pool itself."""

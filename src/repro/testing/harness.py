@@ -53,7 +53,6 @@ class WrapperHarness:
         package_size: size oracle for :class:`LandlordCache`.
         capacity / alpha: cache configuration on first initialisation.
         snapshot_every: forwarded to :class:`JournaledState`.
-        use_journal: forwarded to :class:`JournaledState`.
         cache_kwargs: remaining policy knobs for the cache.
     """
 
@@ -64,7 +63,6 @@ class WrapperHarness:
         capacity: int,
         alpha: float,
         snapshot_every: int = 1,
-        use_journal: bool = True,
         **cache_kwargs: object,
     ):
         self._directory = Path(directory)
@@ -72,7 +70,6 @@ class WrapperHarness:
         self._capacity = capacity
         self._alpha = alpha
         self._snapshot_every = snapshot_every
-        self._use_journal = use_journal
         self._cache_kwargs = cache_kwargs
         #: decisions by 0-based request index, filled by submits and by
         #: journal replay during recovery (replay of an already-recorded
@@ -83,7 +80,6 @@ class WrapperHarness:
         return JournaledState(
             self._directory / "state.json",
             snapshot_every=self._snapshot_every,
-            use_journal=self._use_journal,
         )
 
     def _fresh_cache(self) -> LandlordCache:

@@ -1,27 +1,35 @@
-"""Tests for the shared-universe sweep machinery (repro.parallel.shm).
+"""Tests for how sweep workers get their repository
+(repro.parallel.simulations).
 
-The parallel-sweep fix has two halves, exercised here directly:
+A worker warms up one of two ways, both exercised here:
 
 - fork platforms: the parent builds and fully warms the repository
   (``warm_closures``) *before* the executor forks, so workers inherit
-  the closure memo and their initializer is a no-op;
-- spawn platforms: the packed closure bit-matrix is published through
-  ``multiprocessing.shared_memory`` and workers decode rows on demand
-  (``install_packed_closures``) instead of re-walking the DAG.
+  the closure memo and their initializer is a no-op; the parent lets
+  go of it again when the pool closes;
+- spawn platforms (macOS, Windows): each worker rebuilds the
+  repository from its :class:`RepositorySpec`, run end to end here in
+  a subprocess with the fork context forced off.
 
 Either way the simulation results must stay bit-identical to the
-serial path — the shared state is a pure warm-up/transport
-optimisation, never an input.
+serial path — the inherited state is a pure warm-up optimisation,
+never an input.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.sweep import alpha_sweep
 from repro.htc.simulator import SimulationConfig
-from repro.parallel import RepositorySpec, SharedPackedMatrix, SimulationPool
+from repro.parallel import RepositorySpec, SimulationPool
 from repro.parallel.simulations import (
     _WORKER_REPOSITORY,
     _init_simulation_worker,
@@ -39,46 +47,7 @@ def tiny_config(**kw):
     return SimulationConfig(**base)
 
 
-class TestSharedPackedMatrix:
-    def test_round_trip(self):
-        array = np.arange(60, dtype=np.uint8).reshape(12, 5)
-        shared = SharedPackedMatrix.create(array)
-        if shared is None:
-            pytest.skip("platform cannot allocate shared memory")
-        try:
-            attached = SharedPackedMatrix.attach(shared.handle())
-            assert attached is not None
-            assert attached.shape == array.shape
-            assert np.array_equal(attached.array, array)
-            attached.close()
-        finally:
-            shared.close()
-            shared.unlink()
-
-    def test_close_is_idempotent(self):
-        shared = SharedPackedMatrix.create(np.zeros((2, 2), dtype=np.uint8))
-        if shared is None:
-            pytest.skip("platform cannot allocate shared memory")
-        shared.close()
-        shared.close()
-        shared.unlink()
-
-
 class TestPackedClosures:
-    def test_matrix_decodes_to_original_closures(self):
-        spec = RepositorySpec.from_config(tiny_config())
-        source = spec.build()
-        packed = source.closure_matrix()
-        fresh = spec.build()
-        fresh.install_packed_closures(packed)
-        for pid in source.ids:
-            assert fresh.closure_of(pid) == source.closure_of(pid)
-
-    def test_shape_mismatch_rejected(self):
-        repo = RepositorySpec.from_config(tiny_config()).build()
-        with pytest.raises(ValueError):
-            repo.install_packed_closures(np.zeros((3, 1), dtype=np.uint8))
-
     def test_warm_closures_memoises_everything(self):
         repo = RepositorySpec.from_config(tiny_config()).build()
         repo.warm_closures()
@@ -96,27 +65,6 @@ class TestWorkerInitializer:
             _init_simulation_worker(spec)
             # same object: the pre-installed repository was not rebuilt
             assert _WORKER_REPOSITORY[1] is repo
-        finally:
-            _WORKER_REPOSITORY[0] = old[0]
-            _WORKER_REPOSITORY[1] = old[1]
-
-    def test_handle_installs_packed_closures(self):
-        spec = RepositorySpec.from_config(tiny_config())
-        packed = spec.build().closure_matrix()
-        shared = SharedPackedMatrix.create(packed)
-        if shared is None:
-            pytest.skip("platform cannot allocate shared memory")
-        old = _WORKER_REPOSITORY[:]
-        try:
-            _WORKER_REPOSITORY[0] = None
-            _WORKER_REPOSITORY[1] = None
-            _init_simulation_worker(spec, shared.handle())
-            installed = _WORKER_REPOSITORY[1]
-            assert installed is not None
-            assert installed._packed_closures is not None
-            reference = spec.build()
-            for pid in reference.ids:
-                assert installed.closure_of(pid) == reference.closure_of(pid)
         finally:
             _WORKER_REPOSITORY[0] = old[0]
             _WORKER_REPOSITORY[1] = old[1]
@@ -146,3 +94,70 @@ class TestPoolSharedUniverse:
         )
         for name in serial.raw:
             assert np.array_equal(serial.raw[name], parallel.raw[name])
+
+    def test_close_releases_the_parents_repository(self):
+        spec = RepositorySpec.from_config(tiny_config())
+        with SimulationPool(spec, 2) as pool:
+            if not pool.shared_universe:
+                pytest.skip("no fork: the parent installs nothing")
+            assert _WORKER_REPOSITORY[1] is pool._repository()
+        assert _WORKER_REPOSITORY == [None, None]
+
+    def test_close_leaves_a_later_pools_repository(self):
+        spec = RepositorySpec.from_config(tiny_config())
+        with SimulationPool(spec, 2) as first:
+            if not first.shared_universe:
+                pytest.skip("no fork: the parent installs nothing")
+            with SimulationPool(spec, 2) as second:
+                first.close()
+                assert _WORKER_REPOSITORY[1] is second._repository()
+        assert _WORKER_REPOSITORY == [None, None]
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+# Runs a 2-worker sweep on real spawn workers: the pool's executor gets
+# the spawn context and the simulation pool sees no fork, as on macOS
+# and Windows.  The config is tiny_config(); the sweep's raw arrays go
+# to the path in argv[1].
+SPAWN_SWEEP = """
+import multiprocessing, sys
+import numpy as np
+from repro.analysis.sweep import alpha_sweep
+from repro.htc.simulator import SimulationConfig
+from repro.parallel import RepositorySpec, SimulationPool, pool, simulations
+from repro.util.units import GB
+
+spawn = multiprocessing.get_context("spawn")
+pool._mp_context = lambda: spawn
+simulations._mp_context = lambda: None
+config = SimulationConfig(
+    capacity=20 * GB, n_unique=15, repeats=3, max_selection=6,
+    n_packages=300, repo_total_size=10 * GB, seed=4,
+)
+with SimulationPool(RepositorySpec.from_config(config), 2) as sims:
+    assert sims.parallel
+    result = alpha_sweep(config, alphas=[0.5, 0.8], repetitions=2, pool=sims)
+np.savez(sys.argv[1], **result.raw)
+"""
+
+
+class TestSpawnWorkers:
+    def test_spawn_sweep_equals_serial_with_a_clean_stderr(self, tmp_path):
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no spawn start method")
+        out = tmp_path / "raw.npz"
+        run = subprocess.run(
+            [sys.executable, "-c", SPAWN_SWEEP, str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        parallel = np.load(out)
+        serial = alpha_sweep(
+            tiny_config(), alphas=[0.5, 0.8], repetitions=2, workers=1
+        )
+        assert sorted(parallel.files) == sorted(serial.raw)
+        for name in serial.raw:
+            assert np.array_equal(serial.raw[name], parallel[name])

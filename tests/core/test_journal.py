@@ -300,18 +300,6 @@ class TestJournaledState:
         assert len(replayed) == 2
         assert recovered.stats == cache.stats
 
-    def test_no_journal_mode_snapshots_every_op(self, tmp_path):
-        store = JournaledState(tmp_path / "state.json", use_journal=False)
-        cache = make_cache()
-        store.initialise(cache)
-        store.apply(cache, None, "request", packages=["p0"])
-        assert not (tmp_path / "state.json.journal").exists()
-        recovered, _meta, replayed = JournaledState(
-            tmp_path / "state.json", use_journal=False
-        ).load(SIZE.__getitem__)
-        assert replayed == []
-        assert recovered.stats.requests == 1
-
     def test_snapshot_every_validation(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_every"):
             JournaledState(tmp_path / "state.json", snapshot_every=0)
@@ -460,21 +448,6 @@ class TestGroupCommit:
             on_result=lambda entry, result: seen.append(entry.seq),
         )
         assert seen == [1, 2, 3, 4]
-
-    def test_apply_batch_without_journal(self, tmp_path):
-        store = JournaledState(tmp_path / "state.json", use_journal=False)
-        cache = make_cache()
-        store.initialise(cache)
-        results = store.apply_batch(cache, None, [
-            ("request", {"packages": ["p0"]}),
-            ("request", {"packages": ["p1"]}),
-        ])
-        assert len(results) == 2
-        recovered, _meta, replayed = JournaledState(
-            tmp_path / "state.json", use_journal=False
-        ).load(SIZE.__getitem__)
-        assert replayed == []
-        assert recovered.snapshot() == cache.snapshot()
 
 
 class TestEncodeOnce:

@@ -189,3 +189,33 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert str(culprit) in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestNoJournalIsGone:
+    """There is one durability mode: ``--no-journal`` is refused by name
+    and cannot load a snapshot without its journal tail and then rewrite
+    it behind the journal's back."""
+
+    @pytest.mark.parametrize("command", [
+        ["submit", "{d}/job.txt"], ["serve"], ["cache-status"], ["recover"],
+    ])
+    def test_refused_and_the_site_untouched(self, command, tmp_path, capsys):
+        from repro.core.journal import Journal
+        from repro.core.persistence import load_table
+
+        state = tmp_path / "made.json"
+        journal = state.with_name(state.name + ".journal")
+        made = [a.format(d=tmp_path) for a in MADE]
+        (tmp_path / "job.txt").write_text("app-0000/1.0/x86_64-el7\n")
+        for _ in range(3):
+            assert run_cli(["submit", str(tmp_path / "job.txt"), *made,
+                            "--snapshot-every", "2"]) == 0
+        # a snapshot at seq 2 and the acked request 3 on the journal only
+        assert load_table(state)[0] == 2
+        assert [e.seq for e in Journal(journal).entries()] == [3]
+        before = state.read_bytes(), journal.read_bytes()
+        capsys.readouterr()
+        argv = [a.format(d=tmp_path) for a in command]
+        assert run_cli([*argv, *made, "--no-journal"]) == 2
+        assert "--no-journal" in capsys.readouterr().err
+        assert (state.read_bytes(), journal.read_bytes()) == before

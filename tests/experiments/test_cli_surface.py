@@ -30,7 +30,6 @@ SURFACE = {
     "cache-status": {
         "--journal": (None, None, None),
         "--metrics-out": (None, None, None),
-        "--no-journal": (False, None, 0),
         "--repo": (None, None, None),
         "--scale": (None, ("tiny", "quick", "paper"), None),
         "--seed": (2020, None, None),
@@ -52,7 +51,6 @@ SURFACE = {
     },
     "recover": {
         "--journal": (None, None, None),
-        "--no-journal": (False, None, 0),
         "--repo": (None, None, None),
         "--scale": (None, ("tiny", "quick", "paper"), None),
         "--seed": (2020, None, None),
@@ -83,7 +81,6 @@ SURFACE = {
         "--max-batch": ("256", None, None),
         "--max-queue": (1024, None, None),
         "--metrics-out": (None, None, None),
-        "--no-journal": (False, None, 0),
         "--port": (0, None, None),
         "--port-file": (None, None, None),
         "--repo": (None, None, None),
@@ -106,7 +103,6 @@ SURFACE = {
         "--journal": (None, None, None),
         "--metrics-out": (None, None, None),
         "--no-closure": (False, None, 0),
-        "--no-journal": (False, None, 0),
         "--port-file": (None, None, None),
         "--remote": (None, None, None),
         "--remote-retries": (5, None, None),

@@ -29,6 +29,18 @@ def test_importing_the_cli_imports_no_experiment_module():
     assert result.stdout.strip() == "[]"
 
 
+def test_importing_the_parallel_package_leaves_out_shared_memory():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.parallel; "
+         "print('multiprocessing.shared_memory' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_membership_and_listing_do_not_import(monkeypatch):
     def forbidden(name):
         raise AssertionError(f"imported {name}")

@@ -213,14 +213,15 @@ class TestStateMetrics:
         validate_prometheus_text(reg.to_prometheus())
 
     def test_enabled_after_load_like_the_cli_does(self, tmp_path):
-        store = self.store(tmp_path, None, use_journal=False)
+        store = self.store(tmp_path, None)
         c = LandlordCache(500, 0.8, SIZE.__getitem__)
         store.initialise(c, {})
         reg = MetricsRegistry()
         store.enable_metrics(reg)
-        store.apply(c, {}, "request", packages=["p0"])
+        store.apply(c, {}, "request", packages=["p0"])  # seq 1: checkpoint
         assert reg.get("state_save_seconds").labels().count == 1
         assert reg.get("state_images").value() == 1
+        assert reg.get("journal_appends_total").value() == 1
 
 
 class TestSimulatorMetrics:

@@ -31,12 +31,10 @@ SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(30)}
 KNOWN = frozenset(SIZE)
 
 
-def make_daemon(tmp_path, *, snapshot_every=10, use_journal=True, **kw):
+def make_daemon(tmp_path, *, snapshot_every=10, **kw):
     """A daemon over a fresh journalled store in ``tmp_path``."""
     store = JournaledState(
-        tmp_path / "state.json",
-        snapshot_every=snapshot_every,
-        use_journal=use_journal,
+        tmp_path / "state.json", snapshot_every=snapshot_every
     )
     cache = LandlordCache(500, 0.8, SIZE.__getitem__)
     store.initialise(cache, {"repository": "test"})
@@ -1140,28 +1138,6 @@ class TestAckBeforeCheckpoint:
             recovered.snapshot()
             == serial_replay([spec for _, spec in order]).snapshot()
         )
-
-    def test_without_a_journal_the_save_comes_before_the_ack(
-        self, tmp_path, monkeypatch
-    ):
-        # With no journal the snapshot is the only durable record: a
-        # client answered before it is written could lose its decision.
-        def full_disk(*args, **kwargs):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        specs = client_specs(9, n=4)
-        daemon = make_daemon(tmp_path, use_journal=False)
-        with daemon:
-            assert daemon.submit(specs[0])[0] == 200
-            monkeypatch.setattr(daemon.store, "_save", full_disk)
-            outcomes = submit_stalled(daemon, specs[1:])
-            on_disk, _, _ = JournaledState(
-                tmp_path / "state.json", use_journal=False
-            ).load(SIZE.__getitem__)
-            monkeypatch.undo()
-        for status, payload in outcomes:
-            assert status == 500 and payload["error"].startswith("OSError")
-        assert on_disk.stats.requests == 1
 
     def test_failed_housekeeping_still_answers_the_leader(
         self, tmp_path, monkeypatch
