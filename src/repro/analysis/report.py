@@ -190,6 +190,7 @@ def alert_timeline(
     :data:`repro.obs.alerts.DEFAULT_RULES` and
     :data:`repro.obs.slo.DEFAULT_WINDOW`.
     """
+    from repro.core.cache import CacheStats
     from repro.obs.alerts import AlertEngine, DEFAULT_RULES
     from repro.obs.slo import DEFAULT_WINDOW, SloTracker
 
@@ -198,35 +199,26 @@ def alert_timeline(
     if capacity is not None:
         slo.configure(capacity, float("nan"))
     n = len(next(iter(timeline.values()))) if timeline else 0
-    cumulative = ("hits", "merges", "inserts", "deletes",
-                  "bytes_written", "requested_bytes")
-    prev = {name: 0 for name in cumulative}
+    # timeline series -> the CacheStats field the window reads (the
+    # simulator never idles images out, so every delete is a capacity
+    # eviction); used bytes are not recorded and stay 0.
+    fields = {"hits": "hits", "merges": "merges", "inserts": "inserts",
+              "deletes": "evictions_capacity",
+              "bytes_written": "bytes_written",
+              "requested_bytes": "requested_bytes"}
     unique = timeline.get("unique_bytes")
     cached = timeline.get("cached_bytes")
     for i in range(n):
-        delta = {
-            name: int(timeline[name][i]) - prev[name]
-            for name in cumulative
+        stats = CacheStats(**{
+            field: int(timeline[name][i])
+            for name, field in fields.items()
             if name in timeline
-        }
-        for name, value in delta.items():
-            prev[name] += value
-        if delta.get("hits"):
-            action = "hit"
-        elif delta.get("merges"):
-            action = "merge"
-        else:
-            action = "insert"
-        slo.on_request(
-            action=action,
-            requested_bytes=delta.get("requested_bytes", 0),
-            bytes_written=delta.get("bytes_written", 0),
-            used_bytes=0,
-            evictions=delta.get("deletes", 0),
-            latency_s=None,
-            cached_bytes=int(cached[i]) if cached is not None else 0,
-            unique_bytes=int(unique[i]) if unique is not None else None,
-            images=0,
+        })
+        slo.sample(
+            stats, None,
+            int(cached[i]) if cached is not None else 0,
+            int(unique[i]) if unique is not None else None,
+            0,
         )
         engine.evaluate(slo.values(), i)
     return engine.transitions

@@ -54,6 +54,7 @@ import argparse
 import importlib
 import sys
 from collections.abc import Mapping
+from contextlib import closing
 from types import ModuleType
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -1017,9 +1018,10 @@ def _cmd_submit(argv: Sequence[str]) -> int:
 
     packages = _load_specfile(args.specfile, repo)
     closed = packages if args.no_closure else repo.closure(packages)
-    decision = store.apply(
-        cache, metadata, "request", packages=sorted(closed)
-    )
+    with closing(store.journal):  # submit appends once, then only reads
+        decision = store.apply(
+            cache, metadata, "request", packages=sorted(closed)
+        )
     print(
         f"{decision.action.value}: image {decision.image.id} "
         f"({decision.image.package_count} pkgs, "

@@ -306,14 +306,19 @@ class CacheDecision:
 
 
 class _CacheInstruments:
-    """Pre-bound metric children for the cache's hot paths.
+    """The cache's metric series, built once by
+    :meth:`LandlordCache.enable_metrics`.
 
-    Built once by :meth:`LandlordCache.enable_metrics`; every request
-    then updates plain bound objects (no name lookups, no label-dict
-    construction).  When no registry is attached the cache holds ``None``
-    instead and each instrumentation site is a single ``is not None``
-    check — the <2% disabled-path budget of
-    ``benchmarks/test_obs_overhead.py``.
+    Counters and gauges are *read*, not pushed: every
+    ``landlord_*_total`` series is bound to its :class:`CacheStats`
+    field and the three size gauges to the cache, so they cost the hot
+    path nothing and can never disagree with the stats (``counters``
+    keeps the counter series for :meth:`LandlordCache.restore` to
+    re-base).  What a request pushes is its latency and, on a merge, its
+    distance, into pre-bound histogram children.  When no registry is
+    attached the cache holds ``None`` instead and each instrumentation
+    site is a single ``is not None`` check — the <2% disabled-path
+    budget of ``benchmarks/test_obs_overhead.py``.
 
     Metric names follow the schema in DESIGN.md: ``landlord_*`` for the
     cache, with wall-clock histograms suffixed ``_seconds`` (excluded
@@ -324,68 +329,69 @@ class _CacheInstruments:
     """
 
     __slots__ = (
-        "registry",
-        "req_hit", "req_merge", "req_insert",
-        "evict_capacity", "evict_idle",
-        "requested_bytes", "bytes_written",
-        "conflicts", "candidates",
-        "cached_bytes", "unique_bytes", "images",
-        "merge_distance",
+        "registry", "counters", "merge_distance",
         "request_s", "subset_scan_s",
         "candidate_probe_s", "merge_rewrite_s", "eviction_s",
         "clock",
     )
 
-    def __init__(self, registry, engine: str = "vectorized") -> None:
+    def __init__(self, registry, cache: "LandlordCache") -> None:
         from repro.obs.clock import default_clock
         from repro.obs.metrics import DEFAULT_TIME_BUCKETS, DISTANCE_BUCKETS
 
         self.registry = registry
         # Wall-clock source for exemplar timestamps.
         self.clock = default_clock()
+
+        def stat(name: str) -> Callable[[], int]:
+            return lambda: getattr(cache.stats, name)
+
         requests = registry.counter(
             "landlord_requests_total",
             "Requests served, by Algorithm 1 outcome.",
             labelnames=("action",),
         )
-        self.req_hit = requests.labels(action="hit")
-        self.req_merge = requests.labels(action="merge")
-        self.req_insert = requests.labels(action="insert")
         evictions = registry.counter(
             "landlord_evictions_total",
             "Images evicted, by cause.",
             labelnames=("reason",),
         )
-        self.evict_capacity = evictions.labels(reason="capacity")
-        self.evict_idle = evictions.labels(reason="idle")
-        self.requested_bytes = registry.counter(
-            "landlord_requested_bytes_total",
-            "Bytes jobs asked for (the paper's Requested Writes).",
-        ).labels()
-        self.bytes_written = registry.counter(
-            "landlord_bytes_written_total",
-            "Bytes of build/rewrite I/O (the paper's Actual Writes).",
-        ).labels()
-        self.conflicts = registry.counter(
-            "landlord_conflicts_skipped_total",
-            "Within-alpha merge candidates rejected by the conflict check.",
-        ).labels()
-        self.candidates = registry.counter(
-            "landlord_candidates_examined_total",
-            "Images examined by the merge-candidate scan.",
-        ).labels()
-        self.cached_bytes = registry.gauge(
+        self.counters = [
+            requests.bind(stat("hits"), action="hit"),
+            requests.bind(stat("merges"), action="merge"),
+            requests.bind(stat("inserts"), action="insert"),
+            evictions.bind(stat("evictions_capacity"), reason="capacity"),
+            evictions.bind(stat("evictions_idle"), reason="idle"),
+            registry.counter(
+                "landlord_requested_bytes_total",
+                "Bytes jobs asked for (the paper's Requested Writes).",
+            ).bind(stat("requested_bytes")),
+            registry.counter(
+                "landlord_bytes_written_total",
+                "Bytes of build/rewrite I/O (the paper's Actual Writes).",
+            ).bind(stat("bytes_written")),
+            registry.counter(
+                "landlord_conflicts_skipped_total",
+                "Within-alpha merge candidates rejected by the conflict "
+                "check.",
+            ).bind(stat("conflicts_skipped")),
+            registry.counter(
+                "landlord_candidates_examined_total",
+                "Images examined by the merge-candidate scan.",
+            ).bind(stat("candidates_examined")),
+        ]
+        registry.gauge(
             "landlord_cached_bytes",
             "Total bytes of all cached images.",
-        ).labels()
-        self.unique_bytes = registry.gauge(
+        ).bind(lambda: cache.cached_bytes)
+        registry.gauge(
             "landlord_unique_bytes",
             "Bytes of distinct packages present in the cache.",
-        ).labels()
-        self.images = registry.gauge(
+        ).bind(lambda: cache.unique_bytes)
+        registry.gauge(
             "landlord_images",
             "Number of cached images.",
-        ).labels()
+        ).bind(cache.__len__)
         self.merge_distance = registry.histogram(
             "landlord_merge_distance",
             "Jaccard distance of accepted merges.",
@@ -404,7 +410,7 @@ class _CacheInstruments:
             "Wall-clock seconds to serve one request end to end.",
             buckets=DEFAULT_TIME_BUCKETS,
             labelnames=("engine",),
-        ).labels(engine=engine)
+        ).labels(engine=cache.engine)
         self.subset_scan_s = timing(
             "landlord_subset_scan_seconds",
             "Wall-clock seconds in the superset (hit) scan.")
@@ -565,14 +571,16 @@ class LandlordCache:
         return self._tracer
 
     def enable_metrics(self, registry) -> None:
-        """Record counters/gauges/latency histograms into ``registry``.
+        """Expose counters/gauges/latency histograms in ``registry``.
 
-        Safe to call on a live cache (e.g. after a journal replay, so
-        replayed history is not double-counted); the gauges are synced
-        immediately, the counters advance from here on.
+        Counters and gauges are views of :attr:`stats` and of the
+        cache's sizes, read whenever the registry is.  Safe to call on
+        a live cache (e.g. after a journal replay, so replayed history
+        is not double-counted): the gauges read the cache as it stands,
+        the counters continue from the registry's values and advance
+        from here on.
         """
-        self._ins = _CacheInstruments(registry, self.engine)
-        self._update_gauges()
+        self._ins = _CacheInstruments(registry, self)
 
     def enable_tracing(self, tracer) -> None:
         """Feed every emitted :class:`CacheEvent` to ``tracer.on_event``."""
@@ -598,12 +606,14 @@ class LandlordCache:
     def enable_slo(self, tracker) -> None:
         """Feed rolling-window telemetry into ``tracker``.
 
-        One :meth:`repro.obs.SloTracker.on_request` call per request,
-        behind the same ``is not None`` guard as the other instruments;
+        One :meth:`repro.obs.SloTracker.sample` of :attr:`stats` per
+        request, behind the same ``is not None`` guard as the other
+        instruments; the window starts at the stats as they stand, and
         the tracker is configured with this cache's capacity and α so
         windowed occupancy is meaningful.
         """
         tracker.configure(self.capacity, self.alpha)
+        tracker.start(self.stats)
         self._slo = tracker
 
     @property
@@ -625,13 +635,6 @@ class LandlordCache:
         the disabled-path overhead bound in ``BENCH_obs.json`` holds.
         """
         self._lock = lock
-
-    def _update_gauges(self) -> None:
-        ins = self._ins
-        if ins is not None:
-            ins.cached_bytes.set(self._cached_bytes)
-            ins.unique_bytes.set(self._unique_bytes)
-            ins.images.set(len(self._images))
 
     # -- inspection ------------------------------------------------------------
 
@@ -675,7 +678,6 @@ class LandlordCache:
     def _clear(self) -> None:
         for image in list(self._images.values()):
             self._drop_image(image)
-        self._update_gauges()
 
     def evict_idle(self, max_idle_requests: int) -> List[str]:
         """Administrative maintenance: drop images unused for a while.
@@ -723,10 +725,6 @@ class LandlordCache:
                             image.id, image.size, reason="idle",
                         )
                     )
-                if self._ins is not None:
-                    self._ins.evict_idle.inc()
-        if evicted:
-            self._update_gauges()
         return evicted
 
     def peek(self, spec: "ImageSpec | Collection[str]") -> Optional[CachedImage]:
@@ -775,7 +773,6 @@ class LandlordCache:
         self._engine.on_touch(image)
         self.stats.adoptions += 1
         self._evict_to_capacity(image.id, self.stats.requests)
-        self._update_gauges()
         return image
 
     # -- persistence support -------------------------------------------------
@@ -1013,10 +1010,18 @@ class LandlordCache:
                     f"cache uses {mine_bg!r}"
                 )
             self._rng.bit_generator.state = rng_state
+        ins = self._ins
+        counted = [c.value for c in ins.counters] if ins is not None else []
         for field_name, value in state["stats"].items():
             if not hasattr(self.stats, field_name):
                 raise ValueError(f"unknown stats field {field_name!r}")
             setattr(self.stats, field_name, value)
+        # Restored history is not counted, by the counters or the window.
+        if ins is not None:
+            for counter, value in zip(ins.counters, counted):
+                counter.rebase(value)
+        if self._slo is not None:
+            self._slo.start(self.stats)
         self._clock = int(state["clock"])
         self._next_image = int(state["next_image"])
         for record, mask in zip(state["images"], masks):
@@ -1036,7 +1041,6 @@ class LandlordCache:
             self._cached_bytes += size
             self._account_add(indices)
             self._engine.on_add(image)
-        self._update_gauges()
 
     def split(
         self,
@@ -1091,7 +1095,6 @@ class LandlordCache:
             self.stats.bytes_written += size
             new_images.append(part_image)
         self.stats.splits += 1
-        self._update_gauges()
         return new_images
 
     # -- internals ---------------------------------------------------------------
@@ -1211,8 +1214,6 @@ class LandlordCache:
                         reason="capacity",
                     )
                 )
-            if ins is not None:
-                ins.evict_capacity.inc()
         if ins is not None:
             ins.eviction_s.observe(perf_counter() - start)
         return evicted
@@ -1353,8 +1354,7 @@ class LandlordCache:
         )
         if timed:
             self._observe(
-                decision, request_index, trace_id, written, examined,
-                conflicts, perf_counter() - started,
+                decision, request_index, trace_id, perf_counter() - started
             )
         return decision
 
@@ -1363,45 +1363,29 @@ class LandlordCache:
         decision: CacheDecision,
         request_index: int,
         trace_id: Optional[str],
-        written: int,
-        examined: int,
-        conflicts: int,
         elapsed: float,
     ) -> None:
         """Report one finished request to the attached observers.
 
         The single seam between Algorithm 1 and the metrics registry and
         the SLO window: ``_request`` decides, then hands over what it
-        decided.  Observers only read, and both see the same ``elapsed``
-        reading.
+        decided.  The counters need nothing — they read :attr:`stats` —
+        so a request pushes its latency (with its exemplar), a merge its
+        distance, and the window takes one sample of the stats; both
+        observers see the same ``elapsed`` reading.
         """
         ins = self._ins
-        slo = self._slo
-        action = decision.action
-        image = decision.image
-        requested = decision.requested_bytes
         if ins is not None:
-            if action is EventKind.HIT:
-                ins.req_hit.inc()
-            else:
-                if action is EventKind.MERGE:
-                    ins.req_merge.inc()
-                    ins.merge_distance.observe(decision.distance)
-                else:
-                    ins.req_insert.inc()
-                ins.candidates.inc(examined)
-                ins.conflicts.inc(conflicts)
-                ins.bytes_written.inc(written)
-                self._update_gauges()
-            ins.requested_bytes.inc(requested)
+            if decision.action is EventKind.MERGE:
+                ins.merge_distance.observe(decision.distance)
             ins.request_s.observe(
                 elapsed, ins.exemplar_for(request_index, trace_id),
                 ins.clock.now(),
             )
+        slo = self._slo
         if slo is not None:
-            slo.on_request(
-                action.value, requested, written, image.size,
-                len(decision.evicted), elapsed,
+            slo.sample(
+                self.stats, elapsed,
                 self._cached_bytes, self._unique_bytes, len(self._images),
             )
 

@@ -86,7 +86,6 @@ __all__ = [
     "JournalEntry",
     "JournalError",
     "JournaledState",
-    "apply_entries",
     "apply_entry",
     "recover_state",
     "replay",
@@ -771,53 +770,6 @@ def _apply_live(
     if interned is None:
         return apply_entry(cache, entry)
     return cache._apply_interned(entry.op, entry.data["packages"], interned)
-
-
-def apply_entries(
-    cache: LandlordCache,
-    entries: Sequence[JournalEntry],
-    on_result: Optional[Callable[[JournalEntry, object], None]] = None,
-) -> List[object]:
-    """Apply a batch of journalled operations, coalescing request runs.
-
-    Adjacent ``"request"`` entries that name their packages are
-    funnelled through one
-    :meth:`~repro.core.cache.LandlordCache.submit_batch` call — one
-    acquisition of the lock, the run interned ahead — which is
-    bit-identical to applying them one by one (the property
-    ``submit_batch`` guarantees and the differential suite enforces).
-    Every other operation (``adopt``, ``evict_idle``, ``clear``, a v2
-    request) breaks the run and goes through :func:`apply_entry`
-    individually.  Returns the per-entry results in order; ``on_result``
-    fires after each entry's result is known, in entry order.
-    """
-
-    def named_request(entry: JournalEntry) -> bool:
-        return entry.op == "request" and "packages" in entry.data
-
-    results: List[object] = []
-    i = 0
-    while i < len(entries):
-        if named_request(entries[i]):
-            j = i
-            while j < len(entries) and named_request(entries[j]):
-                j += 1
-            run = entries[i:j]
-            decisions = cache.submit_batch(
-                [entry.data["packages"] for entry in run]
-            )
-            for entry, decision in zip(run, decisions):
-                if on_result is not None:
-                    on_result(entry, decision)
-                results.append(decision)
-            i = j
-        else:
-            result = apply_entry(cache, entries[i])
-            if on_result is not None:
-                on_result(entries[i], result)
-            results.append(result)
-            i += 1
-    return results
 
 
 def replay(

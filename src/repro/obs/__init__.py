@@ -98,7 +98,7 @@ from .stream import (
 from .promcheck import validate_openmetrics_text, validate_prometheus_text
 from .server import ObsServer, build_status
 from .telemetry import TelemetryAggregator
-from .slo import DEFAULT_WINDOW, SLO_SERIES, RollingWindow, SloTracker
+from .slo import DEFAULT_WINDOW, SLO_SERIES, SloTracker
 from .trace import DecisionTracer, by_request, explain
 
 __all__ = [
@@ -153,6 +153,5 @@ __all__ = [
     "validate_prometheus_text",
     "DEFAULT_WINDOW",
     "SLO_SERIES",
-    "RollingWindow",
     "SloTracker",
 ]

@@ -232,10 +232,11 @@ class EventReplay:
     path would, except latency is unknown (``None``) and unique bytes
     cannot be reconstructed; cached bytes are tracked from per-image
     sizes the way
-    :func:`repro.analysis.report.timeline_from_events` does, and
-    counters through :func:`~repro.obs.stream.fold_event`.  A DELETE
-    belongs to the decision before it, so each decision reaches the SLO
-    window when the *next* one arrives (or at :meth:`flush`).
+    :func:`repro.analysis.report.timeline_from_events` does, and the
+    stats the window samples through
+    :func:`~repro.obs.stream.fold_event`.  A DELETE belongs to the
+    decision before it, so each decision reaches the SLO window when
+    the *next* one arrives (or at :meth:`flush`).
     """
 
     def __init__(
@@ -255,23 +256,15 @@ class EventReplay:
         self.alpha = alpha
         self.stats = CacheStats()
         self._sizes: Dict[str, int] = {}
-        self._pending = None  # (event, evictions) awaiting its victims
+        self._pending = False  # a decision is waiting for its DELETEs
 
     def _fold_pending(self) -> None:
-        if self._pending is None:
+        if not self._pending:
             return
-        event, evictions = self._pending
-        self._pending = None
-        self.slo.on_request(
-            action=event.kind.value,
-            requested_bytes=event.requested_bytes or 0,
-            bytes_written=event.bytes_written,
-            used_bytes=event.image_bytes,
-            evictions=evictions,
-            latency_s=None,
-            cached_bytes=sum(self._sizes.values()),
-            unique_bytes=None,
-            images=len(self._sizes),
+        self._pending = False
+        self.slo.sample(
+            self.stats, None,
+            sum(self._sizes.values()), None, len(self._sizes),
         )
         if self.alerts is not None:
             self.alerts.evaluate(self.slo.values(), self.stats.requests - 1)
@@ -280,12 +273,10 @@ class EventReplay:
         """Fold one event into the replay state."""
         if event.kind is EventKind.DELETE:
             self._sizes.pop(event.image_id, None)
-            if self._pending is not None:
-                self._pending = (self._pending[0], self._pending[1] + 1)
         else:
             self._fold_pending()
             self._sizes[event.image_id] = event.image_bytes
-            self._pending = (event, 0)
+            self._pending = True
         fold_event(self.stats, event)
 
     def flush(self) -> None:

@@ -16,6 +16,11 @@ Two properties shape the implementation:
   hot paths additionally pre-bind label children once
   (:meth:`Counter.labels`), so an enabled increment is a single bound
   method call with no dict construction.
+- **A ledger kept elsewhere is read, not copied.**  A counter or gauge
+  that mirrors state its owner already keeps (the cache's
+  ``CacheStats``) is bound to a reader (:meth:`Counter.bind`): its
+  value is computed whenever the registry is read, so it costs the
+  hot path nothing and cannot drift from its source.
 - **Merging is deterministic.**  :meth:`MetricsRegistry.snapshot`
   produces a canonical (label-sorted) JSON-safe form and
   :meth:`MetricsRegistry.merge_snapshot` folds one in by summation
@@ -33,8 +38,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -199,13 +205,7 @@ class _BoundHistogram:
         without one stay 2-tuples, so timestamp-less callers are
         untouched.
         """
-        lo, hi = 0, len(self.uppers)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.uppers[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = bisect_left(self.uppers, value)  # first bound >= value
         self.counts[lo] += 1
         self.sum += value
         self.count += 1
@@ -283,7 +283,65 @@ class _Family:
         return sorted(self._children.items())
 
 
-class Counter(_Family):
+class _ReadChild:
+    """A counter or gauge series whose value is read, not pushed:
+    ``offset + read()`` (see :meth:`Counter.bind`).  Read-only."""
+
+    __slots__ = ("name", "read", "offset")
+
+    def __init__(self, name: str, read: Callable[[], float], offset: float):
+        self.name = name
+        self.read = read
+        self.offset = offset
+
+    @property
+    def value(self) -> float:
+        """The series' current value."""
+        return self.offset + self.read()
+
+    def rebase(self, value: float) -> None:
+        """Fix the offset so the series reads ``value`` now — a jump in
+        what ``read`` returns that the series must not count."""
+        self.offset = value - self.read()
+
+    def _read_only(self, *args: object) -> None:
+        raise ValueError(
+            f"{self.name} is read from its source, not pushed: it "
+            "cannot be incremented, set or merged into"
+        )
+
+    inc = set = _read_only
+
+
+class _ScalarFamily(_Family):
+    """A family whose series each hold one number (counters, gauges)."""
+
+    def labels(self, **labels: str):
+        """Resolve (creating if needed) the child for one label set."""
+        return self._child_for(self._key(labels))
+
+    def value(self, **labels: str) -> float:
+        """Current value of one labelled series (0 when never touched)."""
+        child = self._children.get(self._key(labels))
+        return child.value if child is not None else 0
+
+    def bind(self, read: Callable[[], float], **labels: str) -> _ReadChild:
+        """Make one labelled series a reader of ``read``.
+
+        Its value is then ``offset + read()`` whenever it is read.  A
+        counter's offset is fixed here so that the series continues
+        from its current value (0, or what a loaded snapshot held) and
+        advances only with what ``read`` gains from now on; a gauge's
+        offset is 0, so it reads its source as it stands.
+        """
+        offset = self.value(**labels) - read() if self.kind == "counter" else 0
+        child = self._children[self._key(labels)] = _ReadChild(
+            self.name, read, offset
+        )
+        return child
+
+
+class Counter(_ScalarFamily):
     """A monotonically increasing metric family (e.g. requests served)."""
 
     kind = "counter"
@@ -291,21 +349,12 @@ class Counter(_Family):
     def _new_child(self) -> _BoundCounter:
         return _BoundCounter()
 
-    def labels(self, **labels: str) -> _BoundCounter:
-        """Resolve (creating if needed) the child for one label set."""
-        return self._child_for(self._key(labels))
-
     def inc(self, amount: float = 1, **labels: str) -> None:
         """Increment one labelled series by ``amount``."""
         self.labels(**labels).inc(amount)
 
-    def value(self, **labels: str) -> float:
-        """Current value of one labelled series (0 when never touched)."""
-        child = self._children.get(self._key(labels))
-        return child.value if child is not None else 0
 
-
-class Gauge(_Family):
+class Gauge(_ScalarFamily):
     """A metric family that can go up and down (e.g. cached bytes)."""
 
     kind = "gauge"
@@ -313,18 +362,9 @@ class Gauge(_Family):
     def _new_child(self) -> _BoundGauge:
         return _BoundGauge()
 
-    def labels(self, **labels: str) -> _BoundGauge:
-        """Resolve (creating if needed) the child for one label set."""
-        return self._child_for(self._key(labels))
-
     def set(self, value: float, **labels: str) -> None:
         """Set one labelled series to an absolute value."""
         self.labels(**labels).set(value)
-
-    def value(self, **labels: str) -> float:
-        """Current value of one labelled series (0 when never touched)."""
-        child = self._children.get(self._key(labels))
-        return child.value if child is not None else 0
 
 
 class Histogram(_Family):

@@ -9,21 +9,26 @@ the same ``is not None`` guard discipline the instruments use (see
 enabled-path bound this module must fit inside).
 
 A :class:`SloTracker` is attached with
-:meth:`~repro.core.cache.LandlordCache.enable_slo` and receives one
-:meth:`SloTracker.on_request` call per request.  It maintains, over a
-request-count window (a ring buffer with O(1) rolling sums):
+:meth:`~repro.core.cache.LandlordCache.enable_slo` and takes one
+:meth:`SloTracker.sample` of the cache's cumulative
+:class:`~repro.core.cache.CacheStats` per request.  The window is a
+ring of the last ``window`` samples; the one that falls off becomes the
+baseline, and every windowed series is the newest sample minus the
+baseline — integer arithmetic, so exact, and the stats stay the one
+ledger.  Over the window it derives:
 
 - the windowed **hit/merge/insert mix** and hit rate;
 - the windowed **merge-rewrite byte-rate** (bytes written per request —
   the paper's Actual Writes, localised in time);
 - windowed **container efficiency** (requested/used bytes) and the
   instantaneous **cache efficiency** and **occupancy** gauges;
-- the windowed **eviction rate** (evictions per request — the
+- the windowed **eviction rate** (capacity evictions per request — the
   "eviction storm" signal);
 - **p50/p95/p99 request latency** by streaming the same fixed bucket
-  scheme the latency histograms use: each request pushes one bucket
-  index and pops the expired one, so a window quantile is a single
-  pass over ~20 bucket counts, never a sort over raw samples.
+  scheme the latency histograms use: each sample carries its bucket
+  index, counted in when it enters the ring and out when it leaves, so
+  a window quantile is a single pass over ~20 bucket counts, never a
+  sort over raw samples.
 
 Every series is a plain float readable via :meth:`SloTracker.values`,
 which is what the alert engine (:mod:`repro.obs.alerts`), the
@@ -37,13 +42,13 @@ evaluate bit-identically across runs (property-tested).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, Optional, Sequence, Tuple
 
 from .metrics import DEFAULT_TIME_BUCKETS
 
 __all__ = [
-    "RollingWindow",
     "SloTracker",
     "quantile_from_buckets",
     "DEFAULT_WINDOW",
@@ -73,9 +78,6 @@ SLO_SERIES: Tuple[str, ...] = (
     "latency_p99",
 )
 
-_ACTIONS = ("hit", "merge", "insert")
-
-
 def quantile_from_buckets(
     uppers: Sequence[float], counts: Sequence[int], q: float
 ) -> float:
@@ -83,7 +85,7 @@ def quantile_from_buckets(
 
     ``counts`` has one slot per upper bound plus a final ``+Inf`` slot
     (the layout of :class:`~repro.obs.metrics.Histogram` children and of
-    the tracker's rolling latency buckets).  Linear interpolation within
+    the tracker's windowed latency buckets).  Linear interpolation within
     the containing bucket, matching PromQL's ``histogram_quantile``;
     ``nan`` when the window is empty.
     """
@@ -104,43 +106,10 @@ def quantile_from_buckets(
     return uppers[-1]  # pragma: no cover - defensive
 
 
-class RollingWindow:
-    """A fixed-size ring buffer of floats with an O(1) rolling sum."""
-
-    __slots__ = ("size", "_values", "_sum")
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        self.size = size
-        self._values: Deque[float] = deque()
-        self._sum = 0.0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def push(self, value: float) -> None:
-        """Append one sample, expiring the oldest when full."""
-        self._values.append(value)
-        self._sum += value
-        if len(self._values) > self.size:
-            self._sum -= self._values.popleft()
-
-    @property
-    def sum(self) -> float:
-        """Sum of the samples currently in the window."""
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        """Mean of the samples in the window (``nan`` when empty)."""
-        return self._sum / len(self._values) if self._values else float("nan")
-
-
 class SloTracker:
-    """Derives rolling-window series from per-request observations.
+    """Derives rolling-window series from per-request stats samples.
 
-    One :meth:`on_request` call per served request keeps every series
+    One :meth:`sample` call per served request keeps every series
     current in O(1); :meth:`values` exposes them as a flat name→float
     mapping (see :data:`SLO_SERIES`).  Wall-clock latency is optional —
     pass ``latency_s=None`` (event replays, deterministic tests) and the
@@ -158,27 +127,38 @@ class SloTracker:
         self.capacity: Optional[int] = None
         self.alpha: Optional[float] = None
         self._uppers = tuple(float(b) for b in buckets)
-        # Per-request parallel windows (all trimmed together).
-        self._actions: Deque[int] = deque()  # index into _ACTIONS
-        self._action_counts = [0, 0, 0]
-        self._evictions = RollingWindow(window)
-        self._written = RollingWindow(window)
-        self._requested = RollingWindow(window)
-        self._used = RollingWindow(window)
-        # Rolling latency bucket counts; -1 marks "no latency sample".
-        self._lat_buckets: Deque[int] = deque()
         self._lat_counts = [0] * (len(self._uppers) + 1)
-        # Instantaneous gauges (set from the cache on every request).
+        # Cumulative samples (_sample_of), newest last; the baseline is
+        # the sample the ring last dropped (stats at start() before that).
+        self._ring: Deque[tuple] = deque()
+        self._base: tuple = (0,) * 7 + (-1,)
+        # Instantaneous gauges (the cache's state at the newest sample).
         self._cached_bytes = 0
         self._unique_bytes: Optional[int] = 0
         self._images = 0
         self._extras: Dict[str, float] = {}
         self.requests = 0
 
+    @staticmethod
+    def _sample_of(stats, bucket: int) -> tuple:
+        return (
+            stats.hits, stats.merges, stats.inserts,
+            stats.evictions_capacity, stats.bytes_written,
+            stats.requested_bytes, stats.used_bytes, bucket,
+        )
+
     def configure(self, capacity: int, alpha: float) -> None:
         """Record static cache configuration (shown on dashboards)."""
         self.capacity = capacity
         self.alpha = alpha
+
+    def start(self, stats) -> None:
+        """Open an empty window whose baseline is ``stats`` (a
+        ``CacheStats``): history before this point is not windowed.
+        A fresh tracker starts at all-zero stats."""
+        self._ring.clear()
+        self._base = self._sample_of(stats, -1)
+        self._lat_counts = [0] * len(self._lat_counts)
 
     def set_extra(self, name: str, value: Optional[float]) -> None:
         """Publish a host gauge as an additional series in :meth:`values`.
@@ -199,23 +179,9 @@ class SloTracker:
         else:
             self._extras[name] = float(value)
 
-    def _bucket_of(self, latency_s: float) -> int:
-        lo, hi = 0, len(self._uppers)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if latency_s <= self._uppers[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def on_request(
+    def sample(
         self,
-        action: str,
-        requested_bytes: int,
-        bytes_written: int,
-        used_bytes: int,
-        evictions: int,
+        stats,
         latency_s: Optional[float],
         cached_bytes: int,
         unique_bytes: Optional[int],
@@ -223,32 +189,25 @@ class SloTracker:
     ) -> None:
         """Fold one served request into the window (cache hook).
 
-        ``action`` is ``"hit"``/``"merge"``/``"insert"``; the byte
-        arguments are that request's requested bytes, build/rewrite I/O,
-        and the size of the image it ran with; ``evictions`` counts
-        capacity victims it triggered; the three gauges are the cache's
-        state *after* the request.  ``unique_bytes`` may be ``None``
+        ``stats`` is the cumulative ``CacheStats`` *after* the request
+        (the window reads its hits, merges, inserts, capacity evictions
+        and requested/written/used bytes); the three gauges are the
+        cache's state after it.  ``unique_bytes`` may be ``None``
         (event-stream replays cannot reconstruct package overlap) —
         ``cache_efficiency`` then reads ``nan``.
         """
         self.requests += 1
-        action_index = _ACTIONS.index(action)
-        self._actions.append(action_index)
-        self._action_counts[action_index] += 1
-        if len(self._actions) > self.window:
-            self._action_counts[self._actions.popleft()] -= 1
-        self._evictions.push(float(evictions))
-        self._written.push(float(bytes_written))
-        self._requested.push(float(requested_bytes))
-        self._used.push(float(used_bytes))
-        bucket = -1 if latency_s is None else self._bucket_of(latency_s)
-        self._lat_buckets.append(bucket)
+        bucket = (
+            -1 if latency_s is None else bisect_left(self._uppers, latency_s)
+        )
         if bucket >= 0:
             self._lat_counts[bucket] += 1
-        if len(self._lat_buckets) > self.window:
-            expired = self._lat_buckets.popleft()
-            if expired >= 0:
-                self._lat_counts[expired] -= 1
+        ring = self._ring
+        ring.append(self._sample_of(stats, bucket))
+        if len(ring) > self.window:
+            self._base = expired = ring.popleft()
+            if expired[7] >= 0:
+                self._lat_counts[expired[7]] -= 1
         self._cached_bytes = cached_bytes
         self._unique_bytes = unique_bytes
         self._images = images
@@ -258,7 +217,7 @@ class SloTracker:
     @property
     def window_requests(self) -> int:
         """How many requests the window currently holds (≤ ``window``)."""
-        return len(self._actions)
+        return len(self._ring)
 
     def latency_quantile(self, q: float) -> float:
         """Windowed request-latency quantile (``nan`` with no samples)."""
@@ -271,20 +230,24 @@ class SloTracker:
         windows yield ``nan`` so alert conditions (which treat ``nan``
         as not-breaching) stay quiet until data arrives.
         """
-        n = len(self._actions)
+        n = len(self._ring)
         nan = float("nan")
         if n:
-            hit_rate = self._action_counts[0] / n
-            merge_rate = self._action_counts[1] / n
-            insert_rate = self._action_counts[2] / n
-            eviction_rate = self._evictions.sum / n
-            write_rate = self._written.sum / n
-            requested_rate = self._requested.sum / n
+            newest, base = self._ring[-1], self._base
+            hits, merges, inserts, evictions, written, requested, used = (
+                newest[i] - base[i] for i in range(7)
+            )
+            hit_rate = hits / n
+            merge_rate = merges / n
+            insert_rate = inserts / n
+            eviction_rate = evictions / n
+            write_rate = written / n
+            requested_rate = requested / n
         else:
             hit_rate = merge_rate = insert_rate = nan
             eviction_rate = write_rate = requested_rate = nan
-        used = self._used.sum
-        container_eff = self._requested.sum / used if used else nan
+            requested = used = 0
+        container_eff = requested / used if used else nan
         if self._unique_bytes is None:
             cache_eff = nan
         elif self._cached_bytes:

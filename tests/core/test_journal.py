@@ -358,32 +358,6 @@ class TestGroupCommit:
         path.write_text(text[: len(text) - 10])  # tear the final record
         assert [e.seq for e in Journal(path).entries()] == [1, 2]
 
-    def test_apply_entries_coalesces_requests(self, tmp_path):
-        from repro.core.journal import JournalEntry, apply_entries
-
-        ops = (
-            [("request", {"packages": [f"p{i}", f"p{i + 1}"]})
-             for i in range(4)]
-            + [("clear", {})]
-            + [("request", {"packages": [f"p{i}"]}) for i in range(3)]
-        )
-        entries = [
-            JournalEntry(seq, op, data)
-            for seq, (op, data) in enumerate(ops, start=1)
-        ]
-        batched = make_cache()
-        results = apply_entries(batched, entries)
-        serial = make_cache()
-        serial_results = [apply_entry(serial, e) for e in entries]
-        assert batched.snapshot() == serial.snapshot()
-        assert len(results) == len(serial_results)
-        for got, want in zip(results, serial_results):
-            if want is None:
-                assert got is None
-            else:
-                assert got.action == want.action
-                assert got.image.id == want.image.id
-
     def test_apply_batch_matches_serial_apply(self, tmp_path):
         ops = [("request", {"packages": [f"p{i}", f"p{(i * 3) % 20}"]})
                for i in range(7)]

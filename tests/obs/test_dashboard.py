@@ -186,6 +186,28 @@ class TestEventReplay:
         assert replay.slo.values()["eviction_rate"] == pytest.approx(0.5)
         assert replay.stats.deletes == 1
 
+    def test_idle_evictions_agree_with_live_window(self):
+        # An idle DELETE follows the decision before it in the stream;
+        # the window counts capacity evictions only, live and replayed.
+        from repro.obs import SloTracker
+
+        cache = LandlordCache(
+            2000, 0.6, SIZE.__getitem__, record_events=True
+        )
+        slo = SloTracker(window=10)
+        cache.enable_slo(slo)
+        for spec in ({"p0"}, {"p10", "p11"}, {"p20", "p21", "p22"}):
+            cache.request(frozenset(spec))
+        assert cache.evict_idle(max_idle_requests=1)
+        cache.request(frozenset({"p30"}))
+        replay = EventReplay(window=10, capacity=2000, alpha=0.6)
+        for event in cache.events:
+            replay.feed(event)
+        replay.flush()
+        assert replay.slo.values()["eviction_rate"] == (
+            slo.values()["eviction_rate"]
+        )
+
     def test_alert_engine_sees_replayed_series(self):
         cache = run_cache(n_requests=120)
         alerts = AlertEngine([AlertRule("any", "window_requests", ">", 5)])

@@ -82,6 +82,39 @@ class TestCacheMetrics:
         assert reg.get("landlord_cached_bytes").value() == c.cached_bytes
         assert reg.get("landlord_requests_total").value(action="insert") == 0
 
+    def test_counters_equal_stats_after_split(self):
+        # split() writes each part out; the written-bytes counter and the
+        # image gauge read the same ledger as stats, so they cannot lag.
+        reg = MetricsRegistry()
+        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg)
+        image = c.request(frozenset({"p0", "p1", "p2"})).image
+        c.split(image.id, [{"p0"}, {"p1", "p2"}])
+        assert reg.get("landlord_bytes_written_total").value() == (
+            c.stats.bytes_written
+        )
+        assert reg.get("landlord_images").value() == len(c) == 2
+
+    def test_restore_is_not_counted(self):
+        # Counters advance from enable_metrics on: a cache built with
+        # metrics= and then restored from a snapshot reads 0.
+        source = LandlordCache(2000, 0.6, SIZE.__getitem__)
+        for spec in ({"p0", "p1"}, {"p0", "p1"}, {"p0", "p2"}, {"p9"}):
+            source.request(frozenset(spec))
+        reg = MetricsRegistry()
+        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg)
+        c.restore(source.snapshot())
+        assert c.stats.requests == 4
+        for family in ("landlord_requested_bytes_total",
+                       "landlord_bytes_written_total",
+                       "landlord_candidates_examined_total"):
+            assert reg.get(family).value() == 0
+        requests = reg.get("landlord_requests_total")
+        for action in ("hit", "merge", "insert"):
+            assert requests.value(action=action) == 0
+        assert reg.get("landlord_images").value() == len(c)
+        c.request(frozenset({"p0", "p1"}))
+        assert requests.value(action="hit") == 1
+
     def test_conflicts_counter(self):
         from repro.packages.conflicts import SlotConflicts
 
@@ -97,17 +130,25 @@ class TestCacheMetrics:
 
 
 class _SloSpy:
-    """Records what the cache hands to ``SloTracker.on_request``."""
+    """Records what the cache hands to ``SloTracker.sample``: the
+    action (read off the stats it samples) and the latency."""
 
     def __init__(self):
         self.calls = []
+        self._seen = (0, 0, 0)
 
     def configure(self, capacity, alpha):
         pass
 
-    def on_request(self, action, requested, written, used, evictions,
-                   latency_s, cached_bytes, unique_bytes, images):
-        self.calls.append((action, latency_s))
+    def start(self, stats):
+        self._seen = (stats.hits, stats.merges, stats.inserts)
+
+    def sample(self, stats, latency_s, cached_bytes, unique_bytes, images):
+        seen = (stats.hits, stats.merges, stats.inserts)
+        moved = [now - then for now, then in zip(seen, self._seen)]
+        self._seen = seen
+        self.calls.append((("hit", "merge", "insert")[moved.index(1)],
+                           latency_s))
 
 
 class TestOneObserverSeam:

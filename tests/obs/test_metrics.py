@@ -60,6 +60,59 @@ class TestGauge:
         assert g.value() == 70
 
 
+class TestBind:
+    """A series bound to a reader is read whenever the registry is."""
+
+    def test_counter_continues_from_its_value(self):
+        ledger = {"n": 7}
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", labelnames=("op",))
+        c.inc(3, op="hit")
+        c.bind(lambda: ledger["n"], op="hit")
+        assert c.value(op="hit") == 3  # the 7 before binding is not counted
+        ledger["n"] += 2
+        assert c.value(op="hit") == 5
+        assert reg.snapshot()["families"]["ops_total"]["series"] == [
+            {"labels": ["hit"], "value": 5}
+        ]
+        assert 'ops_total{op="hit"} 5' in reg.to_prometheus()
+        assert 'ops_total{op="hit"} 5' in reg.to_openmetrics()
+
+    def test_gauge_reads_its_source(self):
+        size = [40]
+        reg = MetricsRegistry()
+        g = reg.gauge("bytes")
+        g.set(100)
+        g.bind(lambda: size[0])
+        assert g.value() == 40
+        size[0] = 10
+        assert g.value() == 10
+
+    def test_rebase_keeps_the_value_across_a_jump(self):
+        ledger = [0]
+        child = MetricsRegistry().counter("x_total").bind(lambda: ledger[0])
+        ledger[0] = 90
+        child.rebase(0)
+        assert child.value == 0
+        ledger[0] += 1
+        assert child.value == 1
+
+    def test_bound_series_is_read_only(self):
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", labelnames=("op",))
+        g = reg.gauge("bytes")
+        c.bind(lambda: 1, op="hit")
+        g.bind(lambda: 1)
+        with pytest.raises(ValueError, match="ops_total.*read"):
+            c.inc(op="hit")
+        with pytest.raises(ValueError, match="bytes.*read"):
+            g.set(5)
+        snap = MetricsRegistry()
+        snap.counter("ops_total", labelnames=("op",)).inc(2, op="hit")
+        with pytest.raises(ValueError, match="read"):
+            reg.merge_snapshot(snap.snapshot())
+
+
 class TestHistogram:
     def test_bucket_placement(self):
         h = MetricsRegistry().histogram("d", buckets=(1.0, 2.0, 4.0))

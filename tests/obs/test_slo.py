@@ -1,37 +1,18 @@
-"""Tests for repro.obs.slo — rolling windows, streaming quantiles,
-and the SloTracker series the alert engine and dashboard consume."""
+"""Tests for repro.obs.slo — streaming quantiles and the SloTracker
+series the alert engine and dashboard consume."""
 
 import math
+import weakref
 
+import numpy as np
 import pytest
 
-from repro.core.cache import LandlordCache
-from repro.obs import MetricsRegistry, SLO_SERIES, RollingWindow, SloTracker
+from repro.core.cache import CacheStats, LandlordCache
+from repro.core.events import EventKind
+from repro.obs import MetricsRegistry, SLO_SERIES, SloTracker
 from repro.obs.slo import DEFAULT_WINDOW, quantile_from_buckets
 
 SIZE = {f"p{i}": 10 * (i % 7 + 1) for i in range(20)}
-
-
-class TestRollingWindow:
-    def test_sum_and_mean_track_pushes(self):
-        w = RollingWindow(3)
-        assert len(w) == 0
-        assert math.isnan(w.mean)
-        w.push(1.0)
-        w.push(2.0)
-        assert w.sum == 3.0
-        assert w.mean == pytest.approx(1.5)
-
-    def test_oldest_expires_when_full(self):
-        w = RollingWindow(2)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            w.push(v)
-        assert len(w) == 2
-        assert w.sum == 7.0  # only 3.0 and 4.0 remain
-
-    def test_bad_size_rejected(self):
-        with pytest.raises(ValueError):
-            RollingWindow(0)
 
 
 class TestQuantileFromBuckets:
@@ -61,16 +42,34 @@ class TestQuantileFromBuckets:
             quantile_from_buckets(self.UPPERS, [1, 0, 0, 0], 1.5)
 
 
+# The cumulative stats each fed tracker has been sampled at.
+_FED = weakref.WeakKeyDictionary()
+
+
 def feed(tracker, actions, **overrides):
-    """Feed a sequence of minimal requests into a tracker."""
+    """Feed a sequence of minimal requests into a tracker, the way the
+    cache does: each request advances cumulative stats by its own
+    bytes and capacity evictions, then the tracker samples them."""
     defaults = dict(
         requested_bytes=100, bytes_written=0, used_bytes=100,
         evictions=0, latency_s=None, cached_bytes=500,
         unique_bytes=400, images=5,
     )
     defaults.update(overrides)
+    stats = _FED.setdefault(tracker, CacheStats())
+    counters = {"hit": "hits", "merge": "merges", "insert": "inserts"}
     for action in actions:
-        tracker.on_request(action=action, **defaults)
+        counter = counters[action]
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        stats.requests += 1
+        stats.requested_bytes += defaults["requested_bytes"]
+        stats.bytes_written += defaults["bytes_written"]
+        stats.used_bytes += defaults["used_bytes"]
+        stats.evictions_capacity += defaults["evictions"]
+        tracker.sample(
+            stats, defaults["latency_s"], defaults["cached_bytes"],
+            defaults["unique_bytes"], defaults["images"],
+        )
 
 
 class TestSloTracker:
@@ -247,6 +246,73 @@ class TestCacheIntegration:
         assert values["container_efficiency"] == pytest.approx(
             stats.container_efficiency
         )
+
+
+class TestBruteForceReference:
+    """Every deterministic series, recomputed from the last ``W``
+    requests' events, equals :meth:`SloTracker.values` after every
+    request — the window is exactly the last ``W`` requests."""
+
+    W = 7
+
+    def reference(self, cache, n):
+        """The deterministic series over requests ``n - W .. n - 1``."""
+        events = cache.events
+        first = max(0, n - self.W)
+        decisions = [
+            e for e in events
+            if e.kind is not EventKind.DELETE and e.request_index >= first
+        ]
+        # A DELETE carries the index of the request it is charged to:
+        # its own, or (adoptions) the next one.
+        evictions = sum(
+            1 for e in events
+            if e.kind is EventKind.DELETE and e.reason == "capacity"
+            and first <= e.request_index < n
+        )
+        window = len(decisions)
+        kinds = [e.kind for e in decisions]
+        requested = sum(e.requested_bytes for e in decisions)
+        used = sum(e.image_bytes for e in decisions)
+        return {
+            "window_requests": float(window),
+            "hit_rate": kinds.count(EventKind.HIT) / window,
+            "merge_rate": kinds.count(EventKind.MERGE) / window,
+            "insert_rate": kinds.count(EventKind.INSERT) / window,
+            "eviction_rate": evictions / window,
+            "write_bytes_per_request": (
+                sum(e.bytes_written for e in decisions) / window
+            ),
+            "requested_bytes_per_request": requested / window,
+            "container_efficiency": requested / used,
+            "cache_efficiency": cache.unique_bytes / cache.cached_bytes,
+            "occupancy": cache.cached_bytes / cache.capacity,
+            "images": float(len(cache)),
+        }
+
+    def test_values_equal_brute_force_after_every_request(self):
+        slo = SloTracker(window=self.W)
+        cache = LandlordCache(
+            700, 0.75, SIZE.__getitem__, record_events=True, slo=slo
+        )
+        rng = np.random.default_rng(5)
+        pids = sorted(SIZE)
+        for i in range(60):
+            spec = frozenset(
+                rng.choice(pids, size=int(rng.integers(1, 5)), replace=False)
+            )
+            cache.request(spec)
+            values = slo.values()
+            want = self.reference(cache, i + 1)
+            assert {k: values[k] for k in want} == want, i
+            if i % 20 == 9:
+                cache.evict_idle(max_idle_requests=3)
+            if i % 20 == 14:
+                cache.adopt(pids[:8])  # forces capacity evictions
+        stats = cache.stats
+        assert stats.hits and stats.merges and stats.inserts
+        assert stats.evictions_capacity and stats.evictions_idle
+        assert stats.adoptions
 
 
 class TestExtras:
