@@ -19,13 +19,16 @@ Three scales, recorded side by side under ``{"scales": {...}}`` in
 - ``zone`` (always runs): the configuration the paper runs — alpha 0.8,
   1.4 TB, ``deps`` specs over the paper-scale repository — where the
   cache is a dozen huge images and 3 of 4 requests merge.  Here the
-  vectorized engine serves its scans from the reference loops it
-  inherits (the small-cache rule) and additionally keeps its matrix
-  and heap current, so parity is the ceiling and the never-slower gate
-  is **not met**: 0.77-0.96x measured (~0.72x while the matrix kernels
-  served this regime).  The scale records the ratio and reports the
-  shortfall as an expected failure rather than gating at a looser
-  number; equal snapshots and the zone's shape are still asserted.
+  vectorized engine serves its scans and evictions from the reference
+  loops it inherits (the small-cache rule) and keeps no matrix or heap
+  beside them, so the two engines run the same code and the ratio is
+  parity plus timer noise: 0.87-1.05x over 10 runs (0.77-0.96x while
+  the engine kept its matrix current below the threshold, ~0.72x while
+  the matrix kernels served this regime).  The never-slower gate is
+  therefore met only about half the time; the scale records the ratio
+  and reports a miss as an expected failure rather than gating at a
+  looser number; equal snapshots and the zone's shape are still
+  asserted.
 - ``large`` (opt-in via ``REPRO_BENCH_LARGE=1``; takes ~10 minutes):
   one million requests over 100k unique specifications, driven through
   ``LandlordCache.submit_batch``.  A full naive replay at this
@@ -69,12 +72,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # timer noise on loaded runners cannot flake the build.
 GATE_MIN_SPEEDUP = 1.0
 LARGE_GATE_SPEEDUP = 10.0
-# The zone scale is held to GATE_MIN_SPEEDUP too and does not reach it.
+# The zone scale is held to GATE_MIN_SPEEDUP too and reaches it only
+# about half the time.
 ZONE_XFAIL_REASON = (
-    "never-slower gate not met in the operating zone: below "
+    "never-slower gate not reliably met in the operating zone: below "
     "VectorizedEngine._SMALL_CACHE both engines run the same loops and "
-    "the vectorized one also maintains its matrix, count arrays and "
-    "heap, so parity is the ceiling (0.77-0.96x measured)"
+    "the vectorized one keeps no state beside them, so the ratio is "
+    "parity plus timer noise (0.87-1.05x over 10 runs, median 0.98; "
+    "passed 4 of 10)"
 )
 
 # Acceptance floors for the workload shapes themselves.

@@ -112,11 +112,11 @@ class TestZoneLayers:
         def fresh():
             cache = _zone_cache()
             target = cache.request(ZONE_IDS[:5_000]).image
-            mask, _indices, requested = cache._intern(wire_spec)
-            return (cache, target, mask, requested), {}
+            mask, _indices, _requested = cache._intern(wire_spec)
+            return (cache, target, mask), {}
 
-        def merge(cache, target, mask, requested):
-            cache._do_merge(target, mask, requested, 0.5, None, 1, 0, 0)
+        def merge(cache, target, mask):
+            cache._do_merge(target, mask)
             return target
 
         target = benchmark.pedantic(
@@ -145,12 +145,14 @@ class TestScanCrossover:
             return frozenset(pool[int(i)] for i in picks)
 
         cache = _zone_cache(alpha=0.0)  # never merges: one image per spec
+        engine = cache._engine
+        # Pinned before the first add: at 0 the engine builds its matrix
+        # there, at n_live it never builds one.
+        engine._SMALL_CACHE = n_live if kernel == "loops" else 0
         first = sample(ZONE_IDS, ZONE_SPEC)
         cache.request(first)
         while len(cache) < n_live:
             cache.request(sample(ZONE_IDS, ZONE_SPEC))
-        engine = cache._engine
-        engine._SMALL_CACHE = n_live if kernel == "loops" else 0
         half = ZONE_SPEC // 2
         probe = sample(sorted(first), half) | sample(ZONE_IDS, half)
         mask, indices, _size = cache._intern(probe)

@@ -458,23 +458,35 @@ def _serve_until_signal(server, port_file: Optional[str],
     (tmp + rename — pollers never read a torn value) and unlinked on
     every exit path; everything after start runs inside the ``try``,
     so a setup failure (bad port-file path, signal registration off
-    the main thread) still stops the server; the previous signal
-    handlers are restored on the way out.
+    the main thread) still stops the server; the handlers are installed
+    before the server starts, so a signal that arrives once the port is
+    published — while ``on_listening`` runs — still drains and cleans
+    up; the previous signal handlers are restored on the way out.
     """
+    import os
     import signal
     import threading
 
     stop = threading.Event()
     previous = {}
+    owner = os.getpid()
+
+    def on_signal(signum, _frame):
+        if os.getpid() == owner:
+            stop.set()
+        else:  # a sweep worker forked while serving: the signal is its own
+            signal.signal(signum, previous[signum])
+            os.kill(os.getpid(), signum)
+
     try:
+        previous = {
+            sig: signal.signal(sig, on_signal)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
         port = server.start()
         if port_file:
             _write_port_file(port_file, port)
         print(on_listening(port))
-        previous = {
-            sig: signal.signal(sig, lambda *_: stop.set())
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
         stop.wait()
     finally:
         for sig, handler in previous.items():

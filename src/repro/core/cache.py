@@ -28,23 +28,25 @@ eviction-victim search) are pluggable **decision engines**
 Python loop over the images per scan, ~0.3 us per image, which is also
 the fastest way to scan the dozen huge images of the paper's operating
 zone (alpha 0.8, 1.4 TB).  The default ``engine="vectorized"`` is for
-caches that grow: it runs those same loops while at most 32 images are
-live and past that resolves the scans from an incrementally maintained
-``uint64`` bit matrix — batched NumPy subset tests and popcount Jaccard
-whose ~30 us of dispatch buys scans that barely grow with the row count
-— with lazy-deletion eviction heaps throughout.  The two are
-bit-identical (same decisions, stats, events, snapshots), enforced by
+caches that grow: it runs those same loops (and keeps no state of its
+own) while at most 32 images are live, and once the cache has grown past
+that resolves the scans from an incrementally maintained ``uint64`` bit
+matrix — batched NumPy subset tests and popcount Jaccard whose ~30 us of
+dispatch buys scans that barely grow with the row count — with
+lazy-deletion eviction heaps.  The two are bit-identical (same
+decisions, stats, events, snapshots), enforced by
 ``tests/core/test_engine_differential.py`` and
 ``test_engine_small_cache.py``; ``BENCH_cache.json``
 (``benchmarks/test_cache_kernel.py``) records the speedup at thousands
-of images and, in the zone, the shortfall from parity that maintaining
-the matrix beside the loops costs.
+of images and, in the zone, where both run the same loops, the ratio
+of the two.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 from typing import (
     Callable,
@@ -95,54 +97,62 @@ class _Universe:
         """Append ``names`` — distinct, none of them known — numbered in
         the order given.
 
-        Every name is sized before any is registered: one the oracle
-        rejects (it raises for an unknown id) must not stay behind with
-        size 0, or a retry of the same request is accepted.
+        Every name is sized (one ``map`` over the size oracle) before any
+        is registered: one the oracle rejects (it raises for an unknown
+        id) or sizes negative must not stay behind with size 0, or a
+        retry of the same request is accepted.
         """
-        package_size = self._package_size
-        sizes: Dict[str, int] = {}
-        for package_id in names:
-            size = int(package_size(package_id))
-            if size < 0:
-                raise ValueError(f"negative size for package {package_id!r}")
-            sizes[package_id] = size
+        names = list(names)
+        sizes = np.fromiter(
+            map(self._package_size, names), dtype=np.int64, count=len(names)
+        )
+        negative = np.flatnonzero(sizes < 0)
+        if negative.size:
+            raise ValueError(
+                f"negative size for package {names[negative[0]]!r}"
+            )
         start = len(self._ids)
-        end = start + len(sizes)
+        end = start + len(names)
         if end > self._sizes.size:
             grown = np.zeros(max(end, self._sizes.size * 2), dtype=np.int64)
             grown[: self._sizes.size] = self._sizes
             self._sizes = grown
-        self._sizes[start:end] = list(sizes.values())
-        self._index.update(zip(sizes, range(start, end)))
-        self._ids.extend(sizes)
+        self._sizes[start:end] = sizes
+        self._index.update(zip(names, range(start, end)))
+        self._ids.extend(names)
 
     def mask_of(self, packages: Iterable[str]) -> Tuple[int, np.ndarray]:
         """Return (bitmask, sorted index array) for a package collection
         (duplicate ids collapse: a wire list is not a set yet).
 
-        Known ids resolve in one C-level pass over the index dictionary;
-        only ids seen for the first time are registered, in iteration
-        order and all-or-nothing (:meth:`register`), so a rejected
-        collection leaves the universe as it was.  The bit buffer is
-        built with vectorised scatter + ``np.packbits``; tiny sets stay
-        on a plain loop, which beats numpy's fixed call overhead below a
-        few dozen elements.
+        One pass over the collection: every name is looked up in the
+        index dictionary at C level, straight into the index array, with
+        ``-1`` for a name not seen before.  The new names are then found
+        by their positions (``arr < 0``), not by walking the collection
+        again; they are registered in order of first appearance and
+        all-or-nothing (:meth:`register`), so a rejected collection
+        leaves the universe as it was, and their ids are written into
+        place.  The bit buffer is built with vectorised scatter +
+        ``np.packbits``; tiny sets stay on a plain loop, which beats
+        numpy's fixed call overhead below a few dozen elements.
         """
         is_set = isinstance(packages, (set, frozenset))
         if not is_set and not isinstance(packages, (list, tuple)):
-            packages = list(packages)  # walked again when an id is new
-        get = self._index.get
-        indices = list(map(get, packages))
-        if None in indices:
-            self.register(dict.fromkeys(
-                package_id
-                for package_id, idx in zip(packages, indices)
-                if idx is None
-            ))
-            indices = list(map(get, packages))
-        arr = np.asarray(indices, dtype=np.int64)
-        if not indices:
+            packages = list(packages)  # positions need a sized collection
+        arr = np.fromiter(
+            map(self._index.get, packages, repeat(-1)),
+            dtype=np.int64, count=len(packages),
+        )
+        if not arr.size:
             return 0, arr
+        new = np.flatnonzero(arr < 0)
+        if new.size:
+            # A set has no positions: it is listed in its iteration order,
+            # which is the order the lookups above saw.
+            ordered = list(packages) if is_set else packages
+            names = list(map(ordered.__getitem__, new.tolist()))
+            self.register(dict.fromkeys(names))
+            arr[new] = list(map(self._index.__getitem__, names))
         arr.sort()
         if not is_set:
             distinct = arr[1:] != arr[:-1]  # repeats are adjacent now
@@ -151,7 +161,7 @@ class _Universe:
         top = int(arr[-1])
         if arr.size < 32:
             buf = bytearray(top // 8 + 1)
-            for i in indices:
+            for i in arr.tolist():
                 buf[i >> 3] |= 1 << (i & 7)
             return int.from_bytes(bytes(buf), "little"), arr
         bits = np.zeros(top + 1, dtype=np.uint8)

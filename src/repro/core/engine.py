@@ -53,7 +53,8 @@ notifies its engine through four hooks — :meth:`~NaiveEngine.on_add`,
 image's ``last_used`` changed), :meth:`~NaiveEngine.on_update` (its
 contents/size changed, i.e. a merge rewrite).  Restoring a snapshot
 replays ``on_add`` per image, which is how a recovered cache rebuilds
-its matrix.
+its matrix — the vectorized engine builds it on the add that takes the
+cache past its small-cache threshold, and holds none below it.
 """
 
 from __future__ import annotations
@@ -240,10 +241,14 @@ class VectorizedEngine(NaiveEngine):
     **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
     scan and the merge scan run the inherited
     :class:`NaiveEngine` loops — a dozen big-int tests cost less than
-    the matrix kernels' fixed numpy dispatch.  Every maintenance hook
-    still runs, so matrix, arrays and heap are current whenever the
-    cache grows past the threshold; the switch reads ``_n_live`` and
-    nothing else.
+    the matrix kernels' fixed numpy dispatch.  No reader of matrix,
+    arrays or heap runs there, so until the cache first grows past the
+    threshold the engine keeps none of them: the hooks count ``_n_live``
+    (and the scans ``prefilter_stats``) and eviction is the inherited
+    ``min()``.  The add that crosses the threshold builds the state from
+    ``cache._images`` in dict order (:meth:`_mirror`); from then on every
+    hook keeps it current, below the threshold too.  The scan switch
+    reads ``_n_live`` and nothing else.
 
     **Count window**: the full merge scan first narrows to the rows
     whose package count admits a match — d(s, j) < α forces
@@ -305,6 +310,7 @@ class VectorizedEngine(NaiveEngine):
         self._top = 0  # high-water mark of ever-allocated rows
         self._order_seq = 0
         self._n_live = 0
+        self._mirrored = False  # set by the add that crosses _SMALL_CACHE
         self._heap: List[Tuple[int, int, str]] = []
 
     # -- layout ------------------------------------------------------------
@@ -379,6 +385,29 @@ class VectorizedEngine(NaiveEngine):
     # -- maintenance hooks -------------------------------------------------
 
     def on_add(self, image: "CachedImage") -> None:
+        """Count a new image; mirror it once the cache is past the
+        small-cache threshold (the add that crosses it builds the state)."""
+        self._n_live += 1
+        if self._mirrored:
+            self._add_row(image)
+        elif self._n_live > self._SMALL_CACHE:
+            self._mirror()
+
+    def _mirror(self) -> None:
+        """Build matrix, arrays and heap from ``cache._images``.
+
+        Rows are filled in dict order, so ``_order`` ranks the images as
+        a sequence kept from the first add would have, and tie-breaks
+        depend on that ranking only.  From here on the hooks keep the
+        state current, below the threshold too.
+        """
+        self._mirrored = True
+        images = self._cache._images.values()
+        self._widen(max(self._words_for(image.mask) for image in images))
+        for image in images:
+            self._add_row(image)
+
+    def _add_row(self, image: "CachedImage") -> None:
         """Mirror a new image into the matrix and parallel arrays."""
         row = self._alloc_row()
         self._matrix[row] = self._mask_words(image.mask)
@@ -391,21 +420,24 @@ class VectorizedEngine(NaiveEngine):
         self._live[row] = True
         self._image_of_row[row] = image
         self._row_of[image.id] = row
-        self._n_live += 1
         self._push(row, image.id)
 
     def on_remove(self, image: "CachedImage") -> None:
         """Free the image's row (heap entries die lazily)."""
+        self._n_live -= 1
+        if not self._mirrored:
+            return
         row = self._row_of.pop(image.id)
         self._live[row] = False
         self._image_of_row[row] = None
         self._free.append(row)
-        self._n_live -= 1
         if self._should_compact():
             self.compact()
 
     def on_touch(self, image: "CachedImage") -> None:
         """Refresh ``last_used``; LRU gets a fresh heap entry."""
+        if not self._mirrored:
+            return
         row = self._row_of[image.id]
         self._last_used[row] = image.last_used
         if self._policy == "lru":
@@ -413,6 +445,8 @@ class VectorizedEngine(NaiveEngine):
 
     def on_update(self, image: "CachedImage") -> None:
         """Re-mirror a merged image (mask, size, count, last_used)."""
+        if not self._mirrored:
+            return
         row = self._row_of[image.id]
         self._matrix[row] = self._mask_words(image.mask)
         self._size[row] = image.size
@@ -705,8 +739,12 @@ class VectorizedEngine(NaiveEngine):
         matches the live arrays (every key change pushed a newer entry,
         so the current key is always present).  A valid entry for the
         pinned image is set aside and pushed back afterwards — it stays
-        the would-be victim for a later, unpinned eviction.
+        the would-be victim for a later, unpinned eviction.  Before the
+        cache first crossed the small-cache threshold there is no heap,
+        and the inherited ``min()`` decides.
         """
+        if not self._mirrored:
+            return super().eviction_victim(pinned_id)
         heap = self._heap
         stash = None
         victim = None

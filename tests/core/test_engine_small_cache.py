@@ -2,9 +2,12 @@
 
 At or below ``VectorizedEngine._SMALL_CACHE`` live images the engine
 serves the hit scan and the candidate scan from the reference
-loops it inherits; past it, from the bit matrix.  Matrix, count arrays
-and heap are maintained on both sides, so the hand-over carries no
-state — which is what this module checks, at the *default* threshold,
+loops it inherits; past it, from the bit matrix.  Until the cache first
+grows past the threshold the engine keeps no matrix, count arrays or
+heap (eviction is the reference ``min()`` too); the add that crosses it
+builds them from the cache's images, and from then on they are kept
+current on both sides.  That the hand-over loses nothing is what this
+module checks, at the *default* threshold,
 with caches driven across it in both directions: inserts past it,
 ``evict_idle`` and a capacity storm back under, ``submit_batch`` calls
 that start below and end above or cross it both ways, and cross-engine
@@ -21,6 +24,7 @@ from tests.core.test_engine_differential import (
     GRID,
     PACKAGES,
     _combo_id,
+    assert_refcounts_exact,
     assert_same_state,
     decision_key,
     make_pair,
@@ -30,6 +34,7 @@ THRESHOLD = VectorizedEngine._SMALL_CACHE
 # Steady state of ~40 live images: above the threshold, and few enough
 # that an idle sweep or one big adoption lands back under it.
 CAPACITY = 8000
+UNBOUNDED = 10 ** 9
 # 8 combinations, every knob value at least once, each step changing
 # candidate order and conflict policy.
 CROSS_GRID = [GRID[i] for i in (0, 13, 26, 41, 54, 67, 80, 95)]
@@ -132,16 +137,20 @@ def test_engines_bit_identical_across_the_threshold(combo):
 
 
 def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
-    """Below the threshold the vectorized engine's scans *are* the
-    reference loops (patched out, they fail); above it they are never
-    called; the matrix and heap are current on both sides."""
+    """At the threshold the vectorized engine holds no derived state and
+    its scans and eviction *are* the reference loops (patched out, they
+    fail); the add that crosses it builds matrix, arrays and heap in
+    dict order, and past it the loops are never called."""
     combo = ("smallest", "distance", "lru", "full", False)
     _naive, vec = make_pair(combo, capacity=CAPACITY)
     rng = Random("which-kernel")
     while len(vec) < THRESHOLD:
         vec.request(_spec(rng))
     engine = vec._engine
-    assert engine._n_live == engine._top == len(vec) == THRESHOLD
+    assert engine._n_live == len(vec) == THRESHOLD
+    assert not engine._mirrored
+    assert engine._top == 0 and engine._heap == [] and not engine._row_of
+    assert not engine._matrix.any()
     scans = dict(engine.prefilter_stats)
     assert scans["windowed"] == 0
     assert scans["rows_scanned"] == vec.stats.candidates_examined
@@ -149,14 +158,70 @@ def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
     def boom(*_args, **_kwargs):
         raise AssertionError("reference loop called")
 
-    monkeypatch.setattr(NaiveEngine, "find_hit", boom)
-    monkeypatch.setattr(NaiveEngine, "scan_candidates", boom)
+    for name in ("find_hit", "scan_candidates", "eviction_victim"):
+        monkeypatch.setattr(NaiveEngine, name, boom)
     mask, indices, _size = vec._intern(frozenset(PACKAGES[:3]))
     with pytest.raises(AssertionError, match="reference loop"):
         engine.find_hit(mask, indices)
     with pytest.raises(AssertionError, match="reference loop"):
         engine.scan_candidates(mask, int(indices.size), vec.alpha)
+    with pytest.raises(AssertionError, match="reference loop"):
+        engine.eviction_victim("")
+    monkeypatch.undo()
 
-    monkeypatch.setattr(VectorizedEngine, "_SMALL_CACHE", THRESHOLD - 1)
+    built = []
+    mirror = VectorizedEngine._mirror
+
+    def spy(self):
+        mirror(self)
+        top = self._top
+        built.append((
+            [image.id for image in self._image_of_row[:top]],
+            self._order[:top].tolist(),
+            list(self._cache._images),
+        ))
+
+    monkeypatch.setattr(VectorizedEngine, "_mirror", spy)
+    while len(vec) <= THRESHOLD:
+        vec.request(_spec(rng))
+    assert len(built) == 1
+    rows, order, in_dict_order = built[0]
+    assert len(rows) == THRESHOLD + 1
+    assert rows == in_dict_order and order == list(range(THRESHOLD + 1))
+    assert engine._mirrored and len(engine._heap) >= len(vec)
+    assert_refcounts_exact(vec)
+
+    for name in ("find_hit", "scan_candidates", "eviction_victim"):
+        monkeypatch.setattr(NaiveEngine, name, boom)
     engine.find_hit(mask, indices)
     engine.scan_candidates(mask, int(indices.size), vec.alpha)
+    assert engine.eviction_victim("") is not None
+
+
+def test_restoring_past_the_threshold_builds_the_state():
+    """A 40-image snapshot restores into a vectorized cache that holds
+    its matrix, arrays and heap at once, rows in dict order, and then
+    decides as the reference does."""
+    specs = [frozenset(PACKAGES[i:i + 2]) for i in range(40)]
+    combo = ("first", "insertion", "fifo", "full", False)
+    naive, vec = make_pair(combo, capacity=UNBOUNDED)
+    for spec in specs:
+        assert decision_key(naive.request(spec)) == decision_key(
+            vec.request(spec)
+        )
+    assert len(vec) == 40
+    snap = vec.snapshot()
+    naive, vec = make_pair(combo, capacity=UNBOUNDED)
+    naive.restore(snap)
+    vec.restore(snap)
+    engine = vec._engine
+    assert engine._mirrored and engine._n_live == engine._top == 40
+    assert [image.id for image in engine._image_of_row[:40]] == list(
+        vec._images
+    )
+    assert engine._order[:40].tolist() == list(range(40))
+    assert_refcounts_exact(vec)
+    rng = Random("restored")
+    for _ in range(60):
+        _request_both(naive, vec, rng)
+    assert_same_state(naive, vec)

@@ -5,13 +5,18 @@ Three contracts of ``repro.core.cache`` below Algorithm 1:
 - a failed intern leaves no trace — an id the size oracle rejects is
   rejected again on retry, never accepted with size 0;
 - ``_Universe.mask_of`` equals its first, one-lookup-per-id
-  formulation for any collection, duplicates and new ids included;
+  formulation for any collection, duplicates and new ids included, and
+  its one-pass form numbers a zone replay's names exactly as the
+  three-walk form before it did;
 - the cached image's mask is the one stored copy of its package set:
   ``indices`` and ``packages`` are views of it, ``package_count`` and
   ``size`` stay exact over merges and splits, and neither the default
   (``NoConflicts``) merge path nor a split materialises an id.
 """
 
+import hashlib
+import json
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -20,7 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache, _Universe
 from repro.core.events import EventKind
+from repro.htc.workload import DependencyWorkload, build_stream
 from repro.packages.conflicts import SlotConflicts
+from repro.packages.sft import build_experiment_repository
+from repro.util.rng import spawn
+from repro.util.units import GB
 
 SIZES = {"a": 10, "b": 20, "c": 30, "neg": -5}
 
@@ -120,6 +129,82 @@ def test_mask_of_matches_reference(known, drawn, kind):
     assert universe._index == reference
     assert universe._ids == list(reference)
     assert universe._sizes[: len(universe)].tolist() == [7] * len(reference)
+
+
+# -- the one pass: known and new names found by position ---------------------
+
+
+def test_mixed_list_numbers_new_names_in_first_appearance_order():
+    sizes = {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
+    universe = _Universe(sizes.__getitem__)
+    universe.mask_of(["b", "d"])  # b = 0, d = 1
+    mask, indices = universe.mask_of(["e", "b", "a", "e", "d", "c", "a"])
+    assert universe._ids == ["b", "d", "e", "a", "c"]
+    assert universe._index == {"b": 0, "d": 1, "e": 2, "a": 3, "c": 4}
+    assert universe._sizes[:5].tolist() == [2, 4, 5, 1, 3]
+    assert indices.tolist() == [0, 1, 2, 3, 4] and mask == 0b11111
+    # all known now: the same list resolves without registering anything
+    assert universe.mask_of(["c", "c", "b"])[1].tolist() == [0, 4]
+    assert len(universe) == 5
+
+
+def test_oracle_raising_on_the_last_new_name_leaves_no_trace():
+    def oracle(pid):
+        if pid == "last":
+            raise KeyError(pid)
+        return 10
+
+    universe = _Universe(oracle)
+    universe.mask_of(["k0", "k1"])
+    index, ids = dict(universe._index), list(universe._ids)
+    sizes = universe._sizes.copy()
+    with pytest.raises(KeyError):
+        universe.mask_of(["k1", "n0", "n1", "n0", "k0", "last"])
+    assert universe._index == index and universe._ids == ids
+    assert np.array_equal(universe._sizes, sizes)
+
+
+# Recorded at the commit before interning took one pass (three walks over
+# a first-seen spec): the state table after replaying the ledger's
+# seed-901 ``replay_zone`` stream, each spec as a sorted wire list so the
+# numbering does not depend on the process's string hashing.  Ids, their
+# order and so every state file and journal line must stay byte-identical.
+ZONE_TABLE_SHA256 = (
+    "3208e86e9fc053ecd015174a97b90b41f3b6366f0c0a4d0e7eb5f99b04acb31e"
+)
+
+
+@pytest.fixture(scope="module")
+def zone_replay():
+    """The ledger's ``replay_zone`` configuration and its seed-901 stream."""
+    repo = build_experiment_repository("sft", seed=2020)
+    specs = build_stream(
+        DependencyWorkload(repo, 100), spawn(901, "ledger", "replay_zone", 0),
+        n_unique=600, repeats=3,
+    )
+    return repo, specs
+
+
+def test_zone_replay_table_is_byte_identical(zone_replay):
+    repo, specs = zone_replay
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs:
+        cache.request(sorted(spec))
+    table = json.dumps(cache.table_snapshot(), sort_keys=True).encode()
+    assert hashlib.sha256(table).hexdigest() == ZONE_TABLE_SHA256
+    stats = cache.stats
+    assert (stats.hits, stats.merges, stats.inserts, stats.deletes) == (
+        80, 1291, 429, 419
+    )
+    # The specs as the simulator holds them, frozensets: names are
+    # numbered in each set's iteration order, first appearance first.
+    as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs:
+        as_sets.request(spec)
+    assert as_sets._universe._ids == list(
+        dict.fromkeys(chain.from_iterable(specs))
+    )
+    assert as_sets.snapshot() == cache.snapshot()
 
 
 # -- the merge path handles no ids --------------------------------------------

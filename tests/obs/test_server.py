@@ -424,6 +424,38 @@ class TestServeHardening:
         assert not port_file.exists()
         assert handlers() == installed
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_while_serving_keeps_its_own_sigterm(self):
+        # The handlers are installed before the server starts, so a
+        # sweep worker forked while serving inherits them: its own
+        # SIGTERM must still end it, not set the parent's stop event.
+        from repro import cli
+
+        class Server:
+            def start(self):
+                return 0
+
+            def stop(self):
+                pass
+
+        installed = handlers()
+        statuses = []
+
+        def on_listening(_port):
+            pid = os.fork()
+            if pid == 0:  # the child: a swallowed signal exits 0 later
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(5)
+                os._exit(0)
+            statuses.append(os.waitpid(pid, 0)[1])
+            os.kill(os.getpid(), signal.SIGTERM)  # the parent's: stop
+            return "listening"
+
+        cli._serve_until_signal(Server(), None, on_listening)
+        assert handlers() == installed
+        assert os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGTERM
+
     @pytest.mark.parametrize("caller", CALLERS)
     def test_serve_loop_passes_shared_lock(self, caller, tmp_path,
                                            monkeypatch, capsys):
@@ -584,6 +616,44 @@ class TestSweepServeCli:
             assert process.returncode == 0, stderr
             assert "telemetry on http://127.0.0.1" in stdout
             assert "sweep done; telemetry still on" in stdout
+            assert not port_file.exists()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+
+
+    def test_sigterm_as_the_port_file_appears_still_drains(self, tmp_path):
+        # The port is published before the sweep runs its cells; the
+        # signal handlers used to be installed only after the sweep, so
+        # a SIGTERM in that window killed the process (-15) and left the
+        # port file behind.
+        port_file = tmp_path / "port.txt"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--scale", "tiny",
+             "--workers", "1", "--repetitions", "8",
+             "--alpha", "0.5", "0.9", "0.1",
+             "--serve", "0", "--port-file", str(port_file)],
+            cwd=str(Path(__file__).resolve().parents[2]),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists():
+                assert process.poll() is None, process.communicate()[1]
+                assert time.monotonic() < deadline, "port file never appeared"
+                time.sleep(0.005)
+            process.send_signal(signal.SIGTERM)
+            stdout, stderr = process.communicate(timeout=60)
+            assert process.returncode == 0, stderr
+            assert "sweep done" in stdout
             assert not port_file.exists()
         finally:
             if process.poll() is None:
