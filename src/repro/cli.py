@@ -54,7 +54,7 @@ import argparse
 import importlib
 import sys
 from collections.abc import Mapping
-from contextlib import closing
+from contextlib import closing, contextmanager
 from types import ModuleType
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -233,23 +233,6 @@ def _alert_args(parser: argparse.ArgumentParser) -> None:
                         "series (default: %(default)s)")
 
 
-def _parse_batch_size(parser: argparse.ArgumentParser, flag: str,
-                      value: str, minimum: int,
-                      allow_auto: bool = False) -> "int | str":
-    """Parse a window-size flag value (shared by replay/serve); only
-    serve's ``--max-batch`` takes ``'auto'``."""
-    or_auto = " or 'auto'" if allow_auto else ""
-    if allow_auto and value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
-        parser.error(f"{flag} must be an integer{or_auto}, got {value!r}")
-    if parsed < minimum:
-        parser.error(f"{flag} must be >= {minimum}{or_auto}")
-    return parsed
-
-
 # -- the site, its state, its observability --------------------------------
 
 
@@ -272,10 +255,43 @@ def _site_repository(args: argparse.Namespace):
     )
 
 
+@contextmanager
+def _site_lock(state: str, remedy: str) -> Iterator[None]:
+    """Hold the site's writer lock: ``flock`` on ``<state>.lock``.
+
+    The writing commands (``submit``, ``serve``, ``recover``) take it
+    before they read the state and release it after their last write,
+    so a second writer cannot compact the journal from under a live
+    daemon's append handle.  The kernel drops the lock when the holder
+    dies, so a crash leaves none behind; the file itself is never
+    removed (unlinking a lock file races with the next opener).  A
+    site already held is an :class:`_InputError` ending in ``remedy``.
+    """
+    import fcntl
+
+    path = f"{state}.lock"
+    try:
+        handle = open(path, "a")
+    except OSError as exc:
+        raise _InputError(
+            f"cannot open site lock {path}: {exc.strerror or exc}"
+        ) from exc
+    with handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise _InputError(
+                f"site {state} is in use by another writer "
+                f"(it holds {path}); {remedy}"
+            ) from None
+        yield
+
+
 def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     """Open the durable cache over the site repository.
 
-    Loads the snapshot and replays the journal tail.  A state built for
+    Loads the snapshot and replays the journal tail (a writer calls
+    this under :func:`_site_lock`).  A state built for
     another repository, or a state or journal that is corrupt or
     unreadable, is an :class:`_InputError` — real data is never silently
     reinitialised.
@@ -881,7 +897,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="record cache metrics and save the registry "
                         "(.json = JSON snapshot, else Prometheus text)")
-    parser.add_argument("--batch-size", default="0", metavar="N",
+    parser.add_argument("--batch-size", type=int, default=0, metavar="N",
                         help="serve the trace through one "
                         "LandlordCache.submit_batch call that interns N "
                         "requests ahead (bit-identical decisions, lower "
@@ -889,9 +905,9 @@ def _cmd_replay(argv: Sequence[str]) -> int:
                         "with --alert-rules)")
     _alert_args(parser)
     args = parser.parse_args(argv)
-    batch_size = _parse_batch_size(parser, "--batch-size", args.batch_size,
-                                   minimum=0)
-    if batch_size != 0 and args.alert_rules:
+    if args.batch_size < 0:
+        parser.error("--batch-size must be >= 0")
+    if args.batch_size != 0 and args.alert_rules:
         parser.error("--batch-size is incompatible with --alert-rules "
                      "(alert rules are evaluated after every request)")
     stream = _read("trace file", args.trace,
@@ -918,7 +934,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
         slo = SloTracker(window=args.window)
     result = simulate_stream(cache, stream, record_timeline=False,
                              metrics=registry, slo=slo, alerts=alerts,
-                             batch_size=batch_size)
+                             batch_size=args.batch_size)
     stats = result.stats
     print(f"requests={stats.requests} hits={stats.hits} merges={stats.merges} "
           f"inserts={stats.inserts} deletes={stats.deletes}")
@@ -986,8 +1002,6 @@ def _load_specfile(path: str, repo) -> "frozenset[str]":
 
 
 def _cmd_submit(argv: Sequence[str]) -> int:
-    from repro.util.units import format_bytes
-
     parser = argparse.ArgumentParser(
         prog="repro-landlord submit",
         description="Prepare a container image for one job (the paper's "
@@ -1024,6 +1038,14 @@ def _cmd_submit(argv: Sequence[str]) -> int:
 
     if args.remote:
         return _submit_remote(args, _site_repository(args)[1])
+    with _site_lock(args.state, "submit through its daemon with --remote URL"):
+        return _submit_local(args)
+
+
+def _submit_local(args: argparse.Namespace) -> int:
+    """``submit`` against the site's own state (the lock is held)."""
+    from repro.util.units import format_bytes
+
     repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
     serving = args.serve is not None
     registry, slo, alerts, tracer = _attach_obs(args, cache, store, serving)
@@ -1131,8 +1153,6 @@ def _submit_remote(args: argparse.Namespace, repo) -> int:
 
 
 def _cmd_serve(argv: Sequence[str]) -> int:
-    from repro.service import LandlordDaemon
-
     parser = argparse.ArgumentParser(
         prog="repro-landlord serve",
         description="Run LANDLORD as a concurrent multi-client daemon: "
@@ -1156,15 +1176,9 @@ def _cmd_serve(argv: Sequence[str]) -> int:
     parser.add_argument("--max-queue", type=int, default=1024, metavar="N",
                         help="admission-queue bound; submissions beyond it "
                         "are rejected with HTTP 429 (default: %(default)s)")
-    parser.add_argument("--max-batch", default="256", metavar="N|auto",
+    parser.add_argument("--max-batch", type=int, default=256, metavar="N",
                         help="largest request window applied as one "
-                        "batched pass; 'auto' lets an AIMD governor size "
-                        "the cap from queue depth and window latency vs "
-                        "--ack-budget (default: %(default)s)")
-    parser.add_argument("--ack-budget", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="target fsync+apply wall time per window for "
-                        "--max-batch auto (default: %(default)s)")
+                        "batched pass (default: %(default)s)")
     parser.add_argument("--span-limit", type=int, default=4096, metavar="N",
                         help="bounded ring of pipeline spans behind "
                         "/traces and `repro-landlord trace` "
@@ -1176,12 +1190,17 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         parser.error("--snapshot-every must be >= 1")
     if args.max_queue < 1:
         parser.error("--max-queue must be >= 1")
-    max_batch = _parse_batch_size(parser, "--max-batch", args.max_batch,
-                                  minimum=1, allow_auto=True)
-    if args.ack_budget <= 0:
-        parser.error("--ack-budget must be positive")
+    if args.max_batch < 1:
+        parser.error("--max-batch must be >= 1")
     if args.span_limit < 1:
         parser.error("--span-limit must be >= 1")
+    with _site_lock(args.state, "retry once that writer exits"):
+        return _serve(args)
+
+
+def _serve(args: argparse.Namespace) -> int:
+    """``serve`` once the flags are valid (the lock is held)."""
+    from repro.service import LandlordDaemon
 
     repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
     registry, slo, alerts, tracer = _attach_obs(args, cache, store,
@@ -1192,8 +1211,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         port=args.port,
         socket_path=args.socket,
         max_queue=args.max_queue,
-        max_batch=max_batch,
-        ack_budget=args.ack_budget,
+        max_batch=args.max_batch,
         registry=registry,
         slo=slo,
         alerts=alerts,
@@ -1426,8 +1444,9 @@ def _cmd_recover(argv: Sequence[str]) -> int:
     )
     _state_args(parser)
     args = parser.parse_args(argv)
-    _repo, store, cache, metadata, replayed = _open_site_state(args)
-    store.flush(cache, metadata)
+    with _site_lock(args.state, "retry once that writer exits"):
+        _repo, store, cache, metadata, replayed = _open_site_state(args)
+        store.flush(cache, metadata)
     print(f"recovered: replayed {len(replayed)} journalled operation(s); "
           f"state covers {cache.stats.requests} requests "
           f"({len(cache)} images)")

@@ -17,13 +17,7 @@ This subpackage implements the paper's contribution proper:
   inference, the cache, and image building together.
 """
 
-from repro.core.adaptive import (
-    AdaptationEvent,
-    AimdController,
-    AimdEvent,
-    AlphaController,
-    service_governor,
-)
+from repro.core.adaptive import AdaptationEvent, AlphaController
 from repro.core.cache import CacheDecision, CacheStats, CachedImage, LandlordCache
 from repro.core.engine import ENGINES, NaiveEngine, VectorizedEngine, make_engine
 from repro.core.federation import FederatedLandlord, FederationStats
@@ -72,9 +66,6 @@ __all__ = [
     "TenantDecision",
     "AlphaController",
     "AdaptationEvent",
-    "AimdController",
-    "AimdEvent",
-    "service_governor",
     "FederatedLandlord",
     "FederationStats",
 ]

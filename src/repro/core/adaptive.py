@@ -25,157 +25,13 @@ must be avoided.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.cache import CacheDecision, LandlordCache
 from repro.core.spec import ImageSpec
 
-__all__ = [
-    "AlphaController",
-    "AdaptationEvent",
-    "AimdController",
-    "AimdEvent",
-    "service_governor",
-]
-
-
-@dataclass(frozen=True)
-class AimdEvent:
-    """One AIMD step, for audit/plotting."""
-
-    step: int
-    signal: float
-    old_size: int
-    new_size: int
-    action: str  # "increase" | "decrease" | "hold"
-
-
-class AimdController:
-    """Additive-increase / multiplicative-decrease window governor.
-
-    The controller owns one integer ``size`` (the daemon's ``max_batch``
-    cap) and adjusts it from a normalised congestion signal in
-    ``[0, 1]``:
-
-    - ``signal <= low_watermark``: the window is cheap — grow additively
-      by ``increase`` (probing for more amortisation);
-    - ``signal >= high_watermark``: repair/latency dominates — shrink
-      multiplicatively by ``decrease`` (backing off fast);
-    - otherwise hold.
-
-    The step function is pure state: it never reads a clock or RNG, so
-    it is deterministic under frozen-clock tests and replays — the same
-    signal sequence always yields the same size sequence.  The daemon's
-    group commit (signal = window latency vs the ack budget) drives it.
-    """
-
-    def __init__(
-        self,
-        initial: int = 256,
-        min_size: int = 32,
-        max_size: int = 4096,
-        increase: int = 64,
-        decrease: float = 0.5,
-        low_watermark: float = 0.05,
-        high_watermark: float = 0.25,
-        record_events: bool = True,
-    ):
-        if min_size < 1:
-            raise ValueError("min_size must be positive")
-        if max_size < min_size:
-            raise ValueError("need min_size <= max_size")
-        if increase < 1:
-            raise ValueError("increase must be positive")
-        if not 0.0 < decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        if not 0.0 <= low_watermark < high_watermark <= 1.0:
-            raise ValueError("need 0 <= low_watermark < high_watermark <= 1")
-        self.min_size = int(min_size)
-        self.max_size = int(max_size)
-        self.increase = int(increase)
-        self.decrease = float(decrease)
-        self.low_watermark = float(low_watermark)
-        self.high_watermark = float(high_watermark)
-        self.size = min(max(int(initial), self.min_size), self.max_size)
-        self.steps = 0
-        self.increases = 0
-        self.decreases = 0
-        self.holds = 0
-        self.last_signal = 0.0
-        self.events: Optional[List[AimdEvent]] = [] if record_events else None
-
-    @property
-    def hold_signal(self) -> float:
-        """A signal value that neither grows nor shrinks the window."""
-        return (self.low_watermark + self.high_watermark) / 2.0
-
-    def observe(self, signal: float) -> int:
-        """Fold one window's signal into the controller; return new size."""
-        signal = float(signal)
-        if math.isnan(signal):
-            signal = 0.0
-        signal = min(max(signal, 0.0), 1.0)
-        old = self.size
-        if signal >= self.high_watermark:
-            new = max(self.min_size, int(old * self.decrease))
-            action = "decrease"
-            self.decreases += 1
-        elif signal <= self.low_watermark:
-            new = min(self.max_size, old + self.increase)
-            action = "increase"
-            self.increases += 1
-        else:
-            new = old
-            action = "hold"
-            self.holds += 1
-        self.size = new
-        self.steps += 1
-        self.last_signal = signal
-        if self.events is not None:
-            self.events.append(
-                AimdEvent(
-                    step=self.steps,
-                    signal=signal,
-                    old_size=old,
-                    new_size=new,
-                    action=action,
-                )
-            )
-        return new
-
-    def status(self) -> dict:
-        """Snapshot for /statusz and ``top``."""
-        return {
-            "size": self.size,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-            "steps": self.steps,
-            "increases": self.increases,
-            "decreases": self.decreases,
-            "holds": self.holds,
-            "last_signal": self.last_signal,
-        }
-
-
-def service_governor(initial: int = 256) -> AimdController:
-    """Governor for the daemon's commit-window ``max_batch`` cap.
-
-    Signal is window wall time (fsync + apply) over the ack budget:
-    windows that clear well under budget while a backlog waits let the
-    cap grow; windows that blow the budget shrink it multiplicatively so
-    enqueued clients keep their ack latency.
-    """
-    return AimdController(
-        initial=initial,
-        min_size=16,
-        max_size=8192,
-        increase=32,
-        decrease=0.5,
-        low_watermark=0.5,
-        high_watermark=0.95,
-    )
+__all__ = ["AlphaController", "AdaptationEvent"]
 
 
 @dataclass(frozen=True)

@@ -1416,9 +1416,7 @@ class LandlordCache:
         """
         if type(batch_size) is not int or batch_size < 1:  # no bool, no float
             raise ValueError(
-                f"batch_size must be an int >= 1, got {batch_size!r} "
-                "(batch_size='auto' and AimdController window sizing "
-                "were removed with the prediction window)"
+                f"batch_size must be an int >= 1, got {batch_size!r}"
             )
         lock = self._lock
         if lock is None:

@@ -87,10 +87,7 @@ def render_frame(
     reporting worker with its request mix and the cells it finished.
     A ``stages`` block (present when a daemon is recording pipeline
     spans — see :mod:`repro.obs.spans`) adds a per-stage p95 row
-    (queue / fsync / apply wait).  A ``service.batch_governor`` entry
-    (a daemon running ``--max-batch auto``) adds a governor row showing
-    the adaptive batch size, its AIMD step mix, and the engine's
-    live-row compaction counters.
+    (queue / fsync / apply wait).
     """
     lifetime = status.get("lifetime", {})
     window = status.get("window", {})
@@ -153,17 +150,6 @@ def render_frame(
             f"stages p95   queue {_stage_p95('queue')}"
             f"   fsync {_stage_p95('fsync')}"
             f"   apply {_stage_p95('apply')}"
-        )
-    governor = (status.get("service") or {}).get("batch_governor")
-    if governor:
-        compaction = (status.get("engine") or {}).get("compaction") or {}
-        lines.append(
-            f"governor     batch {governor.get('size', '-')}"
-            f"   +{governor.get('increases', 0)}"
-            f" x{governor.get('decreases', 0)}"
-            f" ={governor.get('holds', 0)}"
-            f"   compactions {compaction.get('compactions', 0)}"
-            f" ({_count(compaction.get('rows_reclaimed', 0))} rows)"
         )
     alerts = status.get("alerts")
     if alerts is not None:

@@ -66,7 +66,6 @@ from itertools import filterfalse
 from time import perf_counter
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.core.adaptive import service_governor
 from repro.obs import ObsServer, build_status, write_event_stream
 from repro.obs.clock import default_clock
 from repro.obs.server import POLL_INTERVAL, ReplyHandler
@@ -106,7 +105,7 @@ class _ServiceInstruments:
 
     __slots__ = (
         "accepted", "rejected_full", "rejected_draining", "rejected_invalid",
-        "batches", "batched_requests", "queue_depth", "batch_size",
+        "batches", "batched_requests", "queue_depth",
     )
 
     def __init__(self, registry) -> None:
@@ -132,10 +131,6 @@ class _ServiceInstruments:
         self.queue_depth = registry.gauge(
             "service_queue_depth",
             "Submissions waiting in the admission queue.",
-        ).labels()
-        self.batch_size = registry.gauge(
-            "service_batch_size",
-            "Current commit window cap (adaptive under --max-batch auto).",
         ).labels()
 
 
@@ -175,15 +170,8 @@ class LandlordDaemon:
             socket at this path (optional).
         max_queue: admission-queue bound; submissions beyond it are
             rejected with HTTP 429 (the backpressure contract).
-        max_batch: largest request window one commit applies at once,
-            or ``"auto"`` — an AIMD governor
-            (:func:`repro.core.adaptive.service_governor`) grows the cap
-            while windows clear well inside ``ack_budget`` with a
-            backlog waiting, and shrinks it multiplicatively when a
-            window's fsync+apply time approaches the budget.
-        ack_budget: target wall seconds for one window's fsync+apply —
-            the adaptive cap's latency reference (only read under
-            ``max_batch="auto"``).
+        max_batch: largest request window one commit applies at once
+            (the leader pops at most this many from the queue head).
         registry: optional :class:`~repro.obs.MetricsRegistry` — the
             daemon adds ``service_*`` instruments and serves it at
             ``/metrics``.
@@ -222,8 +210,7 @@ class LandlordDaemon:
         port: int = 0,
         socket_path: Optional[str] = None,
         max_queue: int = 1024,
-        max_batch: "int | str" = 256,
-        ack_budget: float = 0.25,
+        max_batch: int = 256,
         registry=None,
         slo=None,
         alerts=None,
@@ -235,20 +222,10 @@ class LandlordDaemon:
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if isinstance(max_batch, str):
-            if max_batch != "auto":
-                raise ValueError(
-                    f"max_batch must be a positive int or 'auto', "
-                    f"got {max_batch!r}"
-                )
-            self._governor = service_governor()
-            max_batch = self._governor.size
-        else:
-            if max_batch < 1:
-                raise ValueError("max_batch must be >= 1")
-            self._governor = None
-        if not ack_budget > 0:
-            raise ValueError("ack_budget must be positive")
+        if type(max_batch) is not int or max_batch < 1:  # no bool, no str
+            raise ValueError(
+                f"max_batch must be an int >= 1, got {max_batch!r}"
+            )
         if tracer is not None and trace_path is None:
             raise ValueError("trace_path is required when tracing")
         self.store = store
@@ -256,7 +233,6 @@ class LandlordDaemon:
         self.metadata = metadata
         self.max_queue = max_queue
         self.max_batch = max_batch
-        self.ack_budget = ack_budget
         self.slo = slo
         self.alerts = alerts
         self.tracer = tracer
@@ -280,8 +256,6 @@ class LandlordDaemon:
         self._ins = (
             _ServiceInstruments(registry) if registry is not None else None
         )
-        if self._ins is not None:
-            self._ins.batch_size.set(self.max_batch)
         self.registry = registry
         self.clock = clock if clock is not None else default_clock()
         # The span ring always records — the service pipeline is not the
@@ -603,27 +577,6 @@ class LandlordDaemon:
                     )
             except Exception:
                 traceback.print_exc()
-        self._govern(timings["fsync"][1] + timings["apply"][1])
-
-    def _govern(self, window_s: float) -> None:
-        """Fold one window's wall time into the adaptive batch cap.
-
-        Runs after the clients were woken (the step is cheap, but acks
-        come first).  The latency signal is window fsync+apply time over
-        the ack budget; a healthy window with *no* backlog holds rather
-        than grows — the cap wasn't binding, so growth is untested
-        guesswork — while a healthy window popped from a backlog grows
-        additively, and a window near/over budget shrinks the cap
-        multiplicatively regardless of backlog.
-        """
-        governor = self._governor
-        if governor is not None:
-            signal = min(1.0, window_s / self.ack_budget)
-            if signal < governor.high_watermark and self.queue_depth == 0:
-                signal = governor.hold_signal
-            self.max_batch = governor.observe(signal)
-        if self._ins is not None:
-            self._ins.batch_size.set(self.max_batch)
 
     def _drain_traces(self) -> None:
         if self.tracer is None:
@@ -637,7 +590,6 @@ class LandlordDaemon:
     def _on_scrape(self) -> None:
         if self._ins is not None:
             self._ins.queue_depth.set(self.queue_depth)
-            self._ins.batch_size.set(self.max_batch)
         if self.slo is not None:
             self.slo.set_extra("queue_depth", float(self.queue_depth))
             self.slo.set_extra("submissions_rejected", float(self.rejected))
@@ -656,8 +608,6 @@ class LandlordDaemon:
                 "draining": self._draining,
             }
         }
-        if self._governor is not None:
-            extra["service"]["batch_governor"] = self._governor.status()
         stages = self.spans.stage_stats()
         if stages:
             extra["stages"] = stages

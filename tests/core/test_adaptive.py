@@ -1,12 +1,8 @@
-"""Tests for the adaptive-α controller and the AIMD window governor."""
+"""Tests for the adaptive-α controller."""
 
 import pytest
 
-from repro.core.adaptive import (
-    AimdController,
-    AlphaController,
-    service_governor,
-)
+from repro.core.adaptive import AlphaController
 from repro.core.cache import LandlordCache
 from repro.htc.workload import DependencyWorkload
 from repro.util.rng import spawn
@@ -110,99 +106,3 @@ class TestAdaptation:
             decision = controller.request(spec)
             assert spec <= decision.image.packages
 
-
-class TestAimdValidation:
-    def test_parameters(self):
-        with pytest.raises(ValueError):
-            AimdController(min_size=0)
-        with pytest.raises(ValueError):
-            AimdController(min_size=100, max_size=50)
-        with pytest.raises(ValueError):
-            AimdController(increase=0)
-        with pytest.raises(ValueError):
-            AimdController(decrease=1.0)
-        with pytest.raises(ValueError):
-            AimdController(decrease=0.0)
-        with pytest.raises(ValueError):
-            AimdController(low_watermark=0.5, high_watermark=0.5)
-        with pytest.raises(ValueError):
-            AimdController(low_watermark=-0.1)
-        with pytest.raises(ValueError):
-            AimdController(high_watermark=1.5)
-
-    def test_initial_clamped_into_bounds(self):
-        assert AimdController(initial=1, min_size=32).size == 32
-        assert AimdController(initial=10**6, max_size=4096).size == 4096
-
-
-class TestAimdStepFunction:
-    def test_additive_increase(self):
-        gov = AimdController(initial=256, increase=64, max_size=4096)
-        assert gov.observe(0.0) == 320
-        assert gov.observe(0.05) == 384  # low watermark itself grows
-        assert gov.increases == 2
-
-    def test_increase_caps_at_max(self):
-        gov = AimdController(initial=4090, increase=64, max_size=4096)
-        assert gov.observe(0.0) == 4096
-        assert gov.observe(0.0) == 4096
-
-    def test_multiplicative_decrease(self):
-        gov = AimdController(initial=256, decrease=0.5, min_size=32)
-        assert gov.observe(1.0) == 128
-        assert gov.observe(0.25) == 64  # high watermark itself shrinks
-        assert gov.decreases == 2
-
-    def test_decrease_floors_at_min(self):
-        gov = AimdController(initial=40, decrease=0.5, min_size=32)
-        assert gov.observe(1.0) == 32
-        assert gov.observe(1.0) == 32
-
-    def test_hold_inside_band(self):
-        gov = AimdController(initial=256)
-        assert gov.observe(gov.hold_signal) == 256
-        assert gov.holds == 1
-        assert gov.low_watermark < gov.hold_signal < gov.high_watermark
-
-    def test_nan_and_out_of_range_signals_are_tamed(self):
-        gov = AimdController(initial=256, increase=64)
-        assert gov.observe(float("nan")) == 320   # NaN reads as 0 -> grow
-        assert gov.observe(-5.0) == 384           # clamped to 0 -> grow
-        assert gov.observe(7.0) == 192            # clamped to 1 -> shrink
-        assert gov.last_signal == 1.0
-
-    def test_deterministic_replay(self):
-        signals = [0.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.5, 0.0]
-        runs = []
-        for _ in range(2):
-            gov = AimdController()
-            runs.append([gov.observe(s) for s in signals])
-        assert runs[0] == runs[1]
-
-    def test_events_and_status(self):
-        gov = AimdController(initial=256)
-        gov.observe(0.0)
-        gov.observe(1.0)
-        gov.observe(gov.hold_signal)
-        assert [e.action for e in gov.events] == [
-            "increase", "decrease", "hold"
-        ]
-        assert gov.events[1].old_size == 320
-        assert gov.events[1].new_size == 160
-        status = gov.status()
-        assert status["steps"] == 3
-        assert status["increases"] == status["decreases"] == status["holds"] == 1
-        assert status["size"] == gov.size
-
-    def test_events_optional(self):
-        gov = AimdController(record_events=False)
-        gov.observe(0.0)
-        assert gov.events is None
-        assert gov.steps == 1
-
-
-class TestGovernorFactories:
-    def test_service_governor_shape(self):
-        gov = service_governor(initial=64)
-        assert (gov.size, gov.min_size, gov.max_size) == (64, 16, 8192)
-        assert gov.high_watermark == 0.95

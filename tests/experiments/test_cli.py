@@ -58,11 +58,15 @@ class TestTraceReplay:
                          "--batch-size", size]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        with pytest.raises(SystemExit) as exit_info:
-            main(["replay", str(trace), "--scale", "tiny",
-                  "--batch-size", "auto"])
-        assert exit_info.value.code == 2
-        assert "--batch-size must be an integer" in capsys.readouterr().err
+        for bad, message in (
+            ("auto", "argument --batch-size: invalid int value: 'auto'"),
+            ("-1", "--batch-size must be >= 0"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["replay", str(trace), "--scale", "tiny",
+                      "--batch-size", bad])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_url_equals_form_selects_waterfall_mode(self, capsys):
         # `--url=URL` is the viewer too, not the generator missing its

@@ -60,7 +60,7 @@ SURFACE = {
         "--alert-log": (None, None, None),
         "--alert-rules": (None, None, None),
         "--alpha": (0.75, None, None),
-        "--batch-size": ("0", None, None),
+        "--batch-size": (0, None, None),
         "--capacity": (None, None, None),
         "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--events-out": (None, None, None),
@@ -71,14 +71,13 @@ SURFACE = {
         "trace": (None, None, None),
     },
     "serve": {
-        "--ack-budget": (0.25, None, None),
         "--alert-log": (None, None, None),
         "--alert-rules": (None, None, None),
         "--alpha": (0.8, None, None),
         "--capacity": (None, None, None),
         "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--journal": (None, None, None),
-        "--max-batch": ("256", None, None),
+        "--max-batch": (256, None, None),
         "--max-queue": (1024, None, None),
         "--metrics-out": (None, None, None),
         "--port": (0, None, None),

@@ -111,21 +111,6 @@ class TestRenderFrame:
         })
         assert "stages p95   queue -   fsync -   apply -" in frame
 
-    def test_governor_row_only_under_an_adaptive_max_batch(self):
-        engine = {"compaction": {"compactions": 3, "rows_reclaimed": 1200}}
-        governor = {"size": 288, "increases": 2, "decreases": 1, "holds": 5}
-        frame = render_frame({
-            "engine": engine,
-            "service": {"max_batch": 288, "batch_governor": governor},
-        })
-        assert (
-            "governor     batch 288   +2 x1 =5   compactions 3 (1200 rows)"
-            in frame
-        )
-        # a fixed --max-batch publishes no governor: no row
-        fixed = render_frame({"engine": engine, "service": {"max_batch": 256}})
-        assert "governor" not in fixed
-
     def test_history_band_needs_two_points(self):
         status = {"window": {"series": {}}}
         no_band = render_frame(status, history={"hit_rate": [0.5]})

@@ -28,6 +28,15 @@ def _env():
     return env
 
 
+def _run(*argv, timeout=120):
+    """``python -m repro *argv`` from the repository root, captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=str(REPO_ROOT), env=_env(),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
 def _tiny_repo():
     from repro.experiments.common import get_scale
     from repro.packages.sft import build_experiment_repository
@@ -128,7 +137,17 @@ class TestServeDaemonCli:
             body = client.metrics()
             validate_prometheus_text(body)
             assert "service_submissions_total" in body
-            assert client.status()["lifetime"]["requests"] == 13
+            status = client.status()
+            assert status["lifetime"]["requests"] == 13
+            # a fixed commit-window cap, no governor beside it
+            assert status["service"]["max_batch"] == 256
+            assert "batch_governor" not in status["service"]
+            assert "service_batch_size" not in body
+            # the engine block carries the kernel counters and nothing
+            # of the deleted prediction window
+            assert set(status["engine"]) == {
+                "name", "prefilter", "compaction"
+            }
 
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=30)
@@ -233,45 +252,113 @@ class TestServeDaemonCli:
 
 class TestAdaptiveServeCli:
     def _parse_error(self, *argv):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            cwd=str(REPO_ROOT), env=_env(),
-            capture_output=True, text=True, timeout=60,
-        )
+        result = _run(*argv, timeout=60)
         assert result.returncode == 2, result.stderr
         return result.stderr
 
     def test_bad_flags_rejected_at_parse_time(self, tmp_path):
         err = self._parse_error("serve", "--scale", "tiny", "--max-batch",
                                 "fast", "--state", str(tmp_path / "s.json"))
-        assert "--max-batch" in err
-        err = self._parse_error("serve", "--scale", "tiny", "--ack-budget",
+        assert "argument --max-batch: invalid int value: 'fast'" in err
+        err = self._parse_error("serve", "--scale", "tiny", "--max-batch",
                                 "0", "--state", str(tmp_path / "s.json"))
-        assert "--ack-budget" in err
+        assert "--max-batch must be >= 1" in err
 
-    def test_auto_max_batch_daemon_serves_and_reports(self, tmp_path):
-        repo = _tiny_repo()
-        ids = list(repo.ids)
-        process, port = start_daemon(
-            tmp_path, "--max-batch", "auto", "--ack-budget", "0.1",
+
+class TestMaxBatchAutoIsGone:
+    """The commit window cap is an int: ``--max-batch auto`` and
+    ``--ack-budget`` are refused by name before the site is touched, and
+    the daemon takes no ``"auto"``."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-batch", "auto"], ["--ack-budget", "0.25"],
+    ])
+    def test_serve_refuses_the_flag(self, flags, tmp_path):
+        result = _run(
+            "serve", "--scale", "tiny",
+            "--state", str(tmp_path / "state.json"),
+            "--port-file", str(tmp_path / "port.txt"), *flags, timeout=30,
         )
+        assert result.returncode == 2
+        assert flags[0] in result.stderr
+        assert list(tmp_path.iterdir()) == []  # no state, no lock, no port
+
+    def test_daemon_refuses_auto(self, tmp_path):
+        from repro.service import LandlordDaemon
+
+        store = JournaledState(tmp_path / "state.json")
+        cache = LandlordCache(500, 0.8, lambda _: 1)
+        with pytest.raises(ValueError, match="max_batch"):
+            LandlordDaemon(store, cache, {}, max_batch="auto")
+
+
+class TestOneWriterPerSite:
+    """A site has one writer.  A local ``submit`` or a ``recover`` next to
+    a live daemon would compact the journal from under the daemon's
+    append handle, and every later ack would land in an unlinked file;
+    instead each exits 2 and writes nothing."""
+
+    def _site(self, tmp_path):
+        spec_file = tmp_path / "job.json"
+        spec_file.write_text(
+            json.dumps({"packages": ["app-0000/1.0/x86_64-el7"]})
+        )
+        state = tmp_path / "state.json"
+        return spec_file, state, ["--scale", "tiny", "--state", str(state)]
+
+    def test_second_writer_refused_while_serve_is_live(self, tmp_path):
+        spec_file, state, site = self._site(tmp_path)
+        journal = state.with_name("state.json.journal")
+        process, port = start_daemon(tmp_path)
         try:
-            client = LandlordClient(f"http://127.0.0.1:{port}")
-            for i in range(4):
-                spec = sorted(repo.closure({ids[i % len(ids)]}))
-                reply = client.submit(spec, retries=3)
-                assert reply["action"] in {"hit", "merge", "insert"}
-            status = client.status()
-            client.close()
-            service = status["service"]
-            governor = service["batch_governor"]
-            assert governor["steps"] == service["batches"] >= 1
-            assert service["max_batch"] == governor["size"]
-            # the engine block carries the kernel counters and nothing
-            # of the deleted prediction window
-            assert set(status["engine"]) == {
-                "name", "prefilter", "compaction"
-            }
+            with LandlordClient(f"http://127.0.0.1:{port}") as client:
+                client.submit(["app-0000/1.0/x86_64-el7"])
+            before = state.read_bytes(), journal.read_bytes()
+            for argv, hint in (
+                (["submit", str(spec_file)], "--remote"),
+                (["recover"], "retry once that writer exits"),
+            ):
+                refused = _run(*argv, *site)
+                assert refused.returncode == 2, refused.stdout
+                assert refused.stderr.count("\n") == 1, refused.stderr
+                assert f"site {state} is in use" in refused.stderr
+                assert hint in refused.stderr
+            assert (state.read_bytes(), journal.read_bytes()) == before
+            status = _run("cache-status", *site)  # a reader needs no lock
+            assert status.returncode == 0, status.stderr
+            assert "lifetime: 1 requests" in status.stdout
         finally:
             process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
+            process.communicate(timeout=30)
+        assert process.returncode == 0
+        after = _run("submit", str(spec_file), *site)
+        assert after.returncode == 0, after.stderr
+
+    def test_acked_requests_survive_a_refused_writer(self, tmp_path):
+        # serve's snapshot_every=64 keeps these acks on the journal only;
+        # submit's checkpoint every request would compact it
+        spec_file, state, site = self._site(tmp_path)
+        repo = _tiny_repo()
+        ids = list(repo.ids)
+        specs = [sorted(repo.closure({ids[3 * i % len(ids)]}))
+                 for i in range(5)]
+        process, port = start_daemon(tmp_path)
+        try:
+            with LandlordClient(f"http://127.0.0.1:{port}") as client:
+                acked = [client.submit(spec) for spec in specs[:3]]
+                assert _run("submit", str(spec_file), *site).returncode == 2
+                acked += [client.submit(spec) for spec in specs[3:]]
+        finally:
+            process.kill()  # SIGKILL: the kernel drops the lock
+            process.communicate()
+        assert [reply["request_index"] for reply in acked] == list(range(5))
+        recover = _run("recover", *site)
+        assert recover.returncode == 0, recover.stderr
+        assert "state covers 5 requests" in recover.stdout
+        recovered, _, _ = JournaledState(state).load(repo.size_of)
+        serial = LandlordCache(
+            recovered.capacity, recovered.alpha, repo.size_of
+        )
+        for spec in specs:
+            serial.request(frozenset(spec))
+        assert serial.snapshot() == recovered.snapshot()
