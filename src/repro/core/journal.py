@@ -31,7 +31,11 @@ reading the file it replaces; a partial keep, an object that has not
 counted its file, and a caller-supplied parse still read (see
 :meth:`Journal.compact`).  On the read side a line is
 checked against its CRC as it lies on disk; only a line that is not in
-the writer's layout is re-encoded canonically first.
+the writer's layout is re-encoded canonically first.  The append handle
+writes bytes and tracks where the file ends (no text layer, no seek or
+tell per append), and a v2 request or adoption line is built directly,
+byte for byte the canonical dump (:func:`_masked_body`) — the daemon
+pays both once per request, under its single committer.
 
 **Journal v2: each package name once per generation.**  A request or
 an adoption is written as ``{"base": S, "mask": "<hex>", "new": [...]}``.
@@ -94,9 +98,12 @@ __all__ = [
 PathLike = Union[str, Path]
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
+_HEX_DIGITS = b"0123456789abcdef"
 _CRC_KEY = '{"crc":'
 _MARKER_CRC = ',"crc":'
 _HEAL_BLOCK = 4096
+_MASKED_OPS = ("request", "adopt")
+_MASKED_KEYS = frozenset(("base", "mask", "new"))
 
 
 class JournalError(ValueError):
@@ -131,10 +138,36 @@ def _encode(entry: JournalEntry) -> str:
     # One canonical dump serves both the CRC and the line: "crc" sorts
     # before "data" / "op" / "seq", so splicing it in after the brace
     # gives exactly the bytes of dumping the body again with crc added.
-    body = json.dumps(
+    body = _masked_body(entry) or json.dumps(
         {"seq": entry.seq, "op": entry.op, "data": entry.data}, **_CANON
     )
     return f'{{"crc":{zlib.crc32(body.encode("utf-8"))},{body[1:]}\n'
+
+
+def _masked_body(entry: JournalEntry) -> Optional[str]:
+    """The canonical dump of a v2 request or adoption, built directly.
+
+    Byte for byte what ``json.dumps(..., **_CANON)`` writes for the
+    layout the writer produces — an int ``base`` and ``seq`` and a
+    lowercase hex ``mask``, which the dump writes as it is — at a
+    fraction of its cost: the dump sorts two dicts and escape-scans the
+    mask, a few thousand digits, character by character.  ``new`` is
+    dumped canonically on its own.  Anything else is ``None``: the
+    caller dumps it canonically.
+    """
+    data = entry.data
+    if entry.op not in _MASKED_OPS or data.keys() != _MASKED_KEYS:
+        return None
+    base, mask = data["base"], data["mask"]
+    if (type(base) is not int or type(entry.seq) is not int
+            or type(mask) is not str or not mask.isascii()
+            or mask.encode("ascii").translate(None, _HEX_DIGITS)):
+        return None
+    return (
+        f'{{"data":{{"base":{base},"mask":"{mask}",'
+        f'"new":{json.dumps(data["new"], **_CANON)}}},'
+        f'"op":"{entry.op}","seq":{entry.seq}}}'
+    )
 
 
 def _crc_as_it_lies(line: str) -> bool:
@@ -258,7 +291,10 @@ class Journal:
 
     def __init__(self, path: PathLike, metrics=None):
         self.path = Path(path)
+        # The append handle writes bytes (no text layer) and knows where
+        # the file ends: set when it opens, advanced by every append.
         self._fh = None
+        self._end = 0
         # What the writer knows of its own file: the next sequence number
         # and how many entries lie behind the marker.  Both come from
         # read_as_writer (or from reset) and follow every write since —
@@ -406,22 +442,25 @@ class Journal:
         ins = self._ins
         t_append = perf_counter() if ins is not None else 0.0
         checkpoint("journal:append")
-        if self._fh is None:
+        fh = self._fh
+        if fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._heal()
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.seek(0, os.SEEK_END)
-        start = self._fh.tell()
+            self._fh = fh = open(self.path, "ab")
+            self._end = fh.seek(0, os.SEEK_END)
+        start = self._end
+        data = "".join(map(_encode, entries)).encode("utf-8")
         try:
-            self._fh.write("".join(_encode(entry) for entry in entries))
-            self._fh.flush()
-            checkpoint("journal:torn", fh=self._fh, start=start)
+            fh.write(data)
+            fh.flush()
+            checkpoint("journal:torn", fh=fh, start=start)
             t_fsync = perf_counter() if ins is not None else 0.0
-            os.fsync(self._fh.fileno())
+            os.fsync(fh.fileno())
         except Exception:
             self._cut_back(start)
             raise
         end = perf_counter() if ins is not None else 0.0
+        self._end = start + len(data)
         self._next_seq += len(entries)
         self._n_entries += len(entries)
         checkpoint("journal:synced")
@@ -577,9 +616,6 @@ class Journal:
             os.fsync(fd)
         finally:
             os.close(fd)
-
-
-_MASKED_OPS = ("request", "adopt")
 
 
 class _Generation:
@@ -1091,6 +1127,12 @@ def recover_state(
     ``(cache, metadata, replayed_count)``.  Raises
     :class:`~repro.core.persistence.StateError` when the snapshot is
     missing or unusable.
+
+    The re-snapshot is skipped when it would change nothing: nothing was
+    replayed, the snapshot covers the journal's last sequence number,
+    and the file is canonical (the current version, its checksum held
+    as it lies; a v2 or re-formatted file is rewritten).  Compaction
+    runs either way.
     """
     store = JournaledState(state_path, journal_path)
     journal = store.journal
@@ -1101,8 +1143,10 @@ def recover_state(
     floor, entries = parsed = journal._read()
     replayed = replay(bundle.cache, entries, after_seq=bundle.journal_seq)
     covered = entries[-1].seq if entries else floor
-    save_state(
-        store.state_path, bundle.cache, bundle.metadata, journal_seq=covered
-    )
+    if replayed or covered != bundle.journal_seq or not bundle.canonical:
+        save_state(
+            store.state_path, bundle.cache, bundle.metadata,
+            journal_seq=covered,
+        )
     journal.compact(covered, parsed)
     return bundle.cache, bundle.metadata, len(replayed)

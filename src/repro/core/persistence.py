@@ -148,6 +148,10 @@ class StateBundle:
     cache: LandlordCache
     metadata: dict
     journal_seq: int
+    #: The file is the current version in :func:`save_state`'s own
+    #: layout: its checksum held over the bytes as they lie, with no
+    #: re-encoding.
+    canonical: bool = False
 
 
 def _canonical(body: dict) -> bytes:
@@ -234,8 +238,9 @@ def _write_state(
     return path
 
 
-def _verify_checksum(payload: dict, text: str, path: Path) -> None:
-    """Check ``payload`` (parsed from ``text``) against its checksum.
+def _verify_checksum(payload: dict, text: str, path: Path) -> bool:
+    """Check ``payload`` (parsed from ``text``) against its checksum;
+    ``True`` when it held over the bytes as they lie.
 
     A file :func:`save_state` wrote is hashed as it lies: the text after
     the header — built from the file's own ``version``, so a v2 file is
@@ -251,7 +256,7 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> None:
     if text.startswith(head) and recorded == _checksum_of(
         ("{" + text[len(head):]).encode("utf-8")
     ):
-        return
+        return True
     body = {
         key: payload[key]
         for key in ("metadata", "journal_seq", "cache")
@@ -261,11 +266,14 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> None:
         raise StateError(
             f"state file {path} fails its checksum — torn or tampered write"
         )
+    return False
 
 
-def _verified_payload(path: Path, raw: bytes) -> dict:
+def _verified_payload(path: Path, raw: bytes) -> Tuple[dict, bool]:
     """Parse a state file's bytes and check its version and checksum;
-    anything that is not a readable state is a :class:`StateError`."""
+    anything that is not a readable state is a :class:`StateError`.
+    Returns the payload and whether the file is canonical (see
+    :attr:`StateBundle.canonical`)."""
     try:
         text = raw.decode("utf-8")
         payload = json.loads(text)
@@ -285,8 +293,8 @@ def _verified_payload(path: Path, raw: bytes) -> dict:
             f"state file {path}: version {version!r} unsupported (this "
             f"build reads {', '.join(map(str, _READABLE_VERSIONS))})"
         )
-    _verify_checksum(payload, text, path)
-    return payload
+    as_it_lies = _verify_checksum(payload, text, path)
+    return payload, as_it_lies and version == STATE_VERSION
 
 
 def load_table(path: PathLike) -> Tuple[int, List[str]]:
@@ -304,7 +312,7 @@ def load_table(path: PathLike) -> Tuple[int, List[str]]:
         raw = path.read_bytes()
     except FileNotFoundError:
         raise StateNotFound(f"no state file at {path}") from None
-    payload = _verified_payload(path, raw)
+    payload, _ = _verified_payload(path, raw)
     try:
         snapshot = payload["cache"]
         names = list(snapshot.get("universe", []))
@@ -349,7 +357,7 @@ def load_bundle(
         raise StateNotFound(f"no state file at {path}") from None
     if tmp.exists():
         tmp.unlink()  # stranded by a crash between tmp write and rename
-    payload = _verified_payload(path, raw)
+    payload, canonical = _verified_payload(path, raw)
     try:
         snapshot = payload["cache"]
         cache = LandlordCache(
@@ -369,6 +377,7 @@ def load_bundle(
         cache=cache,
         metadata=payload.get("metadata", {}),
         journal_seq=int(payload.get("journal_seq", 0)),
+        canonical=canonical,
     )
 
 

@@ -37,7 +37,7 @@ import json
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import monotonic
+from time import monotonic, time
 from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs
 
@@ -369,10 +369,43 @@ class ObsServer:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
+#: The stdlib's bounds on a request head (``http.client``'s): a longer
+#: line is refused, and so is a head of more lines than this, counting
+#: the blank line that ends it.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+_END_OF_HEAD = (b"\r\n", b"\n", b"")
+
+
+class Headers(dict):
+    """A request head's fields: lower-cased name -> first value, read
+    case-insensitively with :meth:`get`."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        """The field's value, or ``default`` when the head lacks it."""
+        return dict.get(self, name.lower(), default)
+
+
+def _http_version(word: str) -> Optional["tuple[int, int]"]:
+    """``HTTP/<major>.<minor>`` as a pair of ints, or ``None`` — the
+    stdlib's reading (RFC 2145: two dot-separated digit runs, each at
+    most 10 digits, leading zeros ignored)."""
+    if not word.startswith("HTTP/"):
+        return None
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 class ReplyHandler(BaseHTTPRequestHandler):
     """Handler base for every embedded endpoint (this server and the
-    service daemon): silent, keep-alive, and each reply leaves the
-    process in one ``send``.
+    service daemon): silent, keep-alive, one pass over the request head,
+    and each reply leaves the process in one ``send``.
 
     The stdlib idiom — ``end_headers()`` then ``wfile.write(body)`` on
     the unbuffered ``wfile`` — is two sends.  The peer is blocked
@@ -382,6 +415,27 @@ class ReplyHandler(BaseHTTPRequestHandler):
     and body as one bytes object leaves nothing for Nagle to hold, at
     any body size.  ``TCP_NODELAY`` is not the mechanism: the daemon
     serves this same class over ``AF_UNIX``, where setting it raises.
+
+    **The head.**  :meth:`parse_request` reads the header lines straight
+    into a :class:`Headers` mapping.  The stdlib joins them and hands
+    them to :mod:`email`'s feed parser: ~33 µs for a daemon request's
+    head on a 2-core sandbox, against ~12 µs here.  Everything else is
+    the stdlib's, for a handler that speaks HTTP/1.1 (as this class
+    does): a request line over 65,536 bytes is a 414
+    (``handle_one_request``); a header line over 65,536 bytes or more
+    than 99 headers is a 431; a malformed request line or version is a
+    400 and ``HTTP/2`` and later a 505; ``Connection: close`` and
+    HTTP/1.0 close the connection; ``Expect: 100-continue`` is answered
+    before the body is read.  Where the stdlib read a head leniently,
+    this parser refuses it with 400:
+
+    - an obsolete folded line (one that starts with a space or a tab,
+      RFC 7230 §3.2.4), which the stdlib glued onto the field above;
+    - a line with no colon, or with whitespace before it, at which the
+      stdlib silently stopped reading the head;
+    - two ``Content-Length`` fields that disagree (RFC 7230 §3.3.2: the
+      body's end is ambiguous).  Any other repeated field keeps its
+      first value, as the stdlib's ``headers.get`` did.
     """
 
     protocol_version = "HTTP/1.1"
@@ -389,10 +443,119 @@ class ReplyHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         """Stay silent: scrapers and clients are chatty."""
 
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the head behind it (see the
+        class docstring); on failure the error reply is already sent."""
+        self.command = None  # in case of an error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _http_version(words[-1])
+            if version is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad request version ({words[-1]!r})",
+                )
+                return False
+            if version >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({words[-1][5:]})",
+                )
+                return False
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9: a bare GET, then close
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({command!r})",
+                )
+                return False
+        if path.startswith("//"):  # gh-87389, as the stdlib does
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        headers = self._read_head()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def _read_head(self) -> Optional[Headers]:
+        """The header lines up to the blank one, as :class:`Headers`;
+        ``None`` once an error reply is sent."""
+        headers = Headers()
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEAD_LINES):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading header line",
+                )
+                return None
+            if line in _END_OF_HEAD:
+                return headers
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if line[0] in b" \t":
+                problem = "Obsolete line folding"
+            elif not colon or not name or name != name.rstrip():
+                problem = "Bad header line"
+            else:
+                name, value = name.lower(), value.strip()
+                first = headers.setdefault(name, value)
+                if first == value or name != "content-length":
+                    continue
+                problem = "Conflicting Content-Length"
+            self.send_error(HTTPStatus.BAD_REQUEST, problem)
+            return None
+        self.send_error(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            "Too many headers",
+            f"got more than {_MAX_HEAD_LINES} headers",
+        )
+        return None
+
+    #: ``(second, value)`` of the last ``Date`` header: the value changes
+    #: once a second, and formatting it cost ~5 µs a reply.
+    _date = (0, "")
+
+    def date_time_string(self, timestamp=None):
+        """The stdlib's ``Date`` value, formatted at most once a second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time())
+        cached, value = ReplyHandler._date
+        if cached != second:
+            value = super().date_time_string(second)
+            ReplyHandler._date = (second, value)
+        return value
+
     def _reply(self, code: int, body: str, content_type: str) -> None:
         data = body.encode("utf-8")
         head = (
-            f"{self.protocol_version} {code} {HTTPStatus(code).phrase}\r\n"
+            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
             f"Server: {self.version_string()}\r\n"
             f"Date: {self.date_time_string()}\r\n"
             f"Content-Type: {content_type}\r\n"

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import re
 import threading
 from collections import deque
@@ -71,20 +72,30 @@ _TRACEPARENT_RE = re.compile(
 )
 
 
+#: Where ids come from: one generator per process, seeded from
+#: ``os.urandom`` and reseeded in every forked child, so a child never
+#: repeats its parent's ids.  Ids need to be unique, not secret: a
+#: ``getrandbits`` is one C call that keeps the GIL, where an
+#: ``os.urandom`` per id is a syscall that releases it, five times for
+#: each daemon submission (six when the client sent no trace context).
+_ids = random.Random()
+os.register_at_fork(after_in_child=_ids.seed)
+
+
 def new_trace_id() -> str:
     """A fresh random 32-hex (128-bit) trace id (never all-zero)."""
     while True:
-        trace_id = os.urandom(16).hex()
-        if trace_id != "0" * 32:  # the spec's invalid sentinel
-            return trace_id
+        bits = _ids.getrandbits(128)
+        if bits:  # all-zero is the spec's invalid sentinel
+            return f"{bits:032x}"
 
 
 def new_span_id() -> str:
     """A fresh random 16-hex (64-bit) span id (never all-zero)."""
     while True:
-        span_id = os.urandom(8).hex()
-        if span_id != "0" * 16:
-            return span_id
+        bits = _ids.getrandbits(64)
+        if bits:
+            return f"{bits:016x}"
 
 
 def format_traceparent(

@@ -62,7 +62,7 @@ import threading
 import traceback
 from collections import deque
 from http.server import ThreadingHTTPServer
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from time import perf_counter
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
@@ -667,7 +667,7 @@ def _make_handler(daemon: "LandlordDaemon"):
                     else payload
                 )
                 if not isinstance(packages, list) or not all(
-                    isinstance(p, str) for p in packages
+                    map(isinstance, packages, repeat(str))
                 ):
                     self._reply_json(
                         400,

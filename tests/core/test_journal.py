@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,12 @@ from repro.core.journal import (
     _decode,
     _encode,
     _encode_marker,
+    _masked_body,
     apply_entry,
     recover_state,
     replay,
 )
-from repro.core.persistence import StateNotFound, load_bundle
+from repro.core.persistence import StateNotFound, load_bundle, save_state
 from repro.testing.faults import CrashPoint
 
 SIZE = {f"p{i}": 10 for i in range(30)}
@@ -456,6 +458,173 @@ class TestEncodeOnce:
         assert _encode_marker(compacted_to) == (
             json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
         )
+
+
+class TestMaskedLineEncoder:
+    """A v2 request or adoption line is built directly, not dumped: the
+    bytes must be exactly the canonical dump's, whatever the names."""
+
+    # Quotes, backslashes, control characters, non-ASCII and surrogates
+    # (the canonical dump escapes each of these its own way).
+    _names = st.text(
+        alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF)
+        | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "\u2028"]),
+        max_size=12,
+    )
+    _counters = (
+        st.sampled_from([1, 2**63 - 1, 2**63])
+        | st.integers(min_value=1, max_value=2**63)
+    )
+
+    @staticmethod
+    def canonical(entry):
+        body = {"seq": entry.seq, "op": entry.op, "data": entry.data}
+        return json.dumps({**body, "crc": _crc(body)}, **_CANON) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seq=_counters,
+        op=st.sampled_from(["request", "adopt"]),
+        base=st.sampled_from([0, 1, 2**63 - 1]) | st.integers(0, 2**63),
+        mask=st.sampled_from([0, 1, 2**10_000 - 1, 2**9_999])
+        | st.integers(min_value=0, max_value=2**10_000),
+        new=st.lists(_names, max_size=8)
+        # any JSON value: "new" goes through the canonical encoder
+        | TestEncodeOnce._json,
+    )
+    def test_masked_line_equals_the_canonical_dump(
+        self, seq, op, base, mask, new
+    ):
+        data = {"base": base, "mask": format(mask, "x"), "new": new}
+        entry = JournalEntry(seq, op, data)
+        assert _masked_body(entry) is not None  # the direct path ran
+        line = _encode(entry)
+        assert line == self.canonical(entry)
+        assert _decode(line) == entry
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seq=_counters,
+        op_data=st.sampled_from([
+            ("request", {"packages": ["p0", 'q"\\', "é"]}),
+            ("adopt", {"packages": []}),
+            ("evict_idle", {"max_idle_requests": 3}),
+            ("clear", {}),
+            # near misses of the writer's layout
+            ("request", {"base": True, "mask": "1", "new": []}),
+            ("request", {"base": 1.0, "mask": "1", "new": []}),
+            ("adopt", {"base": 0, "mask": ["1"], "new": []}),
+            ("adopt", {"base": 0, "mask": "1F", "new": []}),
+            ("adopt", {"base": 0, "mask": 'a"\\', "new": []}),
+            ("adopt", {"base": 0, "mask": "é", "new": []}),
+            ("request", {"base": 0, "mask": "1", "new": [], "x": 1}),
+            ("evict_idle", {"base": 0, "mask": "1", "new": []}),
+        ]),
+    )
+    def test_every_other_line_keeps_the_canonical_dump(self, seq, op_data):
+        op, data = op_data
+        entry = JournalEntry(seq, op, data)
+        assert _masked_body(entry) is None
+        assert _encode(entry) == self.canonical(entry)
+
+    def test_a_bool_seq_keeps_the_canonical_dump(self):
+        # _decode lets "seq": true through (a bool is an int), and the
+        # compaction re-encodes what it keeps.
+        entry = JournalEntry(True, "request", {"base": 0, "mask": "1", "new": []})
+        assert _masked_body(entry) is None
+        assert _encode(entry) == self.canonical(entry)
+
+
+class TestBinaryAppendHandle:
+    def test_the_tracked_end_follows_the_file(self, tmp_path):
+        path = tmp_path / "j.journal"
+        journal = Journal(path)
+        for n in range(3):
+            journal.append_many([("request", {"packages": [f"p{n}"]})] * 2)
+            assert journal._end == path.stat().st_size
+        assert [e.seq for e in journal.entries()] == list(range(1, 7))
+        journal.close()
+
+    def test_reopening_after_a_torn_tail_starts_at_the_healed_end(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.journal"
+        first = Journal(path)
+        first.append("request", packages=["p0"])
+        first.close()
+        with open(path, "ab") as fh:
+            fh.write(b'{"crc":1,"data":')  # a crash mid-append
+        journal = Journal(path)
+        journal.read_as_writer()
+        journal.append("request", packages=["p1"])
+        assert journal._end == path.stat().st_size
+        assert [e.seq for e in Journal(path).entries()] == [1, 2]
+        journal.close()
+
+
+class TestRecoveryWritesOnlyWhatChanged:
+    """``recover_state`` re-snapshots only when the bytes would change."""
+
+    def clean_site(self, tmp_path, **cache_kw):
+        state = tmp_path / "state.json"
+        store = JournaledState(state, snapshot_every=4)
+        cache = make_cache(**cache_kw)
+        store.initialise(cache, {"site": "x"})
+        for i in range(11):
+            store.apply(cache, {"site": "x"}, "request",
+                        packages=[f"p{i % 7}", f"p{(3 * i) % 11}"])
+        store.flush(cache, {"site": "x"})
+        store.journal.close()
+        return state
+
+    @pytest.mark.parametrize("cache_kw", [{}, {"candidate_order": "random"}])
+    def test_a_clean_site_is_left_byte_identical(self, tmp_path, cache_kw):
+        state = self.clean_site(tmp_path, **cache_kw)
+        before = state.read_bytes()
+        inode = state.stat().st_ino  # a save renames a new file in
+        recovered, _, replayed = recover_state(
+            state, package_size=SIZE.__getitem__, **cache_kw
+        )
+        assert replayed == 0
+        assert state.read_bytes() == before
+        assert state.stat().st_ino == inode  # not rewritten at all
+        # ... and it is what a forced save would have written
+        forced = tmp_path / "forced.json"
+        save_state(forced, recovered, {"site": "x"}, journal_seq=11)
+        assert forced.read_bytes() == before
+
+    def test_a_replayed_tail_is_folded_in(self, tmp_path):
+        state = self.clean_site(tmp_path)
+        store = JournaledState(state, snapshot_every=100)
+        cache, meta, _ = store.load(SIZE.__getitem__)
+        store.apply(cache, meta, "request", packages=["p20"])
+        store.journal.close()
+        before = state.read_bytes()
+        _, _, replayed = recover_state(state, package_size=SIZE.__getitem__)
+        assert replayed == 1 and state.read_bytes() != before
+        assert load_bundle(state, SIZE.__getitem__).journal_seq == 12
+        assert Journal(state.with_name("state.json.journal")).entries() == []
+
+    def test_a_reformatted_file_is_rewritten_canonically(self, tmp_path):
+        state = self.clean_site(tmp_path)
+        canonical = state.read_bytes()
+        state.write_text(json.dumps(json.loads(canonical), indent=1))
+        assert not load_bundle(state, SIZE.__getitem__).canonical
+        recover_state(state, package_size=SIZE.__getitem__)
+        assert state.read_bytes() == canonical
+
+    def test_a_v2_file_is_rewritten_as_v3(self, tmp_path):
+        fixture = Path(__file__).parent / "fixtures" / "state_v2.json"
+        state = tmp_path / "state.json"
+        state.write_bytes(fixture.read_bytes())
+        # The journal covers what the file does: only the version differs.
+        state.with_name("state.json.journal").write_text(_encode_marker(5))
+        size_of = {f"p{i}": 10 for i in range(30)}.__getitem__
+        assert not load_bundle(state, size_of).canonical
+        _, _, replayed = recover_state(state, package_size=size_of)
+        assert replayed == 0
+        assert json.loads(state.read_bytes())["version"] == 3
+        assert load_bundle(state, size_of).canonical
 
 
 class TestJournalSpecsAreTransient:

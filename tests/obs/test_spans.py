@@ -7,9 +7,12 @@ waterfall renderer.  Everything runs on a FrozenClock, so span
 timestamps and durations are byte-stable.
 """
 
+import os
+import re
+
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, spans
 from repro.obs.clock import FrozenClock
 from repro.obs.spans import (
     SERVICE_STAGES,
@@ -33,6 +36,41 @@ class TestTraceContext:
         assert len(new_trace_id()) == 32
         assert len(new_span_id()) == 16
         int(new_trace_id(), 16)  # pure hex
+
+    def test_ids_are_lowercase_hex_and_distinct(self):
+        trace_ids = [new_trace_id() for _ in range(500)]
+        span_ids = [new_span_id() for _ in range(500)]
+        for ids, width in ((trace_ids, 32), (span_ids, 16)):
+            assert all(re.fullmatch(f"[0-9a-f]{{{width}}}", i) for i in ids)
+            assert len(set(ids)) == len(ids)
+        for trace_id, span_id in zip(trace_ids, span_ids):
+            header = format_traceparent(trace_id, span_id)
+            assert parse_traceparent(header) == (trace_id, span_id)
+
+    def test_an_all_zero_draw_is_drawn_again(self, monkeypatch):
+        # Leading zeros are kept: the id is padded, never shortened.
+        draws = iter([0, 1, 0, 2])
+        monkeypatch.setattr(spans._ids, "getrandbits", lambda k: next(draws))
+        assert new_trace_id() == "0" * 31 + "1"
+        assert new_span_id() == "0" * 15 + "2"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_draws_other_ids_than_its_parent(self):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its next ids, then leave at once
+            try:
+                os.write(write_end, (new_trace_id() + new_span_id()).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            child = pipe.read().decode()
+        os.waitpid(pid, 0)
+        # Without the reseed the child's generator is a copy of the
+        # parent's, and both would draw the same next ids.
+        assert len(child) == 48
+        assert new_trace_id() + new_span_id() != child
 
     def test_header_shape(self):
         header = format_traceparent("ab" * 16, "cd" * 8)
