@@ -327,6 +327,7 @@ class TestCheckpoint:
 
     def test_orderings(self, tmp_path, monkeypatch):
         import json
+        import os
         from statistics import median
         from time import perf_counter, process_time
 
@@ -338,7 +339,9 @@ class TestCheckpoint:
         # Short lines for the compaction pair: renaming over a file makes
         # the file system free its blocks (~0.4 ms per MB here) -- not
         # this code's cost, and at 6 MB of zone-sized lines it would be
-        # all the pair measures.
+        # all the pair measures.  Even at 180 KB it moved the pair's
+        # ratio between 1.2x and 1.5x, so the blocks are also freed off
+        # the clock (``compact_cpu``).
         short = self._window(ZONE_SPEC // 40)
 
         def ms(call, clock=perf_counter):
@@ -348,6 +351,17 @@ class TestCheckpoint:
 
         def compact():
             assert journal.compact(journal.last_seq) > 0
+
+        def compact_cpu():
+            # A second link holds the dropped file's blocks, so they are
+            # freed after the clock stops rather than in the rename or the
+            # close.  Anything the code reads or parses is still timed.
+            held = tmp_path / "held.journal"
+            os.link(journal.path, held)
+            try:
+                return ms(compact, process_time)
+            finally:
+                held.unlink()
 
         # The machine has slow spells longer than a round: a checkpoint
         # is compared with the two group commits it follows, round by
@@ -362,13 +376,19 @@ class TestCheckpoint:
         append, checkpoint = median(appends), median(checkpoints)
         # CPU time for the compaction pair: what this code does, not how
         # long the disk took over the two fsyncs (that varies by > 1.5x).
+        # Compared round by round too, as the checkpoint pair is: the
+        # CPU time of one compaction drifts by > 2x between rounds.
         compactions = {64: [], 640: []}
-        for _ in range(15):
+        for _ in range(45):
             for n_entries, series in compactions.items():
                 for _ in range(n_entries // self.WINDOW):
                     journal.append_many(short)
-                series.append(ms(compact, process_time))
-        compact_64, compact_640 = min(compactions[64]), min(compactions[640])
+                series.append(compact_cpu())
+        compact_64, compact_640 = (median(compactions[64]),
+                                   median(compactions[640]))
+        compact_ratio = median(
+            big / small for small, big in zip(*compactions.values())
+        )
 
         dumps = []
         real = json.dumps
@@ -382,11 +402,11 @@ class TestCheckpoint:
             f"\ncheckpoint of a zone-sized cache, ms: {checkpoint:.2f} whole, "
             f"{median(ratios):.2f}x a group commit of {self.WINDOW} entries "
             f"({append:.2f}); compaction CPU {compact_64:.2f} after 64 "
-            f"entries, {compact_640:.2f} after 640; "
+            f"entries, {compact_640:.2f} after 640, {compact_ratio:.2f}x; "
             f"json.dumps calls per save_state: {len(dumps)}"
         )
         assert len(dumps) == 1
-        assert compact_640 < 1.5 * compact_64
+        assert compact_ratio < 1.5
         assert median(ratios) < 3
 
 

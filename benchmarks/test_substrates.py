@@ -1,54 +1,12 @@
-"""Benchmarks for the substrate layers: scheduling, pilots, adaptation,
-solver, catalogs — the pieces every experiment composes."""
-
-import pytest
+"""Benchmarks for the substrate layers: adaptation, solver, catalogs —
+the pieces every experiment composes."""
 
 from repro.core.adaptive import AlphaController
 from repro.core.cache import LandlordCache
 from repro.cvmfs.nested import NestedCatalogTree
-from repro.htc.cluster import Cluster, Site
-from repro.htc.pilot import JobQueue, PilotFactory
-from repro.htc.scheduler import Scheduler
-from repro.htc.workload import DependencyWorkload, build_stream, jobs_from_specs
+from repro.htc.workload import DependencyWorkload, build_stream
 from repro.packages.resolve import DependencySolver
 from repro.util.rng import spawn
-from repro.util.units import GB
-
-
-@pytest.fixture(scope="module")
-def jobs_and_repo(bench_repo):
-    workload = DependencyWorkload(bench_repo, max_selection=8)
-    rng = spawn(11, "bench-jobs")
-    jobs = jobs_from_specs(
-        workload.sample_specs(rng, 60), rng, mean_runtime=60.0
-    )
-    return jobs, bench_repo
-
-
-def test_scheduler_throughput(benchmark, jobs_and_repo):
-    jobs, repo = jobs_and_repo
-
-    def run():
-        cluster = Cluster(
-            [Site(f"s{i}", repo, cache_bytes=30 * GB, n_workers=4,
-                  worker_scratch_bytes=20 * GB) for i in range(2)]
-        )
-        return Scheduler(cluster).run(jobs)
-
-    summary = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert summary.jobs == len(jobs)
-
-
-def test_pilot_drain_throughput(benchmark, jobs_and_repo):
-    jobs, repo = jobs_and_repo
-
-    def run():
-        site = Site("s0", repo, cache_bytes=30 * GB, n_workers=4,
-                    worker_scratch_bytes=20 * GB)
-        return PilotFactory(site, max_jobs_per_pilot=10).drain(JobQueue(jobs))
-
-    summary = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert summary.jobs_left == 0
 
 
 def test_adaptive_controller_overhead(benchmark, bench_repo, scale):

@@ -21,8 +21,8 @@ Quick start::
 
 Subpackages: :mod:`repro.core` (the contribution), :mod:`repro.packages`
 (software repositories), :mod:`repro.cvmfs` (content-addressed store +
-Shrinkwrap), :mod:`repro.containers` (images, layering, stores),
-:mod:`repro.htc` (workloads, simulator, cluster), :mod:`repro.specs`
+Shrinkwrap), :mod:`repro.containers` (images, layering, registry),
+:mod:`repro.htc` (workloads, simulator, traces), :mod:`repro.specs`
 (specification inference), :mod:`repro.analysis` (sweeps, metrics),
 :mod:`repro.experiments` (every paper figure).
 """

@@ -149,26 +149,15 @@ def _capacity(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _engine_arg(parser: argparse.ArgumentParser) -> None:
-    """``--engine``: replay, submit, serve and sweep."""
-    from repro.core.engine import ENGINES
-
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
-                        help="cache decision engine (bit-identical results, "
-                        "so snapshots restore across engines; default: "
-                        "%(default)s)")
-
-
 def _cache_args(parser: argparse.ArgumentParser, alpha: float) -> None:
-    """``--alpha``/``--capacity``/``--engine``: the cache replay, submit
-    and serve build (a persistent state keeps the α and capacity it was
+    """``--alpha``/``--capacity``: the cache replay, submit and serve
+    build (a persistent state keeps the α and capacity it was
     initialised with)."""
     parser.add_argument("--alpha", type=float, default=alpha,
                         help="merge threshold (default: %(default)s)")
     parser.add_argument("--capacity", type=_capacity, default=None,
                         help="cache capacity, e.g. 300GB (default: the "
                         "scale's)")
-    _engine_arg(parser)
 
 
 def _state_args(parser: argparse.ArgumentParser,
@@ -317,16 +306,14 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
         args.state, args.journal,
         snapshot_every=getattr(args, "snapshot_every", 1),
     )
-    engine = getattr(args, "engine", "vectorized")
     try:
-        cache, metadata, replayed = store.load(repo.size_of, engine=engine)
+        cache, metadata, replayed = store.load(repo.size_of)
     except StateNotFound as exc:
         if not initialise:
             raise _InputError(str(exc)) from exc
         capacity = scale.capacity if args.capacity is None else args.capacity
         try:
-            cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                                  engine=engine)
+            cache = LandlordCache(capacity, args.alpha, repo.size_of)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         metadata = {"repository": repo_meta}
@@ -552,7 +539,6 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
                         help="collect per-run cache metrics and save the "
                         "aggregated registry (.json = JSON snapshot, "
                         "anything else = Prometheus text format)")
-    _engine_arg(parser)
     _serve_args(parser, serves="live fleet telemetry (per-worker series "
                 "plus the aggregate of the cells finished so far) during "
                 "and after the sweep")
@@ -600,7 +586,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
             print(f"telemetry on http://127.0.0.1:{port} "
                   "(/metrics /statusz)")
         sweep = alpha_sweep(
-            base_config(scale, seed=args.seed, engine=args.engine),
+            base_config(scale, seed=args.seed),
             alphas=alphas,
             repetitions=repetitions,
             label="sweep",
@@ -916,8 +902,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     capacity = scale.capacity if args.capacity is None else args.capacity
     try:
         cache = LandlordCache(capacity, args.alpha, repo.size_of,
-                              record_events=bool(args.events_out),
-                              engine=args.engine)
+                              record_events=bool(args.events_out))
     except ValueError as exc:
         parser.error(str(exc))
     registry = None

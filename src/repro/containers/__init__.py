@@ -7,27 +7,19 @@ Models the artifacts LANDLORD manages without ever executing a container:
 - :mod:`repro.containers.layers` — Docker-style *layered* images, where
   history is additive and masked content still occupies storage; used for
   the Figure 1 layering-vs-composition comparison.
-- :mod:`repro.containers.store` — a byte-capacity image store with LRU
-  bookkeeping and a write ledger (worker-node scratch space).
-- :mod:`repro.containers.builder` — builds and merges images through the
-  Shrinkwrap cost model.
+- :mod:`repro.containers.registry` — a content-indexed image registry
+  that sites push built images to and pull from instead of rebuilding.
 """
 
-from repro.containers.builder import BuildCost, ImageBuilder
 from repro.containers.image import ContainerImage
 from repro.containers.layers import Layer, LayeredImage, LayerStore
 from repro.containers.registry import ImageRegistry, RegistryStats
-from repro.containers.store import ImageStore, StoreStats
 
 __all__ = [
     "ContainerImage",
     "Layer",
     "LayeredImage",
     "LayerStore",
-    "ImageStore",
-    "StoreStats",
     "ImageRegistry",
     "RegistryStats",
-    "ImageBuilder",
-    "BuildCost",
 ]

@@ -100,8 +100,11 @@ def run(scale: Scale, seed: int = 2020) -> Dict[str, object]:
         for _ in range(steps_per_user - 1):
             additions = set(workload.sample(rng))
             drop_count = min(len(current) // 4, 25)
+            # Sorted: a set of strings iterates in hash order, which
+            # changes with PYTHONHASHSEED from one process to the next.
+            ordered = sorted(current)
             drops = set(
-                list(current)[i]
+                ordered[i]
                 for i in rng.choice(len(current), size=drop_count, replace=False)
             ) if drop_count else set()
             current = (current - drops) | additions

@@ -2,7 +2,9 @@
 
 Models the job side of the paper's evaluation:
 
-- :mod:`repro.htc.job` — jobs and per-job results.
+- :mod:`repro.htc.job` — jobs (a spec plus a runtime).
+- :mod:`repro.htc.arrivals` — submit-time processes (Poisson, diurnal,
+  campaign bursts) for throughput questions.
 - :mod:`repro.htc.workload` — the paper's two image-request generation
   schemes (§VI, *Simulating HTC Jobs*): dependency-tree-based and uniform
   random, plus repeated-stream assembly.
@@ -10,9 +12,6 @@ Models the job side of the paper's evaluation:
   as model workloads over per-experiment repositories.
 - :mod:`repro.htc.simulator` — the trace-driven cache simulation with
   per-request time series (Figures 4–8).
-- :mod:`repro.htc.cluster` / :mod:`repro.htc.scheduler` — a multi-site
-  cluster with per-site LANDLORD instances and worker scratch stores (the
-  distributed deployment of §V).
 - :mod:`repro.htc.trace` — save/load/replay of job streams.
 """
 
@@ -22,8 +21,7 @@ from repro.htc.arrivals import (
     diurnal_arrivals,
     poisson_arrivals,
 )
-from repro.htc.job import Job, JobResult
-from repro.htc.pilot import JobQueue, Pilot, PilotFactory
+from repro.htc.job import Job
 from repro.htc.simulator import (
     SimulationConfig,
     SimulationResult,
@@ -39,10 +37,6 @@ from repro.htc.workload import (
 
 __all__ = [
     "Job",
-    "JobResult",
-    "JobQueue",
-    "Pilot",
-    "PilotFactory",
     "poisson_arrivals",
     "diurnal_arrivals",
     "campaign_arrivals",

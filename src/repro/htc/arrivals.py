@@ -1,8 +1,8 @@
 """Job arrival processes — putting wall-clock time under the stream.
 
 The trace-driven simulations treat requests as an ordered sequence; for
-throughput questions (examples and the scheduler/pilot substrates) jobs
-need *submit times*.  HTC arrival patterns are bursty: users submit
+throughput questions (an open-loop load generator, for one) jobs need
+*submit times*.  HTC arrival patterns are bursty: users submit
 campaigns of many jobs at once, on top of a diurnal baseline.  Three
 processes:
 

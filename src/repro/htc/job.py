@@ -1,20 +1,18 @@
-"""Jobs and their results.
+"""Jobs.
 
 A job in this reproduction is a specification plus a runtime; HTC streams
-are just sequences of jobs.  Results carry the container decision and the
-modelled costs so schedulers and reports can aggregate throughput and
-overhead.
+are just sequences of jobs (saved and replayed by :mod:`repro.htc.trace`,
+timed by :mod:`repro.htc.arrivals`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
-from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
 
-__all__ = ["Job", "JobResult"]
+__all__ = ["Job"]
 
 
 @dataclass(frozen=True)
@@ -43,30 +41,3 @@ class Job:
     def packages(self) -> FrozenSet[str]:
         return self.spec.packages
 
-
-@dataclass(frozen=True)
-class JobResult:
-    """Outcome of running one job through a landlord + worker."""
-
-    job: Job
-    action: EventKind
-    image_id: str
-    image_bytes: int
-    requested_bytes: int
-    prep_seconds: float
-    transfer_seconds: float = 0.0
-    worker: Optional[str] = None
-    site: Optional[str] = None
-
-    @property
-    def total_seconds(self) -> float:
-        """Prep + transfer + execution."""
-        return self.prep_seconds + self.transfer_seconds + self.job.runtime_seconds
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Share of wall-clock not spent executing the job itself."""
-        total = self.total_seconds
-        if total == 0:
-            return 0.0
-        return (self.prep_seconds + self.transfer_seconds) / total

@@ -46,14 +46,6 @@ _TIMELINE_FIELDS = (
 )
 
 
-def _check_batch_size(batch_size: object) -> None:
-    if type(batch_size) is not int or batch_size < 0:  # no bool, no float
-        raise ValueError(
-            f"batch_size must be an int >= 0, got {batch_size!r} "
-            "(batch_size='auto' was removed with the prediction window)"
-        )
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce one simulation run.
@@ -79,14 +71,6 @@ class SimulationConfig:
     candidate_order: str = "distance"
     eviction: str = "lru"
     merge_write_mode: str = "full"
-    # Which decision engine resolves the cache's inner scans ("vectorized"
-    # or "naive").  A pure performance knob — the engines are
-    # bit-identical, so results never depend on it.
-    engine: str = "vectorized"
-    # 0 = sequential request() calls; N >= 1 = one submit_batch call
-    # that interns N specs ahead.  Decisions are bit-identical either
-    # way; N >= 1 requires record_timeline=False.
-    batch_size: int = 0
     record_timeline: bool = True
     # Observability: when True, the run builds a repro.obs.MetricsRegistry,
     # instruments the cache with it, and returns its snapshot in
@@ -97,9 +81,6 @@ class SimulationConfig:
     # windowed series in SimulationResult.slo_window (the full enabled
     # telemetry path the overhead benchmark bounds).
     collect_slo: bool = False
-
-    def __post_init__(self) -> None:
-        _check_batch_size(self.batch_size)
 
     def with_(self, **changes: object) -> "SimulationConfig":
         """A modified copy (sweep helper)."""
@@ -192,7 +173,8 @@ def simulate_stream(
     :class:`repro.obs.AlertEngine`) is then evaluated against the window
     after every request — neither ever perturbs decisions.
     """
-    _check_batch_size(batch_size)
+    if type(batch_size) is not int or batch_size < 0:  # no bool, no float
+        raise ValueError(f"batch_size must be an int >= 0, got {batch_size!r}")
     sim_requests = sim_request_s = None
     if metrics is not None:
         enable = getattr(cache, "enable_metrics", None)
@@ -335,7 +317,6 @@ def simulate(
         candidate_order=config.candidate_order,
         eviction=config.eviction,
         merge_write_mode=config.merge_write_mode,
-        engine=config.engine,
         rng=spawn(config.seed, "cache-rng"),
     )
     metrics = MetricsRegistry() if config.collect_metrics else None
@@ -347,5 +328,4 @@ def simulate(
     return simulate_stream(
         cache, stream, config=config,
         record_timeline=config.record_timeline, metrics=metrics, slo=slo,
-        batch_size=config.batch_size,
     )

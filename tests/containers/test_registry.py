@@ -89,13 +89,13 @@ class TestCrossSiteScenario:
     def test_second_site_pulls_instead_of_rebuilding(self, small_sft):
         """Site A builds + pushes; site B's request is served from the
         registry at pull cost instead of a fresh Shrinkwrap build."""
-        from repro.containers.builder import ImageBuilder
         from repro.cvmfs.shrinkwrap import Shrinkwrap
 
         registry = ImageRegistry()
-        builder_a = ImageBuilder(Shrinkwrap(small_sft))
         spec = ImageSpec(small_sft.ids[:5])
-        built, cost_a = builder_a.build(spec)
+        report = Shrinkwrap(small_sft).build(spec)
+        built = ContainerImage(spec=ImageSpec(report.packages),
+                               size=report.image_bytes)
         registry.push(built)
 
         found = registry.find_satisfying(spec)

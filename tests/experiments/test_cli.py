@@ -223,3 +223,29 @@ class TestNoJournalIsGone:
         assert run_cli([*argv, *made, "--no-journal"]) == 2
         assert "--no-journal" in capsys.readouterr().err
         assert (state.read_bytes(), journal.read_bytes()) == before
+
+
+class TestEngineIsGone:
+    """The decision engine is not a user choice: the engines are
+    bit-identical, so ``--engine`` is refused by name and touches no
+    site."""
+
+    @pytest.mark.parametrize("command", [
+        ["submit", "{d}/job.txt", *MADE], ["serve", *MADE],
+        ["replay", "{d}/trace.jsonl", "--scale", "tiny"],
+        ["sweep", "--scale", "tiny"],
+    ])
+    def test_refused_and_the_site_untouched(self, command, tmp_path, capsys):
+        state = tmp_path / "made.json"
+        journal = state.with_name(state.name + ".journal")
+        made = [a.format(d=tmp_path) for a in MADE]
+        (tmp_path / "job.txt").write_text("app-0000/1.0/x86_64-el7\n")
+        for _ in range(3):
+            assert run_cli(["submit", str(tmp_path / "job.txt"), *made,
+                            "--snapshot-every", "2"]) == 0
+        before = state.read_bytes(), journal.read_bytes()
+        capsys.readouterr()
+        argv = [a.format(d=tmp_path) for a in command]
+        assert run_cli([*argv, "--engine", "naive"]) == 2
+        assert "--engine" in capsys.readouterr().err
+        assert (state.read_bytes(), journal.read_bytes()) == before

@@ -62,7 +62,6 @@ SURFACE = {
         "--alpha": (0.75, None, None),
         "--batch-size": (0, None, None),
         "--capacity": (None, None, None),
-        "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--events-out": (None, None, None),
         "--metrics-out": (None, None, None),
         "--scale": (None, ("tiny", "quick", "paper"), None),
@@ -75,7 +74,6 @@ SURFACE = {
         "--alert-rules": (None, None, None),
         "--alpha": (0.8, None, None),
         "--capacity": (None, None, None),
-        "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--journal": (None, None, None),
         "--max-batch": (256, None, None),
         "--max-queue": (1024, None, None),
@@ -98,7 +96,6 @@ SURFACE = {
         "--alert-rules": (None, None, None),
         "--alpha": (0.8, None, None),
         "--capacity": (None, None, None),
-        "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--journal": (None, None, None),
         "--metrics-out": (None, None, None),
         "--no-closure": (False, None, 0),
@@ -118,7 +115,6 @@ SURFACE = {
     },
     "sweep": {
         "--alpha": (None, None, 3),
-        "--engine": ("vectorized", ("naive", "vectorized"), None),
         "--json": (None, None, None),
         "--metrics-out": (None, None, None),
         "--port-file": (None, None, None),

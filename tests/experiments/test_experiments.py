@@ -4,6 +4,10 @@ Each test runs the experiment's ``run`` and asserts the qualitative shape
 the paper reports — these are the statements EXPERIMENTS.md makes, executed.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,23 @@ class TestFig1:
     def test_report_renders(self):
         out = fig1_layering.report(fig1_layering.run(TINY, seed=SEED))
         assert "Figure 1" in out
+
+    def test_independent_of_the_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED, so a result that
+        # depends on it differs between two processes
+        code = (
+            "import json; from repro.experiments import TINY, fig1_layering; "
+            f"print(json.dumps(fig1_layering.run(TINY, seed={SEED}), "
+            "sort_keys=True, default=str))"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed}, check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
 
 class TestFig2:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
-from repro.htc.job import Job, JobResult
+from repro.htc.job import Job
 
 
 def job(runtime=100.0):
@@ -24,29 +23,3 @@ class TestJob:
         with pytest.raises(Exception):
             j.user = "other"
 
-
-class TestJobResult:
-    def result(self, prep=20.0, transfer=5.0, runtime=100.0):
-        return JobResult(
-            job=job(runtime),
-            action=EventKind.INSERT,
-            image_id="img-0",
-            image_bytes=1000,
-            requested_bytes=800,
-            prep_seconds=prep,
-            transfer_seconds=transfer,
-        )
-
-    def test_total_seconds(self):
-        assert self.result().total_seconds == 125.0
-
-    def test_overhead_fraction(self):
-        assert self.result().overhead_fraction == pytest.approx(25 / 125)
-
-    def test_zero_everything(self):
-        r = JobResult(
-            job=job(runtime=0.0), action=EventKind.HIT, image_id="i",
-            image_bytes=0, requested_bytes=0, prep_seconds=0.0,
-        )
-        assert r.total_seconds == 0.0
-        assert r.overhead_fraction == 0.0

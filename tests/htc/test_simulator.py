@@ -83,6 +83,12 @@ class TestSimulate:
         assert cfg.with_(alpha=0.5).alpha == 0.5
         assert cfg.alpha == 0.75  # original untouched
 
+    @pytest.mark.parametrize("knob", ["engine", "batch_size"])
+    def test_config_has_no_performance_knobs(self, knob):
+        # results never depended on them, so a run is not configured by them
+        with pytest.raises(TypeError, match=knob):
+            tiny_config(**{knob: 0})
+
     def test_prebuilt_repository_reused(self, small_sft):
         cfg = tiny_config(n_packages=len(small_sft))
         result = simulate(cfg, repository=small_sft)
@@ -123,23 +129,13 @@ class TestSimulateStream:
         assert caches[0].snapshot() == caches[2].snapshot()
 
     def test_bad_batch_size_rejected(self, tiny_repo):
-        # at the edge: before a request is served, and at construction
+        # at the edge: before a request is served
         cache = LandlordCache(1000, 0.8, tiny_repo.size_of)
         for bad in ("auto", "turbo", True, 2.0, -1):
             with pytest.raises(ValueError, match="batch_size"):
                 simulate_stream(cache, [frozenset({"base/1.0"})],
                                 record_timeline=False, batch_size=bad)
-            with pytest.raises(ValueError, match="batch_size"):
-                tiny_config(batch_size=bad)
         assert cache.stats.requests == 0
-
-    def test_config_batch_size_auto(self):
-        # "auto" went with the prediction window; an integer is what is left
-        with pytest.raises(ValueError, match="removed"):
-            tiny_config(batch_size="auto", record_timeline=False)
-        result = simulate(tiny_config(batch_size=16, record_timeline=False))
-        sequential = simulate(tiny_config(record_timeline=False))
-        assert result.summary() == sequential.summary()
 
 
 class TestMakeWorkload:

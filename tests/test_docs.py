@@ -63,6 +63,30 @@ class TestDesign:
         for bench in set(re.findall(r"`(benchmarks/\w+\.py)`", text)):
             assert (ROOT / bench).exists(), bench
 
+    def test_module_map_names_only_files_that_exist(self):
+        # §3's tree: a name ending in "/" opens a directory, and each two
+        # columns of indentation is one level under src/repro/
+        text = read("DESIGN.md")
+        tree = text.split("## 3. System inventory", 1)[1]
+        tree = tree.split("```", 2)[1]
+        lines = tree.splitlines()[1:]
+        assert lines[0] == "src/repro/"
+        stack, named = [ROOT / "src" / "repro"], []
+        for line in lines[1:]:
+            match = re.match(r"( +)(\S+)(?:  |$)", line)
+            if not match or len(match[1]) > 8:
+                continue  # a description's continuation line
+            depth = len(match[1]) // 2
+            del stack[depth:]
+            path = stack[-1] / match[2]
+            if match[2].endswith("/"):
+                stack.append(path)
+            elif match[2].endswith(".py"):
+                named.append(path)
+        assert len(named) > 40
+        for path in named:
+            assert path.is_file(), path.relative_to(ROOT)
+
     def test_mismatch_notice_absent(self):
         # DESIGN.md §0 requires flagging a paper-text mismatch; we verified
         # the text matches, so no mismatch notice should exist.

@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.py"))
@@ -55,9 +53,3 @@ class TestExamplesRun:
     def test_federated_sites(self):
         out = run_example("federated_sites.py")
         assert "isolated" in out and "federated" in out and "registry" in out
-
-    @pytest.mark.slow
-    def test_multi_site(self):
-        out = run_example("multi_site.py")
-        assert "policy=round_robin" in out
-        assert "policy=sticky_user" in out
