@@ -6,27 +6,26 @@ over the runs.  At each choice of α (in steps of 0.05) we performed a set
 of 20 simulated runs."*  The repository is fixed across repetitions (it
 models the one real SFT tree); only the request stream varies by seed.
 
-Every ``(α, repetition)`` cell is an independent simulation, so sweeps
-fan out over worker processes (:mod:`repro.parallel`) when asked to:
-pass ``workers=N`` (or set ``REPRO_WORKERS``) for process-pool execution,
-or share one :class:`~repro.parallel.SimulationPool` across several
-sweeps via ``pool=``.  Repetition seeds derive from
-:func:`repro.parallel.repetition_seeds` in both the serial and parallel
-paths, and results are aggregated in cell order — a parallel sweep is
-**bit-identical** to a serial one, whatever the worker count.
+Every sweep runs through one :class:`~repro.parallel.SimulationPool`:
+the caller's (``pool=``, shared across several sweeps) or one opened for
+the call with ``workers`` processes (explicit > ``REPRO_WORKERS`` > all
+CPUs; ``workers=1`` is the pool's in-process loop).  Each
+``(α, repetition)`` cell is an independent simulation whose seed derives
+from :func:`repro.parallel.repetition_seeds`, and results are aggregated
+in cell order — a sweep is **bit-identical** whatever the worker count.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.htc.simulator import SimulationConfig, SimulationResult, simulate
+from repro.htc.simulator import SimulationConfig, SimulationResult
 from repro.packages.repository import Repository
-from repro.packages.sft import build_experiment_repository
-from repro.parallel.pool import resolve_workers
 from repro.parallel.seeds import repetition_seeds
 from repro.parallel.simulations import (
     RepositorySource,
@@ -39,9 +38,18 @@ __all__ = ["SweepResult", "run_repetitions", "alpha_sweep", "default_alphas"]
 
 
 def default_alphas(step: float = 0.05, lo: float = 0.4, hi: float = 1.0) -> np.ndarray:
-    """The paper's α grid: ``lo`` to ``hi`` inclusive in ``step`` steps."""
-    count = int(round((hi - lo) / step)) + 1
-    return np.round(np.linspace(lo, hi, count), 6)
+    """The paper's α grid: ``lo`` to ``hi`` inclusive in ``step`` steps.
+
+    Raises :class:`ValueError` when ``step`` does not divide ``hi − lo``
+    into whole steps, rather than silently choosing another grid.
+    """
+    steps = (hi - lo) / step
+    if not math.isclose(steps, round(steps), abs_tol=1e-6):
+        raise ValueError(
+            f"alpha step {step:g} does not divide [{lo:g}, {hi:g}] "
+            "into whole steps"
+        )
+    return np.round(np.linspace(lo, hi, int(round(steps)) + 1), 6)
 
 
 def _repetition_configs(
@@ -60,16 +68,38 @@ def _repository_source(
     """What to install in workers: the object, or a rebuildable spec."""
     if repository is not None:
         return repository
-    if config.seed is None:
-        # An unseeded repository cannot be rebuilt identically per worker;
-        # build it once here and ship the object instead.
-        return build_experiment_repository(
-            config.repo_kind,
-            seed=config.seed,
-            n_packages=config.n_packages,
-            target_total_size=config.repo_total_size,
+    spec = RepositorySpec.from_config(config)
+    # An unseeded repository cannot be rebuilt identically per worker;
+    # build it once here and ship the object instead.
+    return spec if spec.seed is not None else spec.build()
+
+
+def _run_cells(
+    config: SimulationConfig,
+    cells: List[SimulationConfig],
+    labels: List[str],
+    progress: Callable[[int, int, str], None],
+    repository: Optional[Repository],
+    workers: Optional[int],
+    pool: Optional[SimulationPool],
+    metrics,
+    telemetry,
+) -> List[SimulationResult]:
+    """Run ``cells`` on ``pool``, or on one opened for this call only."""
+    if metrics is not None or telemetry is not None:
+        cells = [c.with_(collect_metrics=True) for c in cells]
+    if pool is not None:
+        opened = nullcontext(pool)  # the caller's pool outlives this call
+    else:
+        opened = SimulationPool(
+            _repository_source(config, repository), workers,
+            telemetry=telemetry,
         )
-    return RepositorySpec.from_config(config)
+    with opened as runner:
+        results = runner.run(cells, labels=labels, progress=progress)
+    if metrics is not None:
+        merge_result_metrics(results, metrics)
+    return results
 
 
 def run_repetitions(
@@ -84,11 +114,13 @@ def run_repetitions(
 ) -> List[SimulationResult]:
     """Run ``repetitions`` simulations differing only in workload seed.
 
-    ``workers`` fans the repetitions out over processes (default: serial,
-    or ``REPRO_WORKERS``); ``pool`` reuses an existing
-    :class:`~repro.parallel.SimulationPool` instead (its repository
-    source takes precedence over ``repository``).  Results are ordered by
-    repetition index and identical for every worker count.
+    The repetitions run through one
+    :class:`~repro.parallel.SimulationPool`: ``pool`` when given (its
+    repository source takes precedence over ``repository``), else one
+    opened for this call with ``workers`` processes (explicit >
+    ``REPRO_WORKERS`` > all CPUs; 1 runs in-process).  Results are
+    ordered by repetition index and identical for every worker count;
+    ``progress(done, total)`` fires once per repetition.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes every
     repetition collect per-run metrics, merged into the registry in
@@ -97,49 +129,21 @@ def run_repetitions(
     :class:`~repro.obs.telemetry.TelemetryAggregator`) additionally
     ingests each repetition's snapshot live as its result arrives; it
     implies per-run metric collection and applies only when this call
-    builds its own pool (a caller-provided ``pool`` carries its own
+    opens its own pool (a caller-provided ``pool`` carries its own
     telemetry setting).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
-    rep_configs = _repetition_configs(config, repetitions)
-    if metrics is not None or telemetry is not None:
-        rep_configs = [c.with_(collect_metrics=True) for c in rep_configs]
-    rep_labels = [f"rep={rep}" for rep in range(repetitions)]
 
     def bridge(done: int, total: int, _label: str) -> None:
         if progress is not None:
             progress(done, total)
 
-    def finish(results: List[SimulationResult]) -> List[SimulationResult]:
-        if metrics is not None:
-            merge_result_metrics(results, metrics)
-        return results
-
-    if pool is not None:
-        return finish(pool.run(rep_configs, labels=rep_labels,
-                               progress=bridge))
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 or telemetry is not None:
-        source = _repository_source(config, repository)
-        with SimulationPool(
-            source, n_workers, telemetry=telemetry
-        ) as own_pool:
-            return finish(own_pool.run(rep_configs, labels=rep_labels,
-                                       progress=bridge))
-    if repository is None:
-        repository = build_experiment_repository(
-            config.repo_kind,
-            seed=config.seed,
-            n_packages=config.n_packages,
-            target_total_size=config.repo_total_size,
-        )
-    results = []
-    for rep, rep_config in enumerate(rep_configs):
-        results.append(simulate(rep_config, repository=repository))
-        if progress is not None:
-            progress(rep + 1, repetitions)
-    return finish(results)
+    return _run_cells(
+        config, _repetition_configs(config, repetitions),
+        [f"rep={rep}" for rep in range(repetitions)], bridge,
+        repository, workers, pool, metrics, telemetry,
+    )
 
 
 @dataclass
@@ -237,18 +241,21 @@ def alpha_sweep(
 
     The repository is built once from the base config and reused for every
     point — matching the paper, where the software tree is an input, not a
-    random variable.  With ``workers=N`` (or a shared ``pool=``) the
-    ``(α, repetition)`` cells fan out over worker processes, each of which
-    builds that repository once; results are keyed by cell index, so the
-    returned :class:`SweepResult` is bit-identical to the serial one.
+    random variable.  The ``(α, repetition)`` cells run through one
+    :class:`~repro.parallel.SimulationPool`: ``pool`` when given, else
+    one opened for this call with ``workers`` processes (explicit >
+    ``REPRO_WORKERS`` > all CPUs; 1 runs in-process).  Each worker builds
+    the repository once; results are keyed by cell index, so the returned
+    :class:`SweepResult` is bit-identical for every worker count.
+    ``progress(message)`` fires once per cell, naming it.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes every cell
     collect per-run metrics, merged into the registry in cell order —
     deterministic families are bit-identical for any worker count.
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryAggregator`)
     ingests each cell's snapshot live as its result arrives; it implies
-    per-run metric collection and applies only when this call builds
-    its own pool.
+    per-run metric collection and applies only when this call opens its
+    own pool.
     """
     grid = np.asarray(alphas if alphas is not None else default_alphas(), dtype=float)
     if grid.size == 0:
@@ -258,8 +265,6 @@ def alpha_sweep(
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     rep_configs = _repetition_configs(base_config, repetitions)
-    if metrics is not None or telemetry is not None:
-        rep_configs = [c.with_(collect_metrics=True) for c in rep_configs]
     cell_configs = [
         rep_config.with_(alpha=float(alpha))
         for alpha in grid
@@ -275,40 +280,8 @@ def alpha_sweep(
         if progress is not None:
             progress(f"{cell_label} ({done}/{total})")
 
-    n_workers = pool.workers if pool is not None else resolve_workers(workers)
-    if pool is not None or n_workers > 1 or telemetry is not None:
-        own_pool = None
-        if pool is None:
-            source = _repository_source(base_config, repository)
-            pool = own_pool = SimulationPool(
-                source, n_workers, telemetry=telemetry
-            )
-        try:
-            results = pool.run(cell_configs, labels=cell_labels,
-                               progress=bridge)
-        finally:
-            if own_pool is not None:
-                own_pool.close()
-        if metrics is not None:
-            merge_result_metrics(results, metrics)
-        return _aggregate_cells(grid, results, repetitions, label)
-
-    if repository is None:
-        repository = build_experiment_repository(
-            base_config.repo_kind,
-            seed=base_config.seed,
-            n_packages=base_config.n_packages,
-            target_total_size=base_config.repo_total_size,
-        )
-    results = []
-    for i, alpha in enumerate(grid):
-        for config in rep_configs:
-            results.append(
-                simulate(config.with_(alpha=float(alpha)),
-                         repository=repository)
-            )
-        if progress is not None:
-            progress(f"alpha={alpha:.2f} ({i + 1}/{grid.size})")
-    if metrics is not None:
-        merge_result_metrics(results, metrics)
+    results = _run_cells(
+        base_config, cell_configs, cell_labels, bridge,
+        repository, workers, pool, metrics, telemetry,
+    )
     return _aggregate_cells(grid, results, repetitions, label)

@@ -512,8 +512,6 @@ def _cmd_all(argv: Sequence[str]) -> int:
 
 
 def _cmd_sweep(argv: Sequence[str]) -> int:
-    import os
-
     from repro.analysis.report import sweep_table
     from repro.analysis.sweep import alpha_sweep, default_alphas
     from repro.experiments.common import base_config, get_scale
@@ -557,10 +555,13 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
                          f"got {lo} {hi}")
         if step <= 0:
             parser.error(f"--alpha STEP must be positive, got {step}")
-        alphas = default_alphas(step=step, lo=lo, hi=hi)
+        try:
+            alphas = default_alphas(step=step, lo=lo, hi=hi)
+        except ValueError as exc:
+            parser.error(f"--alpha STEP: {exc}")
     repetitions = args.repetitions or scale.repetitions
     try:
-        workers = resolve_workers(args.workers, default=os.cpu_count() or 1)
+        workers = resolve_workers(args.workers)
     except ValueError as exc:
         parser.error(str(exc))
     registry = None
@@ -663,7 +664,7 @@ def _cmd_bench(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     scale = get_scale(args.scale)
     try:
-        workers = resolve_workers(args.workers, default=os.cpu_count() or 1)
+        workers = resolve_workers(args.workers)
     except ValueError as exc:
         parser.error(str(exc))
     config = base_config(scale, seed=args.seed)
@@ -883,19 +884,8 @@ def _cmd_replay(argv: Sequence[str]) -> int:
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="record cache metrics and save the registry "
                         "(.json = JSON snapshot, else Prometheus text)")
-    parser.add_argument("--batch-size", type=int, default=0, metavar="N",
-                        help="serve the trace through one "
-                        "LandlordCache.submit_batch call that interns N "
-                        "requests ahead (bit-identical decisions, lower "
-                        "dispatch overhead; 0 = sequential, incompatible "
-                        "with --alert-rules)")
     _alert_args(parser)
     args = parser.parse_args(argv)
-    if args.batch_size < 0:
-        parser.error("--batch-size must be >= 0")
-    if args.batch_size != 0 and args.alert_rules:
-        parser.error("--batch-size is incompatible with --alert-rules "
-                     "(alert rules are evaluated after every request)")
     stream = _read("trace file", args.trace,
                    lambda path: [job.packages for job in iter_trace(path)])
     scale, repo = _site_repository(args)
@@ -918,8 +908,7 @@ def _cmd_replay(argv: Sequence[str]) -> int:
                              registry=registry)
         slo = SloTracker(window=args.window)
     result = simulate_stream(cache, stream, record_timeline=False,
-                             metrics=registry, slo=slo, alerts=alerts,
-                             batch_size=args.batch_size)
+                             metrics=registry, slo=slo, alerts=alerts)
     stats = result.stats
     print(f"requests={stats.requests} hits={stats.hits} merges={stats.merges} "
           f"inserts={stats.inserts} deletes={stats.deletes}")

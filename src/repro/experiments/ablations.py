@@ -21,8 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.sweep import run_repetitions
 from repro.experiments.common import Scale, base_config, experiment_main
-from repro.packages.sft import build_experiment_repository
-from repro.parallel import RepositorySpec, SimulationPool, resolve_workers
+from repro.parallel import RepositorySpec, SimulationPool
 from repro.util.tables import render_table
 from repro.util.units import format_bytes
 
@@ -38,14 +37,9 @@ def _median(values: List[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _study(
-    config, repository, repetitions: int,
-    pool: Optional[SimulationPool] = None,
-) -> Dict[str, float]:
+def _study(config, repetitions: int, pool: SimulationPool) -> Dict[str, float]:
     start = time.perf_counter()
-    results = run_repetitions(
-        config, repetitions, repository=repository, pool=pool
-    )
+    results = run_repetitions(config, repetitions, pool=pool)
     elapsed = time.perf_counter() - start
     summaries = [r.summary() for r in results]
     out = {
@@ -65,47 +59,24 @@ def run(
     scale: Scale, seed: int = 2020, workers: Optional[int] = None
 ) -> Dict[str, object]:
     """Compute this experiment's data at the given scale."""
-    repo = build_experiment_repository(
-        "sft", seed=seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
-    )
     config = base_config(scale, seed=seed, alpha=0.75)
     reps = max(3, scale.repetitions // 2)
-
+    variants = {
+        "candidate_order": ("distance", "insertion", "random"),
+        "eviction": ("lru", "fifo", "size"),
+        "hit_selection": ("smallest", "mru", "first"),
+        "merge_write_mode": ("full", "delta"),
+    }
     # Eleven variants all simulate against the same repository; share
-    # one worker pool across every study when parallelism is requested.
-    n_workers = resolve_workers(workers)
-    pool = None
-    if n_workers > 1:
-        spec = RepositorySpec(
-            "sft", seed, scale.n_packages, scale.repo_total_size
-        )
-        pool = SimulationPool(spec, n_workers)
-    try:
-        studies: Dict[str, Dict[str, Dict[str, float]]] = {}
-        studies["candidate_order"] = {
-            order: _study(config.with_(candidate_order=order), repo, reps,
-                          pool=pool)
-            for order in ("distance", "insertion", "random")
+    # one worker pool across every study.
+    with SimulationPool(RepositorySpec.from_config(config), workers) as pool:
+        studies: Dict[str, Dict[str, Dict[str, float]]] = {
+            knob: {
+                value: _study(config.with_(**{knob: value}), reps, pool)
+                for value in values
+            }
+            for knob, values in variants.items()
         }
-        studies["eviction"] = {
-            policy: _study(config.with_(eviction=policy), repo, reps,
-                           pool=pool)
-            for policy in ("lru", "fifo", "size")
-        }
-        studies["hit_selection"] = {
-            rule: _study(config.with_(hit_selection=rule), repo, reps,
-                         pool=pool)
-            for rule in ("smallest", "mru", "first")
-        }
-        studies["merge_write_mode"] = {
-            mode: _study(config.with_(merge_write_mode=mode), repo, reps,
-                         pool=pool)
-            for mode in ("full", "delta")
-        }
-    finally:
-        if pool is not None:
-            pool.close()
     return {"alpha": config.alpha, "studies": studies}
 
 

@@ -167,9 +167,7 @@ def experiment_main(
     extra = {}
     if "workers" in inspect.signature(run_fn).parameters:
         try:
-            extra["workers"] = resolve_workers(
-                args.workers, default=os.cpu_count() or 1
-            )
+            extra["workers"] = resolve_workers(args.workers)
         except ValueError as exc:
             parser.error(str(exc))
     results = run_fn(scale, seed=args.seed, **extra)

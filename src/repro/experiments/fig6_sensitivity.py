@@ -17,8 +17,7 @@ from typing import Dict, List, Optional
 from repro.analysis.report import sweep_plot
 from repro.analysis.sweep import SweepResult, alpha_sweep
 from repro.experiments.common import Scale, base_config, experiment_main
-from repro.packages.sft import build_experiment_repository
-from repro.parallel import RepositorySpec, SimulationPool, resolve_workers
+from repro.parallel import RepositorySpec, SimulationPool
 from repro.util.tables import render_table
 
 __all__ = ["run", "report", "main", "CACHE_MULTIPLES", "JOB_COUNTS"]
@@ -32,55 +31,35 @@ def run(
 ) -> Dict[str, object]:
     """Compute this experiment's data at the given scale."""
     config = base_config(scale, seed=seed)
-    repo = build_experiment_repository(
-        "sft", seed=seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
-    )
     alphas = scale.alphas()
-
+    job_counts = (
+        JOB_COUNTS
+        if scale.name == "paper"
+        else tuple(max(20, scale.n_unique * c // 500) for c in JOB_COUNTS)
+    )
     # All seven sweeps share one repository, so one worker pool (with the
     # repository built once per worker) serves them all.
-    n_workers = resolve_workers(workers)
-    pool = None
-    if n_workers > 1:
-        spec = RepositorySpec(
-            "sft", seed, scale.n_packages, scale.repo_total_size
-        )
-        pool = SimulationPool(spec, n_workers)
-    try:
-        by_cache: List[SweepResult] = []
-        for multiple in CACHE_MULTIPLES:
-            by_cache.append(
-                alpha_sweep(
-                    config.with_(capacity=multiple * scale.repo_total_size),
-                    alphas=alphas,
-                    repetitions=scale.repetitions,
-                    repository=repo,
-                    label=f"{multiple}x Repo Size",
-                    pool=pool,
-                )
+    with SimulationPool(RepositorySpec.from_config(config), workers) as pool:
+        by_cache: List[SweepResult] = [
+            alpha_sweep(
+                config.with_(capacity=multiple * scale.repo_total_size),
+                alphas=alphas,
+                repetitions=scale.repetitions,
+                label=f"{multiple}x Repo Size",
+                pool=pool,
             )
-
-        job_counts = (
-            JOB_COUNTS
-            if scale.name == "paper"
-            else tuple(max(20, scale.n_unique * c // 500) for c in JOB_COUNTS)
-        )
-        by_jobs: List[SweepResult] = []
-        for n_unique in job_counts:
-            by_jobs.append(
-                alpha_sweep(
-                    config.with_(n_unique=n_unique),
-                    alphas=alphas,
-                    repetitions=scale.repetitions,
-                    repository=repo,
-                    label=f"{n_unique} jobs",
-                    pool=pool,
-                )
+            for multiple in CACHE_MULTIPLES
+        ]
+        by_jobs: List[SweepResult] = [
+            alpha_sweep(
+                config.with_(n_unique=n_unique),
+                alphas=alphas,
+                repetitions=scale.repetitions,
+                label=f"{n_unique} jobs",
+                pool=pool,
             )
-    finally:
-        if pool is not None:
-            pool.close()
+            for n_unique in job_counts
+        ]
     return {
         "by_cache": by_cache,
         "by_jobs": by_jobs,

@@ -15,8 +15,7 @@ from typing import Dict, Optional
 from repro.analysis.report import sweep_plot
 from repro.analysis.sweep import alpha_sweep
 from repro.experiments.common import Scale, base_config, experiment_main
-from repro.packages.sft import build_experiment_repository
-from repro.parallel import RepositorySpec, SimulationPool, resolve_workers
+from repro.parallel import RepositorySpec, SimulationPool
 from repro.util.tables import render_table
 
 __all__ = ["run", "report", "main"]
@@ -27,39 +26,19 @@ def run(
 ) -> Dict[str, object]:
     """Compute this experiment's data at the given scale."""
     config = base_config(scale, seed=seed)
-    repo = build_experiment_repository(
-        "sft", seed=seed, n_packages=scale.n_packages,
-        target_total_size=scale.repo_total_size,
-    )
     alphas = scale.alphas()
     # Both sweeps (deps vs random scheme) share the repository and a pool.
-    n_workers = resolve_workers(workers)
-    pool = None
-    if n_workers > 1:
-        spec = RepositorySpec(
-            "sft", seed, scale.n_packages, scale.repo_total_size
+    with SimulationPool(RepositorySpec.from_config(config), workers) as pool:
+        deps, random = (
+            alpha_sweep(
+                config.with_(scheme=scheme),
+                alphas=alphas,
+                repetitions=scale.repetitions,
+                label=label,
+                pool=pool,
+            )
+            for scheme, label in (("deps", "Deps."), ("random", "Random"))
         )
-        pool = SimulationPool(spec, n_workers)
-    try:
-        deps = alpha_sweep(
-            config.with_(scheme="deps"),
-            alphas=alphas,
-            repetitions=scale.repetitions,
-            repository=repo,
-            label="Deps.",
-            pool=pool,
-        )
-        random = alpha_sweep(
-            config.with_(scheme="random"),
-            alphas=alphas,
-            repetitions=scale.repetitions,
-            repository=repo,
-            label="Random",
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
     return {"deps": deps, "random": random}
 
 

@@ -13,7 +13,6 @@ byte gauges that the paper's figures plot:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -148,7 +147,6 @@ def simulate_stream(
     metrics=None,
     slo=None,
     alerts=None,
-    batch_size: int = 0,
 ) -> SimulationResult:
     """Drive an existing image provider over a request stream.
 
@@ -156,94 +154,30 @@ def simulate_stream(
     baseline policies included) works, not just a LandlordCache — it needs
     ``request``/``stats``/``cached_bytes``/``unique_bytes``/``__len__``.
 
-    ``batch_size > 0`` drives the stream through the provider's
-    ``submit_batch`` (decisions are bit-identical to sequential
-    ``request`` calls; only dispatch overhead changes).  The batched
-    path records no per-request timeline and evaluates no alert rules —
-    those are per-request observers — so it is incompatible with
-    ``record_timeline=True`` and ``alerts``.
-
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) instruments the
-    provider when it supports ``enable_metrics`` and records the
-    simulation's own loop under the ``sim_*`` names; the registry
-    snapshot rides home in ``SimulationResult.metrics``.
+    provider when it supports ``enable_metrics``; the registry snapshot
+    rides home in ``SimulationResult.metrics``.
 
     ``slo`` (a :class:`repro.obs.SloTracker`) attaches rolling-window
     telemetry when the provider supports ``enable_slo``; ``alerts`` (an
     :class:`repro.obs.AlertEngine`) is then evaluated against the window
     after every request — neither ever perturbs decisions.
     """
-    if type(batch_size) is not int or batch_size < 0:  # no bool, no float
-        raise ValueError(f"batch_size must be an int >= 0, got {batch_size!r}")
-    sim_requests = sim_request_s = None
     if metrics is not None:
         enable = getattr(cache, "enable_metrics", None)
         if enable is not None:
             enable(metrics)
-        sim_requests = metrics.counter(
-            "sim_requests_total", "Requests driven by the simulator."
-        ).labels()
-        sim_request_s = metrics.histogram(
-            "sim_request_seconds",
-            "Wall-clock seconds per simulated request (simulator loop).",
-        ).labels()
     if slo is not None:
         enable_slo = getattr(cache, "enable_slo", None)
         if enable_slo is not None:
             enable_slo(slo)
     if alerts is not None and slo is None:
         raise ValueError("alerts require an SloTracker (pass slo=)")
-    if batch_size > 0:
-        if record_timeline:
-            raise ValueError(
-                "batch_size is incompatible with record_timeline "
-                "(the timeline is sampled after every request)"
-            )
-        if alerts is not None:
-            raise ValueError(
-                "batch_size is incompatible with alerts "
-                "(rules are evaluated after every request)"
-            )
-        submit = getattr(cache, "submit_batch", None)
-        if submit is None:
-            raise ValueError(
-                f"{type(cache).__name__} has no submit_batch; "
-                "use batch_size=0"
-            )
-        t0 = perf_counter() if sim_requests is not None else 0.0
-        submit(stream, batch_size=batch_size)
-        if sim_requests is not None:
-            elapsed = perf_counter() - t0
-            n = len(stream)
-            sim_requests.inc(n)
-            # One aggregate observation per window-mean request: the
-            # batched loop cannot time requests individually without
-            # reintroducing the per-request dispatch it removes.
-            for _ in range(n):
-                sim_request_s.observe(elapsed / n if n else 0.0)
-        return SimulationResult(
-            config=config,
-            stats=cache.stats.copy(),
-            cached_bytes=cache.cached_bytes,
-            unique_bytes=cache.unique_bytes,
-            n_images=len(cache),
-            timeline={},
-            metrics=metrics.snapshot() if metrics is not None else None,
-            slo_window=slo.values() if slo is not None else None,
-        )
-    request_index = 0
     series: Dict[str, List[int]] = {name: [] for name in _TIMELINE_FIELDS}
-    for spec in stream:
-        if sim_requests is not None:
-            t0 = perf_counter()
-            cache.request(spec)
-            sim_request_s.observe(perf_counter() - t0)
-            sim_requests.inc()
-        else:
-            cache.request(spec)
+    for request_index, spec in enumerate(stream):
+        cache.request(spec)
         if alerts is not None:
             alerts.evaluate(slo.values(), request_index)
-        request_index += 1
         if record_timeline:
             stats = cache.stats
             series["hits"].append(stats.hits)

@@ -15,7 +15,7 @@ processes instead of serially:
   shared) :class:`~repro.packages.repository.Repository` once each.
 
 Worker counts resolve as: explicit argument > ``REPRO_WORKERS`` env var >
-the caller's default (``1`` for library calls, all CPUs for the CLI).
+all CPUs, for library calls and the CLI alike (``workers=1`` is serial).
 Results are keyed by task index, never by completion order, so any worker
 count — including the serial fallback — yields identical output.
 """

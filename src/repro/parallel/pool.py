@@ -13,6 +13,8 @@ Design constraints (they shape every choice here):
 - **Graceful degradation** — if the platform cannot start a pool or
   pickle the payload, execution falls back to the serial path with a
   warning instead of failing; ``workers=1`` is always the serial path.
+- **One worker-count rule** — explicit argument > ``REPRO_WORKERS`` >
+  all CPUs (:func:`resolve_workers`), for library calls and the CLI.
 
 Every chunk comes back tagged with the pid of the worker that ran it,
 and the completion loop hands each result to an optional
@@ -65,28 +67,25 @@ class ParallelExecutionError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def resolve_workers(
-    workers: Optional[int] = None, default: Optional[int] = None
-) -> int:
-    """Resolve a worker count: explicit > ``REPRO_WORKERS`` > ``default``.
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Resolve a worker count: explicit > ``REPRO_WORKERS`` > all CPUs.
 
-    ``default=None`` means "all CPUs" (the CLI's choice); library entry
-    points pass nothing and stay serial unless the user opts in.  A count
-    below 1 — from any source — is rejected rather than silently clamped.
+    ``workers=None`` with ``REPRO_WORKERS`` unset means every CPU, for
+    library calls and the CLI alike; pass ``workers=1`` for serial.  A
+    count below 1 — from any source — is rejected rather than silently
+    clamped.
     """
     if workers is None:
         env = os.environ.get("REPRO_WORKERS")
-        if env is not None:
+        if env is None:
+            workers = os.cpu_count() or 1
+        else:
             try:
                 workers = int(env)
             except ValueError:
                 raise ValueError(
                     f"REPRO_WORKERS must be an integer, got {env!r}"
                 ) from None
-        elif default is not None:
-            workers = default
-        else:
-            workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(
             f"workers must be a positive integer, got {workers} "
@@ -247,8 +246,9 @@ def parallel_map(
     — the place to build expensive shared state (the serial path calls it
     once in-process).  ``progress(done, total, label)`` fires in the
     parent as each task completes.  ``workers`` resolves via
-    :func:`resolve_workers`; 1 (the library default) runs serially, and
-    platforms that cannot fork/pickle fall back serially with a warning.
+    :func:`resolve_workers` (explicit > ``REPRO_WORKERS`` > all CPUs);
+    1 runs serially, and platforms that cannot fork/pickle fall back
+    serially with a warning.
     Raises :class:`ParallelExecutionError` naming the first failing task.
     """
     items = list(items)

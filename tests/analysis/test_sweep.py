@@ -33,6 +33,21 @@ class TestDefaultAlphas:
         grid = default_alphas(step=0.1, lo=0.0, hi=0.5)
         assert list(grid) == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
 
+    @pytest.mark.parametrize("step, lo, hi", [
+        (0.25, 0.4, 1.0),  # rounding would run [0.4, 0.7, 1.0]
+        (0.3, 0.4, 0.5),   # rounding would run [0.4] alone
+    ])
+    def test_step_that_does_not_divide_the_range_is_refused(
+        self, step, lo, hi
+    ):
+        with pytest.raises(ValueError, match=f"alpha step {step:g}"):
+            default_alphas(step=step, lo=lo, hi=hi)
+
+    def test_rounding_in_the_step_is_forgiven(self):
+        # (1.0 - 0.4) / 0.05 is 11.999999999999998 in floating point
+        assert len(default_alphas(step=0.05, lo=0.4, hi=1.0)) == 13
+        assert list(default_alphas(step=0.1, lo=0.7, hi=0.7)) == [0.7]
+
 
 class TestRunRepetitions:
     def test_count_and_distinct_seeds(self, small_sft):
@@ -98,6 +113,27 @@ class TestAlphaSweep:
             alpha_sweep(tiny_config(), alphas=[], repetitions=1)
         with pytest.raises(ValueError):
             alpha_sweep(tiny_config(), alphas=[1.5], repetitions=1)
+
+    def test_serial_sweep_reports_and_traces_every_cell(self):
+        from repro.parallel.simulations import worker_span_recorder
+
+        recorder = worker_span_recorder()
+        before = {id(span) for span in recorder.spans()}
+        messages = []
+        alpha_sweep(tiny_config(), alphas=[0.6, 0.8], repetitions=2,
+                    workers=1, progress=messages.append)
+        assert messages == [
+            "alpha=0.60 rep=0 (1/4)", "alpha=0.60 rep=1 (2/4)",
+            "alpha=0.80 rep=0 (3/4)", "alpha=0.80 rep=1 (4/4)",
+        ]
+        cells = [
+            span for span in recorder.spans()
+            if id(span) not in before and span.name == "sweep_cell"
+        ]
+        assert [dict(s.attrs)["alpha"] for s in cells] == [
+            "0.6", "0.6", "0.8", "0.8"
+        ]
+        assert len({s.trace_id for s in cells}) == 4
 
     def test_merges_increase_with_alpha(self, sweep):
         merges = sweep.metric("merges")

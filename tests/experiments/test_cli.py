@@ -48,26 +48,6 @@ class TestTraceReplay:
         main(["trace", str(trace), "--scale", "tiny"])
         assert main(["replay", str(trace), "--scale", "tiny"]) == 0
 
-    def test_replay_batch_size_is_an_integer(self, tmp_path, capsys):
-        trace = tmp_path / "stream.jsonl"
-        main(["trace", str(trace), "--scale", "tiny"])
-        capsys.readouterr()
-        outputs = []
-        for size in ("0", "8"):
-            assert main(["replay", str(trace), "--scale", "tiny",
-                         "--batch-size", size]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        for bad, message in (
-            ("auto", "argument --batch-size: invalid int value: 'auto'"),
-            ("-1", "--batch-size must be >= 0"),
-        ):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["replay", str(trace), "--scale", "tiny",
-                      "--batch-size", bad])
-            assert exit_info.value.code == 2
-            assert message in capsys.readouterr().err
-
     def test_url_equals_form_selects_waterfall_mode(self, capsys):
         # `--url=URL` is the viewer too, not the generator missing its
         # output argument; nothing listens on port 1.
@@ -124,6 +104,13 @@ BAD_INPUT = {
     "sweep-zero-repetitions": (["sweep", "--scale", "tiny", "--workers", "1",
                                 "--alpha", "0.5", "0.5", "0.1",
                                 "--repetitions", "0"], "--repetitions"),
+    # a STEP that does not divide HI - LO is refused, not rounded to a grid
+    "sweep-alpha-step-0.25": (["sweep", "--scale", "tiny", "--workers", "1",
+                               "--alpha", "0.4", "1.0", "0.25"],
+                              "alpha step 0.25"),
+    "sweep-alpha-step-0.3": (["sweep", "--scale", "tiny", "--workers", "1",
+                              "--alpha", "0.4", "0.5", "0.3"],
+                             "alpha step 0.3"),
 }
 
 
@@ -249,3 +236,19 @@ class TestEngineIsGone:
         assert run_cli([*argv, "--engine", "naive"]) == 2
         assert "--engine" in capsys.readouterr().err
         assert (state.read_bytes(), journal.read_bytes()) == before
+
+
+class TestBatchSizeIsGone:
+    """``replay`` drives a trace one request at a time, the loop every
+    per-request observer sees; batching gave the same decisions at the
+    same speed, so ``--batch-size`` is refused by name."""
+
+    def test_refused_by_name(self, tmp_path, capsys):
+        trace = tmp_path / "stream.jsonl"
+        assert main(["trace", str(trace), "--scale", "tiny"]) == 0
+        capsys.readouterr()
+        assert run_cli(["replay", str(trace), "--scale", "tiny",
+                        "--batch-size", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --batch-size 8" in err
+        assert "Traceback" not in err

@@ -60,7 +60,6 @@ SURFACE = {
         "--alert-log": (None, None, None),
         "--alert-rules": (None, None, None),
         "--alpha": (0.75, None, None),
-        "--batch-size": (0, None, None),
         "--capacity": (None, None, None),
         "--events-out": (None, None, None),
         "--metrics-out": (None, None, None),

@@ -109,33 +109,20 @@ class TestSimulateStream:
         assert len(cache) == 1
 
     def test_batched_dispatch_matches_sequential(self, tiny_repo):
+        # The simulator's one loop and the daemon's submit_batch reach
+        # the same state from the same stream.
         stream = [
             frozenset({"base/1.0"}),
             frozenset({"libA/1.0", "base/1.0"}),
             frozenset({"libB/1.0"}),
             frozenset({"base/1.0"}),
         ] * 4
-        caches = {
-            mode: LandlordCache(1000, 0.8, tiny_repo.size_of)
-            for mode in (0, 2)
-        }
-        summaries = {}
-        for mode, cache in caches.items():
-            result = simulate_stream(
-                cache, stream, record_timeline=False, batch_size=mode
-            )
-            summaries[mode] = result.summary()
-        assert summaries[0] == summaries[2]
-        assert caches[0].snapshot() == caches[2].snapshot()
-
-    def test_bad_batch_size_rejected(self, tiny_repo):
-        # at the edge: before a request is served
-        cache = LandlordCache(1000, 0.8, tiny_repo.size_of)
-        for bad in ("auto", "turbo", True, 2.0, -1):
-            with pytest.raises(ValueError, match="batch_size"):
-                simulate_stream(cache, [frozenset({"base/1.0"})],
-                                record_timeline=False, batch_size=bad)
-        assert cache.stats.requests == 0
+        driven = LandlordCache(1000, 0.8, tiny_repo.size_of)
+        result = simulate_stream(driven, stream, record_timeline=False)
+        batched = LandlordCache(1000, 0.8, tiny_repo.size_of)
+        batched.submit_batch(stream, batch_size=2)
+        assert result.stats == batched.stats
+        assert driven.snapshot() == batched.snapshot()
 
 
 class TestMakeWorkload:

@@ -248,7 +248,7 @@ class TestReplayObservability:
         reg = load_registry(metrics)
         requests = reg.get("landlord_requests_total")
         n = sum(child.value for _, child in requests.series())
-        assert n == reg.get("sim_requests_total").value() > 0
+        assert n > 0
         # the event stream and the metrics agree on the decision counts
         from repro.obs import read_event_stream, stats_from_events
 
@@ -314,4 +314,8 @@ class TestSweepMetrics:
         ]) == 0
         assert "metrics saved" in capsys.readouterr().out
         reg = load_registry(metrics)
-        assert reg.get("sim_requests_total").value() > 0
+        requests = reg.get("landlord_requests_total")
+        # 2 alphas x 2 repetitions x (60 unique x 4 repeats) at tiny scale
+        assert sum(child.value for _, child in requests.series()) == (
+            2 * 2 * 60 * 4
+        )

@@ -278,7 +278,10 @@ class TestSimulatorMetrics:
         result = simulate(config)
         assert result.metrics is not None
         reg = MetricsRegistry.from_snapshot(result.metrics)
-        assert reg.get("sim_requests_total").value() == result.requests
+        assert sum(
+            child.value
+            for _, child in reg.get("landlord_requests_total").series()
+        ) == result.requests
         assert reg.get("landlord_requests_total").value(
             action="insert"
         ) == result.stats.inserts

@@ -68,7 +68,7 @@ class TestAlphaSweepMetrics:
                     workers=1, metrics=registry)
         total_requests = sum(
             child.value
-            for _, child in registry.get("sim_requests_total").series()
+            for _, child in registry.get("landlord_requests_total").series()
         )
         # 2 alphas x 2 repetitions x (15 unique x 3 repeats) requests
         assert total_requests == 2 * 2 * 15 * 3
