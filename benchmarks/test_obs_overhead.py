@@ -17,8 +17,8 @@ count in ``LandlordCache.request``) keeps the bound honest against
 refactors that add sites.
 
 The *enabled* path — metrics registry plus rolling-window SLO tracker
-attached, the full live-telemetry configuration ``submit --serve``
-runs — is bounded too, at ≤25%: attaching telemetry is opt-in, so it
+attached, the full live-telemetry configuration ``serve`` runs — is
+bounded too, at ≤25%: attaching telemetry is opt-in, so it
 may cost real time, but "opt-in" must never become "unusable in
 production".  The bound is deliberately loose (perf_counter calls and
 histogram bucketing dominate it) and exists to catch regressions that

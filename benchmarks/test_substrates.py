@@ -1,11 +1,10 @@
-"""Benchmarks for the substrate layers: adaptation, solver, catalogs —
+"""Benchmarks for the substrate layers: adaptation and catalogs —
 the pieces every experiment composes."""
 
 from repro.core.adaptive import AlphaController
 from repro.core.cache import LandlordCache
 from repro.cvmfs.nested import NestedCatalogTree
 from repro.htc.workload import DependencyWorkload, build_stream
-from repro.packages.resolve import DependencySolver
 from repro.util.rng import spawn
 
 
@@ -24,14 +23,6 @@ def test_adaptive_controller_overhead(benchmark, bench_repo, scale):
 
     controller = benchmark.pedantic(run, rounds=3, iterations=1)
     assert controller.cache.stats.requests == len(stream)
-
-
-def test_dependency_solver(benchmark, bench_repo):
-    solver = DependencySolver(bench_repo)
-    names = sorted({pid.split("/")[0] for pid in bench_repo.ids})[:20]
-
-    result = benchmark(solver.solve, names, False)
-    assert len(result.assignments) == 20
 
 
 def test_nested_catalog_cold_walk(benchmark, bench_repo):

@@ -13,8 +13,8 @@ Commands:
 - ``replay`` — run a saved trace through a configured cache;
 - ``submit`` — the paper's job-wrapper deployment: prepare one job's
   container against a persistent on-disk cache state (write-ahead
-  journalled; crash-safe), or forward the spec to a running daemon
-  with ``--remote URL``;
+  journalled; crash-safe) and exit, or forward the spec to a running
+  daemon with ``--remote URL``;
 - ``serve`` — run LANDLORD as a concurrent multi-client daemon: a
   loopback HTTP (and optional UNIX-socket) endpoint accepting JSON
   spec submissions from many clients through one journalled cache,
@@ -30,16 +30,15 @@ Commands:
 - ``metrics`` — render a saved metrics registry as a table, Prometheus
   text exposition format, or JSON;
 - ``top`` — the live dashboard: replay a recorded ``--events-out``
-  stream frame by frame, or attach to a running ``submit --serve``
-  endpoint and poll its ``/statusz``;
+  stream frame by frame, or attach to a running ``serve`` (or
+  ``sweep --serve``) endpoint and poll its ``/statusz``;
 - ``calibrate`` — measure a repository's structural statistics.
 
-Operational telemetry: ``submit --serve PORT`` keeps the wrapper alive
-after the request and exposes ``/metrics`` (Prometheus), ``/healthz``,
-``/statusz`` and ``/traces/<n>`` until SIGTERM; ``--alert-rules FILE``
-(on ``submit``, ``serve`` and ``replay``) evaluates declarative SLO
-alert rules and makes the command exit non-zero when any rule fired —
-the CI gate.
+Operational telemetry: ``serve`` exposes ``/metrics`` (Prometheus),
+``/healthz``, ``/statusz`` and ``/traces/<n>`` on its port until
+SIGTERM; ``--alert-rules FILE`` (on ``serve`` and ``replay``)
+evaluates declarative SLO alert rules and makes the command exit
+non-zero when any rule fired — the CI gate.
 
 Every figure command accepts ``--scale quick|paper``, ``--seed`` and
 ``--json PATH``; sweep-shaped ones also take ``--workers N`` (default:
@@ -206,7 +205,7 @@ def _serve_args(parser: argparse.ArgumentParser,
 
 
 def _alert_args(parser: argparse.ArgumentParser) -> None:
-    """The alert-rule flags shared by submit, serve and replay."""
+    """The alert-rule flags shared by serve and replay."""
     from repro.obs import DEFAULT_WINDOW
 
     parser.add_argument("--alert-rules", metavar="FILE", default=None,
@@ -245,7 +244,8 @@ def _site_repository(args: argparse.Namespace):
 
 
 @contextmanager
-def _site_lock(state: str, remedy: str) -> Iterator[None]:
+def _site_lock(state: str, remedy: str, wait: bool = False,
+               serve: bool = False) -> Iterator[None]:
     """Hold the site's writer lock: ``flock`` on ``<state>.lock``.
 
     The writing commands (``submit``, ``serve``, ``recover``) take it
@@ -253,31 +253,54 @@ def _site_lock(state: str, remedy: str) -> Iterator[None]:
     so a second writer cannot compact the journal from under a live
     daemon's append handle.  The kernel drops the lock when the holder
     dies, so a crash leaves none behind; the file itself is never
-    removed (unlinking a lock file races with the next opener).  A
-    site already held is an :class:`_InputError` ending in ``remedy``.
+    removed (unlinking a lock file races with the next opener).
+
+    Every holder empties the file when it takes the lock; a ``serve``
+    holder then writes ``serve <pid>`` into it and empties it again on
+    the way out, so while the lock is held the file names a live
+    daemon or nothing.  A site already held is an :class:`_InputError`
+    ending in ``remedy``.  A ``wait``ing writer (``submit``, whose peers
+    hold the lock for one request each) instead polls until the lock is
+    free, re-reading the file each time, and raises that error only
+    once the file names a ``serve``, which holds its site until SIGTERM.
     """
     import fcntl
+    import os
+    import time
 
     path = f"{state}.lock"
     try:
-        handle = open(path, "a")
+        handle = open(path, "a+b", buffering=0)
     except OSError as exc:
         raise _InputError(
             f"cannot open site lock {path}: {exc.strerror or exc}"
         ) from exc
     with handle:
+        while True:
+            try:
+                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                if not wait or os.pread(handle.fileno(), 6, 0) == b"serve ":
+                    raise _InputError(
+                        f"site {state} is in use by another writer "
+                        f"(it holds {path}); {remedy}"
+                    ) from None
+                time.sleep(0.02)
+        handle.truncate(0)
+        if serve:
+            handle.write(f"serve {os.getpid()}\n".encode())
         try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise _InputError(
-                f"site {state} is in use by another writer "
-                f"(it holds {path}); {remedy}"
-            ) from None
-        yield
+            yield
+        finally:
+            if serve:
+                handle.truncate(0)
 
 
-def _open_site_state(args: argparse.Namespace, initialise: bool = False):
-    """Open the durable cache over the site repository.
+def _open_site_state(args: argparse.Namespace, site,
+                     initialise: bool = False):
+    """Open the durable cache over ``site``, the ``(scale, repository)``
+    of :func:`_site_repository`.
 
     Loads the snapshot and replays the journal tail (a writer calls
     this under :func:`_site_lock`).  A state built for
@@ -288,14 +311,14 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     cache from ``--alpha``/``--capacity`` and the replay is reported
     here; the read-side commands report ``replayed`` themselves.
 
-    Returns ``(repo, store, cache, metadata, replayed)``.
+    Returns ``(store, cache, metadata, replayed)``.
     """
     from repro.core.cache import LandlordCache
     from repro.core.journal import JournalError, JournaledState
     from repro.core.persistence import StateError, StateNotFound
     from repro.util.units import format_bytes
 
-    scale, repo = _site_repository(args)
+    scale, repo = site
     repo_meta = (
         {"file": args.repo, "n_packages": len(repo)}
         if args.repo
@@ -320,7 +343,7 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
         store.initialise(cache, metadata)
         print(f"initialised new cache: capacity "
               f"{format_bytes(capacity)}, alpha {args.alpha}")
-        return repo, store, cache, metadata, []
+        return store, cache, metadata, []
     except (StateError, JournalError) as exc:
         raise _InputError(str(exc)) from exc
     if metadata.get("repository") != repo_meta:
@@ -331,26 +354,21 @@ def _open_site_state(args: argparse.Namespace, initialise: bool = False):
     if initialise and replayed:
         print(f"replayed {len(replayed)} journalled operation(s) "
               "not yet covered by the snapshot")
-    return repo, store, cache, metadata, replayed
+    return store, cache, metadata, replayed
 
 
-def _attach_obs(args: argparse.Namespace, cache, store, serving: bool):
-    """Wire the observability the flags ask for onto an opened cache.
+def _attach_obs(args: argparse.Namespace, cache, store,
+                serving: bool = False):
+    """Wire ``--metrics-out`` and ``--trace`` onto an opened cache.
 
     Runs *after* load/replay so journalled history already covered by
     the snapshot is not double-counted.  A ``serving`` process always
-    carries a registry and an SLO window — it is the scrape endpoint.
-    Returns ``(registry, slo, alerts, tracer)``, each possibly ``None``.
+    carries a registry — it is the scrape endpoint.  Returns
+    ``(registry, tracer)``, each possibly ``None``.
     """
-    from repro.obs import (
-        AlertEngine,
-        DecisionTracer,
-        MetricsRegistry,
-        SloTracker,
-        load_registry,
-    )
+    from repro.obs import DecisionTracer, MetricsRegistry, load_registry
 
-    registry = slo = alerts = tracer = None
+    registry = tracer = None
     if args.metrics_out or serving:
         registry = (
             _read("metrics file", args.metrics_out, load_registry,
@@ -360,16 +378,10 @@ def _attach_obs(args: argparse.Namespace, cache, store, serving: bool):
         )
         cache.enable_metrics(registry)
         store.enable_metrics(registry)
-    if serving or args.alert_rules:
-        slo = SloTracker(window=args.window)
-        cache.enable_slo(slo)
-    if args.alert_rules:
-        alerts = AlertEngine(_alert_rules(args.alert_rules),
-                             registry=registry)
     if args.trace:
         tracer = DecisionTracer(limit=1024)
         cache.enable_tracing(tracer)
-    return registry, slo, alerts, tracer
+    return registry, tracer
 
 
 def _alert_rules(path: str):
@@ -447,9 +459,9 @@ def _serve_until_signal(server, port_file: Optional[str],
                         on_listening: Callable[[int], str]) -> None:
     """Start ``server``, publish its port, block until SIGTERM/SIGINT.
 
-    The one serving loop behind ``submit --serve``, ``serve`` and
-    ``sweep --serve``.  ``server`` has ``start() -> port`` and
-    ``stop()`` (an :class:`~repro.obs.ObsServer` or a
+    The one serving loop behind ``serve`` and ``sweep --serve``.
+    ``server`` has ``start() -> port`` and ``stop()`` (an
+    :class:`~repro.obs.ObsServer` or a
     :class:`~repro.service.LandlordDaemon`) and already shares one
     re-entrant lock with the state it renders, so a scrape never sees
     a half-applied mutation.  ``on_listening(port)`` runs once the port
@@ -936,7 +948,8 @@ def _load_specfile(path: str, repo) -> "frozenset[str]":
     Formats by extension: ``.py`` (scan imports), ``.sh`` (module loads),
     ``.json`` ({"packages": [...]} or a bare list), anything else (one
     requirement per line, ``#`` comments).  Names are resolved against the
-    repository; unresolvable requirements abort the submission.
+    repository; an unreadable spec or an unresolvable requirement is an
+    :class:`_InputError`.
     """
     from pathlib import Path
 
@@ -969,8 +982,9 @@ def _load_specfile(path: str, repo) -> "frozenset[str]":
 
     report = _read("spec file", path, resolve)
     if report.unresolved:
-        raise SystemExit(
-            "unresolvable requirements: " + ", ".join(report.unresolved)
+        raise _InputError(
+            f"unresolvable requirements in spec file {path}: "
+            + ", ".join(report.unresolved)
         )
     return report.spec.packages
 
@@ -988,8 +1002,6 @@ def _cmd_submit(argv: Sequence[str]) -> int:
     parser.add_argument("--no-closure", action="store_true",
                         help="treat the spec as already closed")
     _obs_args(parser)
-    _serve_args(parser, serves="/metrics, /healthz, /statusz and /traces "
-                "once the request is handled")
     parser.add_argument("--remote", metavar="URL", default=None,
                         help="forward the spec to a running "
                         "`repro-landlord serve` daemon at URL "
@@ -1000,36 +1012,31 @@ def _cmd_submit(argv: Sequence[str]) -> int:
                         help="with --remote, retry up to N times when the "
                         "daemon signals backpressure (HTTP 429; "
                         "default: %(default)s)")
-    _alert_args(parser)
     args = parser.parse_args(argv)
     if args.snapshot_every < 1:
         parser.error("--snapshot-every must be >= 1")
-    if args.port_file and args.serve is None:
-        parser.error("--port-file requires --serve")
-    if args.remote and args.serve is not None:
-        parser.error("--remote submits to an existing daemon; "
-                     "it cannot be combined with --serve")
 
+    # The job's closed spec comes first, so a bad spec touches no site
+    # and parsing it is not part of the lock hold.
+    site = _site_repository(args)
+    repo = site[1]
+    packages = _load_specfile(args.specfile, repo)
+    closed = sorted(packages if args.no_closure else repo.closure(packages))
     if args.remote:
-        return _submit_remote(args, _site_repository(args)[1])
-    with _site_lock(args.state, "submit through its daemon with --remote URL"):
-        return _submit_local(args)
+        return _submit_remote(args, closed)
+    with _site_lock(args.state, "submit through its daemon with --remote URL",
+                    wait=True):
+        return _submit_local(args, site, closed)
 
 
-def _submit_local(args: argparse.Namespace) -> int:
+def _submit_local(args: argparse.Namespace, site, closed: list) -> int:
     """``submit`` against the site's own state (the lock is held)."""
     from repro.util.units import format_bytes
 
-    repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
-    serving = args.serve is not None
-    registry, slo, alerts, tracer = _attach_obs(args, cache, store, serving)
-
-    packages = _load_specfile(args.specfile, repo)
-    closed = packages if args.no_closure else repo.closure(packages)
+    store, cache, metadata, _ = _open_site_state(args, site, initialise=True)
+    registry, tracer = _attach_obs(args, cache, store)
     with closing(store.journal):  # submit appends once, then only reads
-        decision = store.apply(
-            cache, metadata, "request", packages=sorted(closed)
-        )
+        decision = store.apply(cache, metadata, "request", packages=closed)
     print(
         f"{decision.action.value}: image {decision.image.id} "
         f"({decision.image.package_count} pkgs, "
@@ -1038,30 +1045,6 @@ def _submit_local(args: argparse.Namespace) -> int:
     )
     if decision.evicted:
         print(f"evicted: {', '.join(decision.evicted)}")
-    if alerts is not None:
-        alerts.evaluate(slo.values(), cache.stats.requests - 1)
-    if serving:
-        import threading
-
-        from repro.obs import ObsServer, build_status
-
-        lock = threading.RLock()
-        cache.enable_lock(lock)
-        server = ObsServer(
-            registry,
-            status_fn=lambda: build_status(cache, slo=slo, alerts=alerts),
-            tracer=tracer,
-            port=args.serve,
-            # scrapes refresh the slo_window gauges
-            on_scrape=lambda: slo.export_to(registry),
-            lock=lock,
-        )
-        _serve_until_signal(
-            server, args.port_file,
-            lambda port: f"serving on http://127.0.0.1:{port} "
-            "(/metrics /healthz /statusz /traces; SIGTERM to stop)",
-        )
-        print("server stopped")
     if args.metrics_out:
         from repro.obs import save_registry
 
@@ -1077,14 +1060,15 @@ def _submit_local(args: argparse.Namespace) -> int:
                 print(f"traced request #{event.request_index} -> "
                       f"`repro-landlord explain {event.request_index} "
                       f"--state {args.state}`")
-    return _finish_alerts(alerts, args.alert_log)
+    return 0
 
 
-def _submit_remote(args: argparse.Namespace, repo) -> int:
-    """Forward one job spec to a running daemon (``submit --remote``).
+def _submit_remote(args: argparse.Namespace, closed: list) -> int:
+    """Forward one job's closed spec to a running daemon
+    (``submit --remote``).
 
-    The spec is resolved and dependency-closed locally against the same
-    site repository the daemon serves, then POSTed through
+    The spec was resolved and dependency-closed locally against the same
+    site repository the daemon serves; it is POSTed through
     :class:`~repro.service.LandlordClient` with bounded retry on
     backpressure.  State/journal flags are ignored — the daemon owns
     durability; a printed decision has already been journalled there.
@@ -1092,16 +1076,12 @@ def _submit_remote(args: argparse.Namespace, repo) -> int:
     from repro.service import LandlordClient, ServiceError, SubmitRejected
     from repro.util.units import format_bytes
 
-    packages = _load_specfile(args.specfile, repo)
-    closed = packages if args.no_closure else repo.closure(packages)
     try:
         client = LandlordClient(args.remote)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     try:
-        reply = client.submit(
-            sorted(closed), retries=max(0, args.remote_retries)
-        )
+        reply = client.submit(closed, retries=max(0, args.remote_retries))
     except SubmitRejected as exc:
         print(f"daemon rejected the submission: {exc}", file=sys.stderr)
         return 3
@@ -1168,17 +1148,24 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         parser.error("--max-batch must be >= 1")
     if args.span_limit < 1:
         parser.error("--span-limit must be >= 1")
-    with _site_lock(args.state, "retry once that writer exits"):
+    with _site_lock(args.state, "retry once that writer exits", serve=True):
         return _serve(args)
 
 
 def _serve(args: argparse.Namespace) -> int:
     """``serve`` once the flags are valid (the lock is held)."""
+    from repro.obs import AlertEngine, SloTracker
     from repro.service import LandlordDaemon
 
-    repo, store, cache, metadata, _ = _open_site_state(args, initialise=True)
-    registry, slo, alerts, tracer = _attach_obs(args, cache, store,
-                                                serving=True)
+    site = _site_repository(args)
+    store, cache, metadata, _ = _open_site_state(args, site, initialise=True)
+    registry, tracer = _attach_obs(args, cache, store, serving=True)
+    slo = SloTracker(window=args.window)
+    cache.enable_slo(slo)
+    alerts = (
+        AlertEngine(_alert_rules(args.alert_rules), registry=registry)
+        if args.alert_rules else None
+    )
     # The daemon attaches one lock to the cache and its own endpoint.
     daemon = LandlordDaemon(
         store, cache, metadata,
@@ -1191,7 +1178,7 @@ def _serve(args: argparse.Namespace) -> int:
         alerts=alerts,
         tracer=tracer,
         trace_path=_trace_path(args) if args.trace else None,
-        known_package=frozenset(repo.ids).__contains__,  # a C-level test
+        known_package=frozenset(site[1].ids).__contains__,  # a C-level test
         span_limit=args.span_limit,
     )
 
@@ -1363,7 +1350,9 @@ def _cmd_cache_status(argv: Sequence[str]) -> int:
                         "--metrics-out`; reports the journal fsync latency "
                         "histogram and the eviction breakdown")
     args = parser.parse_args(argv)
-    _repo, _store, cache, _metadata, replayed = _open_site_state(args)
+    _store, cache, _metadata, replayed = _open_site_state(
+        args, _site_repository(args)
+    )
     if replayed:
         print(f"journal: {len(replayed)} operation(s) pending beyond the "
               "snapshot (run `repro-landlord recover` to compact)")
@@ -1419,7 +1408,9 @@ def _cmd_recover(argv: Sequence[str]) -> int:
     _state_args(parser)
     args = parser.parse_args(argv)
     with _site_lock(args.state, "retry once that writer exits"):
-        _repo, store, cache, metadata, replayed = _open_site_state(args)
+        store, cache, metadata, replayed = _open_site_state(
+            args, _site_repository(args)
+        )
         store.flush(cache, metadata)
     print(f"recovered: replayed {len(replayed)} journalled operation(s); "
           f"state covers {cache.stats.requests} requests "
@@ -1434,7 +1425,8 @@ def _cmd_top(argv: Sequence[str]) -> int:
         prog="repro-landlord top",
         description="A top-style dashboard over a LANDLORD cache: replay "
         "a recorded --events-out JSONL stream frame by frame, or attach "
-        "to a running `submit --serve` endpoint and poll /statusz.",
+        "to a running `serve` (or `sweep --serve`) endpoint and poll "
+        "/statusz.",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--from-events", metavar="FILE",

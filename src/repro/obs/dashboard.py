@@ -2,8 +2,8 @@
 
 Two data sources, one renderer:
 
-- **attach** — poll a running ``submit --serve`` endpoint's ``/statusz``
-  (see :mod:`repro.obs.server`) and redraw;
+- **attach** — poll a running ``serve`` (or ``sweep --serve``)
+  endpoint's ``/statusz`` (see :mod:`repro.obs.server`) and redraw;
 - **replay** — drive the frames from a recorded ``--events-out`` JSONL
   stream at any speed, with no terminal required (``--headless`` prints
   frames; CI's golden-frame test runs exactly this path).

@@ -24,12 +24,6 @@ from repro.packages.conflicts import (
 from repro.packages.io import load_repository, save_repository
 from repro.packages.package import Package, make_package_id, split_package_id
 from repro.packages.repository import Repository, RepositoryError
-from repro.packages.resolve import (
-    DependencySolver,
-    Requirement,
-    Resolution,
-    UnsatisfiableError,
-)
 from repro.packages.sft import build_sft_repository
 
 __all__ = [
@@ -44,8 +38,4 @@ __all__ = [
     "ConflictPolicy",
     "NoConflicts",
     "SlotConflicts",
-    "Requirement",
-    "DependencySolver",
-    "Resolution",
-    "UnsatisfiableError",
 ]

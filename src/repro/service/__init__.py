@@ -10,9 +10,10 @@ all.  This package promotes the job-wrapper deployment to exactly that:
   the same stdlib idiom as :mod:`repro.obs.server`.  Submissions from
   many clients funnel through a bounded admission queue; one committer
   at a time — a submitting thread, leader/follower style — group-commits
-  each window to the write-ahead journal and applies it through one
-  :meth:`~repro.core.cache.LandlordCache.submit_batch` call *before*
-  acknowledging (crash → ``recover`` replays to bit-identical state).
+  each window to the write-ahead journal and applies it through
+  :meth:`~repro.core.journal.JournaledState.apply_batch` (one
+  ``_apply_interned`` per request) *before* acknowledging (crash →
+  ``recover`` replays to bit-identical state).
 - :mod:`repro.service.client` — :class:`LandlordClient`, the thin
   stdlib client behind ``repro-landlord submit --remote`` and the CI
   smoke test, with optional bounded retry on backpressure.

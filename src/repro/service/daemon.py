@@ -16,8 +16,9 @@ Pipeline (one request's life)::
            the lead; the leader pops the queue head (<= max_batch),
              group-commits the window to the write-ahead journal
                (one fsync -- Journal.append_many),
-             applies it through LandlordCache.submit_batch
-               (one acquisition of the lock, interned ahead),
+             applies it through JournaledState.apply_batch
+               (one acquisition of the lock, interned ahead, then
+               LandlordCache._apply_interned per request),
              wakes each queued handler with its decision (on_result:
                after the fsync and the apply, before the checkpoint),
              snapshots/compacts when the window crossed the
@@ -37,8 +38,8 @@ Guarantees:
 - **Serialisability**: one committer at a time, FIFO windows — journal
   order is apply order is ``request_index`` order, and the final cache
   state is bit-identical to the same requests applied serially in that
-  order (``submit_batch`` is decision-identical to sequential
-  ``request`` calls by construction).
+  order (``apply_batch`` applies each request through
+  ``_apply_interned``, the step sequential ``request`` calls take).
 - **Consistent telemetry**: one re-entrant lock (attached via
   :meth:`~repro.core.cache.LandlordCache.enable_lock` and shared with
   the embedded :class:`~repro.obs.ObsServer`) serialises scrape

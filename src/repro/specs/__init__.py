@@ -14,18 +14,11 @@ short names they discover onto repository package ids:
 - :mod:`repro.specs.modulefiles` — ``module load`` directive scan of shell
   scripts.
 - :mod:`repro.specs.logparse` — CVMFS access-path extraction from job logs.
-- :mod:`repro.specs.requirements` — requirements.txt / environment.yml
-  solved through the version-constraint dependency solver.
 """
 
 from repro.specs.logparse import spec_from_log
 from repro.specs.modulefiles import spec_from_module_script
 from repro.specs.python_imports import spec_from_python_source
-from repro.specs.requirements import (
-    RequirementsReport,
-    spec_from_conda_env,
-    spec_from_requirements,
-)
 from repro.specs.resolver import PackageResolver, SpecReport
 
 __all__ = [
@@ -34,7 +27,4 @@ __all__ = [
     "spec_from_python_source",
     "spec_from_module_script",
     "spec_from_log",
-    "RequirementsReport",
-    "spec_from_requirements",
-    "spec_from_conda_env",
 ]

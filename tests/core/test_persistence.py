@@ -473,14 +473,18 @@ class TestSubmitCli:
                      "--scale", "tiny", "--seed", "7"])
         assert code == 2
 
-    def test_submit_unresolvable_spec_aborts(self, tmp_path):
+    def test_submit_unresolvable_spec_aborts(self, tmp_path, capsys):
+        # bad input is exit 2, and a spec is read before the site is
+        # touched: no state, journal or lock file
         from repro.cli import main
 
         spec = tmp_path / "job.txt"
         spec.write_text("definitely-not-a-package\n")
-        with pytest.raises(SystemExit, match="unresolvable"):
-            main(["submit", str(spec), "--state",
-                  str(tmp_path / "s.json"), "--scale", "tiny"])
+        assert main(["submit", str(spec), "--state",
+                     str(tmp_path / "s.json"), "--scale", "tiny"]) == 2
+        err = capsys.readouterr().err
+        assert "unresolvable" in err and "definitely-not-a-package" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["job.txt"]
 
     def test_submit_json_specfile(self, tmp_path, capsys):
         from repro.cli import main

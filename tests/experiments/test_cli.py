@@ -238,6 +238,40 @@ class TestEngineIsGone:
         assert (state.read_bytes(), journal.read_bytes()) == before
 
 
+class TestWrapperServeIsGone:
+    """``submit`` is one request and exit: it serves nothing (``serve``
+    is a site's one live surface), and its SLO window would hold that
+    one request, so the live and alert flags are refused by name and
+    touch no site."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--serve", "0"], ["--port-file", "{d}/port.txt"],
+        ["--alert-rules", "{d}/rules.json"],
+        ["--alert-log", "{d}/alerts.jsonl"], ["--window", "5"],
+    ], ids=lambda flag: flag[0])
+    def test_refused_and_the_site_untouched(self, flag, tmp_path, capsys):
+        state = tmp_path / "made.json"
+        journal = state.with_name(state.name + ".journal")
+        made = [a.format(d=tmp_path) for a in MADE]
+        (tmp_path / "job.txt").write_text("app-0000/1.0/x86_64-el7\n")
+        (tmp_path / "rules.json").write_text("[]")
+        for _ in range(3):
+            assert run_cli(["submit", str(tmp_path / "job.txt"), *made,
+                            "--snapshot-every", "2"]) == 0
+        before = state.read_bytes(), journal.read_bytes()
+        capsys.readouterr()
+        argv = [a.format(d=tmp_path) for a in flag]
+        assert run_cli(["submit", str(tmp_path / "job.txt"), *made,
+                        *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+        assert (state.read_bytes(), journal.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "job.txt", "made.json", "made.json.journal", "made.json.lock",
+            "rules.json",
+        ]
+
+
 class TestBatchSizeIsGone:
     """``replay`` drives a trace one request at a time, the loop every
     per-request observer sees; batching gave the same decisions at the

@@ -91,25 +91,20 @@ SURFACE = {
         "--window": (500, None, None),
     },
     "submit": {
-        "--alert-log": (None, None, None),
-        "--alert-rules": (None, None, None),
         "--alpha": (0.8, None, None),
         "--capacity": (None, None, None),
         "--journal": (None, None, None),
         "--metrics-out": (None, None, None),
         "--no-closure": (False, None, 0),
-        "--port-file": (None, None, None),
         "--remote": (None, None, None),
         "--remote-retries": (5, None, None),
         "--repo": (None, None, None),
         "--scale": (None, ("tiny", "quick", "paper"), None),
         "--seed": (2020, None, None),
-        "--serve": (None, None, None),
         "--snapshot-every": (1, None, None),
         "--state": (".landlord-state.json", None, None),
         "--trace": (False, None, 0),
         "--trace-file": (None, None, None),
-        "--window": (500, None, None),
         "specfile": (None, None, None),
     },
     "sweep": {

@@ -1,5 +1,5 @@
 """Tests for repro.obs.server — endpoints, lifecycle, and the CLI's
-`submit --serve` loop end to end (subprocess + SIGTERM)."""
+serving loop end to end (`serve` in a subprocess + SIGTERM)."""
 
 import json
 import os
@@ -272,8 +272,8 @@ class TestLifecycle:
 
 
 class TestServeCli:
-    """`submit --serve` end to end: ephemeral port, port file, live
-    endpoints, clean SIGTERM shutdown with exit code 0."""
+    """`serve` plus one `submit --remote` end to end: ephemeral port,
+    port file, live endpoints, clean SIGTERM shutdown with exit code 0."""
 
     def test_serve_until_sigterm(self, tmp_path):
         spec = tmp_path / "job.json"
@@ -285,11 +285,12 @@ class TestServeCli:
         env["PYTHONPATH"] = "src" + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
+        root = str(Path(__file__).resolve().parents[2])
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "submit", str(spec),
+            [sys.executable, "-m", "repro", "serve",
              "--scale", "tiny", "--state", str(tmp_path / "state.json"),
-             "--serve", "0", "--port-file", str(port_file)],
-            cwd=str(Path(__file__).resolve().parents[2]),
+             "--port-file", str(port_file)],
+            cwd=root,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -306,6 +307,13 @@ class TestServeCli:
                 pytest.fail("port file never appeared")
             port = int(port_file.read_text().strip())
             url = f"http://127.0.0.1:{port}"
+            submit = subprocess.run(
+                [sys.executable, "-m", "repro", "submit", str(spec),
+                 "--scale", "tiny", "--remote", url],
+                cwd=root, env=env, capture_output=True, text=True,
+                timeout=60,
+            )
+            assert submit.returncode == 0, submit.stderr
             assert json.loads(get(url + "/healthz")[2])["status"] == "ok"
             payload = json.loads(get(url + "/statusz")[2])
             assert payload["lifetime"]["requests"] == 1
@@ -316,8 +324,8 @@ class TestServeCli:
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=15)
             assert process.returncode == 0, stderr
-            assert "serving on http://127.0.0.1" in stdout
-            assert "server stopped" in stdout
+            assert "landlord daemon on http://127.0.0.1" in stdout
+            assert "daemon stopped" in stdout
             # regression: the port file must not outlive the server —
             # a stale one makes the next ephemeral-port run unpollable
             assert not port_file.exists()
@@ -329,34 +337,16 @@ class TestServeCli:
                 process.kill()
                 process.communicate()
 
-    def test_port_file_without_serve_is_an_error(self, tmp_path, capsys):
-        from repro.cli import main
-
-        spec = tmp_path / "job.txt"
-        spec.write_text("app-0000/1.0/x86_64-el7")
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "submit", str(spec), "--scale", "tiny",
-                "--state", str(tmp_path / "state.json"),
-                "--port-file", str(tmp_path / "port.txt"),
-            ])
-        assert excinfo.value.code == 2
-        assert "--serve" in capsys.readouterr().err
-
 
 SERVING_THREADS = {"repro-obs-server", "repro-service-server"}
 
 
 def serving_argv(caller, tmp_path, port_file):
-    """Argv for one of the three commands behind the one serving loop."""
-    state = ["--scale", "tiny", "--state", str(tmp_path / "state.json")]
-    if caller == "submit --serve":
-        spec = tmp_path / "job.txt"
-        spec.write_text("app-0000/1.0/x86_64-el7")
-        return ["submit", str(spec), *state, "--serve", "0",
-                "--port-file", str(port_file)]
+    """Argv for one of the two commands behind the one serving loop."""
     if caller == "serve":
-        return ["serve", *state, "--port-file", str(port_file)]
+        return ["serve", "--scale", "tiny",
+                "--state", str(tmp_path / "state.json"),
+                "--port-file", str(port_file)]
     return ["sweep", "--scale", "tiny", "--workers", "1",
             "--repetitions", "1", "--alpha", "0.5", "0.5", "0.1",
             "--serve", "0", "--port-file", str(port_file)]
@@ -377,7 +367,7 @@ class TestServeHardening:
     scrapes racing cache mutation without a lock — run through each
     command that serves until SIGTERM (in process, via ``main``)."""
 
-    CALLERS = ["submit --serve", "serve", "sweep --serve"]
+    CALLERS = ["serve", "sweep --serve"]
 
     def test_port_file_written_atomically(self, tmp_path, monkeypatch):
         # The final name must only ever appear via rename: pollers that

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.cache import LandlordCache
-from repro.core.journal import JournaledState
+from repro.core.journal import Journal, JournaledState
 from repro.obs import validate_prometheus_text
 from repro.service import LandlordClient
 
@@ -236,19 +236,6 @@ class TestServeDaemonCli:
         assert result.returncode == 2
         assert "unreachable" in result.stderr
 
-    def test_remote_conflicts_with_serve(self, tmp_path):
-        spec_file = tmp_path / "job.json"
-        spec_file.write_text(json.dumps({"packages": []}))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "submit", str(spec_file),
-             "--scale", "tiny", "--remote", "http://127.0.0.1:1",
-             "--serve", "0"],
-            cwd=str(REPO_ROOT), env=_env(),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert result.returncode == 2
-        assert "--remote" in result.stderr
-
 
 class TestAdaptiveServeCli:
     def _parse_error(self, *argv):
@@ -296,7 +283,9 @@ class TestOneWriterPerSite:
     """A site has one writer.  A local ``submit`` or a ``recover`` next to
     a live daemon would compact the journal from under the daemon's
     append handle, and every later ack would land in an unlinked file;
-    instead each exits 2 and writes nothing."""
+    instead each exits 2 and writes nothing.  With no daemon, the writer
+    a ``submit`` finds is another one-request wrapper, so it waits its
+    turn."""
 
     def _site(self, tmp_path):
         spec_file = tmp_path / "job.json"
@@ -362,3 +351,79 @@ class TestOneWriterPerSite:
         for spec in specs:
             serial.request(frozenset(spec))
         assert serial.snapshot() == recovered.snapshot()
+
+    def test_concurrent_wrappers_wait_their_turn(self, tmp_path):
+        repo = _tiny_repo()
+        apps = sorted(i for i in repo.ids if i.startswith("app-"))[:16]
+        state = tmp_path / "state.json"
+        site = ["--scale", "tiny", "--state", str(state)]
+        jobs = []
+        for k, app in enumerate(apps):
+            spec_file = tmp_path / f"job{k}.json"
+            spec_file.write_text(json.dumps({"packages": [app]}))
+            jobs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "submit", str(spec_file),
+                 *site, "--snapshot-every", "100"],
+                cwd=str(REPO_ROOT), env=_env(),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            ))
+        for job in jobs:
+            _, stderr = job.communicate(timeout=300)
+            assert job.returncode == 0, stderr
+        journal = Journal(state.with_name("state.json.journal"))
+        assert [entry.seq for entry in journal.entries()] == list(
+            range(1, 17)
+        )
+        recover = _run("recover", *site)
+        assert recover.returncode == 0, recover.stderr
+        assert "state covers 16 requests" in recover.stdout
+        cache, _, _ = JournaledState(state).load(repo.size_of)
+        stats = cache.stats
+        assert stats.requests == 16
+        assert stats.hits + stats.merges + stats.inserts == 16
+        assert stats.deletes == 0
+        images = [image.packages for image in cache.images]
+        for app in apps:
+            closed = repo.closure({app})
+            assert any(closed <= image for image in images), app
+
+    def test_a_waiting_submit_gives_up_once_serve_holds_the_site(
+        self, tmp_path
+    ):
+        # the marker a serve writes once it holds the lock: a wrapper
+        # already waiting exits 2 instead of queueing behind the daemon
+        from repro import cli
+
+        state = str(tmp_path / "state.json")
+        lock_file = tmp_path / "state.json.lock"
+        refused = []
+
+        def wrapper():
+            try:
+                with cli._site_lock(state, "use --remote", wait=True):
+                    refused.append(None)
+            except cli._InputError as exc:
+                refused.append(str(exc))
+
+        with cli._site_lock(state, "retry"):
+            waiter = threading.Thread(target=wrapper)
+            waiter.start()
+            time.sleep(0.1)
+            assert waiter.is_alive()
+            lock_file.write_text("serve 12345\n")
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+        assert refused[0].endswith("use --remote")
+        assert f"site {state} is in use" in refused[0]
+
+    def test_serve_names_itself_while_it_holds_the_site(self, tmp_path):
+        lock_file = tmp_path / "state.json.lock"
+        lock_file.write_text("stale\n")  # the next holder empties it
+        process, _ = start_daemon(tmp_path)
+        try:
+            assert lock_file.read_text() == f"serve {process.pid}\n"
+        finally:
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert lock_file.read_bytes() == b""

@@ -8,7 +8,6 @@ import pytest
 import repro.core.similarity
 import repro.core.spec
 import repro.packages.package
-import repro.packages.resolve
 import repro.util.rng
 import repro.util.tables
 import repro.util.units
@@ -18,7 +17,6 @@ MODULES = [
     repro.util.units,
     repro.util.tables,
     repro.packages.package,
-    repro.packages.resolve,
     repro.core.spec,
     repro.core.similarity,
 ]
