@@ -1,9 +1,8 @@
-"""Benchmarks for the substrate layers: adaptation and catalogs —
-the pieces every experiment composes."""
+"""Benchmarks for the substrate layers every experiment composes:
+the adaptive-α controller."""
 
 from repro.core.adaptive import AlphaController
 from repro.core.cache import LandlordCache
-from repro.cvmfs.nested import NestedCatalogTree
 from repro.htc.workload import DependencyWorkload, build_stream
 from repro.util.rng import spawn
 
@@ -23,14 +22,3 @@ def test_adaptive_controller_overhead(benchmark, bench_repo, scale):
 
     controller = benchmark.pedantic(run, rounds=3, iterations=1)
     assert controller.cache.stats.requests == len(stream)
-
-
-def test_nested_catalog_cold_walk(benchmark, bench_repo):
-    spec = bench_repo.ids[: min(200, len(bench_repo))]
-
-    def run():
-        tree = NestedCatalogTree(bench_repo)
-        return tree.metadata_cost_of(spec)
-
-    cost = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert cost > 0

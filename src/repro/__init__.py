@@ -20,8 +20,8 @@ Quick start::
     print(prepared.action, prepared.image.size)
 
 Subpackages: :mod:`repro.core` (the contribution), :mod:`repro.packages`
-(software repositories), :mod:`repro.cvmfs` (content-addressed store +
-Shrinkwrap), :mod:`repro.containers` (images, layering, registry),
+(software repositories), :mod:`repro.cvmfs` (Shrinkwrap image-build cost
+model), :mod:`repro.containers` (images, layering, registry),
 :mod:`repro.htc` (workloads, simulator, traces), :mod:`repro.specs`
 (specification inference), :mod:`repro.analysis` (sweeps, metrics),
 :mod:`repro.experiments` (every paper figure).

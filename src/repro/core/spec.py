@@ -19,7 +19,7 @@ package ids.  Two operations carry the whole system:
 
 from __future__ import annotations
 
-from typing import AbstractSet, FrozenSet, Iterable, Iterator, Optional
+from typing import FrozenSet, Iterable, Iterator, Optional
 
 __all__ = ["ImageSpec"]
 
@@ -145,7 +145,3 @@ class ImageSpec:
         for spec in specs:
             acc |= spec._packages
         return ImageSpec(acc)
-
-    def as_set(self) -> AbstractSet[str]:
-        """Alias for :attr:`packages`, for APIs that want a plain set."""
-        return self._packages

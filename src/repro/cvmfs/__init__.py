@@ -1,36 +1,22 @@
-"""CVMFS-like content-addressed repository substrate.
+"""Shrinkwrap image builds from a CVMFS-hosted repository.
 
 The paper's prototype targets Singularity images built from CVMFS (the
 CernVM File System) via **Shrinkwrap**, a tool *"for efficiently building
 container images from CVMFS"* (§VI, Figure 2).  This subpackage models the
-parts of that stack the evaluation exercises:
+one step of that stack the evaluation times:
 
-- :mod:`repro.cvmfs.objects` — a content-addressed object store: files are
-  blobs keyed by digest, so identical file content is stored once
-  repository-wide (CVMFS's dedup property).
-- :mod:`repro.cvmfs.catalog` — package → file-manifest catalogs mapping each
-  package to the objects it comprises (CVMFS nested catalogs).
 - :mod:`repro.cvmfs.shrinkwrap` — resolve a specification's dependency
-  closure, fetch the objects, and account the bytes downloaded and written
-  when materialising a container image.
+  closure and account the bytes downloaded and written when materialising
+  a container image, at package granularity.
 
-Nothing touches the real filesystem: blobs carry sizes only.  The substrate
-exists to give the experiments a faithful byte/time accounting of image
-creation ("preparation time" in Figure 2) including the dedup CVMFS
-provides between packages that share files.
+Nothing touches the real filesystem: packages carry sizes only.  The
+substrate gives Figure 2 its "preparation time" and the ``Landlord``
+facade its per-build cost estimate.
 """
 
-from repro.cvmfs.catalog import FileCatalog, FileEntry
-from repro.cvmfs.nested import CatalogNode, NestedCatalogTree
-from repro.cvmfs.objects import ObjectStore
 from repro.cvmfs.shrinkwrap import BuildReport, Shrinkwrap
 
 __all__ = [
-    "ObjectStore",
-    "FileCatalog",
-    "FileEntry",
-    "CatalogNode",
-    "NestedCatalogTree",
     "Shrinkwrap",
     "BuildReport",
 ]

@@ -2,14 +2,14 @@
 
 Figure 2's "Prep. Time" column measures *"the amount of time required to
 create such an image by downloading the contents via Shrinkwrap and
-compressing the resulting data into an image file"*.  This module reproduces
-that pipeline against the simulated CVMFS substrate:
+compressing the resulting data into an image file"*.  This module models
+that pipeline at package granularity:
 
 1. resolve the specification's dependency closure against the repository;
-2. fetch the closure's file objects from the object store (local object
-   cache hits cost nothing);
-3. write the image file — every package's files in full, since container
-   images carry complete copies.
+2. download every package of the closure from CVMFS (each package is one
+   opaque object of its repository size);
+3. write the image file — every package in full, since container images
+   carry complete copies.
 
 Costs are returned as a :class:`BuildReport`; wall-clock estimates come from
 a simple two-parameter bandwidth model (download and write streams overlap
@@ -21,10 +21,9 @@ benchmark applications land near Figure 2's measured preparation times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable, Optional, Union
+from typing import AbstractSet, FrozenSet, Iterable, Union
 
 from repro.core.spec import ImageSpec
-from repro.cvmfs.catalog import FileCatalog
 from repro.packages.repository import Repository
 from repro.util.units import MB
 
@@ -37,30 +36,14 @@ class BuildReport:
 
     packages: FrozenSet[str]       # full closure materialised in the image
     image_bytes: int               # size of the written image file
-    bytes_downloaded: int          # cold object fetches from CVMFS
-    bytes_from_cache: int          # object bytes served by the local cache
-    files: int                     # number of file entries materialised
     prep_seconds: float            # modelled preparation wall-clock
-
-    @property
-    def download_hit_rate(self) -> float:
-        total = self.bytes_downloaded + self.bytes_from_cache
-        return self.bytes_from_cache / total if total else 1.0
 
 
 class Shrinkwrap:
-    """Image builder over a repository + file catalog.
+    """Image builder over a repository.
 
     Args:
         repository: resolves dependency closures and package sizes.
-        catalog: package → file manifests backed by an object store; when
-            omitted, builds are accounted at package granularity (each
-            package is one opaque object) — sufficient for experiments that
-            only need byte totals.
-        nested: optional :class:`~repro.cvmfs.nested.NestedCatalogTree`;
-            when given, each build also loads the nested catalogs covering
-            its closure and the metadata bytes join the download bill
-            (catalogs already loaded by this client cost nothing).
         download_bw: modelled CVMFS download bandwidth, bytes/second.
         write_bw: modelled image write (compress+write) bandwidth.
         setup_seconds: fixed per-build overhead (mount, namespace setup).
@@ -69,8 +52,6 @@ class Shrinkwrap:
     def __init__(
         self,
         repository: Repository,
-        catalog: Optional[FileCatalog] = None,
-        nested: Optional[object] = None,
         download_bw: float = 200 * MB,
         write_bw: float = 300 * MB,
         setup_seconds: float = 5.0,
@@ -78,8 +59,6 @@ class Shrinkwrap:
         if download_bw <= 0 or write_bw <= 0:
             raise ValueError("bandwidths must be positive")
         self.repository = repository
-        self.catalog = catalog
-        self.nested = nested
         self.download_bw = download_bw
         self.write_bw = write_bw
         self.setup_seconds = setup_seconds
@@ -104,7 +83,7 @@ class Shrinkwrap:
         spec: Union[ImageSpec, AbstractSet[str], Iterable[str]],
         resolve_closure: bool = True,
     ) -> BuildReport:
-        """Build the image for ``spec`` and account every byte moved.
+        """Build the image for ``spec``: download the closure, write it.
 
         ``resolve_closure=False`` treats the spec as already closed (the
         cache simulator works with closed specs and must not re-expand).
@@ -112,30 +91,9 @@ class Shrinkwrap:
         packages = self.resolve(spec) if resolve_closure else frozenset(
             spec.packages if isinstance(spec, ImageSpec) else spec
         )
-        metadata_bytes = 0
-        if self.nested is not None:
-            for pid in packages:
-                metadata_bytes += self.nested.lookup(pid)
-        if self.catalog is None:
-            image_bytes = self.repository.bytes_of(packages)
-            downloaded = image_bytes
-            from_cache = 0
-            files = len(packages)
-        else:
-            digests = self.catalog.digests_of(packages)
-            before = self.catalog.store.stats.bytes_served_from_cache
-            downloaded = self.catalog.store.fetch(digests)
-            from_cache = (
-                self.catalog.store.stats.bytes_served_from_cache - before
-            )
-            image_bytes = self.catalog.installed_bytes(packages)
-            files = sum(len(self.catalog.manifest(p)) for p in packages)
-        downloaded += metadata_bytes
+        image_bytes = self.repository.bytes_of(packages)
         return BuildReport(
             packages=packages,
             image_bytes=image_bytes,
-            bytes_downloaded=downloaded,
-            bytes_from_cache=from_cache,
-            files=files,
-            prep_seconds=self.prep_time(downloaded, image_bytes),
+            prep_seconds=self.prep_time(image_bytes, image_bytes),
         )

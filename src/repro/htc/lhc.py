@@ -80,7 +80,7 @@ class BenchmarkApp:
     spec: ImageSpec               # the requested packages (pre-closure)
     closure: FrozenSet[str]       # full image contents
     image_bytes: int              # modelled minimal-image size
-    measured_prep_seconds: float  # Shrinkwrap model, cold object cache
+    measured_prep_seconds: float  # Shrinkwrap model, whole closure fetched
 
     @property
     def name(self) -> str:
@@ -229,8 +229,9 @@ def build_lhc_suite(
         selection, closure = select_spec_for_size(
             repo, paper.minimal_image_bytes, seed=(seed or 0) + idx
         )
-        shrinkwrap = Shrinkwrap(repo)  # cold cache per app measurement
-        report: BuildReport = shrinkwrap.build(closure, resolve_closure=False)
+        report: BuildReport = Shrinkwrap(repo).build(
+            closure, resolve_closure=False
+        )
         apps.append(
             BenchmarkApp(
                 paper=paper,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from repro.core.spec import ImageSpec
 from repro.htc.job import Job
 
-__all__ = ["save_trace", "load_trace", "iter_trace", "jobs_to_trace_records"]
+__all__ = ["save_trace", "iter_trace", "jobs_to_trace_records"]
 
 PathLike = Union[str, Path]
 
@@ -67,8 +67,3 @@ def iter_trace(path: PathLike) -> Iterator[Job]:
                 runtime_seconds=float(record.get("runtime", 0.0)),
                 user=str(record.get("user", "")),
             )
-
-
-def load_trace(path: PathLike) -> List[Job]:
-    """Load a whole trace into memory."""
-    return list(iter_trace(path))

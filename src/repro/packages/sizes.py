@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["lognormal_sizes", "mu_for_mean", "rescale_to_total", "size_histogram"]
+__all__ = ["lognormal_sizes", "mu_for_mean", "rescale_to_total"]
 
 MIN_PACKAGE_SIZE = 4096  # a package is at least one filesystem block
 
@@ -72,20 +72,3 @@ def rescale_to_total(sizes: np.ndarray, target_total: int) -> np.ndarray:
     np.maximum(rescaled, 1, out=rescaled)
     rescaled[rescaled.argmax()] += target_total - int(rescaled.sum())
     return rescaled
-
-
-def size_histogram(sizes: np.ndarray, n_bins: int = 12) -> list:
-    """Log-spaced (lo, hi, count) histogram rows for report output."""
-    sizes = np.asarray(sizes)
-    if sizes.size == 0:
-        return []
-    lo = max(float(sizes.min()), 1.0)
-    hi = float(sizes.max())
-    if hi <= lo:
-        return [(lo, hi, int(sizes.size))]
-    edges = np.geomspace(lo, hi, n_bins + 1)
-    counts, _ = np.histogram(sizes, bins=edges)
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(n_bins)
-    ]

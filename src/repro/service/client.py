@@ -22,7 +22,7 @@ import http.client
 import json
 import socket
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.spans import (
     TRACEPARENT_HEADER,
@@ -249,20 +249,6 @@ class LandlordClient:
                 f"{payload.get('error', payload)}",
                 status=status,
             )
-
-    def submit_many(
-        self,
-        specs: Sequence[Sequence[str]],
-        retries: int = 0,
-        backoff: float = 0.05,
-    ) -> List[dict]:
-        """Submit specs sequentially over one connection; returns all
-        decision payloads in order (same retry contract as
-        :meth:`submit`)."""
-        return [
-            self.submit(spec, retries=retries, backoff=backoff)
-            for spec in specs
-        ]
 
     def health(self) -> dict:
         """The daemon's ``/healthz`` JSON (raises if not healthy 200)."""

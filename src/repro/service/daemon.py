@@ -68,7 +68,6 @@ from time import perf_counter
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.obs import ObsServer, build_status, write_event_stream
-from repro.obs.clock import default_clock
 from repro.obs.server import POLL_INTERVAL, ReplyHandler
 from repro.obs.spans import SpanRecorder, new_trace_id, parse_traceparent
 
@@ -195,10 +194,6 @@ class LandlordDaemon:
         span_limit: size of the bounded span ring buffer behind
             ``/traces`` and ``repro-landlord trace`` (per-stage
             histograms are unaffected — they are cumulative).
-        clock: optional :class:`~repro.obs.HybridClock` override for
-            the span timeline (tests inject a
-            :class:`~repro.obs.FrozenClock`); defaults to the process
-            default clock.
     """
 
     def __init__(
@@ -219,7 +214,6 @@ class LandlordDaemon:
         trace_path: Optional[str] = None,
         known_package: Optional[Callable[[str], bool]] = None,
         span_limit: int = 4096,
-        clock=None,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -258,14 +252,11 @@ class LandlordDaemon:
             _ServiceInstruments(registry) if registry is not None else None
         )
         self.registry = registry
-        self.clock = clock if clock is not None else default_clock()
         # The span ring always records — the service pipeline is not the
         # benchmarked hot path, and "why was that submit slow?" must be
         # answerable without a restart.  Per-stage histograms land in
         # ``registry`` (when attached) as service_stage_seconds.
-        self.spans = SpanRecorder(
-            limit=span_limit, clock=self.clock, registry=registry
-        )
+        self.spans = SpanRecorder(limit=span_limit, registry=registry)
         self.obs = ObsServer(
             registry,
             status_fn=self._status,
@@ -411,7 +402,9 @@ class LandlordDaemon:
         trace — a request is never dropped from tracing.  Rejected
         submissions record no spans (they never enter the pipeline).
         """
-        t_start = self.clock.monotonic()
+        # Every stage is timed on perf_counter, the base of apply_batch's
+        # timings; the span recorder maps it to wall-clock stamps.
+        t_start = perf_counter()
         context = (
             parse_traceparent(traceparent) if traceparent is not None
             else None
@@ -450,7 +443,7 @@ class LandlordDaemon:
                     "queue_depth": len(self._queue),
                     "retry": True,
                 }
-            item.enqueued_mono = self.clock.monotonic()
+            item.enqueued_mono = perf_counter()
             self.accepted += 1
             if self._ins is not None:
                 self._ins.accepted.inc()
@@ -482,7 +475,7 @@ class LandlordDaemon:
             ("queue", item.enqueued_mono, times["pop"]),
             ("fsync", fsync_start, fsync_start + fsync_s),
             ("apply", fsync_start + fsync_s, times["applied"]),
-            ("ack", times["applied"], self.clock.monotonic()),
+            ("ack", times["applied"], perf_counter()),
         ):
             self.spans.observe(
                 stage, start, max(0.0, end - start), trace_id,
@@ -509,7 +502,7 @@ class LandlordDaemon:
         released in ``finally``, so a failed commit strands no one."""
         try:
             if window:
-                self._commit(window, self.clock.monotonic())
+                self._commit(window, perf_counter())
         finally:
             with self._cond:
                 if self._queue:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import ast
 import sys
-from pathlib import Path
-from typing import Iterable, Set, Union
+from typing import Set
 
 from repro.specs.resolver import PackageResolver, SpecReport
 
-__all__ = ["imported_modules", "spec_from_python_source", "spec_from_python_files"]
+__all__ = ["imported_modules", "spec_from_python_source"]
 
 _STDLIB = frozenset(getattr(sys, "stdlib_module_names", ()))
 
@@ -51,22 +50,6 @@ def spec_from_python_source(
 ) -> SpecReport:
     """Scan one source string and resolve its imports to a spec."""
     modules = imported_modules(source, filename)
-    if skip_stdlib:
-        modules = {m for m in modules if m not in _STDLIB}
-    return resolver.resolve(sorted(modules))
-
-
-def spec_from_python_files(
-    paths: Iterable[Union[str, Path]],
-    resolver: PackageResolver,
-    skip_stdlib: bool = True,
-) -> SpecReport:
-    """Scan several files and merge their requirements into one spec."""
-    modules: Set[str] = set()
-    for path in paths:
-        path = Path(path)
-        source = path.read_text(encoding="utf-8")
-        modules |= imported_modules(source, filename=str(path))
     if skip_stdlib:
         modules = {m for m in modules if m not in _STDLIB}
     return resolver.resolve(sorted(modules))

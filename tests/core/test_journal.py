@@ -166,6 +166,7 @@ class TestFailedAppend:
         assert point.fired and excinfo.value is fault
         assert path.stat().st_size == size
         assert journal.append("request", packages=["p2"]).seq == 2
+        journal.close()
         # a fresh writer loads it: no "sequence regressed"
         _, entries = Journal(path).read_as_writer()
         assert [(e.seq, e.data["packages"]) for e in entries] == [
@@ -217,6 +218,7 @@ class TestFailedAppend:
             journal.append("request", packages=["p2"])
         journal.read_as_writer()
         assert journal.append("request", packages=["p2"]).seq == 2
+        journal.close()
         assert [e.seq for e in Journal(path).entries()] == [1, 2]
 
 

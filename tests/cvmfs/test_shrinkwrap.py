@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.spec import ImageSpec
-from repro.cvmfs.catalog import generate_catalog
 from repro.cvmfs.shrinkwrap import Shrinkwrap
 
 
@@ -38,31 +37,3 @@ class TestBuildWithoutCatalog:
     def test_invalid_bandwidth_rejected(self, tiny_repo):
         with pytest.raises(ValueError):
             Shrinkwrap(tiny_repo, download_bw=0)
-
-
-class TestBuildWithCatalog:
-    def test_cold_build_downloads_dedup_writes_full(self, tiny_repo):
-        catalog = generate_catalog(tiny_repo, seed=3, shared_fraction=0.4)
-        sw = Shrinkwrap(tiny_repo, catalog=catalog)
-        report = sw.build(["appX/1.0"])
-        # downloads are content-deduplicated; the image is written in full
-        assert report.bytes_downloaded <= report.image_bytes
-        assert report.image_bytes == catalog.installed_bytes(report.packages)
-        assert report.files > 0
-
-    def test_warm_cache_reduces_downloads(self, tiny_repo):
-        catalog = generate_catalog(tiny_repo, seed=3)
-        sw = Shrinkwrap(tiny_repo, catalog=catalog)
-        first = sw.build(["appX/1.0"])
-        second = sw.build(["appX/1.0"])
-        assert second.bytes_downloaded == 0
-        assert second.bytes_from_cache > 0
-        assert second.download_hit_rate == 1.0
-        assert first.prep_seconds > second.prep_seconds
-
-    def test_overlapping_builds_share_objects(self, tiny_repo):
-        catalog = generate_catalog(tiny_repo, seed=3)
-        sw = Shrinkwrap(tiny_repo, catalog=catalog)
-        sw.build(["appY/1.0"])  # pulls libA+base content
-        report = sw.build(["appX/1.0"])  # shares libA+base
-        assert report.bytes_from_cache > 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.spec import ImageSpec
 from repro.htc.job import Job
-from repro.htc.trace import iter_trace, load_trace, save_trace
+from repro.htc.trace import iter_trace, save_trace
 
 
 def jobs():
@@ -21,7 +21,7 @@ class TestRoundTrip:
         path = tmp_path / "trace.jsonl"
         count = save_trace(path, jobs())
         assert count == 2
-        loaded = load_trace(path)
+        loaded = list(iter_trace(path))
         assert [j.job_id for j in loaded] == ["j0", "j1"]
         assert loaded[0].packages == {"a/1", "b/1"}
         assert loaded[0].runtime_seconds == 10.0
@@ -37,7 +37,7 @@ class TestRoundTrip:
         path = tmp_path / "trace.jsonl"
         save_trace(path, jobs())
         path.write_text(path.read_text() + "\n\n")
-        assert len(load_trace(path)) == 2
+        assert len(list(iter_trace(path))) == 2
 
 
 class TestValidation:
@@ -45,23 +45,23 @@ class TestValidation:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"job": "j0", "packages": ["a/1"]}\n{broken\n')
         with pytest.raises(ValueError, match=":2:"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"job": "j0"}\n')
         with pytest.raises(ValueError, match="missing required field"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_packages_must_be_list(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"job": "j0", "packages": "a/1"}\n')
         with pytest.raises(ValueError, match="must be a list"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            load_trace(tmp_path / "ghost.jsonl")
+            list(iter_trace(tmp_path / "ghost.jsonl"))
 
 
 class TestReplaySemantics:

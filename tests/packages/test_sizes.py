@@ -10,7 +10,6 @@ from repro.packages.sizes import (
     lognormal_sizes,
     mu_for_mean,
     rescale_to_total,
-    size_histogram,
 )
 
 
@@ -77,17 +76,3 @@ class TestRescaleToTotal:
     def test_all_zero_and_empty_are_returned_as_they_are(self):
         for sizes in (np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)):
             assert rescale_to_total(sizes, 50).tolist() == sizes.tolist()
-
-
-class TestSizeHistogram:
-    def test_counts_sum_to_n(self, rng):
-        sizes = lognormal_sizes(rng, 5000, 1e6)
-        rows = size_histogram(sizes, n_bins=10)
-        assert sum(count for _, _, count in rows) == 5000
-
-    def test_empty_input(self):
-        assert size_histogram(np.zeros(0)) == []
-
-    def test_degenerate_single_value(self):
-        rows = size_histogram(np.array([7, 7, 7]))
-        assert rows == [(7.0, 7.0, 3)]

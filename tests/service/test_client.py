@@ -97,17 +97,6 @@ class TestRetryLoop:
         with pytest.raises(ServiceError, match="unknown packages"):
             client.submit(["zap"], retries=5)
 
-    def test_submit_many_preserves_order(self, monkeypatch):
-        client = self._client_with_replies(monkeypatch, [
-            (200, {"request_index": 0}),
-            (200, {"request_index": 1}),
-        ])
-        replies = client.submit_many([["p0"], ["p1"]])
-        assert [r["request_index"] for r in replies] == [0, 1]
-        assert [c[2]["packages"] for c in client._calls] == [
-            ["p0"], ["p1"],
-        ]
-
 
 class TestContextManager:
     def test_context_manager_closes(self):

@@ -6,7 +6,6 @@ from repro.packages.package import Package
 from repro.packages.repository import Repository
 from repro.specs.python_imports import (
     imported_modules,
-    spec_from_python_files,
     spec_from_python_source,
 )
 from repro.specs.resolver import PackageResolver
@@ -69,17 +68,3 @@ class TestSpecFromSource:
     def test_unknown_third_party_reported(self, resolver):
         report = spec_from_python_source("import torch", resolver)
         assert report.unresolved == ("torch",)
-
-
-class TestSpecFromFiles:
-    def test_merges_across_files(self, resolver, tmp_path):
-        (tmp_path / "a.py").write_text("import numpy\n")
-        (tmp_path / "b.py").write_text("import scipy\n")
-        report = spec_from_python_files(
-            [tmp_path / "a.py", tmp_path / "b.py"], resolver
-        )
-        assert report.spec.packages == {"numpy/1.24.0", "scipy/1.10.0"}
-
-    def test_missing_file_raises(self, resolver, tmp_path):
-        with pytest.raises(OSError):
-            spec_from_python_files([tmp_path / "ghost.py"], resolver)
