@@ -16,8 +16,11 @@ each body:
   (worker-less) sample equals the sum of the per-worker samples for
   the same residual label set — the fleet arithmetic a dashboard's
   "total" row silently depends on;
-- with ``--cells N``, the classic body's ``/statusz`` companion JSON
-  (``--status``) reports exactly ``N`` folded cells and completion.
+- with ``--status``, the ``/statusz`` companion JSON reports
+  completion (and, with ``--cells N``, exactly ``N`` folded cells);
+  every per-worker row splits its requests into hits + merges +
+  inserts, and the rows' requests add up to the scraped aggregate
+  ``landlord_requests_total`` — the numbers ``top --url`` shows.
 
 Exit code 0 on success; 1 with a diagnostic on the first violation.
 """
@@ -107,6 +110,33 @@ def check_fleet_arithmetic(text: str, min_workers: int) -> None:
     )
 
 
+def check_worker_rows(status: dict, text: str) -> None:
+    """Per-worker ``/statusz`` rows agree with themselves and the scrape."""
+    workers = status.get("telemetry", {}).get("workers", {})
+    if not workers:
+        raise SystemExit("statusz reports no worker rows")
+    for worker, row in sorted(workers.items()):
+        parts = [row.get(key) for key in ("hits", "merges", "inserts")]
+        if None in parts or sum(parts) != row.get("requests"):
+            raise SystemExit(
+                f"worker {worker}: hits + merges + inserts {parts} "
+                f"!= requests {row.get('requests')}"
+            )
+    total = sum(
+        float(match.group("value"))
+        for match in map(_SAMPLE.match, text.splitlines())
+        if match and match.group("name") == "landlord_requests_total"
+        and not _WORKER.search(match.group("labels") or "")
+    )
+    rows = sum(row["requests"] for row in workers.values())
+    if rows != total:
+        raise SystemExit(
+            f"worker rows sum to {rows} requests, the scraped aggregate "
+            f"landlord_requests_total is {total}"
+        )
+    print(f"worker rows ok: {len(workers)} rows, {rows:g} requests")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("classic", help="classic-format scrape body file")
@@ -139,6 +169,7 @@ def main(argv=None) -> int:
                 f"expected {args.cells}"
             )
         print(f"statusz ok: complete, {folded} cells folded")
+        check_worker_rows(status, classic)
     return 0
 
 

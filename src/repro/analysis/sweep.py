@@ -13,6 +13,11 @@ CPUs; ``workers=1`` is the pool's in-process loop).  Each
 ``(α, repetition)`` cell is an independent simulation whose seed derives
 from :func:`repro.parallel.repetition_seeds`, and results are aggregated
 in cell order — a sweep is **bit-identical** whatever the worker count.
+A pool opened for the call builds the repository the config's
+:class:`~repro.parallel.RepositorySpec` describes, so a config with
+``seed=None`` is refused.  Per-cell metrics are the pool's business: a
+pool given a :class:`~repro.obs.telemetry.TelemetryAggregator` makes
+its cells collect them and folds them in cell order.
 """
 
 from __future__ import annotations
@@ -25,14 +30,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.htc.simulator import SimulationConfig, SimulationResult
-from repro.packages.repository import Repository
 from repro.parallel.seeds import repetition_seeds
-from repro.parallel.simulations import (
-    RepositorySource,
-    RepositorySpec,
-    SimulationPool,
-    merge_result_metrics,
-)
+from repro.parallel.simulations import RepositorySpec, SimulationPool
 
 __all__ = ["SweepResult", "run_repetitions", "alpha_sweep", "default_alphas"]
 
@@ -62,75 +61,40 @@ def _repetition_configs(
     ]
 
 
-def _repository_source(
-    config: SimulationConfig, repository: Optional[Repository]
-) -> RepositorySource:
-    """What to install in workers: the object, or a rebuildable spec."""
-    if repository is not None:
-        return repository
-    spec = RepositorySpec.from_config(config)
-    # An unseeded repository cannot be rebuilt identically per worker;
-    # build it once here and ship the object instead.
-    return spec if spec.seed is not None else spec.build()
-
-
 def _run_cells(
     config: SimulationConfig,
     cells: List[SimulationConfig],
     labels: List[str],
     progress: Callable[[int, int, str], None],
-    repository: Optional[Repository],
     workers: Optional[int],
     pool: Optional[SimulationPool],
-    metrics,
-    telemetry,
 ) -> List[SimulationResult]:
     """Run ``cells`` on ``pool``, or on one opened for this call only."""
-    if metrics is not None or telemetry is not None:
-        cells = [c.with_(collect_metrics=True) for c in cells]
     if pool is not None:
         opened = nullcontext(pool)  # the caller's pool outlives this call
     else:
-        opened = SimulationPool(
-            _repository_source(config, repository), workers,
-            telemetry=telemetry,
-        )
+        opened = SimulationPool(RepositorySpec.from_config(config), workers)
     with opened as runner:
-        results = runner.run(cells, labels=labels, progress=progress)
-    if metrics is not None:
-        merge_result_metrics(results, metrics)
-    return results
+        return runner.run(cells, labels=labels, progress=progress)
 
 
 def run_repetitions(
     config: SimulationConfig,
     repetitions: int = 20,
-    repository: Optional[Repository] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     workers: Optional[int] = None,
     pool: Optional[SimulationPool] = None,
-    metrics=None,
-    telemetry=None,
 ) -> List[SimulationResult]:
     """Run ``repetitions`` simulations differing only in workload seed.
 
     The repetitions run through one
     :class:`~repro.parallel.SimulationPool`: ``pool`` when given (its
-    repository source takes precedence over ``repository``), else one
-    opened for this call with ``workers`` processes (explicit >
-    ``REPRO_WORKERS`` > all CPUs; 1 runs in-process).  Results are
-    ordered by repetition index and identical for every worker count;
-    ``progress(done, total)`` fires once per repetition.
-
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes every
-    repetition collect per-run metrics, merged into the registry in
-    repetition order — deterministic families come out bit-identical
-    whatever the worker count.  ``telemetry`` (a
-    :class:`~repro.obs.telemetry.TelemetryAggregator`) additionally
-    ingests each repetition's snapshot live as its result arrives; it
-    implies per-run metric collection and applies only when this call
-    opens its own pool (a caller-provided ``pool`` carries its own
-    telemetry setting).
+    repository takes precedence over the config's), else one opened for
+    this call with ``workers`` processes (explicit > ``REPRO_WORKERS`` >
+    all CPUs; 1 runs in-process).  Results are ordered by repetition
+    index and identical for every worker count; ``progress(done,
+    total)`` fires once per repetition.  Per-run metrics go to the
+    aggregator of the pool, when it has one.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -142,7 +106,7 @@ def run_repetitions(
     return _run_cells(
         config, _repetition_configs(config, repetitions),
         [f"rep={rep}" for rep in range(repetitions)], bridge,
-        repository, workers, pool, metrics, telemetry,
+        workers, pool,
     )
 
 
@@ -229,13 +193,10 @@ def alpha_sweep(
     base_config: SimulationConfig,
     alphas: Optional[Sequence[float]] = None,
     repetitions: int = 20,
-    repository: Optional[Repository] = None,
     label: str = "",
     progress: Optional[Callable[[str], None]] = None,
     workers: Optional[int] = None,
     pool: Optional[SimulationPool] = None,
-    metrics=None,
-    telemetry=None,
 ) -> SweepResult:
     """Sweep α over a grid, ``repetitions`` runs per point, median per metric.
 
@@ -247,15 +208,8 @@ def alpha_sweep(
     ``REPRO_WORKERS`` > all CPUs; 1 runs in-process).  Each worker builds
     the repository once; results are keyed by cell index, so the returned
     :class:`SweepResult` is bit-identical for every worker count.
-    ``progress(message)`` fires once per cell, naming it.
-
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes every cell
-    collect per-run metrics, merged into the registry in cell order —
-    deterministic families are bit-identical for any worker count.
-    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryAggregator`)
-    ingests each cell's snapshot live as its result arrives; it implies
-    per-run metric collection and applies only when this call opens its
-    own pool.
+    ``progress(message)`` fires once per cell, naming it.  Per-cell
+    metrics go to the aggregator of the pool, when it has one.
     """
     grid = np.asarray(alphas if alphas is not None else default_alphas(), dtype=float)
     if grid.size == 0:
@@ -281,7 +235,6 @@ def alpha_sweep(
             progress(f"{cell_label} ({done}/{total})")
 
     results = _run_cells(
-        base_config, cell_configs, cell_labels, bridge,
-        repository, workers, pool, metrics, telemetry,
+        base_config, cell_configs, cell_labels, bridge, workers, pool,
     )
     return _aggregate_cells(grid, results, repetitions, label)

@@ -527,7 +527,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
     from repro.analysis.report import sweep_table
     from repro.analysis.sweep import alpha_sweep, default_alphas
     from repro.experiments.common import base_config, get_scale
-    from repro.parallel import resolve_workers
+    from repro.parallel import RepositorySpec, SimulationPool, resolve_workers
 
     parser = argparse.ArgumentParser(
         prog="repro-landlord sweep",
@@ -576,11 +576,6 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
         parser.error(str(exc))
-    registry = None
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
     total_cells = int(alphas.size) * repetitions
     progress_state = {"done": 0, "total": total_cells, "last": ""}
 
@@ -589,7 +584,7 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         progress_state["last"] = message
 
     aggregator = None
-    if args.serve is not None:
+    if args.serve is not None or args.metrics_out:
         from repro.obs import TelemetryAggregator
 
         aggregator = TelemetryAggregator(expected_cells=total_cells)
@@ -598,16 +593,18 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
         if port is not None:
             print(f"telemetry on http://127.0.0.1:{port} "
                   "(/metrics /statusz)")
-        sweep = alpha_sweep(
-            base_config(scale, seed=args.seed),
-            alphas=alphas,
-            repetitions=repetitions,
-            label="sweep",
-            workers=workers,
-            metrics=registry,
-            telemetry=aggregator,
-            progress=sweep_progress if aggregator is not None else None,
-        )
+        config = base_config(scale, seed=args.seed)
+        with SimulationPool(
+            RepositorySpec.from_config(config), workers, telemetry=aggregator
+        ) as pool:
+            sweep = alpha_sweep(
+                config,
+                alphas=alphas,
+                repetitions=repetitions,
+                label="sweep",
+                pool=pool,
+                progress=sweep_progress,
+            )
         if aggregator is not None:
             aggregator.mark_complete()
         print(f"alpha sweep: {alphas.size} points x {repetitions} "
@@ -624,15 +621,15 @@ def _cmd_sweep(argv: Sequence[str]) -> int:
                 _json.dump(sweep.to_jsonable(), fh, indent=2)
                 fh.write("\n")
             print(f"\nresults saved to {args.json}")
-        if registry is not None:
+        if args.metrics_out:
             from repro.obs import save_registry
 
-            save_registry(registry, args.metrics_out)
+            save_registry(aggregator.aggregate(), args.metrics_out)
             print(f"metrics saved to {args.metrics_out}")
         return (f"sweep done; telemetry still on "
                 f"http://127.0.0.1:{port} (SIGTERM to stop)")
 
-    if aggregator is None:
+    if args.serve is None:
         run()
         return 0
     from repro.obs import ObsServer

@@ -13,7 +13,8 @@ Modules:
   fixed-bucket Histogram families, Prometheus-text and JSON export, and
   deterministic cross-process snapshot merging.
 - :mod:`repro.obs.clock` — the hybrid span clock: monotonic durations
-  anchored to a wall-clock epoch, injectable/frozen for tests.
+  anchored to a wall-clock epoch, one fixed process-wide instance,
+  injected per recorder (frozen in tests).
 - :mod:`repro.obs.spans` — distributed request tracing: W3C
   ``traceparent`` context propagation, a bounded span ring buffer
   feeding ``service_stage_seconds{stage=...}`` histograms, and the
@@ -36,8 +37,9 @@ Modules:
   (attach to a live server or replay an event stream).
 - :mod:`repro.obs.promcheck` — the strict Prometheus / OpenMetrics
   text-format validators shared by tests and the CI scrape smoke steps.
-- :mod:`repro.obs.telemetry` — the cluster-wide telemetry plane: a
-  sweep's per-cell registry snapshots, fed from the pool's result
+- :mod:`repro.obs.telemetry` — the cluster-wide telemetry plane and
+  the one fold of a sweep's per-cell metrics: a ``SimulationPool``
+  given an aggregator feeds it every cell's snapshot from its result
   channel, served as per-worker labelled series plus a deterministic
   aggregate in one scrape.
 
@@ -46,15 +48,9 @@ Import discipline (cycle avoidance): modules here import at most
 ``repro.core.cache`` may import ``repro.obs`` freely.
 """
 
-from .clock import (
-    FrozenClock,
-    HybridClock,
-    default_clock,
-    set_default_clock,
-)
+from .clock import FrozenClock, HybridClock, default_clock
 from .spans import (
     SERVICE_STAGES,
-    ActiveSpan,
     Span,
     SpanRecorder,
     format_traceparent,
@@ -113,9 +109,7 @@ __all__ = [
     "FrozenClock",
     "HybridClock",
     "default_clock",
-    "set_default_clock",
     "SERVICE_STAGES",
-    "ActiveSpan",
     "Span",
     "SpanRecorder",
     "format_traceparent",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-__all__ = ["HybridClock", "FrozenClock", "default_clock", "set_default_clock"]
+__all__ = ["HybridClock", "FrozenClock", "default_clock"]
 
 
 class HybridClock:
@@ -94,22 +94,11 @@ class FrozenClock(HybridClock):
         return self._t
 
 
-# The process-wide default, shared by every site that stamps wall-clock
-# times without an explicitly injected clock (kept in a one-slot list so
-# set_default_clock swaps it atomically under the GIL).
-_DEFAULT: list = [HybridClock()]
+# The process-wide clock, shared by every site that stamps wall-clock
+# times without an explicitly injected one.
+_DEFAULT = HybridClock()
 
 
 def default_clock() -> HybridClock:
     """The process-wide clock used when none is injected."""
-    return _DEFAULT[0]
-
-
-def set_default_clock(clock: Optional[HybridClock]) -> HybridClock:
-    """Swap the process-wide clock (``None`` restores a fresh real one).
-
-    Returns the previous clock so tests can restore it in a ``finally``.
-    """
-    previous = _DEFAULT[0]
-    _DEFAULT[0] = clock if clock is not None else HybridClock()
-    return previous
+    return _DEFAULT

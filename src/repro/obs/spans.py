@@ -27,9 +27,8 @@ Zero-dependency by construction, like the rest of :mod:`repro.obs`:
 - **Rendering** is :func:`render_waterfall` — the ASCII per-stage
   breakdown behind ``repro-landlord trace``.
 
-Sweep workers reuse the same :class:`Span` model locally (one trace per
-simulation cell — see :mod:`repro.parallel.simulations`), so serial and
-parallel runs emit comparable traces.
+Spans are measured where the work happens (the daemon, the client) and
+handed over finished through :meth:`SpanRecorder.observe`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "SERVICE_STAGES",
     "TRACEPARENT_HEADER",
     "Span",
-    "ActiveSpan",
     "SpanRecorder",
     "format_traceparent",
     "parse_traceparent",
@@ -190,64 +188,6 @@ class Span:
         )
 
 
-class ActiveSpan:
-    """An in-flight span: started now, recorded on :meth:`finish`.
-
-    Usable as a context manager (``with recorder.start("stage"): ...``);
-    exceptions still finish the span so traces never leak open slices.
-    """
-
-    __slots__ = (
-        "recorder", "name", "trace_id", "span_id", "parent_id",
-        "request_index", "attrs", "start_mono",
-    )
-
-    def __init__(
-        self,
-        recorder: "SpanRecorder",
-        name: str,
-        trace_id: str,
-        parent_id: Optional[str] = None,
-        request_index: Optional[int] = None,
-        attrs: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        self.recorder = recorder
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = new_span_id()
-        self.parent_id = parent_id
-        self.request_index = request_index
-        self.attrs = attrs
-        self.start_mono = recorder.clock.monotonic()
-
-    def finish(
-        self, request_index: Optional[int] = None
-    ) -> Span:
-        """Close the span now and record it; returns the frozen span."""
-        mono = self.recorder.clock.monotonic()
-        return self.recorder.observe(
-            self.name,
-            self.start_mono,
-            mono - self.start_mono,
-            self.trace_id,
-            parent_id=self.parent_id,
-            request_index=(
-                request_index if request_index is not None
-                else self.request_index
-            ),
-            attrs=self.attrs,
-            span_id=self.span_id,
-        )
-
-    def __enter__(self) -> "ActiveSpan":
-        """Context-manager entry: the active span itself."""
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Context-manager exit: finish (also on exception)."""
-        self.finish()
-
-
 class SpanRecorder:
     """A bounded, thread-safe ring buffer of spans + stage histograms.
 
@@ -259,14 +199,12 @@ class SpanRecorder:
             (defaults to the process-wide clock; tests inject a
             :class:`~repro.obs.clock.FrozenClock`).
         registry: optional :class:`~repro.obs.MetricsRegistry`; when
-            given, every recorded span also lands in the ``family``
-            histogram labelled ``{stage="<span name>"}``, with a bucket
-            exemplar carrying the ``trace_id`` and the span's wall-clock
-            end time.
-        family: the histogram family name (``service_stage_seconds`` for
-            the daemon; sweeps use ``sweep_stage_seconds``).  Must end
-            in ``_seconds`` — span latencies are wall-clock telemetry
-            and stay out of deterministic snapshots.
+            given, every recorded span also lands in the
+            ``service_stage_seconds`` histogram labelled
+            ``{stage="<span name>"}``, with a bucket exemplar carrying
+            the ``trace_id`` and the span's wall-clock end time.  A
+            ``*_seconds`` family: span latencies are wall-clock
+            telemetry and stay out of deterministic snapshots.
     """
 
     def __init__(
@@ -274,22 +212,19 @@ class SpanRecorder:
         limit: int = 2048,
         clock: Optional[HybridClock] = None,
         registry=None,
-        family: str = "service_stage_seconds",
-        help: str = "Wall-clock seconds per request pipeline stage.",
     ) -> None:
         if limit < 1:
             raise ValueError("limit must be >= 1")
-        if not family.endswith("_seconds"):
-            raise ValueError(
-                "span families must end in _seconds (wall-clock telemetry "
-                f"is excluded from deterministic snapshots): {family!r}"
-            )
         self.limit = limit
         self.clock = clock if clock is not None else default_clock()
         self._spans: "deque[Span]" = deque(maxlen=limit)
         self._lock = threading.Lock()
         self._family = (
-            registry.histogram(family, help, labelnames=("stage",))
+            registry.histogram(
+                "service_stage_seconds",
+                "Wall-clock seconds per request pipeline stage.",
+                labelnames=("stage",),
+            )
             if registry is not None
             else None
         )
@@ -299,24 +234,6 @@ class SpanRecorder:
         return len(self._spans)
 
     # -- recording ---------------------------------------------------------
-
-    def start(
-        self,
-        name: str,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-        request_index: Optional[int] = None,
-        attrs: Sequence[Tuple[str, str]] = (),
-    ) -> ActiveSpan:
-        """Open an :class:`ActiveSpan` now (new trace id when omitted)."""
-        return ActiveSpan(
-            self,
-            name,
-            trace_id if trace_id is not None else new_trace_id(),
-            parent_id=parent_id,
-            request_index=request_index,
-            attrs=tuple(attrs),
-        )
 
     def observe(
         self,

@@ -42,14 +42,16 @@ from repro.obs.metrics import (
 
 __all__ = ["TelemetryAggregator"]
 
-#: Counter families surfaced per worker in ``/statusz`` (and from there
-#: in the ``top`` dashboard's per-worker rows).
+#: Counters surfaced per worker in ``/statusz`` (and from there in the
+#: ``top`` dashboard's per-worker rows): ``(key, family, action)``, where
+#: ``action`` picks one child of ``landlord_requests_total{action=...}``
+#: and ``None`` sums the whole family.
 _STATUS_COUNTERS = (
-    ("requests", "landlord_requests_total"),
-    ("hits", "landlord_hits_total"),
-    ("merges", "landlord_merges_total"),
-    ("inserts", "landlord_inserts_total"),
-    ("evictions", "landlord_evictions_total"),
+    ("requests", "landlord_requests_total", None),
+    ("hits", "landlord_requests_total", "hit"),
+    ("merges", "landlord_requests_total", "merge"),
+    ("inserts", "landlord_requests_total", "insert"),
+    ("evictions", "landlord_evictions_total", None),
 )
 
 
@@ -148,12 +150,15 @@ class TelemetryAggregator:
             for worker in sorted(self._workers):
                 state = self._workers[worker]
                 entry: dict = {"cells": state.cells}
-                for short, family_name in _STATUS_COUNTERS:
+                for short, family_name, action in _STATUS_COUNTERS:
                     family = state.registry.get(family_name)
-                    if family is not None:
-                        entry[short] = sum(
-                            child.value for _, child in family.series()
-                        )
+                    if family is None:
+                        continue
+                    entry[short] = (
+                        sum(child.value for _, child in family.series())
+                        if action is None
+                        else family.value(action=action)
+                    )
                 workers[worker] = entry
             status: dict = {"workers": workers, "complete": self._complete}
             if (

@@ -12,7 +12,9 @@ processes instead of serially:
   order-preserving process-pool map with a clean serial fallback;
 - :mod:`repro.parallel.simulations` — simulation-specific workers: a
   :class:`SimulationPool` whose worker processes build the (expensive,
-  shared) :class:`~repro.packages.repository.Repository` once each.
+  shared) :class:`~repro.packages.repository.Repository` once each from
+  a :class:`RepositorySpec`, and which can feed every cell's metrics to
+  a :class:`~repro.obs.telemetry.TelemetryAggregator`.
 
 Worker counts resolve as: explicit argument > ``REPRO_WORKERS`` env var >
 all CPUs, for library calls and the CLI alike (``workers=1`` is serial).
@@ -26,11 +28,7 @@ from repro.parallel.pool import (
     resolve_workers,
 )
 from repro.parallel.seeds import repetition_seed_sequence, repetition_seeds
-from repro.parallel.simulations import (
-    RepositorySpec,
-    SimulationPool,
-    merge_result_metrics,
-)
+from repro.parallel.simulations import RepositorySpec, SimulationPool
 
 __all__ = [
     "ParallelExecutionError",
@@ -40,5 +38,4 @@ __all__ = [
     "repetition_seeds",
     "RepositorySpec",
     "SimulationPool",
-    "merge_result_metrics",
 ]

@@ -2,30 +2,27 @@
 
 The repository is the expensive shared input of every sweep — one build
 per worker *process*, not per task, is the difference between linear
-speedup and a pickling regression.  Two ways to get it into workers:
+speedup and a pickling regression.  Workers get it from a
+:class:`RepositorySpec`, a tiny picklable recipe each worker can rebuild
+the repository from deterministically (the spec's seed fixes it); on
+fork platforms the parent builds it once and the workers inherit it.
 
-- :class:`RepositorySpec` — a tiny picklable recipe; each worker rebuilds
-  the repository deterministically from the seed (preferred: ships bytes
-  proportional to four scalars);
-- a prebuilt :class:`~repro.packages.repository.Repository` — pickled
-  once per worker through the pool initializer (for repositories loaded
-  from files or otherwise not reconstructible from a spec).
+:class:`SimulationPool` is reusable across batches, so a multi-sweep
+experiment (Figure 6 runs seven sweeps) pays worker start-up and
+repository construction once.
 
-:class:`SimulationPool` wraps both behind one interface and is reusable
-across batches, so a multi-sweep experiment (Figure 6 runs seven sweeps)
-pays worker start-up and repository construction once.
-
-Live fleet telemetry rides the result channel: each cell's metrics
-snapshot already returns to the parent inside its
-:class:`~repro.htc.simulator.SimulationResult`, so a pool given a
-:class:`~repro.obs.telemetry.TelemetryAggregator` feeds it from the
-completion loop, keyed by the pid of the worker that ran the cell.
+Live fleet telemetry rides the result channel: a pool given a
+:class:`~repro.obs.telemetry.TelemetryAggregator` makes its cells
+collect metrics, and each cell's snapshot returns to the parent inside
+its :class:`~repro.htc.simulator.SimulationResult`, where the
+completion loop feeds it to the aggregator, keyed by the pid of the
+worker that ran the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from repro.htc.simulator import SimulationConfig, SimulationResult, simulate
 from repro.packages.repository import Repository
@@ -46,8 +43,7 @@ class RepositorySpec:
 
     Equal specs build identical repositories (construction is seeded), so
     a worker can cache by spec.  A spec with ``seed=None`` would *not*
-    rebuild deterministically — callers must ship the built
-    :class:`Repository` object instead in that case.
+    rebuild deterministically, so :class:`SimulationPool` refuses one.
     """
 
     kind: str
@@ -75,66 +71,30 @@ class RepositorySpec:
         )
 
 
-RepositorySource = Union[RepositorySpec, Repository]
-
 # Per-worker-process repository, installed by the pool initializer.  Keyed
 # by spec so a worker surviving across pools with the same spec reuses it.
 # The parent pre-installs this *before* forking (see SimulationPool), so
 # fork-platform workers inherit the warm repository and closure memo and
 # their initializer is a no-op; the parent clears it again on close.
-_WORKER_REPOSITORY: List[object] = [None, None]  # [key, repository]
-# Per-worker-process span recorder (see repro.obs.spans): each sweep
-# cell runs under its own ``sweep_cell`` trace, so the same waterfall
-# model that explains daemon submits explains slow cells.
-_WORKER_SPANS: List[object] = [None]
+_WORKER_REPOSITORY: List[object] = [None, None]  # [spec, repository]
 
 
-def worker_span_recorder():
-    """This process's sweep-span recorder (lazily created, bounded)."""
-    if _WORKER_SPANS[0] is None:
-        from repro.obs.spans import SpanRecorder
-
-        _WORKER_SPANS[0] = SpanRecorder(limit=1024)
-    return _WORKER_SPANS[0]
-
-
-def _traced_simulate(
-    config: SimulationConfig, repository, spans
-) -> SimulationResult:
-    """Run one cell under a ``sweep_cell`` span (one trace per cell)."""
-    with spans.start(
-        "sweep_cell", attrs=(("alpha", f"{config.alpha:g}"),)
-    ):
-        return simulate(config, repository=repository)
-
-
-def _source_key(source: RepositorySource) -> object:
-    return source if isinstance(source, RepositorySpec) else id(source)
-
-
-def _materialise(source: RepositorySource) -> Repository:
-    return source.build() if isinstance(source, RepositorySpec) else source
-
-
-def _init_simulation_worker(source: RepositorySource) -> None:
+def _init_simulation_worker(spec: RepositorySpec) -> None:
     """Pool initializer: build/install the shared repository once.
 
     Two cases: the parent pre-installed the warm repository before
     forking, so this process inherited it and returns immediately; or
-    (spawn platforms) the repository is rebuilt here from the source.
+    (spawn platforms) the repository is rebuilt here from the spec.
     """
-    key = _source_key(source)
-    if _WORKER_REPOSITORY[0] == key and _WORKER_REPOSITORY[1] is not None:
+    if _WORKER_REPOSITORY[0] == spec and _WORKER_REPOSITORY[1] is not None:
         return  # inherited warm via fork (or reused across pools)
-    repository = _materialise(source)
-    _WORKER_REPOSITORY[0] = key
-    _WORKER_REPOSITORY[1] = repository
+    _WORKER_REPOSITORY[1] = spec.build()
+    _WORKER_REPOSITORY[0] = spec
 
 
 def _simulate_task(config: SimulationConfig) -> SimulationResult:
     """Run one simulation against the worker's installed repository."""
-    repository = _WORKER_REPOSITORY[1]
-    return _traced_simulate(config, repository, worker_span_recorder())
+    return simulate(config, repository=_WORKER_REPOSITORY[1])
 
 
 class SimulationPool:
@@ -152,31 +112,28 @@ class SimulationPool:
     an in-process loop over a single locally built repository.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryAggregator`)
-    ingests every cell's metrics snapshot as its result reaches the
-    parent — under worker ``pid-<pid>``, or ``main`` on the serial path
-    — with cell indices unique across batches of a reused pool.  ``run``
-    returns only after its last cell was ingested, so a scrape taken
-    after it is complete.
+    makes every cell collect metrics and ingests each cell's snapshot as
+    its result reaches the parent — under worker ``pid-<pid>``, or
+    ``main`` on the serial path — with cell indices unique across
+    batches of a reused pool.  ``run`` returns only after its last cell
+    was ingested, so a scrape taken after it is complete.
     """
 
     def __init__(
         self,
-        source: RepositorySource,
+        spec: RepositorySpec,
         workers: Optional[int] = None,
         telemetry=None,
     ):
-        if isinstance(source, RepositorySpec) and source.seed is None:
+        if spec.seed is None:
             raise ValueError(
                 "RepositorySpec with seed=None cannot be rebuilt "
-                "deterministically in workers; pass the built Repository"
+                "deterministically in workers"
             )
         self.workers = resolve_workers(workers)
-        self._source = source
+        self._spec = spec
         self.telemetry = telemetry
         self._local_repo: Optional[Repository] = None
-        #: This process's span recorder — serial runs record into it
-        #: directly; worker processes each hold their own (same model).
-        self.spans = worker_span_recorder()
         self._executor = None
         self._tasks_dispatched = 0
         #: Whether workers inherited the parent's warm repository (fork
@@ -189,11 +146,11 @@ class SimulationPool:
                 # inherits the closure memo and its initializer no-ops.
                 repository = self._repository()
                 repository.warm_closures()
-                _WORKER_REPOSITORY[0] = _source_key(source)
+                _WORKER_REPOSITORY[0] = spec
                 _WORKER_REPOSITORY[1] = repository
                 self.shared_universe = True
             self._executor = _make_executor(
-                self.workers, _init_simulation_worker, (source,)
+                self.workers, _init_simulation_worker, (spec,)
             )
 
     @property
@@ -203,7 +160,7 @@ class SimulationPool:
 
     def _repository(self) -> Repository:
         if self._local_repo is None:
-            self._local_repo = _materialise(self._source)
+            self._local_repo = self._spec.build()
         return self._local_repo
 
     def run(
@@ -222,13 +179,15 @@ class SimulationPool:
                 raise ValueError("labels must match configs one-to-one")
         if not configs:
             return []
+        if self.telemetry is not None:
+            configs = [c.with_(collect_metrics=True) for c in configs]
         offset = self._tasks_dispatched
         self._tasks_dispatched += len(configs)
         if self._executor is None:
             repository = self._repository()
             results = []
             for i, config in enumerate(configs):
-                result = _traced_simulate(config, repository, self.spans)
+                result = simulate(config, repository=repository)
                 self._ingest(offset + i, result, "main")
                 results.append(result)
                 if progress is not None:
@@ -246,7 +205,7 @@ class SimulationPool:
         self, index: int, result: SimulationResult, worker: str
     ) -> None:
         """Hand one finished cell's metrics to the attached aggregator."""
-        if self.telemetry is not None and result.metrics is not None:
+        if self.telemetry is not None:
             self.telemetry.ingest_cells(worker, [(index, result.metrics)])
 
     def close(self) -> None:
@@ -268,23 +227,3 @@ class SimulationPool:
     def __exit__(self, *exc_info: object) -> None:
         """Context-manager exit: shut workers down."""
         self.close()
-
-
-def merge_result_metrics(results, registry) -> int:
-    """Fold per-run metrics snapshots into a parent registry, in order.
-
-    Each :class:`~repro.htc.simulator.SimulationResult` produced with
-    ``collect_metrics=True`` carries its worker-local registry snapshot;
-    merging them in submission order makes the parent registry
-    independent of worker count and completion order — the deterministic
-    families (everything not ``*_seconds``) come out bit-identical to a
-    serial run.  Returns the number of snapshots merged (results without
-    one are skipped).
-    """
-    merged = 0
-    for result in results:
-        snap = getattr(result, "metrics", None)
-        if snap is not None:
-            registry.merge_snapshot(snap)
-            merged += 1
-    return merged

@@ -70,7 +70,7 @@ class TestCompareSweeps:
         assert "lru" in out and "tuned" in out
         assert "+20.0%" in out and "-10.0%" in out
 
-    def test_as_regression_gate_on_real_sweeps(self, small_sft):
+    def test_as_regression_gate_on_real_sweeps(self):
         """Two identical configurations must compare within zero tolerance."""
         from repro.analysis.sweep import alpha_sweep
         from repro.htc.simulator import SimulationConfig
@@ -80,8 +80,6 @@ class TestCompareSweeps:
             capacity=90 * GB, n_unique=20, repeats=3, max_selection=6,
             n_packages=600, repo_total_size=45 * GB, seed=9,
         )
-        a = alpha_sweep(config, alphas=[0.5, 0.8], repetitions=2,
-                        repository=small_sft)
-        b = alpha_sweep(config, alphas=[0.5, 0.8], repetitions=2,
-                        repository=small_sft)
+        a = alpha_sweep(config, alphas=[0.5, 0.8], repetitions=2)
+        b = alpha_sweep(config, alphas=[0.5, 0.8], repetitions=2)
         assert compare_sweeps(a, b).within(0.0)

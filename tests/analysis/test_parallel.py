@@ -190,11 +190,10 @@ class TestDeterminism:
             assert np.array_equal(serial.raw[name],
                                   parallel.raw[name]), name
 
-    def test_run_repetitions_matches(self, small_sft):
+    def test_run_repetitions_matches(self):
         config = tiny_config()
-        serial = run_repetitions(config, 4, repository=small_sft, workers=1)
-        parallel = run_repetitions(config, 4, repository=small_sft,
-                                   workers=2)
+        serial = run_repetitions(config, 4, workers=1)
+        parallel = run_repetitions(config, 4, workers=2)
         assert [r.summary() for r in serial] == [
             r.summary() for r in parallel
         ]
@@ -234,12 +233,12 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="seed=None"):
             SimulationPool(spec, workers=2)
 
-    def test_unseeded_sweep_still_works(self):
-        # seed=None ships the built repository instead of a spec; the two
-        # runs share nothing, so only shapes are comparable.
-        sweep = alpha_sweep(tiny_config(seed=None), alphas=[0.5],
-                            repetitions=2, workers=2)
-        assert sweep.raw["hits"].shape == (1, 2)
+    def test_unseeded_sweep_refused(self):
+        # The pool builds its repository from the config's spec, and an
+        # unseeded spec would build a different one in every worker.
+        with pytest.raises(ValueError, match="seed=None"):
+            alpha_sweep(tiny_config(seed=None), alphas=[0.5],
+                        repetitions=2, workers=2)
 
 
 class TestSimulationPool:
@@ -253,11 +252,10 @@ class TestSimulationPool:
         with SimulationPool(spec, workers=2) as pool:
             got_a = pool.run(batch_a)
             got_b = pool.run(batch_b)
-        repo = spec.build()
         want_a = [r.summary() for r in run_repetitions(
-            config.with_(alpha=0.5), 2, repository=repo)]
+            config.with_(alpha=0.5), 2)]
         want_b = [r.summary() for r in run_repetitions(
-            config.with_(alpha=0.9), 2, repository=repo)]
+            config.with_(alpha=0.9), 2)]
         assert [r.summary() for r in got_a] == want_a
         assert [r.summary() for r in got_b] == want_b
 
@@ -275,22 +273,8 @@ class TestSimulationPool:
         pool.close()
         pool.close()
 
-    def test_serial_run_records_sweep_cell_spans(self):
-        config = tiny_config()
-        with SimulationPool(RepositorySpec.from_config(config), 1) as pool:
-            before = len(pool.spans)
-            results = pool.run([config, config.with_(alpha=0.9)])
-        assert len(results) == 2
-        fresh = pool.spans.spans()[before:]
-        cells = [s for s in fresh if s.name == "sweep_cell"]
-        assert len(cells) == 2
-        # one trace per cell, alpha attached for slow-cell triage
-        assert len({s.trace_id for s in cells}) == 2
-        assert [dict(s.attrs)["alpha"] for s in cells] == ["0.75", "0.9"]
-        assert all(s.duration >= 0.0 for s in cells)
-
     def test_tracing_leaves_results_bit_identical(self):
-        # The span wrapper must not perturb the simulation itself.
+        # The pool must not perturb the simulation itself.
         config = tiny_config()
         repo = RepositorySpec.from_config(config).build()
         from repro.htc.simulator import simulate

@@ -33,7 +33,6 @@ from repro.parallel import RepositorySpec, SimulationPool
 from repro.parallel.simulations import (
     _WORKER_REPOSITORY,
     _init_simulation_worker,
-    _source_key,
 )
 from repro.util.units import GB
 
@@ -60,7 +59,7 @@ class TestWorkerInitializer:
         repo = spec.build()
         old = _WORKER_REPOSITORY[:]
         try:
-            _WORKER_REPOSITORY[0] = _source_key(spec)
+            _WORKER_REPOSITORY[0] = spec
             _WORKER_REPOSITORY[1] = repo
             _init_simulation_worker(spec)
             # same object: the pre-installed repository was not rebuilt

@@ -44,6 +44,7 @@ class TestJournal:
             (1, "request"), (2, "adopt"),
         ]
         assert entries[0].data == {"packages": ["p0", "p1"]}
+        journal.close()
 
     def test_empty_or_missing_journal(self, tmp_path):
         journal = Journal(tmp_path / "none.journal")
@@ -52,9 +53,12 @@ class TestJournal:
 
     def test_sequence_continues_across_sessions(self, tmp_path):
         path = tmp_path / "j.journal"
-        Journal(path).append("request", packages=["p0"])
+        first = Journal(path)
+        first.append("request", packages=["p0"])
+        first.close()
         second = Journal(path)
         entry = second.append("request", packages=["p1"])
+        second.close()
         assert entry.seq == 2
 
     def test_torn_final_line_is_dropped(self, tmp_path):
@@ -110,6 +114,7 @@ class TestJournal:
         assert [e.seq for e in journal.entries()] == [3, 4]
         # appends keep numbering after compaction
         assert journal.append("request", packages=["p9"]).seq == 5
+        journal.close()
 
     def test_numbering_survives_compaction_across_sessions(self, tmp_path):
         # regression: without the compaction marker a fresh process
@@ -125,6 +130,7 @@ class TestJournal:
         fresh = Journal(path)
         assert fresh.last_seq == 3
         assert fresh.append("request", packages=["p9"]).seq == 4
+        fresh.close()
 
     def test_corrupt_compaction_marker_is_fatal(self, tmp_path):
         path = tmp_path / "j.journal"
@@ -143,6 +149,7 @@ class TestJournal:
         journal.reset()
         assert journal.entries() == []
         assert journal.append("request", packages=["p1"]).seq == 1
+        journal.close()
 
 
 class TestFailedAppend:
@@ -235,11 +242,13 @@ class TestReplay:
         for (entry, redo), original in zip(replayed, results):
             assert redo.action == original.action
             assert redo.image.id == original.image.id
+        journal.close()
 
     def test_replay_skips_covered_entries(self, tmp_path):
         journal = Journal(tmp_path / "j.journal")
         for i in range(3):
             journal.append("request", packages=[f"p{i}"])
+        journal.close()
         cache = make_cache()
         replayed = replay(cache, journal.entries(), after_seq=2)
         assert [entry.seq for entry, _ in replayed] == [3]
@@ -299,6 +308,7 @@ class TestJournaledState:
             store.apply(cache, None, "request", packages=[f"p{i}"])
         # 5 ops, snapshot fired at seq 3: journal holds the tail 4..5
         assert [e.seq for e in store.journal.entries()] == [4, 5]
+        store.journal.close()
         fresh = JournaledState(tmp_path / "state.json", snapshot_every=3)
         recovered, _meta, replayed = fresh.load(SIZE.__getitem__)
         assert len(replayed) == 2
@@ -316,6 +326,7 @@ class TestJournaledState:
             store.apply(cache, None, "request", packages=[f"p{i}"])
         # snapshot never fired; all 4 ops live only in the journal
         assert len(store.journal.entries()) == 4
+        store.journal.close()
         recovered, _meta, count = recover_state(
             tmp_path / "state.json", package_size=SIZE.__getitem__
         )
@@ -343,6 +354,7 @@ class TestGroupCommit:
         ]
         assert [e.seq for e in journal.entries()] == [1, 2, 3, 4]
         assert journal.append("request", packages=["p3"]).seq == 5
+        journal.close()
 
     def test_append_many_empty_is_a_noop(self, tmp_path):
         journal = Journal(tmp_path / "j.journal")
@@ -383,6 +395,8 @@ class TestGroupCommit:
         assert (
             batch_store.journal.last_seq == serial_store.journal.last_seq
         )
+        batch_store.journal.close()
+        serial_store.journal.close()
         recovered, _meta, replayed = JournaledState(
             tmp_path / "batch.json"
         ).load(SIZE.__getitem__)
@@ -414,6 +428,7 @@ class TestGroupCommit:
         ])
         # no flush fired: all three ops still live in the journal only
         assert [e.seq for e in store.journal.entries()] == [1, 2, 3]
+        store.journal.close()
 
     def test_apply_batch_on_result_fires_in_entry_order(self, tmp_path):
         store = JournaledState(tmp_path / "state.json", snapshot_every=100)
@@ -425,6 +440,7 @@ class TestGroupCommit:
             [("request", {"packages": [f"p{i}"]}) for i in range(4)],
             on_result=lambda entry, result: seen.append(entry.seq),
         )
+        store.journal.close()
         assert seen == [1, 2, 3, 4]
 
 

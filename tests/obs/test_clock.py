@@ -2,14 +2,14 @@
 
 The clock underpins every wall-clock stamp in the tracing stack
 (span starts, exemplar timestamps), so this file pins the anchor
-arithmetic, the frozen test clock, and the injectable process default.
+arithmetic, the frozen test clock, and the one process-wide default.
 """
 
 import time
 
 import pytest
 
-from repro.obs import FrozenClock, HybridClock, default_clock, set_default_clock
+from repro.obs import FrozenClock, HybridClock, default_clock
 
 
 class TestHybridClock:
@@ -66,21 +66,7 @@ class TestFrozenClock:
 
 
 class TestDefaultClock:
-    def test_swap_and_restore(self):
-        frozen = FrozenClock()
-        previous = set_default_clock(frozen)
-        try:
-            assert default_clock() is frozen
-        finally:
-            set_default_clock(previous)
-        assert default_clock() is previous
-
-    def test_none_restores_a_fresh_real_clock(self):
-        previous = set_default_clock(FrozenClock())
-        try:
-            set_default_clock(None)
-            restored = default_clock()
-            assert not isinstance(restored, FrozenClock)
-            assert abs(restored.now() - time.time()) < 1.0
-        finally:
-            set_default_clock(previous)
+    def test_one_real_clock_per_process(self):
+        clock = default_clock()
+        assert clock is default_clock()
+        assert not isinstance(clock, FrozenClock)

@@ -28,12 +28,11 @@ def quick_repo():
 
 
 @pytest.fixture(scope="module")
-def quick_sweep(quick_repo):
+def quick_sweep():
     return alpha_sweep(
         base_config(QUICK, seed=SEED),
         alphas=QUICK.alphas(),
         repetitions=QUICK.repetitions,
-        repository=quick_repo,
     )
 
 
