@@ -33,8 +33,17 @@ own) while at most 32 images are live, and once the cache has grown past
 that resolves the scans from an incrementally maintained ``uint64`` bit
 matrix — batched NumPy subset tests and popcount Jaccard whose ~30 us of
 dispatch buys scans that barely grow with the row count — with
-lazy-deletion eviction heaps.  The two are bit-identical (same
-decisions, stats, events, snapshots), enforced by
+lazy-deletion eviction heaps.  The per-package live-image counts its
+rarest-package hit scan reads are derived state too: the cache starts
+them (``_refcounts`` and a running unique-byte total,
+:meth:`LandlordCache.count_packages`) when the engine first builds its
+matrix and keeps them exact from then on.  Before that, and on the
+naive engine, no count is kept and unique bytes are an O(images) read
+of the union of the image masks, which suits a gauge read per scrape,
+lap or checkpoint.  A reader that looks after every request (a
+simulation timeline, per-request alert evaluation) starts the counts
+itself, so its reads stay O(1).  The two engines
+are bit-identical (same decisions, stats, events, snapshots), enforced by
 ``tests/core/test_engine_differential.py`` and
 ``test_engine_small_cache.py``; ``BENCH_cache.json``
 (``benchmarks/test_cache_kernel.py``) records the speedup at thousands
@@ -543,11 +552,14 @@ class LandlordCache:
         self._clock = 0
         self._next_image = 0
         self._cached_bytes = 0
-        # Live images per package index.  Kept for the unique-byte gauge
-        # and read (never written) by VectorizedEngine._scan_hit, which
-        # needs it exact whenever a scan can run: every mutation updates
-        # it (_account_add/_account_remove) before its engine hook.
-        self._refcounts = np.zeros(1024, dtype=np.int32)
+        # Live images per package index, and in _unique_bytes the sizes
+        # of the indices it counts: None until count_packages (called by
+        # the vectorized engine's first mirror, or by a per-request
+        # reader of the gauge), then kept exact by every mutation
+        # (_account_add/_account_remove) before its engine hook, on both
+        # sides of the threshold.  _scan_hit reads it; while it is None,
+        # unique bytes and live ids are read off the image masks.
+        self._refcounts: Optional[np.ndarray] = None
         self._unique_bytes = 0
         self._spec_memo: Dict[FrozenSet[str], Tuple[int, np.ndarray, int]] = {}
         self.stats = CacheStats()
@@ -620,9 +632,14 @@ class LandlordCache:
         request, behind the same ``is not None`` guard as the other
         instruments; the window starts at the stats as they stand, and
         the tracker is configured with this cache's capacity and α so
-        windowed occupancy is meaningful.
+        windowed occupancy is meaningful.  Cache efficiency is bound as
+        a reader of :attr:`cache_efficiency`, so the unique bytes behind
+        it are computed per read of the window, not per request.
         """
-        tracker.configure(self.capacity, self.alpha)
+        tracker.configure(
+            self.capacity, self.alpha,
+            cache_efficiency=lambda: self.cache_efficiency,
+        )
         tracker.start(self.stats)
         self._slo = tracker
 
@@ -663,15 +680,41 @@ class LandlordCache:
 
     @property
     def unique_bytes(self) -> int:
-        """Bytes of distinct packages present in at least one cached image."""
-        return self._unique_bytes
+        """Bytes of distinct packages present in at least one cached image.
+
+        The running total once the refcounts exist; before that (and
+        always on the naive engine) the sizes under the union of the
+        image masks, O(images) per read.
+        """
+        if self._refcounts is not None:
+            return self._unique_bytes
+        return self._universe.bytes_of_indices(self._live_ids())
 
     @property
     def cache_efficiency(self) -> float:
         """Unique bytes / total bytes (the paper's cache-efficiency metric)."""
         if self._cached_bytes == 0:
             return 1.0
-        return self._unique_bytes / self._cached_bytes
+        return self.unique_bytes / self._cached_bytes
+
+    def count_packages(self) -> None:
+        """Keep per-package live-image counts, and so :attr:`unique_bytes`
+        as a running total, from now on (a no-op once they are kept).
+
+        Without them every read of the gauge is a union of the image
+        masks.  That suits readers that look per scrape, lap or
+        checkpoint; a reader that looks after every request (a
+        simulation timeline, per-request alert evaluation) calls this
+        first, and the vectorized engine calls it when it first mirrors,
+        because its hit scan reads the counts.
+        """
+        with self._lock or nullcontext():
+            if self._refcounts is not None:
+                return
+            self._refcounts = np.zeros(1024, dtype=np.int32)
+            self._unique_bytes = 0
+            for image in self._images.values():
+                self._account_add(image.indices)
 
     def clear(self) -> None:
         """Drop every cached image without touching the statistics.
@@ -740,12 +783,16 @@ class LandlordCache:
     def peek(self, spec: "ImageSpec | Collection[str]") -> Optional[CachedImage]:
         """Non-mutating hit check: the image that *would* serve ``spec``.
 
-        Touches nothing — no statistics, no LRU update, no insertion.
-        Federation layers use this to decide whether to consult a remote
-        registry before letting :meth:`request` build locally.
+        Touches no statistics, LRU clock or image, and inserts nothing;
+        interning the spec may learn its names (into the universe and
+        the spec memo).  That, and the engine state the hit scan reads,
+        is why it runs under the cache lock like the mutating entry
+        points.  Federation layers use this to decide whether to consult
+        a remote registry before letting :meth:`request` build locally.
         """
-        mask, indices, _size = self._intern(_packages_of(spec))
-        return self._engine.find_hit(mask, indices)
+        with self._lock or nullcontext():
+            mask, indices, _size = self._intern(_packages_of(spec))
+            return self._engine.find_hit(mask, indices)
 
     def adopt(self, packages: "Collection[str]") -> CachedImage:
         """Import an externally built image into the cache.
@@ -894,9 +941,16 @@ class LandlordCache:
 
     def _live_ids(self) -> np.ndarray:
         """Ascending internal ids of the names some live image holds —
-        :meth:`table_snapshot`'s table, as ids."""
-        counted = min(len(self._universe), self._refcounts.size)
-        return np.flatnonzero(self._refcounts[:counted] > 0)
+        :meth:`table_snapshot`'s table, as ids (the refcounts' nonzero
+        entries once they exist, the union of the masks before)."""
+        refcounts = self._refcounts
+        if refcounts is None:
+            union = 0
+            for image in self._images.values():
+                union |= image.mask
+            return self._universe.indices_of_mask(union)
+        counted = min(len(self._universe), refcounts.size)
+        return np.flatnonzero(refcounts[:counted] > 0)
 
     @staticmethod
     def _decode_masks(
@@ -1161,7 +1215,7 @@ class LandlordCache:
         self._refcounts = grown
 
     def _account_add(self, indices: np.ndarray) -> None:
-        if indices.size == 0:
+        if self._refcounts is None or indices.size == 0:
             return
         self._grow_refcounts(int(indices[-1]) + 1)
         prev = self._refcounts[indices]
@@ -1169,9 +1223,12 @@ class LandlordCache:
         fresh = indices[prev == 0]
         self._unique_bytes += self._universe.bytes_of_indices(fresh)
 
-    def _account_remove(self, indices: np.ndarray) -> None:
-        if indices.size == 0:
+    def _account_remove(self, mask: int) -> None:
+        """Uncount an image's packages; its mask is unpacked only when
+        there are refcounts to update."""
+        if self._refcounts is None or mask == 0:
             return
+        indices = self._universe.indices_of_mask(mask)
         prev = self._refcounts[indices]
         self._refcounts[indices] = prev - 1
         gone = indices[prev == 1]
@@ -1196,7 +1253,7 @@ class LandlordCache:
     def _drop_image(self, image: CachedImage) -> None:
         del self._images[image.id]
         self._cached_bytes -= image.size
-        self._account_remove(image.indices)
+        self._account_remove(image.mask)
         self._engine.on_remove(image)
 
     def _evict_to_capacity(self, pinned_id: str, request_index: int) -> List[str]:
@@ -1381,8 +1438,9 @@ class LandlordCache:
         the SLO window: ``_request`` decides, then hands over what it
         decided.  The counters need nothing — they read :attr:`stats` —
         so a request pushes its latency (with its exemplar), a merge its
-        distance, and the window takes one sample of the stats; both
-        observers see the same ``elapsed`` reading.
+        distance, and the window takes one sample of the stats (no
+        unique bytes: it reads :attr:`cache_efficiency` when it is read);
+        both observers see the same ``elapsed`` reading.
         """
         ins = self._ins
         if ins is not None:
@@ -1396,7 +1454,7 @@ class LandlordCache:
         if slo is not None:
             slo.sample(
                 self.stats, elapsed,
-                self._cached_bytes, self._unique_bytes, len(self._images),
+                self._cached_bytes, None, len(self._images),
             )
 
     def submit_batch(

@@ -47,7 +47,8 @@ randomized workloads across the full knob grid.
 Engines hold *derived* state only: the cache remains the single source
 of truth (its ``_images`` dict and the ``CachedImage`` objects; the
 vectorized hit scan also reads the cache's ``_refcounts`` array, which
-is current whenever a scan can run), and
+the cache starts when the engine first mirrors and keeps exact from
+then on, so it is current whenever a scan can run), and
 notifies its engine through four hooks — :meth:`~NaiveEngine.on_add`,
 :meth:`~NaiveEngine.on_remove`, :meth:`~NaiveEngine.on_touch` (the
 image's ``last_used`` changed), :meth:`~NaiveEngine.on_update` (its
@@ -233,22 +234,27 @@ class VectorizedEngine(NaiveEngine):
     **Hit scan** (:meth:`_scan_hit`): the request's package held by the
     fewest live images decides.  Its one input from outside the engine
     is ``cache._refcounts[p]``, the number of live images holding
-    package ``p``: the cache updates it before the matching engine
-    hook on every insert, merge, drop, restore, split and adopt
-    (its unique-byte gauge needs it); the engine reads it and never
-    writes it.
+    package ``p``.  The cache builds it when :meth:`_mirror` asks it to
+    (``cache.count_packages``, a no-op if a per-request reader of the
+    unique-byte gauge started the counts earlier) and from then on
+    updates it before the matching engine hook on every insert, merge,
+    drop, restore, split and adopt; the engine reads it and never
+    writes it.  Before the first mirror the array may not exist, and no
+    scan reads it.
 
     **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
     scan and the merge scan run the inherited
     :class:`NaiveEngine` loops — a dozen big-int tests cost less than
     the matrix kernels' fixed numpy dispatch.  No reader of matrix,
     arrays or heap runs there, so until the cache first grows past the
-    threshold the engine keeps none of them: the hooks count ``_n_live``
-    (and the scans ``prefilter_stats``) and eviction is the inherited
-    ``min()``.  The add that crosses the threshold builds the state from
-    ``cache._images`` in dict order (:meth:`_mirror`); from then on every
-    hook keeps it current, below the threshold too.  The scan switch
-    reads ``_n_live`` and nothing else.
+    threshold the engine keeps none of them, and the cache keeps no
+    refcounts: the hooks count ``_n_live`` (and the scans
+    ``prefilter_stats``) and eviction is the inherited ``min()``.  The
+    add that crosses the threshold builds the state from
+    ``cache._images`` in dict order, and has the cache count its
+    packages (:meth:`_mirror`); from then on every hook keeps both
+    current, below the threshold too.  The scan switch reads
+    ``_n_live`` and nothing else.
 
     **Count window**: the full merge scan first narrows to the rows
     whose package count admits a match — d(s, j) < α forces
@@ -394,18 +400,22 @@ class VectorizedEngine(NaiveEngine):
             self._mirror()
 
     def _mirror(self) -> None:
-        """Build matrix, arrays and heap from ``cache._images``.
+        """Build matrix, arrays and heap from ``cache._images``, and have
+        the cache start the refcounts :meth:`_scan_hit` reads.
 
         Rows are filled in dict order, so ``_order`` ranks the images as
         a sequence kept from the first add would have, and tie-breaks
         depend on that ranking only.  From here on the hooks keep the
-        state current, below the threshold too.
+        state current, and the cache its refcounts, below the threshold
+        too.
         """
         self._mirrored = True
-        images = self._cache._images.values()
+        cache = self._cache
+        images = cache._images.values()
         self._widen(max(self._words_for(image.mask) for image in images))
         for image in images:
             self._add_row(image)
+        cache.count_packages()
 
     def _add_row(self, image: "CachedImage") -> None:
         """Mirror a new image into the matrix and parallel arrays."""
@@ -525,8 +535,9 @@ class VectorizedEngine(NaiveEngine):
 
         A superset of the request holds every package of it, in
         particular the one the fewest live images hold.  That count is
-        ``cache._refcounts[p]``, which the cache keeps exact for its
-        byte accounting (see the class docstring): zero for any package
+        ``cache._refcounts[p]``, which the cache keeps exact from the
+        first mirror on, so it is current whenever a scan can run (see
+        the class docstring): zero for any package
         of the request — or a package index past the array, one no image
         has held yet — means no superset exists, and the matrix is not
         read at all.  Otherwise the rows with the rarest package's bit

@@ -161,7 +161,10 @@ def simulate_stream(
     ``slo`` (a :class:`repro.obs.SloTracker`) attaches rolling-window
     telemetry when the provider supports ``enable_slo``; ``alerts`` (an
     :class:`repro.obs.AlertEngine`) is then evaluated against the window
-    after every request — neither ever perturbs decisions.
+    after every request — neither ever perturbs decisions.  Either that
+    or ``record_timeline`` reads unique bytes per request, so the
+    provider is asked to keep them as a running total
+    (``count_packages``, when it has one).
     """
     if metrics is not None:
         enable = getattr(cache, "enable_metrics", None)
@@ -173,6 +176,12 @@ def simulate_stream(
             enable_slo(slo)
     if alerts is not None and slo is None:
         raise ValueError("alerts require an SloTracker (pass slo=)")
+    if record_timeline or alerts is not None:
+        # Unique bytes are read after every request: have the cache keep
+        # them as a running total instead of a union per read.
+        count_packages = getattr(cache, "count_packages", None)
+        if count_packages is not None:
+            count_packages()
     series: Dict[str, List[int]] = {name: [] for name in _TIMELINE_FIELDS}
     for request_index, spec in enumerate(stream):
         cache.request(spec)

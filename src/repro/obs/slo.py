@@ -21,7 +21,9 @@ ledger.  Over the window it derives:
 - the windowed **merge-rewrite byte-rate** (bytes written per request —
   the paper's Actual Writes, localised in time);
 - windowed **container efficiency** (requested/used bytes) and the
-  instantaneous **cache efficiency** and **occupancy** gauges;
+  instantaneous **cache efficiency** and **occupancy** gauges (a live
+  cache's efficiency is read from the cache when the window is read,
+  not sampled per request);
 - the windowed **eviction rate** (capacity evictions per request — the
   "eviction storm" signal);
 - **p50/p95/p99 request latency** by streaming the same fixed bucket
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from .metrics import DEFAULT_TIME_BUCKETS
 
@@ -126,6 +128,7 @@ class SloTracker:
         self.window = window
         self.capacity: Optional[int] = None
         self.alpha: Optional[float] = None
+        self._read_cache_efficiency: Optional[Callable[[], float]] = None
         self._uppers = tuple(float(b) for b in buckets)
         self._lat_counts = [0] * (len(self._uppers) + 1)
         # Cumulative samples (_sample_of), newest last; the baseline is
@@ -147,10 +150,26 @@ class SloTracker:
             stats.requested_bytes, stats.used_bytes, bucket,
         )
 
-    def configure(self, capacity: int, alpha: float) -> None:
-        """Record static cache configuration (shown on dashboards)."""
+    def configure(
+        self,
+        capacity: int,
+        alpha: float,
+        cache_efficiency: Optional[Callable[[], float]] = None,
+    ) -> None:
+        """Record static cache configuration (shown on dashboards).
+
+        ``cache_efficiency``, when given, is read by :meth:`values` (and
+        so by :meth:`export_to`) in place of the sampled gauges.  It is
+        how a live cache feeds the window (``LandlordCache.enable_slo``
+        binds it, and samples no unique bytes): the cache may compute
+        its unique bytes on read, and the window then pays for them per
+        read rather than per request.  The ``unique_bytes`` argument of
+        :meth:`sample` remains for timeline replays
+        (:mod:`repro.analysis.report`), which know them per request.
+        """
         self.capacity = capacity
         self.alpha = alpha
+        self._read_cache_efficiency = cache_efficiency
 
     def start(self, stats) -> None:
         """Open an empty window whose baseline is ``stats`` (a
@@ -192,9 +211,11 @@ class SloTracker:
         ``stats`` is the cumulative ``CacheStats`` *after* the request
         (the window reads its hits, merges, inserts, capacity evictions
         and requested/written/used bytes); the three gauges are the
-        cache's state after it.  ``unique_bytes`` may be ``None``
-        (event-stream replays cannot reconstruct package overlap) —
-        ``cache_efficiency`` then reads ``nan``.
+        cache's state after it.  ``unique_bytes`` may be ``None``: a
+        live cache passes ``None`` because it binds a reader of its
+        efficiency at :meth:`configure` instead, and event-stream
+        replays cannot reconstruct package overlap, so
+        ``cache_efficiency`` reads ``nan`` for them.
         """
         self.requests += 1
         bucket = (
@@ -248,7 +269,9 @@ class SloTracker:
             eviction_rate = write_rate = requested_rate = nan
             requested = used = 0
         container_eff = requested / used if used else nan
-        if self._unique_bytes is None:
+        if self._read_cache_efficiency is not None:
+            cache_eff = self._read_cache_efficiency()
+        elif self._unique_bytes is None:
             cache_eff = nan
         elif self._cached_bytes:
             cache_eff = self._unique_bytes / self._cached_bytes

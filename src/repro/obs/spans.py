@@ -147,7 +147,6 @@ class Span:
     duration: float
     parent_id: Optional[str] = None
     request_index: Optional[int] = None
-    attrs: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def end(self) -> float:
@@ -167,13 +166,12 @@ class Span:
             out["parent_id"] = self.parent_id
         if self.request_index is not None:
             out["request_index"] = self.request_index
-        if self.attrs:
-            out["attrs"] = [list(pair) for pair in self.attrs]
         return out
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Span":
-        """Inverse of :meth:`to_jsonable`."""
+        """Inverse of :meth:`to_jsonable` (an ``attrs`` key, which older
+        JSON may carry, is ignored)."""
         return cls(
             trace_id=data["trace_id"],
             span_id=data["span_id"],
@@ -182,9 +180,6 @@ class Span:
             duration=data["duration"],
             parent_id=data.get("parent_id"),
             request_index=data.get("request_index"),
-            attrs=tuple(
-                (str(k), str(v)) for k, v in data.get("attrs", ())
-            ),
         )
 
 
@@ -243,7 +238,6 @@ class SpanRecorder:
         trace_id: str,
         parent_id: Optional[str] = None,
         request_index: Optional[int] = None,
-        attrs: Sequence[Tuple[str, str]] = (),
         span_id: Optional[str] = None,
     ) -> Span:
         """Record one externally measured span from monotonic readings.
@@ -260,7 +254,6 @@ class SpanRecorder:
             duration=duration,
             parent_id=parent_id,
             request_index=request_index,
-            attrs=tuple(attrs),
         )
         self.record(span)
         return span

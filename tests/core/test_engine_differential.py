@@ -333,17 +333,33 @@ def test_snapshot_restore_across_compaction_boundary():
 
 
 def assert_refcounts_exact(cache):
-    """What the vectorized hit scan rests on, checked from scratch:
-    ``_refcounts[p]`` == live images whose mask has bit ``p`` == the sum
-    of column ``p`` of the matrix over live rows."""
-    counts = cache._refcounts
-    expected = np.zeros(counts.size, dtype=np.int64)
+    """What the byte gauges and the vectorized hit scan rest on, checked
+    from scratch.  On either engine, ``unique_bytes`` is the size of the
+    union of the live images' package sets and ``_live_ids()`` its
+    indices.  Refcounts, where the cache keeps them (always once a
+    vectorized engine has mirrored, and on either engine from a
+    ``count_packages`` call on), are exact: ``_refcounts[p]`` == live
+    images whose mask has bit ``p`` == on a mirrored cache, the sum of
+    column ``p`` of the matrix over live rows."""
+    union = set()
     for image in cache._images.values():
         assert image.mask.bit_count() == image.package_count
+        union.update(image.indices.tolist())
+    live = sorted(union)
+    sizes = cache._universe.sizes
+    assert cache.unique_bytes == sum(int(sizes[i]) for i in live)
+    assert cache._live_ids().tolist() == live
+    engine = cache._engine
+    mirrored = engine.name == "vectorized" and engine._mirrored
+    counts = cache._refcounts
+    if counts is None:
+        assert not mirrored
+        return
+    expected = np.zeros(counts.size, dtype=np.int64)
+    for image in cache._images.values():
         expected[image.indices] += 1
     assert np.array_equal(counts, expected)
-    engine = cache._engine
-    if engine.name != "vectorized":
+    if not mirrored:
         return
     top = engine._top
     live = engine._live[:top]
@@ -362,7 +378,9 @@ def test_refcounts_equal_live_column_sums_after_every_call(selection):
     """A randomised sequence of every public state-changing call (and
     the read-only ones between them), on a universe several matrix
     words wide, under capacity pressure with merges: after each call
-    both caches satisfy the refcount invariant and agree."""
+    both caches agree, their unique bytes and live ids match the union
+    of their images, and the vectorized one (mirrored from its first
+    add, with the threshold at 0) satisfies the refcount invariant."""
     packages = [f"wide{i:03d}/1.0" for i in range(150)]
     sizes = {pid: 5 + (i * 37) % 90 for i, pid in enumerate(packages)}
 
@@ -440,6 +458,7 @@ def test_refcounts_equal_live_column_sums_after_every_call(selection):
             assert_refcounts_exact(cache)
     assert all(calls.values()), calls
     naive, vec = caches
+    assert vec._engine._mirrored and vec._refcounts is not None
     assert naive.snapshot() == vec.snapshot()
     assert naive.stats.__dict__ == vec.stats.__dict__
     assert vec._engine._words == 8  # 150 packages: 3 words, one growth step

@@ -150,7 +150,11 @@ def test_merge_introducing_a_higher_index_than_any_row(engine_name):
     merged = cache.request(frozenset(PACKAGES[:9] + [PACKAGES[7000]]))
     assert merged.action.value == "merge" and merged.image is low
     assert low.package_count == 11 and low.mask >> 7000 == 1
-    assert cache._refcounts[7000] == 1 and cache._refcounts[9] == 1
+    assert {9, 7000} <= set(cache._live_ids().tolist())
+    if engine_name == "vectorized":  # mirrored from the first add
+        assert cache._refcounts[7000] == 1 and cache._refcounts[9] == 1
+    else:
+        assert cache._refcounts is None
     assert cache.peek(frozenset([PACKAGES[7000], PACKAGES[9]])) is low
     assert cache.peek(frozenset([PACKAGES[7000], PACKAGES[100]])) is None
     assert cache.peek(frozenset(PACKAGES[100:103])) is other

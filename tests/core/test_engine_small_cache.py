@@ -225,3 +225,130 @@ def test_restoring_past_the_threshold_builds_the_state():
     for _ in range(60):
         _request_both(naive, vec, rng)
     assert_same_state(naive, vec)
+
+
+# -- Package accounting across the crossing ---------------------------------
+
+
+def _assert_accounting(naive, vec):
+    """Unique bytes, cache efficiency, live ids and the name table: each
+    engine against a from-scratch union of its images (and, once the
+    vectorized one mirrored, its refcounts against the image sets and
+    the matrix), and the two engines against each other."""
+    assert_refcounts_exact(naive)
+    assert_refcounts_exact(vec)
+    assert vec.unique_bytes == naive.unique_bytes
+    expected = vec.unique_bytes / vec.cached_bytes if vec.cached_bytes else 1.0
+    assert vec.cache_efficiency == naive.cache_efficiency == expected
+    assert vec._live_ids().tolist() == naive._live_ids().tolist()
+    assert vec.table_snapshot() == naive.table_snapshot()
+
+
+def _both(naive, vec, call):
+    results = [call(naive), call(vec)]
+    assert results[0] == results[1]
+    _assert_accounting(naive, vec)
+    return results[0]
+
+
+def _grow_to_threshold(naive, vec, rng):
+    while len(vec) < THRESHOLD:
+        _request_both(naive, vec, rng)
+        _assert_accounting(naive, vec)
+    assert len(vec) == THRESHOLD
+
+
+def _split_and_adopt(naive, vec):
+    """One split and one adoption, each checked."""
+    image = max(vec._images.values(), key=lambda im: im.package_count)
+    held = sorted(image.packages)
+    parts = [frozenset(held[: len(held) // 2 or 1])]
+    _both(naive, vec, lambda c: [im.id for im in c.split(image.id, parts)])
+    _both(naive, vec, lambda c: c.adopt(_spec(Random(len(c)))).id)
+
+
+def test_package_accounting_on_both_sides_of_the_threshold():
+    """Below the threshold a vectorized cache holds no refcounts and
+    reads unique bytes and live ids off its image masks; the add that
+    takes it past the threshold builds counts equal to the sum over its
+    image sets; from then on they stay exact, back below it too.
+    Split, adopt, evict_idle, clear and restore run on each side, and
+    after every call both engines agree with a from-scratch union."""
+    combo = ("smallest", "distance", "lru", "full", False)
+    naive, vec = make_pair(combo, capacity=CAPACITY)
+    rng = Random("accounting")
+
+    # Below: nothing is counted, every gauge is read off the masks.
+    for _ in range(12):
+        _request_both(naive, vec, rng)
+        _assert_accounting(naive, vec)
+    _split_and_adopt(naive, vec)
+    _request_both(naive, vec, rng)
+    assert _both(naive, vec, lambda c: c.evict_idle(3))
+    snap = naive.snapshot()
+    naive, vec = make_pair(combo, capacity=CAPACITY)
+    _both(naive, vec, lambda c: c.restore(snap))
+    _both(naive, vec, lambda c: c.clear())
+    assert len(vec) == 0 and vec.unique_bytes == 0
+    _grow_to_threshold(naive, vec, rng)
+    assert not vec._engine._mirrored and vec._refcounts is None
+
+    # The 33rd add builds the counts (assert_refcounts_exact compares
+    # them with the image sets and the matrix columns).
+    _both(naive, vec, lambda c: c.adopt(frozenset(PACKAGES[:4])).id)
+    assert vec._engine._mirrored and vec._refcounts is not None
+    _request_until_above(naive, vec, rng)
+    _assert_accounting(naive, vec)
+
+    # Above, and back below: the counts are kept exact by every hook.
+    _split_and_adopt(naive, vec)
+    snap = vec.snapshot()
+    assert len(snap["images"]) > THRESHOLD
+    naive, vec = make_pair(combo, capacity=CAPACITY)
+    _both(naive, vec, lambda c: c.restore(snap))
+    assert vec._engine._mirrored and vec._refcounts is not None
+    assert _both(naive, vec, lambda c: c.evict_idle(2))
+    assert len(vec) <= THRESHOLD and vec._refcounts is not None
+    for _ in range(10):
+        _request_both(naive, vec, rng)
+        _assert_accounting(naive, vec)
+    _both(naive, vec, lambda c: c.clear())
+    assert not vec._refcounts.any() and vec.unique_bytes == 0
+    _request_both(naive, vec, rng)
+    _assert_accounting(naive, vec)
+
+
+def test_per_request_readers_start_the_counts():
+    """simulate_stream reads unique bytes after every request when it
+    records a timeline or evaluates alerts, so it has the cache count
+    packages first, on either engine and below the threshold too; the
+    recorded series equals a from-scratch union at every step.  Without
+    either reader nothing is counted."""
+    from repro.htc.simulator import simulate_stream
+    from repro.obs import AlertEngine, SloTracker
+    from repro.obs.alerts import DEFAULT_RULES
+
+    combo = ("smallest", "distance", "lru", "full", False)
+    rng = Random("readers")
+    stream = [_spec(rng) for _ in range(20)]
+    reference, _ = make_pair(combo, capacity=CAPACITY)
+    union = []
+    for spec in stream:
+        reference.request(spec)
+        union.append(reference.unique_bytes)
+    assert reference._refcounts is None
+
+    for cache in make_pair(combo, capacity=CAPACITY):
+        result = simulate_stream(cache, stream)
+        assert len(cache) <= THRESHOLD and cache._refcounts is not None
+        assert result.timeline["unique_bytes"].tolist() == union
+        assert_refcounts_exact(cache)
+    for cache in make_pair(combo, capacity=CAPACITY):
+        simulate_stream(cache, stream, record_timeline=False,
+                        slo=SloTracker(), alerts=AlertEngine(DEFAULT_RULES))
+        assert cache._refcounts is not None
+        assert_refcounts_exact(cache)
+    for cache in make_pair(combo, capacity=CAPACITY):
+        result = simulate_stream(cache, stream, record_timeline=False)
+        assert cache._refcounts is None
+        assert result.unique_bytes == union[-1]

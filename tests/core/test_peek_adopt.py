@@ -1,5 +1,7 @@
 """Tests for the federation primitives LandlordCache.peek / adopt."""
 
+import threading
+
 import pytest
 
 from repro.core.cache import LandlordCache
@@ -30,6 +32,46 @@ class TestPeek:
 
     def test_peek_empty_cache(self):
         assert cache().peek(frozenset({"p0"})) is None
+
+    class _RecordingRLock(type(threading.RLock())):
+        """A re-entrant lock that records how deeply it is held."""
+
+        depth = 0
+        acquisitions = 0
+
+        def __enter__(self):
+            held = super().__enter__()
+            self.acquisitions += 1
+            self.depth += 1
+            return held
+
+        def __exit__(self, *exc):
+            self.depth -= 1
+            return super().__exit__(*exc)
+
+    def test_peek_interns_and_scans_under_the_lock(self):
+        """Interning may learn names (the universe, the spec memo) and
+        the hit scan reads engine state: a window committing under the
+        daemon's lock must not run beside either."""
+        c = cache()
+        c.request(frozenset({"p0", "p1"}))
+        lock = self._RecordingRLock()
+        c.enable_lock(lock)
+        seen = []
+
+        def spy(name, inner):
+            def call(*args):
+                seen.append((name, lock.depth))
+                return inner(*args)
+            return call
+
+        c._intern = spy("intern", c._intern)
+        c._engine.find_hit = spy("find_hit", c._engine.find_hit)
+        assert c.peek(frozenset({"p0", "p9"})) is None
+        assert c.peek(frozenset({"p1"})).id == c.images[0].id
+        assert lock.acquisitions == 2 and lock.depth == 0
+        assert seen == [("intern", 1), ("find_hit", 1)] * 2
+        assert frozenset({"p0", "p9"}) in c._spec_memo
 
 
 class TestAdopt:

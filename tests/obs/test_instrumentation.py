@@ -137,7 +137,7 @@ class _SloSpy:
         self.calls = []
         self._seen = (0, 0, 0)
 
-    def configure(self, capacity, alpha):
+    def configure(self, capacity, alpha, cache_efficiency=None):
         pass
 
     def start(self, stats):

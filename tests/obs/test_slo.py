@@ -223,6 +223,28 @@ class TestCacheIntegration:
         # the live hot path measures wall-clock latency
         assert not math.isnan(values["latency_p50"])
 
+    def test_cache_efficiency_is_read_off_the_cache_below_the_threshold(self):
+        """Below the vectorized engine's small-cache threshold the cache
+        keeps no running unique bytes, and the request path hands the
+        window none: the window reads the cache's efficiency when it is
+        read, including after calls that take no sample."""
+        slo = SloTracker(window=50)
+        cache = LandlordCache(2000, 0.9, SIZE.__getitem__, slo=slo)
+
+        def assert_read_off_the_cache():
+            assert cache._refcounts is None
+            assert slo.values()["cache_efficiency"] == (
+                cache.unique_bytes / cache.cached_bytes
+            )
+
+        for i in range(8):
+            cache.request(frozenset({f"p{i % 4}", f"p{(i + 2) % 6}"}))
+            assert_read_off_the_cache()
+        assert slo._unique_bytes is None
+        cache.adopt(["p0", "p1", "p2"])
+        assert_read_off_the_cache()
+        assert slo.values()["cache_efficiency"] < 1.0
+
     def test_ctor_kwarg_attaches_tracker(self):
         slo = SloTracker()
         cache = LandlordCache(2000, 0.5, SIZE.__getitem__, slo=slo)

@@ -108,7 +108,7 @@ class TestSpanJson:
         span = Span(
             trace_id="t" * 32, span_id="s" * 16, name="apply",
             start=100.0, duration=0.5, parent_id="p" * 16,
-            request_index=7, attrs=(("alpha", "0.8"),),
+            request_index=7,
         )
         assert Span.from_jsonable(span.to_jsonable()) == span
 
@@ -119,6 +119,14 @@ class TestSpanJson:
         )
         data = span.to_jsonable()
         assert "parent_id" not in data and "request_index" not in data
+        assert Span.from_jsonable(data) == span
+
+    def test_attrs_key_of_older_json_is_ignored(self):
+        span = Span(
+            trace_id="t" * 32, span_id="s" * 16, name="apply",
+            start=100.0, duration=0.5,
+        )
+        data = dict(span.to_jsonable(), attrs=[["alpha", "0.8"]])
         assert Span.from_jsonable(data) == span
 
     def test_end_is_start_plus_duration(self):
