@@ -212,6 +212,8 @@ class TestHitScan:
 
     @pytest.mark.parametrize("shared_core", [False, True])
     def test_hit_at_1k_images(self, benchmark, shared_core):
+        from tests.core.matrix_layout import image_major
+
         cache, first = self._cache(shared_core)
         engine = cache._engine
         # The request: everything of word 0 the first image has, and a
@@ -220,7 +222,7 @@ class TestHitScan:
         mask, indices, _size = cache._intern(probe)
         word0 = np.uint64(mask & (2 ** 64 - 1))
         sharing = int(np.count_nonzero(
-            (engine._matrix[: engine._top, 0] & word0) == word0
+            (image_major(engine)[: engine._top, 0] & word0) == word0
         ))
         if shared_core:
             assert int(np.bincount(indices >> 6).argmax()) == 0
@@ -259,6 +261,88 @@ class TestHitScan:
         # The densest-word prefilter this replaced verified every one of
         # the thousand sharing rows (~10x); allow timer noise, not that.
         assert hit_dense < 2.0 * hit_sparse
+
+
+class TestMergeScan:
+    """The full merge scan at ~1k live images (DESIGN.md, "Mask matrix").
+
+    The matrix is stored word-major, so a scan gathers only the words
+    the request has bits in.  Asserted here on best-of timings: a
+    request inside an eighth of the paper-width universe's words costs
+    less than one of the same size spread over every word.
+    """
+
+    N_LIVE = 1_000
+    ALPHA = 0.2  # no drawn image lies this close to either request
+
+    @classmethod
+    def _cache(cls):
+        """``N_LIVE`` images of ``ZONE_SPEC`` packages each, drawn over
+        the whole universe: every count equals the requests', so the
+        count window admits every row and the scan is a full one."""
+        rng = np.random.default_rng(44)
+        cache = _zone_cache(alpha=0.0)  # never merges: one image per spec
+        cache._intern(ZONE_IDS)  # ZONE_IDS[i] is bit i
+        while len(cache) < cls.N_LIVE:
+            picks = rng.choice(len(ZONE_IDS), ZONE_SPEC, replace=False)
+            cache.request(frozenset(ZONE_IDS[int(i)] for i in picks))
+        engine = cache._engine
+        assert engine._n_live == cls.N_LIVE == engine._top
+        assert engine._words == 152  # ceil(9660 / 64) = 151, in cache lines
+        narrow = rng.choice(engine._words // 8 * 64, ZONE_SPEC, replace=False)
+        wide = np.linspace(0, len(ZONE_IDS) - 1, ZONE_SPEC).astype(np.int64)
+        requests = {}
+        for name, picks in (("narrow", narrow), ("wide", wide)):
+            mask, indices, _size = cache._intern(
+                frozenset(ZONE_IDS[int(i)] for i in picks)
+            )
+            requests[name] = mask, int(indices.size)
+        return cache, requests
+
+    @classmethod
+    def _words_touched(cls, engine, mask):
+        return int(np.count_nonzero(engine._query_words(mask)))
+
+    @pytest.mark.parametrize("request_words", ["narrow", "wide"])
+    def test_full_scan_at_1k_images(self, benchmark, request_words):
+        cache, requests = self._cache()
+        engine = cache._engine
+        mask, n_request = requests[request_words]
+        before = engine.prefilter_stats["full"]
+        candidates, examined = benchmark(
+            engine.scan_candidates, mask, n_request, self.ALPHA
+        )
+        assert candidates == [] and examined == self.N_LIVE
+        assert engine.prefilter_stats["full"] > before
+        benchmark.extra_info["words_touched"] = self._words_touched(engine, mask)
+
+    def test_a_narrow_request_scans_cheaper_than_a_wide_one(self):
+        cache, requests = self._cache()
+        engine = cache._engine
+        touched = {
+            name: self._words_touched(engine, mask)
+            for name, (mask, _n) in requests.items()
+        }
+        assert touched["narrow"] <= engine._words // 8
+        assert touched["wide"] == -(-len(ZONE_IDS) // 64)
+        timings = {}
+        for name, (mask, n_request) in requests.items():
+            before = engine.prefilter_stats["full"]
+            assert engine.scan_candidates(mask, n_request, self.ALPHA) == (
+                [], self.N_LIVE
+            )
+            assert engine.prefilter_stats["full"] == before + 1
+            timings[name] = TestHitScan._best_us(
+                lambda: engine.scan_candidates(mask, n_request, self.ALPHA),
+                number=50,
+            )
+        print(
+            f"\nfull merge scan at {self.N_LIVE} images, us: "
+            f"{timings['narrow']:.1f} ({touched['narrow']} of "
+            f"{engine._words} words) / {timings['wide']:.1f} "
+            f"({touched['wide']} words)"
+        )
+        assert timings["narrow"] < timings["wide"]
 
 
 class TestCheckpoint:

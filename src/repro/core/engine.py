@@ -18,18 +18,20 @@ the paper's Algorithm 1, and the semantic ground truth.
 incrementally maintained NumPy state instead:
 
 - all cached-image package sets live in one padded ``uint64`` bit matrix
-  (rows = images, columns = 64-package words, never more than an eighth
-  wider than the package universe), alongside parallel arrays for size,
+  stored word-major (one line per 64-package word, one column per
+  image, never more than an eighth wider than the package universe),
+  alongside parallel arrays for size,
   ``last_used``, ``created_at``, package count, and a dict-insertion
   sequence number;
 - the hit scan asks the request's *rarest* package: a superset of the
   request holds every package of it, so the cache's per-package
   live-image counts either rule a hit out without reading the matrix (a
-  package nobody holds) or name one bit column whose few set rows are
-  the only possible supersets;
+  package nobody holds) or name one word line whose few images with
+  that bit set are the only possible supersets;
 - the merge scan is one batched popcount intersection
-  (:func:`numpy.bitwise_count`) yielding every exact Jaccard distance in
-  one shot — no approximation on the fast path;
+  (:func:`numpy.bitwise_count`) over only the words the request has
+  bits in, yielding every exact Jaccard distance in one shot — no
+  approximation on the fast path;
 - the eviction search is a lazy-deletion heap keyed by the policy, so a
   capacity storm evicting k of n images costs O(k log n) instead of
   O(k·n).
@@ -61,7 +63,7 @@ cache past its small-cache threshold, and holds none below it.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,36 +78,6 @@ ENGINES = ("naive", "vectorized")
 # Little-endian uint64: to_bytes(..., "little") then frombuffer must give
 # the same words on any host, so the byte order is pinned explicitly.
 _WORD = np.dtype("<u8")
-
-
-class _Arena:
-    """Named scratch buffers reused across kernel invocations.
-
-    Each name owns one flat array that only ever grows (geometrically);
-    :meth:`take` returns a reshaped view over its prefix.  Views are
-    only valid until the next ``take`` of the same name, which is fine:
-    every kernel fully consumes its scratch within the call.  Keeping
-    the buffers flat makes them shape-agnostic, so matrix widening and
-    row growth never invalidate the arena.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        n = 1
-        for dim in shape:
-            n *= int(dim)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
-            capacity = max(64, n)
-            if buf is not None and buf.dtype == np.dtype(dtype):
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._buffers[name] = buf
-        return buf[:n].reshape(shape)
 
 
 class NaiveEngine:
@@ -209,10 +181,12 @@ class VectorizedEngine(NaiveEngine):
     """Batched NumPy kernels with bit-identical naive-engine semantics.
 
     State layout (rows are allocated on demand and double, freed rows
-    are recycled, columns grow in steps of at least an eighth):
+    are recycled, words grow in steps of at least an eighth):
 
-    - ``_matrix[row, word]`` — the image's package set as ``uint64`` words
-      (little-endian bit order, matching the cache's big-int masks);
+    - ``_matrix[word, row]`` — word-major: row ``r``'s package set is
+      column ``r``, as ``uint64`` words (little-endian bit order,
+      matching the cache's big-int masks), so one word of every row is
+      one contiguous line;
     - ``_size`` / ``_last_used`` / ``_created`` / ``_count`` — parallel
       ``int64`` arrays mirroring the ``CachedImage`` fields;
     - ``_order`` — a monotonically increasing sequence number assigned
@@ -261,8 +235,10 @@ class VectorizedEngine(NaiveEngine):
     ``t·n_s ≤ n_j ≤ n_s/t`` with ``t = 1 − α``, an exact bound since
     ``|s∩j|/|s∪j| ≤ min(n_s,n_j)/max(n_s,n_j)`` — and gathers +
     popcounts only those rows when the window is selective (fewer than
-    half the allocated rows); otherwise it popcounts the whole matrix in
-    place.  Every skipped row is excluded by the exact bound, so
+    half the allocated rows); otherwise it scans every allocated row.
+    Either way it reads only the request's nonzero words: a word the
+    request has no bit in adds nothing to any intersection.  Every
+    skipped row is excluded by the exact bound, so
     decisions stay bit-identical to the naive loops (DESIGN.md,
     "Decision-engine internals").
     """
@@ -298,12 +274,7 @@ class VectorizedEngine(NaiveEngine):
         rows = self._INITIAL_ROWS
         self._rows = rows
         self._words = 1
-        self._matrix = np.zeros((rows, 1), dtype=_WORD)
-        # Kernel temporaries live in a named-buffer arena: the kernels
-        # run every request, so AND/popcount scratch is written into
-        # reused flat buffers instead of allocated fresh per call (a
-        # measurable win at thousands of rows).
-        self._arena = _Arena()
+        self._matrix = np.zeros((1, rows), dtype=_WORD)  # [word, row]
         self._size = np.zeros(rows, dtype=np.int64)
         self._last_used = np.zeros(rows, dtype=np.int64)
         self._created = np.zeros(rows, dtype=np.int64)
@@ -326,7 +297,7 @@ class VectorizedEngine(NaiveEngine):
         return max(1, (mask.bit_length() + 63) >> 6)
 
     def _widen(self, words: int) -> None:
-        """Grow the matrix to at least ``words`` columns, in steps.
+        """Append word lines until the matrix is ``words`` wide, in steps.
 
         A step is at least an eighth of the current width, rounded up to
         a multiple of 8 words (one cache line): amortised like doubling,
@@ -337,16 +308,16 @@ class VectorizedEngine(NaiveEngine):
             return
         new_words = max(words, self._words + (self._words >> 3))
         new_words = (new_words + 7) & ~7
-        grown = np.zeros((self._rows, new_words), dtype=_WORD)
-        grown[:, : self._words] = self._matrix
+        grown = np.zeros((new_words, self._rows), dtype=_WORD)
+        grown[: self._words] = self._matrix
         self._matrix = grown
         self._words = new_words
 
     def _grow_rows(self) -> None:
         old = self._rows
         new = old * 2
-        grown = np.zeros((new, self._words), dtype=_WORD)
-        grown[:old] = self._matrix
+        grown = np.zeros((self._words, new), dtype=_WORD)
+        grown[:, :old] = self._matrix
         self._matrix = grown
         for attr in ("_size", "_last_used", "_created", "_count", "_order"):
             arr = getattr(self, attr)
@@ -395,7 +366,8 @@ class VectorizedEngine(NaiveEngine):
         small-cache threshold (the add that crosses it builds the state)."""
         self._n_live += 1
         if self._mirrored:
-            self._add_row(image)
+            row = self._add_row(image)
+            self._matrix[:, row] = self._mask_words(image.mask)
         elif self._n_live > self._SMALL_CACHE:
             self._mirror()
 
@@ -405,22 +377,28 @@ class VectorizedEngine(NaiveEngine):
 
         Rows are filled in dict order, so ``_order`` ranks the images as
         a sequence kept from the first add would have, and tie-breaks
-        depend on that ranking only.  From here on the hooks keep the
-        state current, and the cache its refcounts, below the threshold
-        too.
+        depend on that ranking only.  The matrix is written in one pass
+        (the masks' bytes laid out image-major, transposed into the
+        first ``n`` columns) rather than one strided column per image.
+        From here on the hooks keep the state current, and the cache its
+        refcounts, below the threshold too.
         """
         self._mirrored = True
         cache = self._cache
-        images = cache._images.values()
+        images = list(cache._images.values())
         self._widen(max(self._words_for(image.mask) for image in images))
         for image in images:
-            self._add_row(image)
+            self._add_row(image)  # an empty engine: rows 0.. in dict order
+        width = self._words * 8
+        raw = b"".join(image.mask.to_bytes(width, "little") for image in images)
+        n = len(images)
+        self._matrix[:, :n] = np.frombuffer(raw, dtype=_WORD).reshape(n, -1).T
         cache.count_packages()
 
-    def _add_row(self, image: "CachedImage") -> None:
-        """Mirror a new image into the matrix and parallel arrays."""
+    def _add_row(self, image: "CachedImage") -> int:
+        """Mirror a new image into the parallel arrays and the heap; the
+        caller writes its matrix column."""
         row = self._alloc_row()
-        self._matrix[row] = self._mask_words(image.mask)
         self._size[row] = image.size
         self._last_used[row] = image.last_used
         self._created[row] = image.created_at
@@ -431,6 +409,7 @@ class VectorizedEngine(NaiveEngine):
         self._image_of_row[row] = image
         self._row_of[image.id] = row
         self._push(row, image.id)
+        return row
 
     def on_remove(self, image: "CachedImage") -> None:
         """Free the image's row (heap entries die lazily)."""
@@ -458,7 +437,7 @@ class VectorizedEngine(NaiveEngine):
         if not self._mirrored:
             return
         row = self._row_of[image.id]
-        self._matrix[row] = self._mask_words(image.mask)
+        self._matrix[:, row] = self._mask_words(image.mask)
         self._size[row] = image.size
         self._count[row] = image.package_count
         self._last_used[row] = image.last_used
@@ -498,7 +477,7 @@ class VectorizedEngine(NaiveEngine):
             return 0
         live_rows = np.flatnonzero(self._live[:top])
         n = int(live_rows.size)
-        self._matrix[:n] = self._matrix[live_rows]
+        self._matrix[:, :n] = self._matrix[:, live_rows]
         for attr in ("_size", "_last_used", "_created", "_count", "_order"):
             arr = getattr(self, attr)
             arr[:n] = arr[live_rows]
@@ -531,7 +510,7 @@ class VectorizedEngine(NaiveEngine):
     def _scan_hit(
         self, mask: int, indices: np.ndarray
     ) -> Optional["CachedImage"]:
-        """The hit for ``mask`` from the refcounts and one bit column.
+        """The hit for ``mask`` from the refcounts and one word line.
 
         A superset of the request holds every package of it, in
         particular the one the fewest live images hold.  That count is
@@ -541,7 +520,7 @@ class VectorizedEngine(NaiveEngine):
         of the request — or a package index past the array, one no image
         has held yet — means no superset exists, and the matrix is not
         read at all.  Otherwise the rows with the rarest package's bit
-        set (one column pass over ``top`` words) are the only possible
+        set (one pass over ``top`` contiguous words) are the only possible
         supersets; each is checked with the reference test on the
         image's own mask.  Freed rows keep their bits until the row is
         reused, so a set bit proves nothing about liveness: rows without
@@ -561,8 +540,8 @@ class VectorizedEngine(NaiveEngine):
         # Some live image holds the package, so the matrix is wide
         # enough for its word.
         package = int(indices[rarest])
-        column = self._matrix[: self._top, package >> 6]
-        rows = np.flatnonzero(column & _WORD.type(1 << (package & 63)))
+        word = self._matrix[package >> 6, : self._top]
+        rows = np.flatnonzero(word & _WORD.type(1 << (package & 63)))
         image_of = self._image_of_row
         supersets = []
         for row in rows.tolist():
@@ -623,10 +602,12 @@ class VectorizedEngine(NaiveEngine):
     ) -> Tuple[List[Tuple[float, "CachedImage"]], int]:
         """Batched popcount intersection → all exact Jaccard distances.
 
-        ``|s ∩ j|`` is one ``bitwise_count`` over the masked matrix and a
-        row sum; distances come out of the same IEEE-754 expression the
-        naive loop evaluates (int64 division and subtraction are
-        correctly rounded in both), so the floats are bit-identical.
+        ``|s ∩ j|`` is one ``bitwise_count`` over the request's nonzero
+        words (gathered as contiguous lines, ANDed with the request) and
+        a sum over them; distances come out of the same IEEE-754
+        expression the naive loop evaluates (int64 division and
+        subtraction are correctly rounded in both), so the floats are
+        bit-identical.
         Candidates are returned in ascending ``_order`` (= dict order).
 
         The scan first narrows to the exact count window
@@ -644,69 +625,56 @@ class VectorizedEngine(NaiveEngine):
             return super().scan_candidates(mask, n_request, alpha)
         top = self._top
         examined = self._n_live
+        q = self._query_words(mask)
+        words = np.flatnonzero(q)  # only these can intersect any image
         rows = self._window_rows(n_request, alpha)
         if rows is not None and (rows.size << 1) < top:
             self.prefilter_stats["windowed"] += 1
             self.prefilter_stats["rows_scanned"] += int(rows.size)
             if rows.size == 0:
                 return [], examined
-            if rows.size > 1:
-                rows = rows[np.argsort(self._order[rows])]
-            return self._scan_rows(rows, n_request, alpha, mask), examined
-        self.prefilter_stats["full"] += 1
-        self.prefilter_stats["rows_scanned"] += top
-        all_rows = np.arange(top, dtype=np.int64)
-        dist = self._distances(None, all_rows, n_request, mask)
-        ok = self._live[:top] & (dist < alpha)
-        rows = np.flatnonzero(ok)
+            dist = self._distances(
+                self._matrix[words[:, None], rows], q[words],
+                self._count[rows], n_request,
+            )
+            keep = np.flatnonzero(dist < alpha)
+            rows, dist = rows[keep], dist[keep]
+        else:
+            self.prefilter_stats["full"] += 1
+            self.prefilter_stats["rows_scanned"] += top
+            dist = self._distances(
+                self._matrix[words, :top], q[words], self._count[:top],
+                n_request,
+            )
+            rows = np.flatnonzero(self._live[:top] & (dist < alpha))
+            dist = dist[rows]
         if rows.size > 1:
-            rows = rows[np.argsort(self._order[rows])]
-        image_of = self._image_of_row
-        out = [(float(dist[int(r)]), image_of[int(r)]) for r in rows]
-        return out, examined
-
-    def _scan_rows(
-        self, rows: np.ndarray, n_request: int, alpha: float, mask: int
-    ) -> List[Tuple[float, "CachedImage"]]:
-        """Gather ``rows`` and keep those within ``alpha``, in given order."""
-        dist = self._distances(self._matrix[rows], rows, n_request, mask)
+            by_order = np.argsort(self._order[rows])
+            rows, dist = rows[by_order], dist[by_order]
         image_of = self._image_of_row
         return [
-            (float(dist[i]), image_of[int(rows[i])])
-            for i in np.flatnonzero(dist < alpha)
-        ]
+            (d, image_of[r]) for d, r in zip(dist.tolist(), rows.tolist())
+        ], examined
 
+    @staticmethod
     def _distances(
-        self,
-        sub: Optional[np.ndarray],
-        rows: np.ndarray,
-        n_request: int,
-        mask: int,
+        block: np.ndarray, q: np.ndarray, counts: np.ndarray, n_request: int
     ) -> np.ndarray:
-        """Exact Jaccard distances of ``rows`` (garbage on dead rows).
+        """Exact Jaccard distances of the image columns in ``block``.
 
-        ``sub=None`` means "the first ``len(rows)`` matrix rows" and runs
-        through arena scratch buffers (the full-scan fast path); an
-        explicit ``sub`` (a gathered count window) allocates
-        normally.
+        ``block`` is a fresh gather of the request's nonzero words (one
+        row per word in ``q``, one column per image, ``counts`` their
+        package counts); it is ANDed in place.  Dead columns give
+        garbage, which the caller drops.
         """
-        q = self._query_words(mask)
-        if sub is None:
-            top = len(rows)
-            shape = (top, self._words)
-            anded = np.bitwise_and(
-                self._matrix[:top], q, out=self._arena.take("and", shape, _WORD)
-            )
-            pops = np.bitwise_count(
-                anded, out=self._arena.take("pop", shape, np.uint8)
-            )
-        else:
-            pops = np.bitwise_count(sub & q)
-        # A row sum is at most 64 * words, far inside uint32, whose
-        # accumulation loop costs half the int64 one; the int64 counts
-        # promote the arithmetic below back to int64 with the same value.
-        inter = pops.sum(axis=1, dtype=np.uint32)
-        union = n_request + self._count[rows] - inter
+        np.bitwise_and(block, q[:, None], out=block)
+        # A column sum is at most 64 * len(q): the narrowest unsigned
+        # type that holds it accumulates fastest (uint16 at half the
+        # uint32 cost, up to 1023 words), and the int64 counts promote
+        # the arithmetic below back to int64 with the same value.
+        total = np.uint16 if q.size < 1024 else np.uint32
+        inter = np.bitwise_count(block).sum(axis=0, dtype=total)
+        union = n_request + counts - inter
         # Dead rows carry stale counts, so union may be <= 0 there; the
         # caller filters them via _live.  union == 0 on a live row means
         # empty-vs-empty, defined as distance 0.0 (as in the naive loop).

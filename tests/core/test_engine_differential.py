@@ -37,6 +37,7 @@ from repro.core.cache import (
 )
 from repro.core.engine import NaiveEngine, VectorizedEngine
 from repro.packages.conflicts import NoConflicts, SlotConflicts
+from tests.core.matrix_layout import live_bits
 
 # Package ids are name/version so SlotConflicts has real slots to clash.
 NAMES = [f"lib{i}" for i in range(16)]
@@ -364,10 +365,7 @@ def assert_refcounts_exact(cache):
     top = engine._top
     live = engine._live[:top]
     assert int(live.sum()) == engine._n_live == len(cache)
-    bits = np.unpackbits(
-        engine._matrix[:top][live].view(np.uint8), axis=1, bitorder="little"
-    )
-    columns = bits.sum(axis=0, dtype=np.int64)
+    columns = live_bits(engine).sum(axis=0, dtype=np.int64)
     width = min(columns.size, counts.size)
     assert np.array_equal(columns[:width], counts[:width])
     assert not columns[width:].any() and not counts[width:].any()

@@ -12,6 +12,7 @@ package beyond every existing row.
 import pytest
 
 from repro.core.cache import LandlordCache
+from tests.core.matrix_layout import image_major, row_mask
 from tests.core.test_engine_differential import (
     matrix_kernels_at_every_size,  # noqa: F401 - autouse: _SMALL_CACHE = 0
 )
@@ -32,13 +33,12 @@ def one_step_past(words):
 
 
 def row_as_int(engine, image_id):
-    row = engine._row_of[image_id]
-    return int.from_bytes(engine._matrix[row].tobytes(), "little")
+    return row_mask(engine, engine._row_of[image_id])
 
 
 def assert_rows_mirror_images(cache):
     engine = cache._engine
-    assert engine._matrix.shape == (engine._rows, engine._words)
+    assert image_major(engine).shape == (engine._rows, engine._words)
     for image in cache.images:
         assert row_as_int(engine, image.id) == image.mask
 
@@ -92,7 +92,7 @@ def test_widening_preserves_every_row():
     assert engine._words == 80  # (5002 >> 6) + 1 = 79, in whole cache lines
     after = {image_id: row_as_int(engine, image_id) for image_id in before}
     assert after == before
-    assert not engine._matrix[: engine._top - 1, 8:].any()
+    assert not image_major(engine)[: engine._top - 1, 8:].any()
     assert_rows_mirror_images(cache)
     naive = make_cache(engine="naive")
     for start in range(0, 400, 7):

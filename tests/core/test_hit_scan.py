@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from repro.core.cache import HIT_SELECTION, LandlordCache
+from tests.core.matrix_layout import row_words
 from tests.core.test_engine_differential import (
     matrix_kernels_at_every_size,  # noqa: F401 - autouse: _SMALL_CACHE = 0
 )
@@ -103,7 +104,7 @@ def test_stale_bits_in_a_freed_row_never_hit(selection):
     # row still shows its bits.
     held = vec._refcounts[[vec._universe._index[p] for p in (a, b)]]
     assert held.tolist() == [1, 1]
-    assert not engine._live[row] and int(engine._matrix[row, 0]) == 0b11
+    assert not engine._live[row] and int(row_words(engine, row)[0]) == 0b11
     assert peek_id(vec, {a, b}) is None
     assert peek_id(vec, {a}) == "img-000001"
     assert_peeks_agree(pair, [{a, b}, {a}, {b}, {a, c}, {b, d}, {a, b, c}])
