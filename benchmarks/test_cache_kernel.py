@@ -2,9 +2,10 @@
 
 The tentpole perf claim (DESIGN.md, "Decision-engine internals") is that
 ``engine="vectorized"`` — one ``uint64`` bit matrix answering the hit
-scan with a filtered subset test, the merge scan with a count-window
-prefiltered popcount intersection, and eviction with lazy-deletion
-heaps — beats the naive per-image Python loops by a wide margin on a
+scan with a filtered subset test and the merge scan with a
+count-window prefiltered popcount intersection, eviction being the
+reference ``min()`` on both — beats the naive per-image Python loops
+by a wide margin on a
 Figure-4-shaped workload, while staying bit-identical (same decisions,
 stats, events, snapshots).
 
@@ -20,8 +21,8 @@ Three scales, recorded side by side under ``{"scales": {...}}`` in
   1.4 TB, ``deps`` specs over the paper-scale repository — where the
   cache is a dozen huge images and 3 of 4 requests merge.  Here the
   vectorized engine serves its scans and evictions from the reference
-  loops it inherits (the small-cache rule) and keeps no matrix or heap
-  beside them, so the two engines run the same code and the ratio is
+  loops it inherits (the small-cache rule) and keeps no matrix beside
+  them, so the two engines run the same code and the ratio is
   parity plus timer noise: 0.87-1.05x over 10 runs (0.77-0.96x while
   the engine kept its matrix current below the threshold, ~0.72x while
   the matrix kernels served this regime).  The never-slower gate is

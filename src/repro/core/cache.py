@@ -30,10 +30,12 @@ the fastest way to scan the dozen huge images of the paper's operating
 zone (alpha 0.8, 1.4 TB).  The default ``engine="vectorized"`` is for
 caches that grow: it runs those same loops (and keeps no state of its
 own) while at most 32 images are live, and once the cache has grown past
-that resolves the scans from an incrementally maintained ``uint64`` bit
-matrix — batched NumPy subset tests and popcount Jaccard whose ~30 us of
-dispatch buys scans that barely grow with the row count — with
-lazy-deletion eviction heaps.  The per-package live-image counts its
+that resolves the hit and merge scans from an incrementally maintained
+``uint64`` bit matrix — batched NumPy subset tests and popcount Jaccard
+whose ~30 us of dispatch buys scans that barely grow with the row count.
+Eviction is the reference loop on both engines, over the size and
+clocks each ``CachedImage`` alone holds (no engine copies them, so a
+touch notifies no one).  The per-package live-image counts its
 rarest-package hit scan reads are derived state too: the cache starts
 them (``_refcounts`` and a running unique-byte total,
 :meth:`LandlordCache.count_packages`) when the engine first builds its
@@ -722,15 +724,9 @@ class LandlordCache:
         Used by baseline policies (build-per-job) and tests; regular
         operation relies on eviction instead.
         """
-        lock = self._lock
-        if lock is None:
-            return self._clear()
-        with lock:
-            return self._clear()
-
-    def _clear(self) -> None:
-        for image in list(self._images.values()):
-            self._drop_image(image)
+        with self._lock or nullcontext():
+            for image in list(self._images.values()):
+                self._drop_image(image)
 
     def evict_idle(self, max_idle_requests: int) -> List[str]:
         """Administrative maintenance: drop images unused for a while.
@@ -754,31 +750,25 @@ class LandlordCache:
         """
         if max_idle_requests < 0:
             raise ValueError("max_idle_requests must be non-negative")
-        lock = self._lock
-        if lock is None:
-            return self._evict_idle(max_idle_requests)
-        with lock:
-            return self._evict_idle(max_idle_requests)
-
-    def _evict_idle(self, max_idle_requests: int) -> List[str]:
-        horizon = self.stats.requests - max_idle_requests
-        request_index = self.stats.requests - 1
-        recorded = self.record_events or self._tracer is not None
-        evicted = []
-        for image in list(self._images.values()):
-            if image.last_request < horizon:
-                self._drop_image(image)
-                self.stats.deletes += 1
-                self.stats.evictions_idle += 1
-                evicted.append(image.id)
-                if recorded:
-                    self._emit(
-                        CacheEvent(
-                            EventKind.DELETE, request_index,
-                            image.id, image.size, reason="idle",
+        with self._lock or nullcontext():
+            horizon = self.stats.requests - max_idle_requests
+            request_index = self.stats.requests - 1
+            recorded = self.record_events or self._tracer is not None
+            evicted = []
+            for image in list(self._images.values()):
+                if image.last_request < horizon:
+                    self._drop_image(image)
+                    self.stats.deletes += 1
+                    self.stats.evictions_idle += 1
+                    evicted.append(image.id)
+                    if recorded:
+                        self._emit(
+                            CacheEvent(
+                                EventKind.DELETE, request_index,
+                                image.id, image.size, reason="idle",
+                            )
                         )
-                    )
-        return evicted
+            return evicted
 
     def peek(self, spec: "ImageSpec | Collection[str]") -> Optional[CachedImage]:
         """Non-mutating hit check: the image that *would* serve ``spec``.
@@ -808,10 +798,7 @@ class LandlordCache:
         the stream they follow the last completed request's decision, so
         a tracer files them there (like ``evict_idle`` victims).
         """
-        lock = self._lock
-        if lock is None:
-            return self._adopt(packages)
-        with lock:
+        with self._lock or nullcontext():
             return self._adopt(packages)
 
     def _adopt(
@@ -826,8 +813,6 @@ class LandlordCache:
             raise ValueError("cannot adopt an empty image")
         self._clock += 1
         image = self._new_image(mask, indices, size)
-        image.last_used = self._clock
-        self._engine.on_touch(image)
         self.stats.adoptions += 1
         self._evict_to_capacity(image.id, self.stats.requests)
         return image
@@ -1123,43 +1108,30 @@ class LandlordCache:
         Raises :class:`KeyError` for unknown images and
         :class:`ValueError` for empty/out-of-image parts.
         """
-        lock = self._lock
-        if lock is None:
-            return self._split(image_id, parts)
-        with lock:
-            return self._split(image_id, parts)
-
-    def _split(
-        self,
-        image_id: str,
-        parts: "List[Collection[str]]",
-    ) -> List[CachedImage]:
-        image = self._images.get(image_id)
-        if image is None:
-            raise KeyError(f"unknown image: {image_id!r}")
-        if not parts:
-            raise ValueError("split needs at least one part")
-        interned = []
-        for part in parts:
-            mask, indices, size = self._intern(part)
-            if not indices.size:
-                raise ValueError("split parts must be non-empty")
-            if mask & image.mask != mask:
-                raise ValueError(
-                    "split part is not a subset of the image contents"
-                )
-            interned.append((mask, indices, size))
-        self._drop_image(image)
-        new_images = []
-        for mask, indices, size in interned:
-            self._clock += 1
-            part_image = self._new_image(mask, indices, size)
-            part_image.last_used = self._clock
-            self._engine.on_touch(part_image)
-            self.stats.bytes_written += size
-            new_images.append(part_image)
-        self.stats.splits += 1
-        return new_images
+        with self._lock or nullcontext():
+            image = self._images.get(image_id)
+            if image is None:
+                raise KeyError(f"unknown image: {image_id!r}")
+            if not parts:
+                raise ValueError("split needs at least one part")
+            interned = []
+            for part in parts:
+                mask, indices, size = self._intern(part)
+                if not indices.size:
+                    raise ValueError("split parts must be non-empty")
+                if mask & image.mask != mask:
+                    raise ValueError(
+                        "split part is not a subset of the image contents"
+                    )
+                interned.append((mask, indices, size))
+            self._drop_image(image)
+            new_images = []
+            for mask, indices, size in interned:
+                self._clock += 1
+                new_images.append(self._new_image(mask, indices, size))
+                self.stats.bytes_written += size
+            self.stats.splits += 1
+            return new_images
 
     # -- internals ---------------------------------------------------------------
 
@@ -1331,7 +1303,6 @@ class LandlordCache:
         if image is not None:
             image.last_used = self._clock
             image.last_request = self.stats.requests
-            self._engine.on_touch(image)
             self.stats.hits += 1
             self.stats.used_bytes += image.size
         else:
@@ -1387,8 +1358,6 @@ class LandlordCache:
                 action = EventKind.INSERT
                 distance = None
                 image = self._new_image(mask, indices, requested)
-                image.last_used = self._clock
-                self._engine.on_touch(image)
                 self.stats.inserts += 1
                 self.stats.bytes_written += requested
                 self.stats.used_bytes += requested

@@ -14,15 +14,14 @@ The reference implementation (:class:`NaiveEngine`) answers all three
 with O(cache size) Python loops over big-int bitmasks — clear, exactly
 the paper's Algorithm 1, and the semantic ground truth.
 
-:class:`VectorizedEngine` answers the same three questions from
-incrementally maintained NumPy state instead:
+:class:`VectorizedEngine` answers the first two from incrementally
+maintained NumPy state instead, and the third as the reference does:
 
 - all cached-image package sets live in one padded ``uint64`` bit matrix
   stored word-major (one line per 64-package word, one column per
   image, never more than an eighth wider than the package universe),
-  alongside parallel arrays for size,
-  ``last_used``, ``created_at``, package count, and a dict-insertion
-  sequence number;
+  alongside the two per-row arrays its scans read: package count and a
+  dict-insertion sequence number;
 - the hit scan asks the request's *rarest* package: a superset of the
   request holds every package of it, so the cache's per-package
   live-image counts either rule a hit out without reading the matrix (a
@@ -32,9 +31,11 @@ incrementally maintained NumPy state instead:
   (:func:`numpy.bitwise_count`) over only the words the request has
   bits in, yielding every exact Jaccard distance in one shot — no
   approximation on the fast path;
-- the eviction search is a lazy-deletion heap keyed by the policy, so a
-  capacity storm evicting k of n images costs O(k log n) instead of
-  O(k·n).
+- the eviction search is the inherited ``min()`` at every size: it reads
+  the ``CachedImage`` fields the policy names, which the cache already
+  owns.  The caches that evict hold about a hundred live images at most,
+  where an O(n) pick per victim costs no more per run than an index
+  kept current on every touch (DESIGN.md, "Eviction").
 
 The two engines are **bit-identical**: same decisions, same statistics,
 same events, same snapshots, for every combination of policy knobs.
@@ -47,22 +48,22 @@ suite in ``tests/core/test_engine_differential.py`` enforces it over
 randomized workloads across the full knob grid.
 
 Engines hold *derived* state only: the cache remains the single source
-of truth (its ``_images`` dict and the ``CachedImage`` objects; the
-vectorized hit scan also reads the cache's ``_refcounts`` array, which
-the cache starts when the engine first mirrors and keeps exact from
-then on, so it is current whenever a scan can run), and
-notifies its engine through four hooks — :meth:`~NaiveEngine.on_add`,
-:meth:`~NaiveEngine.on_remove`, :meth:`~NaiveEngine.on_touch` (the
-image's ``last_used`` changed), :meth:`~NaiveEngine.on_update` (its
-contents/size changed, i.e. a merge rewrite).  Restoring a snapshot
-replays ``on_add`` per image, which is how a recovered cache rebuilds
-its matrix — the vectorized engine builds it on the add that takes the
-cache past its small-cache threshold, and holds none below it.
+of truth (its ``_images`` dict and the ``CachedImage`` objects, the one
+owner of every image's size and clocks; the vectorized hit scan also
+reads the cache's ``_refcounts`` array, which the cache starts when the
+engine first mirrors and keeps exact from then on, so it is current
+whenever a scan can run), and notifies its engine through three hooks —
+:meth:`~NaiveEngine.on_add`, :meth:`~NaiveEngine.on_remove` and
+:meth:`~NaiveEngine.on_update` (its contents changed, i.e. a merge
+rewrite).  A refreshed ``last_used`` needs no hook: no engine keeps a
+copy of it.  Restoring a snapshot replays ``on_add`` per image, which
+is how a recovered cache rebuilds its matrix — the vectorized engine
+builds it on the add that takes the cache past its small-cache
+threshold, and holds none below it.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -111,9 +112,6 @@ class NaiveEngine:
 
     def on_remove(self, image: "CachedImage") -> None:
         """An image left the cache (eviction, clear, split source)."""
-
-    def on_touch(self, image: "CachedImage") -> None:
-        """The image's ``last_used`` clock was refreshed."""
 
     def on_update(self, image: "CachedImage") -> None:
         """The image's mask/size/count changed (a merge rewrite)."""
@@ -187,23 +185,21 @@ class VectorizedEngine(NaiveEngine):
       column ``r``, as ``uint64`` words (little-endian bit order,
       matching the cache's big-int masks), so one word of every row is
       one contiguous line;
-    - ``_size`` / ``_last_used`` / ``_created`` / ``_count`` — parallel
-      ``int64`` arrays mirroring the ``CachedImage`` fields;
+    - ``_count`` — each row's package count, the one image scalar the
+      count window reads as a vector;
     - ``_order`` — a monotonically increasing sequence number assigned
       when the image enters ``cache._images``; because images are only
       ever appended to that dict, ascending ``_order`` *is* dict
       iteration order, which is what every naive tie-break reduces to;
-    - ``_heap`` — a lazy-deletion heap of ``(key, order, image_id)``
-      entries for the bound eviction policy (``last_used`` for LRU,
-      ``created_at`` for FIFO, ``-size`` for size-based).  Key changes
-      push a fresh entry; stale entries are detected at pop time by
-      comparing against the live arrays.  ``order`` is unique, so heap
-      order is total and equals the naive scan's first-minimum rule.
+    - ``_live`` and the row↔image maps (``_image_of_row``, ``_row_of``).
 
-    The eviction policy is fixed at bind time (the cache validates and
-    never mutates it); ``alpha`` and ``hit_selection`` are read per call
-    because :class:`~repro.core.adaptive.AlphaController` retunes α on a
-    live cache.
+    Nothing else is copied: an image's size and clocks are read off its
+    ``CachedImage`` where a rule needs them (the hit selection among a
+    few supersets), so a touch needs no hook, and eviction is the
+    inherited ``min()`` over ``cache._images`` at every size.  ``alpha``
+    and ``hit_selection`` are read per call because
+    :class:`~repro.core.adaptive.AlphaController` retunes α on a live
+    cache.
 
     **Hit scan** (:meth:`_scan_hit`): the request's package held by the
     fewest live images decides.  Its one input from outside the engine
@@ -219,14 +215,13 @@ class VectorizedEngine(NaiveEngine):
     **Small caches**: at or below ``_SMALL_CACHE`` live images the hit
     scan and the merge scan run the inherited
     :class:`NaiveEngine` loops — a dozen big-int tests cost less than
-    the matrix kernels' fixed numpy dispatch.  No reader of matrix,
-    arrays or heap runs there, so until the cache first grows past the
-    threshold the engine keeps none of them, and the cache keeps no
+    the matrix kernels' fixed numpy dispatch.  No reader of matrix or
+    arrays runs there, so until the cache first grows past the
+    threshold the engine keeps neither, and the cache keeps no
     refcounts: the hooks count ``_n_live`` (and the scans
-    ``prefilter_stats``) and eviction is the inherited ``min()``.  The
-    add that crosses the threshold builds the state from
-    ``cache._images`` in dict order, and has the cache count its
-    packages (:meth:`_mirror`); from then on every hook keeps both
+    ``prefilter_stats``).  The add that crosses the threshold builds the
+    state from ``cache._images`` in dict order, and has the cache count
+    its packages (:meth:`_mirror`); from then on every hook keeps both
     current, below the threshold too.  The scan switch reads
     ``_n_live`` and nothing else.
 
@@ -246,10 +241,6 @@ class VectorizedEngine(NaiveEngine):
     name = "vectorized"
 
     _INITIAL_ROWS = 64
-    # Compact the heap when it holds > _HEAP_SLACK× more entries than
-    # live images (and is big enough for the rebuild to matter).
-    _HEAP_MIN = 64
-    _HEAP_SLACK = 4
     # Compact the matrix when more than this fraction of allocated rows
     # is dead (and the matrix is big enough for the copy to pay off).
     _COMPACT_MIN_TOP = 128
@@ -264,7 +255,6 @@ class VectorizedEngine(NaiveEngine):
     def bind(self, cache: "LandlordCache") -> None:
         """Attach to the owning cache and allocate the empty matrix."""
         self._cache = cache
-        self._policy = cache.eviction
         # Observable merge-scan accounting (plain counters, reset never):
         # windowed = scans served from the count-window gather;
         # full = scans that fell back to the full bit-matrix pass;
@@ -275,9 +265,6 @@ class VectorizedEngine(NaiveEngine):
         self._rows = rows
         self._words = 1
         self._matrix = np.zeros((1, rows), dtype=_WORD)  # [word, row]
-        self._size = np.zeros(rows, dtype=np.int64)
-        self._last_used = np.zeros(rows, dtype=np.int64)
-        self._created = np.zeros(rows, dtype=np.int64)
         self._count = np.zeros(rows, dtype=np.int64)
         self._order = np.zeros(rows, dtype=np.int64)
         self._live = np.zeros(rows, dtype=bool)
@@ -288,7 +275,6 @@ class VectorizedEngine(NaiveEngine):
         self._order_seq = 0
         self._n_live = 0
         self._mirrored = False  # set by the add that crosses _SMALL_CACHE
-        self._heap: List[Tuple[int, int, str]] = []
 
     # -- layout ------------------------------------------------------------
 
@@ -319,7 +305,7 @@ class VectorizedEngine(NaiveEngine):
         grown = np.zeros((self._words, new), dtype=_WORD)
         grown[:, :old] = self._matrix
         self._matrix = grown
-        for attr in ("_size", "_last_used", "_created", "_count", "_order"):
+        for attr in ("_count", "_order"):
             arr = getattr(self, attr)
             wide = np.zeros(new, dtype=np.int64)
             wide[:old] = arr
@@ -372,7 +358,7 @@ class VectorizedEngine(NaiveEngine):
             self._mirror()
 
     def _mirror(self) -> None:
-        """Build matrix, arrays and heap from ``cache._images``, and have
+        """Build matrix and arrays from ``cache._images``, and have
         the cache start the refcounts :meth:`_scan_hit` reads.
 
         Rows are filled in dict order, so ``_order`` ranks the images as
@@ -396,23 +382,19 @@ class VectorizedEngine(NaiveEngine):
         cache.count_packages()
 
     def _add_row(self, image: "CachedImage") -> int:
-        """Mirror a new image into the parallel arrays and the heap; the
-        caller writes its matrix column."""
+        """Mirror a new image into the parallel arrays; the caller writes
+        its matrix column."""
         row = self._alloc_row()
-        self._size[row] = image.size
-        self._last_used[row] = image.last_used
-        self._created[row] = image.created_at
         self._count[row] = image.package_count
         self._order[row] = self._order_seq
         self._order_seq += 1
         self._live[row] = True
         self._image_of_row[row] = image
         self._row_of[image.id] = row
-        self._push(row, image.id)
         return row
 
     def on_remove(self, image: "CachedImage") -> None:
-        """Free the image's row (heap entries die lazily)."""
+        """Free the image's row."""
         self._n_live -= 1
         if not self._mirrored:
             return
@@ -423,26 +405,13 @@ class VectorizedEngine(NaiveEngine):
         if self._should_compact():
             self.compact()
 
-    def on_touch(self, image: "CachedImage") -> None:
-        """Refresh ``last_used``; LRU gets a fresh heap entry."""
-        if not self._mirrored:
-            return
-        row = self._row_of[image.id]
-        self._last_used[row] = image.last_used
-        if self._policy == "lru":
-            self._push(row, image.id)
-
     def on_update(self, image: "CachedImage") -> None:
-        """Re-mirror a merged image (mask, size, count, last_used)."""
+        """Re-mirror a merged image's mask and package count."""
         if not self._mirrored:
             return
         row = self._row_of[image.id]
         self._matrix[:, row] = self._mask_words(image.mask)
-        self._size[row] = image.size
         self._count[row] = image.package_count
-        self._last_used[row] = image.last_used
-        if self._policy != "fifo":  # created_at never changes
-            self._push(row, image.id)
 
     # -- live-row compaction -------------------------------------------------
 
@@ -465,11 +434,8 @@ class VectorizedEngine(NaiveEngine):
         rows only.
 
         Exactness: no selection rule ever consults a physical row index
-        — hits, merges, and evictions all tie-break on the ``_order``
-        sequence numbers, which move with their rows — and lazy-deletion
-        heap entries are keyed by ``image_id`` and revalidated through
-        ``_row_of`` at pop time, so relocation cannot resurrect or lose
-        an entry.
+        — hits and merges tie-break on the ``_order`` sequence numbers,
+        which move with their rows, and eviction reads no row at all.
         """
         top = self._top
         n_dead = top - self._n_live
@@ -478,7 +444,7 @@ class VectorizedEngine(NaiveEngine):
         live_rows = np.flatnonzero(self._live[:top])
         n = int(live_rows.size)
         self._matrix[:, :n] = self._matrix[:, live_rows]
-        for attr in ("_size", "_last_used", "_created", "_count", "_order"):
+        for attr in ("_count", "_order"):
             arr = getattr(self, attr)
             arr[:n] = arr[live_rows]
         self._live[:top] = False
@@ -529,7 +495,9 @@ class VectorizedEngine(NaiveEngine):
         """
         if indices.size == 0:
             # Empty request: every live image is a superset.
-            return self._select_hit(np.flatnonzero(self._live[: self._top]))
+            return self._select_hit(
+                np.flatnonzero(self._live[: self._top]).tolist()
+            )
         refcounts = self._cache._refcounts
         if indices[-1] >= refcounts.size:
             return None
@@ -552,25 +520,28 @@ class VectorizedEngine(NaiveEngine):
             return None
         if len(supersets) == 1:
             return image_of[supersets[0]]
-        return self._select_hit(np.array(supersets))
+        return self._select_hit(supersets)
 
-    def _select_hit(self, rows: np.ndarray) -> Optional["CachedImage"]:
+    def _select_hit(self, rows: List[int]) -> "CachedImage":
         """The winner among superset rows under the cache's selection rule.
 
-        Reduces to a lexicographic extremum with ``_order`` as the
+        A lexicographic minimum over the few supersets, keyed on the
+        image's own ``size`` (or ``-last_used``) with ``_order`` as the
         tiebreaker, matching the naive scan's strict-comparison
         first-winner semantics exactly.
         """
         selection = self._cache.hit_selection
+        image_of = self._image_of_row
+        order = self._order
         if selection == "first":
-            row = rows[np.argmin(self._order[rows])]
+            key = order.__getitem__
         elif selection == "smallest":
-            row = rows[np.lexsort((self._order[rows], self._size[rows]))[0]]
+            def key(row):
+                return image_of[row].size, order[row]
         else:  # "mru": max last_used, earliest order on ties
-            row = rows[
-                np.lexsort((self._order[rows], -self._last_used[rows]))[0]
-            ]
-        return self._image_of_row[int(row)]
+            def key(row):
+                return -image_of[row].last_used, order[row]
+        return image_of[min(rows, key=key)]
 
     def _window_rows(
         self, n_request: int, alpha: float
@@ -684,67 +655,6 @@ class VectorizedEngine(NaiveEngine):
         return np.where(
             union > 0, 1.0 - inter / np.maximum(union, 1), 0.0
         )
-
-    # -- eviction heap -----------------------------------------------------
-
-    def _key_of_row(self, row: int) -> int:
-        if self._policy == "lru":
-            return int(self._last_used[row])
-        if self._policy == "fifo":
-            return int(self._created[row])
-        return -int(self._size[row])  # "size": largest first
-
-    def _push(self, row: int, image_id: str) -> None:
-        heapq.heappush(
-            self._heap, (self._key_of_row(row), int(self._order[row]), image_id)
-        )
-        if (
-            len(self._heap) > self._HEAP_MIN
-            and len(self._heap) > self._HEAP_SLACK * max(self._n_live, 1)
-        ):
-            self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        self._heap = [
-            (self._key_of_row(row), int(self._order[row]), image_id)
-            for image_id, row in self._row_of.items()
-        ]
-        heapq.heapify(self._heap)
-
-    def eviction_victim(self, pinned_id: str) -> Optional["CachedImage"]:
-        """Pop to the freshest minimal entry, skipping the pinned image.
-
-        An entry is *stale* when its image is gone or its key no longer
-        matches the live arrays (every key change pushed a newer entry,
-        so the current key is always present).  A valid entry for the
-        pinned image is set aside and pushed back afterwards — it stays
-        the would-be victim for a later, unpinned eviction.  Before the
-        cache first crossed the small-cache threshold there is no heap,
-        and the inherited ``min()`` decides.
-        """
-        if not self._mirrored:
-            return super().eviction_victim(pinned_id)
-        heap = self._heap
-        stash = None
-        victim = None
-        while heap:
-            key, order, image_id = heap[0]
-            row = self._row_of.get(image_id)
-            if (
-                row is None
-                or self._order[row] != order
-                or self._key_of_row(row) != key
-            ):
-                heapq.heappop(heap)  # stale
-                continue
-            if image_id == pinned_id:
-                stash = heapq.heappop(heap)
-                continue
-            victim = self._image_of_row[row]
-            break
-        if stash is not None:
-            heapq.heappush(heap, stash)
-        return victim
 
 
 def make_engine(name: str):

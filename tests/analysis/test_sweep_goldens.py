@@ -1,7 +1,8 @@
 """Quick-scale figure sweeps reproduce their stored goldens exactly.
 
 ``goldens/`` holds ``SweepResult.to_jsonable()`` for the quick-scale
-Figure 4, Figure 7 (both sweeps) and Figure 8 runs, recorded serially
+Figure 4, Figure 6 (the four cache-size sweeps), Figure 7 (both sweeps)
+and Figure 8 runs, recorded serially
 (see ``goldens/README.md`` for the commit and command).  Each is
 recomputed here and compared with ``compare_sweeps(...).within(0.0)``:
 every median of every metric must be bit-for-bit the stored one.
@@ -22,7 +23,12 @@ import pytest
 
 from repro.analysis.compare import compare_sweeps
 from repro.analysis.sweep import SweepResult
-from repro.experiments import fig4_cache_behavior, fig7_dependencies, fig8_limits
+from repro.experiments import (
+    fig4_cache_behavior,
+    fig6_sensitivity,
+    fig7_dependencies,
+    fig8_limits,
+)
 from repro.experiments.common import QUICK
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -56,6 +62,15 @@ def assert_matches_golden(name: str, fresh: SweepResult) -> None:
 def test_fig4():
     sweep = fig4_cache_behavior.run(QUICK, workers=WORKERS)["sweep"]
     assert_matches_golden("fig4", sweep)
+
+
+def test_fig6_by_cache_size():
+    """The 5x and 10x cells grow past the vectorized engine's small-cache
+    threshold and evict there, so these goldens pin its eviction choices
+    on a mirrored cache, not only below the threshold."""
+    by_cache = fig6_sensitivity.run(QUICK, workers=WORKERS)["by_cache"]
+    for multiple, sweep in zip(fig6_sensitivity.CACHE_MULTIPLES, by_cache):
+        assert_matches_golden(f"fig6_cache{multiple}x", sweep)
 
 
 def test_fig7_both_sweeps():

@@ -3,8 +3,8 @@
 At or below ``VectorizedEngine._SMALL_CACHE`` live images the engine
 serves the hit scan and the candidate scan from the reference
 loops it inherits; past it, from the bit matrix.  Until the cache first
-grows past the threshold the engine keeps no matrix, count arrays or
-heap (eviction is the reference ``min()`` too); the add that crosses it
+grows past the threshold the engine keeps no matrix or count arrays
+(eviction is the reference ``min()`` at every size); the add that crosses it
 builds them from the cache's images, and from then on they are kept
 current on both sides.  That the hand-over loses nothing is what this
 module checks, at the *default* threshold,
@@ -138,9 +138,10 @@ def test_engines_bit_identical_across_the_threshold(combo):
 
 def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
     """At the threshold the vectorized engine holds no derived state and
-    its scans and eviction *are* the reference loops (patched out, they
-    fail); the add that crosses it builds matrix, arrays and heap in
-    dict order, and past it the loops are never called."""
+    its scans *are* the reference loops (patched out, they fail); the
+    add that crosses it builds matrix and arrays in dict order, and past
+    it the hit and merge scans never call the loops.  Eviction is the
+    inherited reference ``min()`` on both sides of the threshold."""
     combo = ("smallest", "distance", "lru", "full", False)
     _naive, vec = make_pair(combo, capacity=CAPACITY)
     rng = Random("which-kernel")
@@ -149,7 +150,7 @@ def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
     engine = vec._engine
     assert engine._n_live == len(vec) == THRESHOLD
     assert not engine._mirrored
-    assert engine._top == 0 and engine._heap == [] and not engine._row_of
+    assert engine._top == 0 and not engine._row_of
     assert not engine._matrix.any()
     scans = dict(engine.prefilter_stats)
     assert scans["windowed"] == 0
@@ -188,19 +189,20 @@ def test_threshold_picks_the_kernel_and_nothing_else(monkeypatch):
     rows, order, in_dict_order = built[0]
     assert len(rows) == THRESHOLD + 1
     assert rows == in_dict_order and order == list(range(THRESHOLD + 1))
-    assert engine._mirrored and len(engine._heap) >= len(vec)
+    assert engine._mirrored
     assert_refcounts_exact(vec)
 
     for name in ("find_hit", "scan_candidates", "eviction_victim"):
         monkeypatch.setattr(NaiveEngine, name, boom)
     engine.find_hit(mask, indices)
     engine.scan_candidates(mask, int(indices.size), vec.alpha)
-    assert engine.eviction_victim("") is not None
+    with pytest.raises(AssertionError, match="reference loop"):
+        engine.eviction_victim("")
 
 
 def test_restoring_past_the_threshold_builds_the_state():
     """A 40-image snapshot restores into a vectorized cache that holds
-    its matrix, arrays and heap at once, rows in dict order, and then
+    its matrix and arrays at once, rows in dict order, and then
     decides as the reference does."""
     specs = [frozenset(PACKAGES[i:i + 2]) for i in range(40)]
     combo = ("first", "insertion", "fifo", "full", False)
