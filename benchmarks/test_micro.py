@@ -125,6 +125,89 @@ class TestZoneLayers:
         assert target.package_count == target.mask.bit_count() > 5_000
 
 
+class TestInterning:
+    """A cache on a repository starts from its numbering (DESIGN.md,
+    "Interning and the spec memo"): a fresh cache registers no name and
+    sizes none through the oracle, so a lap of the ledger's
+    ``replay_zone`` stream interns by lookups only.  The plain-callable
+    oracle, which numbers names as they first appear, is the yardstick.
+
+    What is asserted are those counts, exact per lap.  The laps' times
+    are printed beside them, pairs alternating which side goes first;
+    a timing ratio is left out of the gate, since a shared machine's
+    slow spells outlast a ~0.1 s lap."""
+
+    PAIRS = 7
+
+    def test_repository_numbering_registers_nothing(self, monkeypatch):
+        from statistics import median
+        from time import perf_counter
+
+        from repro.core.cache import _Universe
+        from repro.packages.repository import PackageIndex
+        from repro.packages.sft import build_experiment_repository
+        from repro.util.units import GB
+
+        repo = build_experiment_repository("sft", seed=2020)
+        specs = build_stream(
+            DependencyWorkload(repo, 100), spawn(7, "ledger", "replay_zone", 0),
+            n_unique=600, repeats=3,
+        )
+        oracles = {
+            "repository": repo.size_of,
+            "callable": lambda pid: repo.size_of(pid),
+        }
+
+        def lap(oracle):
+            cache = LandlordCache(1400 * GB, 0.8, oracle)
+            start = perf_counter()
+            for spec in specs:
+                cache.request(spec)
+            return perf_counter() - start, cache
+
+        counted = {}
+        register, size = _Universe.register, PackageIndex.__call__
+        for name, oracle in oracles.items():
+            calls = {"register": 0, "size": 0}
+
+            def counting_register(self, names, calls=calls):
+                calls["register"] += 1
+                return register(self, names)
+
+            def counting_size(self, package_id, calls=calls):
+                calls["size"] += 1
+                return size(self, package_id)
+
+            monkeypatch.setattr(_Universe, "register", counting_register)
+            monkeypatch.setattr(PackageIndex, "__call__", counting_size)
+            _elapsed, cache = lap(oracle)
+            monkeypatch.undo()
+            counted[name] = calls
+            assert cache.stats.requests == len(specs)
+        assert counted["repository"] == {"register": 0, "size": 0}
+        assert counted["callable"]["register"] > 0
+        assert counted["callable"]["size"] > 0
+
+        times = {name: [] for name in oracles}
+        for pair in range(self.PAIRS):
+            order = list(oracles) if pair % 2 == 0 else list(oracles)[::-1]
+            for name in order:
+                times[name].append(lap(oracles[name])[0])
+        laps = {name: median(values) * 1e3 for name, values in times.items()}
+        ratio = median(
+            numbered / first for numbered, first
+            in zip(times["repository"], times["callable"])
+        )
+        print(
+            f"\nreplay_zone lap, median of {self.PAIRS}, ms: repository "
+            f"numbering {laps['repository']:.1f} (0 registrations, 0 "
+            f"oracle calls) / first appearance {laps['callable']:.1f} "
+            f"({counted['callable']['register']} registrations, "
+            f"{counted['callable']['size']} oracle calls); median pair "
+            f"ratio {ratio:.3f}"
+        )
+
+
 class TestScanCrossover:
     """``find_hit + scan_candidates`` per request, loops vs matrix.
 

@@ -1175,7 +1175,8 @@ def _serve(args: argparse.Namespace) -> int:
         alerts=alerts,
         tracer=tracer,
         trace_path=_trace_path(args) if args.trace else None,
-        known_package=frozenset(site[1].ids).__contains__,  # a C-level test
+        # The repository's own name index: a C-level dict membership test.
+        known_package=site[1].size_of.position.__contains__,
         span_limit=args.span_limit,
     )
 

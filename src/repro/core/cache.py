@@ -72,10 +72,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.engine import ENGINES, make_engine
+from repro.core.engine import _WORD, ENGINES, make_engine
 from repro.core.events import CacheEvent, EventKind, MergeCandidate
 from repro.core.spec import ImageSpec
 from repro.packages.conflicts import ConflictPolicy, NoConflicts
+from repro.packages.repository import PackageIndex
 
 __all__ = [
     "CachedImage", "CacheStats", "CacheDecision", "LandlordCache", "ENGINES",
@@ -92,13 +93,63 @@ def _packages_of(spec: "ImageSpec | Collection[str]") -> Collection[str]:
     return spec.packages if isinstance(spec, ImageSpec) else spec
 
 
-class _Universe:
-    """Interns package ids to bit indices and tracks per-index sizes."""
+def _swap(a: np.ndarray, b: np.ndarray, shift: int, mask: int) -> None:
+    """Trade, in place, the bits ``mask`` selects in ``b`` for the bits
+    ``mask << shift`` selects in ``a`` (``a`` may be ``b``)."""
+    t = a >> np.uint64(shift)
+    t ^= b
+    t &= np.uint64(mask)
+    b ^= t
+    t <<= np.uint64(shift)
+    a ^= t
 
-    def __init__(self, package_size: Callable[[str], int]):
+
+def _transpose_bits(words: np.ndarray) -> None:
+    """Transpose in place the 8 x 8 bit matrix each little-endian uint64
+    of ``words`` holds, byte *r* its row *r* (Hacker's Delight, 7-3)."""
+    _swap(words, words, 7, 0x00AA00AA00AA00AA)
+    _swap(words, words, 14, 0x0000CCCC0000CCCC)
+    _swap(words, words, 28, 0x00000000F0F0F0F0)
+
+
+def _transpose_bytes(words: np.ndarray) -> None:
+    """Transpose in place the 8 x 8 byte matrix that each 8 words along
+    the second-last axis of the contiguous uint64 array ``words`` form,
+    word *r* its row *r*: rows 4 apart trade half-words, then rows 2
+    apart quarters, then neighbours bytes."""
+    rows = words.reshape(words.shape[:-2] + (2, 2, 2, words.shape[-1]))
+    _swap(rows[..., 0, :, :, :], rows[..., 1, :, :, :], 32, 0xFFFFFFFF)
+    _swap(rows[..., 0, :, :], rows[..., 1, :, :], 16, 0x0000FFFF0000FFFF)
+    _swap(rows[..., 0, :], rows[..., 1, :], 8, 0x00FF00FF00FF00FF)
+
+
+class _Universe:
+    """Interns package ids to bit indices and tracks per-index sizes.
+
+    On a repository's :class:`~repro.packages.repository.PackageIndex`
+    it starts fully numbered: it references the index's position dict,
+    id list and sizes array (shared, read-only, never copied), so every
+    name the oracle accepts is already known and :meth:`register` is
+    never reached with one — an unknown name is rejected by the oracle
+    before anything changes.  On any other size callable, or when
+    ``private``, it starts empty and numbers names as they first
+    appear.  Either way there is one :meth:`mask_of` path; ``shared``
+    says which numbering it holds.
+    """
+
+    def __init__(
+        self, package_size: Callable[[str], int], private: bool = False
+    ):
         self._package_size = package_size
-        self._index: Dict[str, int] = {}
-        self._ids: List[str] = []
+        if isinstance(package_size, PackageIndex) and not private:
+            self._index: Dict[str, int] = package_size.position
+            self._ids: List[str] = package_size.ids
+            self._sizes = package_size.sizes
+            self.shared = True
+            return
+        self.shared = False
+        self._index = {}
+        self._ids = []
         self._sizes = np.zeros(1024, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -108,15 +159,22 @@ class _Universe:
         """Append ``names`` — distinct, none of them known — numbered in
         the order given.
 
-        Every name is sized (one ``map`` over the size oracle) before any
-        is registered: one the oracle rejects (it raises for an unknown
-        id) or sizes negative must not stay behind with size 0, or a
-        retry of the same request is accepted.
+        Every name is sized (one ``map`` over the size oracle, or one
+        gather from a repository index) before any is registered: one
+        the oracle rejects (it raises for an unknown id) or sizes
+        negative must not stay behind with size 0, or a retry of the
+        same request is accepted.
         """
         names = list(names)
-        sizes = np.fromiter(
-            map(self._package_size, names), dtype=np.int64, count=len(names)
-        )
+        if not names:  # nothing to write, and a shared sizes array is read-only
+            return
+        oracle = self._package_size
+        if isinstance(oracle, PackageIndex):
+            sizes = oracle.sizes_of(names)
+        else:
+            sizes = np.fromiter(
+                map(oracle, names), dtype=np.int64, count=len(names)
+            )
         negative = np.flatnonzero(sizes < 0)
         if negative.size:
             raise ValueError(
@@ -192,6 +250,48 @@ class _Universe:
 
     def bytes_of_indices(self, indices: np.ndarray) -> int:
         return int(self._sizes[indices].sum())
+
+    def _pack(self, masks: List[int]) -> np.ndarray:
+        """``masks`` as one bit matrix, a row of bytes each (little bit
+        order), as wide as the universe."""
+        n_bytes = (len(self) + 7) // 8
+        return np.frombuffer(
+            b"".join([mask.to_bytes(n_bytes, "little") for mask in masks]),
+            dtype=np.uint8,
+        ).reshape(len(masks), n_bytes)
+
+    def bytes_of_masks(self, masks: List[int]) -> List[int]:
+        """Each mask's total size, all masks at once: the size of every
+        value of every nibble position is tabled (16 entries a nibble),
+        and each mask sums the entries its nonzero bytes pick."""
+        packed = self._pack(masks)
+        n_bytes = packed.shape[1]
+        sizes = np.zeros((n_bytes, 2, 4), dtype=np.int64)
+        sizes.reshape(-1)[: len(self)] = self._sizes[: len(self)]
+        table = np.zeros((n_bytes, 2, 16), dtype=np.int64)
+        for bit in range(4):
+            low = 1 << bit
+            table[:, :, low:2 * low] = table[:, :, :low] + sizes[:, :, bit:bit + 1]
+        at = np.flatnonzero(packed != 0)  # row-major, so grouped by mask
+        rows, columns = np.divmod(at, max(n_bytes, 1))
+        values = packed.reshape(-1)[at]
+        table = table.reshape(-1)
+        picked = table.take(columns * 32 + (values & 15))
+        picked += table.take(columns * 32 + 16 + (values >> 4))
+        running = np.concatenate(([0], np.cumsum(picked)))
+        ends = np.searchsorted(rows, np.arange(len(masks) + 1))
+        return (running[ends[1:]] - running[ends[:-1]]).tolist()
+
+    def counts_of_masks(self, masks: List[int]) -> np.ndarray:
+        """How many of ``masks`` hold each id: 255 masks' bits unpacked
+        at a time, so their sums fit the bytes they are added in."""
+        counts = np.zeros((len(self) + 7) // 8 * 8, dtype=np.int32)
+        for start in range(0, len(masks), 255):
+            bits = np.unpackbits(
+                self._pack(masks[start:start + 255]), axis=1, bitorder="little"
+            )
+            counts += bits.sum(axis=0, dtype=np.uint8)
+        return counts[: len(self)]
 
     def names_of_indices(self, indices: np.ndarray) -> List[str]:
         """Package ids at ``indices``, in index order."""
@@ -711,12 +811,18 @@ class LandlordCache:
         because its hit scan reads the counts.
         """
         with self._lock or nullcontext():
-            if self._refcounts is not None:
-                return
-            self._refcounts = np.zeros(1024, dtype=np.int32)
-            self._unique_bytes = 0
-            for image in self._images.values():
-                self._account_add(image.indices)
+            if self._refcounts is None:
+                self._count_all()
+
+    def _count_all(self) -> None:
+        """Count every image's packages afresh, all masks at once."""
+        universe = self._universe
+        counts = universe.counts_of_masks(
+            [image.mask for image in self._images.values()]
+        )
+        self._refcounts = np.zeros(max(1024, counts.size), dtype=np.int32)
+        self._refcounts[: counts.size] = counts
+        self._unique_bytes = universe.bytes_of_indices(np.flatnonzero(counts))
 
     def clear(self) -> None:
         """Drop every cached image without touching the statistics.
@@ -888,46 +994,137 @@ class LandlordCache:
         """:meth:`snapshot` with every package name written once — the
         storage form (state format v3).
 
-        ``"universe"`` lists the names at least one live image holds, in
-        ascending internal id; each image carries ``"mask"``, a hex
-        integer whose bit *i* means ``universe[i]``.  Names only evicted
-        images held are left out, so the record is sized by what the
-        cache holds, not by what it has ever seen.  While no name is
-        dead an image's own mask is that integer; otherwise its bits are
-        re-based onto the live positions.  Costs O(images + live names)
-        where :meth:`snapshot` costs O(sum of image sizes); unlike it,
-        the numbering records the order names arrived in, so compare
-        caches by :meth:`snapshot`, not by this.
+        ``"universe"`` lists the names some live image holds, in the
+        order :meth:`_table` gives them; each image carries
+        ``"mask"``, a hex integer whose bit *i* means ``universe[i]``.
+        Names only evicted images held are left out, so the record is
+        sized by what the cache holds, not by what it has ever seen or
+        could see.  While the table is the universe in id order an
+        image's own mask is that integer; otherwise its bits are
+        re-based onto the table's positions (:meth:`_table_masks`).
+        Costs O(images + names) where :meth:`snapshot` costs O(sum of
+        image sizes); unlike it, the numbering records the order names
+        were numbered in, so compare caches by :meth:`snapshot`, not by
+        this.
+        """
+        return self._table()[0]
+
+    def _table(self) -> Tuple[dict, np.ndarray]:
+        """:meth:`table_snapshot`'s record, and the internal ids its
+        table names, in table order (the journal translates through
+        them).
+
+        A cache that numbers its own names writes its live ids in id
+        order, the order they first appeared in.  On a repository's
+        shared numbering id order is the repository's, and nearly every
+        mask would span its whole width (a ~1k-image file ~15 % larger);
+        there the live names are written in the order they first appear
+        among the live images, taken smallest first (ties in image
+        order; ascending ids within one), so an image's table mask spans
+        only the names of the images up to it.
         """
         universe = self._universe
-        n = len(universe)
-        live = self._live_ids()
-        if live.size == n:
-            def table_mask(img: CachedImage) -> int:
-                return img.mask
+        ids = None if universe.shared else self._live_ids()
+        if ids is not None and ids.size == len(universe):
+            def table_mask(img: CachedImage) -> str:
+                return format(img.mask, "x")
         else:
-            n_bytes = (n + 7) // 8
+            ids, hexes = self._table_masks(ids)
+            masks = dict(zip(self._images, hexes))
 
-            def table_mask(img: CachedImage) -> int:
-                bits = np.unpackbits(
-                    np.frombuffer(
-                        img.mask.to_bytes(n_bytes, "little"), dtype=np.uint8
-                    ),
-                    count=n, bitorder="little",
-                )
-                packed = np.packbits(bits[live], bitorder="little")
-                return int.from_bytes(packed.tobytes(), "little")
+            def table_mask(img: CachedImage) -> str:
+                return masks[img.id]
+        state = self._state_record("mask", table_mask)
+        state["universe"] = universe.names_of_indices(ids)
+        return state, ids
 
-        state = self._state_record(
-            "mask", lambda img: format(table_mask(img), "x")
+    def _table_masks(
+        self, ids: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, List[str]]:
+        """The table's internal ids, and every image's mask re-based onto
+        them (table bit *k* is id ``ids[k]``) as hex, in image order;
+        ``ids=None`` numbers the live names by first appearance,
+        smallest image first.
+
+        The masks are laid out as one bit matrix and transposed, so each
+        name's column says which images hold it; the table's columns are
+        gathered and the matrix transposed back.  Each transpose works
+        on 8 x 8 blocks of bits, a block to a uint64: a few numpy passes
+        over the matrix, where re-basing one mask at a time costs ~25 us
+        an image.
+        """
+        images = self._images.values()
+        count = len(images)
+        if not count:
+            return np.zeros(0, dtype=np.int64), []
+        # A word more than the universe fills: the top bit is never
+        # set, and its column pads the table to whole bytes.
+        n_words = len(self._universe) // 64 + 1
+        octets = -(-count // 8)
+        words = np.zeros((octets * 8, n_words), dtype=_WORD)
+        words[:count] = np.frombuffer(
+            b"".join([img.mask.to_bytes(8 * n_words, "little") for img in images]),
+            dtype=_WORD,
+        ).reshape(count, n_words)
+        if ids is None:
+            # Smallest image first (ties in image order): most names are
+            # then numbered by an image that holds few, so a mask spans
+            # fewer table positions (at ~1k images, a sixth fewer hex
+            # digits than numbering in image order).  Each image's names
+            # no image before it holds, read row by row, are the table.
+            by_size = np.argsort(
+                np.fromiter(
+                    (img.package_count for img in images),
+                    dtype=np.int64, count=count,
+                ),
+                kind="stable",
+            )
+            seen = np.bitwise_or.accumulate(words[by_size], axis=0)
+            fresh = seen.copy()
+            fresh[1:] ^= seen[:-1]
+            at = np.flatnonzero(fresh)
+            bits = np.flatnonzero(np.unpackbits(
+                fresh.reshape(-1)[at].view(np.uint8), bitorder="little"
+            ))
+            ids = at[bits >> 6] % n_words * 64 + (bits & 63)
+        # Word (b, c, w) then holds, in its byte j, which of images
+        # 8b..8b+7 hold name 64w + 8c + j.
+        blocks = words.reshape(octets, 8, n_words)
+        _transpose_bytes(blocks)
+        _transpose_bits(blocks)
+        holders = blocks.view(np.uint8).reshape(octets, 64 * n_words)
+        stride = 8 * n_words  # from one c to the next in a row of holders
+        if not ids.size:
+            return ids, ["0"] * count
+        width = -(-ids.size // 8)
+        table = np.full(width * 8, 64 * n_words - 1, dtype=np.int64)
+        table[: ids.size] = ids
+        # The table's names against each octet of images, eight names to
+        # a word; transposed, byte r of word (b, d) is image 8b + r's
+        # table byte d.
+        gathered = np.take(
+            holders, (table >> 3 & 7) * stride + (table >> 6) * 8 + (table & 7),
+            axis=1,
+        ).view(_WORD)
+        _transpose_bits(gathered)
+        # Each image's table bytes, last first, are its mask's digits;
+        # its leading zero bytes are skipped, not stripped char by char.
+        rows = (
+            gathered.view(np.uint8).reshape(octets, width, 8)[:, ::-1]
+            .transpose(0, 2, 1).reshape(octets * 8, width)[:count]
         )
-        state["universe"] = universe.names_of_indices(live)
-        return state
+        leading = (rows != 0).argmax(axis=1) * 2
+        digits = rows.tobytes().hex()
+        step = 2 * width
+        return ids, [
+            digits[at + skip:at + step].lstrip("0") or "0"
+            for at, skip in zip(range(0, count * step, step), leading.tolist())
+        ]
 
     def _live_ids(self) -> np.ndarray:
-        """Ascending internal ids of the names some live image holds —
-        :meth:`table_snapshot`'s table, as ids (the refcounts' nonzero
-        entries once they exist, the union of the masks before)."""
+        """Ascending internal ids of the names some live image holds
+        (the refcounts' nonzero entries once they exist, the union of
+        the masks before)."""
         refcounts = self._refcounts
         if refcounts is None:
             union = 0
@@ -994,7 +1191,8 @@ class LandlordCache:
         A name table is registered whole, so internal ids equal table
         positions and each ``"mask"`` record is its image's mask as it
         stands — no per-image interning; ``"packages"`` records intern
-        their names as they always have.
+        their names as they always have.  Sizes are read off every mask
+        at once, and the engine gets the images together.
 
         State written while the cache still had a MinHash/LSH merge
         prefilter records ``use_minhash`` and its three parameters among
@@ -1043,12 +1241,16 @@ class LandlordCache:
                 for knob in mismatched
             )
             raise ValueError(f"snapshot policy mismatch — {detail}")
-        universe = self._universe
         table = state.get("universe", [])
         masks = self._decode_masks(state["images"], table)
-        if table and len(universe):
-            # Table positions can only become ids in an empty universe.
-            raise ValueError("restore requires a fresh cache")
+        # Table positions become ids only in an empty universe of the
+        # cache's own: a repository's shared numbering is let go (with
+        # any memoised ids in it), and a journal tail replayed next
+        # registers its "new" names here.
+        self._universe = universe = _Universe(
+            self._universe._package_size, private=True
+        )
+        self._spec_memo.clear()
         universe.register(table)
         rng_state = state.get("rng_state")
         if rng_state is not None:
@@ -1073,23 +1275,29 @@ class LandlordCache:
             self._slo.start(self.stats)
         self._clock = int(state["clock"])
         self._next_image = int(state["next_image"])
-        for record, mask in zip(state["images"], masks):
-            if mask is None:
-                mask, indices, size = self._intern(record["packages"])
-            else:
-                indices = universe.indices_of_mask(mask)
-                size = universe.bytes_of_indices(indices)
+        masks = [
+            self._intern(record["packages"])[0] if mask is None else mask
+            for record, mask in zip(state["images"], masks)
+        ]
+        sizes = universe.bytes_of_masks(masks)
+        images = []
+        for record, mask, size in zip(state["images"], masks, sizes):
             image = CachedImage(
-                record["id"], mask, int(indices.size), size,
+                record["id"], mask, mask.bit_count(), size,
                 int(record["created_at"]), universe,
             )
             image.last_used = int(record["last_used"])
             image.last_request = int(record["last_request"])
             image.merge_count = int(record["merge_count"])
             self._images[image.id] = image
-            self._cached_bytes += size
-            self._account_add(indices)
-            self._engine.on_add(image)
+            images.append(image)
+        self._cached_bytes += sum(sizes)
+        # Every image is in before anything is derived from them: counts
+        # kept since before the restore are taken afresh, and the engine
+        # mirrors (and has the counts started) in one pass.
+        if self._refcounts is not None:
+            self._count_all()
+        self._engine.on_restore(images)
 
     def split(
         self,

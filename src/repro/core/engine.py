@@ -52,18 +52,20 @@ of truth (its ``_images`` dict and the ``CachedImage`` objects, the one
 owner of every image's size and clocks; the vectorized hit scan also
 reads the cache's ``_refcounts`` array, which the cache starts when the
 engine first mirrors and keeps exact from then on, so it is current
-whenever a scan can run), and notifies its engine through three hooks —
-:meth:`~NaiveEngine.on_add`, :meth:`~NaiveEngine.on_remove` and
+whenever a scan can run), and notifies its engine through four hooks —
+:meth:`~NaiveEngine.on_add`, :meth:`~NaiveEngine.on_remove`,
 :meth:`~NaiveEngine.on_update` (its contents changed, i.e. a merge
-rewrite).  A refreshed ``last_used`` needs no hook: no engine keeps a
-copy of it.  Restoring a snapshot replays ``on_add`` per image, which
-is how a recovered cache rebuilds its matrix — the vectorized engine
-builds it on the add that takes the cache past its small-cache
-threshold, and holds none below it.
+rewrite) and :meth:`~NaiveEngine.on_restore`.  A refreshed
+``last_used`` needs no hook: no engine keeps a copy of it.  Restoring a
+snapshot hands the engine every image at once, which is how a recovered
+cache rebuilds its matrix — the vectorized engine builds it in one pass
+when the images are past its small-cache threshold (as it does on the
+add that takes a running cache past it), and holds none below it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -75,6 +77,13 @@ __all__ = ["ENGINES", "NaiveEngine", "VectorizedEngine", "make_engine"]
 
 #: Valid values for the cache's ``engine=`` knob.
 ENGINES = ("naive", "vectorized")
+
+# Per eviction policy: which extremum of which CachedImage field goes next.
+_EVICTION_RULE = {
+    "lru": (min, attrgetter("last_used")),
+    "fifo": (min, attrgetter("created_at")),
+    "size": (max, attrgetter("size")),
+}
 
 # Little-endian uint64: to_bytes(..., "little") then frombuffer must give
 # the same words on any host, so the byte order is pinned explicitly.
@@ -108,7 +117,10 @@ class NaiveEngine:
     # -- maintenance hooks (derived state: none) ---------------------------
 
     def on_add(self, image: "CachedImage") -> None:
-        """A new image entered the cache (insert / adopt / restore)."""
+        """A new image entered the cache (insert / adopt)."""
+
+    def on_restore(self, images: List["CachedImage"]) -> None:
+        """``images`` entered an empty cache together (a restore)."""
 
     def on_remove(self, image: "CachedImage") -> None:
         """An image left the cache (eviction, clear, split source)."""
@@ -163,16 +175,24 @@ class NaiveEngine:
         return out, len(images)
 
     def eviction_victim(self, pinned_id: str) -> Optional["CachedImage"]:
-        """The next eviction victim under the configured policy."""
+        """The next eviction victim under the configured policy: the
+        first extremum, in dict order, among the images but the pinned
+        one (``None`` when it is the only one left).
+
+        One C-level ``min``/``max`` over every image; only when the
+        pinned image is that extremum (for LRU it is the freshest image,
+        so rarely) are the others scanned again without it.
+        """
         cache = self._cache
-        candidates = (
-            img for img in cache._images.values() if img.id != pinned_id
+        images = cache._images.values()
+        pick, key = _EVICTION_RULE[cache.eviction]
+        victim = pick(images, key=key, default=None)
+        if victim is None or victim.id != pinned_id:
+            return victim
+        return pick(
+            (img for img in images if img.id != pinned_id),
+            key=key, default=None,
         )
-        if cache.eviction == "lru":
-            return min(candidates, key=lambda im: im.last_used, default=None)
-        if cache.eviction == "fifo":
-            return min(candidates, key=lambda im: im.created_at, default=None)
-        return max(candidates, key=lambda im: im.size, default=None)  # "size"
 
 
 class VectorizedEngine(NaiveEngine):
@@ -355,6 +375,17 @@ class VectorizedEngine(NaiveEngine):
             row = self._add_row(image)
             self._matrix[:, row] = self._mask_words(image.mask)
         elif self._n_live > self._SMALL_CACHE:
+            self._mirror()
+
+    def on_restore(self, images: List["CachedImage"]) -> None:
+        """Count the restored images; mirror them all in one pass when
+        they are past the small-cache threshold."""
+        if self._mirrored:  # emptied by clear(), not fresh
+            for image in images:
+                self.on_add(image)
+            return
+        self._n_live += len(images)
+        if self._n_live > self._SMALL_CACHE:
             self._mirror()
 
     def _mirror(self) -> None:

@@ -949,18 +949,17 @@ class JournaledState:
         the generation off the files again.
         """
         t0 = perf_counter()
-        table = cache.table_snapshot()
+        table, ids = cache._table()
         assert journal_seq == self.journal.last_seq, (
             f"a checkpoint at {journal_seq} would not cover the "
             f"journal (last entry {self.journal.last_seq})"
         )
         self._gen = None
         _write_state(self.state_path, table, metadata, journal_seq)
-        # The table is the live ids' names, in id order.
+        # The table names the cache's ids ``ids``, in table order.
         generation = _Generation(journal_seq, table["universe"])
-        live = cache._live_ids()
         position = np.full(len(cache._universe), -1, dtype=np.int64)
-        position[live] = np.arange(live.size, dtype=np.int64)
+        position[ids] = np.arange(ids.size, dtype=np.int64)
         generation.bind(cache, position)
         self._gen = generation
         ins = self._ins

@@ -4,6 +4,9 @@ Three contracts of ``repro.core.cache`` below Algorithm 1:
 
 - a failed intern leaves no trace — an id the size oracle rejects is
   rejected again on retry, never accepted with size 0;
+- a cache on a repository's ``size_of`` starts from the repository's
+  numbering, shares it read-only and never registers a name; restored
+  caches and plain callables number names as they first appear;
 - ``_Universe.mask_of`` equals its first, one-lookup-per-id
   formulation for any collection, duplicates and new ids included, and
   its one-pass form numbers a zone replay's names exactly as the
@@ -25,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache, _Universe
 from repro.core.events import EventKind
+from repro.core.journal import JournaledState, recover_state
 from repro.htc.workload import DependencyWorkload, build_stream
 from repro.packages.conflicts import SlotConflicts
 from repro.packages.sft import build_experiment_repository
@@ -187,7 +191,10 @@ def zone_replay():
 
 def test_zone_replay_table_is_byte_identical(zone_replay):
     repo, specs = zone_replay
-    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    # A plain callable, not the repository's index: names are numbered
+    # as they first appear, cache by cache.
+    oracle = lambda pid: repo.size_of(pid)  # noqa: E731
+    cache = LandlordCache(1400 * GB, 0.8, oracle)
     for spec in specs:
         cache.request(sorted(spec))
     table = json.dumps(cache.table_snapshot(), sort_keys=True).encode()
@@ -198,13 +205,149 @@ def test_zone_replay_table_is_byte_identical(zone_replay):
     )
     # The specs as the simulator holds them, frozensets: names are
     # numbered in each set's iteration order, first appearance first.
-    as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    as_sets = LandlordCache(1400 * GB, 0.8, oracle)
     for spec in specs:
         as_sets.request(spec)
     assert as_sets._universe._ids == list(
         dict.fromkeys(chain.from_iterable(specs))
     )
     assert as_sets.snapshot() == cache.snapshot()
+
+
+# Recorded when a cache on ``repo.size_of`` started from the repository's
+# numbering: the same replay's state table, its names in the order they
+# first appear among the live images, smallest first.
+ZONE_REPOSITORY_TABLE_SHA256 = (
+    "477b8d142b7752d0b66eb726396e73d79b29210e3b7ed35673f6429027004fc1"
+)
+
+
+def test_zone_replay_table_on_the_repository_numbering(zone_replay):
+    repo, specs = zone_replay
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs:
+        cache.request(sorted(spec))
+    table = cache.table_snapshot()
+    # Image by image, smallest first, each one's names not listed yet,
+    # in repository order.
+    position, listed = repo.size_of.position, []
+    for image in sorted(cache.images, key=lambda image: image.package_count):
+        listed += sorted(image.packages - set(listed), key=position.__getitem__)
+    assert table["universe"] == listed
+    assert set(listed) == set().union(*(image.packages for image in cache.images))
+    encoded = json.dumps(table, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == ZONE_REPOSITORY_TABLE_SHA256
+    stats = cache.stats
+    assert (stats.hits, stats.merges, stats.inserts, stats.deletes) == (
+        80, 1291, 429, 419
+    )
+    # Fed the frozensets instead, the table is the same bytes: the
+    # numbering no longer depends on the order names arrive in.
+    as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs:
+        as_sets.request(spec)
+    assert as_sets.table_snapshot() == table
+    # What the cache holds is what the first-appearance numbering holds.
+    plain = LandlordCache(1400 * GB, 0.8, lambda pid: repo.size_of(pid))
+    for spec in specs:
+        plain.request(spec)
+    assert plain.snapshot() == cache.snapshot()
+
+
+# -- a repository's numbering, shared read-only -------------------------------
+
+
+def index_state(index):
+    return dict(index.position), list(index.ids), index.sizes.tolist()
+
+
+def test_zone_replay_on_the_repository_registers_nothing(
+    zone_replay, monkeypatch
+):
+    repo, specs = zone_replay
+
+    def no_register(_self, _names):
+        raise AssertionError("a name was registered on a numbered universe")
+
+    monkeypatch.setattr(_Universe, "register", no_register)
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs:
+        cache.request(spec)
+    batched = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for i in range(0, len(specs), 256):
+        batched.submit_batch([sorted(spec) for spec in specs[i:i + 256]])
+    assert cache.stats.requests == batched.stats.requests == len(specs)
+    assert batched.snapshot() == cache.snapshot()
+
+
+def test_caches_on_one_repository_share_its_numbering(zone_replay):
+    repo, specs = zone_replay
+    index = repo.size_of
+    before = index_state(index)
+    caches = [LandlordCache(1400 * GB, 0.8, repo.size_of) for _ in range(2)]
+    for cache in caches:
+        for spec in specs[:300]:
+            cache.request(spec)
+        universe = cache._universe
+        assert universe._index is index.position
+        assert universe._ids is index.ids
+        assert universe._sizes is index.sizes
+        assert len(universe) == len(repo)
+    assert not index.sizes.flags.writeable
+    assert index_state(index) == before
+    # Each cache still interns its own specs.
+    assert caches[0]._spec_memo is not caches[1]._spec_memo
+    assert len(caches[0]._spec_memo) == len(caches[1]._spec_memo) > 0
+
+
+@pytest.mark.parametrize("via", ["request", "submit_batch"])
+def test_unknown_name_on_the_repository_is_rejected_again_on_retry(
+    zone_replay, via
+):
+    repo, specs = zone_replay
+    index = repo.size_of
+    before = index_state(index)
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    known = sorted(specs[0])
+    cache.request(known)
+    submit = (
+        cache.request if via == "request"
+        else lambda spec: cache.submit_batch([known, spec])
+    )
+    for _attempt in range(2):
+        with pytest.raises(KeyError, match="unknown package: 'ghost'"):
+            submit([sorted(specs[1])[0], "ghost"])
+        assert index_state(index) == before
+        assert len(cache._universe) == len(repo)
+    assert cache.stats.requests == 1 and len(cache) == 1
+
+
+def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
+    zone_replay, tmp_path
+):
+    """``initialise`` writes a checkpoint whose table is empty, so every
+    entry before the next checkpoint declares its names as ``new``.
+    Recovery restores into a universe of its own and registers them."""
+    repo, specs = zone_replay
+    state = tmp_path / "state.json"
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    store = JournaledState(state, snapshot_every=10 ** 9)
+    store.initialise(cache, {})
+    for spec in specs[:200]:
+        store.apply(cache, {}, "request", packages=sorted(spec))
+    store.journal.close()
+    first = store.journal.entries()[0].data
+    assert first["new"] == [pid for pid in repo.ids if pid in specs[0]]
+
+    serial = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs[:200]:
+        serial.request(sorted(spec))
+    recovered, _metadata, replayed = recover_state(
+        state, package_size=repo.size_of
+    )
+    assert replayed == 200
+    assert recovered._universe._index is not repo.size_of.position
+    assert recovered.snapshot() == serial.snapshot() == cache.snapshot()
 
 
 # -- the merge path handles no ids --------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
+from repro.core.journal import JournaledState, recover_state
 from repro.core.persistence import (
     StateError,
     StateNotFound,
@@ -15,6 +16,7 @@ from repro.core.persistence import (
     load_state,
     save_state,
 )
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(30)}
 
@@ -289,6 +291,40 @@ class TestStateVersions:
         assert [image["mask"] for image in stored["images"]] == ["7"]
         loaded, _ = load_state(path, SIZE.__getitem__)
         assert loaded.snapshot() == cache.snapshot()
+
+    def test_a_shared_numbering_is_written_in_first_appearance_order(
+        self, tmp_path
+    ):
+        ids = sorted(SIZE)
+        index = PackageIndex(ids, [SIZE[pid] for pid in ids])
+        cache = LandlordCache(95, 0.8, index)
+        cache.request(frozenset({"p0", "p1"}))
+        cache.request(frozenset({"p29", "p3", "p12"}))
+        cache.request(frozenset({"p28", "p4", "p11", "p13", "p2"}))
+        assert "p0" not in set().union(*(i.packages for i in cache.images))
+        path = save_state(tmp_path / "s.json", cache)
+        stored = json.loads(path.read_text())["cache"]
+        # Image by image, smallest first, each one's names not listed
+        # yet, in id order.
+        listed = []
+        for image in sorted(cache.images, key=lambda i: i.package_count):
+            listed += sorted(image.packages - set(listed), key=ids.index)
+        assert stored["universe"] == listed
+        for record, image in zip(stored["images"], cache.images):
+            mask = int(record["mask"], 16)
+            assert {name for at, name in enumerate(listed)
+                    if mask >> at & 1} == image.packages
+        loaded, _ = load_state(path, index)
+        assert loaded.snapshot() == cache.snapshot()
+        # A journal entry on that table declares the dead name it holds.
+        store = JournaledState(tmp_path / "j.json", snapshot_every=10 ** 9)
+        store.initialise(cache, {})
+        store.apply(cache, {}, "request", packages=["p0", "p3"])
+        store.journal.close()
+        assert store.journal.entries()[0].data["new"] == ["p0"]
+        recovered, _, replayed = recover_state(
+            tmp_path / "j.json", package_size=index)
+        assert replayed == 1 and recovered.snapshot() == cache.snapshot()
 
     def test_v2_file_written_by_the_parent_loads_and_resaves_as_v3(
         self, tmp_path, monkeypatch

@@ -1,9 +1,10 @@
 """Tests for repro.packages.repository: lookup, closure, sizes, validation."""
 
+import numpy as np
 import pytest
 
 from repro.packages.package import Package
-from repro.packages.repository import Repository, RepositoryError
+from repro.packages.repository import PackageIndex, Repository, RepositoryError
 
 
 class TestConstruction:
@@ -145,6 +146,22 @@ class TestSizes:
 
     def test_size_of(self, tiny_repo):
         assert tiny_repo.size_of("data/1.0") == 80
+
+    def test_size_of_is_the_repository_numbering(self, tiny_repo):
+        index = tiny_repo.size_of
+        assert isinstance(index, PackageIndex)
+        assert index is tiny_repo.size_of  # built once, with the repository
+        assert index.ids == tiny_repo.ids
+        assert index.position == {pid: i for i, pid in enumerate(index.ids)}
+        assert index.sizes.dtype == np.int64
+        assert index.sizes.tolist() == [tiny_repo[pid].size for pid in index.ids]
+        assert not index.sizes.flags.writeable
+        assert "data/1.0" in index.position and "ghost" not in index.position
+        with pytest.raises(KeyError, match="unknown package: 'ghost'"):
+            index("ghost")
+        assert index.sizes_of(["data/1.0", "base/1.0"]).tolist() == [80, 10]
+        with pytest.raises(KeyError, match="unknown package: 'ghost'"):
+            index.sizes_of(["data/1.0", "ghost", "spook"])
 
 
 class TestStats:
