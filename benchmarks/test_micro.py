@@ -30,19 +30,17 @@ class TestUniverseMask:
     def universe(self, spec_pair):
         from repro.core.cache import _Universe
 
+        from repro.packages.repository import PackageIndex
+
         a, b = spec_pair
-        uni = _Universe(lambda _pid: 1)
-        # Pre-intern so the benchmark measures mask construction, not
-        # first-touch index assignment.
-        uni.mask_of(sorted(a | b))
-        return uni
+        return _Universe(PackageIndex.of(dict.fromkeys(sorted(a | b), 1)))
 
     @staticmethod
     def _mask_reference(universe, packages):
         # The first implementation, both halves of it: one Python-level
         # lookup per id, one big-int OR per package.
         mask = 0
-        indices = sorted(universe._index[p] for p in packages)
+        indices = sorted(universe.index.position[p] for p in packages)
         for i in indices:
             mask |= 1 << i
         return mask, np.asarray(indices, dtype=np.int64)
@@ -78,7 +76,11 @@ ZONE_SPEC = 320  # packages in a typical ``deps`` closure at paper scale
 
 
 def _zone_cache(alpha=0.8):
-    return LandlordCache(10 ** 18, alpha, lambda _pid: 1_000)
+    from repro.packages.repository import PackageIndex
+
+    return LandlordCache(
+        10 ** 18, alpha, PackageIndex.of(dict.fromkeys(ZONE_IDS, 1_000))
+    )
 
 
 class TestZoneLayers:
@@ -98,7 +100,8 @@ class TestZoneLayers:
         assert indices.size == ZONE_SPEC == mask.bit_count()
 
     def test_intern_320_list_cold_universe(self, benchmark, wire_spec):
-        # Every id is new: sized by the oracle, then registered.
+        # A fresh cache each round: the numbering is its index's, so
+        # nothing is sized or registered here either.
         def fresh():
             return (_zone_cache(), wire_spec), {}
 
@@ -126,16 +129,16 @@ class TestZoneLayers:
 
 
 class TestInterning:
-    """A cache on a repository starts from its numbering (DESIGN.md,
-    "Interning and the spec memo"): a fresh cache registers no name and
-    sizes none through the oracle, so a lap of the ledger's
-    ``replay_zone`` stream interns by lookups only.  The plain-callable
-    oracle, which numbers names as they first appear, is the yardstick.
+    """A cache numbers its packages once, by its package index (DESIGN.md,
+    "Interning and the spec memo"): fresh on the repository's index, or
+    restored onto its state's generation, it calls the index for no
+    single name, so a lap of the ledger's ``replay_zone`` stream interns
+    by lookups only.
 
     What is asserted are those counts, exact per lap.  The laps' times
-    are printed beside them, pairs alternating which side goes first;
-    a timing ratio is left out of the gate, since a shared machine's
-    slow spells outlast a ~0.1 s lap."""
+    are printed beside them, pairs alternating which side goes first; no
+    timing ratio is gated, since a shared machine's slow spells outlast
+    a ~0.1 s lap."""
 
     PAIRS = 7
 
@@ -143,7 +146,6 @@ class TestInterning:
         from statistics import median
         from time import perf_counter
 
-        from repro.core.cache import _Universe
         from repro.packages.repository import PackageIndex
         from repro.packages.sft import build_experiment_repository
         from repro.util.units import GB
@@ -153,58 +155,58 @@ class TestInterning:
             DependencyWorkload(repo, 100), spawn(7, "ledger", "replay_zone", 0),
             n_unique=600, repeats=3,
         )
-        oracles = {
-            "repository": repo.size_of,
-            "callable": lambda pid: repo.size_of(pid),
-        }
+        warm = LandlordCache(1400 * GB, 0.8, repo.size_of)
+        for spec in specs[:300]:
+            warm.request(spec)
+        table = warm.table_snapshot()
 
-        def lap(oracle):
-            cache = LandlordCache(1400 * GB, 0.8, oracle)
+        def fresh():
+            return LandlordCache(1400 * GB, 0.8, repo.size_of)
+
+        def restored():
+            cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+            cache.restore(table)
+            return cache
+
+        makers = {"fresh": fresh, "restored": restored}
+
+        def lap(make):
+            cache = make()
             start = perf_counter()
             for spec in specs:
                 cache.request(spec)
             return perf_counter() - start, cache
 
+        calls = {"n": 0}
+        size = PackageIndex.__call__
+
+        def counting_size(self, package_id):
+            calls["n"] += 1
+            return size(self, package_id)
+
         counted = {}
-        register, size = _Universe.register, PackageIndex.__call__
-        for name, oracle in oracles.items():
-            calls = {"register": 0, "size": 0}
-
-            def counting_register(self, names, calls=calls):
-                calls["register"] += 1
-                return register(self, names)
-
-            def counting_size(self, package_id, calls=calls):
-                calls["size"] += 1
-                return size(self, package_id)
-
-            monkeypatch.setattr(_Universe, "register", counting_register)
+        for name, make in makers.items():
+            calls["n"] = 0
             monkeypatch.setattr(PackageIndex, "__call__", counting_size)
-            _elapsed, cache = lap(oracle)
+            _elapsed, cache = lap(make)
             monkeypatch.undo()
-            counted[name] = calls
-            assert cache.stats.requests == len(specs)
-        assert counted["repository"] == {"register": 0, "size": 0}
-        assert counted["callable"]["register"] > 0
-        assert counted["callable"]["size"] > 0
+            counted[name] = calls["n"]
+            before = table["stats"]["requests"] if name == "restored" else 0
+            assert cache.stats.requests == before + len(specs)
+            assert len(cache._universe) == len(repo)
+        assert counted == {"fresh": 0, "restored": 0}
 
-        times = {name: [] for name in oracles}
+        times = {name: [] for name in makers}
         for pair in range(self.PAIRS):
-            order = list(oracles) if pair % 2 == 0 else list(oracles)[::-1]
+            order = list(makers) if pair % 2 == 0 else list(makers)[::-1]
             for name in order:
-                times[name].append(lap(oracles[name])[0])
+                times[name].append(lap(makers[name])[0])
         laps = {name: median(values) * 1e3 for name, values in times.items()}
-        ratio = median(
-            numbered / first for numbered, first
-            in zip(times["repository"], times["callable"])
-        )
         print(
-            f"\nreplay_zone lap, median of {self.PAIRS}, ms: repository "
-            f"numbering {laps['repository']:.1f} (0 registrations, 0 "
-            f"oracle calls) / first appearance {laps['callable']:.1f} "
-            f"({counted['callable']['register']} registrations, "
-            f"{counted['callable']['size']} oracle calls); median pair "
-            f"ratio {ratio:.3f}"
+            f"\nreplay_zone lap, median of {self.PAIRS}, ms (0 per-name "
+            f"index calls each): fresh on the repository's index "
+            f"{laps['fresh']:.1f} / restored onto a generation "
+            f"{laps['restored']:.1f}"
         )
 
 
@@ -371,7 +373,7 @@ class TestMergeScan:
             cache.request(frozenset(ZONE_IDS[int(i)] for i in picks))
         engine = cache._engine
         assert engine._n_live == cls.N_LIVE == engine._top
-        assert engine._words == 152  # ceil(9660 / 64) = 151, in cache lines
+        assert engine._words == 151  # ceil(9660 / 64): the universe's
         narrow = rng.choice(engine._words // 8 * 64, ZONE_SPEC, replace=False)
         wide = np.linspace(0, len(ZONE_IDS) - 1, ZONE_SPEC).astype(np.int64)
         requests = {}
@@ -384,7 +386,7 @@ class TestMergeScan:
 
     @classmethod
     def _words_touched(cls, engine, mask):
-        return int(np.count_nonzero(engine._query_words(mask)))
+        return int(np.count_nonzero(engine._mask_words(mask)))
 
     @pytest.mark.parametrize("request_words", ["narrow", "wide"])
     def test_full_scan_at_1k_images(self, benchmark, request_words):
@@ -788,12 +790,15 @@ class TestJournalReplay:
     """What recovering a journal tail costs (DESIGN.md, "Journal v2"):
     the ledger's ``durable_recover`` shape — a zone-sized cache after 960
     requests, its state file, then 640 requests journalled in windows of
-    32 and replayed from cold.
+    32 and replayed from cold.  Two v2 rows: the tail as the running
+    writer appends it, and as a writer that loaded the state file first
+    (so its own cache has a restored numbering) appends it.
 
     The reference is the same 640 requests as v1 lines (each one's
     sorted package list), written by ``Journal.append_many`` the way
     every journal was before v2, behind the same state file, and read
-    back by the same ``Journal._read`` and ``replay``.
+    back by the same ``Journal._read`` and ``replay``.  Each v2 row is
+    held to the same three gates against it.
     """
 
     ROUNDS = 7
@@ -813,7 +818,7 @@ class TestJournalReplay:
             _Generation,
             replay,
         )
-        from repro.core.persistence import load_bundle, load_table
+        from repro.core.persistence import load_bundle
         from repro.packages.sft import build_experiment_repository
         from repro.util.units import GB
 
@@ -826,20 +831,28 @@ class TestJournalReplay:
         cache.submit_batch(stream[:960])
         ops = [("request", {"packages": sorted(spec)})
                for spec in stream[960:]]
+        forms = ("v1", "v2", "v2 restored")
         states = {}
-        for form in ("v1", "v2"):
-            (tmp_path / form).mkdir()
-            states[form] = tmp_path / form / "state.json"
+        for at, form in enumerate(forms):
+            (tmp_path / str(at)).mkdir()
+            states[form] = tmp_path / str(at) / "state.json"
         store = JournaledState(states["v2"], snapshot_every=10 ** 9)
         store.initialise(cache, {})
         shutil.copy(states["v2"], states["v1"])
+        shutil.copy(states["v2"], states["v2 restored"])
+        loaded = JournaledState(states["v2 restored"], snapshot_every=10 ** 9)
+        restored, _metadata, _replayed = loaded.load(repo.size_of)
+        assert restored._universe.index is not repo.size_of
         v1 = Journal(f"{states['v1']}.journal")
         for start in range(0, len(ops), self.WINDOW):
             window = ops[start:start + self.WINDOW]
             store.apply_batch(cache, {}, window)
+            loaded.apply_batch(restored, {}, window)
             v1.append_many(window)
         store.journal.close()
+        loaded.journal.close()
         v1.close()
+        assert restored.snapshot() == cache.snapshot()
 
         def recover(state):
             bundle = load_bundle(state, repo.size_of)
@@ -850,53 +863,62 @@ class TestJournalReplay:
 
         # Round by round, as in TestCheckpoint: the machine's slow spells
         # are longer than one recovery.
-        times = {"v1": [], "v2": []}
-        ratios = []
+        times = {form: [] for form in forms}
+        ratios = {form: [] for form in forms[1:]}
         for _ in range(self.ROUNDS):
-            for form in ("v1", "v2"):
+            for form in forms:
                 elapsed, recovered, replayed = recover(states[form])
                 assert len(replayed) == len(ops)
                 assert recovered.snapshot() == cache.snapshot()
                 times[form].append(elapsed)
-            ratios.append(times["v1"][-1] / times["v2"][-1])
+            for form in forms[1:]:
+                ratios[form].append(times["v1"][-1] / times[form][-1])
         size = {form: Path(f"{state}.journal").stat().st_size
                 for form, state in states.items()}
 
         # Encoding the same entries: a v1 line of names, against a v2
-        # line from the ids the cache interned the names to (the writer
-        # interns ahead of the append; that pass is the apply's, so it
-        # is not timed here).
-        table = load_table(states["v2"])[1]
+        # line from the ids the writer's cache interned the names to (the
+        # writer interns ahead of the append; that pass is the apply's,
+        # so it is not timed here).
         names = [data["packages"] for _op, data in ops]
-        ids = [cache._intern(spec)[1] for spec in names]
-        encodes = {"v1": [], "v2": []}
-        encode_ratios = []
+        generations = {
+            "v2": (store._gen, [cache._intern(spec)[1] for spec in names]),
+            "v2 restored": (
+                _Generation(0, loaded._gen.position),
+                [restored._intern(spec)[1] for spec in names],
+            ),
+        }
+        encodes = {form: [] for form in forms}
+        encode_ratios = {form: [] for form in forms[1:]}
         for _ in range(self.ROUNDS):
-            generation = _Generation(0, table)
-            generation.bind(cache)
             start = perf_counter()
             for seq, spec in enumerate(names, start=1):
                 _encode(JournalEntry(seq, "request", {"packages": spec}))
-            middle = perf_counter()
-            for seq, spec_ids in enumerate(ids, start=1):
-                _encode(JournalEntry(
-                    seq, "request", generation.encode(cache, spec_ids)))
-            end = perf_counter()
-            encodes["v1"].append((middle - start) / len(ops) * 1e6)
-            encodes["v2"].append((end - middle) / len(ops) * 1e6)
-            encode_ratios.append(encodes["v2"][-1] / encodes["v1"][-1])
+            encodes["v1"].append((perf_counter() - start) / len(ops) * 1e6)
+            for form, (generation, ids) in generations.items():
+                start = perf_counter()
+                for seq, spec_ids in enumerate(ids, start=1):
+                    _encode(JournalEntry(
+                        seq, "request", generation.encode(spec_ids)))
+                encodes[form].append((perf_counter() - start) / len(ops) * 1e6)
+                encode_ratios[form].append(encodes[form][-1] / encodes["v1"][-1])
         print(
             f"\njournal tail of {len(ops)} requests behind a state of "
-            f"{len(load_bundle(states['v2'], repo.size_of).cache)} images: "
-            f"{size['v1'] / len(ops):.0f} -> {size['v2'] / len(ops):.0f} "
-            f"bytes an entry; read + replay {min(times['v1']):.1f} -> "
-            f"{min(times['v2']):.1f} ms, {median(ratios):.2f}x faster; "
-            f"encode {min(encodes['v1']):.1f} -> {min(encodes['v2']):.1f} "
-            f"us an entry"
+            f"{len(load_bundle(states['v2'], repo.size_of).cache)} images"
         )
-        assert median(ratios) >= 1.5
-        assert size["v2"] <= 0.6 * size["v1"]
-        assert median(encode_ratios) <= 1.0
+        for form in forms[1:]:
+            print(
+                f"  v1 -> {form}: {size['v1'] / len(ops):.0f} -> "
+                f"{size[form] / len(ops):.0f} bytes an entry; read + replay "
+                f"{min(times['v1']):.1f} -> {min(times[form]):.1f} ms, "
+                f"{median(ratios[form]):.2f}x faster; encode "
+                f"{min(encodes['v1']):.1f} -> {min(encodes[form]):.1f} us "
+                f"an entry"
+            )
+        for form in forms[1:]:
+            assert median(ratios[form]) >= 1.5
+            assert size[form] <= 0.6 * size["v1"]
+            assert median(encode_ratios[form]) <= 1.0
 
 
 class TestCacheThroughput:

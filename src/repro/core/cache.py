@@ -15,9 +15,12 @@ returned (a worker holds it), so a single oversized image may transiently
 exceed capacity until the next request.
 
 Performance note (this is the hot loop of every experiment): package sets
-are interned into bit indices, and each cached image carries its set as a
-Python big-int bitmask — the one stored copy; index arrays and id sets
-are views expanded from it on demand.  Subset tests (``s & i == s``) and
+are interned into bit indices of the cache's one numbering (its
+:class:`~repro.packages.repository.PackageIndex`, fixed for its life:
+the repository's own on a fresh cache, its state's generation on a
+restored one), and each cached image carries its set as a Python
+big-int bitmask — the one stored copy; index arrays and id sets are
+views expanded from it on demand.  Subset tests (``s & i == s``) and
 Jaccard intersections (``(s & j).bit_count()``) then run at C speed over
 ~1.2 KB ints instead of hashing thousands of strings per candidate, and
 a merge is integer work only (``mask |= request``; no id is handled
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from time import perf_counter
 from typing import (
     Callable,
@@ -123,72 +126,39 @@ def _transpose_bytes(words: np.ndarray) -> None:
     _swap(rows[..., 0, :], rows[..., 1, :], 8, 0x00FF00FF00FF00FF)
 
 
-class _Universe:
-    """Interns package ids to bit indices and tracks per-index sizes.
+def mask_of_indices(indices: np.ndarray, top: int) -> int:
+    """The bitmask with the bits ``indices`` (any order; ``top`` the
+    largest) set: vectorised scatter + ``np.packbits``, or a plain loop
+    for tiny sets, which beats numpy's fixed call overhead below a few
+    dozen elements."""
+    if indices.size < 32:
+        buf = bytearray(top // 8 + 1)
+        for i in indices.tolist():
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bytes(buf), "little")
+    bits = np.zeros(top + 1, dtype=np.uint8)
+    bits[indices] = 1
+    return int.from_bytes(
+        np.packbits(bits, bitorder="little").tobytes(), "little"
+    )
 
-    On a repository's :class:`~repro.packages.repository.PackageIndex`
-    it starts fully numbered: it references the index's position dict,
-    id list and sizes array (shared, read-only, never copied), so every
-    name the oracle accepts is already known and :meth:`register` is
-    never reached with one — an unknown name is rejected by the oracle
-    before anything changes.  On any other size callable, or when
-    ``private``, it starts empty and numbers names as they first
-    appear.  Either way there is one :meth:`mask_of` path; ``shared``
-    says which numbering it holds.
+
+class _Universe:
+    """A cache's package numbering: bit *i* of a mask is ``ids[i]``.
+
+    A view of one :class:`~repro.packages.repository.PackageIndex`,
+    fixed for the cache's life: it reads the index's position dict, id
+    list and sizes array (shared, read-only, never copied), so every
+    name it can intern is numbered before the first request, and a name
+    the index lacks is rejected before anything changes.
     """
 
-    def __init__(
-        self, package_size: Callable[[str], int], private: bool = False
-    ):
-        self._package_size = package_size
-        if isinstance(package_size, PackageIndex) and not private:
-            self._index: Dict[str, int] = package_size.position
-            self._ids: List[str] = package_size.ids
-            self._sizes = package_size.sizes
-            self.shared = True
-            return
-        self.shared = False
-        self._index = {}
-        self._ids = []
-        self._sizes = np.zeros(1024, dtype=np.int64)
+    def __init__(self, index: PackageIndex):
+        self.index = index
+        self._sizes = index.sizes
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def register(self, names: Iterable[str]) -> None:
-        """Append ``names`` — distinct, none of them known — numbered in
-        the order given.
-
-        Every name is sized (one ``map`` over the size oracle, or one
-        gather from a repository index) before any is registered: one
-        the oracle rejects (it raises for an unknown id) or sizes
-        negative must not stay behind with size 0, or a retry of the
-        same request is accepted.
-        """
-        names = list(names)
-        if not names:  # nothing to write, and a shared sizes array is read-only
-            return
-        oracle = self._package_size
-        if isinstance(oracle, PackageIndex):
-            sizes = oracle.sizes_of(names)
-        else:
-            sizes = np.fromiter(
-                map(oracle, names), dtype=np.int64, count=len(names)
-            )
-        negative = np.flatnonzero(sizes < 0)
-        if negative.size:
-            raise ValueError(
-                f"negative size for package {names[negative[0]]!r}"
-            )
-        start = len(self._ids)
-        end = start + len(names)
-        if end > self._sizes.size:
-            grown = np.zeros(max(end, self._sizes.size * 2), dtype=np.int64)
-            grown[: self._sizes.size] = self._sizes
-            self._sizes = grown
-        self._sizes[start:end] = sizes
-        self._index.update(zip(names, range(start, end)))
-        self._ids.extend(names)
+        return self._sizes.size
 
     def mask_of(self, packages: Iterable[str]) -> Tuple[int, np.ndarray]:
         """Return (bitmask, sorted index array) for a package collection
@@ -196,47 +166,30 @@ class _Universe:
 
         One pass over the collection: every name is looked up in the
         index dictionary at C level, straight into the index array, with
-        ``-1`` for a name not seen before.  The new names are then found
-        by their positions (``arr < 0``), not by walking the collection
-        again; they are registered in order of first appearance and
-        all-or-nothing (:meth:`register`), so a rejected collection
-        leaves the universe as it was, and their ids are written into
-        place.  The bit buffer is built with vectorised scatter +
-        ``np.packbits``; tiny sets stay on a plain loop, which beats
-        numpy's fixed call overhead below a few dozen elements.
+        ``-1`` for a name the index lacks; the first such name (by
+        position, not by walking the collection again) is the index's
+        ``KeyError``.
         """
-        is_set = isinstance(packages, (set, frozenset))
-        if not is_set and not isinstance(packages, (list, tuple)):
+        if not isinstance(packages, (set, frozenset, list, tuple)):
             packages = list(packages)  # positions need a sized collection
         arr = np.fromiter(
-            map(self._index.get, packages, repeat(-1)),
+            map(self.index.position.get, packages, repeat(-1)),
             dtype=np.int64, count=len(packages),
         )
         if not arr.size:
             return 0, arr
-        new = np.flatnonzero(arr < 0)
-        if new.size:
-            # A set has no positions: it is listed in its iteration order,
-            # which is the order the lookups above saw.
-            ordered = list(packages) if is_set else packages
-            names = list(map(ordered.__getitem__, new.tolist()))
-            self.register(dict.fromkeys(names))
-            arr[new] = list(map(self._index.__getitem__, names))
+        unknown = np.flatnonzero(arr < 0)
+        if unknown.size:
+            # A set has no positions: it is listed in its iteration
+            # order, which is the order the lookups above saw.
+            first = int(unknown[0])
+            self.index(next(islice(packages, first, None)))  # raises
         arr.sort()
-        if not is_set:
+        if not isinstance(packages, (set, frozenset)):
             distinct = arr[1:] != arr[:-1]  # repeats are adjacent now
             if not distinct.all():
                 arr = arr[np.concatenate(([True], distinct))]
-        top = int(arr[-1])
-        if arr.size < 32:
-            buf = bytearray(top // 8 + 1)
-            for i in arr.tolist():
-                buf[i >> 3] |= 1 << (i & 7)
-            return int.from_bytes(bytes(buf), "little"), arr
-        bits = np.zeros(top + 1, dtype=np.uint8)
-        bits[arr] = 1
-        packed = np.packbits(bits, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little"), arr
+        return mask_of_indices(arr, int(arr[-1])), arr
 
     def indices_of_mask(self, mask: int) -> np.ndarray:
         """Expand a bitmask back into its sorted index array."""
@@ -251,10 +204,9 @@ class _Universe:
     def bytes_of_indices(self, indices: np.ndarray) -> int:
         return int(self._sizes[indices].sum())
 
-    def _pack(self, masks: List[int]) -> np.ndarray:
-        """``masks`` as one bit matrix, a row of bytes each (little bit
-        order), as wide as the universe."""
-        n_bytes = (len(self) + 7) // 8
+    def _pack(self, masks: List[int], n_bytes: int) -> np.ndarray:
+        """``masks`` as one bit matrix, a row of ``n_bytes`` bytes each
+        (little bit order)."""
         return np.frombuffer(
             b"".join([mask.to_bytes(n_bytes, "little") for mask in masks]),
             dtype=np.uint8,
@@ -263,11 +215,14 @@ class _Universe:
     def bytes_of_masks(self, masks: List[int]) -> List[int]:
         """Each mask's total size, all masks at once: the size of every
         value of every nibble position is tabled (16 entries a nibble),
-        and each mask sums the entries its nonzero bytes pick."""
-        packed = self._pack(masks)
-        n_bytes = packed.shape[1]
+        and each mask sums the entries its nonzero bytes pick — as far as
+        the widest mask reaches (a restored cache's masks span its
+        table, not the universe)."""
+        n_bytes = (max(map(int.bit_length, masks), default=0) + 7) // 8
+        packed = self._pack(masks, n_bytes)
         sizes = np.zeros((n_bytes, 2, 4), dtype=np.int64)
-        sizes.reshape(-1)[: len(self)] = self._sizes[: len(self)]
+        width = min(n_bytes * 8, len(self))
+        sizes.reshape(-1)[:width] = self._sizes[:width]
         table = np.zeros((n_bytes, 2, 16), dtype=np.int64)
         for bit in range(4):
             low = 1 << bit
@@ -288,14 +243,15 @@ class _Universe:
         counts = np.zeros((len(self) + 7) // 8 * 8, dtype=np.int32)
         for start in range(0, len(masks), 255):
             bits = np.unpackbits(
-                self._pack(masks[start:start + 255]), axis=1, bitorder="little"
+                self._pack(masks[start:start + 255], counts.size // 8),
+                axis=1, bitorder="little",
             )
             counts += bits.sum(axis=0, dtype=np.uint8)
         return counts[: len(self)]
 
     def names_of_indices(self, indices: np.ndarray) -> List[str]:
         """Package ids at ``indices``, in index order."""
-        return list(map(self._ids.__getitem__, indices.tolist()))
+        return list(map(self.index.ids.__getitem__, indices.tolist()))
 
     def ids_of_indices(self, indices: np.ndarray) -> FrozenSet[str]:
         return frozenset(self.names_of_indices(indices))
@@ -303,6 +259,24 @@ class _Universe:
     @property
     def sizes(self) -> np.ndarray:
         return self._sizes
+
+
+def table_names(snapshot: dict) -> List[str]:
+    """The names a snapshot numbers first, in order: its v3
+    ``"universe"`` table, then, for image records that list
+    ``"packages"`` (as v2 files do), each name in the order
+    :meth:`LandlordCache.restore` first interns it."""
+    names = list(snapshot.get("universe", []))
+    listed = [record["packages"] for record in snapshot["images"]
+              if "packages" in record]
+    if listed:
+        seen = set(names)
+        for packages in listed:
+            for name in packages:
+                if name not in seen:
+                    seen.add(name)
+                    names.append(name)
+    return names
 
 
 class CachedImage:
@@ -563,8 +537,12 @@ class LandlordCache:
     Args:
         capacity: cache capacity in bytes.
         alpha: maximal Jaccard distance for merge candidates, in [0, 1].
-        package_size: size oracle mapping a package id to its byte size
-            (typically ``repository.size_of``).
+        package_size: the site's package numbering and size oracle, a
+            :class:`~repro.packages.repository.PackageIndex` (typically
+            ``repository.size_of``; :meth:`PackageIndex.of
+            <repro.packages.repository.PackageIndex.of>` builds one from
+            a name → size mapping).  Anything else is a
+            :class:`TypeError`.
         conflict_policy: when merging is legal; defaults to
             :class:`~repro.packages.conflicts.NoConflicts` (the CVMFS case).
         hit_selection: which superset image serves a hit — ``"smallest"``
@@ -608,7 +586,7 @@ class LandlordCache:
         self,
         capacity: int,
         alpha: float,
-        package_size: Callable[[str], int],
+        package_size: PackageIndex,
         conflict_policy: Optional[ConflictPolicy] = None,
         hit_selection: str = "smallest",
         candidate_order: str = "distance",
@@ -648,6 +626,11 @@ class LandlordCache:
 
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        if not isinstance(package_size, PackageIndex):
+            raise TypeError(
+                "package_size must be a PackageIndex (PackageIndex.of builds "
+                f"one from a mapping), got {type(package_size).__name__}"
+            )
         self.engine = engine
         self._universe = _Universe(package_size)
         self._images: Dict[str, CachedImage] = {}
@@ -817,11 +800,9 @@ class LandlordCache:
     def _count_all(self) -> None:
         """Count every image's packages afresh, all masks at once."""
         universe = self._universe
-        counts = universe.counts_of_masks(
+        self._refcounts = counts = universe.counts_of_masks(
             [image.mask for image in self._images.values()]
         )
-        self._refcounts = np.zeros(max(1024, counts.size), dtype=np.int32)
-        self._refcounts[: counts.size] = counts
         self._unique_bytes = universe.bytes_of_indices(np.flatnonzero(counts))
 
     def clear(self) -> None:
@@ -880,10 +861,9 @@ class LandlordCache:
         """Non-mutating hit check: the image that *would* serve ``spec``.
 
         Touches no statistics, LRU clock or image, and inserts nothing;
-        interning the spec may learn its names (into the universe and
-        the spec memo).  That, and the engine state the hit scan reads,
-        is why it runs under the cache lock like the mutating entry
-        points.  Federation layers use this to decide whether to consult
+        interning a ``frozenset`` spec may memoise it.  That, and the
+        engine state the hit scan reads, is why it runs under the cache
+        lock like the mutating entry points.  Federation layers use this to decide whether to consult
         a remote registry before letting :meth:`request` build locally.
         """
         with self._lock or nullcontext():
@@ -996,55 +976,42 @@ class LandlordCache:
 
         ``"universe"`` lists the names some live image holds, in the
         order :meth:`_table` gives them; each image carries
-        ``"mask"``, a hex integer whose bit *i* means ``universe[i]``.
-        Names only evicted images held are left out, so the record is
-        sized by what the cache holds, not by what it has ever seen or
-        could see.  While the table is the universe in id order an
-        image's own mask is that integer; otherwise its bits are
-        re-based onto the table's positions (:meth:`_table_masks`).
-        Costs O(images + names) where :meth:`snapshot` costs O(sum of
-        image sizes); unlike it, the numbering records the order names
-        were numbered in, so compare caches by :meth:`snapshot`, not by
-        this.
+        ``"mask"``, a hex integer whose bit *i* means ``universe[i]``,
+        and ``"repository"`` is the digest of the repository's ids
+        (:attr:`PackageIndex.digest
+        <repro.packages.repository.PackageIndex.digest>`), which
+        :meth:`restore` holds the cache's repository to.  Names only
+        evicted images held are left out, so the record is sized by
+        what the cache holds, not by what it has ever seen or could
+        see.  Costs O(images + names) where :meth:`snapshot` costs
+        O(sum of image sizes); unlike it, the table's order records how
+        the images were built, so compare caches by :meth:`snapshot`,
+        not by this.
         """
         return self._table()[0]
 
     def _table(self) -> Tuple[dict, np.ndarray]:
         """:meth:`table_snapshot`'s record, and the internal ids its
-        table names, in table order (the journal translates through
-        them).
+        table names, in table order (the journal numbers through them).
 
-        A cache that numbers its own names writes its live ids in id
-        order, the order they first appeared in.  On a repository's
-        shared numbering id order is the repository's, and nearly every
-        mask would span its whole width (a ~1k-image file ~15 % larger);
-        there the live names are written in the order they first appear
-        among the live images, taken smallest first (ties in image
-        order; ascending ids within one), so an image's table mask spans
-        only the names of the images up to it.
+        The live names are written in the order they first appear among
+        the live images, taken smallest first (ties in image order;
+        ascending ids within one), so an image's table mask spans only
+        the names of the images up to it — in the numbering's own order
+        nearly every mask would span the repository's whole width (a
+        ~1k-image file ~15 % larger).
         """
-        universe = self._universe
-        ids = None if universe.shared else self._live_ids()
-        if ids is not None and ids.size == len(universe):
-            def table_mask(img: CachedImage) -> str:
-                return format(img.mask, "x")
-        else:
-            ids, hexes = self._table_masks(ids)
-            masks = dict(zip(self._images, hexes))
-
-            def table_mask(img: CachedImage) -> str:
-                return masks[img.id]
-        state = self._state_record("mask", table_mask)
-        state["universe"] = universe.names_of_indices(ids)
+        ids, hexes = self._table_masks()
+        masks = dict(zip(self._images, hexes))
+        state = self._state_record("mask", lambda img: masks[img.id])
+        state["universe"] = self._universe.names_of_indices(ids)
+        state["repository"] = self._universe.index.digest
         return state, ids
 
-    def _table_masks(
-        self, ids: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, List[str]]:
-        """The table's internal ids, and every image's mask re-based onto
-        them (table bit *k* is id ``ids[k]``) as hex, in image order;
-        ``ids=None`` numbers the live names by first appearance,
-        smallest image first.
+    def _table_masks(self) -> Tuple[np.ndarray, List[str]]:
+        """The table's internal ids — the live names by first appearance,
+        smallest image first — and every image's mask re-based onto them
+        (table bit *k* is id ``ids[k]``) as hex, in image order.
 
         The masks are laid out as one bit matrix and transposed, so each
         name's column says which images hold it; the table's columns are
@@ -1066,27 +1033,26 @@ class LandlordCache:
             b"".join([img.mask.to_bytes(8 * n_words, "little") for img in images]),
             dtype=_WORD,
         ).reshape(count, n_words)
-        if ids is None:
-            # Smallest image first (ties in image order): most names are
-            # then numbered by an image that holds few, so a mask spans
-            # fewer table positions (at ~1k images, a sixth fewer hex
-            # digits than numbering in image order).  Each image's names
-            # no image before it holds, read row by row, are the table.
-            by_size = np.argsort(
-                np.fromiter(
-                    (img.package_count for img in images),
-                    dtype=np.int64, count=count,
-                ),
-                kind="stable",
-            )
-            seen = np.bitwise_or.accumulate(words[by_size], axis=0)
-            fresh = seen.copy()
-            fresh[1:] ^= seen[:-1]
-            at = np.flatnonzero(fresh)
-            bits = np.flatnonzero(np.unpackbits(
-                fresh.reshape(-1)[at].view(np.uint8), bitorder="little"
-            ))
-            ids = at[bits >> 6] % n_words * 64 + (bits & 63)
+        # Smallest image first (ties in image order): most names are
+        # then numbered by an image that holds few, so a mask spans
+        # fewer table positions (at ~1k images, a sixth fewer hex
+        # digits than numbering in image order).  Each image's names
+        # no image before it holds, read row by row, are the table.
+        by_size = np.argsort(
+            np.fromiter(
+                (img.package_count for img in images),
+                dtype=np.int64, count=count,
+            ),
+            kind="stable",
+        )
+        seen = np.bitwise_or.accumulate(words[by_size], axis=0)
+        fresh = seen.copy()
+        fresh[1:] ^= seen[:-1]
+        at = np.flatnonzero(fresh)
+        bits = np.flatnonzero(np.unpackbits(
+            fresh.reshape(-1)[at].view(np.uint8), bitorder="little"
+        ))
+        ids = at[bits >> 6] % n_words * 64 + (bits & 63)
         # Word (b, c, w) then holds, in its byte j, which of images
         # 8b..8b+7 hold name 64w + 8c + j.
         blocks = words.reshape(octets, 8, n_words)
@@ -1131,8 +1097,7 @@ class LandlordCache:
             for image in self._images.values():
                 union |= image.mask
             return self._universe.indices_of_mask(union)
-        counted = min(len(self._universe), refcounts.size)
-        return np.flatnonzero(refcounts[:counted] > 0)
+        return np.flatnonzero(refcounts)
 
     @staticmethod
     def _decode_masks(
@@ -1188,11 +1153,17 @@ class LandlordCache:
         mismatches raise :class:`ValueError` rather than silently running
         with different semantics than the state was built under.
 
-        A name table is registered whole, so internal ids equal table
-        positions and each ``"mask"`` record is its image's mask as it
-        stands — no per-image interning; ``"packages"`` records intern
-        their names as they always have.  Sizes are read off every mask
-        at once, and the engine gets the images together.
+        The restored cache numbers the state's generation: its table
+        names (:func:`table_names`) first, then every other package of
+        the repository in repository order (:meth:`PackageIndex.generation
+        <repro.packages.repository.PackageIndex.generation>`; with no
+        table, the repository's own index).  Internal ids then equal
+        table positions and each ``"mask"`` record is its image's mask
+        as it stands — no per-image interning; ``"packages"`` records
+        intern their names as they always have.  Sizes are read off
+        every mask at once, and the engine gets the images together.  A
+        state that records the digest of another repository than the
+        cache's is refused.
 
         State written while the cache still had a MinHash/LSH merge
         prefilter records ``use_minhash`` and its three parameters among
@@ -1243,15 +1214,19 @@ class LandlordCache:
             raise ValueError(f"snapshot policy mismatch — {detail}")
         table = state.get("universe", [])
         masks = self._decode_masks(state["images"], table)
-        # Table positions become ids only in an empty universe of the
-        # cache's own: a repository's shared numbering is let go (with
-        # any memoised ids in it), and a journal tail replayed next
-        # registers its "new" names here.
+        repository = self._universe.index.repository
+        written = state.get("repository")
+        if written is not None and written != repository.digest:
+            raise ValueError(
+                f"snapshot was written against the repository {written}, "
+                f"not this cache's {repository.digest}"
+            )
+        # Table positions are ids in the state's generation (memoised
+        # ids of the numbering it replaces go with it).
         self._universe = universe = _Universe(
-            self._universe._package_size, private=True
+            repository.generation(table_names(state))
         )
         self._spec_memo.clear()
-        universe.register(table)
         rng_state = state.get("rng_state")
         if rng_state is not None:
             mine_bg = type(self._rng.bit_generator).__name__
@@ -1384,20 +1359,9 @@ class LandlordCache:
         self._spec_memo[packages] = (mask, indices, size)
         return mask, indices, size
 
-    def _grow_refcounts(self, needed: int) -> None:
-        if needed <= self._refcounts.size:
-            return
-        capacity = self._refcounts.size
-        while capacity < needed:
-            capacity *= 2
-        grown = np.zeros(capacity, dtype=np.int32)
-        grown[: self._refcounts.size] = self._refcounts
-        self._refcounts = grown
-
     def _account_add(self, indices: np.ndarray) -> None:
         if self._refcounts is None or indices.size == 0:
             return
-        self._grow_refcounts(int(indices[-1]) + 1)
         prev = self._refcounts[indices]
         self._refcounts[indices] = prev + 1
         fresh = indices[prev == 0]
@@ -1674,32 +1638,25 @@ class LandlordCache:
         return decisions
 
     def _apply_masked(
-        self, op: str, new: List[str], mask: int
+        self, op: str, mask: int
     ) -> "CacheDecision | CachedImage":
         """Journal replay's seam: a ``"request"`` or ``"adopt"`` given as
         a bitmask over this cache's own universe.
 
-        ``new`` — names the universe does not hold yet — is registered
-        first, in order; ``mask`` is then read against the universe as
-        it stands and goes straight to Algorithm 1 (or the adoption): no
-        name of the spec is decoded, hashed or looked up.  A ``new`` name
-        already known (or listed twice) and a bit at or past the end of
-        the universe are :class:`ValueError`\\ s raised before anything
-        changes.
+        ``mask`` goes straight to Algorithm 1 (or the adoption) as it
+        lies: no name of the spec is decoded, hashed or looked up.  A
+        negative mask and a bit at or past the end of the universe are
+        :class:`ValueError`\\ s raised before anything changes.
         """
         universe = self._universe
         with self._lock or nullcontext():
-            known = universe._index
-            if len(set(new)) != len(new) or any(map(known.__contains__, new)):
-                raise ValueError("declares a package name the universe holds")
             if mask < 0:
                 raise ValueError("negative mask")
-            if mask.bit_length() > len(universe) + len(new):
+            if mask.bit_length() > len(universe):
                 raise ValueError(
                     f"mask sets bit {mask.bit_length() - 1}, past the "
-                    f"{len(universe) + len(new)} names of the universe"
+                    f"{len(universe)} names of the universe"
                 )
-            universe.register(new)
             indices = universe.indices_of_mask(mask)
             return self._apply_interned(
                 op, None, (mask, indices, universe.bytes_of_indices(indices))

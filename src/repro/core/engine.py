@@ -19,7 +19,7 @@ maintained NumPy state instead, and the third as the reference does:
 
 - all cached-image package sets live in one padded ``uint64`` bit matrix
   stored word-major (one line per 64-package word, one column per
-  image, never more than an eighth wider than the package universe),
+  image, as wide as the cache's fixed package numbering),
   alongside the two per-row arrays its scans read: package count and a
   dict-insertion sequence number;
 - the hit scan asks the request's *rarest* package: a superset of the
@@ -199,7 +199,8 @@ class VectorizedEngine(NaiveEngine):
     """Batched NumPy kernels with bit-identical naive-engine semantics.
 
     State layout (rows are allocated on demand and double, freed rows
-    are recycled, words grow in steps of at least an eighth):
+    are recycled; the words cover the cache's whole numbering, which
+    never grows):
 
     - ``_matrix[word, row]`` — word-major: row ``r``'s package set is
       column ``r``, as ``uint64`` words (little-endian bit order,
@@ -283,8 +284,8 @@ class VectorizedEngine(NaiveEngine):
         self.compaction_stats = {"compactions": 0, "rows_reclaimed": 0}
         rows = self._INITIAL_ROWS
         self._rows = rows
-        self._words = 1
-        self._matrix = np.zeros((1, rows), dtype=_WORD)  # [word, row]
+        self._words = 0  # set, with the matrix, by the first mirror
+        self._matrix = np.zeros((0, rows), dtype=_WORD)  # [word, row]
         self._count = np.zeros(rows, dtype=np.int64)
         self._order = np.zeros(rows, dtype=np.int64)
         self._live = np.zeros(rows, dtype=bool)
@@ -297,27 +298,6 @@ class VectorizedEngine(NaiveEngine):
         self._mirrored = False  # set by the add that crosses _SMALL_CACHE
 
     # -- layout ------------------------------------------------------------
-
-    @staticmethod
-    def _words_for(mask: int) -> int:
-        return max(1, (mask.bit_length() + 63) >> 6)
-
-    def _widen(self, words: int) -> None:
-        """Append word lines until the matrix is ``words`` wide, in steps.
-
-        A step is at least an eighth of the current width, rounded up to
-        a multiple of 8 words (one cache line): amortised like doubling,
-        but the matrix settles within 12.5 % of the universe instead of
-        up to 2x wide, and every scan reads what the universe needs.
-        """
-        if words <= self._words:
-            return
-        new_words = max(words, self._words + (self._words >> 3))
-        new_words = (new_words + 7) & ~7
-        grown = np.zeros((new_words, self._rows), dtype=_WORD)
-        grown[: self._words] = self._matrix
-        self._matrix = grown
-        self._words = new_words
 
     def _grow_rows(self) -> None:
         old = self._rows
@@ -346,22 +326,7 @@ class VectorizedEngine(NaiveEngine):
         return row
 
     def _mask_words(self, mask: int) -> np.ndarray:
-        """Full-matrix-width word vector of an *image* mask (widening)."""
-        self._widen(self._words_for(mask))
-        raw = mask.to_bytes(self._words * 8, "little")
-        return np.frombuffer(raw, dtype=_WORD)
-
-    def _query_words(self, mask: int) -> np.ndarray:
-        """A *request* mask as matrix-width words, for intersections.
-
-        Bits beyond the matrix width belong to packages no cached image
-        contains: they contribute zero to every intersection, so
-        truncating them is exact.  (They also make a hit impossible,
-        which :meth:`_scan_hit` reads off the refcounts.)
-        """
-        width_bits = self._words << 6
-        if mask >> width_bits:
-            mask &= (1 << width_bits) - 1
+        """A mask as matrix-width words."""
         raw = mask.to_bytes(self._words * 8, "little")
         return np.frombuffer(raw, dtype=_WORD)
 
@@ -403,7 +368,8 @@ class VectorizedEngine(NaiveEngine):
         self._mirrored = True
         cache = self._cache
         images = list(cache._images.values())
-        self._widen(max(self._words_for(image.mask) for image in images))
+        self._words = max(1, (len(cache._universe) + 63) >> 6)
+        self._matrix = np.zeros((self._words, self._rows), dtype=_WORD)
         for image in images:
             self._add_row(image)  # an empty engine: rows 0.. in dict order
         width = self._words * 8
@@ -514,8 +480,7 @@ class VectorizedEngine(NaiveEngine):
         ``cache._refcounts[p]``, which the cache keeps exact from the
         first mirror on, so it is current whenever a scan can run (see
         the class docstring): zero for any package
-        of the request — or a package index past the array, one no image
-        has held yet — means no superset exists, and the matrix is not
+        of the request means no superset exists, and the matrix is not
         read at all.  Otherwise the rows with the rarest package's bit
         set (one pass over ``top`` contiguous words) are the only possible
         supersets; each is checked with the reference test on the
@@ -529,15 +494,10 @@ class VectorizedEngine(NaiveEngine):
             return self._select_hit(
                 np.flatnonzero(self._live[: self._top]).tolist()
             )
-        refcounts = self._cache._refcounts
-        if indices[-1] >= refcounts.size:
-            return None
-        held = refcounts[indices]
+        held = self._cache._refcounts[indices]
         rarest = int(held.argmin())
         if held[rarest] == 0:
             return None
-        # Some live image holds the package, so the matrix is wide
-        # enough for its word.
         package = int(indices[rarest])
         word = self._matrix[package >> 6, : self._top]
         rows = np.flatnonzero(word & _WORD.type(1 << (package & 63)))
@@ -627,7 +587,7 @@ class VectorizedEngine(NaiveEngine):
             return super().scan_candidates(mask, n_request, alpha)
         top = self._top
         examined = self._n_live
-        q = self._query_words(mask)
+        q = self._mask_words(mask)
         words = np.flatnonzero(q)  # only these can intersect any image
         rows = self._window_rows(n_request, alpha)
         if rows is not None and (rows.size << 1) < top:

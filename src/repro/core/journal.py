@@ -37,22 +37,26 @@ tell per append), and a v2 request or adoption line is built directly,
 byte for byte the canonical dump (:func:`_masked_body`) — the daemon
 pays both once per request, under its single committer.
 
-**Journal v2: each package name once per generation.**  A request or
-an adoption is written as ``{"base": S, "mask": "<hex>", "new": [...]}``.
-Bit *i* of ``mask`` is name *i* of the entry's generation: the name
-table of the state file whose ``journal_seq`` is ``S`` (exactly what
-:meth:`LandlordCache.restore` registers from it), followed by every
-name earlier entries of the generation declared in ``new``.  Replay
-registers ``new`` into the recovering cache's universe — which then *is*
-the generation — and hands ``int(mask, 16)`` to the cache as it lies: no
-name is decoded, hashed or looked up.  ``base`` is what lets replay
-refuse an entry written against another table (a mask means nothing
-without its table).  The writer (:class:`JournaledState`) takes its
-generation from each save (the table just written), from ``load`` (the
-loaded universe) or, failing both, off the files; it encodes an entry
-from the ids the live cache interned the names to, one array lookup
-each.  v1 lines (``"packages": [...]``) still replay as they always
-did, before or after v2 ones; only v2 is written.
+**Journal v2: no package name at all.**  A request or an adoption is
+written as ``{"base": S, "mask": "<hex>"}``.  Bit *i* of ``mask`` is
+package *i* of the entry's generation: the name table of the state file
+whose ``journal_seq`` is ``S``, followed by every other package of the
+repository in repository order — exactly the numbering
+:meth:`LandlordCache.restore` gives a cache restored from that file.
+Writer and reader both know the generation without writing it, so
+replay hands ``int(mask, 16)`` to the recovering cache as it lies: no
+name is decoded, hashed or looked up, and the numbering never grows.
+``base`` is what lets replay refuse an entry written against another
+table (a mask means nothing without its table).  The writer
+(:class:`JournaledState`) holds one array from its cache's ids to their
+generation positions, built at each save (the table just written, then
+the rest by repository position, since its cache may itself be
+restored), at ``load`` (the identity) or, failing both, off the state
+file; it encodes an entry from the ids the live cache interned the
+names to, one array lookup each.  v1 lines (``"packages": [...]``)
+still replay as they always did, before or after v2 ones; only v2 is
+written.  An entry that declares names (``"new"``), as this journal's
+writers did before the generation rule, is refused by name.
 
 The cache is deterministic given its restored state (including, for
 ``candidate_order="random"``, the RNG state the v2 snapshot carries), so
@@ -75,7 +79,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import LandlordCache, mask_of_indices
 from repro.core.persistence import (
     StateBundle,
     _write_state,
@@ -83,6 +87,7 @@ from repro.core.persistence import (
     load_table,
     save_state,
 )
+from repro.packages.repository import PackageIndex
 from repro.testing.faults import checkpoint
 
 __all__ = [
@@ -103,7 +108,7 @@ _CRC_KEY = '{"crc":'
 _MARKER_CRC = ',"crc":'
 _HEAL_BLOCK = 4096
 _MASKED_OPS = ("request", "adopt")
-_MASKED_KEYS = frozenset(("base", "mask", "new"))
+_MASKED_KEYS = frozenset(("base", "mask"))
 
 
 class JournalError(ValueError):
@@ -119,7 +124,7 @@ class JournalEntry:
         op: operation name — ``"request"``, ``"adopt"``,
             ``"evict_idle"``, or ``"clear"``.
         data: the operation's arguments, exactly as needed to re-apply
-            it: a request's or adoption's ``base``/``mask``/``new`` (v2,
+            it: a request's or adoption's ``base``/``mask`` (v2,
             see the module docstring) or ``packages`` (v1, and what the
             writer hands its callers), ``evict_idle``'s
             ``max_idle_requests``.
@@ -151,9 +156,8 @@ def _masked_body(entry: JournalEntry) -> Optional[str]:
     layout the writer produces — an int ``base`` and ``seq`` and a
     lowercase hex ``mask``, which the dump writes as it is — at a
     fraction of its cost: the dump sorts two dicts and escape-scans the
-    mask, a few thousand digits, character by character.  ``new`` is
-    dumped canonically on its own.  Anything else is ``None``: the
-    caller dumps it canonically.
+    mask, a few thousand digits, character by character.  Anything else
+    is ``None``: the caller dumps it canonically.
     """
     data = entry.data
     if entry.op not in _MASKED_OPS or data.keys() != _MASKED_KEYS:
@@ -164,8 +168,7 @@ def _masked_body(entry: JournalEntry) -> Optional[str]:
             or mask.encode("ascii").translate(None, _HEX_DIGITS)):
         return None
     return (
-        f'{{"data":{{"base":{base},"mask":"{mask}",'
-        f'"new":{json.dumps(data["new"], **_CANON)}}},'
+        f'{{"data":{{"base":{base},"mask":"{mask}"}},'
         f'"op":"{entry.op}","seq":{entry.seq}}}'
     )
 
@@ -619,122 +622,45 @@ class Journal:
 
 
 class _Generation:
-    """The names a writer's v2 entries index, and their positions.
+    """The numbering a writer's v2 entries index.
 
-    ``names`` starts as the name table of the state file whose
-    ``journal_seq`` is ``base`` — what :meth:`LandlordCache.restore`
-    registers from it — and grows by each entry's ``"new"`` names, in
-    the order replay registers them.
+    ``position[i]`` is the place of the writer's cache id *i* in the
+    generation of the state file whose ``journal_seq`` is ``base``: the
+    file's table, then every other repository package in repository
+    order.
     """
 
-    __slots__ = ("base", "names", "_universe", "_position", "_seen",
-                 "_unbound")
+    __slots__ = ("base", "position")
 
-    def __init__(self, base: int, names: Sequence[str]) -> None:
+    def __init__(self, base: int, position: np.ndarray) -> None:
         self.base = base
-        self.names = list(names)
-        # Which live cache's ids _position translates, and for each id
-        # its position here (-1: a name this generation lacks); how many
-        # of its ids that covers, and the positions of names the cache
-        # had not met when bound (found again once it does).
-        self._universe = None
-        self._position = np.zeros(0, dtype=np.int64)
-        self._seen = 0
-        self._unbound: dict = {}
+        self.position = position
 
     @classmethod
-    def on_disk(
-        cls, base: int, names: Sequence[str], entries: Sequence[JournalEntry]
+    def of(
+        cls, base: int, cache: LandlordCache, table: np.ndarray
     ) -> "_Generation":
-        """The generation a recovery would rebuild: the state file's
-        table, then the names its journal tail registers."""
-        generation = cls(base, names)
-        seen = set(generation.names)
-        for entry in entries:
-            if entry.seq <= base or entry.op not in _MASKED_OPS:
-                continue
-            if not _is_masked(entry):  # v1: replay interns the list
-                fresh = [name for name in dict.fromkeys(
-                    entry.data["packages"]) if name not in seen]
-            elif entry.data.get("base") != base:
-                raise JournalError(_wrong_base(entry, base))
-            else:
-                fresh = _masked_fields(entry)[0]
-                if len(set(fresh)) != len(fresh) or not seen.isdisjoint(fresh):
-                    raise JournalError(
-                        f"journal entry {entry.seq}: declares a package "
-                        "name the universe holds"
-                    )
-            seen.update(fresh)
-            generation.names.extend(fresh)
-        return generation
-
-    def bind(self, cache: LandlordCache, position=None) -> None:
-        """Translate ``cache``'s internal ids from here on; ``position``
-        is the translation when the caller knows it, else each name of
-        the generation is looked up once."""
+        """The generation whose table is ``cache``'s ids ``table``, in
+        table order; the rest follow by *repository* position, which is
+        not id order when ``cache`` was itself restored."""
         universe = cache._universe
-        self._unbound = {}
-        if position is None:
-            ids = np.fromiter(
-                map(universe._index.get, self.names, repeat(-1)),
-                dtype=np.int64, count=len(self.names),
-            )
-            position = np.full(len(universe), -1, dtype=np.int64)
-            known = ids >= 0
-            position[ids[known]] = np.flatnonzero(known)
-            self._unbound = {
-                self.names[at]: at for at in np.flatnonzero(~known).tolist()
-            }
-        self._universe, self._position = universe, position
-        self._seen = len(universe)
-
-    def _catch_up(self, universe) -> None:
-        """Cover the ids the cache has registered since last looked at."""
-        n = len(universe)
-        position = self._position
-        if position.size < n:
-            grown = np.full(max(n, 2 * position.size), -1, dtype=np.int64)
-            grown[:position.size] = position
-            self._position = position = grown
-        if self._unbound:
-            for live_id in range(self._seen, n):
-                at = self._unbound.pop(universe._ids[live_id], -1)
-                position[live_id] = at
-        self._seen = n
-
-    def encode(self, cache: LandlordCache, indices: np.ndarray) -> dict:
-        """A request's or adoption's v2 data — ``{"base", "mask",
-        "new"}`` — from the sorted ids ``cache`` interned it to, declaring
-        the names this generation lacks (in id order).  No name is looked
-        up: the ids translate through one array."""
-        universe = cache._universe
-        if universe is not self._universe:
-            self.bind(cache)
-        if len(universe) > self._seen:  # the cache has met new names
-            self._catch_up(universe)
-        position = self._position
-        at = position[indices]
-        missing = at < 0
-        fresh: List[str] = []
-        if missing.any():
-            fresh_ids = indices[missing]
-            fresh = universe.names_of_indices(fresh_ids)
-            start = len(self.names)
-            self.names.extend(fresh)
-            placed = np.arange(start, len(self.names), dtype=np.int64)
-            position[fresh_ids] = at[missing] = placed
-        bits = np.zeros(len(self.names), dtype=np.uint8)
-        bits[at] = 1
-        mask = int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little"
+        position = np.empty(len(universe), dtype=np.int64)
+        position[table] = np.arange(table.size)
+        in_order = universe.index.in_repository_order
+        rest = np.ones(len(universe), dtype=bool)
+        rest[table] = False
+        position[in_order[rest[in_order]]] = np.arange(
+            table.size, len(universe)
         )
-        return {"base": self.base, "mask": format(mask, "x"), "new": fresh}
+        return cls(base, position)
 
-    def rollback(self, size: int) -> None:
-        """Forget the names declared since the generation had ``size``."""
-        del self.names[size:]
-        self._position[self._position >= size] = -1
+    def encode(self, indices: np.ndarray) -> dict:
+        """A request's or adoption's v2 data — ``{"base", "mask"}`` —
+        from the sorted ids the writer's cache interned it to: the ids
+        translate through one array, and no name is looked up."""
+        at = self.position[indices]
+        mask = mask_of_indices(at, int(at.max())) if at.size else 0
+        return {"base": self.base, "mask": format(mask, "x")}
 
 
 def _is_masked(entry: JournalEntry) -> bool:
@@ -749,26 +675,31 @@ def _wrong_base(entry: JournalEntry, base: int) -> str:
     )
 
 
-def _masked_fields(entry: JournalEntry) -> Tuple[List[str], str]:
-    """A v2 entry's ``new`` names and hex ``mask``, type-checked."""
-    new, mask = entry.data.get("new"), entry.data.get("mask")
-    if not isinstance(new, list) or not all(type(n) is str for n in new):
+def _check_generation(entry: JournalEntry, base: int) -> None:
+    """Refuse a v2 entry that does not index the generation of the state
+    file at ``base``: one written against another file, or one that
+    declares names as entries did before the generation rule."""
+    if "new" in entry.data:
         raise JournalError(
-            f"journal entry {entry.seq}: 'new' is not a list of names"
+            f"journal entry {entry.seq}: 'new' is not part of an entry any "
+            "more (the generation holds every package of the repository); "
+            "it was written before the generation rule: recover this site "
+            "with commit 47c9b7f first"
         )
+    if entry.data.get("base") != base:
+        raise JournalError(_wrong_base(entry, base))
+
+
+def _apply_masked(cache: LandlordCache, entry: JournalEntry) -> object:
+    """Apply a v2 request or adoption: hand its mask to the cache as it
+    lies (see :class:`_Generation`)."""
+    mask = entry.data.get("mask")
     if not isinstance(mask, str):
         raise JournalError(
             f"journal entry {entry.seq}: 'mask' is not a hex string"
         )
-    return new, mask
-
-
-def _apply_masked(cache: LandlordCache, entry: JournalEntry) -> object:
-    """Apply a v2 request or adoption: register its ``new`` names, then
-    hand its mask to the cache as it lies (see :class:`_Generation`)."""
-    new, mask = _masked_fields(entry)
     try:
-        return cache._apply_masked(entry.op, new, int(mask, 16))
+        return cache._apply_masked(entry.op, int(mask, 16))
     except ValueError as exc:
         raise JournalError(f"journal entry {entry.seq}: {exc}") from exc
 
@@ -780,8 +711,8 @@ def apply_entry(cache: LandlordCache, entry: JournalEntry) -> object:
     :class:`~repro.core.cache.CacheDecision` for requests, the evicted id
     list for ``evict_idle``, …).  A request or adoption is either v1
     (``"packages"``: the names) or v2 (``"mask"`` over the cache's own
-    universe, after registering ``"new"``); :func:`replay` checks that a
-    v2 entry belongs to the state file the cache was restored from.
+    universe); :func:`replay` checks that a v2 entry belongs to the
+    state file the cache was restored from.
     """
     if _is_masked(entry):
         return _apply_masked(cache, entry)
@@ -821,8 +752,8 @@ def replay(
     which no replay can repair (:class:`JournalError`).  So is a v2
     entry written against another state file than the one ``cache`` was
     restored from (its ``base`` is not ``after_seq``): its mask would
-    name other packages.  Returns ``(entry, result)`` pairs for the
-    replayed operations.
+    name other packages; and so is one that declares ``"new"`` names.
+    Returns ``(entry, result)`` pairs for the replayed operations.
 
     ``on_result`` fires immediately after each entry is applied — use it
     to inspect a result *at decision time*; a returned
@@ -840,8 +771,8 @@ def replay(
                 f"journal gap: expected entry {expected}, found {entry.seq} "
                 "— operations between snapshot and journal were lost"
             )
-        if _is_masked(entry) and entry.data.get("base") != after_seq:
-            raise JournalError(_wrong_base(entry, after_seq))
+        if _is_masked(entry):
+            _check_generation(entry, after_seq)
         result = apply_entry(cache, entry)
         if on_result is not None:
             on_result(entry, result)
@@ -881,8 +812,8 @@ class JournaledState:
         self.journal = Journal(journal_path or self.state_path.with_name(
             self.state_path.name + ".journal"
         ))
-        # The names this writer's entries index; None until a save or a
-        # load sets it, or the first append reads it off the files.
+        # The numbering this writer's entries index; None until a save
+        # or a load sets it, or the first append reads it off the file.
         self._gen: Optional[_Generation] = None
         if metrics is not None:
             self.enable_metrics(metrics)
@@ -895,7 +826,7 @@ class JournaledState:
 
     def load(
         self,
-        package_size: Callable[[str], int],
+        package_size: PackageIndex,
         on_replay: Optional[Callable[[JournalEntry, object], None]] = None,
         **cache_kwargs: object,
     ) -> Tuple[LandlordCache, dict, List[Tuple[JournalEntry, object]]]:
@@ -920,12 +851,11 @@ class JournaledState:
             bundle.cache, entries,
             after_seq=bundle.journal_seq, on_result=on_replay,
         )
-        # Replay registered exactly the generation's names, in order:
-        # the cache's ids are its positions.
-        universe = bundle.cache._universe
-        self._gen = _Generation(bundle.journal_seq, universe._ids)
-        self._gen.bind(
-            bundle.cache, np.arange(len(universe), dtype=np.int64)
+        # The restored cache numbers the file's generation: its ids are
+        # their positions.
+        self._gen = _Generation(
+            bundle.journal_seq,
+            np.arange(len(bundle.cache._universe), dtype=np.int64),
         )
         return bundle.cache, bundle.metadata, replayed
 
@@ -946,7 +876,7 @@ class JournaledState:
         ``journal_seq`` — which must cover the whole journal, or entries
         already on it would index the wrong table.  A save that raises
         may or may not have replaced the file, so the next append reads
-        the generation off the files again.
+        the generation off the file again.
         """
         t0 = perf_counter()
         table, ids = cache._table()
@@ -956,12 +886,7 @@ class JournaledState:
         )
         self._gen = None
         _write_state(self.state_path, table, metadata, journal_seq)
-        # The table names the cache's ids ``ids``, in table order.
-        generation = _Generation(journal_seq, table["universe"])
-        position = np.full(len(cache._universe), -1, dtype=np.int64)
-        position[ids] = np.arange(ids.size, dtype=np.int64)
-        generation.bind(cache, position)
-        self._gen = generation
+        self._gen = _Generation.of(journal_seq, cache, ids)
         ins = self._ins
         if ins is not None:
             ins.save_s.observe(perf_counter() - t0)
@@ -1049,8 +974,9 @@ class JournaledState:
 
     def _generation(self, cache: LandlordCache) -> _Generation:
         """This writer's generation; read off the files when no save or
-        load of this object set it (a fresh writer, a failed save), and
-        then bound to ``cache``'s ids."""
+        load of this object set it (a fresh writer, a failed save).  A
+        journal tail that recovery would refuse is refused here too,
+        before anything is appended after it."""
         if self._gen is None:
             journal = self.journal
             _floor, entries = (
@@ -1058,9 +984,19 @@ class JournaledState:
                 else journal._read()
             )
             base, names = load_table(self.state_path)
-            generation = _Generation.on_disk(base, names, entries)
-            generation.bind(cache)
-            self._gen = generation
+            for entry in entries:
+                if entry.seq > base and _is_masked(entry):
+                    _check_generation(entry, base)
+            table = np.fromiter(
+                map(cache._universe.index.position.get, names, repeat(-1)),
+                dtype=np.int64, count=len(names),
+            )
+            if (table < 0).any():
+                raise JournalError(
+                    f"state file {self.state_path} names packages this "
+                    "cache's repository lacks"
+                )
+            self._gen = _Generation.of(base, cache, table)
         return self._gen
 
     def _append(
@@ -1071,29 +1007,21 @@ class JournaledState:
         Each request's and adoption's names are interned into ``cache``
         first — the pass ``submit_batch`` makes ahead of deciding a run,
         made here ahead of the append — and the interned ids become the
-        entry's mask over the generation, each name new to it declared
-        once.  Returns each entry (with the op as given) and its interned
-        triple (``None`` for other ops), which the live cache then
-        applies without interning again.  Names a failed append declared
-        are forgotten again.
+        entry's mask over the generation.  Returns each entry (with the
+        op as given) and its interned triple (``None`` for other ops),
+        which the live cache then applies without interning again.
         """
         generation = self._generation(cache)
-        size = len(generation.names)
         with cache.lock or nullcontext():
             interned = [
                 cache._intern(data["packages"]) if op in _MASKED_OPS
                 else None
                 for op, data in ops
             ]
-        try:
-            written = self.journal.append_many([
-                (op, data if triple is None
-                 else generation.encode(cache, triple[1]))
-                for (op, data), triple in zip(ops, interned)
-            ])
-        except Exception:
-            generation.rollback(size)
-            raise
+        written = self.journal.append_many([
+            (op, data if triple is None else generation.encode(triple[1]))
+            for (op, data), triple in zip(ops, interned)
+        ])
         return [
             (JournalEntry(entry.seq, op, dict(data)), triple)
             for entry, (op, data), triple in zip(written, ops, interned)
@@ -1116,7 +1044,7 @@ def recover_state(
     state_path: PathLike,
     journal_path: Optional[PathLike] = None,
     *,
-    package_size: Callable[[str], int],
+    package_size: PackageIndex,
     **cache_kwargs: object,
 ) -> Tuple[LandlordCache, dict, int]:
     """One-shot crash recovery: load, replay the journal tail, re-snapshot.

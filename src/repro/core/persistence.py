@@ -29,17 +29,18 @@ encoded once: the body (``cache``, ``journal_seq``, ``metadata``) is
 dumped in canonical form (sorted keys, no whitespace), those bytes are
 hashed, and the file is ``{"version":3,"checksum":"sha256:…",`` followed
 by the very same bytes minus their opening brace.  Loading hashes the
-text after that header as it lies; a file in any other layout (the
-``indent=1`` files written before the layout was fixed, or one a human
-re-formatted) is still one JSON object with the same keys, and is
-verified by re-encoding its parsed body canonically.  Read a state file
+bytes after that header as they lie (no decode, slice or re-encode); a
+file in any other layout (the ``indent=1`` files written before the
+layout was fixed, or one a human re-formatted) is still one JSON object
+with the same keys, and is verified by re-encoding its parsed body
+canonically.  Read a state file
 with ``python -m json.tool``.
 
 **State file v3: every package name once.**  The ``cache`` section is
 :meth:`LandlordCache.table_snapshot`::
 
     "cache": {"alpha": …, "capacity": …, "clock": …, "next_image": …,
-              "policy": {…}, "stats": {…},
+              "policy": {…}, "stats": {…}, "repository": "sha256:…",
               "universe": ["pkg-a", "pkg-b", …],
               "images": [{"id": "img-000004", "mask": "1f03", …}, …]}
 
@@ -49,16 +50,20 @@ image's sorted name list (``"packages": [...]``), so a name shared by
 300 images was encoded, hashed, written, parsed and interned 300 times.
 Saving and loading now cost O(images + live names), not O(Σ names).
 
-- *Live names only.*  The table holds the names at least one live image
-  contains.  A cache under eviction pressure has seen far more names
-  than it holds (the paper's operating zone: ~9.4k seen, ~4.2k live), and
-  a loaded cache would size and carry every dead one for nothing.  With
-  no dead name the masks are the cache's own, written as they are;
-  otherwise each is re-based onto the live positions (~10 µs an image).
+- *Live names only, by first appearance.*  The table holds the names at
+  least one live image contains — a cache under eviction pressure has
+  seen far more names than it holds (the paper's operating zone: ~9.4k
+  seen, ~4.2k live) — in the order they first appear among the live
+  images, smallest first, and every mask is re-based onto it at once.
+- *One repository.*  ``"repository"`` is the digest of the repository's
+  ids in repository order; a state written against another repository
+  is refused on load (a file without the key loads as before).  A
+  loaded cache numbers the file's generation: the table, then every
+  other repository package in repository order.
 - *``snapshot()`` stays the comparison form.*  Table positions follow
-  the order names first arrived, which two caches in the same state need
-  not share — so equality, the ledger's digests, the differential suite
-  and ``explain`` keep using :meth:`LandlordCache.snapshot` (sorted
+  the order names first appear among the live images, which two caches
+  holding the same sets need not share — so equality, the ledger's
+  digests, the differential suite and ``explain`` keep using :meth:`LandlordCache.snapshot` (sorted
   names, history-independent), and ``load(save(c)).snapshot() ==
   c.snapshot()`` is the round-trip property.  Ids are renumbered on
   load; no decision depends on them.
@@ -66,11 +71,12 @@ Saving and loading now cost O(images + live names), not O(Σ names).
   so a v2 file loads (and is checksummed under its own version's
   header, as it lies) and is next saved as v3.  v1 — no checksum, no
   policy block, last written before PR 2 — is refused by name.
-- *The journal indexes the same table.*  Journal v2 entries are masks
-  over this file's ``universe`` plus the names entries declared since
-  (:mod:`repro.core.journal`); :func:`load_table` reads that table and
-  ``journal_seq`` back without building a cache.  A checkpoint is still
-  triggered by operation count, not bytes — ROADMAP item 10 (ii)/(iii).
+- *The journal indexes the same generation.*  Journal v2 entries are
+  masks over this file's ``universe`` followed by the rest of the
+  repository (:mod:`repro.core.journal`); :func:`load_table` reads that
+  table and ``journal_seq`` back without building a cache.  A
+  checkpoint is still triggered by operation count, not bytes — ROADMAP
+  item 10 (ii)/(iii).
 
 Parent (v2) → this format on a 2-core sandbox (save/load best of 15;
 ``recover_s`` the median of alternating ledger pairs):
@@ -101,9 +107,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import LandlordCache, table_names
+from repro.packages.repository import PackageIndex
 from repro.testing.faults import checkpoint
 
 __all__ = [
@@ -238,13 +245,14 @@ def _write_state(
     return path
 
 
-def _verify_checksum(payload: dict, text: str, path: Path) -> bool:
-    """Check ``payload`` (parsed from ``text``) against its checksum;
+def _verify_checksum(payload: dict, raw: bytes, path: Path) -> bool:
+    """Check ``payload`` (parsed from ``raw``) against its checksum;
     ``True`` when it held over the bytes as they lie.
 
-    A file :func:`save_state` wrote is hashed as it lies: the text after
-    the header — built from the file's own ``version``, so a v2 file is
-    hashed as it lies too — is the canonical body minus its brace.
+    A file :func:`save_state` wrote is hashed as it lies: the bytes
+    after the header — built from the file's own ``version``, so a v2
+    file is hashed as it lies too — are the canonical body minus its
+    brace, and are hashed in place (no decode, slice or re-encode).
     Anything else is re-encoded canonically from the parsed body, which
     accepts exactly the files it always did — whatever their whitespace
     or key order.
@@ -252,11 +260,12 @@ def _verify_checksum(payload: dict, text: str, path: Path) -> bool:
     recorded = payload.get("checksum")
     if not isinstance(recorded, str):
         raise StateError(f"state file {path} has no checksum (torn write?)")
-    head = _header(payload["version"], recorded)
-    if text.startswith(head) and recorded == _checksum_of(
-        ("{" + text[len(head):]).encode("utf-8")
-    ):
-        return True
+    head = _header(payload["version"], recorded).encode("utf-8")
+    if raw.startswith(head):
+        digest = hashlib.sha256(b"{")
+        digest.update(memoryview(raw)[len(head):])
+        if recorded == "sha256:" + digest.hexdigest():
+            return True
     body = {
         key: payload[key]
         for key in ("metadata", "journal_seq", "cache")
@@ -275,8 +284,7 @@ def _verified_payload(path: Path, raw: bytes) -> Tuple[dict, bool]:
     Returns the payload and whether the file is canonical (see
     :attr:`StateBundle.canonical`)."""
     try:
-        text = raw.decode("utf-8")
-        payload = json.loads(text)
+        payload = json.loads(raw)
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise StateError(f"corrupt state file {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -293,7 +301,7 @@ def _verified_payload(path: Path, raw: bytes) -> Tuple[dict, bool]:
             f"state file {path}: version {version!r} unsupported (this "
             f"build reads {', '.join(map(str, _READABLE_VERSIONS))})"
         )
-    as_it_lies = _verify_checksum(payload, text, path)
+    as_it_lies = _verify_checksum(payload, raw, path)
     return payload, as_it_lies and version == STATE_VERSION
 
 
@@ -301,11 +309,12 @@ def load_table(path: PathLike) -> Tuple[int, List[str]]:
     """``(journal_seq, names)`` of a state file, checksum-verified,
     without building a cache.
 
-    ``names`` is the universe :meth:`LandlordCache.restore` registers
-    from the file, in id order: the v3 ``universe`` table, then (for
-    image records that list ``"packages"``, as v2 files do) each name
-    in the order restore first interns it.  The journal's writer numbers
-    its entries' masks from here (see :mod:`repro.core.journal`).
+    ``names`` is the table :meth:`LandlordCache.restore` numbers first
+    (:func:`~repro.core.cache.table_names`): the v3 ``universe`` table,
+    then (for image records that list ``"packages"``, as v2 files do)
+    each name in the order restore first interns it.  The journal's
+    writer numbers its entries' masks from here (see
+    :mod:`repro.core.journal`).
     """
     path = Path(path)
     try:
@@ -314,14 +323,7 @@ def load_table(path: PathLike) -> Tuple[int, List[str]]:
         raise StateNotFound(f"no state file at {path}") from None
     payload, _ = _verified_payload(path, raw)
     try:
-        snapshot = payload["cache"]
-        names = list(snapshot.get("universe", []))
-        seen = set(names)
-        for record in snapshot["images"]:
-            for name in record.get("packages", ()):
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
+        names = table_names(payload["cache"])
         journal_seq = int(payload.get("journal_seq", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StateError(f"malformed state file {path}: {exc}") from exc
@@ -330,7 +332,7 @@ def load_table(path: PathLike) -> Tuple[int, List[str]]:
 
 def load_bundle(
     path: PathLike,
-    package_size: Callable[[str], int],
+    package_size: PackageIndex,
     **cache_kwargs: object,
 ) -> StateBundle:
     """Load a snapshot file into a fresh cache, validating everything.
@@ -383,7 +385,7 @@ def load_bundle(
 
 def load_state(
     path: PathLike,
-    package_size: Callable[[str], int],
+    package_size: PackageIndex,
     **cache_kwargs: object,
 ) -> Tuple[LandlordCache, dict]:
     """Load a snapshot back into a fresh cache; returns ``(cache, metadata)``.

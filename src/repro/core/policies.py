@@ -20,11 +20,12 @@ any of them interchangeably.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 from repro.core.cache import CacheDecision, CacheStats, LandlordCache
 from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
+from repro.packages.repository import PackageIndex
 
 __all__ = [
     "ImageProvider",
@@ -67,7 +68,7 @@ class ExactLRUPolicy(LandlordCache):
     def __init__(
         self,
         capacity: int,
-        package_size: Callable[[str], int],
+        package_size: PackageIndex,
         **kwargs: object,
     ):
         kwargs.setdefault("record_events", False)
@@ -90,12 +91,12 @@ class SingleImagePolicy(ImageProvider):
     #: zero-size meta-package present in every request and in the image.
     ANCHOR = "single-image-anchor/0.0"
 
-    def __init__(self, package_size: Callable[[str], int], record_events: bool = False):
-        anchor = self.ANCHOR
-
-        def sized(pid: str) -> int:
-            return 0 if pid == anchor else package_size(pid)
-
+    def __init__(self, package_size: PackageIndex, record_events: bool = False):
+        # The repository's packages plus the anchor, sized 0.
+        sized = PackageIndex.of(
+            dict(zip(package_size.ids, package_size.sizes.tolist()),
+                 **{self.ANCHOR: 0})
+        )
         self._inner = LandlordCache(
             capacity=1 << 62,
             alpha=1.0,
@@ -139,7 +140,7 @@ class FullRepoPolicy(ImageProvider):
     def __init__(
         self,
         all_packages: Iterable[str],
-        package_size: Callable[[str], int],
+        package_size: PackageIndex,
         record_events: bool = False,
     ):
         self._cache = LandlordCache(
@@ -191,7 +192,7 @@ class NoCachePolicy(ImageProvider):
     of Figure 4c's "Requested Writes" line.
     """
 
-    def __init__(self, package_size: Callable[[str], int]):
+    def __init__(self, package_size: PackageIndex):
         self._scratch = LandlordCache(
             capacity=1 << 62, alpha=0.0, package_size=package_size
         )

@@ -22,6 +22,7 @@ from repro.containers.layers import LayeredImage, LayerStore
 from repro.core.cache import LandlordCache
 from repro.experiments.common import Scale, base_config, experiment_main
 from repro.htc.simulator import make_workload
+from repro.packages.repository import PackageIndex
 from repro.packages.sft import build_experiment_repository
 from repro.util.rng import spawn
 from repro.util.tables import render_table
@@ -32,8 +33,7 @@ __all__ = ["run", "report", "main"]
 
 def _schematic() -> Dict[str, object]:
     """The literal Figure 1 example: jobs {A,B}, {A,B,C}, {A,B}."""
-    sizes = {"A": 10, "B": 20, "C": 30}
-    size_of = sizes.__getitem__
+    size_of = PackageIndex.of({"A": 10, "B": 20, "C": 30})
     jobs = [{"A", "B"}, {"A", "B", "C"}, {"A", "B"}]
 
     # Layering: refine one image per job by appending layers.

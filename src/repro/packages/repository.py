@@ -10,6 +10,7 @@ multi-package request is the union of per-package closures.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional
 
@@ -25,47 +26,120 @@ class RepositoryError(ValueError):
 
 
 class PackageIndex:
-    """A repository's package numbering, and its size oracle.
+    """A package numbering, and its size oracle.
 
     Calling it sizes one package, as ``Repository.size_of`` always has
-    (``KeyError("unknown package: …")`` for a name the repository lacks).
-    It also carries the numbering itself: ``ids`` in repository order,
-    ``position`` mapping each id to its place there, and ``sizes``, an
-    ``int64`` array in the same order that cannot be written.  A cache
-    built on it starts with every package numbered and shares all three
+    (``KeyError("unknown package: …")`` for a name it lacks).  It also
+    carries the numbering itself: ``ids``, ``position`` mapping each id
+    to its place in ``ids``, and ``sizes``, an ``int64`` array in the
+    same order that cannot be written.  A cache shares all three
     read-only (:class:`repro.core.cache.LandlordCache`); nothing may
     change them.
+
+    A repository's index (``Repository.size_of``, or :meth:`of` a
+    mapping) numbers its packages in repository order.  :meth:`generation`
+    renumbers the same packages with a given table first; the result
+    keeps its ``repository`` (the index it was renumbered from) and
+    ``in_repository_order``, its own positions of the repository's ids
+    in repository order, and builds its ``ids`` and ``position`` only
+    when first read — a recovery that replays masks reads neither.
     """
 
-    __slots__ = ("ids", "position", "sizes", "_size_list")
+    __slots__ = (
+        "sizes", "repository", "in_repository_order",
+        "_ids", "_position", "_order", "_digest",
+    )
 
-    def __init__(self, ids: List[str], sizes: List[int]):
-        self.ids = ids
-        self.position: Dict[str, int] = dict(zip(ids, range(len(ids))))
-        # A call returns an int from this list: a third of the time of
-        # ``sizes.item`` on the per-name paths of plain size callables.
-        self._size_list = sizes
-        self.sizes = np.array(sizes, dtype=np.int64)
+    def __init__(self, ids: List[str], sizes: Iterable[int]):
+        self._ids = ids
+        self._position: Optional[Dict[str, int]] = dict(
+            zip(ids, range(len(ids)))
+        )
+        if len(self._position) != len(ids):
+            raise ValueError("a package index names a package twice")
+        self.sizes = np.fromiter(sizes, dtype=np.int64, count=len(ids))
+        negative = np.flatnonzero(self.sizes < 0)
+        if negative.size:
+            raise ValueError(
+                f"negative size for package {ids[negative[0]]!r}"
+            )
         self.sizes.flags.writeable = False
+        self.repository = self
+        self.in_repository_order = np.arange(len(ids), dtype=np.int64)
+        self._order: Optional[np.ndarray] = None
+        self._digest: Optional[str] = None
+
+    @classmethod
+    def of(cls, sizes: Mapping[str, int]) -> "PackageIndex":
+        """The index of a name → size mapping, in the mapping's order."""
+        return cls(list(sizes), sizes.values())
+
+    @property
+    def ids(self) -> List[str]:
+        if self._ids is None:
+            self._ids = list(
+                map(self.repository.ids.__getitem__, self._order.tolist())
+            )
+        return self._ids
+
+    @property
+    def position(self) -> Dict[str, int]:
+        if self._position is None:
+            self._position = dict(zip(self.ids, range(len(self))))
+        return self._position
+
+    def __len__(self) -> int:
+        return self.sizes.size
 
     def __call__(self, package_id: str) -> int:
         try:
-            return self._size_list[self.position[package_id]]
+            return int(self.sizes[self.position[package_id]])
         except KeyError:
             raise KeyError(f"unknown package: {package_id!r}") from None
 
-    def sizes_of(self, package_ids: List[str]) -> np.ndarray:
-        """The sizes of ``package_ids`` as one ``int64`` array: one
-        C-level pass over the position dict, then one gather — the
-        ``KeyError`` of a call for the first unknown name."""
+    @property
+    def digest(self) -> str:
+        """SHA-256 of the repository's ids in repository order: equal for
+        every index :meth:`generation` makes from it."""
+        root = self.repository
+        if root._digest is None:
+            root._digest = "sha256:" + hashlib.sha256(
+                "\n".join(root.ids).encode("utf-8")
+            ).hexdigest()
+        return root._digest
+
+    def generation(self, table: List[str]) -> "PackageIndex":
+        """The repository's packages numbered ``table`` first (distinct
+        names, in the order given), then every other one in repository
+        order — the repository's own index when ``table`` is empty.
+
+        A lookup per table name (the call's ``KeyError`` for the first
+        one the repository lacks), then gathers; no name is copied.
+        """
+        root = self.repository
+        if not table:
+            return root
         at = np.fromiter(
-            map(self.position.get, package_ids, repeat(-1)),
-            dtype=np.int64, count=len(package_ids),
+            map(root.position.get, table, repeat(-1)),
+            dtype=np.int64, count=len(table),
         )
         unknown = np.flatnonzero(at < 0)
         if unknown.size:
-            self(package_ids[unknown[0]])  # raises the call's KeyError
-        return self.sizes[at]
+            root(table[unknown[0]])  # raises the call's KeyError
+        rest = np.ones(len(root), dtype=bool)
+        rest[at] = False
+        order = np.concatenate((at, np.flatnonzero(rest)))
+        if order.size != len(root):
+            raise ValueError("a table names a package twice")
+        index = object.__new__(PackageIndex)
+        index._ids = index._position = index._digest = None
+        index._order = order
+        index.sizes = root.sizes[order]
+        index.sizes.flags.writeable = False
+        index.repository = root
+        index.in_repository_order = np.empty(order.size, dtype=np.int64)
+        index.in_repository_order[order] = np.arange(order.size)
+        return index
 
 
 class Repository:
@@ -107,7 +181,7 @@ class Repository:
         # cold recovery) inherits the index instead of building its own.
         packages = self._packages
         self.size_of = PackageIndex(
-            self._ids, [packages[pid].size for pid in self._ids]
+            self._ids, (packages[pid].size for pid in self._ids)
         )
 
     # -- container protocol -------------------------------------------------

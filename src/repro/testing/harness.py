@@ -16,11 +16,12 @@ wholly lost (and the driver re-submits it) — never half-applied.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cache import CacheDecision, LandlordCache
 from repro.core.journal import JournaledState
 from repro.core.persistence import StateNotFound
+from repro.packages.repository import PackageIndex
 from repro.testing.faults import CrashPoint, SimulatedCrash
 
 __all__ = ["WrapperHarness", "decision_key"]
@@ -50,7 +51,8 @@ class WrapperHarness:
 
     Args:
         directory: where the state and journal files live.
-        package_size: size oracle for :class:`LandlordCache`.
+        package_size: the :class:`~repro.packages.repository.PackageIndex`
+            the caches number and size packages by.
         capacity / alpha: cache configuration on first initialisation.
         snapshot_every: forwarded to :class:`JournaledState`.
         cache_kwargs: remaining policy knobs for the cache.
@@ -59,7 +61,7 @@ class WrapperHarness:
     def __init__(
         self,
         directory: PathLike,
-        package_size: Callable[[str], int],
+        package_size: PackageIndex,
         capacity: int,
         alpha: float,
         snapshot_every: int = 1,

@@ -6,14 +6,17 @@ from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
 from repro.packages.conflicts import SlotConflicts
+from repro.packages.repository import PackageIndex
 
 SIZES = {f"p{i}": 10 for i in range(100)}
 SIZES.update({f"q{i}": 10 for i in range(100)})
 SIZES.update({"big": 1000, "small": 1})
+SLOTTED = PackageIndex.of(dict.fromkeys(
+    ["root/6.20", "root/6.18", "gcc/8.0", "geant/10.0"], 10
+))
 
 
-def size_of(pid: str) -> int:
-    return SIZES[pid]
+size_of = PackageIndex.of(SIZES)
 
 
 def cache(capacity=10_000, alpha=0.75, **kw) -> LandlordCache:
@@ -198,7 +201,7 @@ class TestConflicts:
     def test_conflicting_merge_skipped(self):
         c = LandlordCache(
             10_000, 0.9,
-            package_size=lambda p: 10,
+            package_size=SLOTTED,
             conflict_policy=SlotConflicts(),
         )
         c.request(spec("root/6.20", "gcc/8.0"))
@@ -210,7 +213,7 @@ class TestConflicts:
     def test_non_conflicting_still_merges_under_policy(self):
         c = LandlordCache(
             10_000, 0.9,
-            package_size=lambda p: 10,
+            package_size=SLOTTED,
             conflict_policy=SlotConflicts(),
         )
         c.request(spec("root/6.20", "gcc/8.0"))
@@ -418,8 +421,11 @@ class TestSpecMemoOwnership:
             + [f"lib{i % 5}/1.{(i // 5) % 2}", f"app{i % 9}/1.0"]
             for i in range(60)
         ]
+        index = PackageIndex.of(
+            dict.fromkeys(sorted({p for s in stream for p in s}), 10)
+        )
         owned, transient, batched = (
-            LandlordCache(300, 0.8, lambda pid: 10, record_events=True, **kw)
+            LandlordCache(300, 0.8, index, record_events=True, **kw)
             for _ in range(3)
         )
         for packages in stream:

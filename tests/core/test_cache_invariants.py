@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
+from repro.packages.repository import PackageIndex
 
 PACKAGES = [f"p{i}" for i in range(30)]
 SIZE = {p: (i % 7 + 1) * 5 for i, p in enumerate(PACKAGES)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 specs = st.frozensets(st.sampled_from(PACKAGES), min_size=1, max_size=10)
 streams = st.lists(specs, min_size=1, max_size=40)
@@ -28,7 +30,7 @@ capacities = st.sampled_from([0, 50, 200, 1000, 10**9])
 
 
 def build_cache(alpha, capacity, **kw):
-    return LandlordCache(capacity, alpha, SIZE.__getitem__, **kw)
+    return LandlordCache(capacity, alpha, SIZE_OF, **kw)
 
 
 @settings(max_examples=80, deadline=None)

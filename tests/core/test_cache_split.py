@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(20)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def cache(**kw):
-    return LandlordCache(10_000, 0.9, SIZE.__getitem__, **kw)
+    return LandlordCache(10_000, 0.9, SIZE_OF, **kw)
 
 
 def spec(*ids):

@@ -33,13 +33,15 @@ from repro.testing.faults import (
     CrashPoint,
     SimulatedCrash,
 )
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 7 + (i % 5) for i in range(30)}
+SIZE_OF = PackageIndex.of(SIZE)
 CANON = {"sort_keys": True, "separators": (",", ":")}
 
 
 def make_cache(capacity=500):
-    return LandlordCache(capacity, 0.8, SIZE.__getitem__)
+    return LandlordCache(capacity, 0.8, SIZE_OF)
 
 
 def warm_cache():
@@ -130,7 +132,7 @@ class TestStateFileLayout:
         cache = warm_cache()
         path = save_state(tmp_path / "s.json", cache, {"site": "nd"}, 7)
         dumps_tripwire(monkeypatch, forbid=True)
-        bundle = load_bundle(path, SIZE.__getitem__)
+        bundle = load_bundle(path, SIZE_OF)
         monkeypatch.undo()
         assert bundle.journal_seq == 7 and bundle.metadata == {"site": "nd"}
         assert digest(bundle.cache) == digest(cache)
@@ -144,8 +146,8 @@ class TestStateFileLayout:
                        indent=1)
         )
         assert old.read_bytes() != new.read_bytes()
-        loaded_old = load_bundle(old, SIZE.__getitem__)
-        loaded_new = load_bundle(new, SIZE.__getitem__)
+        loaded_old = load_bundle(old, SIZE_OF)
+        loaded_new = load_bundle(new, SIZE_OF)
         assert digest(loaded_old.cache) == digest(loaded_new.cache) \
             == digest(cache)
         assert loaded_old.journal_seq == loaded_new.journal_seq == 7
@@ -161,7 +163,7 @@ class TestStateFileLayout:
         assert '"p10"' in text
         path.write_text(text.replace('"p10"', '"p11"', 1))
         with pytest.raises(StateError, match="checksum"):
-            load_bundle(path, SIZE.__getitem__)
+            load_bundle(path, SIZE_OF)
 
     def test_header_tampering_fails_the_checksum(self, tmp_path):
         path = save_state(tmp_path / "s.json", warm_cache(), {}, 7)
@@ -169,7 +171,7 @@ class TestStateFileLayout:
         flipped = "0" if text[40] != "0" else "1"  # a checksum hex digit
         path.write_text(text[:40] + flipped + text[41:])
         with pytest.raises(StateError, match="checksum"):
-            load_bundle(path, SIZE.__getitem__)
+            load_bundle(path, SIZE_OF)
 
     def test_reformatted_file_is_still_accepted(self, tmp_path):
         # Whitespace and key order are not state: a hand-edited or
@@ -178,7 +180,7 @@ class TestStateFileLayout:
         path = save_state(tmp_path / "s.json", cache, {"site": "nd"}, 7)
         payload = json.loads(path.read_text())
         path.write_text(json.dumps(dict(reversed(payload.items())), indent=4))
-        assert digest(load_bundle(path, SIZE.__getitem__).cache) \
+        assert digest(load_bundle(path, SIZE_OF).cache) \
             == digest(cache)
 
 
@@ -200,7 +202,7 @@ class TestCompactionReadContract:
         monkeypatch.undo()
         assert store.journal.entries() == []
         assert store.journal.last_seq == 11
-        bundle = load_bundle(store.state_path, SIZE.__getitem__)
+        bundle = load_bundle(store.state_path, SIZE_OF)
         assert bundle.journal_seq == 11
         assert digest(bundle.cache) == digest(cache)
 
@@ -292,7 +294,7 @@ class TestCompactionReadContract:
         store.journal.close()
         reads = read_tripwire(monkeypatch, forbid=False)
         recovered, _metadata, replayed = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert reads.calls == 1 and replayed == 9
         assert digest(recovered) == digest(cache)
@@ -322,7 +324,7 @@ class TestWrapperInvocationReadsOnce:
         reference = self.crashed_store(tmp_path, torn)
         store = JournaledState(tmp_path / "state.json", snapshot_every=100)
         reads = read_tripwire(monkeypatch, forbid=False)
-        cache, metadata, replayed = store.load(SIZE.__getitem__)
+        cache, metadata, replayed = store.load(SIZE_OF)
         assert reads.calls == 1 and len(replayed) == 3
         reads.forbid = True
         assert store.journal.last_seq == 3
@@ -336,14 +338,14 @@ class TestWrapperInvocationReadsOnce:
         assert store.journal.last_seq == 4
         assert digest(cache) == digest(reference)
         recovered, _metadata, _n = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert digest(recovered) == digest(reference)
 
     def test_torn_tail_is_healed_before_the_first_append(self, tmp_path):
         self.crashed_store(tmp_path, torn=True)
         store = JournaledState(tmp_path / "state.json", snapshot_every=100)
-        cache, metadata, _replayed = store.load(SIZE.__getitem__)
+        cache, metadata, _replayed = store.load(SIZE_OF)
         store.apply(cache, metadata, "clear")
         lines = store.journal.path.read_text(encoding="utf-8").splitlines()
         assert [_decode(line).seq for line in lines] == [1, 2, 3, 4]
@@ -353,9 +355,9 @@ class TestWrapperInvocationReadsOnce:
         # reload must not number from what it believed before.
         self.crashed_store(tmp_path, torn=False)
         store = JournaledState(tmp_path / "state.json", snapshot_every=100)
-        store.load(SIZE.__getitem__)
+        store.load(SIZE_OF)
         Journal(store.journal.path).append_many(request_ops(2, start=3))
-        cache, metadata, replayed = store.load(SIZE.__getitem__)
+        cache, metadata, replayed = store.load(SIZE_OF)
         assert len(replayed) == 5
         store.apply(cache, metadata, "clear")
         assert store.journal.last_seq == 6
@@ -577,7 +579,7 @@ class LongLivedWriter:
         store = JournaledState(self.state, snapshot_every=SNAPSHOT_EVERY)
         try:
             cache, metadata, _ = store.load(
-                SIZE.__getitem__, on_replay=self.record
+                SIZE_OF, on_replay=self.record
             )
         except StateNotFound:
             cache, metadata = make_cache(CAPACITY), {}
@@ -622,7 +624,7 @@ class TestLongLivedWriterCrashes:
         assert [writer.decisions[i] for i in range(len(stream))] == expected
         assert final.stats == reference.stats
         recovered, _metadata, replayed = recover_state(
-            writer.state, package_size=SIZE.__getitem__
+            writer.state, package_size=SIZE_OF
         )
         assert replayed == 0
         assert digest(recovered) == digest(final) == digest(reference)

@@ -37,6 +37,7 @@ from repro.core.cache import (
 )
 from repro.core.engine import NaiveEngine, VectorizedEngine
 from repro.packages.conflicts import NoConflicts, SlotConflicts
+from repro.packages.repository import PackageIndex
 from tests.core.matrix_layout import live_bits
 
 # Package ids are name/version so SlotConflicts has real slots to clash.
@@ -65,8 +66,7 @@ def matrix_kernels_at_every_size(monkeypatch):
     monkeypatch.setattr(VectorizedEngine, "_SMALL_CACHE", 0)
 
 
-def _size_of(pid: str) -> int:
-    return SIZES[pid]
+_size_of = PackageIndex.of(SIZES)
 
 
 def _combo_id(combo) -> str:
@@ -385,7 +385,7 @@ def test_refcounts_equal_live_column_sums_after_every_call(selection):
     def pair():
         return tuple(
             LandlordCache(
-                2500, ALPHA, sizes.__getitem__, hit_selection=selection,
+                2500, ALPHA, PackageIndex.of(sizes), hit_selection=selection,
                 engine=engine, rng=np.random.default_rng(7),
             )
             for engine in ("naive", "vectorized")
@@ -459,4 +459,4 @@ def test_refcounts_equal_live_column_sums_after_every_call(selection):
     assert vec._engine._mirrored and vec._refcounts is not None
     assert naive.snapshot() == vec.snapshot()
     assert naive.stats.__dict__ == vec.stats.__dict__
-    assert vec._engine._words == 8  # 150 packages: 3 words, one growth step
+    assert vec._engine._words == 3  # 150 packages: the universe's 3 words

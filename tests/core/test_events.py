@@ -5,6 +5,7 @@ import pytest
 import repro.core.cache as cache_module
 from repro.core.cache import LandlordCache
 from repro.core.events import CacheEvent, EventKind
+from repro.packages.repository import PackageIndex
 
 
 class TestEventKind:
@@ -60,7 +61,7 @@ class TestNoSinkNoEvent:
             return CacheEvent(*args, **kwargs)
 
         monkeypatch.setattr(cache_module, "CacheEvent", counting)
-        size = {"a": 10, "b": 20, "c": 30, "d": 40}.__getitem__
+        size = PackageIndex.of({"a": 10, "b": 20, "c": 30, "d": 40})
         c = LandlordCache(60, 0.5, size)  # no record_events, no tracer
         c.request(frozenset({"a", "b"}))           # insert
         c.request(frozenset({"a", "b"}))           # hit

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.cache import LandlordCache
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(20)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def cache():
-    return LandlordCache(10**9, 0.0, SIZE.__getitem__, record_events=True)
+    return LandlordCache(10**9, 0.0, SIZE_OF, record_events=True)
 
 
 class TestEvictIdle:

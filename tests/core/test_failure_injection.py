@@ -1,55 +1,55 @@
 """Failure injection: the cache must stay consistent when collaborators
-misbehave (size oracles raising or returning garbage, hostile specs)."""
+misbehave (unknown names, negative sizes, hostile specs)."""
 
 import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.spec import ImageSpec
+from repro.packages.repository import PackageIndex
 
 
-class FlakyOracle:
-    """Size oracle that fails for configured package ids."""
-
-    def __init__(self, bad=frozenset()):
-        self.bad = set(bad)
-        self.calls = 0
-
-    def __call__(self, pid: str) -> int:
-        self.calls += 1
-        if pid in self.bad:
-            raise RuntimeError(f"metadata service down for {pid}")
-        return 10
+SIZES = PackageIndex.of({f"p{i}": 10 for i in range(3)})
 
 
 class TestOracleFailures:
+    """The size oracle is the cache's package index: a name it lacks is
+    its ``KeyError``, raised before anything changes."""
+
     def test_failure_surfaces_to_caller(self):
-        cache = LandlordCache(1000, 0.8, FlakyOracle(bad={"pX"}))
-        with pytest.raises(RuntimeError, match="metadata service"):
+        cache = LandlordCache(1000, 0.8, SIZES)
+        with pytest.raises(KeyError, match="unknown package: 'pX'"):
             cache.request(frozenset({"p0", "pX"}))
 
     def test_cache_unchanged_after_failed_request(self):
-        oracle = FlakyOracle(bad={"pX"})
-        cache = LandlordCache(1000, 0.8, oracle)
+        cache = LandlordCache(1000, 0.8, SIZES)
         cache.request(frozenset({"p0", "p1"}))
         snapshot = (len(cache), cache.cached_bytes, cache.unique_bytes)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(KeyError):
             cache.request(frozenset({"p2", "pX"}))
         assert (len(cache), cache.cached_bytes, cache.unique_bytes) == snapshot
         # And the cache still serves good requests afterwards.
         assert cache.request(frozenset({"p0"})).action.value == "hit"
 
     def test_negative_size_oracle_rejected(self):
-        cache = LandlordCache(1000, 0.8, lambda pid: -5)
-        with pytest.raises(ValueError, match="negative size"):
-            cache.request(frozenset({"p0"}))
+        with pytest.raises(ValueError, match="negative size for package 'p1'"):
+            PackageIndex.of({"p0": 3, "p1": -5})
 
-    def test_oracle_called_once_per_package(self):
-        oracle = FlakyOracle()
-        cache = LandlordCache(1000, 0.8, oracle)
+    def test_a_size_callable_is_a_type_error(self):
+        with pytest.raises(TypeError, match="PackageIndex"):
+            LandlordCache(1000, 0.8, lambda pid: 10)
+        with pytest.raises(TypeError, match="PackageIndex"):
+            LandlordCache(1000, 0.8, {"p0": 10}.__getitem__)
+
+    def test_the_index_is_never_called_per_package(self, monkeypatch):
+        def no_call(_self, pid):
+            raise AssertionError(f"the index was called for {pid!r}")
+
+        monkeypatch.setattr(PackageIndex, "__call__", no_call)
+        cache = LandlordCache(1000, 0.8, SIZES)
         cache.request(frozenset({"p0", "p1"}))
-        cache.request(frozenset({"p0", "p1"}))  # memoised: no re-query
+        cache.request(["p0", "p1"])
         cache.request(frozenset({"p0", "p2"}))
-        assert oracle.calls == 3  # p0, p1, p2 exactly once each
+        assert cache.stats.requests == 3 and cache.cached_bytes == 30
 
 
 class TestHostileSpecs:
@@ -58,14 +58,14 @@ class TestHostileSpecs:
             ImageSpec([b"bytes-id"])
 
     def test_unicode_package_ids_supported(self):
-        cache = LandlordCache(1000, 0.8, lambda pid: 10)
         spec = frozenset({"pkg-日本語/1.0", "pkg-ümlaut/2.0"})
+        cache = LandlordCache(1000, 0.8, PackageIndex.of(dict.fromkeys(spec, 10)))
         decision = cache.request(spec)
         assert decision.image.packages == spec
 
     def test_very_large_spec(self):
-        cache = LandlordCache(1 << 40, 0.8, lambda pid: 1)
         spec = frozenset(f"p{i:06d}" for i in range(20_000))
+        cache = LandlordCache(1 << 40, 0.8, PackageIndex.of(dict.fromkeys(spec, 1)))
         decision = cache.request(spec)
         assert decision.image.size == 20_000
         assert cache.request(spec).action.value == "hit"

@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from repro.core.cache import HIT_SELECTION, LandlordCache
+from repro.packages.repository import PackageIndex
 from tests.core.matrix_layout import row_words
 from tests.core.test_engine_differential import (
     matrix_kernels_at_every_size,  # noqa: F401 - autouse: _SMALL_CACHE = 0
@@ -20,6 +21,7 @@ from tests.core.test_engine_differential import (
 
 PACKAGES = [f"pkg{i:04d}" for i in range(2600)]
 SIZE = {pid: 10 + i % 13 for i, pid in enumerate(PACKAGES)}
+SIZE_OF = PackageIndex.of(SIZE)
 UNBOUNDED = 10 ** 12
 
 
@@ -27,7 +29,7 @@ def make_pair(selection, alpha=0.0, capacity=UNBOUNDED):
     """A naive and a vectorized cache; at α = 0 an image is its request."""
     return tuple(
         LandlordCache(
-            capacity, alpha, SIZE.__getitem__,
+            capacity, alpha, SIZE_OF,
             hit_selection=selection, engine=engine,
         )
         for engine in ("naive", "vectorized")
@@ -66,12 +68,12 @@ def test_never_cached_package_misses_without_reading_the_matrix(selection):
     dropped = vec._images["img-000003"]
     gone = sorted(dropped.packages)
     both(pair, lambda cache: cache._drop_image(cache._images["img-000003"]))
-    # pkg0014/pkg0015 were held by img-000003 alone: known to the
-    # universe, inside the matrix, and no longer cached anywhere.
-    orphaned = [p for p in gone if vec._refcounts[vec._universe._index[p]] == 0]
+    # pkg0014/pkg0015 were held by img-000003 alone: cached once, and
+    # no longer cached anywhere.
+    orphaned = [p for p in gone if vec._refcounts[vec._universe.index.position[p]] == 0]
     assert orphaned
     probes = [
-        {PACKAGES[0], "pkg2000"},        # a package never seen before
+        {PACKAGES[0], "pkg2000"},        # a package never cached
         {PACKAGES[0], orphaned[0]},      # cached once, evicted since
         set(gone),                       # the evicted image's own spec
     ]
@@ -102,7 +104,7 @@ def test_stale_bits_in_a_freed_row_never_hit(selection):
     # Both packages of the evicted {a, b} are still cached (by the other
     # two images), so the scan must go to the column — where the freed
     # row still shows its bits.
-    held = vec._refcounts[[vec._universe._index[p] for p in (a, b)]]
+    held = vec._refcounts[[vec._universe.index.position[p] for p in (a, b)]]
     assert held.tolist() == [1, 1]
     assert not engine._live[row] and int(row_words(engine, row)[0]) == 0b11
     assert peek_id(vec, {a, b}) is None
@@ -119,29 +121,26 @@ def test_stale_bits_in_a_freed_row_never_hit(selection):
 
 
 @pytest.mark.parametrize("selection", HIT_SELECTION)
-def test_indices_beyond_the_matrix_and_beyond_the_refcounts(selection):
+def test_packages_in_words_no_row_holds_miss_until_cached(selection):
     pair = make_pair(selection)
     both(pair, lambda cache: cache.request(frozenset(PACKAGES[:5])))
     both(pair, lambda cache: cache.request(frozenset(PACKAGES[3:9])))
     vec = pair[1]
-    # Interning registers ids without caching them (a list, so that
-    # PACKAGES[i] gets index i): the universe now outgrows both the
-    # matrix (one word) and the refcount array (1024).
-    both(pair, lambda cache: cache._intern(PACKAGES))
     engine = vec._engine
-    assert engine._words * 64 < 600 < vec._refcounts.size < 2500 < len(vec._universe)
+    # The matrix and the refcounts cover the whole universe from the
+    # first mirror; every row's bits lie in word 0.
+    assert engine._words == 41 and vec._refcounts.size == len(PACKAGES)
     probes = [
-        {PACKAGES[0], PACKAGES[600]},    # past the matrix, inside the array
-        {PACKAGES[0], PACKAGES[2500]},   # past both
+        {PACKAGES[0], PACKAGES[600]},
+        {PACKAGES[0], PACKAGES[2500]},
         {PACKAGES[2500]},
         {PACKAGES[1023], PACKAGES[1024]},
     ]
     for probe in probes:
         assert peek_id(vec, probe) is None
     assert_peeks_agree(pair, probes + [set(PACKAGES[:5]), set(PACKAGES[3:5])])
-    # Caching one of them grows both; the scan follows.
     both(pair, lambda cache: cache.request(frozenset({PACKAGES[0], PACKAGES[2500]})))
-    assert vec._refcounts.size > 2500 and engine._words * 64 > 2500
+    assert engine._words == 41
     assert peek_id(vec, {PACKAGES[0], PACKAGES[2500]}) == "img-000002"
     assert_peeks_agree(pair, probes)
 

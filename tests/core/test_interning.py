@@ -1,16 +1,15 @@
 """Interning and the id-free merge path.
 
-Three contracts of ``repro.core.cache`` below Algorithm 1:
+Four contracts of ``repro.core.cache`` below Algorithm 1:
 
-- a failed intern leaves no trace — an id the size oracle rejects is
-  rejected again on retry, never accepted with size 0;
-- a cache on a repository's ``size_of`` starts from the repository's
-  numbering, shares it read-only and never registers a name; restored
-  caches and plain callables number names as they first appear;
-- ``_Universe.mask_of`` equals its first, one-lookup-per-id
-  formulation for any collection, duplicates and new ids included, and
-  its one-pass form numbers a zone replay's names exactly as the
-  three-walk form before it did;
+- a failed intern leaves no trace — a name the cache's package index
+  lacks is rejected, and rejected again on retry, never accepted;
+- a cache numbers its packages once, by its index, and never registers
+  a name: a fresh cache shares the repository's index read-only, a
+  restored one the generation of its state file (the file's table, then
+  the rest of the repository in repository order);
+- ``_Universe.mask_of`` equals a one-lookup-per-id formulation for any
+  collection, duplicates included;
 - the cached image's mask is the one stored copy of its package set:
   ``indices`` and ``packages`` are views of it, ``package_count`` and
   ``size`` stay exact over merges and splits, and neither the default
@@ -19,7 +18,6 @@ Three contracts of ``repro.core.cache`` below Algorithm 1:
 
 import hashlib
 import json
-from itertools import chain
 from random import Random
 
 import numpy as np
@@ -31,36 +29,26 @@ from repro.core.events import EventKind
 from repro.core.journal import JournaledState, recover_state
 from repro.htc.workload import DependencyWorkload, build_stream
 from repro.packages.conflicts import SlotConflicts
+from repro.packages.repository import PackageIndex
 from repro.packages.sft import build_experiment_repository
 from repro.util.rng import spawn
 from repro.util.units import GB
 
-SIZES = {"a": 10, "b": 20, "c": 30, "neg": -5}
-
-
-def raising_oracle(pid):
-    return SIZES[pid]  # KeyError for an unknown id
-
-
-def negative_oracle(pid):
-    return SIZES.get(pid, -1)
+SIZES = PackageIndex.of({"a": 10, "b": 20, "c": 30})
 
 
 def universe_state(cache):
     universe = cache._universe
-    return len(universe), list(universe._ids), universe._sizes.tolist()
+    return len(universe), list(universe.index.ids), universe._sizes.tolist()
 
 
 class TestFailedInternLeavesNoTrace:
-    CASES = [
-        pytest.param(raising_oracle, KeyError, id="unknown-id"),
-        pytest.param(negative_oracle, ValueError, id="negative-size"),
-    ]
+    CASES = [pytest.param(SIZES, KeyError, id="unknown-id")]
 
-    @pytest.mark.parametrize("oracle,error", CASES)
+    @pytest.mark.parametrize("index,error", CASES)
     @pytest.mark.parametrize("via", ["request", "submit_batch"])
-    def test_rejected_again_on_retry(self, oracle, error, via):
-        cache = LandlordCache(1_000, 0.5, oracle)
+    def test_rejected_again_on_retry(self, index, error, via):
+        cache = LandlordCache(1_000, 0.5, index)
         cache.request(["b"])
         before = universe_state(cache)
         submit = (
@@ -72,25 +60,26 @@ class TestFailedInternLeavesNoTrace:
                 submit(["a", "ghost"])
             assert universe_state(cache) == before
         assert cache.stats.requests == 1 and len(cache) == 1
-        # the valid half of the rejected spec is still new, and sized
+        # the valid half of the rejected spec is still uncached, and sized
         decision = cache.request(["a"])
         assert decision.action is EventKind.INSERT
         assert decision.requested_bytes == 10
 
-    @pytest.mark.parametrize("oracle,error", CASES)
-    def test_mask_of_is_all_or_nothing(self, oracle, error):
-        universe = _Universe(oracle)
+    @pytest.mark.parametrize("index,error", CASES)
+    def test_mask_of_is_all_or_nothing(self, index, error):
+        universe = _Universe(index)
         universe.mask_of(["a"])
         for _attempt in range(2):
-            with pytest.raises(error):
+            with pytest.raises(error, match="unknown package: 'ghost'"):
                 universe.mask_of(["b", "ghost", "c"])
-        assert len(universe) == 1 and universe._ids == ["a"]
-        assert universe._index == {"a": 0}
+        assert len(universe) == 3 and universe.index.ids == ["a", "b", "c"]
+        assert universe.index.position == {"a": 0, "b": 1, "c": 2}
 
 
 # -- mask_of against its reference formulation --------------------------------
 
 POOL = [f"pkg{i}" for i in range(80)]
+POOL_INDEX = PackageIndex.of(dict.fromkeys(POOL, 7))
 CONTAINERS = {
     "list": list,
     "tuple": tuple,
@@ -100,10 +89,9 @@ CONTAINERS = {
 }
 
 
-def reference_mask_of(index, packages):
-    """The first formulation: ids numbered as first seen, one lookup (and
-    one registration) per id, a Python set for the duplicates."""
-    indices = sorted({index.setdefault(p, len(index)) for p in packages})
+def reference_mask_of(position, packages):
+    """One lookup per id, a Python set for the duplicates."""
+    indices = sorted({position[p] for p in packages})
     mask = 0
     for i in indices:
         mask |= 1 << i
@@ -112,69 +100,48 @@ def reference_mask_of(index, packages):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    known=st.lists(st.sampled_from(POOL), max_size=40),
     drawn=st.lists(st.sampled_from(POOL), max_size=120),
     kind=st.sampled_from(sorted(CONTAINERS)),
+    unknown_at=st.none() | st.integers(0, 120),
 )
-def test_mask_of_matches_reference(known, drawn, kind):
-    universe = _Universe(lambda _pid: 7)
-    reference = {}
-    universe.mask_of(known)
-    reference_mask_of(reference, known)
-    # One collection object for both sides, so a set is walked in the
-    # same order and new ids are numbered alike.
+def test_mask_of_matches_reference(drawn, kind, unknown_at):
+    universe = _Universe(POOL_INDEX)
+    if unknown_at is not None:
+        drawn = drawn[:unknown_at] + ["ghost"] + drawn[unknown_at:]
     collection = drawn if kind == "generator" else CONTAINERS[kind](drawn)
+    if unknown_at is not None:
+        with pytest.raises(KeyError, match="unknown package: 'ghost'"):
+            universe.mask_of(
+                iter(collection) if kind == "generator" else collection
+            )
+        return
     mask, indices = universe.mask_of(
         iter(collection) if kind == "generator" else collection
     )
-    ref_mask, ref_indices = reference_mask_of(reference, collection)
+    ref_mask, ref_indices = reference_mask_of(POOL_INDEX.position, drawn)
     assert mask == ref_mask
     assert indices.dtype == np.int64 and indices.tolist() == ref_indices
-    assert universe._index == reference
-    assert universe._ids == list(reference)
-    assert universe._sizes[: len(universe)].tolist() == [7] * len(reference)
-
-
-# -- the one pass: known and new names found by position ---------------------
-
-
-def test_mixed_list_numbers_new_names_in_first_appearance_order():
-    sizes = {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
-    universe = _Universe(sizes.__getitem__)
-    universe.mask_of(["b", "d"])  # b = 0, d = 1
-    mask, indices = universe.mask_of(["e", "b", "a", "e", "d", "c", "a"])
-    assert universe._ids == ["b", "d", "e", "a", "c"]
-    assert universe._index == {"b": 0, "d": 1, "e": 2, "a": 3, "c": 4}
-    assert universe._sizes[:5].tolist() == [2, 4, 5, 1, 3]
-    assert indices.tolist() == [0, 1, 2, 3, 4] and mask == 0b11111
-    # all known now: the same list resolves without registering anything
-    assert universe.mask_of(["c", "c", "b"])[1].tolist() == [0, 4]
-    assert len(universe) == 5
+    assert universe.index is POOL_INDEX and len(universe) == 80
 
 
 def test_oracle_raising_on_the_last_new_name_leaves_no_trace():
-    def oracle(pid):
-        if pid == "last":
-            raise KeyError(pid)
-        return 10
-
-    universe = _Universe(oracle)
-    universe.mask_of(["k0", "k1"])
-    index, ids = dict(universe._index), list(universe._ids)
+    universe = _Universe(POOL_INDEX)
+    universe.mask_of(["pkg0", "pkg1"])
+    index, ids = dict(universe.index.position), list(universe.index.ids)
     sizes = universe._sizes.copy()
-    with pytest.raises(KeyError):
-        universe.mask_of(["k1", "n0", "n1", "n0", "k0", "last"])
-    assert universe._index == index and universe._ids == ids
+    with pytest.raises(KeyError, match="unknown package: 'last'"):
+        universe.mask_of(["pkg1", "pkg9", "pkg8", "pkg9", "pkg0", "last"])
+    assert universe.index.position == index and universe.index.ids == ids
     assert np.array_equal(universe._sizes, sizes)
 
 
-# Recorded at the commit before interning took one pass (three walks over
-# a first-seen spec): the state table after replaying the ledger's
-# seed-901 ``replay_zone`` stream, each spec as a sorted wire list so the
-# numbering does not depend on the process's string hashing.  Ids, their
-# order and so every state file and journal line must stay byte-identical.
-ZONE_TABLE_SHA256 = (
-    "3208e86e9fc053ecd015174a97b90b41f3b6366f0c0a4d0e7eb5f99b04acb31e"
+# Recorded when a cache on ``repo.size_of`` started from the repository's
+# numbering: the state table after replaying the ledger's seed-901
+# ``replay_zone`` stream, its names in the order they first appear among
+# the live images, smallest first — without the repository digest, which
+# came later and is checked on its own.
+ZONE_REPOSITORY_TABLE_SHA256 = (
+    "477b8d142b7752d0b66eb726396e73d79b29210e3b7ed35673f6429027004fc1"
 )
 
 
@@ -189,37 +156,31 @@ def zone_replay():
     return repo, specs
 
 
+def table_sha256(table):
+    table = {key: value for key, value in table.items() if key != "repository"}
+    return hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+
+
 def test_zone_replay_table_is_byte_identical(zone_replay):
+    """Fed wire lists or frozensets, and restored from its own table, a
+    cache writes the same table bytes: none of them depends on the order
+    names arrive in, or on whether the cache was restored."""
     repo, specs = zone_replay
-    # A plain callable, not the repository's index: names are numbered
-    # as they first appear, cache by cache.
-    oracle = lambda pid: repo.size_of(pid)  # noqa: E731
-    cache = LandlordCache(1400 * GB, 0.8, oracle)
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         cache.request(sorted(spec))
-    table = json.dumps(cache.table_snapshot(), sort_keys=True).encode()
-    assert hashlib.sha256(table).hexdigest() == ZONE_TABLE_SHA256
-    stats = cache.stats
-    assert (stats.hits, stats.merges, stats.inserts, stats.deletes) == (
-        80, 1291, 429, 419
-    )
-    # The specs as the simulator holds them, frozensets: names are
-    # numbered in each set's iteration order, first appearance first.
-    as_sets = LandlordCache(1400 * GB, 0.8, oracle)
+    table = cache.table_snapshot()
+    assert table_sha256(table) == ZONE_REPOSITORY_TABLE_SHA256
+    assert table["repository"] == repo.size_of.digest
+    as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         as_sets.request(spec)
-    assert as_sets._universe._ids == list(
-        dict.fromkeys(chain.from_iterable(specs))
-    )
-    assert as_sets.snapshot() == cache.snapshot()
-
-
-# Recorded when a cache on ``repo.size_of`` started from the repository's
-# numbering: the same replay's state table, its names in the order they
-# first appear among the live images, smallest first.
-ZONE_REPOSITORY_TABLE_SHA256 = (
-    "477b8d142b7752d0b66eb726396e73d79b29210e3b7ed35673f6429027004fc1"
-)
+    assert as_sets.table_snapshot() == table
+    restored = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    restored.restore(json.loads(json.dumps(table)))
+    assert restored._universe.index is not repo.size_of
+    assert restored.table_snapshot() == table
+    assert restored.snapshot() == cache.snapshot()
 
 
 def test_zone_replay_table_on_the_repository_numbering(zone_replay):
@@ -235,26 +196,13 @@ def test_zone_replay_table_on_the_repository_numbering(zone_replay):
         listed += sorted(image.packages - set(listed), key=position.__getitem__)
     assert table["universe"] == listed
     assert set(listed) == set().union(*(image.packages for image in cache.images))
-    encoded = json.dumps(table, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest() == ZONE_REPOSITORY_TABLE_SHA256
     stats = cache.stats
     assert (stats.hits, stats.merges, stats.inserts, stats.deletes) == (
         80, 1291, 429, 419
     )
-    # Fed the frozensets instead, the table is the same bytes: the
-    # numbering no longer depends on the order names arrive in.
-    as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
-    for spec in specs:
-        as_sets.request(spec)
-    assert as_sets.table_snapshot() == table
-    # What the cache holds is what the first-appearance numbering holds.
-    plain = LandlordCache(1400 * GB, 0.8, lambda pid: repo.size_of(pid))
-    for spec in specs:
-        plain.request(spec)
-    assert plain.snapshot() == cache.snapshot()
 
 
-# -- a repository's numbering, shared read-only -------------------------------
+# -- one numbering per cache, never grown --------------------------------------
 
 
 def index_state(index):
@@ -266,10 +214,11 @@ def test_zone_replay_on_the_repository_registers_nothing(
 ):
     repo, specs = zone_replay
 
-    def no_register(_self, _names):
-        raise AssertionError("a name was registered on a numbered universe")
+    def no_call(_self, pid):
+        raise AssertionError(f"the index was called for {pid!r}")
 
-    monkeypatch.setattr(_Universe, "register", no_register)
+    monkeypatch.setattr(PackageIndex, "__call__", no_call)
+    before = index_state(repo.size_of)
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         cache.request(spec)
@@ -278,6 +227,9 @@ def test_zone_replay_on_the_repository_registers_nothing(
         batched.submit_batch([sorted(spec) for spec in specs[i:i + 256]])
     assert cache.stats.requests == batched.stats.requests == len(specs)
     assert batched.snapshot() == cache.snapshot()
+    for universe in (cache._universe, batched._universe):
+        assert universe.index is repo.size_of and len(universe) == len(repo)
+    assert index_state(repo.size_of) == before
 
 
 def test_caches_on_one_repository_share_its_numbering(zone_replay):
@@ -289,8 +241,9 @@ def test_caches_on_one_repository_share_its_numbering(zone_replay):
         for spec in specs[:300]:
             cache.request(spec)
         universe = cache._universe
-        assert universe._index is index.position
-        assert universe._ids is index.ids
+        assert universe.index is index
+        assert universe.index.position is index.position
+        assert universe.index.ids is index.ids
         assert universe._sizes is index.sizes
         assert len(universe) == len(repo)
     assert not index.sizes.flags.writeable
@@ -298,6 +251,45 @@ def test_caches_on_one_repository_share_its_numbering(zone_replay):
     # Each cache still interns its own specs.
     assert caches[0]._spec_memo is not caches[1]._spec_memo
     assert len(caches[0]._spec_memo) == len(caches[1]._spec_memo) > 0
+
+
+def test_a_restored_cache_numbers_the_state_s_generation(zone_replay):
+    repo, specs = zone_replay
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    for spec in specs[:400]:
+        cache.request(spec)
+    table = cache.table_snapshot()
+    restored = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    restored.restore(table)
+    index = restored._universe.index
+    # Restoring reads no name of the numbering: ids and positions are
+    # built when first read.
+    assert index._ids is None and index._position is None
+    names = table["universe"]
+    rest = [pid for pid in repo.ids if pid not in set(names)]
+    assert index.ids == names + rest
+    assert index.repository is repo.size_of and index.digest == repo.size_of.digest
+    assert index.sizes.tolist() == [repo.size_of(pid) for pid in index.ids]
+    assert not index.sizes.flags.writeable
+    assert [index.ids[i] for i in index.in_repository_order] == repo.ids
+    # Restored, it decides on as the original does.
+    for spec in specs[400:]:
+        assert restored.request(spec).action is cache.request(spec).action
+    assert restored.snapshot() == cache.snapshot()
+
+
+def test_a_state_of_another_repository_is_refused(zone_replay):
+    repo, specs = zone_replay
+    cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
+    cache.request(specs[0])
+    table = cache.table_snapshot()
+    other = PackageIndex.of(
+        {pid: repo.size_of(pid) for pid in reversed(repo.ids)}
+    )
+    stranger = LandlordCache(1400 * GB, 0.8, other)
+    with pytest.raises(ValueError, match="another repository|written against"):
+        stranger.restore(table)
+    assert len(stranger) == 0 and stranger._universe.index is other
 
 
 @pytest.mark.parametrize("via", ["request", "submit_batch"])
@@ -326,8 +318,8 @@ def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
     zone_replay, tmp_path
 ):
     """``initialise`` writes a checkpoint whose table is empty, so every
-    entry before the next checkpoint declares its names as ``new``.
-    Recovery restores into a universe of its own and registers them."""
+    entry before the next checkpoint is a mask over the repository's own
+    numbering, and recovery restores onto the repository's index."""
     repo, specs = zone_replay
     state = tmp_path / "state.json"
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
@@ -337,7 +329,10 @@ def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
         store.apply(cache, {}, "request", packages=sorted(spec))
     store.journal.close()
     first = store.journal.entries()[0].data
-    assert first["new"] == [pid for pid in repo.ids if pid in specs[0]]
+    mask = int(first["mask"], 16)
+    assert set(first) == {"base", "mask"}
+    assert [repo.ids[i] for i in range(mask.bit_length()) if mask >> i & 1] \
+        == sorted(specs[0], key=repo.size_of.position.__getitem__)
 
     serial = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs[:200]:
@@ -346,13 +341,15 @@ def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
         state, package_size=repo.size_of
     )
     assert replayed == 200
-    assert recovered._universe._index is not repo.size_of.position
+    assert recovered._universe.index is repo.size_of
     assert recovered.snapshot() == serial.snapshot() == cache.snapshot()
 
 
 # -- the merge path handles no ids --------------------------------------------
 
 NAMES = [f"lib{i}" for i in range(40)]
+VERSIONS = [f"{name}/{version}.0" for name in NAMES for version in "123"]
+TENS = PackageIndex.of(dict.fromkeys(VERSIONS, 10))
 
 
 def merge_stream(n=500):
@@ -391,7 +388,7 @@ def test_default_merge_path_never_materialises_ids(monkeypatch):
     def no_ids(_self, _indices):
         raise AssertionError("a package id set was built on the merge path")
 
-    cache = LandlordCache(3_000, 0.8, lambda _pid: 10, record_events=True)
+    cache = LandlordCache(3_000, 0.8, TENS, record_events=True)
     monkeypatch.setattr(_Universe, "ids_of_indices", no_ids)
     for spec in merge_stream():
         cache.request(spec)
@@ -419,9 +416,9 @@ class RecordingSlots(SlotConflicts):
 
 def test_conflict_policies_still_see_frozensets_and_decide_as_before():
     policy = RecordingSlots()
-    cache = LandlordCache(3_000, 0.8, lambda _pid: 10, conflict_policy=policy)
+    cache = LandlordCache(3_000, 0.8, TENS, conflict_policy=policy)
     plain = LandlordCache(
-        3_000, 0.8, lambda _pid: 10, conflict_policy=SlotConflicts()
+        3_000, 0.8, TENS, conflict_policy=SlotConflicts()
     )
     for spec in merge_stream():
         cache.request(spec)
@@ -436,7 +433,7 @@ def test_split_never_materialises_ids(monkeypatch):
     def no_ids(_self, _indices):
         raise AssertionError("a package id set was built by split")
 
-    cache = LandlordCache(10 ** 9, 0.97, lambda _pid: 10)
+    cache = LandlordCache(10 ** 9, 0.97, TENS)
     for spec in merge_stream(200):
         cache.request(spec)
     image = max(cache.images, key=lambda im: im.package_count)
@@ -450,7 +447,9 @@ def test_split_never_materialises_ids(monkeypatch):
 
 
 def test_images_stay_consistent_over_merge_chains_and_splits():
-    cache = LandlordCache(10 ** 9, 0.97, lambda pid: 5 + len(pid))
+    cache = LandlordCache(
+        10 ** 9, 0.97, PackageIndex.of({pid: 5 + len(pid) for pid in VERSIONS})
+    )
     rng = Random("chains")
     for step in range(600):
         names = rng.sample(NAMES, rng.randint(2, 10))

@@ -1,6 +1,7 @@
 """Journal v2: a request or adoption is journalled as a hex mask over
-the state file's own name table, each package name written once per
-generation, and replayed without interning."""
+its generation — the state file's name table, then every other package
+in the index's order — with no package name written, and replayed
+without interning."""
 
 import errno
 import json
@@ -29,9 +30,11 @@ from repro.core.persistence import (
     save_state,
 )
 from repro.testing.faults import CrashPoint
+from repro.packages.repository import PackageIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZE = {f"p{i}": 5 + (i % 7) for i in range(40)}
+SIZE_OF = PackageIndex.of(SIZE)
 CAPACITY, ALPHA = 120, 0.6
 
 #: What ``fixtures/state_v3_journal_v1.json`` (+ ``.journal``) went
@@ -66,7 +69,7 @@ MORE_OPS = [
 
 
 def make_cache(**kw):
-    return LandlordCache(CAPACITY, ALPHA, SIZE.__getitem__, **kw)
+    return LandlordCache(CAPACITY, ALPHA, SIZE_OF, **kw)
 
 
 def serial_replay(ops, **kw):
@@ -84,12 +87,18 @@ def serial_replay(ops, **kw):
     return cache
 
 
+def generation_of(state_path, index=SIZE_OF):
+    """The names a state file's v2 entries index: its table, then every
+    other package in the index's order."""
+    return index.generation(load_table(state_path)[1]).ids
+
+
 def journalled_names(state_path, journal_path=None):
     """Each request's or adoption's packages (sorted) as the journal
     records them beyond the state file: a v1 entry's list as written, a
-    v2 entry's mask decoded against its generation — the state file's
-    table, then the names earlier entries declared in ``new``."""
-    base, generation = load_table(state_path)
+    v2 entry's mask decoded against its generation."""
+    base = load_table(state_path)[0]
+    generation = generation_of(state_path)
     journal = Journal(journal_path or f"{state_path}.journal")
     out = []
     for entry in journal.entries():
@@ -97,11 +106,9 @@ def journalled_names(state_path, journal_path=None):
             continue
         if "packages" in entry.data:
             out.append(sorted(entry.data["packages"]))
-            generation += [name for name in dict.fromkeys(
-                entry.data["packages"]) if name not in generation]
             continue
+        assert set(entry.data) == {"base", "mask"}
         assert entry.data["base"] == base
-        generation += entry.data["new"]
         mask = int(entry.data["mask"], 16)
         out.append(sorted(
             generation[i] for i in range(mask.bit_length()) if mask >> i & 1
@@ -120,10 +127,19 @@ def copy_fixture(directory):
 def recovered_universe(state, **kw):
     """The universe, in id order, of a cache recovered from the files as
     they are (read-only: nothing is re-saved or compacted)."""
-    bundle = load_bundle(state, SIZE.__getitem__, **kw)
+    bundle = load_bundle(state, SIZE_OF, **kw)
     _floor, entries = Journal(f"{state}.journal")._read()
     replay(bundle.cache, entries, after_seq=bundle.journal_seq)
-    return bundle.cache._universe._ids
+    return bundle.cache._universe.index.ids
+
+
+def writer_names(store, cache):
+    """The names the writer's entries index, in generation order, read
+    through its id → position array."""
+    names = [None] * len(cache._universe)
+    for live_id, at in enumerate(store._gen.position.tolist()):
+        names[at] = cache._universe.index.ids[live_id]
+    return names
 
 
 def journal_records(state):
@@ -148,18 +164,21 @@ class TestEntryLayout:
         store.apply(cache, {}, "evict_idle", max_idle_requests=5)
         records = journal_records(tmp_path / "state.json")
         _base, table = load_table(tmp_path / "state.json")
-        assert table == ["p0", "p1", "p2", "p3", "p4"]
+        # Smallest image first: {p3, p4}, then {p0, p1, p2}.
+        assert table == ["p3", "p4", "p0", "p1", "p2"]
+        # The table, then p5..p39 in the index's order.
+        assert generation_of(tmp_path / "state.json") == table + list(SIZE)[5:]
         assert [r["data"] for r in records[1:]] == [
-            # p1 is bit 1, p4 bit 4, p30 the generation's first new name
-            {"base": 2, "mask": format(0b110010, "x"), "new": ["p30"]},
-            {"base": 2, "mask": format(0b1100000, "x"), "new": ["p31"]},
+            # p1 is bit 3, p4 bit 1, p30 bit 30
+            {"base": 2, "mask": format(1 << 3 | 1 << 1 | 1 << 30, "x")},
+            {"base": 2, "mask": format(1 << 30 | 1 << 31, "x")},
             {"max_idle_requests": 5},
         ]
         assert journalled_names(tmp_path / "state.json") == [
             ["p1", "p30", "p4"], ["p30", "p31"],
         ]
 
-    def test_each_name_is_written_once_per_generation(self, tmp_path):
+    def test_no_name_is_written(self, tmp_path):
         store, cache = self.store_after_a_checkpoint(tmp_path)
         store.snapshot_every = 100
         specs = [sorted({f"p{(7 * i + j) % 40}" for j in range(6)})
@@ -167,16 +186,12 @@ class TestEntryLayout:
         store.apply_batch(cache, {}, [("request", {"packages": s})
                                       for s in specs])
         text = Path(f"{tmp_path / 'state.json'}.journal").read_text()
-        table = set(load_table(tmp_path / "state.json")[1])
         for name in SIZE:
-            assert text.count(f'"{name}"') == (
-                0 if name in table or not any(name in s for s in specs)
-                else 1
-            )
+            assert f'"{name}"' not in text
         assert journalled_names(tmp_path / "state.json") == specs
         store.journal.close()
         recovered, _, replayed = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert replayed == 12
         assert recovered.snapshot() == cache.snapshot()
@@ -192,14 +207,16 @@ class TestEntryLayout:
 
     def test_bad_names_fail_before_the_append(self, tmp_path):
         store, cache = self.store_after_a_checkpoint(tmp_path)
-        size = len(store._gen.names)
-        with pytest.raises(KeyError):  # the size oracle knows no 7
+        position = store._gen.position.copy()
+        journal = store.journal.path.read_bytes()
+        with pytest.raises(KeyError):  # the index knows no 7
             store.apply_batch(cache, {}, [
                 ("request", {"packages": ["p20"]}),
                 ("request", {"packages": ["p21", 7]}),
             ])
-        assert len(store._gen.names) == size
+        assert (store._gen.position == position).all()
         assert store.journal.last_seq == 2
+        assert store.journal.path.read_bytes() == journal
 
 
 class TestCompatibility:
@@ -208,7 +225,7 @@ class TestCompatibility:
         assert all("packages" in r["data"] for r in journal_records(state)
                    if r.get("op") in ("request", "adopt"))
         recovered, _, replayed = recover_state(
-            state, package_size=SIZE.__getitem__
+            state, package_size=SIZE_OF
         )
         assert replayed == 7
         assert recovered.snapshot() == serial_replay(FIXTURE_OPS).snapshot()
@@ -218,7 +235,7 @@ class TestCompatibility:
         state = copy_fixture(tmp_path)
         store = JournaledState(state, snapshot_every=1000)
         if loaded:
-            cache, metadata, _ = store.load(SIZE.__getitem__)
+            cache, metadata, _ = store.load(SIZE_OF)
         else:  # a writer that appends without loading
             cache, metadata = serial_replay(FIXTURE_OPS), {}
         store.apply_batch(cache, metadata, MORE_OPS[:2])
@@ -229,7 +246,7 @@ class TestCompatibility:
                  if r.get("op") in ("request", "adopt")]
         assert kinds == [True] * 5 + [False] * 4
         recovered, _, replayed = recover_state(
-            state, package_size=SIZE.__getitem__
+            state, package_size=SIZE_OF
         )
         assert replayed == 7 + len(MORE_OPS)
         want = serial_replay(FIXTURE_OPS + MORE_OPS).snapshot()
@@ -238,32 +255,60 @@ class TestCompatibility:
     def test_a_v2_state_file_is_a_generation_too(self, tmp_path):
         # A v2 state file lists each image's names: its table is the
         # order restore first interns them.
-        size = {f"p{i}": 10 for i in range(30)}.__getitem__
+        size = PackageIndex.of({f"p{i}": 10 for i in range(30)})
         state = tmp_path / "s.json"
         shutil.copy(FIXTURES / "state_v2.json", state)
         Path(f"{state}.journal").write_text(_encode_marker(5))
         bundle = load_bundle(state, size)
-        assert load_table(state) == (5, bundle.cache._universe._ids)
+        base, table = load_table(state)
+        assert base == 5 and table
+        assert bundle.cache._universe.index.ids == generation_of(state, size)
+        assert bundle.cache._universe.index.ids[:len(table)] == table
         store = JournaledState(state, snapshot_every=100)
         store.apply_batch(bundle.cache, bundle.metadata, [
             ("request", {"packages": ["p9", "p11"]}),
             ("adopt", {"packages": ["p20", "p22", "p11"]}),
         ])
         store.journal.close()
-        assert [r["data"]["new"] for r in journal_records(state)[1:]] == [
-            ["p11"], ["p22"]]
+        assert [set(r["data"]) for r in journal_records(state)[1:]] == [
+            {"base", "mask"}] * 2
         recovered, _, replayed = recover_state(state, package_size=size)
         assert replayed == 2
         assert recovered.snapshot() == bundle.cache.snapshot()
 
+    def test_a_tail_that_declares_names_is_refused_by_name(self, tmp_path):
+        """A tail written before the generation rule (fixtures/README.md):
+        its state file loads, its entries are refused, and no writer
+        appends after them."""
+        for name in ("state_v3_journal_new.json",
+                     "state_v3_journal_new.json.journal"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        state = tmp_path / "state_v3_journal_new.json"
+        journal = Path(f"{state}.journal").read_bytes()
+        assert b'"new":' in journal
+        bundle = load_bundle(state, SIZE_OF)
+        assert bundle.journal_seq == 8 and len(bundle.cache) > 0
+        with pytest.raises(JournalError, match="journal entry 9: 'new' is "
+                           "not.*recover this site with commit 47c9b7f"):
+            recover_state(state, package_size=SIZE_OF)
+        with pytest.raises(JournalError, match="47c9b7f"):
+            JournaledState(state).load(SIZE_OF)
+        with pytest.raises(JournalError, match="47c9b7f"):
+            JournaledState(state).apply(bundle.cache, {}, "request",
+                                        packages=["p0"])
+        assert Path(f"{state}.journal").read_bytes() == journal
+
     def test_state_file_is_unchanged(self, tmp_path):
         # The state format does not change: the fixture's cache saves
-        # back byte for byte.
+        # back as it was, plus the digest of the repository it names.
         state = copy_fixture(tmp_path)
-        bundle = load_bundle(state, SIZE.__getitem__)
+        bundle = load_bundle(state, SIZE_OF)
         again = save_state(tmp_path / "again.json", bundle.cache,
                            bundle.metadata, bundle.journal_seq)
-        assert again.read_bytes() == state.read_bytes()
+        was, now = json.loads(state.read_bytes()), json.loads(again.read_bytes())
+        assert now["cache"].pop("repository") == SIZE_OF.digest
+        del was["checksum"], now["checksum"]
+        assert now == was
 
 
 class TestGeneration:
@@ -278,8 +323,8 @@ class TestGeneration:
         store, cache = self.make_store(tmp_path, snapshot_every=3)
         store.apply_batch(cache, {}, FIXTURE_OPS[:4])
         assert store._gen.base == 4
-        assert store._gen.names == load_table(store.state_path)[1]
-        assert store._gen.names == recovered_universe(store.state_path)
+        assert writer_names(store, cache) == generation_of(store.state_path)
+        assert writer_names(store, cache) == recovered_universe(store.state_path)
 
     def test_a_fresh_writer_reads_the_generation_off_the_files(
         self, tmp_path
@@ -289,12 +334,11 @@ class TestGeneration:
         store.journal.close()
         fresh = JournaledState(store.state_path, snapshot_every=1000)
         fresh.apply_batch(cache, {}, FIXTURE_OPS[6:])
-        extends = fresh._gen.names[:len(store._gen.names)]
-        assert extends == store._gen.names
-        assert fresh._gen.names == recovered_universe(store.state_path)
+        assert (fresh._gen.position == store._gen.position).all()
+        assert writer_names(fresh, cache) == recovered_universe(store.state_path)
         fresh.journal.close()
         recovered, _, _ = recover_state(store.state_path,
-                                        package_size=SIZE.__getitem__)
+                                        package_size=SIZE_OF)
         assert recovered.snapshot() == serial_replay(FIXTURE_OPS).snapshot()
 
     def test_a_writer_bound_to_a_cache_that_lacks_table_names(
@@ -307,39 +351,39 @@ class TestGeneration:
         other = make_cache()  # has met none of the table's names
         other.request(frozenset({"p30"}))
         fresh.apply(other, {}, "request", packages=["p3", "p31"])
-        # p3 is found in the table once the cache meets it: not declared
+        # p3 is table position 3, p31 the generation's position 31
         assert journal_records(store.state_path)[-1]["data"] == {
-            "base": 2, "mask": format(0b101000, "x"), "new": ["p31"],
+            "base": 2, "mask": format(1 << 3 | 1 << 31, "x"),
         }
-        assert fresh._gen.names == recovered_universe(store.state_path)
+        assert writer_names(fresh, other) == recovered_universe(store.state_path)
 
     @pytest.mark.parametrize("site, torn", [
         ("journal:append", None),   # nothing written
         ("journal:torn", None),     # written, fsync failed: cut back
         ("journal:torn", 0.5),      # a short write: cut back
     ])
-    def test_a_failed_append_forgets_the_names_it_declared(
+    def test_a_failed_append_leaves_the_generation_as_it_was(
         self, tmp_path, site, torn
     ):
         store, cache = self.make_store(tmp_path)
         store.apply_batch(cache, {}, FIXTURE_OPS[:2])
-        names = list(store._gen.names)
+        position = store._gen.position.copy()
         failed = [("request", {"packages": ["p30", "p31"]}),
                   ("adopt", {"packages": ["p31", "p32"]})]
         fault = OSError(errno.EIO, os.strerror(errno.EIO))
         with CrashPoint(site, torn=torn, error=fault) as point:
             with pytest.raises(OSError):
                 store.apply_batch(cache, {}, failed)
-        assert point.fired and store._gen.names == names
-        # the next window declares the same names again, and replays
+        assert point.fired and (store._gen.position == position).all()
+        # the next window takes the failed one's place, and replays
         reuse = [("request", {"packages": ["p31", "p32", "p33"]})]
         store.apply_batch(cache, {}, reuse)
-        assert journal_records(store.state_path)[-1]["data"]["new"] == [
-            "p31", "p32", "p33"]
-        assert store._gen.names == recovered_universe(store.state_path)
+        assert journal_records(store.state_path)[-1]["seq"] == 3
+        assert journalled_names(store.state_path)[-1] == ["p31", "p32", "p33"]
+        assert writer_names(store, cache) == recovered_universe(store.state_path)
         store.journal.close()
         recovered, _, replayed = recover_state(
-            store.state_path, package_size=SIZE.__getitem__
+            store.state_path, package_size=SIZE_OF
         )
         assert replayed == 3
         assert recovered.snapshot() == \
@@ -362,10 +406,10 @@ class TestGeneration:
         store.apply_batch(cache, {}, FIXTURE_OPS[4:6])
         assert store._gen.base == base
         assert journal_records(store.state_path)[-1]["data"]["base"] == base
-        assert store._gen.names == recovered_universe(store.state_path)
+        assert writer_names(store, cache) == recovered_universe(store.state_path)
         store.journal.close()
         recovered, _, _ = recover_state(store.state_path,
-                                        package_size=SIZE.__getitem__)
+                                        package_size=SIZE_OF)
         assert recovered.snapshot() == \
             serial_replay(FIXTURE_OPS[:6]).snapshot()
 
@@ -390,28 +434,31 @@ class TestReplayRefuses:
         return store.state_path
 
     @pytest.mark.parametrize("data, match", [
-        ({"base": 0, "mask": "3", "new": []}, "journal_seq 0, not 2"),
-        ({"base": 2, "mask": "40", "new": []}, "past the 6 names"),
+        ({"base": 0, "mask": "3"}, "journal_seq 0, not 2"),
+        ({"base": 2, "mask": format(1 << 40, "x")}, "past the 40 names"),
+        # Entries as writers before the generation rule wrote them:
+        # names declared in "new", each one a name the generation holds.
         ({"base": 2, "mask": "1", "new": ["p2"]}, "holds"),
         ({"base": 2, "mask": "1", "new": ["p9"]}, "holds"),
         ({"base": 2, "mask": "3", "new": ["p20", "p20"]}, "holds"),
-        ({"base": 2, "mask": "-3", "new": []}, "negative"),
-        ({"base": 2, "mask": "zz", "new": []}, "invalid literal"),
-        ({"base": 2, "mask": 3, "new": []}, "'mask' is not"),
+        ({"base": 2, "mask": "-3"}, "negative"),
+        ({"base": 2, "mask": "zz"}, "invalid literal"),
+        ({"base": 2, "mask": 3}, "'mask' is not"),
         ({"base": 2, "mask": "3", "new": "p20"}, "'new' is not"),
         ({"base": 2, "mask": "3", "new": [20]}, "'new' is not"),
-        ({"base": 2, "mask": "3"}, "'new' is not"),
+        ({"base": 2, "mask": "3", "new": []}, "'new' is not"),
+        ({"base": 2, "mask": "3", "new": []}, "commit 47c9b7f first"),
     ])
     def test_is_a_journal_error_naming_the_entry(self, tmp_path, data, match):
         state = self.crafted(tmp_path, **data)
         with pytest.raises(JournalError, match=match) as excinfo:
-            recover_state(state, package_size=SIZE.__getitem__)
+            recover_state(state, package_size=SIZE_OF)
         assert "journal entry 4" in str(excinfo.value)
         with pytest.raises(JournalError, match="journal entry 4"):
-            JournaledState(state).load(SIZE.__getitem__)
+            JournaledState(state).load(SIZE_OF)
 
     def test_a_writer_refuses_to_append_after_it(self, tmp_path):
-        state = self.crafted(tmp_path, base=0, mask="3", new=[])
+        state = self.crafted(tmp_path, base=0, mask="3")
         fresh = JournaledState(state)
         with pytest.raises(JournalError, match="journal entry 4"):
             fresh.apply(make_cache(), {}, "request", packages=["p0"])
@@ -438,7 +485,7 @@ class TestNotUtf8:
         self.put_ff(journal, journal.stat().st_size - 30)
         assert [e.seq for e in Journal(journal).entries()] == [1, 2]
         recovered, _, replayed = recover_state(
-            state, package_size=SIZE.__getitem__
+            state, package_size=SIZE_OF
         )
         assert replayed == 2
         assert recovered.snapshot() == serial_replay(FIXTURE_OPS[:2]).snapshot()
@@ -447,13 +494,13 @@ class TestNotUtf8:
         state, journal = self.journalled(tmp_path)
         self.put_ff(journal, 20)
         with pytest.raises(JournalError, match="mid-file"):
-            recover_state(state, package_size=SIZE.__getitem__)
+            recover_state(state, package_size=SIZE_OF)
 
     def test_in_the_state_file_it_is_a_state_error(self, tmp_path):
         state, _journal = self.journalled(tmp_path)
         self.put_ff(state, state.stat().st_size // 2)
         with pytest.raises(StateError, match="corrupt state file"):
-            load_bundle(state, SIZE.__getitem__)
+            load_bundle(state, SIZE_OF)
         with pytest.raises(StateError, match="corrupt state file"):
             load_table(state)
 
@@ -463,7 +510,7 @@ class TestNotUtf8:
         state, _journal = self.journalled(tmp_path)
         state.write_text("[1, 2]")
         with pytest.raises(StateError, match="not a JSON object"):
-            load_bundle(state, SIZE.__getitem__)
+            load_bundle(state, SIZE_OF)
 
 
 # -- byte flips in v2 lines ----------------------------------------------------
@@ -507,7 +554,7 @@ class TestByteFlips:
             Path(f"{state}.journal").write_bytes(bytes(raw))
             try:
                 recovered, _, _ = recover_state(
-                    state, package_size=SIZE.__getitem__
+                    state, package_size=SIZE_OF
                 )
             except (JournalError, StateError):
                 return
@@ -528,6 +575,7 @@ operations = st.one_of(
     st.tuples(st.just("clear"), st.none()),
     st.tuples(st.just("checkpoint"), st.none()),
     st.tuples(st.just("fresh writer"), st.none()),
+    st.tuples(st.just("reload"), st.none()),
 )
 
 
@@ -546,11 +594,17 @@ class TestGeneratedHistories:
         window=st.integers(1, 4),
         snapshot_every=st.integers(1, 9),
         crash_at=st.floats(0, 1),
+        kill_at=st.floats(0, 1),
         engine=st.sampled_from(["naive", "vectorized"]),
     )
     def test_recovery_equals_a_serial_replay(
-        self, history, window, snapshot_every, crash_at, engine
+        self, history, window, snapshot_every, crash_at, kill_at, engine
     ):
+        """Random operations, checkpoints, writers that take the files
+        over and writers that load them (so the writer's own cache has a
+        restored numbering), from ``initialise``'s empty table on: the
+        recovered cache equals a serial replay, and so does one recovered
+        from any journalled prefix, as a SIGKILL between appends leaves."""
         history = history[:int(crash_at * len(history))]
         applied = []
         with tempfile.TemporaryDirectory() as directory:
@@ -566,26 +620,44 @@ class TestGeneratedHistories:
                     applied.extend(pending)
                     pending.clear()
                     # the writer's generation is what recovery rebuilds
-                    assert store._gen.names == recovered_universe(
+                    assert writer_names(store, cache) == recovered_universe(
                         state, engine=engine)
 
             for kind, arg in history:
                 if kind == "checkpoint":
                     commit()
                     store.flush(cache, {})
-                elif kind == "fresh writer":
+                elif kind in ("fresh writer", "reload"):
                     commit()
                     store.journal.close()
                     store = JournaledState(state,
                                            snapshot_every=snapshot_every)
+                    if kind == "reload":
+                        cache, _, _ = store.load(SIZE_OF, engine=engine)
                 else:
                     pending.append(as_op(kind, arg))
                     if len(pending) == window:
                         commit()
             commit()
             store.journal.close()  # the crash: no final checkpoint
+            base = load_table(state)[0]
+            lines = store.journal.path.read_bytes().splitlines(keepends=True)
+            entries = [line for line in lines if b'"compacted_to"' not in line]
+            kept = int(kill_at * len(entries))
+            killed = Path(directory) / "killed"
+            killed.mkdir()
+            shutil.copy(state, killed / "state.json")
+            (killed / "state.json.journal").write_bytes(
+                b"".join(lines[:len(lines) - len(entries) + kept])
+            )
+            prefix, _, _ = recover_state(
+                killed / "state.json", package_size=SIZE_OF, engine=engine
+            )
             recovered, _, _ = recover_state(
-                state, package_size=SIZE.__getitem__, engine=engine
+                state, package_size=SIZE_OF, engine=engine
             )
         want = serial_replay(applied, engine=engine).snapshot()
         assert recovered.snapshot() == cache.snapshot() == want
+        assert prefix.snapshot() == serial_replay(
+            applied[:base + kept], engine=engine
+        ).snapshot()

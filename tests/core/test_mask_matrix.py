@@ -1,12 +1,12 @@
 """The all-masks-at-once paths of ``repro.core.cache`` against their
 one-mask-at-a-time references: the state table's re-based masks and its
-first-appearance order (``LandlordCache._table_masks``), and restore's
+first-appearance order (``LandlordCache._table_masks``), also on a
+restored cache's numbering, and restore's
 per-image sizes and per-package counts (``_Universe.bytes_of_masks``,
 ``_Universe.counts_of_masks``)."""
 
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache
@@ -45,20 +45,26 @@ def test_first_appearance_table_matches_the_reference(images):
     first = []
     for image in sorted(cache.images, key=lambda image: image.package_count):
         first += [i for i in image.indices.tolist() if i not in first]
-    ids, masks = cache._table_masks(None)
+    ids, masks = cache._table_masks()
     assert ids.tolist() == first
     assert masks == reference_table(cache, first)
 
 
 @settings(max_examples=80, deadline=None)
-@given(images_st, st.randoms(use_true_random=False))
-def test_table_on_given_ids_matches_the_reference(images, rng):
+@given(images_st)
+def test_a_restored_cache_writes_the_same_table(images):
+    """Restored, a cache numbers the table first and the rest of the
+    index after it: its own first-appearance table is the one it was
+    restored from, byte for byte."""
     cache = cache_of(images)
-    live = sorted(set().union(*(image.indices.tolist() for image in cache.images)))
-    rng.shuffle(live)
-    ids, masks = cache._table_masks(np.array(live, dtype=np.int64))
-    assert ids.tolist() == live
-    assert masks == reference_table(cache, live)
+    table = cache.table_snapshot()
+    restored = LandlordCache(10 ** 18, 0.5, INDEX)
+    restored.restore(table)
+    assert restored._universe.index.ids[: len(table["universe"])] == table["universe"]
+    ids, masks = restored._table_masks()
+    assert ids.tolist() == list(range(len(table["universe"])))
+    assert masks == reference_table(restored, ids.tolist())
+    assert restored.table_snapshot() == table
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,8 +3,8 @@
 ``VectorizedEngine.scan_candidates`` gathers only the matrix words a
 request has bits in — ``M[words, :top]`` for a full scan,
 ``M[words[:, None], rows]`` for a selective count window — so its edge
-cases are the shapes of that gather: no word at all, a single word at
-the matrix's edge, a window, and a matrix whose rows were repacked.
+cases are the shapes of that gather: words no row has a bit in, the single last
+word of the universe, a window, and a matrix whose rows were repacked.
 Every case runs at the default small-cache threshold with more than
 ``_SMALL_CACHE`` live images (so the matrix kernels answer), and every
 scan and decision is checked against ``NaiveEngine`` on the same
@@ -18,22 +18,22 @@ import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.engine import VectorizedEngine
+from repro.packages.repository import PackageIndex
+from tests.core.matrix_layout import image_major
 
 PACKAGES = [f"pkg{i:05d}" for i in range(6000)]
 SIZE = {pid: 10 + i % 13 for i, pid in enumerate(PACKAGES)}
+SIZE_OF = PackageIndex.of(SIZE)
 UNBOUNDED = 10 ** 12
 N_IMAGES = VectorizedEngine._SMALL_CACHE + 8
 
 
 def make_pair(alpha):
     """A naive and a vectorized cache; ``PACKAGES[i]`` is package ``i``."""
-    pair = tuple(
-        LandlordCache(UNBOUNDED, alpha, SIZE.__getitem__, engine=engine)
+    return tuple(
+        LandlordCache(UNBOUNDED, alpha, SIZE_OF, engine=engine)
         for engine in ("naive", "vectorized")
     )
-    for cache in pair:
-        cache._intern(PACKAGES)  # registers every id, caches none
-    return pair
 
 
 def adopt_both(pair, spec):
@@ -85,45 +85,44 @@ def fill(pair, rng, n=N_IMAGES, top=500, sizes=(3, 9)):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
-def test_a_request_past_the_width_gathers_no_word(alpha):
+def test_a_request_in_words_no_image_holds_has_no_candidate(alpha):
     pair = make_pair(alpha)
     fill(pair, Random("past-the-width"))
     engine = pair[1]._engine
-    width = engine._words * 64
-    assert width < 2000
+    assert engine._words == 94  # the universe's 6,000 packages
     spec = PACKAGES[2000:2006]
     mask, _indices, _size = pair[1]._intern(frozenset(spec))
-    assert mask >> width and not np.flatnonzero(engine._query_words(mask)).size
+    words = np.flatnonzero(engine._mask_words(mask))
+    assert words.tolist() == [31]
+    assert not image_major(engine)[: engine._top, words].any()
     # Every image is at distance 1 from it: a candidate for no alpha.
     path, candidates = scan_path(pair, spec, alpha)
     assert candidates == []
     assert path == "full"  # a 6-package request admits the fill's 3-9
     # A two-package request's window at alpha 0.5 admits only the
-    # fill's 3- and 4-package images: the windowed gather of no word.
+    # fill's 3- and 4-package images: a windowed gather of zero words.
     if alpha == 0.5:
         counts = engine._count[: engine._top]
         assert 0 < 2 * int((counts <= 4).sum()) < engine._top
         assert scan_path(pair, spec[:2], alpha) == ("windowed", [])
-    request_both(pair, spec)  # an insert, which widens the matrix
-    assert engine._words * 64 > 2000
+    request_both(pair, spec)
+    assert engine._words == 94
     scan_both(pair, spec[:3], alpha)
     scan_both(pair, spec[:3] + PACKAGES[:3], alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9])
-def test_the_only_shared_word_is_the_last_after_a_widen(alpha):
+def test_the_only_shared_word_is_the_universe_s_last(alpha):
     pair = make_pair(alpha)
     fill(pair, Random("last-word"))
     engine = pair[1]._engine
-    assert engine._words == 8
-    # 5100 >> 6 == 79: the insert widens the matrix to 80 words, the
-    # last of which holds it.
-    edge = [PACKAGES[5100], PACKAGES[5105], PACKAGES[5119]]
+    assert engine._words == 94
+    # 5952 >> 6 == 93: the matrix's last word holds all three.
+    edge = [PACKAGES[5952], PACKAGES[5957], PACKAGES[5971]]
     edge_id = adopt_both(pair, edge + PACKAGES[:2])
-    assert engine._words == 80
-    probe = edge[:2] + [PACKAGES[5300]]  # 5300 lies past the width
+    probe = edge[:2] + [PACKAGES[5999]]  # the universe's last package
     mask, _indices, _size = pair[1]._intern(frozenset(probe))
-    assert np.flatnonzero(engine._query_words(mask)).tolist() == [79]
+    assert np.flatnonzero(engine._mask_words(mask)).tolist() == [93]
     # It shares 2 packages with that image (distance 1 - 2/6) and no
     # word with any other.
     _path, candidates = scan_path(pair, probe, alpha)

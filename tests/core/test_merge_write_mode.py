@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.cache import LandlordCache
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(20)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def cache(mode):
-    return LandlordCache(10_000, 0.9, SIZE.__getitem__,
+    return LandlordCache(10_000, 0.9, SIZE_OF,
                          merge_write_mode=mode)
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(30)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def cache(capacity=1000, alpha=0.8, **kw):
-    return LandlordCache(capacity, alpha, SIZE.__getitem__, **kw)
+    return LandlordCache(capacity, alpha, SIZE_OF, **kw)
 
 
 class TestPeek:

@@ -19,10 +19,11 @@ from repro.core.persistence import (
 from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(30)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def make_cache(capacity=500, **kw):
-    return LandlordCache(capacity, 0.8, SIZE.__getitem__, **kw)
+    return LandlordCache(capacity, 0.8, SIZE_OF, **kw)
 
 
 def warm_cache():
@@ -60,11 +61,11 @@ class TestSnapshotRestore:
         assert a.image.id == b.image.id
 
     def test_lru_order_survives(self):
-        cache = LandlordCache(60, 0.0, SIZE.__getitem__)
+        cache = LandlordCache(60, 0.0, SIZE_OF)
         cache.request(frozenset({"p0", "p1"}))
         cache.request(frozenset({"p2", "p3"}))
         cache.request(frozenset({"p0", "p1"}))  # touch first
-        restored = LandlordCache(60, 0.0, SIZE.__getitem__)
+        restored = LandlordCache(60, 0.0, SIZE_OF)
         restored.restore(cache.snapshot())
         restored.request(frozenset({"p4", "p5"}))  # evicts true LRU
         assert restored.request(frozenset({"p0", "p1"})).action is EventKind.HIT
@@ -84,7 +85,7 @@ class TestSnapshotRestore:
 
     def test_restore_rejects_config_mismatch(self):
         snapshot = warm_cache().snapshot()
-        other = LandlordCache(999, 0.8, SIZE.__getitem__)
+        other = LandlordCache(999, 0.8, SIZE_OF)
         with pytest.raises(ValueError, match="capacity"):
             other.restore(snapshot)
 
@@ -123,17 +124,17 @@ class TestSnapshotRestore:
     def test_random_candidate_order_rng_state_survives(self):
         import numpy as np
 
-        a = LandlordCache(10**9, 1.0, SIZE.__getitem__,
+        a = LandlordCache(10**9, 1.0, SIZE_OF,
                           candidate_order="random",
                           rng=np.random.default_rng(5))
-        b = LandlordCache(10**9, 1.0, SIZE.__getitem__,
+        b = LandlordCache(10**9, 1.0, SIZE_OF,
                           candidate_order="random",
                           rng=np.random.default_rng(5))
         stream = [frozenset({f"p{i}", f"p{i + 1}"}) for i in range(10)]
         for spec in stream:
             a.request(spec)
             b.request(spec)
-        restored = LandlordCache(10**9, 1.0, SIZE.__getitem__,
+        restored = LandlordCache(10**9, 1.0, SIZE_OF,
                                  candidate_order="random",
                                  rng=np.random.default_rng(999))
         restored.restore(a.snapshot())
@@ -149,19 +150,19 @@ class TestStateFiles:
         cache = warm_cache()
         path = save_state(tmp_path / "state.json", cache,
                           metadata={"site": "s0"})
-        loaded, metadata = load_state(path, SIZE.__getitem__)
+        loaded, metadata = load_state(path, SIZE_OF)
         assert metadata == {"site": "s0"}
         assert loaded.stats == cache.stats
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StateError, match="no state file"):
-            load_state(tmp_path / "ghost.json", SIZE.__getitem__)
+            load_state(tmp_path / "ghost.json", SIZE_OF)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(StateError, match="corrupt"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_wrong_version(self, tmp_path):
         cache = warm_cache()
@@ -170,7 +171,7 @@ class TestStateFiles:
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(StateError, match="version"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_v1_file_fails_descriptively(self, tmp_path):
         path = tmp_path / "legacy.json"
@@ -180,7 +181,7 @@ class TestStateFiles:
         with pytest.raises(
             StateError, match="v1 state.*commit bf23e3f and re-save"
         ):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_malformed_cache_section(self, tmp_path):
         body = {"metadata": {}, "journal_seq": 0, "cache": {}}
@@ -188,7 +189,7 @@ class TestStateFiles:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(StateError, match="malformed"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_checksum_mismatch_detected(self, tmp_path):
         path = save_state(tmp_path / "s.json", warm_cache())
@@ -196,7 +197,7 @@ class TestStateFiles:
         payload["journal_seq"] = 42  # tamper after checksumming
         path.write_text(json.dumps(payload))
         with pytest.raises(StateError, match="checksum"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_missing_checksum_detected(self, tmp_path):
         path = save_state(tmp_path / "s.json", warm_cache())
@@ -204,22 +205,22 @@ class TestStateFiles:
         del payload["checksum"]
         path.write_text(json.dumps(payload))
         with pytest.raises(StateError, match="checksum"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     def test_policy_mismatch_on_load(self, tmp_path):
         path = save_state(tmp_path / "s.json", warm_cache())
         with pytest.raises(StateError, match="policy mismatch"):
-            load_state(path, SIZE.__getitem__, eviction="fifo")
+            load_state(path, SIZE_OF, eviction="fifo")
 
     def test_missing_file_is_statenotfound(self, tmp_path):
         with pytest.raises(StateNotFound):
-            load_state(tmp_path / "ghost.json", SIZE.__getitem__)
+            load_state(tmp_path / "ghost.json", SIZE_OF)
 
     def test_load_bundle_reports_journal_seq(self, tmp_path):
         path = save_state(
             tmp_path / "s.json", warm_cache(), journal_seq=17
         )
-        bundle = load_bundle(path, SIZE.__getitem__)
+        bundle = load_bundle(path, SIZE_OF)
         assert bundle.journal_seq == 17
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
@@ -230,7 +231,7 @@ class TestStateFiles:
         path = save_state(tmp_path / "s.json", warm_cache())
         stale = tmp_path / "s.json.tmp"
         stale.write_text("{half-written")
-        loaded, _ = load_state(path, SIZE.__getitem__)
+        loaded, _ = load_state(path, SIZE_OF)
         assert loaded.stats.requests == 4
         assert not stale.exists()
 
@@ -238,7 +239,7 @@ class TestStateFiles:
         stale = tmp_path / "s.json.tmp"
         stale.write_text("{half-written")
         with pytest.raises(StateNotFound, match="tmp"):
-            load_state(tmp_path / "s.json", SIZE.__getitem__)
+            load_state(tmp_path / "s.json", SIZE_OF)
         assert not stale.exists()
 
 
@@ -289,7 +290,7 @@ class TestStateVersions:
         stored = json.loads(path.read_text())["cache"]
         assert sorted(stored["universe"]) == ["p10", "p11", "p9"]
         assert [image["mask"] for image in stored["images"]] == ["7"]
-        loaded, _ = load_state(path, SIZE.__getitem__)
+        loaded, _ = load_state(path, SIZE_OF)
         assert loaded.snapshot() == cache.snapshot()
 
     def test_a_shared_numbering_is_written_in_first_appearance_order(
@@ -316,12 +317,19 @@ class TestStateVersions:
                     if mask >> at & 1} == image.packages
         loaded, _ = load_state(path, index)
         assert loaded.snapshot() == cache.snapshot()
-        # A journal entry on that table declares the dead name it holds.
+        # A journal entry on that table sets the dead name's bit past
+        # the table: its generation lists every other name after it, in
+        # id (here the repository's) order.
         store = JournaledState(tmp_path / "j.json", snapshot_every=10 ** 9)
         store.initialise(cache, {})
         store.apply(cache, {}, "request", packages=["p0", "p3"])
         store.journal.close()
-        assert store.journal.entries()[0].data["new"] == ["p0"]
+        data = store.journal.entries()[0].data
+        generation = listed + [pid for pid in ids if pid not in listed]
+        mask = int(data["mask"], 16)
+        assert set(data) == {"base", "mask"}
+        assert {generation[at] for at in range(mask.bit_length())
+                if mask >> at & 1} == {"p0", "p3"}
         recovered, _, replayed = recover_state(
             tmp_path / "j.json", package_size=index)
         assert replayed == 1 and recovered.snapshot() == cache.snapshot()
@@ -331,7 +339,7 @@ class TestStateVersions:
     ):
         fixture = FIXTURES / "state_v2.json"
         assert fixture.read_text().startswith('{"version":2,"checksum":')
-        size = {f"p{i}": 10 for i in range(30)}.__getitem__
+        size = PackageIndex.of({f"p{i}": 10 for i in range(30)})
         # verified as it lies: the canonical re-dump is never needed
         monkeypatch.setattr(json, "dumps", None)
         bundle = load_bundle(fixture, size)
@@ -356,7 +364,7 @@ class TestStateVersions:
         path.write_text(path.read_text().replace(
             '{"version":3,', '{"version":4,', 1))
         with pytest.raises(StateError, match=r"version 4 unsupported.*2, 3"):
-            load_state(path, SIZE.__getitem__)
+            load_state(path, SIZE_OF)
 
     @pytest.mark.parametrize("edit, complaint", [
         (lambda c: c["universe"].append(c["universe"][0]), "twice"),
@@ -381,7 +389,7 @@ class TestStateVersions:
     ):
         path = edited_v3_file(tmp_path, edit)
         with pytest.raises(StateError, match=complaint):
-            load_bundle(path, SIZE.__getitem__)
+            load_bundle(path, SIZE_OF)
 
     @pytest.mark.parametrize("section", ["policy", "stats"])
     def test_section_that_is_not_an_object_is_a_state_error(
@@ -389,7 +397,7 @@ class TestStateVersions:
     ):
         path = edited_v3_file(tmp_path, lambda c: c.__setitem__(section, []))
         with pytest.raises(StateError, match=f"{section} is a list"):
-            load_bundle(path, SIZE.__getitem__)
+            load_bundle(path, SIZE_OF)
 
     def test_bad_table_leaves_the_cache_untouched(self):
         state = warm_cache().table_snapshot()
@@ -409,10 +417,10 @@ class TestRetiredPrefilter:
 
     def test_v3_file_recording_it_off_loads(self, tmp_path):
         plain = load_bundle(
-            edited_v3_file(tmp_path, lambda c: None), SIZE.__getitem__)
+            edited_v3_file(tmp_path, lambda c: None), SIZE_OF)
         path = edited_v3_file(tmp_path, lambda c: c["policy"].update(OFF))
         assert json.loads(path.read_text())["cache"]["policy"]["minhash_bands"]
-        loaded = load_bundle(path, SIZE.__getitem__)
+        loaded = load_bundle(path, SIZE_OF)
         assert loaded.cache.snapshot() == plain.cache.snapshot()
 
     @pytest.mark.parametrize("source", ["v2-fixture", "v3"])
@@ -431,7 +439,7 @@ class TestRetiredPrefilter:
         with pytest.raises(
             StateError, match="use_minhash=True.*load it with commit 972d360"
         ):
-            load_bundle(path, SIZE.__getitem__)
+            load_bundle(path, SIZE_OF)
 
     def test_refusal_leaves_the_cache_untouched(self):
         state = warm_cache().table_snapshot()
@@ -439,7 +447,7 @@ class TestRetiredPrefilter:
         cache = make_cache()
         with pytest.raises(ValueError, match="use_minhash"):
             cache.restore(state)
-        assert len(cache) == 0 and len(cache._universe) == 0
+        assert len(cache) == 0 and cache._universe.index is SIZE_OF
         cache.restore(warm_cache().table_snapshot())  # still fresh
         assert cache.snapshot() == warm_cache().snapshot()
 
@@ -448,7 +456,7 @@ class TestRetiredPrefilter:
         path = save_state(tmp_path / "s.json", cache)
         policy = json.loads(path.read_text())["cache"]["policy"]
         assert not set(policy) & set(RETIRED_KNOBS)
-        loaded, _ = load_state(path, SIZE.__getitem__)
+        loaded, _ = load_state(path, SIZE_OF)
         assert loaded.snapshot() == cache.snapshot()
         again = save_state(tmp_path / "again.json", loaded)
         assert again.read_bytes() == path.read_bytes()

@@ -11,9 +11,11 @@ renumbers every package id on load.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache
+from repro.packages.repository import PackageIndex
 
 PACKAGES = [f"p{i}" for i in range(20)]
 SIZE = {p: (i % 4 + 1) * 10 for i, p in enumerate(PACKAGES)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 streams = st.lists(
     st.frozensets(st.sampled_from(PACKAGES), min_size=1, max_size=6),
@@ -25,7 +27,7 @@ capacities = st.sampled_from([80, 300, 10**9])
 
 
 def fresh(alpha, capacity):
-    return LandlordCache(capacity, alpha, SIZE.__getitem__)
+    return LandlordCache(capacity, alpha, SIZE_OF)
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,7 +79,7 @@ def test_file_layer_is_transparent(stream, alpha, capacity, every):
             # each request is its own "process": recover from disk first
             store = JournaledState(state, snapshot_every=every)
             try:
-                cache, metadata, _ = store.load(SIZE.__getitem__)
+                cache, metadata, _ = store.load(SIZE_OF)
             except StateNotFound:
                 cache, metadata = fresh(alpha, capacity), {}
                 store.initialise(cache, metadata)
@@ -87,7 +89,7 @@ def test_file_layer_is_transparent(stream, alpha, capacity, every):
                 )
             )
         final_store = JournaledState(state, snapshot_every=every)
-        final, _meta, _ = final_store.load(SIZE.__getitem__)
+        final, _meta, _ = final_store.load(SIZE_OF)
 
     assert [(d.action, d.image.id) for d in got] == [
         (d.action, d.image.id) for d in expected
@@ -150,14 +152,14 @@ def test_state_file_is_transparent(ops, config, alpha, capacity, future):
 
     from repro.core.persistence import load_bundle, save_state
 
-    live = LandlordCache(capacity, alpha, SIZE.__getitem__,
+    live = LandlordCache(capacity, alpha, SIZE_OF,
                          record_events=True, **config)
     for op, arg in ops:
         perform(live, op, arg)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = save_state(Path(tmp) / "state.json", live, {"k": "v"}, 3)
-        bundle = load_bundle(path, SIZE.__getitem__, record_events=True,
+        bundle = load_bundle(path, SIZE_OF, record_events=True,
                              **config)
     loaded = bundle.cache
     assert (bundle.metadata, bundle.journal_seq) == ({"k": "v"}, 3)

@@ -9,12 +9,12 @@ from repro.core.policies import (
     NoCachePolicy,
     SingleImagePolicy,
 )
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(50)}
 
 
-def size_of(pid):
-    return SIZE[pid]
+size_of = PackageIndex.of(SIZE)
 
 
 def spec(*ids):

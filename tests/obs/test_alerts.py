@@ -21,6 +21,7 @@ from repro.obs import (
     read_transitions,
     write_transitions,
 )
+from repro.packages.repository import PackageIndex
 
 GOLDEN = Path(__file__).parent / "data" / "alert_transitions_golden.jsonl"
 
@@ -223,7 +224,7 @@ def golden_scenario():
     """The deterministic cache run behind the golden transitions file:
     a tiny cache whose eviction storm trips a for-3 rule, then calms
     down (hits on a resident image) so the alert resolves."""
-    size_of = {f"p{i}": 40 for i in range(10)}.__getitem__
+    size_of = PackageIndex.of({f"p{i}": 40 for i in range(10)})
     cache = LandlordCache(100, 0.0, size_of)  # alpha 0: never merge
     slo = SloTracker(window=4)
     cache.enable_slo(slo)
@@ -373,7 +374,7 @@ class TestNonPerturbation:
     def test_alerted_run_is_bit_identical_to_bare_run(
         self, stream, alpha, capacity
     ):
-        size_of = {f"p{i}": 10 * (i + 1) for i in range(12)}.__getitem__
+        size_of = PackageIndex.of({f"p{i}": 10 * (i + 1) for i in range(12)})
 
         bare = LandlordCache(capacity, alpha, size_of)
         watched = LandlordCache(capacity, alpha, size_of)

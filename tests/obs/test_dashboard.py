@@ -18,17 +18,19 @@ from repro.obs import (
     write_event_stream,
 )
 from repro.obs.dashboard import HISTORY_SERIES
+from repro.packages.repository import PackageIndex
 
 GOLDEN = Path(__file__).parent / "data" / "top_frames_golden.txt"
 
 SIZE = {f"p{i}": 10 * (i % 7 + 1) for i in range(40)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def run_cache(n_requests=300, capacity=2000, alpha=0.6, seed=11):
     """Deterministic event scenario (mirrors test_stream.run_cache):
     hits, merges, inserts, capacity evictions, and idle evictions."""
     rng = np.random.default_rng(seed)
-    c = LandlordCache(capacity, alpha, SIZE.__getitem__, record_events=True)
+    c = LandlordCache(capacity, alpha, SIZE_OF, record_events=True)
     pids = sorted(SIZE)
     for i in range(n_requests):
         k = int(rng.integers(1, 6))
@@ -136,7 +138,7 @@ class TestEventReplay:
         from repro.obs import SloTracker
 
         cache = LandlordCache(
-            2000, 0.6, SIZE.__getitem__, record_events=True
+            2000, 0.6, SIZE_OF, record_events=True
         )
         slo = SloTracker(window=50)
         cache.enable_slo(slo)
@@ -159,7 +161,7 @@ class TestEventReplay:
     def test_deletes_fold_into_triggering_decision(self):
         # DELETE events follow their decision in the stream; the replay
         # must credit the evictions to that decision, not the next one.
-        size_of = {f"p{i}": 40 for i in range(6)}.__getitem__
+        size_of = PackageIndex.of({f"p{i}": 40 for i in range(6)})
         cache = LandlordCache(100, 0.0, size_of, record_events=True)
         cache.request(frozenset({"p0", "p1"}))  # insert, 80 bytes
         cache.request(frozenset({"p2", "p3"}))  # insert, evicts the first
@@ -177,7 +179,7 @@ class TestEventReplay:
         from repro.obs import SloTracker
 
         cache = LandlordCache(
-            2000, 0.6, SIZE.__getitem__, record_events=True
+            2000, 0.6, SIZE_OF, record_events=True
         )
         slo = SloTracker(window=10)
         cache.enable_slo(slo)

@@ -17,8 +17,10 @@ from repro.core.journal import JournaledState
 from repro.obs import MetricsRegistry, ObsServer
 from repro.obs.server import Headers
 from repro.service import LandlordDaemon
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(8)}
+SIZE_OF = PackageIndex.of(SIZE)
 TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 PARENT = "00f067aa0ba902b7"
 
@@ -26,7 +28,7 @@ PARENT = "00f067aa0ba902b7"
 @contextmanager
 def running_daemon(tmp_path):
     store = JournaledState(tmp_path / "state.json")
-    cache = LandlordCache(500, 0.8, SIZE.__getitem__)
+    cache = LandlordCache(500, 0.8, SIZE_OF)
     store.initialise(cache)
     daemon = LandlordDaemon(store, cache, None, known_package=SIZE.__contains__)
     try:

@@ -13,13 +13,15 @@ import numpy as np
 from repro.core.cache import LandlordCache
 from repro.core.journal import Journal
 from repro.obs import MetricsRegistry
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 * (i % 7 + 1) for i in range(40)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def run_instrumented(n_requests=200, capacity=2000, alpha=0.6, seed=3):
     registry = MetricsRegistry()
-    c = LandlordCache(capacity, alpha, SIZE.__getitem__, metrics=registry)
+    c = LandlordCache(capacity, alpha, SIZE_OF, metrics=registry)
     rng = np.random.default_rng(seed)
     pids = sorted(SIZE)
     for i in range(n_requests):
@@ -73,7 +75,7 @@ class TestCacheMetrics:
         assert reg.get("landlord_subset_scan_seconds").labels().count > 0
 
     def test_enable_metrics_after_history_syncs_gauges(self):
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__)
+        c = LandlordCache(2000, 0.6, SIZE_OF)
         c.request(frozenset({"p0", "p1"}))
         reg = MetricsRegistry()
         c.enable_metrics(reg)
@@ -86,7 +88,7 @@ class TestCacheMetrics:
         # split() writes each part out; the written-bytes counter and the
         # image gauge read the same ledger as stats, so they cannot lag.
         reg = MetricsRegistry()
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg)
+        c = LandlordCache(2000, 0.6, SIZE_OF, metrics=reg)
         image = c.request(frozenset({"p0", "p1", "p2"})).image
         c.split(image.id, [{"p0"}, {"p1", "p2"}])
         assert reg.get("landlord_bytes_written_total").value() == (
@@ -97,11 +99,11 @@ class TestCacheMetrics:
     def test_restore_is_not_counted(self):
         # Counters advance from enable_metrics on: a cache built with
         # metrics= and then restored from a snapshot reads 0.
-        source = LandlordCache(2000, 0.6, SIZE.__getitem__)
+        source = LandlordCache(2000, 0.6, SIZE_OF)
         for spec in ({"p0", "p1"}, {"p0", "p1"}, {"p0", "p2"}, {"p9"}):
             source.request(frozenset(spec))
         reg = MetricsRegistry()
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg)
+        c = LandlordCache(2000, 0.6, SIZE_OF, metrics=reg)
         c.restore(source.snapshot())
         assert c.stats.requests == 4
         for family in ("landlord_requested_bytes_total",
@@ -119,7 +121,10 @@ class TestCacheMetrics:
         from repro.packages.conflicts import SlotConflicts
 
         reg = MetricsRegistry()
-        c = LandlordCache(10_000, 0.9, lambda p: 10,
+        slotted = PackageIndex.of(dict.fromkeys(
+            ["root/6.20", "root/6.18", "gcc/8.0"], 10
+        ))
+        c = LandlordCache(10_000, 0.9, slotted,
                           conflict_policy=SlotConflicts(), metrics=reg)
         c.request(frozenset({"root/6.20", "gcc/8.0"}))
         c.request(frozenset({"root/6.18", "gcc/8.0"}))
@@ -161,7 +166,7 @@ class TestOneObserverSeam:
         )
         reg = MetricsRegistry()
         spy = _SloSpy()
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=reg, slo=spy)
+        c = LandlordCache(2000, 0.6, SIZE_OF, metrics=reg, slo=spy)
         timer = reg.get("landlord_request_seconds").labels(
             engine="vectorized"
         )
@@ -177,7 +182,7 @@ class TestOneObserverSeam:
     def test_one_latency_observation_per_request_in_both_modes(self):
         reg = MetricsRegistry()
         spy = _SloSpy()
-        c = LandlordCache(300, 0.6, SIZE.__getitem__, metrics=reg, slo=spy)
+        c = LandlordCache(300, 0.6, SIZE_OF, metrics=reg, slo=spy)
         rng = np.random.default_rng(11)
         pids = sorted(SIZE)
         specs = [
@@ -237,7 +242,7 @@ class TestStateMetrics:
 
         reg = MetricsRegistry()
         store = self.store(tmp_path, reg, snapshot_every=2)
-        c = LandlordCache(500, 0.8, SIZE.__getitem__)
+        c = LandlordCache(500, 0.8, SIZE_OF)
         store.initialise(c, {})
         assert reg.get("state_save_seconds").labels().count == 1
         assert reg.get("state_images").value() == 0
@@ -255,7 +260,7 @@ class TestStateMetrics:
 
     def test_enabled_after_load_like_the_cli_does(self, tmp_path):
         store = self.store(tmp_path, None)
-        c = LandlordCache(500, 0.8, SIZE.__getitem__)
+        c = LandlordCache(500, 0.8, SIZE_OF)
         store.initialise(c, {})
         reg = MetricsRegistry()
         store.enable_metrics(reg)
@@ -307,7 +312,7 @@ class TestRequestSecondsExemplars:
 
         registry = MetricsRegistry()
         tracer = DecisionTracer(limit=n_requests)
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__, metrics=registry)
+        c = LandlordCache(2000, 0.6, SIZE_OF, metrics=registry)
         c.enable_tracing(tracer)
         rng = np.random.default_rng(5)
         pids = sorted(SIZE)
@@ -348,6 +353,6 @@ class TestRequestSecondsExemplars:
         validate_prometheus_text(classic)
 
     def test_no_metrics_means_no_exemplar_machinery(self):
-        c = LandlordCache(2000, 0.6, SIZE.__getitem__)
+        c = LandlordCache(2000, 0.6, SIZE_OF)
         c.request(frozenset(["p1", "p2"]))
         assert c.stats.requests == 1

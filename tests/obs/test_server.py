@@ -24,8 +24,10 @@ from repro.obs import (
     build_status,
     validate_prometheus_text,
 )
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(20)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def get(url):
@@ -44,7 +46,7 @@ def get(url):
 
 
 def make_cache(n_requests=30):
-    cache = LandlordCache(500, 0.5, SIZE.__getitem__)
+    cache = LandlordCache(500, 0.5, SIZE_OF)
     for i in range(n_requests):
         cache.request(frozenset({f"p{i % 8}", f"p{(i + 3) % 8}"}))
     return cache
@@ -128,7 +130,7 @@ class TestEndpoints:
 class TestTracesEndpoint:
     def test_traces_render_explanations(self):
         tracer = DecisionTracer(limit=50)
-        cache = LandlordCache(500, 0.5, SIZE.__getitem__, tracer=tracer)
+        cache = LandlordCache(500, 0.5, SIZE_OF, tracer=tracer)
         cache.request(frozenset({"p0", "p1"}))
         cache.request(frozenset({"p0", "p1", "p2"}))
         with ObsServer(tracer=tracer) as server:
@@ -159,7 +161,7 @@ class TestTracesEndpoint:
         from repro.obs import FrozenClock, SpanRecorder
 
         tracer = DecisionTracer(limit=50)
-        cache = LandlordCache(500, 0.5, SIZE.__getitem__, tracer=tracer)
+        cache = LandlordCache(500, 0.5, SIZE_OF, tracer=tracer)
         cache.request(frozenset({"p0", "p1"}))
         spans = SpanRecorder(limit=8, clock=FrozenClock())
         trace_id = spans.observe("apply", 0.0, 0.1, "ab" * 16).trace_id

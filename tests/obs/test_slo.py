@@ -11,8 +11,10 @@ from repro.core.cache import CacheStats, LandlordCache
 from repro.core.events import EventKind
 from repro.obs import MetricsRegistry, SLO_SERIES, SloTracker
 from repro.obs.slo import DEFAULT_WINDOW, quantile_from_buckets
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 * (i % 7 + 1) for i in range(20)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 class TestQuantileFromBuckets:
@@ -200,7 +202,7 @@ class TestExportTo:
 
 class TestCacheIntegration:
     def test_enable_slo_configures_and_tracks(self):
-        cache = LandlordCache(2000, 0.5, SIZE.__getitem__)
+        cache = LandlordCache(2000, 0.5, SIZE_OF)
         slo = SloTracker(window=50)
         cache.enable_slo(slo)
         assert slo.capacity == 2000
@@ -229,7 +231,7 @@ class TestCacheIntegration:
         window none: the window reads the cache's efficiency when it is
         read, including after calls that take no sample."""
         slo = SloTracker(window=50)
-        cache = LandlordCache(2000, 0.9, SIZE.__getitem__, slo=slo)
+        cache = LandlordCache(2000, 0.9, SIZE_OF, slo=slo)
 
         def assert_read_off_the_cache():
             assert cache._refcounts is None
@@ -247,12 +249,12 @@ class TestCacheIntegration:
 
     def test_ctor_kwarg_attaches_tracker(self):
         slo = SloTracker()
-        cache = LandlordCache(2000, 0.5, SIZE.__getitem__, slo=slo)
+        cache = LandlordCache(2000, 0.5, SIZE_OF, slo=slo)
         cache.request(frozenset({"p1"}))
         assert slo.requests == 1
 
     def test_window_byte_rates_match_lifetime_when_window_covers_all(self):
-        cache = LandlordCache(10_000, 0.4, SIZE.__getitem__)
+        cache = LandlordCache(10_000, 0.4, SIZE_OF)
         slo = SloTracker(window=1000)
         cache.enable_slo(slo)
         for i in range(12):
@@ -315,7 +317,7 @@ class TestBruteForceReference:
     def test_values_equal_brute_force_after_every_request(self):
         slo = SloTracker(window=self.W)
         cache = LandlordCache(
-            700, 0.75, SIZE.__getitem__, record_events=True, slo=slo
+            700, 0.75, SIZE_OF, record_events=True, slo=slo
         )
         rng = np.random.default_rng(5)
         pids = sorted(SIZE)

@@ -16,15 +16,17 @@ from repro.obs import (
     stats_from_events,
     write_event_stream,
 )
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 10 * (i % 7 + 1) for i in range(40)}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def run_cache(n_requests=300, capacity=2000, alpha=0.6, seed=11):
     """A randomized request stream that exercises every event shape:
     hits, merges, inserts, capacity evictions, and idle evictions."""
     rng = np.random.default_rng(seed)
-    c = LandlordCache(capacity, alpha, SIZE.__getitem__, record_events=True)
+    c = LandlordCache(capacity, alpha, SIZE_OF, record_events=True)
     pids = sorted(SIZE)
     for i in range(n_requests):
         k = int(rng.integers(1, 6))

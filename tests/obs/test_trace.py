@@ -20,17 +20,19 @@ from repro.obs import (
     write_event_stream,
 )
 from repro.packages.conflicts import SlotConflicts
+from repro.packages.repository import PackageIndex
 
 GOLDEN = Path(__file__).parent / "data" / "explain_golden.txt"
 
 SIZE = {"a": 10, "b": 20, "c": 30, "d": 40}
+SIZE_OF = PackageIndex.of(SIZE)
 
 
 def traced_scenario():
     """The deterministic scenario behind the golden file: inserts, a
     merge with a capacity eviction, a hit, an idle eviction, and (in a
     second cache) a conflict rejection."""
-    c = LandlordCache(100, 0.5, SIZE.__getitem__)
+    c = LandlordCache(100, 0.5, SIZE_OF)
     tracer = DecisionTracer()
     c.enable_tracing(tracer)
     c.request(frozenset({"a", "b"}))
@@ -40,8 +42,10 @@ def traced_scenario():
     c.request(frozenset({"d"}))
     c.evict_idle(max_idle_requests=0)
 
-    k = LandlordCache(10_000, 0.9, lambda p: 10,
-                      conflict_policy=SlotConflicts())
+    slotted = PackageIndex.of(dict.fromkeys(
+        ["root/6.20", "root/6.18", "gcc/8.0"], 10
+    ))
+    k = LandlordCache(10_000, 0.9, slotted, conflict_policy=SlotConflicts())
     kt = DecisionTracer()
     k.enable_tracing(kt)
     k.request(frozenset({"root/6.20", "gcc/8.0"}))
@@ -90,7 +94,7 @@ class TestTracerBookkeeping:
 
     def test_limit_keeps_most_recent(self):
         tracer = DecisionTracer(limit=2)
-        c = LandlordCache(10_000, 0.0, SIZE.__getitem__, tracer=tracer)
+        c = LandlordCache(10_000, 0.0, SIZE_OF, tracer=tracer)
         for pid in ("a", "b", "c"):
             c.request(frozenset({pid}))
         assert len(tracer) == 2
@@ -99,7 +103,7 @@ class TestTracerBookkeeping:
 
     def test_limit_bounds_the_undrained_events_too(self):
         tracer = DecisionTracer(limit=2)
-        c = LandlordCache(10_000, 0.0, SIZE.__getitem__, tracer=tracer)
+        c = LandlordCache(10_000, 0.0, SIZE_OF, tracer=tracer)
         for pid in ("a", "b", "c", "d"):
             c.request(frozenset({pid}))
         assert [e.request_index for e in tracer.drain()] == [2, 3]
@@ -110,7 +114,7 @@ class TestTracerBookkeeping:
 
     def test_drain_hands_out_new_traces_once(self):
         tracer = DecisionTracer()
-        c = LandlordCache(10_000, 0.0, SIZE.__getitem__, tracer=tracer)
+        c = LandlordCache(10_000, 0.0, SIZE_OF, tracer=tracer)
         c.request(frozenset({"a"}))
         first = tracer.drain()
         assert [e.request_index for e in first] == [0]
@@ -183,7 +187,7 @@ class TestOneRecord:
 
     def test_adopt_and_idle_victims_follow_last_request(self, tmp_path):
         tracer = DecisionTracer()
-        c = LandlordCache(60, 0.0, SIZE.__getitem__, tracer=tracer)
+        c = LandlordCache(60, 0.0, SIZE_OF, tracer=tracer)
         c.request(frozenset({"a"}))
         c.request(frozenset({"b"}))
         c.adopt(frozenset({"d"}))  # 70 > 60: evicts img-000000 (LRU)
@@ -209,7 +213,7 @@ class TestOneRecord:
     def test_events_log_and_tracer_see_one_stream(self):
         tracer = DecisionTracer()
         c = LandlordCache(
-            100, 0.5, SIZE.__getitem__, record_events=True, tracer=tracer,
+            100, 0.5, SIZE_OF, record_events=True, tracer=tracer,
         )
         for spec in ({"a", "b"}, {"c", "d"}, {"a", "b", "c"}, {"d"}):
             c.request(frozenset(spec))
@@ -260,7 +264,7 @@ class TestNonPerturbation:
     def test_traced_run_is_bit_identical_to_bare_run(
         self, stream, alpha, capacity
     ):
-        size_of = {f"p{i}": 10 * (i + 1) for i in range(12)}.__getitem__
+        size_of = PackageIndex.of({f"p{i}": 10 * (i + 1) for i in range(12)})
 
         bare = LandlordCache(capacity, alpha, size_of)
         instrumented = LandlordCache(

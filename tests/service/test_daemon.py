@@ -26,9 +26,11 @@ from repro.obs import (
 from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
 from repro.service.daemon import _PendingSubmit
 from repro.testing.faults import CrashPoint, SimulatedCrash
+from repro.packages.repository import PackageIndex
 from tests.core.test_journal_v2 import journalled_names
 
 SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(30)}
+SIZE_OF = PackageIndex.of(SIZE)
 KNOWN = frozenset(SIZE)
 
 
@@ -37,7 +39,7 @@ def make_daemon(tmp_path, *, snapshot_every=10, **kw):
     store = JournaledState(
         tmp_path / "state.json", snapshot_every=snapshot_every
     )
-    cache = LandlordCache(500, 0.8, SIZE.__getitem__)
+    cache = LandlordCache(500, 0.8, SIZE_OF)
     store.initialise(cache, {"repository": "test"})
     kw.setdefault("known_package", lambda p: p in KNOWN)
     return LandlordDaemon(store, cache, {"repository": "test"}, **kw)
@@ -53,7 +55,7 @@ def client_specs(k, n=8):
 
 def serial_replay(specs):
     """A bare cache that applied ``specs`` one by one, in order."""
-    cache = LandlordCache(500, 0.8, SIZE.__getitem__)
+    cache = LandlordCache(500, 0.8, SIZE_OF)
     for spec in specs:
         cache.request(frozenset(spec))
     return cache
@@ -138,7 +140,7 @@ class TestConcurrentDeterminism:
 
         # replaying the same specs serially in arrival order through a
         # fresh cache reproduces the exact final state and decisions
-        serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+        serial = LandlordCache(500, 0.8, SIZE_OF)
         for index, spec, reply in sorted(replies):
             decision = serial.request(frozenset(spec))
             assert decision.action.value == reply["action"]
@@ -148,7 +150,7 @@ class TestConcurrentDeterminism:
 
         # and the durable store converged to the same state
         reloaded, _, _ = JournaledState(tmp_path / "state.json").load(
-            SIZE.__getitem__
+            SIZE_OF
         )
         assert reloaded.snapshot() == live_snapshot
 
@@ -205,7 +207,7 @@ class TestDurability:
         daemon2.kill()  # no drain, no final snapshot — a SIGKILL image
         cache, _, replayed = JournaledState(
             daemon2_dir / "state.json"
-        ).load(SIZE.__getitem__)
+        ).load(SIZE_OF)
         assert len(replayed) == 6  # nothing was covered by a snapshot
         assert cache.snapshot() == live
 
@@ -233,9 +235,9 @@ class TestDurability:
             )
             recovered, _, replayed = JournaledState(
                 point / "state.json"
-            ).load(SIZE.__getitem__)
+            ).load(SIZE_OF)
             assert len(replayed) == k
-            serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+            serial = LandlordCache(500, 0.8, SIZE_OF)
             for spec in specs[:k]:
                 serial.request(frozenset(spec))
             assert recovered.snapshot() == serial.snapshot()
@@ -248,7 +250,7 @@ class TestDurability:
         # stop() wrote a covering snapshot and compacted the journal
         assert Journal(tmp_path / "state.json.journal").entries() == []
         cache, _, replayed = JournaledState(tmp_path / "state.json").load(
-            SIZE.__getitem__
+            SIZE_OF
         )
         assert replayed == []
         assert cache.stats.requests == 1
@@ -573,7 +575,7 @@ class TestDistributedTracing:
         # and the covering snapshot reflects every drained request
         reloaded, _, replayed = JournaledState(
             tmp_path / "state.json"
-        ).load(SIZE.__getitem__)
+        ).load(SIZE_OF)
         assert replayed == []
         assert reloaded.stats.requests == 6
 
@@ -593,7 +595,7 @@ class TestDistributedTracing:
                 assert status == 200
                 replies.append(payload)
             live_snapshot = daemon.cache.snapshot()
-        untraced = LandlordCache(500, 0.8, SIZE.__getitem__)
+        untraced = LandlordCache(500, 0.8, SIZE_OF)
         for spec, reply in zip(specs, replies):
             decision = untraced.request(frozenset(spec))
             assert decision.action.value == reply["action"]
@@ -782,7 +784,7 @@ class TestServePathCost:
             assert len(daemon.cache._spec_memo) == before
             live_snapshot = daemon.cache.snapshot()
         assert [r["request_index"] for r in replies] == list(range(200))
-        serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+        serial = LandlordCache(500, 0.8, SIZE_OF)
         for spec, reply in zip(specs, replies):
             decision = serial.request(frozenset(spec))
             assert decision.action.value == reply["action"]
@@ -842,7 +844,7 @@ class TestLeaderFollower:
             for status, spec, payload in replies if status == 200
         )
         assert [index for index, _, _ in acked] == list(range(len(acked)))
-        serial = LandlordCache(500, 0.8, SIZE.__getitem__)
+        serial = LandlordCache(500, 0.8, SIZE_OF)
         for _, spec, reply in acked:
             decision = serial.request(frozenset(spec))
             assert decision.action.value == reply["action"]
@@ -884,7 +886,7 @@ class TestLeaderFollower:
         acked = self.check_serial(replies, live_snapshot)
         assert len(acked) == self.THREADS * 6
         reloaded, _, _ = JournaledState(tmp_path / "state.json").load(
-            SIZE.__getitem__
+            SIZE_OF
         )
         assert reloaded.snapshot() == live_snapshot
 
@@ -904,7 +906,7 @@ class TestLeaderFollower:
         self.check_serial(replies, live_snapshot)
         reloaded, _, replayed = JournaledState(
             tmp_path / "state.json"
-        ).load(SIZE.__getitem__)
+        ).load(SIZE_OF)
         assert replayed == []  # the drain ended in a covering snapshot
         assert reloaded.snapshot() == live_snapshot
 
@@ -950,7 +952,7 @@ class TestLeaderFollower:
         for k in range(1, self.THREADS):
             assert outcomes[k] == (500, {"error": "daemon killed"})
         recovered, _, _ = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert (
             recovered.snapshot()
@@ -1001,7 +1003,7 @@ class TestAckBeforeCheckpoint:
             # the next boundary's checkpoint covers all four
             cache, _, replayed = JournaledState(
                 tmp_path / "state.json"
-            ).load(SIZE.__getitem__)
+            ).load(SIZE_OF)
         assert replayed == []
         assert cache.stats.requests == 4
 
@@ -1036,7 +1038,7 @@ class TestAckBeforeCheckpoint:
         assert len(crashed) == 1 and len(acked) == 5
         durable = [acked.get(index, crashed[0]) for index in range(6)]
         recovered, _, _ = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert recovered.stats.requests == 6
         assert recovered.snapshot() == serial_replay(durable).snapshot()
@@ -1065,7 +1067,7 @@ class TestAckBeforeCheckpoint:
         )
         assert [index for index, _ in order] == list(range(8))
         recovered, _, _ = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert (
             recovered.snapshot()
@@ -1099,7 +1101,7 @@ class TestAckBeforeCheckpoint:
         indices = sorted(payload["request_index"] for _, payload in outcomes)
         assert indices == list(range(5))
         cache, _, replayed = JournaledState(tmp_path / "state.json").load(
-            SIZE.__getitem__
+            SIZE_OF
         )
         assert replayed == [] and cache.stats.requests == 5
 
@@ -1126,7 +1128,7 @@ class TestJournalFaults:
         acked = [["p0", "p1"], ["p20", "p21", "p22"]]
         assert journalled_names(tmp_path / "state.json") == acked
         recovered, _, replayed = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert replayed == 2
         assert recovered.snapshot() == serial_replay(acked).snapshot()
@@ -1161,7 +1163,7 @@ class TestJournalFaults:
         acked = [specs[0], specs[1], specs[2], specs[6]]
         assert journalled_names(tmp_path / "state.json") == acked
         recovered, _, replayed = recover_state(
-            tmp_path / "state.json", package_size=SIZE.__getitem__
+            tmp_path / "state.json", package_size=SIZE_OF
         )
         assert replayed == 4
         assert recovered.snapshot() == serial_replay(acked).snapshot()

@@ -16,6 +16,7 @@ from repro.core.cache import LandlordCache
 from repro.core.journal import Journal, JournaledState
 from repro.obs import validate_prometheus_text
 from repro.service import LandlordClient
+from repro.packages.repository import PackageIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -274,7 +275,7 @@ class TestMaxBatchAutoIsGone:
         from repro.service import LandlordDaemon
 
         store = JournaledState(tmp_path / "state.json")
-        cache = LandlordCache(500, 0.8, lambda _: 1)
+        cache = LandlordCache(500, 0.8, PackageIndex.of({"p0": 1}))
         with pytest.raises(ValueError, match="max_batch"):
             LandlordDaemon(store, cache, {}, max_batch="auto")
 

@@ -18,8 +18,10 @@ from repro.testing.faults import (
     checkpoint,
 )
 from repro.testing.harness import WrapperHarness, decision_key
+from repro.packages.repository import PackageIndex
 
 SIZE = {f"p{i}": 7 + (i % 5) for i in range(16)}
+SIZE_OF = PackageIndex.of(SIZE)
 CAPACITY = 120
 ALPHA = 0.8
 
@@ -37,7 +39,7 @@ def make_stream(n, seed, universe=16, lo=1, hi=4):
 
 def baseline_run(stream):
     """The uninterrupted, purely in-memory reference run."""
-    cache = LandlordCache(CAPACITY, ALPHA, SIZE.__getitem__)
+    cache = LandlordCache(CAPACITY, ALPHA, SIZE_OF)
     decisions = [decision_key(cache.request(frozenset(s))) for s in stream]
     return decisions, cache.stats
 
@@ -135,7 +137,7 @@ class TestCrashRecovery:
         stream = make_stream(30, seed=101)
         expected, expected_stats = baseline_run(stream)
         harness = WrapperHarness(
-            tmp_path, SIZE.__getitem__, CAPACITY, ALPHA, snapshot_every=3
+            tmp_path, SIZE_OF, CAPACITY, ALPHA, snapshot_every=3
         )
         got = harness.run(stream, crash_site=site, crash_at=7, torn=torn)
         assert got == expected
@@ -147,7 +149,7 @@ class TestCrashRecovery:
         stream = make_stream(24, seed=202)
         expected, expected_stats = baseline_run(stream)
         harness = WrapperHarness(
-            tmp_path, SIZE.__getitem__, CAPACITY, ALPHA, snapshot_every=2
+            tmp_path, SIZE_OF, CAPACITY, ALPHA, snapshot_every=2
         )
         # crash over and over at successive instants, recovering between
         for crash_at in (0, 5, 11, 17):
@@ -179,7 +181,7 @@ class TestCrashRecovery:
         expected, expected_stats = baseline_run(stream)
         with tempfile.TemporaryDirectory() as tmp:
             harness = WrapperHarness(
-                Path(tmp), SIZE.__getitem__, CAPACITY, ALPHA,
+                Path(tmp), SIZE_OF, CAPACITY, ALPHA,
                 snapshot_every=1 + seed % 4,
             )
             got = harness.run(
@@ -211,7 +213,7 @@ class TestThousandRequestAcceptance:
         expected, expected_stats = thousand_baseline
         torn = 0.5 if site in TORN_SITES else None
         harness = WrapperHarness(
-            tmp_path, SIZE.__getitem__, CAPACITY, ALPHA, snapshot_every=25
+            tmp_path, SIZE_OF, CAPACITY, ALPHA, snapshot_every=25
         )
         got = harness.run(
             thousand_stream, crash_site=site, crash_at=500, torn=torn
