@@ -130,10 +130,9 @@ class TestZoneLayers:
 
 class TestInterning:
     """A cache numbers its packages once, by its package index (DESIGN.md,
-    "Interning and the spec memo"): fresh on the repository's index, or
-    restored onto its state's generation, it calls the index for no
-    single name, so a lap of the ledger's ``replay_zone`` stream interns
-    by lookups only.
+    "Interning and the spec memo"): fresh or restored, it shares the
+    repository's index and calls it for no single name, so a lap of the
+    ledger's ``replay_zone`` stream interns by lookups only.
 
     What is asserted are those counts, exact per lap.  The laps' times
     are printed beside them, pairs alternating which side goes first; no
@@ -158,7 +157,7 @@ class TestInterning:
         warm = LandlordCache(1400 * GB, 0.8, repo.size_of)
         for spec in specs[:300]:
             warm.request(spec)
-        table = warm.table_snapshot()
+        table = warm.mask_snapshot()
 
         def fresh():
             return LandlordCache(1400 * GB, 0.8, repo.size_of)
@@ -205,7 +204,7 @@ class TestInterning:
         print(
             f"\nreplay_zone lap, median of {self.PAIRS}, ms (0 per-name "
             f"index calls each): fresh on the repository's index "
-            f"{laps['fresh']:.1f} / restored onto a generation "
+            f"{laps['fresh']:.1f} / restored from a state record "
             f"{laps['restored']:.1f}"
         )
 
@@ -681,7 +680,7 @@ class TestColdStart:
 
 class TestStateIO:
     """What the state file costs to write and read back (DESIGN.md,
-    "State file v3"), at the end states of the ledger's ``replay_zone``
+    "State file v4"), at the end states of the ledger's ``replay_zone``
     (a dozen huge images, most names ever seen already evicted) and
     ``replay_wide`` (~1k images sharing ~10k names).
 
@@ -752,7 +751,7 @@ class TestStateIO:
         # the rounds' median ratio is what is asserted.
         rows = {}
         for name, cache in states.items():
-            table = tmp_path / f"{name}-v3.json"
+            table = tmp_path / f"{name}-v4.json"
             names = tmp_path / f"{name}-v2.json"
             old, new, ratios = [], [], []
             for _ in range(self.ROUNDS):
@@ -772,7 +771,7 @@ class TestStateIO:
             _, new_save, new_load = min(new)
             print(
                 f"\nstate file at the {name} end state ({len(cache)} "
-                f"images), names form -> table: {rows[name][2]} -> "
+                f"images), names form -> masks: {rows[name][2]} -> "
                 f"{rows[name][3]} bytes, save {old_save:.1f} -> "
                 f"{new_save:.1f} ms, load {old_load:.1f} -> {new_load:.1f} "
                 f"ms; save + load {rows[name][1]:.2f}x faster"
@@ -787,17 +786,17 @@ class TestStateIO:
 
 
 class TestJournalReplay:
-    """What recovering a journal tail costs (DESIGN.md, "Journal v2"):
+    """What recovering a journal tail costs (DESIGN.md, "Journal v3"):
     the ledger's ``durable_recover`` shape — a zone-sized cache after 960
     requests, its state file, then 640 requests journalled in windows of
-    32 and replayed from cold.  Two v2 rows: the tail as the running
+    32 and replayed from cold.  Two v3 rows: the tail as the running
     writer appends it, and as a writer that loaded the state file first
-    (so its own cache has a restored numbering) appends it.
+    (so its own cache is a restored one) appends it.
 
     The reference is the same 640 requests as v1 lines (each one's
     sorted package list), written by ``Journal.append_many`` the way
     every journal was before v2, behind the same state file, and read
-    back by the same ``Journal._read`` and ``replay``.  Each v2 row is
+    back by the same ``Journal._read`` and ``replay``.  Each v3 row is
     held to the same three gates against it.
     """
 
@@ -810,12 +809,12 @@ class TestJournalReplay:
         from statistics import median
         from time import perf_counter
 
+        from repro.core.cache import mask_text
         from repro.core.journal import (
             Journal,
             JournaledState,
             JournalEntry,
             _encode,
-            _Generation,
             replay,
         )
         from repro.core.persistence import load_bundle
@@ -831,18 +830,18 @@ class TestJournalReplay:
         cache.submit_batch(stream[:960])
         ops = [("request", {"packages": sorted(spec)})
                for spec in stream[960:]]
-        forms = ("v1", "v2", "v2 restored")
+        forms = ("v1", "v3", "v3 restored")
         states = {}
         for at, form in enumerate(forms):
             (tmp_path / str(at)).mkdir()
             states[form] = tmp_path / str(at) / "state.json"
-        store = JournaledState(states["v2"], snapshot_every=10 ** 9)
+        store = JournaledState(states["v3"], snapshot_every=10 ** 9)
         store.initialise(cache, {})
-        shutil.copy(states["v2"], states["v1"])
-        shutil.copy(states["v2"], states["v2 restored"])
-        loaded = JournaledState(states["v2 restored"], snapshot_every=10 ** 9)
+        shutil.copy(states["v3"], states["v1"])
+        shutil.copy(states["v3"], states["v3 restored"])
+        loaded = JournaledState(states["v3 restored"], snapshot_every=10 ** 9)
         restored, _metadata, _replayed = loaded.load(repo.size_of)
-        assert restored._universe.index is not repo.size_of
+        assert restored._universe.index is repo.size_of
         v1 = Journal(f"{states['v1']}.journal")
         for start in range(0, len(ops), self.WINDOW):
             window = ops[start:start + self.WINDOW]
@@ -876,17 +875,14 @@ class TestJournalReplay:
         size = {form: Path(f"{state}.journal").stat().st_size
                 for form, state in states.items()}
 
-        # Encoding the same entries: a v1 line of names, against a v2
-        # line from the ids the writer's cache interned the names to (the
+        # Encoding the same entries: a v1 line of names, against a v3
+        # line of the mask the writer's cache interned the names to (the
         # writer interns ahead of the append; that pass is the apply's,
         # so it is not timed here).
         names = [data["packages"] for _op, data in ops]
-        generations = {
-            "v2": (store._gen, [cache._intern(spec)[1] for spec in names]),
-            "v2 restored": (
-                _Generation(0, loaded._gen.position),
-                [restored._intern(spec)[1] for spec in names],
-            ),
+        masks = {
+            "v3": [cache._intern(spec)[0] for spec in names],
+            "v3 restored": [restored._intern(spec)[0] for spec in names],
         }
         encodes = {form: [] for form in forms}
         encode_ratios = {form: [] for form in forms[1:]}
@@ -895,16 +891,16 @@ class TestJournalReplay:
             for seq, spec in enumerate(names, start=1):
                 _encode(JournalEntry(seq, "request", {"packages": spec}))
             encodes["v1"].append((perf_counter() - start) / len(ops) * 1e6)
-            for form, (generation, ids) in generations.items():
+            for form, interned in masks.items():
                 start = perf_counter()
-                for seq, spec_ids in enumerate(ids, start=1):
+                for seq, mask in enumerate(interned, start=1):
                     _encode(JournalEntry(
-                        seq, "request", generation.encode(spec_ids)))
+                        seq, "request", {"mask": mask_text(mask)}))
                 encodes[form].append((perf_counter() - start) / len(ops) * 1e6)
                 encode_ratios[form].append(encodes[form][-1] / encodes["v1"][-1])
         print(
             f"\njournal tail of {len(ops)} requests behind a state of "
-            f"{len(load_bundle(states['v2'], repo.size_of).cache)} images"
+            f"{len(load_bundle(states['v3'], repo.size_of).cache)} images"
         )
         for form in forms[1:]:
             print(

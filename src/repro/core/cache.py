@@ -15,12 +15,13 @@ returned (a worker holds it), so a single oversized image may transiently
 exceed capacity until the next request.
 
 Performance note (this is the hot loop of every experiment): package sets
-are interned into bit indices of the cache's one numbering (its
-:class:`~repro.packages.repository.PackageIndex`, fixed for its life:
-the repository's own on a fresh cache, its state's generation on a
-restored one), and each cached image carries its set as a Python
-big-int bitmask — the one stored copy; index arrays and id sets are
-views expanded from it on demand.  Subset tests (``s & i == s``) and
+are interned into bit indices of the repository's numbering (its
+:class:`~repro.packages.repository.PackageIndex`, shared by every
+cache on it, restored ones included, and fixed for their lives), and
+each cached image carries its set as a Python big-int bitmask — the one
+stored copy; index arrays and id sets are views expanded from it on
+demand, and the state file and the journal write it as it stands
+(:func:`mask_text`).  Subset tests (``s & i == s``) and
 Jaccard intersections (``(s & j).bit_count()``) then run at C speed over
 ~1.2 KB ints instead of hashing thousands of strings per candidate, and
 a merge is integer work only (``mask |= request``; no id is handled
@@ -58,6 +59,7 @@ of the two.
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -75,7 +77,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.engine import _WORD, ENGINES, make_engine
+from repro.core.engine import ENGINES, make_engine
 from repro.core.events import CacheEvent, EventKind, MergeCandidate
 from repro.core.spec import ImageSpec
 from repro.packages.conflicts import ConflictPolicy, NoConflicts
@@ -96,36 +98,6 @@ def _packages_of(spec: "ImageSpec | Collection[str]") -> Collection[str]:
     return spec.packages if isinstance(spec, ImageSpec) else spec
 
 
-def _swap(a: np.ndarray, b: np.ndarray, shift: int, mask: int) -> None:
-    """Trade, in place, the bits ``mask`` selects in ``b`` for the bits
-    ``mask << shift`` selects in ``a`` (``a`` may be ``b``)."""
-    t = a >> np.uint64(shift)
-    t ^= b
-    t &= np.uint64(mask)
-    b ^= t
-    t <<= np.uint64(shift)
-    a ^= t
-
-
-def _transpose_bits(words: np.ndarray) -> None:
-    """Transpose in place the 8 x 8 bit matrix each little-endian uint64
-    of ``words`` holds, byte *r* its row *r* (Hacker's Delight, 7-3)."""
-    _swap(words, words, 7, 0x00AA00AA00AA00AA)
-    _swap(words, words, 14, 0x0000CCCC0000CCCC)
-    _swap(words, words, 28, 0x00000000F0F0F0F0)
-
-
-def _transpose_bytes(words: np.ndarray) -> None:
-    """Transpose in place the 8 x 8 byte matrix that each 8 words along
-    the second-last axis of the contiguous uint64 array ``words`` form,
-    word *r* its row *r*: rows 4 apart trade half-words, then rows 2
-    apart quarters, then neighbours bytes."""
-    rows = words.reshape(words.shape[:-2] + (2, 2, 2, words.shape[-1]))
-    _swap(rows[..., 0, :, :, :], rows[..., 1, :, :, :], 32, 0xFFFFFFFF)
-    _swap(rows[..., 0, :, :], rows[..., 1, :, :], 16, 0x0000FFFF0000FFFF)
-    _swap(rows[..., 0, :], rows[..., 1, :], 8, 0x00FF00FF00FF00FF)
-
-
 def mask_of_indices(indices: np.ndarray, top: int) -> int:
     """The bitmask with the bits ``indices`` (any order; ``top`` the
     largest) set: vectorised scatter + ``np.packbits``, or a plain loop
@@ -141,6 +113,27 @@ def mask_of_indices(indices: np.ndarray, top: int) -> int:
     return int.from_bytes(
         np.packbits(bits, bitorder="little").tobytes(), "little"
     )
+
+
+def mask_text(mask: int) -> str:
+    """A mask as the state file and the journal write it: base64 of its
+    little-endian bytes, up to the byte of its highest set bit (``""``
+    for 0).  Two thirds the width of hex, and the same C call each way."""
+    return b2a_base64(
+        mask.to_bytes((mask.bit_length() + 7) // 8, "little"), newline=False
+    ).decode("ascii")
+
+
+def mask_of_text(text: str) -> int:
+    """:func:`mask_text`'s inverse: a :class:`ValueError` for anything
+    but a string in the base64 alphabet, correctly padded."""
+    if not isinstance(text, str):
+        raise ValueError(f"mask text is a {type(text).__name__}, not a string")
+    try:
+        raw = a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error is one
+        raise ValueError(f"invalid mask text {text[:40]!r}: {exc}") from None
+    return int.from_bytes(raw, "little")
 
 
 class _Universe:
@@ -216,8 +209,7 @@ class _Universe:
         """Each mask's total size, all masks at once: the size of every
         value of every nibble position is tabled (16 entries a nibble),
         and each mask sums the entries its nonzero bytes pick — as far as
-        the widest mask reaches (a restored cache's masks span its
-        table, not the universe)."""
+        the widest mask reaches."""
         n_bytes = (max(map(int.bit_length, masks), default=0) + 7) // 8
         packed = self._pack(masks, n_bytes)
         sizes = np.zeros((n_bytes, 2, 4), dtype=np.int64)
@@ -259,24 +251,6 @@ class _Universe:
     @property
     def sizes(self) -> np.ndarray:
         return self._sizes
-
-
-def table_names(snapshot: dict) -> List[str]:
-    """The names a snapshot numbers first, in order: its v3
-    ``"universe"`` table, then, for image records that list
-    ``"packages"`` (as v2 files do), each name in the order
-    :meth:`LandlordCache.restore` first interns it."""
-    names = list(snapshot.get("universe", []))
-    listed = [record["packages"] for record in snapshot["images"]
-              if "packages" in record]
-    if listed:
-        seen = set(names)
-        for packages in listed:
-            for name in packages:
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-    return names
 
 
 class CachedImage:
@@ -427,7 +401,7 @@ class _CacheInstruments:
         "registry", "counters", "merge_distance",
         "request_s", "subset_scan_s",
         "candidate_probe_s", "merge_rewrite_s", "eviction_s",
-        "clock",
+        "wall_offset",
     )
 
     def __init__(self, registry, cache: "LandlordCache") -> None:
@@ -435,8 +409,9 @@ class _CacheInstruments:
         from repro.obs.metrics import DEFAULT_TIME_BUCKETS, DISTANCE_BUCKETS
 
         self.registry = registry
-        # Wall-clock source for exemplar timestamps.
-        self.clock = default_clock()
+        # Exemplar timestamps: a perf_counter reading plus this offset is
+        # the process clock's wall time for it (HybridClock.wall_of).
+        self.wall_offset = default_clock().wall_of(0.0)
 
         def stat(name: str) -> Callable[[], int]:
             return lambda: getattr(cache.stats, name)
@@ -518,17 +493,6 @@ class _CacheInstruments:
         self.eviction_s = timing(
             "landlord_eviction_seconds",
             "Wall-clock seconds in the capacity-eviction loop (when it ran).")
-
-    @staticmethod
-    def exemplar_for(request_index: int, trace_id: Optional[str]) -> tuple:
-        """The exemplar label set for one request's latency observation:
-        always the request index (the ``explain`` click-through), plus
-        the distributed ``trace_id`` when the service daemon mapped this
-        index to one (the waterfall click-through)."""
-        exemplar = (("request", str(request_index)),)
-        if trace_id is not None:
-            exemplar += (("trace_id", trace_id),)
-        return exemplar
 
 
 class LandlordCache:
@@ -962,130 +926,29 @@ class LandlordCache:
         caches in the same state give equal snapshots (the ledger
         digests, the differential suite and ``explain`` rely on that).
         Pair with :meth:`restore`; the state file stores
-        :meth:`table_snapshot` instead (see
-        :mod:`repro.core.persistence`).
+        :meth:`mask_snapshot` instead (see :mod:`repro.core.persistence`).
         """
         names_of = self._universe.names_of_indices
         return self._state_record(
             "packages", lambda img: sorted(names_of(img.indices))
         )
 
-    def table_snapshot(self) -> dict:
-        """:meth:`snapshot` with every package name written once — the
-        storage form (state format v3).
+    def mask_snapshot(self) -> dict:
+        """:meth:`snapshot` with no package name in it — the storage form
+        (state format v4).
 
-        ``"universe"`` lists the names some live image holds, in the
-        order :meth:`_table` gives them; each image carries
-        ``"mask"``, a hex integer whose bit *i* means ``universe[i]``,
-        and ``"repository"`` is the digest of the repository's ids
-        (:attr:`PackageIndex.digest
+        Each image carries ``"mask"``, its mask as it stands, as
+        :func:`mask_text`; ``"repository"`` is the digest of the
+        numbering the masks index (:attr:`PackageIndex.digest
         <repro.packages.repository.PackageIndex.digest>`), which
-        :meth:`restore` holds the cache's repository to.  Names only
-        evicted images held are left out, so the record is sized by
-        what the cache holds, not by what it has ever seen or could
-        see.  Costs O(images + names) where :meth:`snapshot` costs
-        O(sum of image sizes); unlike it, the table's order records how
-        the images were built, so compare caches by :meth:`snapshot`,
-        not by this.
+        :meth:`restore` holds the cache's repository to.  Costs
+        O(images): no mask is unpacked, re-based or compared.  Since
+        every cache on a repository numbers by it, equal caches give
+        equal records, but :meth:`snapshot` stays the form to compare.
         """
-        return self._table()[0]
-
-    def _table(self) -> Tuple[dict, np.ndarray]:
-        """:meth:`table_snapshot`'s record, and the internal ids its
-        table names, in table order (the journal numbers through them).
-
-        The live names are written in the order they first appear among
-        the live images, taken smallest first (ties in image order;
-        ascending ids within one), so an image's table mask spans only
-        the names of the images up to it — in the numbering's own order
-        nearly every mask would span the repository's whole width (a
-        ~1k-image file ~15 % larger).
-        """
-        ids, hexes = self._table_masks()
-        masks = dict(zip(self._images, hexes))
-        state = self._state_record("mask", lambda img: masks[img.id])
-        state["universe"] = self._universe.names_of_indices(ids)
+        state = self._state_record("mask", lambda img: mask_text(img.mask))
         state["repository"] = self._universe.index.digest
-        return state, ids
-
-    def _table_masks(self) -> Tuple[np.ndarray, List[str]]:
-        """The table's internal ids — the live names by first appearance,
-        smallest image first — and every image's mask re-based onto them
-        (table bit *k* is id ``ids[k]``) as hex, in image order.
-
-        The masks are laid out as one bit matrix and transposed, so each
-        name's column says which images hold it; the table's columns are
-        gathered and the matrix transposed back.  Each transpose works
-        on 8 x 8 blocks of bits, a block to a uint64: a few numpy passes
-        over the matrix, where re-basing one mask at a time costs ~25 us
-        an image.
-        """
-        images = self._images.values()
-        count = len(images)
-        if not count:
-            return np.zeros(0, dtype=np.int64), []
-        # A word more than the universe fills: the top bit is never
-        # set, and its column pads the table to whole bytes.
-        n_words = len(self._universe) // 64 + 1
-        octets = -(-count // 8)
-        words = np.zeros((octets * 8, n_words), dtype=_WORD)
-        words[:count] = np.frombuffer(
-            b"".join([img.mask.to_bytes(8 * n_words, "little") for img in images]),
-            dtype=_WORD,
-        ).reshape(count, n_words)
-        # Smallest image first (ties in image order): most names are
-        # then numbered by an image that holds few, so a mask spans
-        # fewer table positions (at ~1k images, a sixth fewer hex
-        # digits than numbering in image order).  Each image's names
-        # no image before it holds, read row by row, are the table.
-        by_size = np.argsort(
-            np.fromiter(
-                (img.package_count for img in images),
-                dtype=np.int64, count=count,
-            ),
-            kind="stable",
-        )
-        seen = np.bitwise_or.accumulate(words[by_size], axis=0)
-        fresh = seen.copy()
-        fresh[1:] ^= seen[:-1]
-        at = np.flatnonzero(fresh)
-        bits = np.flatnonzero(np.unpackbits(
-            fresh.reshape(-1)[at].view(np.uint8), bitorder="little"
-        ))
-        ids = at[bits >> 6] % n_words * 64 + (bits & 63)
-        # Word (b, c, w) then holds, in its byte j, which of images
-        # 8b..8b+7 hold name 64w + 8c + j.
-        blocks = words.reshape(octets, 8, n_words)
-        _transpose_bytes(blocks)
-        _transpose_bits(blocks)
-        holders = blocks.view(np.uint8).reshape(octets, 64 * n_words)
-        stride = 8 * n_words  # from one c to the next in a row of holders
-        if not ids.size:
-            return ids, ["0"] * count
-        width = -(-ids.size // 8)
-        table = np.full(width * 8, 64 * n_words - 1, dtype=np.int64)
-        table[: ids.size] = ids
-        # The table's names against each octet of images, eight names to
-        # a word; transposed, byte r of word (b, d) is image 8b + r's
-        # table byte d.
-        gathered = np.take(
-            holders, (table >> 3 & 7) * stride + (table >> 6) * 8 + (table & 7),
-            axis=1,
-        ).view(_WORD)
-        _transpose_bits(gathered)
-        # Each image's table bytes, last first, are its mask's digits;
-        # its leading zero bytes are skipped, not stripped char by char.
-        rows = (
-            gathered.view(np.uint8).reshape(octets, width, 8)[:, ::-1]
-            .transpose(0, 2, 1).reshape(octets * 8, width)[:count]
-        )
-        leading = (rows != 0).argmax(axis=1) * 2
-        digits = rows.tobytes().hex()
-        step = 2 * width
-        return ids, [
-            digits[at + skip:at + step].lstrip("0") or "0"
-            for at, skip in zip(range(0, count * step, step), leading.tolist())
-        ]
+        return state
 
     def _live_ids(self) -> np.ndarray:
         """Ascending internal ids of the names some live image holds
@@ -1099,21 +962,29 @@ class LandlordCache:
             return self._universe.indices_of_mask(union)
         return np.flatnonzero(refcounts)
 
-    @staticmethod
-    def _decode_masks(
-        images: List[dict], table: List[str]
-    ) -> List[Optional[int]]:
-        """Check a snapshot's name table and decode each image's mask
-        (``None`` for a record that lists ``"packages"``), touching
-        nothing: whatever is wrong is a :class:`ValueError` naming the
-        image, raised before :meth:`restore` changes the cache."""
-        if not isinstance(table, list) or set(map(type, table)) - {str}:
-            raise ValueError("snapshot universe is not a list of package names")
-        if len(set(table)) != len(table):
-            raise ValueError("snapshot universe names a package twice")
+    def _decode_masks(self, state: dict) -> List[Optional[int]]:
+        """Each image's mask in this cache's numbering (``None`` for a
+        record that lists ``"packages"``), touching nothing: whatever is
+        wrong is a :class:`ValueError` naming the image, raised before
+        :meth:`restore` changes the cache.
+
+        A v4 ``"mask"`` is :func:`mask_text` over the repository named by
+        ``"repository"``, taken as it lies.  A v3 record has a
+        ``"universe"`` table instead, and hex masks over it: each is
+        re-based once onto the repository (:meth:`_rebase`).
+        """
+        table = state.get("universe")
+        if table is not None:
+            if not isinstance(table, list) or set(map(type, table)) - {str}:
+                raise ValueError(
+                    "snapshot universe is not a list of package names"
+                )
+            if len(set(table)) != len(table):
+                raise ValueError("snapshot universe names a package twice")
+        width = len(self._universe) if table is None else len(table)
         masks: List[Optional[int]] = []
         seen = set()
-        for record in images:
+        for record in state["images"]:
             image_id = record["id"]
             if image_id in seen:
                 raise ValueError(f"duplicate image id in snapshot: {image_id}")
@@ -1126,25 +997,58 @@ class LandlordCache:
             if "packages" in record:
                 masks.append(None)
                 continue
-            try:
-                mask = int(record["mask"], 16)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"image {image_id!r} has a mask that is not a hex "
-                    f"integer: {record['mask']!r}"
-                ) from None
-            if mask < 0:
-                raise ValueError(f"image {image_id!r} has a negative mask")
-            if mask.bit_length() > len(table):
+            text = record["mask"]
+            if table is None:
+                if "repository" not in state:
+                    raise ValueError(
+                        f"image {image_id!r} has a mask, but the snapshot "
+                        "names no repository for it to index"
+                    )
+                try:
+                    mask = mask_of_text(text)
+                except ValueError as exc:
+                    raise ValueError(f"image {image_id!r}: {exc}") from None
+            else:
+                try:
+                    mask = int(text, 16)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"image {image_id!r} has a mask that is not a hex "
+                        f"integer: {text!r}"
+                    ) from None
+                if mask < 0:
+                    raise ValueError(f"image {image_id!r} has a negative mask")
+            if mask.bit_length() > width:
                 raise ValueError(
                     f"image {image_id!r} sets bit {mask.bit_length() - 1}, "
-                    f"beyond the {len(table)} names of the universe"
+                    f"beyond the {width} names of the universe"
                 )
             masks.append(mask)
-        return masks
+        return masks if table is None else self._rebase(masks, table)
+
+    def _rebase(
+        self, masks: List[Optional[int]], table: List[str]
+    ) -> List[Optional[int]]:
+        """v3 masks — bit *k* is ``table[k]`` — in this cache's
+        numbering: ~25 us an image, once, when a v3 file is loaded."""
+        index = self._universe.index
+        at = np.fromiter(
+            map(index.position.get, table, repeat(-1)),
+            dtype=np.int64, count=len(table),
+        )
+        unknown = np.flatnonzero(at < 0)
+        if unknown.size:
+            index(table[unknown[0]])  # raises the index's KeyError
+        out: List[Optional[int]] = []
+        for mask in masks:
+            if mask:
+                ids = at[self._universe.indices_of_mask(mask)]
+                mask = mask_of_indices(ids, int(ids.max()))
+            out.append(mask)
+        return out
 
     def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` or :meth:`table_snapshot` into
+        """Reinstate a :meth:`snapshot` or :meth:`mask_snapshot` into
         this (empty) cache.
 
         The cache must be freshly constructed — restoring over live images
@@ -1153,17 +1057,14 @@ class LandlordCache:
         mismatches raise :class:`ValueError` rather than silently running
         with different semantics than the state was built under.
 
-        The restored cache numbers the state's generation: its table
-        names (:func:`table_names`) first, then every other package of
-        the repository in repository order (:meth:`PackageIndex.generation
-        <repro.packages.repository.PackageIndex.generation>`; with no
-        table, the repository's own index).  Internal ids then equal
-        table positions and each ``"mask"`` record is its image's mask
-        as it stands — no per-image interning; ``"packages"`` records
-        intern their names as they always have.  Sizes are read off
-        every mask at once, and the engine gets the images together.  A
-        state that records the digest of another repository than the
-        cache's is refused.
+        The restored cache keeps its own numbering — the repository's,
+        which a ``"mask"`` record indexes — so each such record is its
+        image's mask as it stands: no per-image interning.  A v3 record
+        (a ``"universe"`` table and hex masks over it) is re-based onto
+        it once; ``"packages"`` records intern their names as they always
+        have.  Sizes are read off every mask at once, and the engine gets
+        the images together.  A state that records the digest of another
+        repository than the cache's is refused.
 
         State written while the cache still had a MinHash/LSH merge
         prefilter records ``use_minhash`` and its three parameters among
@@ -1212,21 +1113,14 @@ class LandlordCache:
                 for knob in mismatched
             )
             raise ValueError(f"snapshot policy mismatch — {detail}")
-        table = state.get("universe", [])
-        masks = self._decode_masks(state["images"], table)
-        repository = self._universe.index.repository
+        universe = self._universe
         written = state.get("repository")
-        if written is not None and written != repository.digest:
+        if written is not None and written != universe.index.digest:
             raise ValueError(
                 f"snapshot was written against the repository {written}, "
-                f"not this cache's {repository.digest}"
+                f"not this cache's {universe.index.digest}"
             )
-        # Table positions are ids in the state's generation (memoised
-        # ids of the numbering it replaces go with it).
-        self._universe = universe = _Universe(
-            repository.generation(table_names(state))
-        )
-        self._spec_memo.clear()
+        masks = self._decode_masks(state)
         rng_state = state.get("rng_state")
         if rng_state is not None:
             mine_bg = type(self._rng.bit_generator).__name__
@@ -1460,25 +1354,33 @@ class LandlordCache:
         recorded = self.record_events or self._tracer is not None
         timed = ins is not None or self._slo is not None
         images_scanned = len(self._images)
-        started = perf_counter() if timed else 0.0
         action = EventKind.HIT
         distance: Optional[float] = None
         bytes_added = written = examined = conflicts = 0
         evicted: List[str] = []
         tried: List[MergeCandidate] = []
 
-        # Step 1: reuse an existing superset image.
-        t0 = perf_counter() if ins is not None else 0.0
+        # Step 1: reuse an existing superset image.  The request's clock
+        # starts with the scan, so one reading serves both.
+        started = perf_counter() if timed else 0.0
         image = self._engine.find_hit(mask, indices)
         if ins is not None:
-            ins.subset_scan_s.observe(perf_counter() - t0)
+            scanned = perf_counter()
+            ins.subset_scan_s.observe(scanned - started)
         if image is not None:
             image.last_used = self._clock
             image.last_request = self.stats.requests
             self.stats.hits += 1
             self.stats.used_bytes += image.size
         else:
-            # Step 2: merge into the first near image that does not conflict.
+            # Step 2: merge into the first near image that does not
+            # conflict.  The probe's clock starts where the scan's ended.
+            candidates, examined = self._engine.scan_candidates(
+                mask, n_request, self.alpha
+            )
+            self.stats.candidates_examined += examined
+            if ins is not None:
+                ins.candidate_probe_s.observe(perf_counter() - scanned)
             can_conflict = type(self.conflict_policy) is not NoConflicts
             if can_conflict and not isinstance(packages, frozenset):
                 # Conflict policies see a set, as they always have; the
@@ -1488,13 +1390,6 @@ class LandlordCache:
                     packages if packages is not None
                     else self._universe.names_of_indices(indices)
                 )
-            t0 = perf_counter() if ins is not None else 0.0
-            candidates, examined = self._engine.scan_candidates(
-                mask, n_request, self.alpha
-            )
-            self.stats.candidates_examined += examined
-            if ins is not None:
-                ins.candidate_probe_s.observe(perf_counter() - t0)
             if candidates:
                 if self.candidate_order == "distance":
                     candidates.sort(key=lambda pair: (pair[0], pair[1].id))
@@ -1561,9 +1456,7 @@ class LandlordCache:
             distance=distance, bytes_added=bytes_added, evicted=evicted,
         )
         if timed:
-            self._observe(
-                decision, request_index, trace_id, perf_counter() - started
-            )
+            self._observe(decision, request_index, trace_id, started)
         return decision
 
     def _observe(
@@ -1571,7 +1464,7 @@ class LandlordCache:
         decision: CacheDecision,
         request_index: int,
         trace_id: Optional[str],
-        elapsed: float,
+        started: float,
     ) -> None:
         """Report one finished request to the attached observers.
 
@@ -1580,17 +1473,20 @@ class LandlordCache:
         decided.  The counters need nothing — they read :attr:`stats` —
         so a request pushes its latency (with its exemplar), a merge its
         distance, and the window takes one sample of the stats (no
-        unique bytes: it reads :attr:`cache_efficiency` when it is read);
-        both observers see the same ``elapsed`` reading.
+        unique bytes: it reads :attr:`cache_efficiency` when it is read).
+        One clock reading ends the request: both observers see the same
+        latency, and it is the exemplar's timestamp too.
         """
+        ended = perf_counter()
+        elapsed = ended - started
         ins = self._ins
         if ins is not None:
             if decision.action is EventKind.MERGE:
                 ins.merge_distance.observe(decision.distance)
-            ins.request_s.observe(
-                elapsed, ins.exemplar_for(request_index, trace_id),
-                ins.clock.now(),
-            )
+            exemplar = (("request", str(request_index)),)
+            if trace_id is not None:
+                exemplar += (("trace_id", trace_id),)
+            ins.request_s.observe(elapsed, exemplar, ins.wall_offset + ended)
         slo = self._slo
         if slo is not None:
             slo.sample(

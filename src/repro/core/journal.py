@@ -33,30 +33,25 @@ counted its file, and a caller-supplied parse still read (see
 checked against its CRC as it lies on disk; only a line that is not in
 the writer's layout is re-encoded canonically first.  The append handle
 writes bytes and tracks where the file ends (no text layer, no seek or
-tell per append), and a v2 request or adoption line is built directly,
+tell per append), and a request or adoption line is built directly,
 byte for byte the canonical dump (:func:`_masked_body`) — the daemon
 pays both once per request, under its single committer.
 
-**Journal v2: no package name at all.**  A request or an adoption is
-written as ``{"base": S, "mask": "<hex>"}``.  Bit *i* of ``mask`` is
-package *i* of the entry's generation: the name table of the state file
-whose ``journal_seq`` is ``S``, followed by every other package of the
-repository in repository order — exactly the numbering
-:meth:`LandlordCache.restore` gives a cache restored from that file.
-Writer and reader both know the generation without writing it, so
-replay hands ``int(mask, 16)`` to the recovering cache as it lies: no
-name is decoded, hashed or looked up, and the numbering never grows.
-``base`` is what lets replay refuse an entry written against another
-table (a mask means nothing without its table).  The writer
-(:class:`JournaledState`) holds one array from its cache's ids to their
-generation positions, built at each save (the table just written, then
-the rest by repository position, since its cache may itself be
-restored), at ``load`` (the identity) or, failing both, off the state
-file; it encodes an entry from the ids the live cache interned the
-names to, one array lookup each.  v1 lines (``"packages": [...]``)
-still replay as they always did, before or after v2 ones; only v2 is
-written.  An entry that declares names (``"new"``), as this journal's
-writers did before the generation rule, is refused by name.
+**Journal v3: an entry is the mask the cache holds.**  A request or an
+adoption is written as ``{"mask": "<base64>"}``: the mask the writer's
+cache interned its names to, as :func:`~repro.core.cache.mask_text`
+writes it, over the repository's numbering — the one every cache on
+the repository shares, restored ones included, and the one the state
+file's masks index (:mod:`repro.core.persistence`).  So a mask means
+the same packages after any state file: the writer encodes the mask
+``_intern`` already built (no second mask, no id translation, nothing
+read off the state file), and replay hands it to the recovering cache
+as it lies — no name is decoded, hashed or looked up.  v1 lines
+(``"packages": [...]``) still replay as they always did, before or
+after v3 ones; only v3 is written.  An entry of an older writer is
+refused by name, by recovery and by a writer about to append after it:
+one that carries ``"base"`` (v2, a mask over the table of the state
+file at that ``journal_seq``) or declares names in ``"new"``.
 
 The cache is deterministic given its restored state (including, for
 ``candidate_order="random"``, the RNG state the v2 snapshot carries), so
@@ -72,21 +67,12 @@ import os
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.core.cache import LandlordCache, mask_of_indices
-from repro.core.persistence import (
-    StateBundle,
-    _write_state,
-    load_bundle,
-    load_table,
-    save_state,
-)
+from repro.core.cache import LandlordCache, mask_of_text, mask_text
+from repro.core.persistence import StateBundle, load_bundle, save_state
 from repro.packages.repository import PackageIndex
 from repro.testing.faults import checkpoint
 
@@ -103,12 +89,14 @@ __all__ = [
 PathLike = Union[str, Path]
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
-_HEX_DIGITS = b"0123456789abcdef"
+_BASE64_DIGITS = (
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+)
 _CRC_KEY = '{"crc":'
 _MARKER_CRC = ',"crc":'
 _HEAL_BLOCK = 4096
 _MASKED_OPS = ("request", "adopt")
-_MASKED_KEYS = frozenset(("base", "mask"))
+_MASKED_KEYS = frozenset(("mask",))
 
 
 class JournalError(ValueError):
@@ -124,10 +112,9 @@ class JournalEntry:
         op: operation name — ``"request"``, ``"adopt"``,
             ``"evict_idle"``, or ``"clear"``.
         data: the operation's arguments, exactly as needed to re-apply
-            it: a request's or adoption's ``base``/``mask`` (v2,
-            see the module docstring) or ``packages`` (v1, and what the
-            writer hands its callers), ``evict_idle``'s
-            ``max_idle_requests``.
+            it: a request's or adoption's ``mask`` (v3, see the module
+            docstring) or ``packages`` (v1, and what the writer hands
+            its callers), ``evict_idle``'s ``max_idle_requests``.
     """
 
     seq: int
@@ -150,27 +137,24 @@ def _encode(entry: JournalEntry) -> str:
 
 
 def _masked_body(entry: JournalEntry) -> Optional[str]:
-    """The canonical dump of a v2 request or adoption, built directly.
+    """The canonical dump of a v3 request or adoption, built directly.
 
     Byte for byte what ``json.dumps(..., **_CANON)`` writes for the
-    layout the writer produces — an int ``base`` and ``seq`` and a
-    lowercase hex ``mask``, which the dump writes as it is — at a
-    fraction of its cost: the dump sorts two dicts and escape-scans the
-    mask, a few thousand digits, character by character.  Anything else
-    is ``None``: the caller dumps it canonically.
+    layout the writer produces — an int ``seq`` and a base64 ``mask``,
+    whose alphabet the dump writes as it is — at a fraction of its
+    cost: the dump sorts two dicts and escape-scans the mask, up to
+    ~1.6 KB, character by character.  Anything else is ``None``: the
+    caller dumps it canonically.
     """
     data = entry.data
     if entry.op not in _MASKED_OPS or data.keys() != _MASKED_KEYS:
         return None
-    base, mask = data["base"], data["mask"]
-    if (type(base) is not int or type(entry.seq) is not int
-            or type(mask) is not str or not mask.isascii()
-            or mask.encode("ascii").translate(None, _HEX_DIGITS)):
+    mask = data["mask"]
+    if (type(entry.seq) is not int or type(mask) is not str
+            or not mask.isascii()
+            or mask.encode("ascii").translate(None, _BASE64_DIGITS)):
         return None
-    return (
-        f'{{"data":{{"base":{base},"mask":"{mask}"}},'
-        f'"op":"{entry.op}","seq":{entry.seq}}}'
-    )
+    return f'{{"data":{{"mask":"{mask}"}},"op":"{entry.op}","seq":{entry.seq}}}'
 
 
 def _crc_as_it_lies(line: str) -> bool:
@@ -621,85 +605,42 @@ class Journal:
             os.close(fd)
 
 
-class _Generation:
-    """The numbering a writer's v2 entries index.
-
-    ``position[i]`` is the place of the writer's cache id *i* in the
-    generation of the state file whose ``journal_seq`` is ``base``: the
-    file's table, then every other repository package in repository
-    order.
-    """
-
-    __slots__ = ("base", "position")
-
-    def __init__(self, base: int, position: np.ndarray) -> None:
-        self.base = base
-        self.position = position
-
-    @classmethod
-    def of(
-        cls, base: int, cache: LandlordCache, table: np.ndarray
-    ) -> "_Generation":
-        """The generation whose table is ``cache``'s ids ``table``, in
-        table order; the rest follow by *repository* position, which is
-        not id order when ``cache`` was itself restored."""
-        universe = cache._universe
-        position = np.empty(len(universe), dtype=np.int64)
-        position[table] = np.arange(table.size)
-        in_order = universe.index.in_repository_order
-        rest = np.ones(len(universe), dtype=bool)
-        rest[table] = False
-        position[in_order[rest[in_order]]] = np.arange(
-            table.size, len(universe)
-        )
-        return cls(base, position)
-
-    def encode(self, indices: np.ndarray) -> dict:
-        """A request's or adoption's v2 data — ``{"base", "mask"}`` —
-        from the sorted ids the writer's cache interned it to: the ids
-        translate through one array, and no name is looked up."""
-        at = self.position[indices]
-        mask = mask_of_indices(at, int(at.max())) if at.size else 0
-        return {"base": self.base, "mask": format(mask, "x")}
-
-
 def _is_masked(entry: JournalEntry) -> bool:
-    """A v2 request or adoption (a v1 one lists ``"packages"``)."""
+    """A v3 request or adoption (a v1 one lists ``"packages"``)."""
     return entry.op in _MASKED_OPS and "packages" not in entry.data
 
 
-def _wrong_base(entry: JournalEntry, base: int) -> str:
-    return (
-        f"journal entry {entry.seq} indexes the names of the state file "
-        f"at journal_seq {entry.data.get('base')!r}, not {base}"
-    )
-
-
-def _check_generation(entry: JournalEntry, base: int) -> None:
-    """Refuse a v2 entry that does not index the generation of the state
-    file at ``base``: one written against another file, or one that
-    declares names as entries did before the generation rule."""
+def _check_layout(entry: JournalEntry) -> None:
+    """Refuse a masked entry an older writer wrote: its mask indexes
+    another numbering than the repository's."""
     if "new" in entry.data:
         raise JournalError(
             f"journal entry {entry.seq}: 'new' is not part of an entry any "
-            "more (the generation holds every package of the repository); "
-            "it was written before the generation rule: recover this site "
-            "with commit 47c9b7f first"
+            "more (the repository numbering holds every package); it was "
+            "written before entries indexed a state file's table: recover "
+            "this site with commit 47c9b7f first"
         )
-    if entry.data.get("base") != base:
-        raise JournalError(_wrong_base(entry, base))
+    if "base" in entry.data:
+        raise JournalError(
+            f"journal entry {entry.seq}: 'base' is not part of an entry any "
+            "more (every mask indexes the repository, which holds every "
+            "package); its mask indexes the table of the state file at "
+            f"journal_seq {entry.data['base']!r}: recover this site with "
+            "commit b7ee884 first"
+        )
 
 
 def _apply_masked(cache: LandlordCache, entry: JournalEntry) -> object:
-    """Apply a v2 request or adoption: hand its mask to the cache as it
-    lies (see :class:`_Generation`)."""
+    """Apply a v3 request or adoption: hand its mask to the cache as it
+    lies."""
+    _check_layout(entry)
     mask = entry.data.get("mask")
     if not isinstance(mask, str):
         raise JournalError(
-            f"journal entry {entry.seq}: 'mask' is not a hex string"
+            f"journal entry {entry.seq}: 'mask' is not a base64 string"
         )
     try:
-        return cache._apply_masked(entry.op, int(mask, 16))
+        return cache._apply_masked(entry.op, mask_of_text(mask))
     except ValueError as exc:
         raise JournalError(f"journal entry {entry.seq}: {exc}") from exc
 
@@ -710,9 +651,8 @@ def apply_entry(cache: LandlordCache, entry: JournalEntry) -> object:
     Returns whatever the underlying cache method returns (a
     :class:`~repro.core.cache.CacheDecision` for requests, the evicted id
     list for ``evict_idle``, …).  A request or adoption is either v1
-    (``"packages"``: the names) or v2 (``"mask"`` over the cache's own
-    universe); :func:`replay` checks that a v2 entry belongs to the
-    state file the cache was restored from.
+    (``"packages"``: the names) or v3 (``"mask"`` over the cache's
+    repository numbering); an older writer's masked entry is refused.
     """
     if _is_masked(entry):
         return _apply_masked(cache, entry)
@@ -749,10 +689,9 @@ def replay(
 
     The tail must be gap-free starting at ``after_seq + 1`` — a gap means
     operations were lost between the snapshot and the surviving journal,
-    which no replay can repair (:class:`JournalError`).  So is a v2
-    entry written against another state file than the one ``cache`` was
-    restored from (its ``base`` is not ``after_seq``): its mask would
-    name other packages; and so is one that declares ``"new"`` names.
+    which no replay can repair (:class:`JournalError`).  So is an
+    entry an older writer wrote (:func:`_check_layout`): its mask would
+    name other packages.
     Returns ``(entry, result)`` pairs for the replayed operations.
 
     ``on_result`` fires immediately after each entry is applied — use it
@@ -771,8 +710,6 @@ def replay(
                 f"journal gap: expected entry {expected}, found {entry.seq} "
                 "— operations between snapshot and journal were lost"
             )
-        if _is_masked(entry):
-            _check_generation(entry, after_seq)
         result = apply_entry(cache, entry)
         if on_result is not None:
             on_result(entry, result)
@@ -812,9 +749,6 @@ class JournaledState:
         self.journal = Journal(journal_path or self.state_path.with_name(
             self.state_path.name + ".journal"
         ))
-        # The numbering this writer's entries index; None until a save
-        # or a load sets it, or the first append reads it off the file.
-        self._gen: Optional[_Generation] = None
         if metrics is not None:
             self.enable_metrics(metrics)
 
@@ -845,17 +779,10 @@ class JournaledState:
         )
         # The store's journal is the writer's: this one parse also
         # numbers the append that follows in the same invocation.
-        self._gen = None
         _floor, entries = self.journal.read_as_writer()
         replayed = replay(
             bundle.cache, entries,
             after_seq=bundle.journal_seq, on_result=on_replay,
-        )
-        # The restored cache numbers the file's generation: its ids are
-        # their positions.
-        self._gen = _Generation(
-            bundle.journal_seq,
-            np.arange(len(bundle.cache._universe), dtype=np.int64),
         )
         return bundle.cache, bundle.metadata, replayed
 
@@ -872,21 +799,17 @@ class JournaledState:
         """:func:`save_state` to this store's file, measured when the
         store has metrics.
 
-        A saved file starts the next generation: its name table, based at
-        ``journal_seq`` — which must cover the whole journal, or entries
-        already on it would index the wrong table.  A save that raises
-        may or may not have replaced the file, so the next append reads
-        the generation off the file again.
+        ``journal_seq`` must cover the whole journal: the writer applies
+        each entry right after appending it, so the cache already holds
+        every journalled operation, and a state claiming to cover fewer
+        would have recovery apply the rest twice.
         """
         t0 = perf_counter()
-        table, ids = cache._table()
         assert journal_seq == self.journal.last_seq, (
             f"a checkpoint at {journal_seq} would not cover the "
             f"journal (last entry {self.journal.last_seq})"
         )
-        self._gen = None
-        _write_state(self.state_path, table, metadata, journal_seq)
-        self._gen = _Generation.of(journal_seq, cache, ids)
+        save_state(self.state_path, cache, metadata, journal_seq)
         ins = self._ins
         if ins is not None:
             ins.save_s.observe(perf_counter() - t0)
@@ -972,54 +895,36 @@ class JournaledState:
             self.flush(cache, metadata, journal_seq=last)
         return results
 
-    def _generation(self, cache: LandlordCache) -> _Generation:
-        """This writer's generation; read off the files when no save or
-        load of this object set it (a fresh writer, a failed save).  A
-        journal tail that recovery would refuse is refused here too,
-        before anything is appended after it."""
-        if self._gen is None:
-            journal = self.journal
-            _floor, entries = (
-                journal.read_as_writer() if journal._next_seq is None
-                else journal._read()
-            )
-            base, names = load_table(self.state_path)
-            for entry in entries:
-                if entry.seq > base and _is_masked(entry):
-                    _check_generation(entry, base)
-            table = np.fromiter(
-                map(cache._universe.index.position.get, names, repeat(-1)),
-                dtype=np.int64, count=len(names),
-            )
-            if (table < 0).any():
-                raise JournalError(
-                    f"state file {self.state_path} names packages this "
-                    "cache's repository lacks"
-                )
-            self._gen = _Generation.of(base, cache, table)
-        return self._gen
-
     def _append(
         self, cache: LandlordCache, ops: Sequence[Tuple[str, dict]]
     ) -> List[Tuple[JournalEntry, Optional[tuple]]]:
-        """Durably journal ``ops`` as v2 lines.
+        """Durably journal ``ops`` as v3 lines.
 
         Each request's and adoption's names are interned into ``cache``
         first — the pass ``submit_batch`` makes ahead of deciding a run,
-        made here ahead of the append — and the interned ids become the
-        entry's mask over the generation.  Returns each entry (with the
-        op as given) and its interned triple (``None`` for other ops),
-        which the live cache then applies without interning again.
+        made here ahead of the append — and the interned mask is the
+        entry, as it stands.  Returns each entry (with the op as given)
+        and its interned triple (``None`` for other ops), which the live
+        cache then applies without interning again.
+
+        A writer that takes the files over (no load, save or append of
+        its own yet) reads the journal once to number its entries, and
+        refuses to append behind an older writer's entry, which recovery
+        would refuse too.
         """
-        generation = self._generation(cache)
+        journal = self.journal
+        if journal._next_seq is None:
+            for entry in journal.read_as_writer()[1]:
+                if _is_masked(entry):
+                    _check_layout(entry)
         with cache.lock or nullcontext():
             interned = [
                 cache._intern(data["packages"]) if op in _MASKED_OPS
                 else None
                 for op, data in ops
             ]
-        written = self.journal.append_many([
-            (op, data if triple is None else generation.encode(triple[1]))
+        written = journal.append_many([
+            (op, data if triple is None else {"mask": mask_text(triple[0])})
             for (op, data), triple in zip(ops, interned)
         ])
         return [
@@ -1058,7 +963,7 @@ def recover_state(
     The re-snapshot is skipped when it would change nothing: nothing was
     replayed, the snapshot covers the journal's last sequence number,
     and the file is canonical (the current version, its checksum held
-    as it lies; a v2 or re-formatted file is rewritten).  Compaction
+    as it lies; a v2, v3 or re-formatted file is rewritten).  Compaction
     runs either way.
     """
     store = JournaledState(state_path, journal_path)

@@ -27,69 +27,49 @@ Since format v2 a state file guarantees:
 **File layout.**  A state file is one line of JSON, every byte of it
 encoded once: the body (``cache``, ``journal_seq``, ``metadata``) is
 dumped in canonical form (sorted keys, no whitespace), those bytes are
-hashed, and the file is ``{"version":3,"checksum":"sha256:…",`` followed
+hashed, and the file is ``{"version":4,"checksum":"sha256:…",`` followed
 by the very same bytes minus their opening brace.  Loading hashes the
 bytes after that header as they lie (no decode, slice or re-encode); a
 file in any other layout (the ``indent=1`` files written before the
 layout was fixed, or one a human re-formatted) is still one JSON object
 with the same keys, and is verified by re-encoding its parsed body
-canonically.  Read a state file
-with ``python -m json.tool``.
+canonically.  Read a state file with ``python -m json.tool``.
 
-**State file v3: every package name once.**  The ``cache`` section is
-:meth:`LandlordCache.table_snapshot`::
+**State file v4: no package name at all.**  The ``cache`` section is
+:meth:`LandlordCache.mask_snapshot`::
 
     "cache": {"alpha": …, "capacity": …, "clock": …, "next_image": …,
               "policy": {…}, "stats": {…}, "repository": "sha256:…",
-              "universe": ["pkg-a", "pkg-b", …],
-              "images": [{"id": "img-000004", "mask": "1f03", …}, …]}
+              "images": [{"id": "img-000004", "mask": "AQAB…", …}, …]}
 
-``universe`` is one table of names and each image's ``mask`` is a hex
-integer whose bit *i* means ``universe[i]`` — where v2 wrote every
-image's sorted name list (``"packages": [...]``), so a name shared by
-300 images was encoded, hashed, written, parsed and interned 300 times.
-Saving and loading now cost O(images + live names), not O(Σ names).
+Each image's ``mask`` is its mask as the cache holds it, base64 of its
+little-endian bytes (:func:`~repro.core.cache.mask_text`): bit *i* is
+package *i* of the repository whose digest ``"repository"`` records
+(:attr:`PackageIndex.digest
+<repro.packages.repository.PackageIndex.digest>`; required, and a
+state of another repository is refused on load).  Every cache on a
+repository numbers by it, restored ones included, so a checkpoint
+writes the masks as they stand — no name table, no re-basing — and
+costs O(images); the journal's entries index the same numbering
+(:mod:`repro.core.journal`), whatever state file they follow.
 
-- *Live names only, by first appearance.*  The table holds the names at
-  least one live image contains — a cache under eviction pressure has
-  seen far more names than it holds (the paper's operating zone: ~9.4k
-  seen, ~4.2k live) — in the order they first appear among the live
-  images, smallest first, and every mask is re-based onto it at once.
-- *One repository.*  ``"repository"`` is the digest of the repository's
-  ids in repository order; a state written against another repository
-  is refused on load (a file without the key loads as before).  A
-  loaded cache numbers the file's generation: the table, then every
-  other repository package in repository order.
-- *``snapshot()`` stays the comparison form.*  Table positions follow
-  the order names first appear among the live images, which two caches
-  holding the same sets need not share — so equality, the ledger's
-  digests, the differential suite and ``explain`` keep using :meth:`LandlordCache.snapshot` (sorted
-  names, history-independent), and ``load(save(c)).snapshot() ==
-  c.snapshot()`` is the round-trip property.  Ids are renumbered on
-  load; no decision depends on them.
-- *Read v2 and v3, write v3.*  ``restore`` accepts both record shapes,
-  so a v2 file loads (and is checksummed under its own version's
-  header, as it lies) and is next saved as v3.  v1 — no checksum, no
-  policy block, last written before PR 2 — is refused by name.
-- *The journal indexes the same generation.*  Journal v2 entries are
-  masks over this file's ``universe`` followed by the rest of the
-  repository (:mod:`repro.core.journal`); :func:`load_table` reads that
-  table and ``journal_seq`` back without building a cache.  A
-  checkpoint is still triggered by operation count, not bytes — ROADMAP
-  item 10 (ii)/(iii).
-
-Parent (v2) → this format on a 2-core sandbox (save/load best of 15;
-``recover_s`` the median of alternating ledger pairs):
-
-==========================  =================  ===================
-at the end state of         ``replay_zone``    ``replay_wide``
-==========================  =================  ===================
-images × names an image     11 × ~820          985 × ~326
-file bytes                  147,439 → 87,589   5,055,343 → 2,330,751
-``save_state`` ms           6.5 → 4.2          123 → 27
-``load_bundle`` ms          6.1 → 4.9          153 → 49
-ledger ``recover_s``        0.0261 → 0.0205    0.359 → 0.119
-==========================  =================  ===================
+- *The trade.*  A mask is as wide as its highest package: at paper
+  scale a few-package image can write ~1.6 KB where v3 wrote its few
+  names once.  A site with hundreds of images or a checkpoint every 64
+  operations is where the bytes and the time go, and there v4 is the
+  smaller and much the cheaper (figures in DESIGN.md).
+- *``snapshot()`` stays the comparison form.*  Equality, the ledger's
+  digests, the differential suite and ``explain`` use
+  :meth:`LandlordCache.snapshot` (sorted names, independent of any
+  numbering), and ``load(save(c)).snapshot() == c.snapshot()`` is the
+  round-trip property.
+- *Read v2, v3 and v4, write v4.*  ``restore`` accepts every record
+  shape: v2 lists each image's names (``"packages"``), v3 a
+  ``"universe"`` name table and hex masks over it, which are re-based
+  onto the repository once, on load.  A v2 or v3 file is checksummed
+  under its own version's header, as it lies, and ``recover`` rewrites
+  it as v4.  v1 — no checksum, no policy block, last written before
+  PR 2 — is refused by name.
 
 The actual container *files* are not stored — in a real deployment they sit
 next to the state file in the cache directory; in this reproduction only
@@ -107,9 +87,9 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.core.cache import LandlordCache, table_names
+from repro.core.cache import LandlordCache
 from repro.packages.repository import PackageIndex
 from repro.testing.faults import checkpoint
 
@@ -121,12 +101,11 @@ __all__ = [
     "body_checksum",
     "load_bundle",
     "load_state",
-    "load_table",
     "save_state",
 ]
 
-STATE_VERSION = 3
-_READABLE_VERSIONS = (2, STATE_VERSION)
+STATE_VERSION = 4
+_READABLE_VERSIONS = (2, 3, STATE_VERSION)
 
 PathLike = Union[str, Path]
 
@@ -214,20 +193,11 @@ def save_state(
     last write-ahead-journal entry already folded into this snapshot
     (see :mod:`repro.core.journal`); recovery replays only later entries.
     """
-    return _write_state(
-        Path(path), cache.table_snapshot(), metadata, journal_seq
-    )
-
-
-def _write_state(
-    path: Path, table: dict, metadata: Optional[dict], journal_seq: int
-) -> Path:
-    """:func:`save_state` of a :meth:`LandlordCache.table_snapshot` the
-    caller already took (the journal's writer keeps its name table)."""
+    path = Path(path)
     canon = _canonical({
         "metadata": metadata or {},
         "journal_seq": int(journal_seq),
-        "cache": table,
+        "cache": cache.mask_snapshot(),
     })
     head = _header(STATE_VERSION, _checksum_of(canon)).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -305,31 +275,6 @@ def _verified_payload(path: Path, raw: bytes) -> Tuple[dict, bool]:
     return payload, as_it_lies and version == STATE_VERSION
 
 
-def load_table(path: PathLike) -> Tuple[int, List[str]]:
-    """``(journal_seq, names)`` of a state file, checksum-verified,
-    without building a cache.
-
-    ``names`` is the table :meth:`LandlordCache.restore` numbers first
-    (:func:`~repro.core.cache.table_names`): the v3 ``universe`` table,
-    then (for image records that list ``"packages"``, as v2 files do)
-    each name in the order restore first interns it.  The journal's
-    writer numbers its entries' masks from here (see
-    :mod:`repro.core.journal`).
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise StateNotFound(f"no state file at {path}") from None
-    payload, _ = _verified_payload(path, raw)
-    try:
-        names = table_names(payload["cache"])
-        journal_seq = int(payload.get("journal_seq", 0))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise StateError(f"malformed state file {path}: {exc}") from exc
-    return journal_seq, names
-
-
 def load_bundle(
     path: PathLike,
     package_size: PackageIndex,
@@ -342,8 +287,8 @@ def load_bundle(
     which must *match* the ones recorded in the snapshot — a mismatch
     raises :class:`StateError` instead of silently resuming with
     different semantics.  Stale ``.tmp`` files from a crashed
-    :func:`save_state` are removed.  Versions 2 and 3 load; any other
-    is refused by name.
+    :func:`save_state` are removed.  Versions 2, 3 and 4 load; any
+    other is refused by name.
     """
     path = Path(path)
     tmp = _tmp_path(path)

@@ -218,13 +218,18 @@ class SloTracker:
         ``cache_efficiency`` reads ``nan`` for them.
         """
         self.requests += 1
-        bucket = (
-            -1 if latency_s is None else bisect_left(self._uppers, latency_s)
-        )
-        if bucket >= 0:
+        if latency_s is None:
+            bucket = -1
+        else:
+            bucket = bisect_left(self._uppers, latency_s)
             self._lat_counts[bucket] += 1
         ring = self._ring
-        ring.append(self._sample_of(stats, bucket))
+        # _sample_of, spelled out: this runs once per request.
+        ring.append((
+            stats.hits, stats.merges, stats.inserts,
+            stats.evictions_capacity, stats.bytes_written,
+            stats.requested_bytes, stats.used_bytes, bucket,
+        ))
         if len(ring) > self.window:
             self._base = expired = ring.popleft()
             if expired[7] >= 0:

@@ -11,7 +11,6 @@ multi-package request is the union of per-package closures.
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
@@ -37,25 +36,18 @@ class PackageIndex:
     change them.
 
     A repository's index (``Repository.size_of``, or :meth:`of` a
-    mapping) numbers its packages in repository order.  :meth:`generation`
-    renumbers the same packages with a given table first; the result
-    keeps its ``repository`` (the index it was renumbered from) and
-    ``in_repository_order``, its own positions of the repository's ids
-    in repository order, and builds its ``ids`` and ``position`` only
-    when first read — a recovery that replays masks reads neither.
+    mapping) numbers its packages in repository order, and every cache
+    on the repository — restored ones included — numbers by it, so a
+    mask on disk (a state file's image, a journal entry) means the same
+    packages whoever wrote it.  :attr:`digest` names the numbering.
     """
 
-    __slots__ = (
-        "sizes", "repository", "in_repository_order",
-        "_ids", "_position", "_order", "_digest",
-    )
+    __slots__ = ("ids", "position", "sizes", "_digest")
 
     def __init__(self, ids: List[str], sizes: Iterable[int]):
-        self._ids = ids
-        self._position: Optional[Dict[str, int]] = dict(
-            zip(ids, range(len(ids)))
-        )
-        if len(self._position) != len(ids):
+        self.ids = ids
+        self.position: Dict[str, int] = dict(zip(ids, range(len(ids))))
+        if len(self.position) != len(ids):
             raise ValueError("a package index names a package twice")
         self.sizes = np.fromiter(sizes, dtype=np.int64, count=len(ids))
         negative = np.flatnonzero(self.sizes < 0)
@@ -64,29 +56,12 @@ class PackageIndex:
                 f"negative size for package {ids[negative[0]]!r}"
             )
         self.sizes.flags.writeable = False
-        self.repository = self
-        self.in_repository_order = np.arange(len(ids), dtype=np.int64)
-        self._order: Optional[np.ndarray] = None
         self._digest: Optional[str] = None
 
     @classmethod
     def of(cls, sizes: Mapping[str, int]) -> "PackageIndex":
         """The index of a name → size mapping, in the mapping's order."""
         return cls(list(sizes), sizes.values())
-
-    @property
-    def ids(self) -> List[str]:
-        if self._ids is None:
-            self._ids = list(
-                map(self.repository.ids.__getitem__, self._order.tolist())
-            )
-        return self._ids
-
-    @property
-    def position(self) -> Dict[str, int]:
-        if self._position is None:
-            self._position = dict(zip(self.ids, range(len(self))))
-        return self._position
 
     def __len__(self) -> int:
         return self.sizes.size
@@ -99,47 +74,13 @@ class PackageIndex:
 
     @property
     def digest(self) -> str:
-        """SHA-256 of the repository's ids in repository order: equal for
-        every index :meth:`generation` makes from it."""
-        root = self.repository
-        if root._digest is None:
-            root._digest = "sha256:" + hashlib.sha256(
-                "\n".join(root.ids).encode("utf-8")
+        """SHA-256 of the ids in order: what a state file records of the
+        numbering its masks index."""
+        if self._digest is None:
+            self._digest = "sha256:" + hashlib.sha256(
+                "\n".join(self.ids).encode("utf-8")
             ).hexdigest()
-        return root._digest
-
-    def generation(self, table: List[str]) -> "PackageIndex":
-        """The repository's packages numbered ``table`` first (distinct
-        names, in the order given), then every other one in repository
-        order — the repository's own index when ``table`` is empty.
-
-        A lookup per table name (the call's ``KeyError`` for the first
-        one the repository lacks), then gathers; no name is copied.
-        """
-        root = self.repository
-        if not table:
-            return root
-        at = np.fromiter(
-            map(root.position.get, table, repeat(-1)),
-            dtype=np.int64, count=len(table),
-        )
-        unknown = np.flatnonzero(at < 0)
-        if unknown.size:
-            root(table[unknown[0]])  # raises the call's KeyError
-        rest = np.ones(len(root), dtype=bool)
-        rest[at] = False
-        order = np.concatenate((at, np.flatnonzero(rest)))
-        if order.size != len(root):
-            raise ValueError("a table names a package twice")
-        index = object.__new__(PackageIndex)
-        index._ids = index._position = index._digest = None
-        index._order = order
-        index.sizes = root.sizes[order]
-        index.sizes.flags.writeable = False
-        index.repository = root
-        index.in_repository_order = np.empty(order.size, dtype=np.int64)
-        index.in_repository_order[order] = np.arange(order.size)
-        return index
+        return self._digest
 
 
 class Repository:

@@ -3,6 +3,7 @@ compaction that reads nothing, and CRCs over the bytes as they lie."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,11 +98,12 @@ def dumps_tripwire(monkeypatch, forbid):
 
 
 class TestStateFileLayout:
-    def payload_of(self, cache, metadata, journal_seq, version=3):
-        """What a writer of ``version`` put in the file: v3 stores the
-        name table and masks, v2 stored ``snapshot()``'s name lists."""
+    def payload_of(self, cache, metadata, journal_seq, version=4):
+        """What a writer of ``version`` put in the file: v4 stores the
+        masks as the cache holds them, v2 stored ``snapshot()``'s name
+        lists."""
         body = {"metadata": metadata, "journal_seq": journal_seq,
-                "cache": (cache.table_snapshot() if version == 3
+                "cache": (cache.mask_snapshot() if version == 4
                           else cache.snapshot())}
         # version and checksum first, then the body with its keys sorted
         # at every level: re-parse the canonical dump to get that order.
@@ -160,8 +162,10 @@ class TestStateFileLayout:
         if layout == "indent":
             path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
         text = path.read_text()
-        assert '"p10"' in text
-        path.write_text(text.replace('"p10"', '"p11"', 1))
+        # one mask digit: the image then holds another package
+        at = re.search(r'"mask":\s*"', text).end()
+        flipped = "B" if text[at] != "B" else "C"
+        path.write_text(text[:at] + flipped + text[at + 1:])
         with pytest.raises(StateError, match="checksum"):
             load_bundle(path, SIZE_OF)
 

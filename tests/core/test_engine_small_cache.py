@@ -233,7 +233,7 @@ def test_restoring_past_the_threshold_builds_the_state():
 
 
 def _assert_accounting(naive, vec):
-    """Unique bytes, cache efficiency, live ids and the name table: each
+    """Unique bytes, cache efficiency, live ids and the state record: each
     engine against a from-scratch union of its images (and, once the
     vectorized one mirrored, its refcounts against the image sets and
     the matrix), and the two engines against each other."""
@@ -243,7 +243,7 @@ def _assert_accounting(naive, vec):
     expected = vec.unique_bytes / vec.cached_bytes if vec.cached_bytes else 1.0
     assert vec.cache_efficiency == naive.cache_efficiency == expected
     assert vec._live_ids().tolist() == naive._live_ids().tolist()
-    assert vec.table_snapshot() == naive.table_snapshot()
+    assert vec.mask_snapshot() == naive.mask_snapshot()
 
 
 def _both(naive, vec, call):

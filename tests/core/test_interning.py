@@ -5,9 +5,9 @@ Four contracts of ``repro.core.cache`` below Algorithm 1:
 - a failed intern leaves no trace — a name the cache's package index
   lacks is rejected, and rejected again on retry, never accepted;
 - a cache numbers its packages once, by its index, and never registers
-  a name: a fresh cache shares the repository's index read-only, a
-  restored one the generation of its state file (the file's table, then
-  the rest of the repository in repository order);
+  a name: every cache on a repository shares the repository's index
+  read-only, a restored one included, so a state file's masks and a
+  journal entry's are its masks as they stand;
 - ``_Universe.mask_of`` equals a one-lookup-per-id formulation for any
   collection, duplicates included;
 - the cached image's mask is the one stored copy of its package set:
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import LandlordCache, _Universe
+from repro.core.cache import LandlordCache, _Universe, mask_of_text
 from repro.core.events import EventKind
 from repro.core.journal import JournaledState, recover_state
 from repro.htc.workload import DependencyWorkload, build_stream
@@ -33,6 +33,7 @@ from repro.packages.repository import PackageIndex
 from repro.packages.sft import build_experiment_repository
 from repro.util.rng import spawn
 from repro.util.units import GB
+from tests.core.test_mask_matrix import v3_record
 
 SIZES = PackageIndex.of({"a": 10, "b": 20, "c": 30})
 
@@ -136,12 +137,16 @@ def test_oracle_raising_on_the_last_new_name_leaves_no_trace():
 
 
 # Recorded when a cache on ``repo.size_of`` started from the repository's
-# numbering: the state table after replaying the ledger's seed-901
+# numbering: the v3 state table after replaying the ledger's seed-901
 # ``replay_zone`` stream, its names in the order they first appear among
 # the live images, smallest first — without the repository digest, which
-# came later and is checked on its own.
+# came later and is checked on its own.  ``v3_record`` rebuilds it.
 ZONE_REPOSITORY_TABLE_SHA256 = (
     "477b8d142b7752d0b66eb726396e73d79b29210e3b7ed35673f6429027004fc1"
+)
+# The v4 record of the same cache: every image's mask as it stands.
+ZONE_REPOSITORY_MASKS_SHA256 = (
+    "4a1198c6507ec91ece05fa4e2b0346a0a1857f08059fb6c0465025957db33286"
 )
 
 
@@ -162,25 +167,28 @@ def table_sha256(table):
 
 
 def test_zone_replay_table_is_byte_identical(zone_replay):
-    """Fed wire lists or frozensets, and restored from its own table, a
-    cache writes the same table bytes: none of them depends on the order
-    names arrive in, or on whether the cache was restored."""
+    """Fed wire lists or frozensets, and restored from its own record or
+    from the v3 table its parent wrote, a cache writes the same record
+    bytes: none of them depends on the order names arrive in, or on
+    whether the cache was restored."""
     repo, specs = zone_replay
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         cache.request(sorted(spec))
-    table = cache.table_snapshot()
-    assert table_sha256(table) == ZONE_REPOSITORY_TABLE_SHA256
-    assert table["repository"] == repo.size_of.digest
+    record = cache.mask_snapshot()
+    assert table_sha256(record) == ZONE_REPOSITORY_MASKS_SHA256
+    assert record["repository"] == repo.size_of.digest
+    assert table_sha256(v3_record(cache)) == ZONE_REPOSITORY_TABLE_SHA256
     as_sets = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         as_sets.request(spec)
-    assert as_sets.table_snapshot() == table
-    restored = LandlordCache(1400 * GB, 0.8, repo.size_of)
-    restored.restore(json.loads(json.dumps(table)))
-    assert restored._universe.index is not repo.size_of
-    assert restored.table_snapshot() == table
-    assert restored.snapshot() == cache.snapshot()
+    assert as_sets.mask_snapshot() == record
+    for state in (json.loads(json.dumps(record)), v3_record(cache)):
+        restored = LandlordCache(1400 * GB, 0.8, repo.size_of)
+        restored.restore(state)
+        assert restored._universe.index is repo.size_of
+        assert restored.mask_snapshot() == record
+        assert restored.snapshot() == cache.snapshot()
 
 
 def test_zone_replay_table_on_the_repository_numbering(zone_replay):
@@ -188,14 +196,13 @@ def test_zone_replay_table_on_the_repository_numbering(zone_replay):
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs:
         cache.request(sorted(spec))
-    table = cache.table_snapshot()
-    # Image by image, smallest first, each one's names not listed yet,
-    # in repository order.
-    position, listed = repo.size_of.position, []
-    for image in sorted(cache.images, key=lambda image: image.package_count):
-        listed += sorted(image.packages - set(listed), key=position.__getitem__)
-    assert table["universe"] == listed
-    assert set(listed) == set().union(*(image.packages for image in cache.images))
+    record = cache.mask_snapshot()
+    # Bit i of every mask is the repository's package i.
+    for image, written in zip(cache.images, record["images"]):
+        mask = mask_of_text(written["mask"])
+        assert mask == image.mask
+        assert {repo.ids[i] for i in range(mask.bit_length())
+                if mask >> i & 1} == image.packages
     stats = cache.stats
     assert (stats.hits, stats.merges, stats.inserts, stats.deletes) == (
         80, 1291, 429, 419
@@ -254,24 +261,20 @@ def test_caches_on_one_repository_share_its_numbering(zone_replay):
 
 
 def test_a_restored_cache_numbers_the_state_s_generation(zone_replay):
+    """A state's generation is the repository numbering: a restored
+    cache shares the repository's index, as a fresh one does."""
     repo, specs = zone_replay
+    before = index_state(repo.size_of)
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     for spec in specs[:400]:
         cache.request(spec)
-    table = cache.table_snapshot()
+    record = cache.mask_snapshot()
     restored = LandlordCache(1400 * GB, 0.8, repo.size_of)
-    restored.restore(table)
-    index = restored._universe.index
-    # Restoring reads no name of the numbering: ids and positions are
-    # built when first read.
-    assert index._ids is None and index._position is None
-    names = table["universe"]
-    rest = [pid for pid in repo.ids if pid not in set(names)]
-    assert index.ids == names + rest
-    assert index.repository is repo.size_of and index.digest == repo.size_of.digest
-    assert index.sizes.tolist() == [repo.size_of(pid) for pid in index.ids]
-    assert not index.sizes.flags.writeable
-    assert [index.ids[i] for i in index.in_repository_order] == repo.ids
+    restored.restore(record)
+    assert restored._universe.index is repo.size_of
+    assert [image.mask for image in restored.images] == [
+        image.mask for image in cache.images]
+    assert index_state(repo.size_of) == before
     # Restored, it decides on as the original does.
     for spec in specs[400:]:
         assert restored.request(spec).action is cache.request(spec).action
@@ -282,7 +285,7 @@ def test_a_state_of_another_repository_is_refused(zone_replay):
     repo, specs = zone_replay
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
     cache.request(specs[0])
-    table = cache.table_snapshot()
+    table = cache.mask_snapshot()
     other = PackageIndex.of(
         {pid: repo.size_of(pid) for pid in reversed(repo.ids)}
     )
@@ -317,9 +320,8 @@ def test_unknown_name_on_the_repository_is_rejected_again_on_retry(
 def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
     zone_replay, tmp_path
 ):
-    """``initialise`` writes a checkpoint whose table is empty, so every
-    entry before the next checkpoint is a mask over the repository's own
-    numbering, and recovery restores onto the repository's index."""
+    """Every entry is a mask over the repository's own numbering, and
+    recovery restores onto the repository's index."""
     repo, specs = zone_replay
     state = tmp_path / "state.json"
     cache = LandlordCache(1400 * GB, 0.8, repo.size_of)
@@ -329,8 +331,8 @@ def test_recovery_of_a_fresh_site_before_its_first_checkpoint(
         store.apply(cache, {}, "request", packages=sorted(spec))
     store.journal.close()
     first = store.journal.entries()[0].data
-    mask = int(first["mask"], 16)
-    assert set(first) == {"base", "mask"}
+    mask = mask_of_text(first["mask"])
+    assert set(first) == {"mask"}
     assert [repo.ids[i] for i in range(mask.bit_length()) if mask >> i & 1] \
         == sorted(specs[0], key=repo.size_of.position.__getitem__)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import LandlordCache, mask_text
 from repro.core.journal import (
     _CANON,
     Journal,
@@ -481,7 +481,7 @@ class TestEncodeOnce:
 
 
 class TestMaskedLineEncoder:
-    """A v2 request or adoption line is built directly, not dumped: the
+    """A v3 request or adoption line is built directly, not dumped: the
     bytes must be exactly the canonical dump's, whatever the numbers."""
 
     _counters = (
@@ -498,12 +498,11 @@ class TestMaskedLineEncoder:
     @given(
         seq=_counters,
         op=st.sampled_from(["request", "adopt"]),
-        base=st.sampled_from([0, 1, 2**63 - 1]) | st.integers(0, 2**63),
         mask=st.sampled_from([0, 1, 2**10_000 - 1, 2**9_999])
         | st.integers(min_value=0, max_value=2**10_000),
     )
-    def test_masked_line_equals_the_canonical_dump(self, seq, op, base, mask):
-        data = {"base": base, "mask": format(mask, "x")}
+    def test_masked_line_equals_the_canonical_dump(self, seq, op, mask):
+        data = {"mask": mask_text(mask)}
         entry = JournalEntry(seq, op, data)
         assert _masked_body(entry) is not None  # the direct path ran
         line = _encode(entry)
@@ -519,15 +518,15 @@ class TestMaskedLineEncoder:
             ("evict_idle", {"max_idle_requests": 3}),
             ("clear", {}),
             # near misses of the writer's layout
-            ("request", {"base": True, "mask": "1"}),
-            ("request", {"base": 1.0, "mask": "1"}),
-            ("adopt", {"base": 0, "mask": ["1"]}),
-            ("adopt", {"base": 0, "mask": "1F"}),
-            ("adopt", {"base": 0, "mask": 'a"\\'}),
-            ("adopt", {"base": 0, "mask": "é"}),
-            ("request", {"base": 0, "mask": "1", "x": 1}),
-            ("request", {"base": 0, "mask": "1", "new": []}),
-            ("evict_idle", {"base": 0, "mask": "1"}),
+            ("request", {"base": 0, "mask": "AQ=="}),
+            ("request", {"mask": 1}),
+            ("adopt", {"mask": ["AQ=="]}),
+            ("adopt", {"mask": "a-b_"}),
+            ("adopt", {"mask": 'a"\\'}),
+            ("adopt", {"mask": "é"}),
+            ("request", {"mask": "AQ==", "x": 1}),
+            ("request", {"mask": "AQ==", "new": []}),
+            ("evict_idle", {"mask": "AQ=="}),
         ]),
     )
     def test_every_other_line_keeps_the_canonical_dump(self, seq, op_data):
@@ -539,7 +538,7 @@ class TestMaskedLineEncoder:
     def test_a_bool_seq_keeps_the_canonical_dump(self):
         # _decode lets "seq": true through (a bool is an int), and the
         # compaction re-encodes what it keeps.
-        entry = JournalEntry(True, "request", {"base": 0, "mask": "1"})
+        entry = JournalEntry(True, "request", {"mask": "AQ=="})
         assert _masked_body(entry) is None
         assert _encode(entry) == self.canonical(entry)
 
@@ -622,17 +621,26 @@ class TestRecoveryWritesOnlyWhatChanged:
         recover_state(state, package_size=SIZE_OF)
         assert state.read_bytes() == canonical
 
-    def test_a_v2_file_is_rewritten_as_v3(self, tmp_path):
-        fixture = Path(__file__).parent / "fixtures" / "state_v2.json"
+    @pytest.mark.parametrize("name, version", [
+        ("state_v2.json", 2), ("state_v3_journal_v1.json", 3),
+    ])
+    def test_an_old_file_is_rewritten_as_v4(self, tmp_path, name, version):
+        fixture = Path(__file__).parent / "fixtures" / name
         state = tmp_path / "state.json"
         state.write_bytes(fixture.read_bytes())
+        assert json.loads(state.read_bytes())["version"] == version
         # The journal covers what the file does: only the version differs.
-        state.with_name("state.json.journal").write_text(_encode_marker(5))
-        size_of = PackageIndex.of({f"p{i}": 10 for i in range(30)})
-        assert not load_bundle(state, size_of).canonical
-        _, _, replayed = recover_state(state, package_size=size_of)
+        seq = json.loads(state.read_bytes())["journal_seq"]
+        state.with_name("state.json.journal").write_text(_encode_marker(seq))
+        size_of = (PackageIndex.of({f"p{i}": 10 for i in range(30)})
+                   if version == 2 else
+                   PackageIndex.of({f"p{i}": 5 + (i % 7) for i in range(40)}))
+        before = load_bundle(state, size_of)
+        assert not before.canonical
+        recovered, _, replayed = recover_state(state, package_size=size_of)
         assert replayed == 0
-        assert json.loads(state.read_bytes())["version"] == 3
+        assert recovered.snapshot() == before.cache.snapshot()
+        assert json.loads(state.read_bytes())["version"] == 4
         assert load_bundle(state, size_of).canonical
 
 

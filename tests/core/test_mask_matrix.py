@@ -1,15 +1,15 @@
 """The all-masks-at-once paths of ``repro.core.cache`` against their
-one-mask-at-a-time references: the state table's re-based masks and its
-first-appearance order (``LandlordCache._table_masks``), also on a
-restored cache's numbering, and restore's
-per-image sizes and per-package counts (``_Universe.bytes_of_masks``,
-``_Universe.counts_of_masks``)."""
+one-mask-at-a-time references: restore's re-basing of a v3 state
+record's masks (hex over a first-appearance name table) onto the
+repository numbering, the v4 record a restored cache writes back, and
+restore's per-image sizes and per-package counts
+(``_Universe.bytes_of_masks``, ``_Universe.counts_of_masks``)."""
 
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import LandlordCache, mask_text
 from repro.packages.repository import PackageIndex
 
 # 200 names: the mask matrix is four words wide, its last one partly used.
@@ -29,42 +29,54 @@ def cache_of(images):
     return cache
 
 
-def reference_table(cache, ids):
-    """Each image's mask re-based onto ``ids`` bit by bit, as hex."""
-    position = {int(name): at for at, name in enumerate(ids)}
-    return [
-        format(sum(1 << position[i] for i in image.indices.tolist()), "x")
-        for image in cache.images
-    ]
+def v3_record(cache):
+    """``cache``'s state as a v3 file recorded it, built name by name: a
+    table of the live names by first appearance (image by image,
+    smallest first, ties in image order, each one's new names in index
+    order) and each image's mask over that table as hex."""
+    state = cache.snapshot()
+    position = cache._universe.index.position
+    table = []
+    for record in sorted(state["images"], key=lambda r: len(r["packages"])):
+        table += sorted(set(record["packages"]) - set(table),
+                        key=position.__getitem__)
+    at = {name: k for k, name in enumerate(table)}
+    for record in state["images"]:
+        record["mask"] = format(
+            sum(1 << at[name] for name in record.pop("packages")), "x")
+    state["universe"] = table
+    state["repository"] = cache._universe.index.digest
+    return state
 
 
 @settings(max_examples=80, deadline=None)
 @given(images_st)
 def test_first_appearance_table_matches_the_reference(images):
+    """A v3 record — masks over a first-appearance table — restores to
+    masks over the repository numbering equal to each image's own."""
     cache = cache_of(images)
-    first = []
-    for image in sorted(cache.images, key=lambda image: image.package_count):
-        first += [i for i in image.indices.tolist() if i not in first]
-    ids, masks = cache._table_masks()
-    assert ids.tolist() == first
-    assert masks == reference_table(cache, first)
+    restored = LandlordCache(10 ** 18, 0.5, INDEX)
+    restored.restore(v3_record(cache))
+    assert [image.mask for image in restored.images] == [
+        image.mask for image in cache.images]
+    assert restored.snapshot() == cache.snapshot()
 
 
 @settings(max_examples=80, deadline=None)
 @given(images_st)
 def test_a_restored_cache_writes_the_same_table(images):
-    """Restored, a cache numbers the table first and the rest of the
-    index after it: its own first-appearance table is the one it was
-    restored from, byte for byte."""
+    """Restored from its v4 record or from the v3 one, a cache writes
+    back the v4 record of the cache it was taken from, byte for byte:
+    each image's mask as it stands."""
     cache = cache_of(images)
-    table = cache.table_snapshot()
-    restored = LandlordCache(10 ** 18, 0.5, INDEX)
-    restored.restore(table)
-    assert restored._universe.index.ids[: len(table["universe"])] == table["universe"]
-    ids, masks = restored._table_masks()
-    assert ids.tolist() == list(range(len(table["universe"])))
-    assert masks == reference_table(restored, ids.tolist())
-    assert restored.table_snapshot() == table
+    record = cache.mask_snapshot()
+    assert [image["mask"] for image in record["images"]] == [
+        mask_text(image.mask) for image in cache.images]
+    for state in (record, v3_record(cache)):
+        restored = LandlordCache(10 ** 18, 0.5, INDEX)
+        restored.restore(state)
+        assert restored._universe.index is INDEX
+        assert restored.mask_snapshot() == record
 
 
 @settings(max_examples=80, deadline=None)

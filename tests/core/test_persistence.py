@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import LandlordCache, mask_of_text, mask_text
 from repro.core.events import EventKind
 from repro.core.journal import JournaledState, recover_state
 from repro.core.persistence import (
@@ -17,6 +17,7 @@ from repro.core.persistence import (
     save_state,
 )
 from repro.packages.repository import PackageIndex
+from tests.core.test_mask_matrix import v3_record
 
 SIZE = {f"p{i}": 10 for i in range(30)}
 SIZE_OF = PackageIndex.of(SIZE)
@@ -251,36 +252,53 @@ OFF = {"use_minhash": False, "minhash_perm": 128, "minhash_bands": 32,
        "minhash_seed": 1}
 
 
-def edited_v3_file(tmp_path, edit):
-    """A v3 file whose cache section ``edit`` changed, re-checksummed:
-    only the section, not the checksum, is wrong with it."""
+def two_image_cache():
     cache = make_cache(capacity=60)
     cache.request(frozenset({"p0", "p1", "p2"}))
     cache.request(frozenset({"p9", "p10"}))
-    path = save_state(tmp_path / "s.json", cache)
-    payload = json.loads(path.read_text())
-    edit(payload["cache"])
-    body = {key: payload[key]
-            for key in ("metadata", "journal_seq", "cache")}
-    payload["checksum"] = body_checksum(body)
-    path.write_text(json.dumps(payload))
+    return cache
+
+
+def edited_file(tmp_path, edit, record):
+    """A state file of ``record`` (a cache section) that ``edit``
+    changed, re-checksummed: only the section, not the checksum, is
+    wrong with it.  A record with a name table is written as v3."""
+    edit(record)
+    body = {"metadata": {}, "journal_seq": 0, "cache": record}
+    version = 3 if "universe" in record else 4
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(
+        {"version": version, "checksum": body_checksum(body), **body}))
     return path
 
 
-class TestStateVersions:
-    """v3 is what is written; v2 is still read; anything else is refused
-    by name."""
+def edited_v3_file(tmp_path, edit):
+    """A v3 file — masks over a name table — of a two-image cache."""
+    return edited_file(tmp_path, edit, v3_record(two_image_cache()))
 
-    def test_written_file_is_v3(self, tmp_path):
+
+def edited_v4_file(tmp_path, edit):
+    """A v4 file — masks over the repository — of a two-image cache."""
+    return edited_file(tmp_path, edit, two_image_cache().mask_snapshot())
+
+
+class TestStateVersions:
+    """v4 is what is written; v2 and v3 are still read; anything else is
+    refused by name."""
+
+    def test_written_file_is_v4(self, tmp_path):
         from repro.core.persistence import STATE_VERSION
 
-        path = save_state(tmp_path / "s.json", warm_cache())
+        cache = warm_cache()
+        path = save_state(tmp_path / "s.json", cache)
         payload = json.loads(path.read_text())
-        assert payload["version"] == STATE_VERSION == 3
-        assert sorted(payload["cache"]["universe"]) == sorted(
-            ["p0", "p1", "p2", "p3", "p9", "p10"])
-        assert all("packages" not in image and "mask" in image
-                   for image in payload["cache"]["images"])
+        assert payload["version"] == STATE_VERSION == 4
+        stored = payload["cache"]
+        assert "universe" not in stored
+        assert stored["repository"] == SIZE_OF.digest
+        assert all("packages" not in image for image in stored["images"])
+        assert [mask_of_text(image["mask"]) for image in stored["images"]] \
+            == [image.mask for image in cache.images]
 
     def test_dead_names_are_not_written(self, tmp_path):
         cache = make_cache(capacity=60)
@@ -288,14 +306,15 @@ class TestStateVersions:
         cache.request(frozenset({"p9", "p10", "p11"}))  # evicts the first
         path = save_state(tmp_path / "s.json", cache)
         stored = json.loads(path.read_text())["cache"]
-        assert sorted(stored["universe"]) == ["p10", "p11", "p9"]
-        assert [image["mask"] for image in stored["images"]] == ["7"]
+        assert [image["mask"] for image in stored["images"]] == [
+            mask_text(1 << 9 | 1 << 10 | 1 << 11)]
+        assert mask_text(1 << 9 | 1 << 10 | 1 << 11) == "AA4="
         loaded, _ = load_state(path, SIZE_OF)
         assert loaded.snapshot() == cache.snapshot()
 
-    def test_a_shared_numbering_is_written_in_first_appearance_order(
-        self, tmp_path
-    ):
+    def test_masks_are_written_over_the_shared_numbering(self, tmp_path):
+        """A state file's masks and a journal entry's index the same
+        numbering, so an entry after any state file reads as written."""
         ids = sorted(SIZE)
         index = PackageIndex(ids, [SIZE[pid] for pid in ids])
         cache = LandlordCache(95, 0.8, index)
@@ -305,36 +324,26 @@ class TestStateVersions:
         assert "p0" not in set().union(*(i.packages for i in cache.images))
         path = save_state(tmp_path / "s.json", cache)
         stored = json.loads(path.read_text())["cache"]
-        # Image by image, smallest first, each one's names not listed
-        # yet, in id order.
-        listed = []
-        for image in sorted(cache.images, key=lambda i: i.package_count):
-            listed += sorted(image.packages - set(listed), key=ids.index)
-        assert stored["universe"] == listed
         for record, image in zip(stored["images"], cache.images):
-            mask = int(record["mask"], 16)
-            assert {name for at, name in enumerate(listed)
+            mask = mask_of_text(record["mask"])
+            assert {ids[at] for at in range(mask.bit_length())
                     if mask >> at & 1} == image.packages
         loaded, _ = load_state(path, index)
         assert loaded.snapshot() == cache.snapshot()
-        # A journal entry on that table sets the dead name's bit past
-        # the table: its generation lists every other name after it, in
-        # id (here the repository's) order.
+        # An entry sets the bits of its names, live or dead, in the
+        # index's order.
         store = JournaledState(tmp_path / "j.json", snapshot_every=10 ** 9)
         store.initialise(cache, {})
         store.apply(cache, {}, "request", packages=["p0", "p3"])
         store.journal.close()
         data = store.journal.entries()[0].data
-        generation = listed + [pid for pid in ids if pid not in listed]
-        mask = int(data["mask"], 16)
-        assert set(data) == {"base", "mask"}
-        assert {generation[at] for at in range(mask.bit_length())
-                if mask >> at & 1} == {"p0", "p3"}
+        assert data == {"mask": mask_text(
+            1 << ids.index("p0") | 1 << ids.index("p3"))}
         recovered, _, replayed = recover_state(
             tmp_path / "j.json", package_size=index)
         assert replayed == 1 and recovered.snapshot() == cache.snapshot()
 
-    def test_v2_file_written_by_the_parent_loads_and_resaves_as_v3(
+    def test_v2_file_written_by_the_parent_loads_and_resaves_as_v4(
         self, tmp_path, monkeypatch
     ):
         fixture = FIXTURES / "state_v2.json"
@@ -354,22 +363,35 @@ class TestStateVersions:
         resaved = save_state(tmp_path / "s.json", bundle.cache,
                              bundle.metadata, bundle.journal_seq)
         payload = json.loads(resaved.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert not set(payload["cache"]["policy"]) & set(RETIRED_KNOBS)
         again = load_bundle(resaved, size)
         assert again.cache.snapshot() == bundle.cache.snapshot()
 
+    def test_v3_file_loads_and_resaves_as_v4(self, tmp_path):
+        v3 = edited_v3_file(tmp_path, lambda c: None)
+        assert json.loads(v3.read_text())["cache"]["universe"] == [
+            "p9", "p10", "p0", "p1", "p2"]
+        bundle = load_bundle(v3, SIZE_OF)
+        assert not bundle.canonical
+        assert bundle.cache.snapshot() == two_image_cache().snapshot()
+        resaved = save_state(tmp_path / "v4.json", bundle.cache)
+        assert json.loads(resaved.read_text())["cache"] == \
+            two_image_cache().mask_snapshot()
+
     def test_unknown_version_lists_what_is_read(self, tmp_path):
         path = save_state(tmp_path / "s.json", warm_cache())
         path.write_text(path.read_text().replace(
-            '{"version":3,', '{"version":4,', 1))
-        with pytest.raises(StateError, match=r"version 4 unsupported.*2, 3"):
+            '{"version":4,', '{"version":5,', 1))
+        with pytest.raises(StateError, match=r"version 5 unsupported.*2, 3, 4"):
             load_state(path, SIZE_OF)
 
     @pytest.mark.parametrize("edit, complaint", [
         (lambda c: c["universe"].append(c["universe"][0]), "twice"),
         (lambda c: c["universe"].__setitem__(0, 7), "package names"),
         (lambda c: c.__setitem__("universe", "p0"), "package names"),
+        (lambda c: c["universe"].__setitem__(0, "ghost"),
+         "unknown package: 'ghost'"),
         (lambda c: c["images"][1].__setitem__("mask", "xyz"),
          "img-000001.*not a hex"),
         (lambda c: c["images"][1].__setitem__("mask", 3),
@@ -387,7 +409,37 @@ class TestStateVersions:
     def test_bad_table_is_a_state_error_naming_the_image(
         self, tmp_path, edit, complaint
     ):
+        """A v3 file's name table or hex masks."""
         path = edited_v3_file(tmp_path, edit)
+        with pytest.raises(StateError, match=complaint):
+            load_bundle(path, SIZE_OF)
+
+    @pytest.mark.parametrize("edit, complaint", [
+        (lambda c: c["images"][1].__setitem__("mask", "xyz"),
+         "img-000001.*invalid mask text.*padding"),
+        (lambda c: c["images"][1].__setitem__("mask", "-3=="),
+         "img-000001.*invalid mask text"),
+        (lambda c: c["images"][1].__setitem__("mask", "Aw==Aw=="),
+         "img-000001.*invalid mask text.*Excess data"),
+        (lambda c: c["images"][1].__setitem__("mask", "é"),
+         "img-000001.*invalid mask text.*ASCII"),
+        (lambda c: c["images"][1].__setitem__("mask", 3),
+         "img-000001.*mask text is a int"),
+        (lambda c: c["images"][0].__setitem__("mask", mask_text(1 << 30)),
+         "img-000000.*bit 30.*30 names"),
+        (lambda c: c.pop("repository"), "img-000000.*names no repository"),
+        (lambda c: c.__setitem__("repository", "sha256:0"),
+         "written against the repository sha256:0"),
+        (lambda c: c["images"][0].__setitem__("packages", ["p0"]),
+         "img-000000.*exactly one"),
+        (lambda c: c["images"][1].__setitem__("id", "img-000000"),
+         "duplicate image id"),
+    ])
+    def test_bad_mask_is_a_state_error_naming_the_image(
+        self, tmp_path, edit, complaint
+    ):
+        """A v4 file's masks."""
+        path = edited_v4_file(tmp_path, edit)
         with pytest.raises(StateError, match=complaint):
             load_bundle(path, SIZE_OF)
 
@@ -395,19 +447,20 @@ class TestStateVersions:
     def test_section_that_is_not_an_object_is_a_state_error(
         self, tmp_path, section
     ):
-        path = edited_v3_file(tmp_path, lambda c: c.__setitem__(section, []))
+        path = edited_v4_file(tmp_path, lambda c: c.__setitem__(section, []))
         with pytest.raises(StateError, match=f"{section} is a list"):
             load_bundle(path, SIZE_OF)
 
     def test_bad_table_leaves_the_cache_untouched(self):
-        state = warm_cache().table_snapshot()
-        state["images"][-1]["mask"] = "-1"
-        cache = make_cache()
-        with pytest.raises(ValueError, match="negative"):
-            cache.restore(state)
-        assert len(cache) == 0 and cache.stats.requests == 0
-        cache.restore(warm_cache().table_snapshot())  # still fresh
-        assert cache.snapshot() == warm_cache().snapshot()
+        for state in (warm_cache().mask_snapshot(), v3_record(warm_cache())):
+            state["images"][-1]["mask"] = "-1"
+            cache = make_cache()
+            with pytest.raises(ValueError, match="invalid|negative"):
+                cache.restore(state)
+            assert len(cache) == 0 and cache.stats.requests == 0
+            assert cache._universe.index is SIZE_OF
+            cache.restore(warm_cache().mask_snapshot())  # still fresh
+            assert cache.snapshot() == warm_cache().snapshot()
 
 
 class TestRetiredPrefilter:
@@ -442,13 +495,13 @@ class TestRetiredPrefilter:
             load_bundle(path, SIZE_OF)
 
     def test_refusal_leaves_the_cache_untouched(self):
-        state = warm_cache().table_snapshot()
+        state = warm_cache().mask_snapshot()
         state["policy"].update(OFF, use_minhash=True)
         cache = make_cache()
         with pytest.raises(ValueError, match="use_minhash"):
             cache.restore(state)
         assert len(cache) == 0 and cache._universe.index is SIZE_OF
-        cache.restore(warm_cache().table_snapshot())  # still fresh
+        cache.restore(warm_cache().mask_snapshot())  # still fresh
         assert cache.snapshot() == warm_cache().snapshot()
 
     def test_file_saved_here_round_trips_without_the_knobs(self, tmp_path):

@@ -160,8 +160,6 @@ class TestSizes:
         with pytest.raises(KeyError, match="unknown package: 'ghost'"):
             index("ghost")
         assert index("data/1.0") == 80 and type(index("data/1.0")) is int
-        assert index.repository is index
-        assert index.in_repository_order.tolist() == list(range(len(index.ids)))
 
     def test_of_a_mapping(self):
         index = PackageIndex.of({"b": 2, "a": 1, "c": 0})
@@ -169,28 +167,6 @@ class TestSizes:
         assert index.sizes.tolist() == [2, 1, 0]
         with pytest.raises(ValueError, match="negative size for package 'c'"):
             PackageIndex.of({"a": 1, "c": -3})
-
-    def test_a_generation_numbers_a_table_first(self, tiny_repo):
-        index = tiny_repo.size_of
-        assert index.generation([]) is index
-        table = ["data/1.0", "base/1.0"]
-        gen = index.generation(table)
-        rest = [pid for pid in index.ids if pid not in table]
-        assert gen.ids == table + rest
-        assert gen.position == {pid: i for i, pid in enumerate(gen.ids)}
-        assert gen.sizes.tolist() == [index(pid) for pid in gen.ids]
-        assert not gen.sizes.flags.writeable
-        assert gen.repository is index and gen.digest == index.digest
-        assert [gen.ids[i] for i in gen.in_repository_order] == index.ids
-        # A generation of a generation is the repository's again.
-        again = gen.generation(["appX/1.0"])
-        assert again.repository is index
-        assert again.ids == ["appX/1.0"] + [
-            pid for pid in index.ids if pid != "appX/1.0"]
-        with pytest.raises(KeyError, match="unknown package: 'ghost'"):
-            index.generation(["data/1.0", "ghost"])
-        with pytest.raises(ValueError, match="twice"):
-            index.generation(["data/1.0", "data/1.0"])
 
     def test_the_digest_is_of_the_ids_in_order(self, tiny_repo):
         index = tiny_repo.size_of
