@@ -621,10 +621,13 @@ class TestRecoveryWritesOnlyWhatChanged:
         recover_state(state, package_size=SIZE_OF)
         assert state.read_bytes() == canonical
 
-    @pytest.mark.parametrize("name, version", [
-        ("state_v2.json", 2), ("state_v3_journal_v1.json", 3),
-    ])
-    def test_an_old_file_is_rewritten_as_v4(self, tmp_path, name, version):
+    def test_a_v2_file_is_rewritten_as_v4(self, tmp_path):
+        self.check_rewritten_as_v4(tmp_path, "state_v2.json", 2)
+
+    def test_a_v3_file_is_rewritten_as_v4(self, tmp_path):
+        self.check_rewritten_as_v4(tmp_path, "state_v3_journal_v1.json", 3)
+
+    def check_rewritten_as_v4(self, tmp_path, name, version):
         fixture = Path(__file__).parent / "fixtures" / name
         state = tmp_path / "state.json"
         state.write_bytes(fixture.read_bytes())
