@@ -126,13 +126,18 @@ def mask_text(mask: int) -> str:
 
 def mask_of_text(text: str) -> int:
     """:func:`mask_text`'s inverse: a :class:`ValueError` for anything
-    but a string in the base64 alphabet, correctly padded."""
+    but a text :func:`mask_text` writes (the base64 alphabet, correctly
+    padded, no trailing zero byte)."""
     if not isinstance(text, str):
         raise ValueError(f"mask text is a {type(text).__name__}, not a string")
     try:
-        raw = a2b_base64(text, strict_mode=True)
+        raw = a2b_base64(text)
     except ValueError as exc:  # binascii.Error is one
         raise ValueError(f"invalid mask text {text[:40]!r}: {exc}") from None
+    # The decoder skips characters outside the alphabet and anything
+    # after the padding; only the text mask_text writes is read.
+    if raw[-1:] == b"\0" or b2a_base64(raw, newline=False) != text.encode():
+        raise ValueError(f"invalid mask text {text[:40]!r}: not canonical")
     return int.from_bytes(raw, "little")
 
 
@@ -1364,23 +1369,27 @@ class LandlordCache:
         # starts with the scan, so one reading serves both.
         started = perf_counter() if timed else 0.0
         image = self._engine.find_hit(mask, indices)
-        if ins is not None:
-            scanned = perf_counter()
-            ins.subset_scan_s.observe(scanned - started)
+        scanned = perf_counter() if ins is not None else 0.0
         if image is not None:
+            if ins is not None:
+                ins.subset_scan_s.observe(scanned - started)
             image.last_used = self._clock
             image.last_request = self.stats.requests
             self.stats.hits += 1
             self.stats.used_bytes += image.size
         else:
             # Step 2: merge into the first near image that does not
-            # conflict.  The probe's clock starts where the scan's ended.
+            # conflict.  The probe's clock starts where the scan's ended,
+            # and both are observed after it, so neither interval holds
+            # an observe.
             candidates, examined = self._engine.scan_candidates(
                 mask, n_request, self.alpha
             )
             self.stats.candidates_examined += examined
             if ins is not None:
-                ins.candidate_probe_s.observe(perf_counter() - scanned)
+                probed = perf_counter()
+                ins.subset_scan_s.observe(scanned - started)
+                ins.candidate_probe_s.observe(probed - scanned)
             can_conflict = type(self.conflict_policy) is not NoConflicts
             if can_conflict and not isinstance(packages, frozenset):
                 # Conflict policies see a set, as they always have; the

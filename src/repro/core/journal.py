@@ -51,7 +51,8 @@ as it lies — no name is decoded, hashed or looked up.  v1 lines
 after v3 ones; only v3 is written.  An entry of an older writer is
 refused by name, by recovery and by a writer about to append after it:
 one that carries ``"base"`` (v2, a mask over the table of the state
-file at that ``journal_seq``) or declares names in ``"new"``.
+file at that ``journal_seq``) or declares names in ``"new"``.  One the
+state file covers is skipped by both, as every covered entry is.
 
 The cache is deterministic given its restored state (including, for
 ``candidate_order="random"``, the RNG state the v2 snapshot carries), so
@@ -72,7 +73,9 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cache import LandlordCache, mask_of_text, mask_text
-from repro.core.persistence import StateBundle, load_bundle, save_state
+from repro.core.persistence import (
+    StateBundle, load_bundle, load_journal_seq, save_state,
+)
 from repro.packages.repository import PackageIndex
 from repro.testing.faults import checkpoint
 
@@ -909,14 +912,22 @@ class JournaledState:
 
         A writer that takes the files over (no load, save or append of
         its own yet) reads the journal once to number its entries, and
-        refuses to append behind an older writer's entry, which recovery
-        would refuse too.
+        refuses to append behind an older writer's entry that the state
+        file does not cover, as recovery refuses to replay it.
         """
         journal = self.journal
         if journal._next_seq is None:
+            covered = None
             for entry in journal.read_as_writer()[1]:
-                if _is_masked(entry):
+                if not _is_masked(entry):
+                    continue
+                try:
                     _check_layout(entry)
+                except JournalError:
+                    if covered is None:
+                        covered = load_journal_seq(self.state_path)
+                    if entry.seq > covered:
+                        raise
         with cache.lock or nullcontext():
             interned = [
                 cache._intern(data["packages"]) if op in _MASKED_OPS

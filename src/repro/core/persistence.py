@@ -275,6 +275,17 @@ def _verified_payload(path: Path, raw: bytes) -> Tuple[dict, bool]:
     return payload, as_it_lies and version == STATE_VERSION
 
 
+def load_journal_seq(path: PathLike) -> int:
+    """A state file's ``journal_seq``, checksum-verified, without
+    building a cache (0 when there is no state file)."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return 0
+    return int(_verified_payload(path, raw)[0].get("journal_seq", 0))
+
+
 def load_bundle(
     path: PathLike,
     package_size: PackageIndex,

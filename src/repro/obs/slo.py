@@ -218,18 +218,13 @@ class SloTracker:
         ``cache_efficiency`` reads ``nan`` for them.
         """
         self.requests += 1
-        if latency_s is None:
-            bucket = -1
-        else:
-            bucket = bisect_left(self._uppers, latency_s)
+        bucket = (
+            -1 if latency_s is None else bisect_left(self._uppers, latency_s)
+        )
+        if bucket >= 0:
             self._lat_counts[bucket] += 1
         ring = self._ring
-        # _sample_of, spelled out: this runs once per request.
-        ring.append((
-            stats.hits, stats.merges, stats.inserts,
-            stats.evictions_capacity, stats.bytes_written,
-            stats.requested_bytes, stats.used_bytes, bucket,
-        ))
+        ring.append(self._sample_of(stats, bucket))
         if len(ring) > self.window:
             self._base = expired = ring.popleft()
             if expired[7] >= 0:

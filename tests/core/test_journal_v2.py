@@ -538,7 +538,7 @@ class TestReplayRefuses:
         ({"base": 2, "mask": "3", "new": []}, "'new' is not"),
         ({"base": 2, "mask": "3", "new": []}, "commit 47c9b7f first"),
         ({"mask": "-3"}, "invalid mask text"),
-        ({"mask": "AQ==AQ=="}, "Excess data after padding"),
+        ({"mask": "AQ==AQ=="}, "invalid mask text 'AQ==AQ==': not canonical"),
         ({"mask": "é"}, "invalid mask text"),
     ])
     def test_is_a_journal_error_naming_the_entry(self, tmp_path, data, match):
@@ -554,6 +554,27 @@ class TestReplayRefuses:
         fresh = JournaledState(state)
         with pytest.raises(JournalError, match="journal entry 4"):
             fresh.apply(make_cache(), {}, "request", packages=["p0"])
+
+    @pytest.mark.parametrize("data", [
+        {"base": 0, "mask": "3"},
+        {"base": 0, "mask": "1", "new": ["p30"]},
+    ])
+    def test_a_writer_appends_after_one_the_state_file_covers(
+        self, tmp_path, data
+    ):
+        """An older writer's entries the state file covers (it crashed
+        between a save and the compaction after it): recovery skips
+        them, and a writer taking the files over appends after them."""
+        state = tmp_path / "state.json"
+        cache = serial_replay(FIXTURE_OPS[:2])
+        journal = Journal(Path(f"{state}.journal"))
+        journal.append("request", **data)
+        journal.append("request", **data)
+        journal.close()
+        save_state(state, cache, {}, journal_seq=2)
+        JournaledState(state).apply(cache, {}, "request", packages=["p0"])
+        recovered, _, _ = recover_state(state, package_size=SIZE_OF)
+        assert recovered.snapshot() == cache.snapshot()
 
 
 class TestNotUtf8:

@@ -73,13 +73,15 @@ MALFORMED = [
     ("AQ", "padding"),               # padding missing
     ("AQ=", "padding"),
     ("A===", "1 more than a multiple of 4"),
-    ("AQ==AQ==", "Excess data"),     # data after the padding
-    ("AQ==\n", "Excess data"),
-    ("A\nQ==", "Only base64"),       # not in the alphabet
-    ("-_==", "Only base64"),         # the URL-safe alphabet
-    ("A Q==", "Only base64"),
+    ("AQ==AQ==", "not canonical"),   # data after the padding
+    ("AQ==\n", "not canonical"),
+    ("A\nQ==", "not canonical"),     # not in the alphabet
+    ("-_==", "not canonical"),       # the URL-safe alphabet
+    ("A Q==", "not canonical"),
     ("é", "ASCII"),
-    ("\x00", "Only base64"),
+    ("\x00", "not canonical"),
+    ("AQA=", "not canonical"),       # a trailing zero byte
+    ("AR==", "not canonical"),       # set bits in the padding
 ]
 
 
@@ -102,7 +104,7 @@ class TestMalformed:
         except ValueError:
             return
         assert set(text) <= set(ALPHABET) and len(text) % 4 == 0
-        assert mask_of_text(mask_text(mask)) == mask
+        assert mask_text(mask) == text
 
     @pytest.mark.parametrize("text, says", MALFORMED + [
         (mask_text(1 << WIDTH), f"bit {WIDTH}, beyond the {WIDTH} names"),

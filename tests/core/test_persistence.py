@@ -420,7 +420,7 @@ class TestStateVersions:
         (lambda c: c["images"][1].__setitem__("mask", "-3=="),
          "img-000001.*invalid mask text"),
         (lambda c: c["images"][1].__setitem__("mask", "Aw==Aw=="),
-         "img-000001.*invalid mask text.*Excess data"),
+         "img-000001.*invalid mask text.*not canonical"),
         (lambda c: c["images"][1].__setitem__("mask", "é"),
          "img-000001.*invalid mask text.*ASCII"),
         (lambda c: c["images"][1].__setitem__("mask", 3),
