@@ -91,7 +91,7 @@ class TestZoneLayers:
         picks = np.random.default_rng(0).choice(
             len(ZONE_IDS), ZONE_SPEC, replace=False
         )
-        return [ZONE_IDS[int(i)] for i in picks]  # a list: never memoised
+        return [ZONE_IDS[int(i)] for i in picks]  # a list: resolved by name
 
     def test_intern_320_list_warm_universe(self, benchmark, wire_spec):
         cache = _zone_cache()
@@ -130,7 +130,7 @@ class TestZoneLayers:
 
 class TestInterning:
     """A cache numbers its packages once, by its package index (DESIGN.md,
-    "Interning and the spec memo"): fresh or restored, it shares the
+    "Interning and the drawn spec"): fresh or restored, it shares the
     repository's index and calls it for no single name, so a lap of the
     ledger's ``replay_zone`` stream interns by lookups only.
 

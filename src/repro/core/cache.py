@@ -81,7 +81,7 @@ from repro.core.engine import ENGINES, make_engine
 from repro.core.events import CacheEvent, EventKind, MergeCandidate
 from repro.core.spec import ImageSpec
 from repro.packages.conflicts import ConflictPolicy, NoConflicts
-from repro.packages.repository import PackageIndex
+from repro.packages.repository import DrawnSpec, PackageIndex
 
 __all__ = [
     "CachedImage", "CacheStats", "CacheDecision", "LandlordCache", "ENGINES",
@@ -94,7 +94,7 @@ EVICTION = ("lru", "fifo", "size")
 
 def _packages_of(spec: "ImageSpec | Collection[str]") -> Collection[str]:
     """The package collection a request argument names, as given — never
-    copied, so ``_intern``'s ownership rule sees what the caller holds."""
+    copied, so a :class:`DrawnSpec`'s interned form reaches ``_intern``."""
     return spec.packages if isinstance(spec, ImageSpec) else spec
 
 
@@ -615,7 +615,6 @@ class LandlordCache:
         # unique bytes and live ids are read off the image masks.
         self._refcounts: Optional[np.ndarray] = None
         self._unique_bytes = 0
-        self._spec_memo: Dict[FrozenSet[str], Tuple[int, np.ndarray, int]] = {}
         self.stats = CacheStats()
         self.events: List[CacheEvent] = []
         self._ins: Optional[_CacheInstruments] = None
@@ -830,7 +829,7 @@ class LandlordCache:
         """Non-mutating hit check: the image that *would* serve ``spec``.
 
         Touches no statistics, LRU clock or image, and inserts nothing;
-        interning a ``frozenset`` spec may memoise it.  That, and the
+        interning a drawn spec may fill its slot.  That, and the
         engine state the hit scan reads, is why it runs under the cache
         lock like the mutating entry points.  Federation layers use this to decide whether to consult
         a remote registry before letting :meth:`request` build locally.
@@ -1224,39 +1223,27 @@ class LandlordCache:
         if self._tracer is not None:
             self._tracer.on_event(event)
 
-    # Incidental-memory bound for _spec_memo; class attribute so tests can
-    # shrink it without replaying 64Ki distinct specs.
-    _SPEC_MEMO_LIMIT = 65536
-
     def _intern(self, packages: Collection[str]) -> Tuple[int, np.ndarray, int]:
         """Resolve a package collection to ``(mask, sorted indices, bytes)``.
 
-        Ownership rule for the memo: it admits only a ``frozenset`` — a
-        value the caller already holds and resubmits (an
-        ``ImageSpec.packages``, the simulator's and sweeps' spec sets),
-        so a memo entry is never the sole owner of a package set.  Any
-        other collection — the list off the wire, out of the journal or
-        a snapshot record — is transient: it is interned directly and
-        nothing of it is retained.  (Arriving as fresh strings, a
-        300-package spec interns in ~30 us; memoised, a resubmission —
-        which serving paths never make — would cost ~20 us, and the
-        entry pins ~45 KB of set, strings and arrays until evicted.)
+        A :class:`DrawnSpec` drawn on this cache's index holds the
+        triple: the first cache on the index to see it fills its slot,
+        and every later request, in any cache on the index, reads it.
+        The index array is shared, so it is made read-only.  Anything
+        else (a list off the wire, out of the journal or a state record,
+        a plain ``frozenset``, a spec drawn on another index) is resolved
+        by name, and nothing of it is retained.
         """
-        if not isinstance(packages, frozenset):
-            mask, indices = self._universe.mask_of(packages)
-            return mask, indices, self._universe.bytes_of_indices(indices)
-        memo = self._spec_memo.get(packages)
-        if memo is not None:
-            return memo
-        mask, indices = self._universe.mask_of(packages)
-        size = self._universe.bytes_of_indices(indices)
-        if len(self._spec_memo) >= self._SPEC_MEMO_LIMIT:
-            # Drop the oldest half rather than wiping everything: recently
-            # repeated specs stay memoized across the threshold.
-            for stale in list(self._spec_memo)[: self._SPEC_MEMO_LIMIT // 2]:
-                del self._spec_memo[stale]
-        self._spec_memo[packages] = (mask, indices, size)
-        return mask, indices, size
+        universe = self._universe
+        drawn = isinstance(packages, DrawnSpec) and packages.index is universe.index
+        if drawn and packages.interned is not None:
+            return packages.interned
+        mask, indices = universe.mask_of(packages)
+        interned = mask, indices, universe.bytes_of_indices(indices)
+        if drawn:
+            indices.flags.writeable = False
+            packages.interned = interned
+        return interned
 
     def _account_add(self, indices: np.ndarray) -> None:
         if self._refcounts is None or indices.size == 0:

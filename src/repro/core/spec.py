@@ -37,6 +37,8 @@ class ImageSpec:
     def __init__(self, packages: Iterable[str] = (), label: str = ""):
         if isinstance(packages, ImageSpec):
             pkgs: FrozenSet[str] = packages._packages
+        elif isinstance(packages, frozenset):
+            pkgs = packages  # kept as is: a drawn spec keeps its slots
         else:
             pkgs = frozenset(packages)
         for pid in pkgs:

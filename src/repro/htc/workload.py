@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.spec import ImageSpec
 from repro.htc.job import Job
-from repro.packages.repository import Repository
+from repro.packages.repository import DrawnSpec, Repository
 
 __all__ = [
     "WorkloadScheme",
@@ -87,7 +87,9 @@ class RandomWorkload(WorkloadScheme):
         reference = self.repository.closure(self._initial_selection(rng))
         count = min(len(reference), len(self._ids))
         picks = rng.choice(len(self._ids), size=count, replace=False)
-        return frozenset(self._ids[int(i)] for i in picks)
+        return DrawnSpec(
+            (self._ids[int(i)] for i in picks), self.repository.size_of
+        )
 
 
 class UserDriftWorkload(WorkloadScheme):
@@ -133,7 +135,8 @@ class UserDriftWorkload(WorkloadScheme):
             n_replace = max(1, int(round(len(core) * self.drift)))
             n_replace = min(n_replace, len(core))
             drop_idx = rng.choice(len(core), size=n_replace, replace=False)
-            keep = [c for i, c in enumerate(core) if i not in set(int(d) for d in drop_idx)]
+            dropped = set(drop_idx.tolist())
+            keep = [c for i, c in enumerate(core) if i not in dropped]
             adds = [
                 self._ids[int(i)]
                 for i in rng.choice(len(self._ids), size=n_replace, replace=False)
@@ -152,8 +155,9 @@ def build_stream(
 ) -> List[FrozenSet[str]]:
     """A full request stream: unique specs × repeats, shuffled.
 
-    The returned list reuses the same frozenset object for all repeats of a
-    spec, which lets the cache's spec memoisation kick in.
+    The returned list reuses one drawn spec object for all repeats of a
+    spec, so it is interned once: by the first cache on the repository
+    that sees it (:class:`~repro.packages.repository.DrawnSpec`).
     """
     if n_unique < 1 or repeats < 1:
         raise ValueError("n_unique and repeats must be positive")

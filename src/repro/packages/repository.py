@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.packages.package import Package
 
-__all__ = ["PackageIndex", "Repository", "RepositoryError"]
+__all__ = ["DrawnSpec", "PackageIndex", "Repository", "RepositoryError"]
 
 
 class RepositoryError(ValueError):
@@ -81,6 +81,29 @@ class PackageIndex:
                 "\n".join(self.ids).encode("utf-8")
             ).hexdigest()
         return self._digest
+
+
+class DrawnSpec(frozenset):
+    """A package set drawn on one :class:`PackageIndex`, carrying its
+    interned form.
+
+    Equality, hashing and iteration are ``frozenset``'s.  :attr:`index`
+    is the index it was drawn on; :attr:`interned` is ``None`` until the
+    first cache on that index fills it with the ``(mask, sorted indices,
+    bytes)`` triple, which every cache on the index then reads.  Pickled
+    or copied, it is a plain ``frozenset`` of its names.
+    """
+
+    __slots__ = ("index", "interned")
+
+    def __new__(cls, packages: Iterable[str], index: PackageIndex):
+        self = super().__new__(cls, packages)
+        self.index = index
+        self.interned = None
+        return self
+
+    def __reduce__(self):
+        return frozenset, (list(self),)
 
 
 class Repository:
@@ -237,12 +260,14 @@ class Repository:
         """Closure of a set of packages: union of per-package closures.
 
         This is the "expand a selection into a full image" operation used by
-        the workload generators (paper §VI, *Simulating HTC Jobs*).
+        the workload generators (paper §VI, *Simulating HTC Jobs*), drawn
+        on :attr:`size_of` so that caches on this repository intern it
+        once (:class:`DrawnSpec`).
         """
         acc: set = set()
         for pid in package_ids:
             acc |= self.closure_of(pid)
-        return frozenset(acc)
+        return DrawnSpec(acc, self.size_of)
 
     # -- sizes ---------------------------------------------------------------
 

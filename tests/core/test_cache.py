@@ -1,12 +1,14 @@
 """Tests for repro.core.cache.LandlordCache — Algorithm 1 behaviours."""
 
+import sys
+
 import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
 from repro.packages.conflicts import SlotConflicts
-from repro.packages.repository import PackageIndex
+from repro.packages.repository import DrawnSpec, PackageIndex
 
 SIZES = {f"p{i}": 10 for i in range(100)}
 SIZES.update({f"q{i}": 10 for i in range(100)})
@@ -25,6 +27,22 @@ def cache(capacity=10_000, alpha=0.75, **kw) -> LandlordCache:
 
 def spec(*ids):
     return frozenset(ids)
+
+
+def interning_retains(monkeypatch) -> list:
+    """Patch ``LandlordCache._intern`` to record, call by call, how many
+    references to its argument the call left behind."""
+    kept = []
+    inner = LandlordCache._intern
+
+    def intern(self, packages):
+        before = sys.getrefcount(packages)
+        interned = inner(self, packages)
+        kept.append(sys.getrefcount(packages) - before)
+        return interned
+
+    monkeypatch.setattr(LandlordCache, "_intern", intern)
+    return kept
 
 
 class TestValidation:
@@ -340,70 +358,42 @@ class TestEventsAndClear:
         assert c.stats.inserts == 1
 
 
-class TestSpecMemoBound:
-    def test_partial_eviction_keeps_recent_specs(self, monkeypatch):
-        # regression: hitting the memo bound used to clear() the whole
-        # memo, discarding hot keys; now only the oldest half is dropped.
-        monkeypatch.setattr(LandlordCache, "_SPEC_MEMO_LIMIT", 8)
-        c = cache()
-        specs = [spec(f"p{i}") for i in range(8)]
-        for s in specs:
-            c._intern(s)
-        assert len(c._spec_memo) == 8
-        c._intern(spec("q0"))  # crosses the bound
-        assert len(c._spec_memo) == 5  # 8 - 4 dropped + 1 new
-        # the oldest half is gone, the newest half (and the trigger) stay
-        assert all(specs[i] not in c._spec_memo for i in range(4))
-        assert all(specs[i] in c._spec_memo for i in range(4, 8))
-        assert spec("q0") in c._spec_memo
-
-    def test_bound_is_an_upper_limit(self, monkeypatch):
-        monkeypatch.setattr(LandlordCache, "_SPEC_MEMO_LIMIT", 16)
-        c = cache()
-        for i in range(100):
-            c._intern(spec(f"p{i % 50}", f"q{i % 40}"))
-        assert len(c._spec_memo) <= 16
-
-    def test_interning_still_correct_across_the_bound(self, monkeypatch):
-        monkeypatch.setattr(LandlordCache, "_SPEC_MEMO_LIMIT", 4)
-        c = cache()
-        for i in range(12):
-            mask, indices, size = c._intern(spec(f"p{i}"))
-            assert size == 10
-        again_mask, _, again_size = c._intern(spec("p0"))
-        assert again_size == 10
-        assert again_mask == c._universe.mask_of(spec("p0"))[0]
-
-
 class TestSpecMemoOwnership:
-    """The memo admits only what the caller already owns (a frozenset,
-    an ImageSpec's packages); a list or set is interned and forgotten."""
+    """A spec's interned form is owned by the spec: a drawn spec holds
+    it in its slot, which every cache on its index reads; a cache keeps
+    nothing of any spec it is given, drawn or not."""
 
     def test_owned_specs_populate_and_hit_the_memo(self):
         c = cache()
-        owned = spec("p0", "p1")
-        image_spec = ImageSpec(["p2", "p3"])
+        owned = DrawnSpec(["p0", "p1"], size_of)
+        image_spec = ImageSpec(DrawnSpec(["p2", "p3"], size_of))
+        assert owned.interned is None
         c.request(owned)
         c.request(image_spec)
-        assert set(c._spec_memo) == {owned, image_spec.packages}
-        assert c._intern(owned) is c._spec_memo[owned]
+        assert image_spec.packages.interned is not None
+        interned = owned.interned
+        assert c._intern(owned) is interned
+        assert not interned[1].flags.writeable  # shared, so read-only
         c.submit_batch([owned, image_spec, owned])
-        assert len(c._spec_memo) == 2
+        assert owned.interned is interned
+        assert cache()._intern(owned) is interned  # another cache, one triple
 
-    def test_transient_specs_are_not_retained(self):
+    def test_transient_specs_are_not_retained(self, monkeypatch):
+        kept = interning_retains(monkeypatch)
         c = cache()
         c.request(["p0", "p1"])
         c.request({"p2", "p3"})
+        c.request(spec("p4", "p8"))
+        c.request(DrawnSpec(["p9"], size_of))
         c.submit_batch([["p4"], ("p5", "p6")])
         c.adopt(["p7"])
         assert c.peek(["p0"]) is not None
-        assert not c._spec_memo
+        assert len(kept) == 8 and not any(kept)
 
     def test_list_with_duplicates_interns_like_its_frozenset(self):
         c = cache()
         wire = ["p3", "p1", "p3", "p2", "p1"]
         mask, indices, size = c._intern(wire)
-        assert not c._spec_memo
         owned_mask, owned_indices, owned_size = c._intern(frozenset(wire))
         assert mask == owned_mask
         assert indices.tolist() == owned_indices.tolist()
@@ -429,14 +419,13 @@ class TestSpecMemoOwnership:
             for _ in range(3)
         )
         for packages in stream:
-            owned.request(frozenset(packages))
+            owned.request(DrawnSpec(packages, index))
             transient.request(packages)
         batched.submit_batch(stream, batch_size=16)
         assert owned.stats.merges > 10 and owned.stats.deletes > 0
         assert transient.snapshot() == owned.snapshot()
         assert batched.snapshot() == owned.snapshot()
         assert transient.events == owned.events == batched.events
-        assert not transient._spec_memo and not batched._spec_memo
 
 
 class TestSharedLock:

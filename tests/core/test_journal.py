@@ -27,6 +27,7 @@ from repro.core.journal import (
 from repro.core.persistence import StateNotFound, load_bundle, save_state
 from repro.testing.faults import CrashPoint
 from repro.packages.repository import PackageIndex
+from tests.core.test_cache import interning_retains
 
 SIZE = {f"p{i}": 10 for i in range(30)}
 SIZE_OF = PackageIndex.of(SIZE)
@@ -648,9 +649,12 @@ class TestRecoveryWritesOnlyWhatChanged:
 
 
 class TestJournalSpecsAreTransient:
-    def test_apply_batch_and_recovery_retain_no_specs(self, tmp_path):
+    def test_apply_batch_and_recovery_retain_no_specs(
+        self, tmp_path, monkeypatch
+    ):
         # 200 unique ops out of the journal: neither the writer's cache
-        # nor the recovered one memoises a spec only it would own.
+        # nor the recovered one keeps a reference to a spec it interns.
+        kept = interning_retains(monkeypatch)
         ops = [
             ("request", {"packages": sorted({f"p{i % 30}", f"p{i // 30}",
                                              f"p{(i * 7) % 29}"})})
@@ -659,19 +663,16 @@ class TestJournalSpecsAreTransient:
         store = JournaledState(tmp_path / "s.json", snapshot_every=1000)
         cache = make_cache()
         store.initialise(cache)
-        before = len(cache._spec_memo)
         for start in range(0, 200, 25):
             store.apply_batch(cache, None, ops[start:start + 25])
-        assert len(cache._spec_memo) == before
         store.journal.close()
         recovered, _, replayed = recover_state(
             tmp_path / "s.json", package_size=SIZE_OF
         )
         assert replayed == 200
-        assert len(recovered._spec_memo) == 0
         assert recovered.snapshot() == cache.snapshot()
         # the snapshot recover_state wrote restores without retaining
         # its image records either
         restored = load_bundle(tmp_path / "s.json", SIZE_OF).cache
-        assert len(restored._spec_memo) == 0
         assert restored.snapshot() == cache.snapshot()
+        assert len(kept) >= 200 and not any(kept)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
-from repro.packages.repository import PackageIndex
+from repro.packages.repository import DrawnSpec, PackageIndex
 
 SIZE = {f"p{i}": 10 for i in range(30)}
 SIZE_OF = PackageIndex.of(SIZE)
@@ -52,9 +52,9 @@ class TestPeek:
             return super().__exit__(*exc)
 
     def test_peek_interns_and_scans_under_the_lock(self):
-        """Interning may learn names (the universe, the spec memo) and
-        the hit scan reads engine state: a window committing under the
-        daemon's lock must not run beside either."""
+        """Interning may fill a drawn spec's slot and the hit scan reads
+        engine state: a window committing under the daemon's lock must
+        not run beside either."""
         c = cache()
         c.request(frozenset({"p0", "p1"}))
         lock = self._RecordingRLock()
@@ -69,11 +69,12 @@ class TestPeek:
 
         c._intern = spy("intern", c._intern)
         c._engine.find_hit = spy("find_hit", c._engine.find_hit)
-        assert c.peek(frozenset({"p0", "p9"})) is None
+        drawn = DrawnSpec({"p0", "p9"}, c._universe.index)
+        assert c.peek(drawn) is None
         assert c.peek(frozenset({"p1"})).id == c.images[0].id
         assert lock.acquisitions == 2 and lock.depth == 0
         assert seen == [("intern", 1), ("find_hit", 1)] * 2
-        assert frozenset({"p0", "p9"}) in c._spec_memo
+        assert drawn.interned is not None
 
 
 class TestAdopt:

@@ -1,10 +1,12 @@
 """Tests for UserDriftWorkload (temporally correlated specs)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.similarity import jaccard_distance
-from repro.htc.workload import DependencyWorkload, UserDriftWorkload
+from repro.htc.workload import DependencyWorkload, UserDriftWorkload, build_stream
 
 
 class TestUserDriftWorkload:
@@ -67,3 +69,17 @@ class TestUserDriftWorkload:
             return cache.stats.hits + cache.stats.merges
 
         assert run(UserDriftWorkload) > run(DependencyWorkload)
+
+    def test_seeded_stream_is_pinned(self, small_sft):
+        """The draws are a function of the seed alone: this stream's
+        digest was taken before the drop set was built once per call."""
+        workload = UserDriftWorkload(
+            small_sft, max_selection=30, drift=0.3, session_length=7
+        )
+        stream = build_stream(
+            workload, np.random.default_rng(2020), n_unique=40, repeats=2
+        )
+        text = "\n".join(",".join(sorted(spec)) for spec in stream)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b4f197291cb4253d76134da90f9f928cc4170b0e124f264ec20f90dc62fef59d"
+        )

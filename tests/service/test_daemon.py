@@ -27,6 +27,7 @@ from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
 from repro.service.daemon import _PendingSubmit
 from repro.testing.faults import CrashPoint, SimulatedCrash
 from repro.packages.repository import PackageIndex
+from tests.core.test_cache import interning_retains
 from tests.core.test_journal_v2 import journalled_names
 
 SIZE = {f"p{i}": 10 * (i % 5 + 1) for i in range(30)}
@@ -767,9 +768,10 @@ class TestServePathCost:
                     rtts.append(time.perf_counter() - started)
         assert statistics.median(rtts) < 0.020
 
-    def test_submitted_specs_are_not_retained(self, tmp_path):
-        # 200 unique specs off the wire, duplicates and all: the memo,
-        # which would be their sole owner, admits none of them.
+    def test_submitted_specs_are_not_retained(self, tmp_path, monkeypatch):
+        # 200 unique specs off the wire, duplicates and all: interning
+        # keeps no reference to any of them.
+        kept = interning_retains(monkeypatch)
         ids = sorted(SIZE)
         specs = [
             [ids[i % 30], ids[(i // 30 + i + 1) % 30], ids[i % 30],
@@ -778,11 +780,10 @@ class TestServePathCost:
         ]
         assert len({frozenset(spec) for spec in specs}) > 100
         with make_daemon(tmp_path, snapshot_every=64) as daemon:
-            before = len(daemon.cache._spec_memo)
             with LandlordClient(f"http://127.0.0.1:{daemon.port}") as client:
                 replies = [client.submit(spec) for spec in specs]
-            assert len(daemon.cache._spec_memo) == before
             live_snapshot = daemon.cache.snapshot()
+        assert len(kept) == 200 and not any(kept)
         assert [r["request_index"] for r in replies] == list(range(200))
         serial = LandlordCache(500, 0.8, SIZE_OF)
         for spec, reply in zip(specs, replies):
